@@ -4,6 +4,30 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# gate FILE KEY floor|ceiling FRACTION BASELINE MESSAGE
+# Reads the first "KEY" number in FILE and fails with MESSAGE when it is
+# below (floor) or above (ceiling) FRACTION times BASELINE. BASELINE is a
+# committed JSON file holding the same key, or a plain number. The
+# leading quote anchors the grep to the exact key, so prefixed keys such
+# as "cold_bytes_per_instance" never match.
+gate() {
+  local file=$1 key=$2 kind=$3 fraction=$4 baseline=$5 message=$6
+  local current reference
+  current=$(grep -m1 -o "\"$key\": *[0-9.eE+-]*" "$file" | sed 's/.*: *//')
+  if [ -f "$baseline" ]; then
+    reference=$(grep -m1 -o "\"$key\": *[0-9.eE+-]*" "$baseline" | sed 's/.*: *//')
+  else
+    reference=$baseline
+  fi
+  awk -v cur="$current" -v base="$reference" -v kind="$kind" -v f="$fraction" \
+    -v key="$key" -v msg="$message" 'BEGIN {
+    if (kind != "floor" && kind != "ceiling") { print "gate: unknown kind " kind; exit 2 }
+    limit = base * f;
+    printf "%s: current %.2f, baseline %.2f, %s %.2f\n", key, cur, base, kind, limit;
+    if ((kind == "floor" && cur < limit) || (kind == "ceiling" && cur > limit)) { print msg; exit 1 }
+  }'
+}
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -15,14 +39,20 @@ cargo clippy --workspace --all-targets -- -D warnings \
 echo "== cargo clippy (bas-analysis + bas-faults + bas-fleet: no unwrap in the analyzers) =="
 # The static analyzer is the crate whose own soundness claims the repo
 # leans on, bas-faults drives the churn schedules the race detector
-# trusts, and bas-fleet is the long-running executor where a stray panic
-# takes down a whole worker pool; panicking escape hatches are held to a
-# stricter bar in all three.
+# trusts, and bas-fleet runs long fleet jobs where a stray panic aborts
+# the whole run; panicking escape hatches are held to a stricter bar in
+# all three.
 cargo clippy -p bas-analysis -p bas-faults -p bas-fleet -p bas-traffic --all-targets -- -D warnings \
   -W clippy::unwrap_used
 
 echo "== cargo test =="
 cargo test -q --workspace
+
+echo "== basbench tests (the benchmark's own package) =="
+# basbench calls run_fleet_with, run_traffic, check_cells and ExploreOpts
+# from its own workspace, so an API change that breaks the benchmark
+# fails here rather than only when the benchmark next runs.
+cargo test -q --offline --manifest-path basbench/Cargo.toml
 
 echo "== experiment smoke (every exp_* binary, --quick) =="
 cargo build -q --release -p bas-bench
@@ -68,74 +98,45 @@ echo "== race-detector perf gate (trace events/sec vs committed baseline, 30% fl
 # catalog must keep its trace-events/sec within 30% of the committed
 # BENCH_races_baseline.json (refresh the baseline deliberately when the
 # machine or the engine changes for good reason).
-current=$(grep -m1 -o '"events_per_second": *[0-9.eE+-]*' BENCH_races_perf.json | sed 's/.*: *//')
-baseline=$(grep -m1 -o '"events_per_second": *[0-9.eE+-]*' BENCH_races_baseline.json | sed 's/.*: *//')
-awk -v cur="$current" -v base="$baseline" 'BEGIN {
-  floor = base * 0.7;
-  printf "events/sec: current %.0f, baseline %.0f, floor %.0f\n", cur, base, floor;
-  if (cur < floor) { print "** race-detector throughput regressed >30% **"; exit 1 }
-}'
+gate BENCH_races_perf.json events_per_second floor 0.7 BENCH_races_baseline.json \
+  "** race-detector throughput regressed >30% **"
 
 echo "== model check (E14: exhaustive bounded verification, capped state budget) =="
 # Exits nonzero on any cell disagreement, truncated exploration, reachable
-# internal invariant, POR verdict divergence, parallel/sequential divergence,
-# or failed counterexample replay. --json writes BENCH_mc.json.
+# internal invariant, POR verdict divergence, or failed counterexample
+# replay. --json writes BENCH_mc.json.
 ./target/release/exp_model_check --quick --json --state-budget 500000 > /dev/null
 
 echo "== model-check perf gate (states/sec vs committed baseline, 30% floor) =="
 # Guards the explorer's hot path: the --quick sweep's states/sec must stay
 # within 30% of the committed BENCH_mc_baseline.json (refresh the baseline
 # deliberately when the machine or the explorer changes for good reason).
-current=$(grep -m1 -o '"states_per_second": *[0-9.eE+-]*' BENCH_mc.json | sed 's/.*: *//')
-baseline=$(grep -m1 -o '"states_per_second": *[0-9.eE+-]*' BENCH_mc_baseline.json | sed 's/.*: *//')
-awk -v cur="$current" -v base="$baseline" 'BEGIN {
-  floor = base * 0.7;
-  printf "states/sec: current %.0f, baseline %.0f, floor %.0f\n", cur, base, floor;
-  if (cur < floor) { print "** model-check throughput regressed >30% **"; exit 1 }
-}'
+gate BENCH_mc.json states_per_second floor 0.7 BENCH_mc_baseline.json \
+  "** model-check throughput regressed >30% **"
 
 echo "== fleet perf gate (IPC hot path + throughput vs committed baseline, 30% floor) =="
-# Guards the arena IPC hot path and the persistent-pool fleet executor:
+# Guards the arena IPC hot path and the fleet executor:
 # the --quick sweep's rates must stay within 30% of the committed
 # BENCH_fleet_baseline.json (refresh the baseline deliberately when the
 # machine or the executor changes for good reason).
 ./target/release/exp_fleet_scale --quick > /dev/null
-for metric in '"messages_per_second"' '"fleet_ipc_messages_per_wall_second"'; do
-  current=$(grep -m1 -o "$metric: *[0-9.eE+-]*" BENCH_fleet.json | sed 's/.*: *//')
-  baseline=$(grep -m1 -o "$metric: *[0-9.eE+-]*" BENCH_fleet_baseline.json | sed 's/.*: *//')
-  awk -v cur="$current" -v base="$baseline" -v name="$metric" 'BEGIN {
-    floor = base * 0.7;
-    printf "%s: current %.0f, baseline %.0f, floor %.0f\n", name, cur, base, floor;
-    if (cur < floor) { print "** fleet throughput regressed >30% **"; exit 1 }
-  }'
+for metric in messages_per_second fleet_ipc_messages_per_wall_second; do
+  gate BENCH_fleet.json "$metric" floor 0.7 BENCH_fleet_baseline.json \
+    "** fleet throughput regressed >30% **"
 done
 # Snapshot-fork boot gates: instances/sec has a floor like the other
 # rates; bytes/instance is a regression in the *upward* direction, so it
-# gets a ceiling instead. The leading quote anchors each grep to the
-# snapshot-path keys (the cold-path ones are "cold_..."-prefixed).
-current=$(grep -m1 -o '"boot_instances_per_sec": *[0-9.eE+-]*' BENCH_fleet.json | sed 's/.*: *//')
-baseline=$(grep -m1 -o '"boot_instances_per_sec": *[0-9.eE+-]*' BENCH_fleet_baseline.json | sed 's/.*: *//')
-awk -v cur="$current" -v base="$baseline" 'BEGIN {
-  floor = base * 0.7;
-  printf "boot_instances_per_sec: current %.0f, baseline %.0f, floor %.0f\n", cur, base, floor;
-  if (cur < floor) { print "** snapshot boot throughput regressed >30% **"; exit 1 }
-}'
-current=$(grep -m1 -o '"bytes_per_instance": *[0-9.eE+-]*' BENCH_fleet.json | sed 's/.*: *//')
-baseline=$(grep -m1 -o '"bytes_per_instance": *[0-9.eE+-]*' BENCH_fleet_baseline.json | sed 's/.*: *//')
-awk -v cur="$current" -v base="$baseline" 'BEGIN {
-  ceiling = base * 1.3;
-  printf "bytes_per_instance: current %.0f, baseline %.0f, ceiling %.0f\n", cur, base, ceiling;
-  if (cur > ceiling) { print "** snapshot boot memory per instance regressed >30% **"; exit 1 }
-}'
+# gets a ceiling instead (the cold-path keys are "cold_..."-prefixed).
+gate BENCH_fleet.json boot_instances_per_sec floor 0.7 BENCH_fleet_baseline.json \
+  "** snapshot boot throughput regressed >30% **"
+gate BENCH_fleet.json bytes_per_instance ceiling 1.3 BENCH_fleet_baseline.json \
+  "** snapshot boot memory per instance regressed >30% **"
 # The 2-worker speedup floor needs real cores; on a single-CPU host the
 # determinism and throughput gates above still ran.
 cores=$(grep -m1 -o '"cores": *[0-9]*' BENCH_fleet.json | sed 's/.*: *//')
 if [ "$cores" -ge 2 ]; then
-  speedup=$(grep -m1 -o '"speedup_2_workers": *[0-9.eE+-]*' BENCH_fleet.json | sed 's/.*: *//')
-  awk -v s="$speedup" 'BEGIN {
-    printf "2-worker speedup: %.2fx (>1.2x required)\n", s;
-    if (s < 1.2) { print "** 2-worker fleet speedup below floor **"; exit 1 }
-  }'
+  gate BENCH_fleet.json speedup_2_workers floor 1.2 1 \
+    "** 2-worker fleet speedup below floor **"
 else
   echo "2-worker speedup floor skipped ($cores core(s))"
 fi
@@ -152,13 +153,8 @@ echo "== traffic perf gate (E18: requests/sec vs committed baseline, 30% floor) 
 # BENCH_traffic_baseline.json (refresh the baseline deliberately when
 # the machine or the front-end changes for good reason).
 ./target/release/exp_traffic --quick > /dev/null
-current=$(grep -m1 -o '"requests_per_wall_second": *[0-9.eE+-]*' BENCH_traffic.json | sed 's/.*: *//')
-baseline=$(grep -m1 -o '"requests_per_wall_second": *[0-9.eE+-]*' BENCH_traffic_baseline.json | sed 's/.*: *//')
-awk -v cur="$current" -v base="$baseline" 'BEGIN {
-  floor = base * 0.7;
-  printf "requests/sec: current %.0f, baseline %.0f, floor %.0f\n", cur, base, floor;
-  if (cur < floor) { print "** traffic throughput regressed >30% **"; exit 1 }
-}'
+gate BENCH_traffic.json requests_per_wall_second floor 0.7 BENCH_traffic_baseline.json \
+  "** traffic throughput regressed >30% **"
 # Leave the committed full-mode BENCH_traffic.json (1 024-instance run,
 # which also enforces the 100k requests/sec floor) in place.
 ./target/release/exp_traffic > /dev/null

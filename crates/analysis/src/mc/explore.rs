@@ -19,22 +19,6 @@
 //! and the dynamic counterexample replay would catch a miscarried
 //! verdict downstream.
 //!
-//! # Parallel exploration
-//!
-//! With [`ExploreOpts::workers`] > 1, each BFS layer is expanded by
-//! scoped worker threads claiming frontier chunks from an atomic ticket.
-//! Successor fingerprints are raced into a sharded seen-set (one mutex
-//! per shard, sharded by fingerprint high bits) keyed by a *deterministic
-//! order key* — the successor's (frontier position, action index) in
-//! sequential exploration order. Racing inserts resolve by min-key, so
-//! whichever thread wins the lock, the surviving parent/action for every
-//! state is the one sequential exploration would have picked. A commit
-//! pass at the layer barrier then admits candidates in ascending key
-//! order, making node numbering, first-hit traces, counters, and
-//! truncation byte-identical to the sequential explorer at any worker
-//! count. (See DESIGN §5 for why the layer barrier also preserves the
-//! ample-set conditions C1–C3 and the shortest-trace guarantee.)
-//!
 //! # Partial-order reduction
 //!
 //! At each state the explorer looks for a *singleton ample set*: one
@@ -57,10 +41,8 @@
 //! runs reduced and unreduced explorations at equal depth and asserts
 //! identical verdicts (see `exp_model_check` and the crate tests).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use bas_core::semantics::{replay_trace, StepSemantics};
 
@@ -72,10 +54,6 @@ pub struct ExploreOpts {
     /// Hard cap on stored states; hitting it sets
     /// [`ExploreStats::truncated`] (the run is then *not* exhaustive).
     pub state_budget: usize,
-    /// Worker threads expanding each BFS layer; `0` and `1` both mean
-    /// sequential in-thread exploration. Results are byte-identical at
-    /// every worker count.
-    pub workers: usize,
 }
 
 impl Default for ExploreOpts {
@@ -83,7 +61,6 @@ impl Default for ExploreOpts {
         ExploreOpts {
             use_por: true,
             state_budget: 2_000_000,
-            workers: 1,
         }
     }
 }
@@ -218,62 +195,73 @@ fn expansion<S: StepSemantics>(
 
 /// Explores the reachable state space of `sem` breadth-first, calling
 /// `classify` on every discovered state. Fact bit 0..32 first-hits are
-/// recorded with shortest witness traces. Dispatches to the layer-
-/// parallel explorer when `opts.workers > 1`.
+/// recorded with shortest witness traces.
 pub fn explore<S, F>(sem: &S, opts: &ExploreOpts, classify: F) -> Exploration<S::Action>
-where
-    S: StepSemantics + Sync,
-    S::State: Send + Sync,
-    S::Action: Send,
-    F: Fn(&S::State) -> u32 + Sync,
-{
-    if opts.workers > 1 {
-        explore_parallel(sem, opts, classify)
-    } else {
-        explore_sequential(sem, opts, classify)
-    }
-}
-
-/// Shared root handling: seeds the arena, frontier, and first-hit table
-/// with the initial state.
-struct Base<S: StepSemantics> {
-    stats: ExploreStats,
-    first_hits: Vec<Option<Vec<S::Action>>>,
-    hit_mask: u32,
-    nodes: Vec<Node<S::Action>>,
-    frontier: Vec<(u32, S::State)>,
-}
-
-fn seed_root<S, F>(sem: &S, opts: &ExploreOpts, classify: &F) -> (Base<S>, u64)
 where
     S: StepSemantics,
     F: Fn(&S::State) -> u32,
 {
-    let mut base = Base {
-        stats: ExploreStats {
-            states: 1,
-            ..ExploreStats::default()
-        },
-        first_hits: (0..32).map(|_| None).collect(),
-        hit_mask: 0,
-        nodes: Vec::with_capacity(presize(opts.state_budget)),
-        frontier: Vec::new(),
+    let mut stats = ExploreStats {
+        states: 1,
+        ..ExploreStats::default()
     };
+    let mut first_hits: Vec<Option<Vec<S::Action>>> = (0..32).map(|_| None).collect();
+    let mut hit_mask = 0u32;
+    let mut nodes = Vec::with_capacity(presize(opts.state_budget));
+    let mut seen: HashSet<u64> =
+        HashSet::with_capacity(presize(opts.state_budget).saturating_add(1));
+
     let initial = sem.initial_state();
-    let facts = classify(&initial);
-    base.nodes.push(Node {
+    nodes.push(Node {
         parent: 0,
         action: None,
     });
-    for (bit, hit) in base.first_hits.iter_mut().enumerate() {
-        if facts & (1 << bit) != 0 {
-            *hit = Some(Vec::new());
-            base.hit_mask |= 1 << bit;
+    record_hits(
+        &mut first_hits,
+        &mut hit_mask,
+        &nodes,
+        0,
+        classify(&initial),
+    );
+    seen.insert(fingerprint(&initial));
+    let mut frontier: Vec<(u32, S::State)> = vec![(0, initial)];
+    let mut depth = 0usize;
+
+    while !frontier.is_empty() && !stats.truncated {
+        depth += 1;
+        let mut next: Vec<(u32, S::State)> = Vec::new();
+        'frontier: for (idx, state) in &frontier {
+            for action in expansion(sem, state, opts.use_por, &mut stats.ample_states) {
+                let succ = sem.apply(state, &action);
+                stats.transitions += 1;
+                if !seen.insert(fingerprint(&succ)) {
+                    continue;
+                }
+                if stats.states >= opts.state_budget {
+                    stats.truncated = true;
+                    break 'frontier;
+                }
+                let node = nodes.len();
+                nodes.push(Node {
+                    parent: *idx,
+                    action: Some(action),
+                });
+                stats.max_depth = stats.max_depth.max(depth);
+                record_hits(
+                    &mut first_hits,
+                    &mut hit_mask,
+                    &nodes,
+                    node,
+                    classify(&succ),
+                );
+                next.push((node as u32, succ));
+                stats.states += 1;
+            }
         }
+        frontier = next;
     }
-    let fp = fingerprint(&initial);
-    base.frontier.push((0, initial));
-    (base, fp)
+
+    Exploration { stats, first_hits }
 }
 
 /// Records a freshly committed state's facts against the first-hit
@@ -295,267 +283,6 @@ fn record_hits<A: Clone>(
         }
     }
     *hit_mask |= fresh;
-}
-
-fn explore_sequential<S, F>(sem: &S, opts: &ExploreOpts, classify: F) -> Exploration<S::Action>
-where
-    S: StepSemantics,
-    F: Fn(&S::State) -> u32,
-{
-    let (mut base, root_fp) = seed_root(sem, opts, &classify);
-    let mut seen: HashSet<u64> =
-        HashSet::with_capacity(presize(opts.state_budget).saturating_add(1));
-    seen.insert(root_fp);
-    let mut depth = 0usize;
-
-    while !base.frontier.is_empty() && !base.stats.truncated {
-        depth += 1;
-        let mut next: Vec<(u32, S::State)> = Vec::new();
-        'frontier: for (idx, state) in &base.frontier {
-            for action in expansion(sem, state, opts.use_por, &mut base.stats.ample_states) {
-                let succ = sem.apply(state, &action);
-                base.stats.transitions += 1;
-                if !seen.insert(fingerprint(&succ)) {
-                    continue;
-                }
-                if base.stats.states >= opts.state_budget {
-                    base.stats.truncated = true;
-                    break 'frontier;
-                }
-                let node = base.nodes.len();
-                base.nodes.push(Node {
-                    parent: *idx,
-                    action: Some(action),
-                });
-                base.stats.max_depth = base.stats.max_depth.max(depth);
-                let facts = classify(&succ);
-                record_hits(
-                    &mut base.first_hits,
-                    &mut base.hit_mask,
-                    &base.nodes,
-                    node,
-                    facts,
-                );
-                next.push((node as u32, succ));
-                base.stats.states += 1;
-            }
-        }
-        base.frontier = next;
-    }
-
-    Exploration {
-        stats: base.stats,
-        first_hits: base.first_hits,
-    }
-}
-
-// ---------------------------------------------------------------------
-// Layer-parallel exploration.
-// ---------------------------------------------------------------------
-
-/// Shard count for the parallel seen-set (power of two).
-const SHARDS: usize = 64;
-
-/// A shard entry: the deterministic order key of the best candidate so
-/// far this layer, or [`COMMITTED`] once the state is admitted.
-const COMMITTED: u64 = 0;
-
-/// A successor produced during parallel layer expansion, not yet
-/// admitted to the store.
-struct Candidate<S: StepSemantics> {
-    /// `(frontier position << 16 | action index) + 1` — the order the
-    /// sequential explorer would have tried this insertion (`+1` keeps
-    /// [`COMMITTED`] = 0 distinct).
-    key: u64,
-    fp: u64,
-    parent: u32,
-    action: S::Action,
-    state: S::State,
-    facts: u32,
-}
-
-fn order_key(frontier_pos: usize, action_idx: usize) -> u64 {
-    ((frontier_pos as u64) << 16 | action_idx as u64) + 1
-}
-
-fn shard_of(fp: u64) -> usize {
-    // High bits: the low bits feed the intra-shard hash map.
-    (fp >> (64 - SHARDS.trailing_zeros())) as usize
-}
-
-/// Frontier chunk size: two claims per worker per layer. Coarse chunks
-/// keep each worker on one contiguous frontier slice (one ticket fetch,
-/// sequential parent reads) — profiling showed the old fine-grained
-/// chunks (frontier/8·workers, capped at 1024) spent the layer in
-/// ticket and shard-lock ping-pong once expansion per state got cheap.
-/// The floor of 64 stops tiny early layers from being split at all.
-fn chunk_size(frontier: usize, workers: usize) -> usize {
-    (frontier / (workers * 2)).clamp(64, 16384)
-}
-
-fn explore_parallel<S, F>(sem: &S, opts: &ExploreOpts, classify: F) -> Exploration<S::Action>
-where
-    S: StepSemantics + Sync,
-    S::State: Send + Sync,
-    S::Action: Send,
-    F: Fn(&S::State) -> u32 + Sync,
-{
-    let workers = opts.workers;
-    let (mut base, root_fp) = seed_root(sem, opts, &classify);
-    let shard_cap = presize(opts.state_budget) / SHARDS + 1;
-    let seen: Vec<Mutex<HashMap<u64, u64>>> = (0..SHARDS)
-        .map(|_| Mutex::new(HashMap::with_capacity(shard_cap)))
-        .collect();
-    seen[shard_of(root_fp)]
-        .lock()
-        .expect("seen shard poisoned")
-        .insert(root_fp, COMMITTED);
-    let mut depth = 0usize;
-
-    while !base.frontier.is_empty() && !base.stats.truncated {
-        depth += 1;
-        let frontier = &base.frontier;
-        let ticket = AtomicUsize::new(0);
-        let chunk = chunk_size(frontier.len(), workers);
-        let use_por = opts.use_por;
-
-        // Expansion phase: workers claim frontier chunks, apply every
-        // expansion action, and race fingerprints into the sharded
-        // seen-set under min-order-key semantics. Each worker returns
-        // its surviving candidates plus local counters.
-        let mut worker_out: Vec<(Vec<Candidate<S>>, usize, usize)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out: Vec<Candidate<S>> = Vec::new();
-                        let mut transitions = 0usize;
-                        let mut ample = 0usize;
-                        loop {
-                            let start = ticket.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= frontier.len() {
-                                break;
-                            }
-                            let end = (start + chunk).min(frontier.len());
-                            for (pos, (parent, state)) in frontier[start..end]
-                                .iter()
-                                .enumerate()
-                                .map(|(o, f)| (start + o, f))
-                            {
-                                let expand = expansion(sem, state, use_por, &mut ample);
-                                for (aidx, action) in expand.into_iter().enumerate() {
-                                    let succ = sem.apply(state, &action);
-                                    transitions += 1;
-                                    let fp = fingerprint(&succ);
-                                    let key = order_key(pos, aidx);
-                                    let mut shard =
-                                        seen[shard_of(fp)].lock().expect("seen shard poisoned");
-                                    match shard.entry(fp) {
-                                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                                            // Committed (0) or an earlier-in-
-                                            // order candidate wins; otherwise
-                                            // we displace the later one (its
-                                            // buffered candidate dies at
-                                            // commit time).
-                                            if *e.get() <= key {
-                                                continue;
-                                            }
-                                            e.insert(key);
-                                        }
-                                        std::collections::hash_map::Entry::Vacant(v) => {
-                                            v.insert(key);
-                                        }
-                                    }
-                                    drop(shard);
-                                    let facts = classify(&succ);
-                                    out.push(Candidate {
-                                        key,
-                                        fp,
-                                        parent: *parent,
-                                        action,
-                                        state: succ,
-                                        facts,
-                                    });
-                                }
-                            }
-                        }
-                        (out, transitions, ample)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("layer worker panicked"))
-                .collect()
-        });
-
-        // Commit phase (single-threaded): admit candidates in sequential
-        // exploration order; a candidate whose shard entry no longer
-        // bears its key lost the dedup race to an earlier-ordered one.
-        let mut candidates: Vec<Candidate<S>> = Vec::new();
-        for (out, transitions, ample) in worker_out.drain(..) {
-            candidates.extend(out);
-            base.stats.transitions += transitions;
-            base.stats.ample_states += ample;
-        }
-        candidates.sort_unstable_by_key(|c| c.key);
-
-        // Resolve dedup survivors one shard lock at a time instead of
-        // one lock per candidate: survival (`entry == key`) is fixed
-        // once the expansion barrier passes, so the survivor set is
-        // independent of visit order, and marking a past-budget
-        // survivor COMMITTED is moot — truncation ends the exploration.
-        let mut survivor = vec![false; candidates.len()];
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); SHARDS];
-        for (i, cand) in candidates.iter().enumerate() {
-            by_shard[shard_of(cand.fp)].push(i);
-        }
-        for (s, members) in by_shard.into_iter().enumerate() {
-            if members.is_empty() {
-                continue;
-            }
-            let mut shard = seen[s].lock().expect("seen shard poisoned");
-            for i in members {
-                let cand = &candidates[i];
-                let entry = shard.get_mut(&cand.fp).expect("candidate was inserted");
-                if *entry == cand.key {
-                    survivor[i] = true;
-                    *entry = COMMITTED;
-                }
-            }
-        }
-
-        let mut next: Vec<(u32, S::State)> = Vec::new();
-        for (cand, live) in candidates.into_iter().zip(survivor) {
-            if !live {
-                continue; // displaced by an earlier-ordered candidate
-            }
-            if base.stats.states >= opts.state_budget {
-                base.stats.truncated = true;
-                break;
-            }
-            let node = base.nodes.len();
-            base.nodes.push(Node {
-                parent: cand.parent,
-                action: Some(cand.action),
-            });
-            base.stats.max_depth = base.stats.max_depth.max(depth);
-            record_hits(
-                &mut base.first_hits,
-                &mut base.hit_mask,
-                &base.nodes,
-                node,
-                cand.facts,
-            );
-            next.push((node as u32, cand.state));
-            base.stats.states += 1;
-        }
-        base.frontier = next;
-    }
-
-    Exploration {
-        stats: base.stats,
-        first_hits: base.first_hits,
-    }
 }
 
 /// Greedily shrinks a witness trace: repeatedly drops any single action
@@ -639,7 +366,6 @@ mod tests {
         let opts = ExploreOpts {
             use_por: false,
             state_budget: 10_000,
-            workers: 1,
         };
         let ex = explore(&Counters, &opts, classify);
         assert_eq!(ex.stats.states, 27, "full product space");
@@ -658,7 +384,6 @@ mod tests {
             &ExploreOpts {
                 use_por: false,
                 state_budget: 10_000,
-                workers: 1,
             },
             classify,
         );
@@ -667,7 +392,6 @@ mod tests {
             &ExploreOpts {
                 use_por: true,
                 state_budget: 10_000,
-                workers: 1,
             },
             classify,
         );
@@ -688,53 +412,6 @@ mod tests {
             &ExploreOpts {
                 use_por: false,
                 state_budget: 5,
-                workers: 1,
-            },
-            classify,
-        );
-        assert!(ex.stats.truncated);
-        assert!(ex.stats.states <= 5);
-    }
-
-    #[test]
-    fn parallel_exploration_is_byte_identical() {
-        for use_por in [false, true] {
-            let seq = explore(
-                &Counters,
-                &ExploreOpts {
-                    use_por,
-                    state_budget: 10_000,
-                    workers: 1,
-                },
-                classify,
-            );
-            for workers in [2, 4] {
-                let par = explore(
-                    &Counters,
-                    &ExploreOpts {
-                        use_por,
-                        state_budget: 10_000,
-                        workers,
-                    },
-                    classify,
-                );
-                assert_eq!(par.stats, seq.stats, "por={use_por} workers={workers}");
-                assert_eq!(
-                    par.first_hits, seq.first_hits,
-                    "por={use_por} workers={workers}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_truncation_respects_the_budget() {
-        let ex = explore(
-            &Counters,
-            &ExploreOpts {
-                use_por: false,
-                state_budget: 5,
-                workers: 4,
             },
             classify,
         );

@@ -13,6 +13,7 @@ use bas_attack::expectations::{paper_expectation, Expectation};
 use bas_attack::{AttackId, AttackerModel};
 use bas_core::platform::linux::UidScheme;
 use bas_core::scenario::Platform;
+use bas_sim::WorkerPool;
 
 use super::explore::{explore, minimize_trace, ExploreOpts, ExploreStats};
 use super::model::{McBounds, ScenarioModel};
@@ -278,55 +279,24 @@ pub fn check_matrix(scheme: UidScheme, opts: &ExploreOpts) -> Vec<CellReport> {
     )
 }
 
-/// Model-checks `cells` across `sweep_workers` threads, preserving input
-/// order in the result. Cells are independent explorations, so this
-/// parallelizes at the cell boundary; per-cell layer parallelism
-/// (`opts.workers`) composes with it, but a sweep normally wants
-/// `opts.workers == 1` — cell-level parallelism already saturates the
-/// cores without oversubscription. Reports are identical at any
-/// `sweep_workers` (each cell is a pure function of its inputs).
+/// Model-checks `cells` on a [`WorkerPool`] of `sweep_workers` threads,
+/// preserving input order in the result. Cells are independent
+/// explorations, so this parallelizes at the cell boundary; reports are
+/// identical at any `sweep_workers` (each cell is a pure function of its
+/// inputs).
 pub fn check_cells(
     cells: &[(Platform, AttackerModel, AttackId)],
     scheme: UidScheme,
     opts: &ExploreOpts,
     sweep_workers: usize,
 ) -> Vec<CellReport> {
-    let workers = sweep_workers.clamp(1, cells.len().max(1));
-    if workers <= 1 {
-        return cells
-            .iter()
-            .map(|&(platform, attacker, attack)| {
-                let model = ScenarioModel::new(platform, attacker, attack, scheme);
-                check_cell(&model, opts)
-            })
-            .collect();
-    }
-    let ticket = std::sync::atomic::AtomicUsize::new(0);
-    let mut indexed: Vec<(usize, CellReport)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let idx = ticket.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(&(platform, attacker, attack)) = cells.get(idx) else {
-                            break;
-                        };
-                        let model = ScenarioModel::new(platform, attacker, attack, scheme);
-                        out.push((idx, check_cell(&model, opts)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    });
-    // Completion order depends on scheduling; report order must not.
-    indexed.sort_by_key(|(idx, _)| *idx);
-    indexed.into_iter().map(|(_, r)| r).collect()
+    WorkerPool::new(sweep_workers).map(cells.len(), |i| {
+        let (platform, attacker, attack) = cells[i];
+        check_cell(
+            &ScenarioModel::new(platform, attacker, attack, scheme),
+            opts,
+        )
+    })
 }
 
 #[cfg(test)]
@@ -338,7 +308,6 @@ mod tests {
         ExploreOpts {
             use_por: true,
             state_budget: 2_000_000,
-            workers: 1,
         }
     }
 
@@ -460,7 +429,6 @@ mod tests {
                 &ExploreOpts {
                     use_por,
                     state_budget: 2_000_000,
-                    workers: 1,
                 },
             )
         };

@@ -19,19 +19,11 @@ use proptest::prelude::*;
 const PLATFORMS: [Platform; 3] = [Platform::Linux, Platform::Minix, Platform::Sel4];
 const ATTACKERS: [AttackerModel; 2] = [AttackerModel::ArbitraryCode, AttackerModel::Root];
 
-fn opts(workers: usize) -> ExploreOpts {
-    ExploreOpts {
-        use_por: true,
-        state_budget: 2_000_000,
-        workers,
-    }
-}
-
 /// Checks every reached fact bit of one exploration against the replay
 /// path. Returns the number of witnesses checked.
-fn check_witnesses(model: &ScenarioModel, workers: usize) -> usize {
+fn check_witnesses(model: &ScenarioModel) -> usize {
     let bounds = model.bounds;
-    let ex = explore(model, &opts(workers), |s| classify(&bounds, s));
+    let ex = explore(model, &ExploreOpts::default(), |s| classify(&bounds, s));
     let mut checked = 0;
     for bit in 0..32u32 {
         let Some(witness) = ex.witness(1 << bit) else {
@@ -72,7 +64,7 @@ fn check_witnesses(model: &ScenarioModel, workers: usize) -> usize {
 #[test]
 fn matrix_counterexamples_replay_on_all_platforms() {
     let mut witnessed_platforms = std::collections::BTreeSet::new();
-    for r in check_matrix(UidScheme::SharedAccount, &opts(1)) {
+    for r in check_matrix(UidScheme::SharedAccount, &ExploreOpts::default()) {
         let Some(cx) = &r.counterexample else {
             continue;
         };
@@ -94,15 +86,14 @@ fn matrix_counterexamples_replay_on_all_platforms() {
 }
 
 proptest! {
-    /// Random cells, random worker counts: every first-hit witness the
-    /// arena reconstructs is exactly what the replay path accepts.
+    /// Random cells: every first-hit witness the arena reconstructs is
+    /// exactly what the replay path accepts.
     #[test]
     fn arena_witnesses_replay(
         p in 0usize..3,
         a in 0usize..9,
         m in 0usize..2,
         hardened in any::<bool>(),
-        workers in 1usize..4,
     ) {
         let scheme = if hardened {
             UidScheme::PerProcessHardened
@@ -110,7 +101,7 @@ proptest! {
             UidScheme::SharedAccount
         };
         let model = ScenarioModel::new(PLATFORMS[p], ATTACKERS[m], AttackId::ALL[a], scheme);
-        check_witnesses(&model, workers);
+        check_witnesses(&model);
     }
 }
 
@@ -130,7 +121,7 @@ fn linux_dac_cells_reconstruct_nontrivial_witnesses() {
             UidScheme::SharedAccount,
         );
         assert!(
-            check_witnesses(&model, 1) >= 2,
+            check_witnesses(&model) >= 2,
             "{attack}: expected delivery + violation witnesses"
         );
     }

@@ -16,7 +16,6 @@ fn opts() -> ExploreOpts {
     ExploreOpts {
         use_por: true,
         state_budget: 2_000_000,
-        workers: 1,
     }
 }
 
@@ -87,7 +86,6 @@ fn por_is_sound_and_effective_across_platforms() {
                 &ExploreOpts {
                     use_por: false,
                     state_budget: 2_000_000,
-                    workers: 1,
                 },
             );
             assert!(!reduced.stats.truncated && !full.stats.truncated);

@@ -1,94 +1,18 @@
-//! Determinism of the layer-parallel explorer.
-//!
-//! The parallel BFS races successor discovery across worker threads but
-//! commits each layer in sequential exploration order, so its results
-//! must be *byte-identical* to the sequential explorer: same verdicts,
-//! same state/transition/depth counters, same reachable-fact sets, and
-//! the same minimized counterexamples — on every cell of the 54-cell E6
-//! matrix, at 2 and at 4 workers. The sweep-level parallelism
-//! (`check_cells`) must likewise not perturb reports.
+//! Determinism of the cell sweep: `check_cells` fans the 54-cell E6
+//! matrix out across worker threads, which must not perturb the order
+//! or content of its reports.
 
 use bas_analysis::mc::{check_cells, matrix_cells, ExploreOpts};
 use bas_core::platform::linux::UidScheme;
 use bas_core::scenario::Platform;
 
-fn opts(workers: usize) -> ExploreOpts {
-    ExploreOpts {
-        use_por: true,
-        state_budget: 2_000_000,
-        workers,
-    }
-}
-
-const ALL: [Platform; 3] = [Platform::Linux, Platform::Minix, Platform::Sel4];
-
-#[test]
-fn parallel_explorer_matches_sequential_on_all_54_cells() {
-    let cells = matrix_cells(&ALL);
-    assert_eq!(cells.len(), 54);
-    let seq = check_cells(&cells, UidScheme::SharedAccount, &opts(1), 1);
-    for workers in [2, 4] {
-        let par = check_cells(&cells, UidScheme::SharedAccount, &opts(workers), 1);
-        assert_eq!(par.len(), seq.len());
-        for (p, s) in par.iter().zip(&seq) {
-            let cell = format!("{:?}/{}/{} x{workers}", s.platform, s.attacker, s.attack);
-            assert_eq!(p.mc, s.mc, "{cell}: verdict diverged");
-            assert_eq!(p.stats, s.stats, "{cell}: exploration counters diverged");
-            assert_eq!(p.reached, s.reached, "{cell}: reachable facts diverged");
-            assert_eq!(
-                p.counterexample.as_ref().map(|c| (c.property, &c.trace)),
-                s.counterexample.as_ref().map(|c| (c.property, &c.trace)),
-                "{cell}: minimized counterexample diverged"
-            );
-        }
-    }
-}
-
-/// POR off must be deterministic too (the unreduced space is the larger
-/// stress of the dedup race).
-#[test]
-fn parallel_explorer_matches_sequential_without_por() {
-    // One representative cell per platform keeps the unreduced sweep
-    // affordable in debug builds.
-    let cells: Vec<_> = matrix_cells(&ALL)
-        .into_iter()
-        .filter(|(p, m, a)| {
-            *m == bas_attack::AttackerModel::ArbitraryCode
-                && matches!(
-                    (p, a),
-                    (Platform::Linux, bas_attack::AttackId::SpoofActuatorCommands)
-                        | (Platform::Minix, bas_attack::AttackId::FloodLegitChannel)
-                        | (Platform::Sel4, bas_attack::AttackId::ReplaySetpoint)
-                )
-        })
-        .collect();
-    assert_eq!(cells.len(), 3);
-    let mk = |workers: usize| ExploreOpts {
-        use_por: false,
-        state_budget: 2_000_000,
-        workers,
-    };
-    let seq = check_cells(&cells, UidScheme::SharedAccount, &mk(1), 1);
-    for workers in [2, 4] {
-        let par = check_cells(&cells, UidScheme::SharedAccount, &mk(workers), 1);
-        for (p, s) in par.iter().zip(&seq) {
-            assert_eq!(p.mc, s.mc);
-            assert_eq!(p.stats, s.stats);
-            assert_eq!(p.reached, s.reached);
-            assert_eq!(
-                p.counterexample.as_ref().map(|c| (c.property, &c.trace)),
-                s.counterexample.as_ref().map(|c| (c.property, &c.trace)),
-            );
-        }
-    }
-}
-
 /// Sweep-level parallelism preserves report order and content.
 #[test]
 fn parallel_cell_sweep_preserves_reports() {
     let cells = matrix_cells(&[Platform::Minix]);
-    let seq = check_cells(&cells, UidScheme::SharedAccount, &opts(1), 1);
-    let par = check_cells(&cells, UidScheme::SharedAccount, &opts(1), 4);
+    let opts = ExploreOpts::default();
+    let seq = check_cells(&cells, UidScheme::SharedAccount, &opts, 1);
+    let par = check_cells(&cells, UidScheme::SharedAccount, &opts, 4);
     assert_eq!(par.len(), seq.len());
     for (p, s) in par.iter().zip(&seq) {
         assert_eq!(

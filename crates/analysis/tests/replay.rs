@@ -17,7 +17,6 @@ fn opts() -> ExploreOpts {
     ExploreOpts {
         use_por: true,
         state_budget: 2_000_000,
-        workers: 1,
     }
 }
 

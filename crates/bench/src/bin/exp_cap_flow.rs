@@ -56,7 +56,6 @@ fn main() {
     let opts = ExploreOpts {
         use_por: true,
         state_budget: state_budget_arg().unwrap_or(if h.quick() { 500_000 } else { 2_000_000 }),
-        workers: 1,
     };
     let sweep_workers = h.workers();
     let mut failures = 0usize;

@@ -48,7 +48,7 @@ use bas_attack::{AttackId, AttackerModel};
 use bas_bench::{rule, section, verdict, Harness};
 use bas_core::platform::linux::UidScheme;
 use bas_faults::plan::FaultPlan;
-use bas_fleet::{run_cells, Json};
+use bas_fleet::{Json, WorkerPool};
 use bas_sim::caps::CapOp;
 use bas_sim::time::SimDuration;
 
@@ -74,13 +74,12 @@ fn main() {
     let opts = ExploreOpts {
         use_por: true,
         state_budget: if h.quick() { 500_000 } else { 2_000_000 },
-        workers: 1,
     };
     let mut failures = 0usize;
 
     // ----------------------------------------------------------------
     // 1. Seeded churn catalog: exact race-kind sets, in parallel across
-    //    scenarios (run_cells preserves input order, so the report is
+    //    scenarios (WorkerPool::map preserves input order, so the report is
     //    byte-identical at any worker count).
     // ----------------------------------------------------------------
     let catalog: Vec<ChurnScenario> = churn_scenarios()
@@ -97,7 +96,7 @@ fn main() {
     );
     rule();
     let t0 = Instant::now();
-    let runs = run_cells(catalog.len(), sweep_workers, |i| {
+    let runs = WorkerPool::new(sweep_workers).map(catalog.len(), |i| {
         let trace = run_scenario(&catalog[i]);
         let races = detect(&trace);
         (trace.events.len(), trace.edges.len(), races)

@@ -1,6 +1,6 @@
 //! E13 (extension): fleet scaling. Runs N independent building
 //! instances — each a full kernel stack plus plant with its own derived
-//! seed — across a persistent worker pool, sweeping fleet size × worker
+//! seed — across a worker pool, sweeping fleet size × worker
 //! count, and prints the throughput scaling curve. The deterministic
 //! `FleetReport` of the largest fleet is embedded in `BENCH_fleet.json`
 //! (the wall-clock sweep numbers vary run to run; the report never
@@ -318,9 +318,9 @@ fn main() {
     );
     rule();
 
-    // One persistent pool serves the whole sweep; each run uses the
-    // first `workers` threads, so the report stays a pure function of
-    // the configuration while the OS threads are spawned exactly once.
+    // One pool serves the whole sweep; each run uses at most `workers`
+    // of its threads, so the report stays a pure function of the
+    // configuration.
     let pool = WorkerPool::new(workers.iter().copied().max().unwrap_or(1));
     let mut sweep = Vec::new();
     let mut largest_report = None;

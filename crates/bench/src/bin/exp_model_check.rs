@@ -1,5 +1,5 @@
 //! E14 + E15: bounded explicit-state model checking of the attack
-//! matrix, and the scaling of its parallel exploration.
+//! matrix, and the scaling of its cell sweep.
 //!
 //! Where E3–E6 *run* each matrix cell on one schedule, E14 *proves* it:
 //! every interleaving of the five processes and the attacker's
@@ -10,11 +10,8 @@
 //! and minimized counterexample traces — each replayed through the real
 //! dynamic engine to confirm the violation manifests.
 //!
-//! E15 measures the two parallel axes introduced with the sharded
-//! explorer: cell-level sweep scaling (the 54 cells across a worker
-//! pool) and layer-level BFS scaling inside a single cell (workers ×
-//! {POR on, POR off}), asserting byte-identical verdicts at every
-//! worker count.
+//! E15 measures cell-level sweep scaling (the 54 cells across a worker
+//! pool), asserting identical reports at every worker count.
 //!
 //! Run:
 //! `cargo run --release -p bas-bench --bin exp_model_check [-- --quick] [-- --json] [-- --workers N] [-- --state-budget N]`
@@ -86,17 +83,9 @@ fn cell_json(r: &CellReport, scheme: UidScheme) -> Json {
 fn main() {
     let h = Harness::new("mc");
     let scheme = UidScheme::SharedAccount;
-    // Per-cell layer parallelism stays off by default: the matrix
-    // parallelizes at the cell boundary (54 independent explorations),
-    // which scales without barriers, while intra-cell layer-BFS is
-    // bounded by per-layer width and loses outright when workers
-    // oversubscribe the machine. E15b below measures it honestly at
-    // each worker count; the JSON carries the default so downstream
-    // dashboards don't assume layer parallelism contributed.
     let opts = ExploreOpts {
         use_por: true,
         state_budget: state_budget_arg().unwrap_or(2_000_000),
-        workers: 1,
     };
     let sweep_workers = h.workers();
     let mut failures = 0usize;
@@ -208,79 +197,6 @@ fn main() {
             ("reports_identical", Json::Bool(identical)),
         ]);
     }
-
-    // ----------------------------------------------------------------
-    // E15b: layer-parallel BFS inside one cell, workers × {POR on/off}.
-    // Verdict/counter equality at every worker count is asserted; the
-    // speedup column is informational (layer barriers bound it by the
-    // width of each layer).
-    // ----------------------------------------------------------------
-    section("E15b: layer-parallel exploration (single cell, workers x POR)");
-    let bfs_cells: &[(Platform, AttackId)] = if h.quick() {
-        &[(Platform::Linux, AttackId::SpoofActuatorCommands)]
-    } else {
-        &[
-            (Platform::Linux, AttackId::SpoofActuatorCommands),
-            (Platform::Minix, AttackId::FloodLegitChannel),
-            (Platform::Sel4, AttackId::ReplaySetpoint),
-        ]
-    };
-    let worker_counts: &[usize] = if h.quick() { &[1, 2] } else { &[1, 2, 4] };
-    println!(
-        "{:<8} {:<22} {:>4} {:>8} {:>10} {:>10} {:>8}  identical?",
-        "platform", "attack", "por", "workers", "states", "wall[ms]", "speedup"
-    );
-    rule();
-    let mut bfs_json = Vec::new();
-    for &(platform, attack) in bfs_cells {
-        let model = ScenarioModel::new(platform, AttackerModel::ArbitraryCode, attack, scheme);
-        for use_por in [true, false] {
-            let mut baseline: Option<(f64, CellReport)> = None;
-            for &workers in worker_counts {
-                let run_opts = ExploreOpts {
-                    use_por,
-                    state_budget: opts.state_budget,
-                    workers,
-                };
-                let t0 = Instant::now();
-                let r = check_cell(&model, &run_opts);
-                let wall = t0.elapsed().as_secs_f64();
-                let (identical, speedup) = match &baseline {
-                    None => (true, 1.0), // workers == 1 defines the baseline
-                    Some((base_wall, base)) => (
-                        r.mc == base.mc && r.stats == base.stats && r.reached == base.reached,
-                        base_wall / wall.max(1e-9),
-                    ),
-                };
-                failures += usize::from(!identical);
-                println!(
-                    "{:<8} {:<22} {:>4} {:>8} {:>10} {:>10.1} {:>7.2}x  {}",
-                    platform.to_string(),
-                    attack.to_string(),
-                    if use_por { "on" } else { "off" },
-                    workers,
-                    r.stats.states,
-                    wall * 1e3,
-                    speedup,
-                    if identical { "yes" } else { "** NO **" },
-                );
-                bfs_json.push(Json::obj(vec![
-                    ("platform", Json::Str(platform.to_string())),
-                    ("attack", Json::Str(attack.to_string())),
-                    ("por", Json::Bool(use_por)),
-                    ("workers", Json::UInt(workers as u64)),
-                    ("states", Json::UInt(r.stats.states as u64)),
-                    ("wall_seconds", Json::Num(wall)),
-                    ("speedup_vs_one_worker", Json::Num(speedup)),
-                    ("identical", Json::Bool(identical)),
-                ]));
-                if baseline.is_none() {
-                    baseline = Some((wall, r));
-                }
-            }
-        }
-    }
-    rule();
 
     // ----------------------------------------------------------------
     // POR reduction factor: reduced vs unreduced at equal depth, with
@@ -452,11 +368,6 @@ fn main() {
             Json::UInt((total_states * bytes_per_state) as u64),
         ),
         ("sweep_scaling", sweep_speedup),
-        (
-            "layer_parallel_default_workers",
-            Json::UInt(opts.workers as u64),
-        ),
-        ("layer_parallel", Json::Arr(bfs_json)),
         ("cells", Json::Arr(cells_json)),
         ("por", Json::Arr(por_json)),
         ("replays", Json::Arr(replay_json)),

@@ -1,8 +1,8 @@
 //! The campaign runner: plans × platforms, deterministically parallel.
 //!
 //! Cells are indexed plan-major (`plan_idx * platforms + platform_idx`)
-//! and scheduled through `bas_fleet::run_cells`, which preserves index
-//! order in its output no matter how many workers claim tickets. Each
+//! and scheduled through `bas_fleet::WorkerPool::map`, which preserves
+//! index order in its output no matter how many workers claim tickets. Each
 //! *plan* gets one SplitMix64-derived seed shared by all three
 //! platforms, so a plan's rows differ only by platform behavior, never
 //! by sensor noise. The report therefore renders byte-identically at
@@ -13,7 +13,7 @@ use bas_core::platform::linux::LinuxStack;
 use bas_core::platform::minix::MinixStack;
 use bas_core::platform::sel4::Sel4Stack;
 use bas_core::scenario::{Platform, Scenario, ScenarioConfig};
-use bas_fleet::{instance_seed, run_cells, Json};
+use bas_fleet::{instance_seed, Json, WorkerPool};
 use bas_sim::time::SimDuration;
 
 use crate::inject::install;
@@ -112,7 +112,7 @@ fn run_cell<K: PlatformKernel>(
 /// [`CampaignReport::to_json`] regardless of `workers`.
 pub fn run_campaign(plans: &[FaultPlan], config: &CampaignConfig) -> CampaignReport {
     let nplat = config.platforms.len();
-    let cells = run_cells(plans.len() * nplat, config.workers, |index| {
+    let cells = WorkerPool::new(config.workers).map(plans.len() * nplat, |index| {
         let plan = &plans[index / nplat];
         let platform = config.platforms[index % nplat];
         let seed = instance_seed(config.root_seed, index / nplat);

@@ -21,7 +21,7 @@
 //!   alarm latency, out-of-band seconds, recovery time, processes
 //!   restarted.
 //! - [`campaign`] — sweeps plans × platforms through
-//!   `bas_fleet::run_cells` with SplitMix64-derived per-plan seeds;
+//!   `bas_fleet::WorkerPool::map` with SplitMix64-derived per-plan seeds;
 //!   the report is byte-identical at any worker count.
 //! - [`recovery`] — the A3 recovery experiment (heater-driver crash)
 //!   expressed as a plan, runnable on *all three* platforms.

@@ -3,22 +3,17 @@
 //! Each instance is a complete scenario — kernel stack plus plant —
 //! booted and driven entirely on one worker thread (scenarios hold
 //! `Rc<RefCell<…>>` plant state and never cross threads). The fleet is
-//! split into *contiguous per-worker batches*: each persistent
-//! [`WorkerPool`] thread boots its batch once, keeps the engines
-//! resident in an [`EngineBatch`] (struct-of-arrays hot state), and
-//! sweeps them epoch by epoch to the horizon; only the final report
-//! merge synchronizes. Thread scheduling decides only *when* a batch
-//! computes, never *what* it computes: every per-instance RNG seed
-//! derives from the root seed and instance index alone, and the epoch
-//! schedule is worker-independent, which is what makes the
-//! [`FleetReport`] deterministic under any worker count.
-//!
-//! The older ticket-claiming executor survives as [`run_cells`] for
-//! sweeps whose cells are one-shot (fault campaigns, the model
-//! checker's cross-validation), where batch residency buys nothing.
+//! split into *contiguous per-worker batches*: each [`WorkerPool`]
+//! job boots its batch once, keeps the engines resident in an
+//! [`EngineBatch`] (struct-of-arrays hot state), and sweeps them epoch
+//! by epoch to the horizon; only the final report merge synchronizes.
+//! Thread scheduling decides only *when* a batch computes, never *what*
+//! it computes: every per-instance RNG seed derives from the root seed
+//! and instance index alone, and the epoch schedule is
+//! worker-independent, which is what makes the [`FleetReport`]
+//! deterministic under any worker count.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -27,10 +22,10 @@ use bas_attack::model::{AttackId, AttackerModel};
 use bas_core::scenario::{critical_alive, plant_snapshot, Platform, ScenarioConfig};
 use bas_core::EngineSnapshot;
 use bas_sim::time::SimDuration;
+use bas_sim::WorkerPool;
 
 use crate::batch::EngineBatch;
 use crate::instances::InstancePool;
-use crate::pool::WorkerPool;
 use crate::report::{AttackCell, FleetReport, InstanceReport, RequestStats};
 use crate::seed::instance_seed;
 
@@ -174,7 +169,7 @@ impl FleetConfig {
 /// Wall-clock throughput of a fleet run. Deliberately *outside*
 /// [`FleetReport`]: timing and worker count vary run to run, the report
 /// must not.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WallStats {
     /// Worker threads actually used.
     pub workers: usize,
@@ -204,88 +199,10 @@ pub struct FleetRun {
     pub wall: WallStats,
 }
 
-/// Tickets claimed per fetch: large enough to keep workers off the
-/// shared counter's cache line most of the time, small enough that a
-/// straggler chunk cannot idle the other workers at the tail. Capped at
-/// each worker's fair share, `instances / workers`, so no single claim
-/// can swallow more items than the smallest even split — without the
-/// cap a caller with `workers > instances / chunk` could see one worker
-/// drain the whole counter while the rest never claim a ticket.
-fn claim_chunk(instances: usize, workers: usize) -> usize {
-    let workers = workers.max(1);
-    let fair_share = (instances / workers).max(1);
-    (instances / (workers * 8)).clamp(1, 64).min(fair_share)
-}
-
-/// Runs `count` independent work items across `workers` threads and
-/// returns their results in index order — the fleet's ticket-claiming
-/// worker pool, factored out so other sweeps (`bas-faults` campaigns)
-/// inherit the same determinism argument: workers claim *chunks* of
-/// indices from one atomic ticket counter and buffer results locally;
-/// buffers are merged and index-sorted only after every worker joins, so
-/// thread scheduling decides who computes an item, never what the item
-/// computes.
-pub fn run_cells<T, F>(count: usize, workers: usize, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if count == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, count);
-    let next = AtomicUsize::new(0);
-    let chunk = claim_chunk(count, workers);
-
-    let mut results: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::with_capacity(count / workers + chunk);
-                    loop {
-                        let begin = next.fetch_add(chunk, Ordering::Relaxed);
-                        if begin >= count {
-                            break;
-                        }
-                        for index in begin..(begin + chunk).min(count) {
-                            local.push((index, run(index)));
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .flat_map(|(w, h)| match h.join() {
-                Ok(local) => local,
-                // Re-panic with the worker's own payload text plus its
-                // index — `.expect(..)` here would report only
-                // "Any { .. }", losing the panicking instance's message.
-                Err(payload) => {
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    panic!("fleet worker {w} panicked: {msg}");
-                }
-            })
-            .collect()
-    });
-
-    // Completion order depends on scheduling; result order must not.
-    results.sort_by_key(|(index, _)| *index);
-    results.into_iter().map(|(_, item)| item).collect()
-}
-
-/// Runs the fleet on a freshly spawned [`WorkerPool`] and aggregates
-/// the report. Harnesses that sweep many configurations should create
-/// one pool and call [`run_fleet_with`] to reuse its threads.
+/// Runs the fleet on a [`WorkerPool`] of [`FleetConfig::workers`]
+/// threads and aggregates the report.
 pub fn run_fleet(config: &FleetConfig) -> FleetRun {
-    let pool = WorkerPool::new(config.workers.clamp(1, config.instances.max(1)));
-    run_fleet_with(&pool, config)
+    run_fleet_with(&WorkerPool::new(config.workers), config)
 }
 
 /// Virtual time each worker advances its resident batch per sweep: a
@@ -300,10 +217,10 @@ fn epoch_duration(config: &FleetConfig) -> SimDuration {
 
 /// Runs the fleet on an existing pool and aggregates the report.
 ///
-/// Instances are split into contiguous batches — one per worker, each
-/// resident on its thread for the whole run — so the report is a pure
-/// function of the configuration regardless of worker count or pool
-/// size.
+/// Instances are split into contiguous batches — one [`WorkerPool::map`]
+/// job per worker, each resident on its thread for the whole run — so
+/// the report is a pure function of the configuration regardless of
+/// worker count or pool size.
 pub fn run_fleet_with(pool: &WorkerPool, config: &FleetConfig) -> FleetRun {
     // Degenerate shapes are rejected at construction (`try_benign`); a
     // hand-built empty config still gets an empty report, not a panic.
@@ -315,15 +232,7 @@ pub fn run_fleet_with(pool: &WorkerPool, config: &FleetConfig) -> FleetRun {
                 config.campaign.as_ref().map(|c| (c.attack, c.attacker)),
                 Vec::new(),
             ),
-            wall: WallStats {
-                workers: 0,
-                batch_size: 0,
-                wall_seconds: 0.0,
-                sim_seconds_per_wall_second: 0.0,
-                ipc_messages_per_wall_second: 0.0,
-                requests_per_wall_second: 0.0,
-                worker_utilization: Vec::new(),
-            },
+            wall: WallStats::default(),
         };
     }
     let workers = config.workers.clamp(1, config.instances).min(pool.size());
@@ -340,15 +249,10 @@ pub fn run_fleet_with(pool: &WorkerPool, config: &FleetConfig) -> FleetRun {
     };
     let start = Instant::now();
 
-    let jobs: Vec<_> = (0..workers)
-        .map(|w| {
-            let config = config.clone();
-            let snapshot = snapshot.clone();
-            let range = (w * batch_size)..((w + 1) * batch_size).min(config.instances);
-            move || run_batch(&config, snapshot, range)
-        })
-        .collect();
-    let batches = pool.run(jobs);
+    let batches = pool.map(workers, |w| {
+        let range = (w * batch_size)..((w + 1) * batch_size).min(config.instances);
+        run_batch(config, snapshot.clone(), range)
+    });
 
     let wall_seconds = start.elapsed().as_secs_f64();
     let mut per_instance = Vec::with_capacity(config.instances);
@@ -528,43 +432,6 @@ mod tests {
         let run = run_fleet(&config);
         assert_eq!(run.report.instances, 0);
         assert!(run.report.per_instance.is_empty());
-    }
-
-    #[test]
-    fn claim_chunk_never_exceeds_smallest_worker_share() {
-        // Regression: a claim larger than `instances / workers` lets one
-        // worker drain the ticket counter while others idle.
-        for instances in [1, 2, 7, 9, 16, 65, 100, 513, 4096, 100_000] {
-            for workers in [1, 2, 3, 4, 8, 16, 64, 200] {
-                let chunk = claim_chunk(instances, workers);
-                assert!(chunk >= 1, "{instances}x{workers}");
-                let fair_share = (instances / workers).max(1);
-                assert!(
-                    chunk <= fair_share,
-                    "claim_chunk({instances}, {workers}) = {chunk} > fair share {fair_share}"
-                );
-                assert!(chunk <= 64, "{instances}x{workers}");
-            }
-        }
-    }
-
-    #[test]
-    fn run_cells_preserves_worker_panic_payload() {
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_cells(4, 1, |index| {
-                if index == 2 {
-                    panic!("instance {index} exploded");
-                }
-                index
-            })
-        }))
-        .expect_err("worker panic must propagate");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .expect("formatted panic payload");
-        assert!(msg.contains("fleet worker 0"), "{msg}");
-        assert!(msg.contains("instance 2 exploded"), "{msg}");
     }
 
     #[test]

@@ -14,14 +14,13 @@
 //!
 //! - [`seed`] — per-instance seed derivation (SplitMix64 over
 //!   root + index·γ),
-//! - [`pool`] — the persistent [`pool::WorkerPool`] threads,
 //! - [`instances`] — [`instances::InstancePool`], the snapshot/fork
 //!   boot path: per-worker engine recycling against one shared
 //!   [`bas_core::EngineSnapshot`],
 //! - [`batch`] — [`batch::EngineBatch`], a worker's resident instances
 //!   in struct-of-arrays layout,
-//! - [`engine`] — [`engine::FleetConfig`], [`engine::run_fleet`], and
-//!   the one-shot [`engine::run_cells`] executor,
+//! - [`engine`] — [`engine::FleetConfig`] and [`engine::run_fleet`],
+//!   which spreads per-worker batches over a [`WorkerPool`],
 //! - [`report`] — [`FleetReport`] and friends, with hand-rolled
 //!   deterministic JSON,
 //! - [`json`] — the tiny ordered JSON writer the reports (and
@@ -40,17 +39,16 @@ pub mod batch;
 pub mod engine;
 pub mod instances;
 pub mod json;
-pub mod pool;
 pub mod report;
 pub mod seed;
 
+pub use bas_sim::WorkerPool;
 pub use batch::EngineBatch;
 pub use engine::{
-    run_cells, run_fleet, run_fleet_with, BootMode, Campaign, FleetConfig, FleetConfigError,
-    FleetRun, WallStats, DEFAULT_MAX_RESIDENT,
+    run_fleet, run_fleet_with, BootMode, Campaign, FleetConfig, FleetConfigError, FleetRun,
+    WallStats, DEFAULT_MAX_RESIDENT,
 };
 pub use instances::InstancePool;
 pub use json::Json;
-pub use pool::WorkerPool;
 pub use report::{FleetReport, FleetTotals, InstanceReport, LatencyHistogram, RequestStats};
 pub use seed::instance_seed;

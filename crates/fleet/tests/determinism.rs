@@ -31,8 +31,8 @@ fn same_seed_same_json_across_worker_counts() {
 
 #[test]
 fn large_fleet_is_byte_identical_at_every_worker_count() {
-    // The BENCH-quoted configuration: a 256-instance fleet under the
-    // persistent-pool executor. Batch boundaries move with the worker
+    // The BENCH-quoted configuration: a 256-instance fleet on the
+    // worker-pool executor. Batch boundaries move with the worker
     // count (256, 128, 64, ... instances per batch); the report bytes
     // must not.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());

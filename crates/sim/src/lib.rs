@@ -49,6 +49,7 @@ pub mod clock;
 pub mod device;
 pub mod fault;
 pub mod metrics;
+pub mod pool;
 pub mod process;
 pub mod rng;
 pub mod sched;
@@ -63,6 +64,7 @@ pub use clock::{CostModel, VirtualClock};
 pub use device::{Device, DeviceBus, DeviceId};
 pub use fault::{FaultyDevice, IpcFault, IpcFaultState, SensorFaultHandle, SensorFaultMode};
 pub use metrics::KernelMetrics;
+pub use pool::WorkerPool;
 pub use process::{Action, Pid, ProcState, Process};
 pub use rng::SimRng;
 pub use sched::RunQueue;

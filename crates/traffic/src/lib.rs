@@ -32,8 +32,7 @@ use bas_attack::model::{AttackId, AttackerModel};
 use bas_core::logic::traffic::TrafficProfile;
 use bas_core::scenario::Platform;
 use bas_fleet::{
-    instance_seed, run_cells, run_fleet_with, BootMode, FleetConfig, FleetReport, Json, WallStats,
-    WorkerPool,
+    instance_seed, run_fleet_with, BootMode, FleetConfig, FleetReport, Json, WallStats, WorkerPool,
 };
 use bas_sim::rng::SimRng;
 use bas_sim::time::SimDuration;
@@ -302,15 +301,7 @@ pub fn run_traffic(pool: &WorkerPool, config: &TrafficConfig) -> TrafficRun {
     let (fleet, benign_wall) = if benign_instances == 0 {
         (
             FleetReport::aggregate(config.platform, config.root_seed, None, Vec::new()),
-            WallStats {
-                workers: 0,
-                batch_size: 0,
-                wall_seconds: 0.0,
-                sim_seconds_per_wall_second: 0.0,
-                ipc_messages_per_wall_second: 0.0,
-                requests_per_wall_second: 0.0,
-                worker_utilization: Vec::new(),
-            },
+            WallStats::default(),
         )
     } else {
         let mut fleet_cfg = FleetConfig::benign(config.platform, benign_instances, config.workers);
@@ -324,9 +315,11 @@ pub fn run_traffic(pool: &WorkerPool, config: &TrafficConfig) -> TrafficRun {
 
     // Attacker sessions: one attack run per attacker index, seeded from
     // the original index so adding/removing benign instances elsewhere
-    // never reshuffles an attacker's stream.
+    // never reshuffles an attacker's stream. Like the benign sub-fleet,
+    // the lane uses at most `config.workers` of the pool's threads.
     let t0 = Instant::now();
-    let outcomes = run_cells(attackers.len(), config.workers.max(1), |j| {
+    let lane_pool = WorkerPool::new(config.workers.min(pool.size()));
+    let outcomes = lane_pool.map(attackers.len(), |j| {
         let (index, attack) = attackers[j];
         let mut run = config.attack_run.clone();
         run.scenario.seed = instance_seed(config.root_seed ^ ATTACK_SALT, index);
