@@ -1,8 +1,8 @@
 //! Bounded explicit-state exploration with ample-set reduction.
 //!
 //! The explorer is generic over [`StepSemantics`]: breadth-first search
-//! with fingerprint-interned state deduplication, so the first trace
-//! reaching any fact is a shortest one. A `classify` callback maps each
+//! with key-interned state deduplication, so the first trace reaching
+//! any fact is a shortest one. A `classify` callback maps each
 //! discovered state to a bitmask of facts; the explorer records the
 //! first hit of every bit together with its action trace.
 //!
@@ -10,14 +10,18 @@
 //!
 //! Storage per discovered state is O(1), independent of depth: one
 //! arena node `(parent_idx, action)` — traces are reconstructed on
-//! demand by walking parent pointers — plus one 64-bit fingerprint in a
-//! pre-sized hash set. Full state values live only in the current BFS
-//! frontier; the layer behind it is dropped wholesale. Deduplicating on
-//! fingerprints rather than full states is the classic hash-compaction
-//! trade: two distinct states colliding on all 64 bits would alias, with
-//! probability ~n²/2⁶⁵ (< 10⁻⁹ at the 82k-state cells explored here) —
-//! and the dynamic counterexample replay would catch a miscarried
-//! verdict downstream.
+//! demand by walking parent pointers — plus one 64-bit key from
+//! [`StepSemantics::fingerprint`] in a pre-sized hash set. Full state
+//! values live only in the current BFS frontier; the layer behind it is
+//! dropped wholesale.
+//!
+//! For the scenario model the key is [`super::McState::pack`], an
+//! injective packing, so deduplication is exact. Other semantics get
+//! the SipHash default, which is the classic hash-compaction trade: two
+//! distinct states colliding on all 64 bits would alias, with
+//! probability ~n²/2⁶⁵. The seen set stores and compares the keys
+//! themselves, so its hasher only places them in buckets: a bijective
+//! splitmix64 finalizer rather than a second SipHash pass.
 //!
 //! # Partial-order reduction
 //!
@@ -42,7 +46,7 @@
 //! identical verdicts (see `exp_model_check` and the crate tests).
 
 use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use bas_core::semantics::{replay_trace, StepSemantics};
 
@@ -132,14 +136,31 @@ fn trace_of<A: Clone>(nodes: &[Node<A>], mut idx: usize) -> Vec<A> {
     trace
 }
 
-/// 64-bit state fingerprint for interned deduplication. Built on the
-/// std SipHash with zeroed keys, so it is stable across runs and
-/// threads.
-fn fingerprint<T: Hash>(value: &T) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    value.hash(&mut h);
-    h.finish()
+/// The seen set's hasher: keys are already 64-bit state keys, so one
+/// bijective splitmix64 finalizer spreads them over the buckets.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        self.0 = z ^ (z >> 31);
+    }
 }
+
+type KeySet = HashSet<u64, BuildHasherDefault<KeyHasher>>;
 
 /// Initial capacity for the seen-set and arena: enough for every cell
 /// of the scenario matrix without rehashing, without committing the
@@ -148,46 +169,38 @@ fn presize(budget: usize) -> usize {
     budget.min(1 << 17)
 }
 
-/// Picks a singleton ample action, if any process qualifies.
+/// The index of a singleton ample action, if any process qualifies.
 fn ample_action<S: StepSemantics>(
     sem: &S,
     state: &S::State,
     enabled: &[S::Action],
-) -> Option<S::Action> {
-    for candidate in enabled {
+) -> Option<usize> {
+    enabled.iter().position(|candidate| {
         let owner = sem.owner(candidate);
-        if enabled.iter().filter(|a| sem.owner(a) == owner).count() != 1 {
-            continue; // only singleton ample sets are attempted
-        }
-        if sem.is_visible(state, candidate) {
-            continue;
-        }
-        if enabled
-            .iter()
-            .filter(|a| sem.owner(a) != owner)
-            .all(|other| sem.independent(candidate, other))
-        {
-            return Some(candidate.clone());
-        }
-    }
-    None
+        // Only singleton ample sets are attempted.
+        enabled.iter().filter(|a| sem.owner(a) == owner).count() == 1
+            && !sem.is_visible(state, candidate)
+            && enabled
+                .iter()
+                .filter(|a| sem.owner(a) != owner)
+                .all(|other| sem.independent(candidate, other))
+    })
 }
 
-/// The POR-or-full successor action set for one state.
+/// The POR-or-full successor action set for one state. An ample
+/// singleton reuses the `enabled` vector rather than allocating.
 fn expansion<S: StepSemantics>(
     sem: &S,
     state: &S::State,
     use_por: bool,
     ample_states: &mut usize,
 ) -> Vec<S::Action> {
-    let enabled = sem.enabled_actions(state);
-    if enabled.is_empty() {
-        return enabled;
-    }
+    let mut enabled = sem.enabled_actions(state);
     if use_por {
-        if let Some(a) = ample_action(sem, state, &enabled) {
+        if let Some(i) = ample_action(sem, state, &enabled) {
             *ample_states += 1;
-            return vec![a];
+            enabled.swap(0, i);
+            enabled.truncate(1);
         }
     }
     enabled
@@ -208,8 +221,8 @@ where
     let mut first_hits: Vec<Option<Vec<S::Action>>> = (0..32).map(|_| None).collect();
     let mut hit_mask = 0u32;
     let mut nodes = Vec::with_capacity(presize(opts.state_budget));
-    let mut seen: HashSet<u64> =
-        HashSet::with_capacity(presize(opts.state_budget).saturating_add(1));
+    let mut seen =
+        KeySet::with_capacity_and_hasher(presize(opts.state_budget) + 1, Default::default());
 
     let initial = sem.initial_state();
     nodes.push(Node {
@@ -223,7 +236,7 @@ where
         0,
         classify(&initial),
     );
-    seen.insert(fingerprint(&initial));
+    seen.insert(sem.fingerprint(&initial));
     let mut frontier: Vec<(u32, S::State)> = vec![(0, initial)];
     let mut depth = 0usize;
 
@@ -234,7 +247,7 @@ where
             for action in expansion(sem, state, opts.use_por, &mut stats.ample_states) {
                 let succ = sem.apply(state, &action);
                 stats.transitions += 1;
-                if !seen.insert(fingerprint(&succ)) {
+                if !seen.insert(sem.fingerprint(&succ)) {
                     continue;
                 }
                 if stats.states >= opts.state_budget {

@@ -7,9 +7,12 @@
 //! closes the round with plant physics. Every IPC send, kill, fork and
 //! device access is adjudicated **twice** — by the Policy IR and by the
 //! kernel-artifact [`KernelGate`] — and any disagreement raises the
-//! [`flags::GATE_MISMATCH`] violation, so exploration cross-validates
-//! the static lowering against the enforcement artifacts on every
-//! reachable interleaving.
+//! [`flags::GATE_MISMATCH`] violation on the transition that performs
+//! the operation, so exploration cross-validates the static lowering
+//! against the enforcement artifacts on every reachable interleaving.
+//! Both verdicts depend on the query alone, never on the state, so each
+//! distinct query is adjudicated once per cell into an [`Adjudication`]
+//! table that transitions index by [`Proc::index`].
 //!
 //! Channel slots hold the *last admitted-and-acceptable* message
 //! (mailbox semantics: the real servers drain their queues each
@@ -32,8 +35,193 @@ use bas_sim::device::DeviceId;
 use super::gate::KernelGate;
 use super::state::{flags, AttackOp, McAction, McState, Proc, ReadingOrigin, WebMsg};
 use crate::flow::{self, CapId};
-use crate::ir::{ChannelKind, ObjectId, PolicyModel};
+use crate::ir::{ChannelKind, ObjectId, PolicyModel, Roles};
 use crate::scenario::model_for;
+
+/// The message types the transition relation sends, in table order.
+pub const MTYPES: [u32; 4] = [MT_SENSOR_READING, MT_SETPOINT, MT_FAN_CMD, MT_ALARM_CMD];
+
+/// The devices the transition relation touches, in table order.
+pub const DEVICES: [DeviceId; 3] = [DeviceId::TEMP_SENSOR, DeviceId::FAN, DeviceId::ALARM];
+
+fn mtype_slot(mtype: u32) -> usize {
+    match mtype {
+        MT_SENSOR_READING => 0,
+        MT_SETPOINT => 1,
+        MT_FAN_CMD => 2,
+        MT_ALARM_CMD => 3,
+        _ => unreachable!("message type outside the adjudication table"),
+    }
+}
+
+fn device_slot(dev: DeviceId) -> usize {
+    match dev {
+        DeviceId::TEMP_SENSOR => 0,
+        DeviceId::FAN => 1,
+        DeviceId::ALARM => 2,
+        _ => unreachable!("device outside the adjudication table"),
+    }
+}
+
+fn role(roles: &Roles, p: Proc) -> &str {
+    match p {
+        Proc::Sensor => &roles.sensor,
+        Proc::Ctrl => &roles.controller,
+        Proc::Heater => &roles.heater,
+        Proc::Alarm => &roles.alarm,
+        Proc::Web => &roles.web,
+    }
+}
+
+/// One operation's dual adjudication: the kernel's verdict, which takes
+/// effect, and whether the Policy IR disagreed with it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Verdict {
+    /// The kernel artifact admits the operation.
+    pub kernel: bool,
+    /// The Policy IR's verdict differs from the kernel's.
+    pub mismatch: bool,
+}
+
+impl Verdict {
+    fn judge(ir: bool, kernel: bool) -> Verdict {
+        Verdict {
+            kernel,
+            mismatch: ir != kernel,
+        }
+    }
+
+    /// The Policy IR's verdict.
+    pub fn ir(self) -> bool {
+        self.kernel != self.mismatch
+    }
+}
+
+/// Every query the transition relation can ask, answered once per cell
+/// by both the Policy IR and the [`KernelGate`]. Processes index by
+/// [`Proc::index`], message types by [`MTYPES`] order and devices by
+/// [`DEVICES`] order; every arm of the transition relation reads this
+/// table instead of consulting the IR or the gate.
+pub struct Adjudication {
+    /// `[sender][receiver][mtype]`.
+    send: [[[Verdict; 4]; 5]; 5],
+    /// `[subject][device][write]`.
+    device: [[[Verdict; 2]; 3]; 5],
+    /// The web position killing `[victim]`.
+    kill: [Verdict; 5],
+    /// The web position forking.
+    fork: Verdict,
+    /// The web position's fork quota in the IR (absent = unlimited).
+    fork_quota: Option<u64>,
+    /// Blind enumeration reaches more handles than web legitimately
+    /// holds.
+    probe_reaches: bool,
+    /// `app_accepts(web, [receiver], [mtype], [in_range])`.
+    web_accepts: [[[bool; 2]; 4]; 5],
+    /// The mechanism-delivery judgment for web `[receiver][mtype][in_range]`.
+    web_mech: [[[bool; 2]; 4]; 5],
+}
+
+impl Adjudication {
+    /// Adjudicates every query against `ir` and `gate`.
+    pub fn new(ir: &PolicyModel, gate: &KernelGate) -> Adjudication {
+        let name = |p: Proc| role(&ir.roles, p);
+        let web = name(Proc::Web);
+        let mut adj = Adjudication {
+            send: Default::default(),
+            device: Default::default(),
+            kill: Default::default(),
+            fork: Verdict::judge(ir.can_fork(web), gate.allows_fork(web)),
+            fork_quota: ir.fork_quota.get(web).copied(),
+            probe_reaches: ir.enumerable_handles.get(web).copied().unwrap_or(0)
+                > ir.legitimate_handles.get(web).copied().unwrap_or(0),
+            web_accepts: Default::default(),
+            web_mech: Default::default(),
+        };
+        for s in Proc::ALL {
+            for r in Proc::ALL {
+                for (m, &mtype) in MTYPES.iter().enumerate() {
+                    adj.send[s.index()][r.index()][m] = Verdict::judge(
+                        ir.delivery_channel(name(s), name(r), mtype).is_some(),
+                        gate.allows_send(name(s), name(r), mtype),
+                    );
+                }
+            }
+            for (d, &dev) in DEVICES.iter().enumerate() {
+                for write in [false, true] {
+                    adj.device[s.index()][d][usize::from(write)] = Verdict::judge(
+                        ir.device_channel(name(s), dev, write).is_some(),
+                        gate.allows_device(name(s), dev, write),
+                    );
+                }
+            }
+        }
+        // The web position's own queries: kill a victim, and how a
+        // receiver's application and mechanism treat a web message.
+        for r in Proc::ALL {
+            let (ri, target) = (r.index(), name(r));
+            adj.kill[ri] = Verdict::judge(ir.can_kill(web, target), gate.allows_kill(web, target));
+            for (m, &mtype) in MTYPES.iter().enumerate() {
+                for in_range in [false, true] {
+                    let accepts = ir.app_accepts(web, target, mtype, in_range);
+                    adj.web_accepts[ri][m][usize::from(in_range)] = accepts;
+                    // On an RPC channel the server's in-band reply *is*
+                    // the verdict; elsewhere kernel admission is.
+                    adj.web_mech[ri][m][usize::from(in_range)] =
+                        match ir.delivery_channel(web, target, mtype) {
+                            Some(ch) if ch.kind == ChannelKind::RpcCall => accepts,
+                            Some(_) => true,
+                            None => false,
+                        };
+                }
+            }
+        }
+        adj
+    }
+
+    /// May `sender` deliver `mtype` to `receiver`?
+    pub fn send(&self, sender: Proc, receiver: Proc, mtype: u32) -> Verdict {
+        self.send[sender.index()][receiver.index()][mtype_slot(mtype)]
+    }
+
+    /// May `subject` access `dev` in the given direction?
+    pub fn device(&self, subject: Proc, dev: DeviceId, write: bool) -> Verdict {
+        self.device[subject.index()][device_slot(dev)][usize::from(write)]
+    }
+
+    /// May the web position terminate `victim`?
+    pub fn kill(&self, victim: Proc) -> Verdict {
+        self.kill[victim.index()]
+    }
+
+    /// May the web position create a process?
+    pub fn fork(&self) -> Verdict {
+        self.fork
+    }
+
+    /// The web position's fork quota (`None` = unlimited).
+    pub fn fork_quota(&self) -> Option<u64> {
+        self.fork_quota
+    }
+
+    /// Whether handle probing from the web position reaches handles it
+    /// does not legitimately hold.
+    pub fn probe_reaches(&self) -> bool {
+        self.probe_reaches
+    }
+
+    /// Whether the application at `receiver` accepts a web-sent `mtype`
+    /// message ([`PolicyModel::app_accepts`]).
+    pub fn app_accepts(&self, receiver: Proc, mtype: u32, in_range: bool) -> bool {
+        self.web_accepts[receiver.index()][mtype_slot(mtype)][usize::from(in_range)]
+    }
+
+    /// The mechanism-delivery judgment of `taint::predict`, applied to a
+    /// single web → `receiver` channel.
+    pub fn mech_delivers(&self, receiver: Proc, mtype: u32, in_range: bool) -> bool {
+        self.web_mech[receiver.index()][mtype_slot(mtype)][usize::from(in_range)]
+    }
+}
 
 /// Exploration bounds for one cell.
 #[derive(Debug, Clone, Copy)]
@@ -121,7 +309,7 @@ pub struct ScenarioModel {
     /// Exploration bounds.
     pub bounds: McBounds,
     ir: PolicyModel,
-    gate: KernelGate,
+    adj: Adjudication,
     /// A type-confused handle in the attacker's possession, if any.
     masq: Option<SeededCap>,
     /// A derivation-breached capability in the attacker's possession.
@@ -152,6 +340,8 @@ impl ScenarioModel {
     /// Builds the cell model over an explicit Policy IR — the derivation
     /// scenarios seed `ir.caps` with anomalous capabilities, and the
     /// flow closure decides here which attacker primitives they unlock.
+    /// Every query is adjudicated here, against `ir` and the cell's
+    /// [`KernelGate`].
     pub fn with_ir(
         platform: Platform,
         attacker: AttackerModel,
@@ -160,6 +350,7 @@ impl ScenarioModel {
         ir: PolicyModel,
     ) -> ScenarioModel {
         let (masq, derived) = seeded_caps(&ir);
+        let adj = Adjudication::new(&ir, &KernelGate::for_cell(platform, attacker, scheme));
         ScenarioModel {
             platform,
             attacker,
@@ -167,7 +358,7 @@ impl ScenarioModel {
             scheme,
             bounds: McBounds::default(),
             ir,
-            gate: KernelGate::for_cell(platform, attacker, scheme),
+            adj,
             masq,
             derived,
             churn: false,
@@ -189,51 +380,34 @@ impl ScenarioModel {
         &self.ir
     }
 
-    fn name(&self, p: Proc) -> &str {
-        match p {
-            Proc::Sensor => &self.ir.roles.sensor,
-            Proc::Ctrl => &self.ir.roles.controller,
-            Proc::Heater => &self.ir.roles.heater,
-            Proc::Alarm => &self.ir.roles.alarm,
-            Proc::Web => &self.ir.roles.web,
-        }
+    /// The per-cell adjudication table the transitions read.
+    pub fn adjudication(&self) -> &Adjudication {
+        &self.adj
     }
 
-    /// Dual-adjudicated send: Policy IR vs kernel artifact. Returns the
-    /// kernel's verdict; a disagreement raises `GATE_MISMATCH`.
-    fn send(&self, st: &mut McState, sender: Proc, receiver: Proc, mtype: u32) -> bool {
-        let (s, r) = (self.name(sender), self.name(receiver));
-        let ir_ok = self.ir.delivery_channel(s, r, mtype).is_some();
-        let kernel_ok = self.gate.allows_send(s, r, mtype);
-        if ir_ok != kernel_ok {
+    /// The IR role name bound to `p`.
+    pub fn name(&self, p: Proc) -> &str {
+        role(&self.ir.roles, p)
+    }
+
+    /// Applies a dual verdict on the transition performing the
+    /// operation: returns the kernel's verdict, and a disagreement
+    /// raises `GATE_MISMATCH`.
+    fn judged(st: &mut McState, v: Verdict) -> bool {
+        if v.mismatch {
             st.flags |= flags::GATE_MISMATCH;
         }
-        kernel_ok
+        v.kernel
+    }
+
+    /// Dual-adjudicated send: Policy IR vs kernel artifact.
+    fn send(&self, st: &mut McState, sender: Proc, receiver: Proc, mtype: u32) -> bool {
+        Self::judged(st, self.adj.send(sender, receiver, mtype))
     }
 
     /// Dual-adjudicated device access.
     fn device(&self, st: &mut McState, subject: Proc, dev: DeviceId, write: bool) -> bool {
-        let s = self.name(subject);
-        let ir_ok = self.ir.device_channel(s, dev, write).is_some();
-        let kernel_ok = self.gate.allows_device(s, dev, write);
-        if ir_ok != kernel_ok {
-            st.flags |= flags::GATE_MISMATCH;
-        }
-        kernel_ok
-    }
-
-    /// The mechanism-delivery judgment of `taint::predict`, applied to a
-    /// single channel: on an RPC channel the server's in-band reply *is*
-    /// the verdict; elsewhere kernel admission is.
-    fn mech_delivers(&self, receiver: Proc, mtype: u32, in_range: bool) -> bool {
-        let (w, r) = (self.name(Proc::Web), self.name(receiver));
-        match self.ir.delivery_channel(w, r, mtype) {
-            Some(ch) if ch.kind == ChannelKind::RpcCall => {
-                self.ir.app_accepts(w, r, mtype, in_range)
-            }
-            Some(_) => true,
-            None => false,
-        }
+        Self::judged(st, self.adj.device(subject, dev, write))
     }
 
     fn apply_step(&self, t: &mut McState, p: Proc) {
@@ -268,17 +442,16 @@ impl ScenarioModel {
                     t.believes_hot = hot;
                 }
                 if let Some(msg) = t.web_msg.take() {
-                    let (w, c) = (self.name(Proc::Web), self.name(Proc::Ctrl));
                     match msg {
                         WebMsg::Junk => {} // malformed; discarded
                         WebMsg::TamperSetpoint => {
                             // Range validation holds on every platform.
-                            if self.ir.app_accepts(w, c, MT_SETPOINT, false) {
+                            if self.adj.app_accepts(Proc::Ctrl, MT_SETPOINT, false) {
                                 t.diverged = true;
                             }
                         }
                         WebMsg::ReplaySetpoint => {
-                            if self.ir.app_accepts(w, c, MT_SETPOINT, true) {
+                            if self.adj.app_accepts(Proc::Ctrl, MT_SETPOINT, true) {
                                 t.diverged = true;
                             }
                         }
@@ -314,10 +487,10 @@ impl ScenarioModel {
     fn apply_attack(&self, t: &mut McState, op: AttackOp) {
         t.moved |= Proc::Web.bit();
         t.budget = t.budget.saturating_sub(1);
-        let web = self.name(Proc::Web).to_string();
+        let adj = &self.adj;
         match op {
             AttackOp::InjectReading => {
-                if self.mech_delivers(Proc::Ctrl, MT_SENSOR_READING, true) {
+                if adj.mech_delivers(Proc::Ctrl, MT_SENSOR_READING, true) {
                     t.flags |= flags::DELIVERED;
                 }
                 // A forged reading enters the mailbox slot only where the
@@ -325,15 +498,13 @@ impl ScenarioModel {
                 // message is answered in-band and cannot mask real
                 // traffic; an accepted one races the sensor's.
                 if self.send(t, Proc::Web, Proc::Ctrl, MT_SENSOR_READING)
-                    && self
-                        .ir
-                        .app_accepts(&web, self.name(Proc::Ctrl), MT_SENSOR_READING, true)
+                    && adj.app_accepts(Proc::Ctrl, MT_SENSOR_READING, true)
                 {
                     t.reading = Some((false, ReadingOrigin::Web));
                 }
             }
             AttackOp::ForgeFanOff => {
-                if self.mech_delivers(Proc::Heater, MT_FAN_CMD, true) {
+                if adj.mech_delivers(Proc::Heater, MT_FAN_CMD, true) {
                     t.flags |= flags::DELIVERED;
                 }
                 if self.send(t, Proc::Web, Proc::Heater, MT_FAN_CMD) {
@@ -341,7 +512,7 @@ impl ScenarioModel {
                 }
             }
             AttackOp::ForgeAlarmOff => {
-                if self.mech_delivers(Proc::Alarm, MT_ALARM_CMD, true) {
+                if adj.mech_delivers(Proc::Alarm, MT_ALARM_CMD, true) {
                     t.flags |= flags::DELIVERED;
                 }
                 if self.send(t, Proc::Web, Proc::Alarm, MT_ALARM_CMD) {
@@ -349,24 +520,14 @@ impl ScenarioModel {
                 }
             }
             AttackOp::Kill(victim) => {
-                let v = self.name(victim);
-                let ir_ok = self.ir.can_kill(&web, v);
-                let kernel_ok = self.gate.allows_kill(&web, v);
-                if ir_ok != kernel_ok {
-                    t.flags |= flags::GATE_MISMATCH;
-                }
-                if kernel_ok {
+                if Self::judged(t, adj.kill(victim)) {
                     t.alive &= !victim.bit();
                     t.flags |= flags::DELIVERED;
                 }
             }
             AttackOp::Fork => {
-                let ir_ok = self.ir.can_fork(&web);
-                let kernel_ok = self.gate.allows_fork(&web);
-                if ir_ok != kernel_ok {
-                    t.flags |= flags::GATE_MISMATCH;
-                }
-                let quota = self.ir.fork_quota.get(&web).copied();
+                let kernel_ok = Self::judged(t, adj.fork());
+                let quota = adj.fork_quota();
                 if kernel_ok && quota != Some(0) {
                     if quota.is_some_and(|q| u64::from(t.forks) >= q) {
                         // The process manager's quota denies the child.
@@ -382,14 +543,12 @@ impl ScenarioModel {
             AttackOp::Probe => {
                 // Handle enumeration is a static property of the handle
                 // space; no kernel gate is consulted per probe.
-                let reach = self.ir.enumerable_handles.get(&web).copied().unwrap_or(0);
-                let legit = self.ir.legitimate_handles.get(&web).copied().unwrap_or(0);
-                if reach > legit {
+                if adj.probe_reaches() {
                     t.flags |= flags::DELIVERED;
                 }
             }
             AttackOp::Flood => {
-                if self.mech_delivers(Proc::Ctrl, MT_SETPOINT, false) {
+                if adj.mech_delivers(Proc::Ctrl, MT_SETPOINT, false) {
                     t.flags |= flags::DELIVERED;
                 }
                 if self.send(t, Proc::Web, Proc::Ctrl, MT_SETPOINT) {
@@ -397,13 +556,10 @@ impl ScenarioModel {
                 }
             }
             AttackOp::Tamper => {
-                let accepted = self
-                    .ir
-                    .delivery_channel(&web, self.name(Proc::Ctrl), MT_SETPOINT)
-                    .is_some()
-                    && self
-                        .ir
-                        .app_accepts(&web, self.name(Proc::Ctrl), MT_SETPOINT, false);
+                // Delivery credit follows the IR's channel and the
+                // application's acceptance, not the kernel's admission.
+                let accepted = adj.send(Proc::Web, Proc::Ctrl, MT_SETPOINT).ir()
+                    && adj.app_accepts(Proc::Ctrl, MT_SETPOINT, false);
                 if accepted {
                     t.flags |= flags::DELIVERED;
                 }
@@ -412,13 +568,8 @@ impl ScenarioModel {
                 }
             }
             AttackOp::Replay => {
-                let accepted = self
-                    .ir
-                    .delivery_channel(&web, self.name(Proc::Ctrl), MT_SETPOINT)
-                    .is_some()
-                    && self
-                        .ir
-                        .app_accepts(&web, self.name(Proc::Ctrl), MT_SETPOINT, true);
+                let accepted = adj.send(Proc::Web, Proc::Ctrl, MT_SETPOINT).ir()
+                    && adj.app_accepts(Proc::Ctrl, MT_SETPOINT, true);
                 if accepted {
                     t.flags |= flags::DELIVERED;
                 }
@@ -712,6 +863,11 @@ impl StepSemantics for ScenarioModel {
             McAction::Attack(_) => Proc::Web.index(),
             McAction::EnvTick => 5,
         }
+    }
+
+    /// The injective packing: deduplication is exact.
+    fn fingerprint(&self, s: &McState) -> u64 {
+        s.pack()
     }
 }
 

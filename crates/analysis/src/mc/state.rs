@@ -5,8 +5,9 @@
 //! race" is decided by the interleaving, which is exactly what the
 //! checker enumerates), temperature is a two-valued abstraction of the
 //! plant (in band / above the alarm threshold), and all counters are
-//! saturating small integers. Everything derives `Hash + Eq` for
-//! hashed-state deduplication.
+//! saturating small integers. The whole state packs injectively into one
+//! `u64` ([`McState::pack`]), which is the explorer's exact
+//! deduplication key.
 
 /// The five scenario processes, in lockstep order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -26,6 +27,15 @@ pub enum Proc {
 impl Proc {
     /// The four critical processes whose moves gate the environment tick.
     pub const CRITICAL: [Proc; 4] = [Proc::Sensor, Proc::Ctrl, Proc::Heater, Proc::Alarm];
+
+    /// Every process, in [`Proc::index`] order.
+    pub const ALL: [Proc; 5] = [
+        Proc::Sensor,
+        Proc::Ctrl,
+        Proc::Heater,
+        Proc::Alarm,
+        Proc::Web,
+    ];
 
     /// Bit index for `alive` / `moved` masks.
     pub fn bit(self) -> u8 {
@@ -273,6 +283,53 @@ impl McState {
     /// Whether any critical process has been lost.
     pub fn critical_lost(&self) -> bool {
         Proc::CRITICAL.iter().any(|p| !self.is_alive(*p))
+    }
+
+    /// Packs the state into one `u64`, injectively, so the explorer
+    /// deduplicates on the key exactly. Low bits first: `alive` 5,
+    /// `moved` 5, `round`, `hot_unalarmed`, `forks`, `budget` 8 each,
+    /// `flags` 7, `reading` 3, `web_msg`, `fan_cmd`, `alarm_cmd` 2 each,
+    /// then the six booleans — 64 bits exactly.
+    pub fn pack(&self) -> u64 {
+        debug_assert!(self.alive < 32, "alive is a 5-process mask");
+        debug_assert!(self.moved < 32, "moved is a 5-process mask");
+        debug_assert!(self.flags < 128, "flags holds 7 bits");
+        let reading = match self.reading {
+            None => 0,
+            Some((hot, ReadingOrigin::Sensor)) => 1 + u64::from(hot),
+            Some((hot, ReadingOrigin::Web)) => 3 + u64::from(hot),
+        };
+        let web_msg = match self.web_msg {
+            None => 0,
+            Some(WebMsg::Junk) => 1,
+            Some(WebMsg::TamperSetpoint) => 2,
+            Some(WebMsg::ReplaySetpoint) => 3,
+        };
+        let cmd = |c: Option<bool>| c.map_or(0, |on| 1 + u64::from(on));
+        let fields: [(u64, u32); 17] = [
+            (self.alive.into(), 5),
+            (self.moved.into(), 5),
+            (self.round.into(), 8),
+            (self.hot_unalarmed.into(), 8),
+            (self.forks.into(), 8),
+            (self.budget.into(), 8),
+            (self.flags.into(), 7),
+            (reading, 3),
+            (web_msg, 2),
+            (cmd(self.fan_cmd), 2),
+            (cmd(self.alarm_cmd), 2),
+            (self.temp_hot.into(), 1),
+            (self.fan_dev.into(), 1),
+            (self.alarm_dev.into(), 1),
+            (self.believes_hot.into(), 1),
+            (self.diverged.into(), 1),
+            (self.cap_ok.into(), 1),
+        ];
+        let (key, width) = fields.iter().fold((0u64, 0u32), |(key, shift), &(v, w)| {
+            (key | v << shift, shift + w)
+        });
+        debug_assert_eq!(width, 64);
+        key
     }
 }
 

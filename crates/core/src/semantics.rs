@@ -19,9 +19,11 @@
 //! The two optional hooks ([`StepSemantics::is_visible`],
 //! [`StepSemantics::independent`]) feed partial-order reduction; their
 //! defaults are maximally conservative (everything visible, nothing
-//! independent), which disables reduction but never soundness.
+//! independent), which disables reduction but never soundness. A third,
+//! [`StepSemantics::fingerprint`], picks the key states are deduplicated
+//! on; its SipHash default suits any `Hash` state.
 
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 
 /// A transition relation with explicit states and actions.
 ///
@@ -66,6 +68,18 @@ pub trait StepSemantics {
     /// of the same process are never reordered against each other.
     fn owner(&self, _action: &Self::Action) -> usize {
         0
+    }
+
+    /// The 64-bit key an explorer deduplicates `state` on. The default
+    /// is SipHash (zeroed keys, so stable across runs and threads) over
+    /// the derived `Hash`: distinct states alias only on a full 64-bit
+    /// collision. A semantics whose states fit in 64 bits should
+    /// override it with an injective packing, which makes
+    /// deduplication exact.
+    fn fingerprint(&self, state: &Self::State) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        state.hash(&mut h);
+        h.finish()
     }
 }
 
@@ -148,5 +162,7 @@ mod tests {
         let sem = TwoCounters;
         let s = sem.initial_state();
         assert!(sem.is_visible(&s, &0), "default: everything visible");
+        assert_eq!(sem.fingerprint(&s), sem.fingerprint(&(0, 0)));
+        assert_ne!(sem.fingerprint(&s), sem.fingerprint(&(0, 1)));
     }
 }

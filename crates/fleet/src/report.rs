@@ -115,10 +115,11 @@ impl LatencyHistogram {
     }
 
     /// The latency at quantile `p` (e.g. `0.99`), estimated as the upper
-    /// edge of the bin holding the rank-`ceil(p·samples)` sample — a
-    /// conservative (never understating) bound given fixed-width bins.
-    /// Ranks landing in the overflow region report `max_s`; an empty
-    /// histogram reports 0.
+    /// edge of the bin holding the rank-`ceil(p·samples)` sample, clamped
+    /// to `max_s` — a conservative (never understating) bound given
+    /// fixed-width bins, since no sample exceeds `max_s`. Ranks landing
+    /// in the overflow region report `max_s`; an empty histogram
+    /// reports 0.
     pub fn percentile(&self, p: f64) -> f64 {
         if self.samples == 0 {
             return 0.0;
@@ -128,7 +129,7 @@ impl LatencyHistogram {
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return (i + 1) as f64 * self.bin_width_s;
+                return ((i + 1) as f64 * self.bin_width_s).min(self.max_s);
             }
         }
         self.max_s
@@ -633,14 +634,31 @@ mod tests {
         assert_eq!(a.invalid, 1);
         assert_eq!(a.percentile(0.50), 1.0);
         assert_eq!(a.percentile(0.90), 1.0);
-        assert_eq!(a.percentile(0.95), 9.0);
-        assert_eq!(a.percentile(0.99), 9.0);
+        // The 9.0 bin edge clamps to the largest sample.
+        assert_eq!(a.percentile(0.95), 8.5);
+        assert_eq!(a.percentile(0.99), 8.5);
         // Empty histogram: every percentile is 0.
         assert_eq!(LatencyHistogram::new(1.0, 4).percentile(0.99), 0.0);
         // Rank in the overflow region reports the observed max.
         let mut o = LatencyHistogram::new(1.0, 2);
         o.record(7.5);
         assert_eq!(o.percentile(0.99), 7.5);
+    }
+
+    #[test]
+    fn sub_bin_samples_never_report_above_the_max() {
+        // Request latencies far below the 1 ms bin width: the bin edge
+        // would report 1 ms; every percentile must stay within max_s.
+        let mut h = LatencyHistogram::new(RequestStats::BIN_WIDTH_S, RequestStats::BINS);
+        for i in 1..=100 {
+            h.record(f64::from(i) * 1.56e-6);
+        }
+        for p in [0.0, 0.5, 0.9, 0.95, 0.99, 0.9999, 1.0] {
+            let v = h.percentile(p);
+            assert!(v <= h.max_s, "p{p}: {v} > max {}", h.max_s);
+            assert!(v > 0.0, "p{p}: positive samples, positive percentile");
+        }
+        assert_eq!(h.percentile(0.99), h.max_s);
     }
 
     proptest! {
