@@ -6,7 +6,9 @@
 //! Linux; on seL4 the CapDL layout is assumed known, per the paper), (3)
 //! runs a one-time setup sequence, then (4) repeats its loop body until
 //! the loop budget is exhausted, recording classified kernel replies into
-//! a shared [`EvidenceLog`].
+//! a shared [`EvidenceLog`]. Steps (3) and (4) are one platform-neutral
+//! [`ScriptRunner`]; each attacker keeps only its reconnaissance and the
+//! hook that classifies its kernel's replies.
 
 use bas_sim::process::{Action, Process};
 use bas_sim::time::SimDuration;
@@ -53,6 +55,78 @@ pub struct AttackScript<S> {
     pub max_loops: Option<u64>,
 }
 
+/// How long an attacker sleeps per wake once its script is exhausted.
+const IDLE: SimDuration = SimDuration::from_secs(3_600);
+
+/// Steps through an [`AttackScript`]: the setup once, then the loop body
+/// until the loop budget runs out, then an idle syscall forever.
+pub struct ScriptRunner<S> {
+    script: AttackScript<S>,
+    idle: S,
+    in_setup: bool,
+    idx: usize,
+    loops_done: u64,
+    last_counted: bool,
+    done: bool,
+}
+
+impl<S: Clone> ScriptRunner<S> {
+    /// A runner at the start of `script`'s setup; `idle` is issued on
+    /// every wake once the script is exhausted.
+    pub fn new(script: AttackScript<S>, idle: S) -> Self {
+        ScriptRunner {
+            script,
+            idle,
+            in_setup: true,
+            idx: 0,
+            loops_done: 0,
+            last_counted: false,
+            done: false,
+        }
+    }
+
+    /// The script's warmup delay.
+    pub fn delay(&self) -> SimDuration {
+        self.script.delay
+    }
+
+    /// Hands `reply` to `record` when it answers a counted step, then
+    /// issues the next step.
+    pub fn resume<R>(&mut self, reply: Option<R>, record: impl FnOnce(&R)) -> Action<S> {
+        if let (true, Some(r)) = (self.last_counted, &reply) {
+            record(r);
+        }
+        self.step()
+    }
+
+    /// Issues the next step, or the idle syscall once the budget is spent.
+    pub fn step(&mut self) -> Action<S> {
+        while !self.done {
+            let steps = if self.in_setup {
+                &self.script.setup
+            } else {
+                &self.script.loop_body
+            };
+            if let Some(step) = steps.get(self.idx) {
+                self.idx += 1;
+                self.last_counted = step.counted;
+                return Action::Syscall(step.syscall.clone());
+            }
+            if self.in_setup {
+                self.in_setup = false;
+                self.idx = 0;
+                self.done = self.script.loop_body.is_empty();
+                continue;
+            }
+            self.loops_done += 1;
+            self.done = self.script.max_loops.is_some_and(|m| self.loops_done >= m);
+            self.idx = 0;
+        }
+        self.last_counted = false;
+        Action::Syscall(self.idle.clone())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // MINIX attacker
 // ---------------------------------------------------------------------------
@@ -74,21 +148,14 @@ pub mod minix_attacker {
         lookups: Vec<String>,
         resolved: Vec<Option<Endpoint>>,
         builder: Option<MinixScriptBuilder>,
-        script: Option<AttackScript<Syscall>>,
         evidence: EvidenceLog,
         phase: Phase,
-        in_setup: bool,
-        idx: usize,
-        loops_done: u64,
-        last_counted: bool,
     }
 
     enum Phase {
         Start,
-        AwaitDelay,
         AwaitLookup(usize),
-        Body,
-        Idle,
+        Body(ScriptRunner<Syscall>),
     }
 
     impl MinixAttacker {
@@ -103,49 +170,20 @@ pub mod minix_attacker {
                 lookups,
                 resolved: Vec::new(),
                 builder: Some(builder),
-                script: None,
                 evidence,
                 phase: Phase::Start,
-                in_setup: true,
-                idx: 0,
-                loops_done: 0,
-                last_counted: false,
             }
         }
 
-        fn next_body_action(&mut self) -> Action<Syscall> {
-            let script = self.script.as_ref().expect("script built");
-            loop {
-                let steps = if self.in_setup {
-                    &script.setup
-                } else {
-                    &script.loop_body
-                };
-                if self.idx < steps.len() {
-                    let step = &steps[self.idx];
-                    self.idx += 1;
-                    self.last_counted = step.counted;
-                    return Action::Syscall(step.syscall.clone());
-                }
-                if self.in_setup {
-                    self.in_setup = false;
-                    self.idx = 0;
-                    if script.loop_body.is_empty() {
-                        break;
-                    }
-                    continue;
-                }
-                self.loops_done += 1;
-                if script.max_loops.is_some_and(|m| self.loops_done >= m) {
-                    break;
-                }
-                self.idx = 0;
-            }
-            self.phase = Phase::Idle;
-            self.last_counted = false;
-            Action::Syscall(Syscall::Sleep {
-                duration: SimDuration::from_secs(3_600),
-            })
+        /// Builds the script from the reconnaissance results and sleeps
+        /// out its delay before acting.
+        fn build(&mut self) -> Action<Syscall> {
+            let builder = self.builder.take().expect("builder present");
+            let runner =
+                ScriptRunner::new(builder(&self.resolved), Syscall::Sleep { duration: IDLE });
+            let duration = runner.delay();
+            self.phase = Phase::Body(runner);
+            Action::Syscall(Syscall::Sleep { duration })
         }
     }
 
@@ -154,23 +192,17 @@ pub mod minix_attacker {
         type Reply = Reply;
 
         fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
-            match self.phase {
+            match &mut self.phase {
+                // Reconnaissance first (lookups are cheap and silent),
+                // then sleep out the script's delay before acting.
+                Phase::Start if self.lookups.is_empty() => self.build(),
                 Phase::Start => {
-                    // Reconnaissance first (lookups are cheap and silent),
-                    // then sleep out the script's delay before acting.
-                    self.phase = Phase::AwaitDelay;
-                    if self.lookups.is_empty() {
-                        let builder = self.builder.take().expect("builder present");
-                        self.script = Some(builder(&[]));
-                        let d = self.script.as_ref().expect("built").delay;
-                        return Action::Syscall(Syscall::Sleep { duration: d });
-                    }
                     self.phase = Phase::AwaitLookup(0);
                     Action::Syscall(Syscall::Lookup {
                         name: self.lookups[0].clone(),
                     })
                 }
-                Phase::AwaitLookup(i) => {
+                &mut Phase::AwaitLookup(i) => {
                     self.resolved.push(match reply {
                         Some(Reply::Resolved(ep)) => Some(ep),
                         _ => None,
@@ -181,27 +213,10 @@ pub mod minix_attacker {
                             name: self.lookups[i + 1].clone(),
                         });
                     }
-                    let builder = self.builder.take().expect("builder present");
-                    self.script = Some(builder(&self.resolved));
-                    self.phase = Phase::AwaitDelay;
-                    let d = self.script.as_ref().expect("built").delay;
-                    Action::Syscall(Syscall::Sleep { duration: d })
+                    self.build()
                 }
-                Phase::AwaitDelay => {
-                    self.phase = Phase::Body;
-                    self.next_body_action()
-                }
-                Phase::Body => {
-                    if self.last_counted {
-                        if let Some(r) = &reply {
-                            let class = classify_minix(r);
-                            self.evidence.borrow_mut().record(class);
-                        }
-                    }
-                    self.next_body_action()
-                }
-                Phase::Idle => Action::Syscall(Syscall::Sleep {
-                    duration: SimDuration::from_secs(3_600),
+                Phase::Body(runner) => runner.resume(reply, |r| {
+                    self.evidence.borrow_mut().record(classify_minix(r));
                 }),
             }
         }
@@ -228,68 +243,19 @@ pub mod sel4_attacker {
     /// at construction time from the glue map (the attacker is assumed to
     /// know the CapDL file, as in §IV-D.3).
     pub struct Sel4Attacker {
-        script: AttackScript<Syscall>,
+        runner: ScriptRunner<Syscall>,
         evidence: EvidenceLog,
-        phase: Phase,
-        in_setup: bool,
-        idx: usize,
-        loops_done: u64,
-        last_counted: bool,
-    }
-
-    enum Phase {
-        Start,
-        AwaitDelay,
-        Body,
-        Idle,
+        started: bool,
     }
 
     impl Sel4Attacker {
         /// Creates the attacker from its script.
         pub fn new(script: AttackScript<Syscall>, evidence: EvidenceLog) -> Self {
             Sel4Attacker {
-                script,
+                runner: ScriptRunner::new(script, Syscall::Sleep { duration: IDLE }),
                 evidence,
-                phase: Phase::Start,
-                in_setup: true,
-                idx: 0,
-                loops_done: 0,
-                last_counted: false,
+                started: false,
             }
-        }
-
-        fn next_body_action(&mut self) -> Action<Syscall> {
-            loop {
-                let steps = if self.in_setup {
-                    &self.script.setup
-                } else {
-                    &self.script.loop_body
-                };
-                if self.idx < steps.len() {
-                    let step = &steps[self.idx];
-                    self.idx += 1;
-                    self.last_counted = step.counted;
-                    return Action::Syscall(step.syscall.clone());
-                }
-                if self.in_setup {
-                    self.in_setup = false;
-                    self.idx = 0;
-                    if self.script.loop_body.is_empty() {
-                        break;
-                    }
-                    continue;
-                }
-                self.loops_done += 1;
-                if self.script.max_loops.is_some_and(|m| self.loops_done >= m) {
-                    break;
-                }
-                self.idx = 0;
-            }
-            self.phase = Phase::Idle;
-            self.last_counted = false;
-            Action::Syscall(Syscall::Sleep {
-                duration: SimDuration::from_secs(3_600),
-            })
         }
     }
 
@@ -298,41 +264,23 @@ pub mod sel4_attacker {
         type Reply = Reply;
 
         fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
-            match self.phase {
-                Phase::Start => {
-                    self.phase = Phase::AwaitDelay;
-                    Action::Syscall(Syscall::Sleep {
-                        duration: self.script.delay,
-                    })
-                }
-                Phase::AwaitDelay => {
-                    self.phase = Phase::Body;
-                    self.next_body_action()
-                }
-                Phase::Body => {
-                    if self.last_counted {
-                        if let Some(r) = &reply {
-                            let class = classify_sel4(r);
-                            let mut ev = self.evidence.borrow_mut();
-                            ev.record(class);
-                            // Enumeration bookkeeping: a probe that found
-                            // a capability.
-                            if let Reply::Identified(kind) = r {
-                                ev.handles_found += 1;
-                                ev.notes.push(format!(
-                                    "found capability: {}",
-                                    kind.map_or("reply-cap".to_string(), |k: ObjKind| k
-                                        .to_string())
-                                ));
-                            }
-                        }
-                    }
-                    self.next_body_action()
-                }
-                Phase::Idle => Action::Syscall(Syscall::Sleep {
-                    duration: SimDuration::from_secs(3_600),
-                }),
+            if !std::mem::replace(&mut self.started, true) {
+                return Action::Syscall(Syscall::Sleep {
+                    duration: self.runner.delay(),
+                });
             }
+            self.runner.resume(reply, |r| {
+                let mut ev = self.evidence.borrow_mut();
+                ev.record(classify_sel4(r));
+                // Enumeration bookkeeping: a probe that found a capability.
+                if let Reply::Identified(kind) = r {
+                    ev.handles_found += 1;
+                    ev.notes.push(format!(
+                        "found capability: {}",
+                        kind.map_or("reply-cap".to_string(), |k: ObjKind| k.to_string())
+                    ));
+                }
+            })
         }
 
         fn name(&self) -> &str {
@@ -366,22 +314,16 @@ pub mod linux_attacker {
         pid_lookups: Vec<String>,
         resolved: Vec<Option<Pid>>,
         builder: Option<LinuxScriptBuilder>,
-        script: Option<AttackScript<Syscall>>,
         evidence: EvidenceLog,
         delay: SimDuration,
         phase: Phase,
-        in_setup: bool,
-        idx: usize,
-        loops_done: u64,
-        last_counted: bool,
     }
 
     enum Phase {
         Start,
         AwaitDelay,
         AwaitPidOf(usize),
-        Body,
-        Idle,
+        Body(ScriptRunner<Syscall>),
     }
 
     impl LinuxAttacker {
@@ -397,50 +339,21 @@ pub mod linux_attacker {
                 pid_lookups,
                 resolved: Vec::new(),
                 builder: Some(builder),
-                script: None,
                 evidence,
-                phase: Phase::Start,
-                in_setup: true,
-                idx: 0,
-                loops_done: 0,
-                last_counted: false,
                 delay,
+                phase: Phase::Start,
             }
         }
 
-        fn next_body_action(&mut self) -> Action<Syscall> {
-            let script = self.script.as_ref().expect("script built");
-            loop {
-                let steps = if self.in_setup {
-                    &script.setup
-                } else {
-                    &script.loop_body
-                };
-                if self.idx < steps.len() {
-                    let step = &steps[self.idx];
-                    self.idx += 1;
-                    self.last_counted = step.counted;
-                    return Action::Syscall(step.syscall.clone());
-                }
-                if self.in_setup {
-                    self.in_setup = false;
-                    self.idx = 0;
-                    if script.loop_body.is_empty() {
-                        break;
-                    }
-                    continue;
-                }
-                self.loops_done += 1;
-                if script.max_loops.is_some_and(|m| self.loops_done >= m) {
-                    break;
-                }
-                self.idx = 0;
-            }
-            self.phase = Phase::Idle;
-            self.last_counted = false;
-            Action::Syscall(Syscall::Sleep {
-                duration: SimDuration::from_secs(3_600),
-            })
+        /// Builds the script from the reconnaissance results and issues
+        /// its first step at once.
+        fn build(&mut self) -> Action<Syscall> {
+            let builder = self.builder.take().expect("builder present");
+            let mut runner =
+                ScriptRunner::new(builder(&self.resolved), Syscall::Sleep { duration: IDLE });
+            let first = runner.step();
+            self.phase = Phase::Body(runner);
+            first
         }
     }
 
@@ -449,26 +362,21 @@ pub mod linux_attacker {
         type Reply = Reply;
 
         fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
-            match self.phase {
+            match &mut self.phase {
                 Phase::Start => {
                     self.phase = Phase::AwaitDelay;
                     Action::Syscall(Syscall::Sleep {
                         duration: self.delay,
                     })
                 }
+                Phase::AwaitDelay if self.pid_lookups.is_empty() => self.build(),
                 Phase::AwaitDelay => {
-                    if self.pid_lookups.is_empty() {
-                        let builder = self.builder.take().expect("builder present");
-                        self.script = Some(builder(&[]));
-                        self.phase = Phase::Body;
-                        return self.next_body_action();
-                    }
                     self.phase = Phase::AwaitPidOf(0);
                     Action::Syscall(Syscall::PidOf {
                         name: self.pid_lookups[0].clone(),
                     })
                 }
-                Phase::AwaitPidOf(i) => {
+                &mut Phase::AwaitPidOf(i) => {
                     self.resolved.push(match reply {
                         Some(Reply::Pid(p)) => Some(p),
                         _ => None,
@@ -479,26 +387,15 @@ pub mod linux_attacker {
                             name: self.pid_lookups[i + 1].clone(),
                         });
                     }
-                    let builder = self.builder.take().expect("builder present");
-                    self.script = Some(builder(&self.resolved));
-                    self.phase = Phase::Body;
-                    self.next_body_action()
+                    self.build()
                 }
-                Phase::Body => {
-                    if self.last_counted {
-                        if let Some(r) = &reply {
-                            let class = classify_linux(r);
-                            let mut ev = self.evidence.borrow_mut();
-                            ev.record(class);
-                            if matches!(r, Reply::Qd(_)) && class == Class::Success {
-                                ev.handles_found += 1;
-                            }
-                        }
+                Phase::Body(runner) => runner.resume(reply, |r| {
+                    let mut ev = self.evidence.borrow_mut();
+                    let class = classify_linux(r);
+                    ev.record(class);
+                    if matches!(r, Reply::Qd(_)) && class == Class::Success {
+                        ev.handles_found += 1;
                     }
-                    self.next_body_action()
-                }
-                Phase::Idle => Action::Syscall(Syscall::Sleep {
-                    duration: SimDuration::from_secs(3_600),
                 }),
             }
         }

@@ -1,6 +1,7 @@
 //! E3–E6 (§IV-D): the full attack matrix — every attack × platform ×
 //! attacker model — with per-cell mechanism verdicts, physical-impact
-//! verdicts, and the comparison against the paper's predictions.
+//! verdicts, and the comparison against the paper's predictions. Exits
+//! non-zero when any cell disagrees with the paper.
 //!
 //! Run:
 //! `cargo run --release -p bas-bench --bin exp_attack_matrix [-- --platform linux|minix|sel4]`
@@ -69,6 +70,14 @@ fn main() {
 
     if h.platforms().contains(&Platform::Linux) {
         hardened_linux_section();
+    }
+
+    if agreements < cells {
+        eprintln!(
+            "exp_attack_matrix: {} of {cells} cells disagree with the paper",
+            cells - agreements
+        );
+        std::process::exit(1);
     }
 }
 

@@ -3,11 +3,12 @@
 //! Each platform stack ([`platform::minix::MinixStack`],
 //! [`platform::sel4::Sel4Stack`], [`platform::linux::LinuxStack`])
 //! implements [`PlatformKernel`] — boot the five-process scenario from its
-//! policy artifact, step the kernel, expose trace/metrics and the physical
-//! plant — and [`ScenarioEngine`] supplies everything that used to be
-//! copy-pasted per platform: the kernel/plant lockstep loop, the
-//! authorized-reference bookkeeping for the safety oracle, and the
-//! [`Scenario`] trait surface the experiments and the attack harness
+//! policy artifact, step the kernel, expose trace and metrics — and
+//! [`ScenarioEngine`] supplies everything that used to be copy-pasted per
+//! platform: the instance's application I/O ([`AppIo`]: plant, web logs,
+//! schedule) and its re-imaging on recycle, the kernel/plant lockstep
+//! loop, the authorized-reference bookkeeping for the safety oracle, and
+//! the [`Scenario`] trait surface the experiments and the attack harness
 //! consume.
 //!
 //! [`platform::minix::MinixStack`]: crate::platform::minix::MinixStack
@@ -23,13 +24,13 @@ use bas_sim::time::{SimDuration, SimTime};
 
 use crate::logic::web::RequestSample;
 use crate::proto::BasMsg;
-use crate::scenario::{Platform, Scenario, ScenarioConfig};
+use crate::scenario::{AppIo, Platform, Scenario, ScenarioConfig};
 
 /// One platform's bootable kernel stack, as seen by the generic engine
 /// and the fleet layer.
 ///
-/// Implementations own the simulated kernel, the plant handle, and the
-/// web-interface log; the engine owns the lockstep loop and the
+/// Implementations own the simulated kernel and its boot plan; the engine
+/// owns the instance's [`AppIo`], the lockstep loop and the
 /// cross-platform [`Scenario`] surface. Attack injection and ablation
 /// policies ride in through [`PlatformKernel::Overrides`].
 pub trait PlatformKernel {
@@ -41,17 +42,15 @@ pub trait PlatformKernel {
     type Overrides: Default;
 
     /// Boots the five-process scenario from the platform's policy
-    /// artifact (ACM / CapDL spec / mq ACL plan).
-    fn boot(config: &ScenarioConfig, overrides: Self::Overrides) -> Self;
+    /// artifact (ACM / CapDL spec / mq ACL plan), installing `io`'s plant
+    /// devices and wiring the benign web process to `io`.
+    fn boot(config: &ScenarioConfig, overrides: Self::Overrides, io: &AppIo) -> Self;
 
     /// Current virtual time.
     fn now(&self) -> SimTime;
 
     /// Advances the kernel's event loop to `target` virtual time.
     fn run_until(&mut self, target: SimTime);
-
-    /// Handle to the physical world (safety oracle, actuator history).
-    fn plant(&self) -> SharedPlant;
 
     /// Kernel counters.
     fn metrics(&self) -> KernelMetrics;
@@ -62,24 +61,14 @@ pub trait PlatformKernel {
     /// Number of kernel-trace events in a category (e.g. `"acm.deny"`).
     fn trace_count(&self, category: &str) -> usize;
 
-    /// Responses observed by the (benign) web interface.
-    fn web_responses(&self) -> Vec<BasMsg>;
-
-    /// Completed web requests with scheduled/completed stamps. Default:
-    /// no request accounting (attacker-replaced webs, legacy stacks).
-    fn web_requests(&self) -> Vec<RequestSample> {
-        Vec::new()
-    }
-
-    /// Returns the stack to its just-booted state under `config`, reusing
-    /// live allocations — the snapshot-fork boot path. `config` must be
-    /// the boot template modulo `seed` (the stack re-runs its stored boot
-    /// plan; only the plant is re-seeded). Returns `false` when this stack
-    /// cannot guarantee byte-identity with a cold boot (e.g. one-shot
-    /// attacker overrides), in which case the caller must cold-boot.
-    fn reset_to_boot(&mut self, _config: &ScenarioConfig) -> bool {
-        false
-    }
+    /// Returns the kernel to its just-booted state under `config`,
+    /// reusing live allocations — the snapshot-fork boot path. `config`
+    /// must be the boot template modulo `seed`: the stack re-runs its
+    /// stored boot plan against `io`, which the engine re-images itself.
+    /// Returns `false` when this stack cannot guarantee byte-identity with
+    /// a cold boot (e.g. one-shot attacker overrides), in which case the
+    /// caller must cold-boot.
+    fn reset_to_boot(&mut self, config: &ScenarioConfig, io: &AppIo) -> bool;
 
     // ----- fault-injection hooks (`bas-faults`) -----------------------------
 
@@ -110,26 +99,21 @@ pub trait PlatformKernel {
     /// own authority structure — a MINIX ACM row, an seL4 CDT revoke
     /// sweep, a Linux mq mode edit. Returns false when the platform
     /// cannot resolve the pair (or the op was already in effect).
-    fn apply_cap_churn(&mut self, _op: &CapChurnOp) -> bool {
-        false
-    }
+    fn apply_cap_churn(&mut self, op: &CapChurnOp) -> bool;
 
     /// Arms `op` to fire immediately after the `after_checks`-th
     /// subsequent *successful* admission check by `op.subject` toward
     /// `op.object` — deterministically inside the platform's check→use
-    /// window. Default: unsupported no-op.
-    fn arm_cap_churn(&mut self, _op: &CapChurnOp, _after_checks: u32) {}
+    /// window.
+    fn arm_cap_churn(&mut self, op: &CapChurnOp, after_checks: u32);
 
     /// Starts recording the kernel's structured capability-event stream
-    /// ([`bas_sim::caps::CapEvent`]). Off by default; platforms without
-    /// instrumentation ignore the call.
-    fn enable_cap_trace(&mut self) {}
+    /// ([`bas_sim::caps::CapEvent`]). Off by default.
+    fn enable_cap_trace(&mut self);
 
     /// Snapshot of the capability-event stream recorded so far. Empty
-    /// when tracing was never enabled (or is unsupported).
-    fn cap_trace(&self) -> CapTrace {
-        CapTrace::default()
-    }
+    /// when tracing was never enabled.
+    fn cap_trace(&self) -> CapTrace;
 }
 
 /// Hook called with the platform stack at every lockstep chunk boundary
@@ -153,7 +137,7 @@ pub struct ScenarioEngine<K: PlatformKernel> {
     /// The booted platform stack (public for experiment introspection:
     /// `s.stack.kernel`, and on seL4 `s.stack.spec` / `s.stack.sys`).
     pub stack: K,
-    plant: SharedPlant,
+    io: AppIo,
     chunk: SimDuration,
     reference_changes: Vec<(SimTime, i32)>,
     next_reference: usize,
@@ -163,11 +147,11 @@ pub struct ScenarioEngine<K: PlatformKernel> {
 impl<K: PlatformKernel> ScenarioEngine<K> {
     /// Boots the scenario on `K` and prepares the lockstep runner.
     pub fn boot(config: &ScenarioConfig, overrides: K::Overrides) -> Self {
-        let stack = K::boot(config, overrides);
-        let plant = stack.plant();
+        let io = AppIo::new(config);
+        let stack = K::boot(config, overrides, &io);
         ScenarioEngine {
             stack,
-            plant,
+            io,
             chunk: config.lockstep_chunk,
             reference_changes: config.reference_changes(),
             next_reference: 0,
@@ -209,14 +193,14 @@ impl<K: PlatformKernel> Scenario for ScenarioEngine<K> {
             // the administrator's (in-range, in-order) setpoint changes.
             while let Some(&(t, mc)) = self.reference_changes.get(self.next_reference) {
                 if t <= self.stack.now() {
-                    self.plant.borrow_mut().set_reference(mc as f64 / 1000.0);
+                    self.io.plant.borrow_mut().set_reference(mc as f64 / 1000.0);
                     self.next_reference += 1;
                 } else {
                     break;
                 }
             }
             let now = self.stack.now();
-            self.plant.borrow_mut().step_to(now);
+            self.io.plant.borrow_mut().step_to(now);
         }
     }
 
@@ -225,7 +209,7 @@ impl<K: PlatformKernel> Scenario for ScenarioEngine<K> {
     }
 
     fn plant(&self) -> SharedPlant {
-        self.plant.clone()
+        self.io.plant.clone()
     }
 
     fn metrics(&self) -> KernelMetrics {
@@ -241,18 +225,18 @@ impl<K: PlatformKernel> Scenario for ScenarioEngine<K> {
     }
 
     fn web_responses(&self) -> Vec<BasMsg> {
-        self.stack.web_responses()
+        self.io.responses.borrow().clone()
     }
 
     fn request_samples(&self) -> Vec<RequestSample> {
-        self.stack.web_requests()
+        self.io.requests.borrow().clone()
     }
 
     fn reset_to_boot(&mut self, config: &ScenarioConfig) -> bool {
-        if !self.stack.reset_to_boot(config) {
+        if !self.stack.reset_to_boot(config, &self.io) {
             return false;
         }
-        self.plant = self.stack.plant();
+        self.io.reimage(config);
         self.chunk = config.lockstep_chunk;
         self.reference_changes = config.reference_changes();
         self.next_reference = 0;

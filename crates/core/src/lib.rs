@@ -5,13 +5,14 @@
 //! sensor, heater actuator, alarm actuator, web interface), implemented
 //! once as pure logic and ported to all three platforms:
 //!
-//! - [`logic`] — the platform-independent control core and the benign
-//!   web-interface schedule,
+//! - [`logic`] — the platform-independent role cores: the control core and
+//!   the sans-IO benign web client,
 //! - [`proto`] — the shared wire protocol and `ac_id` numbering,
 //! - [`policy`] — the ACM, quotas, device ownership, CAmkES assembly,
 //!   Linux queue set, and the canonical AADL source they all derive from,
 //! - [`platform::minix`] / [`platform::sel4`] / [`platform::linux`] —
-//!   per-platform process implementations and the bootable kernel stacks,
+//!   each kernel's IPC binding of the role cores (connect phase and
+//!   message codec) and the bootable kernel stacks,
 //! - [`engine`] — the [`engine::PlatformKernel`] trait every stack
 //!   implements and the generic [`engine::ScenarioEngine`] lockstep
 //!   runner (one implementation of setup/step/aggregate for all three),

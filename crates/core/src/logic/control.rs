@@ -10,6 +10,8 @@
 use bas_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
+use crate::proto::BasMsg;
+
 /// Static control parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ControlConfig {
@@ -181,6 +183,28 @@ impl ControlCore {
         Ok(())
     }
 
+    /// Answers a web-interface request: a setpoint update is applied and
+    /// acknowledged with `Ack { code }` (0 accepted, 1 out of range), a
+    /// status query gets the current `Status`. Any other message gets no
+    /// answer.
+    pub fn answer(&mut self, now: SimTime, request: &BasMsg) -> Option<BasMsg> {
+        match *request {
+            BasMsg::SetpointUpdate { milli_c } => Some(BasMsg::Ack {
+                code: u32::from(self.on_setpoint_update(now, milli_c).is_err()),
+            }),
+            BasMsg::StatusQuery => {
+                let s = self.status();
+                Some(BasMsg::Status {
+                    temp_milli_c: s.last_reading_milli_c,
+                    setpoint_milli_c: s.setpoint_milli_c,
+                    fan_on: s.fan_on,
+                    alarm_on: s.alarm_on,
+                })
+            }
+            _ => None,
+        }
+    }
+
     /// Current status snapshot.
     pub fn status(&self) -> ControlStatus {
         ControlStatus {
@@ -292,6 +316,26 @@ mod tests {
         assert_eq!(err.requested_milli_c, 95_000);
         assert_eq!(c.status().setpoint_milli_c, 22_000, "unchanged");
         assert!(c.on_setpoint_update(at(0), 10_000).is_err());
+    }
+
+    #[test]
+    fn answer_acks_setpoints_and_reports_status() {
+        let mut c = core();
+        c.on_sensor_reading(at(0), 23_000);
+        let ok = BasMsg::SetpointUpdate { milli_c: 24_000 };
+        assert_eq!(c.answer(at(1), &ok), Some(BasMsg::Ack { code: 0 }));
+        let bad = BasMsg::SetpointUpdate { milli_c: 95_000 };
+        assert_eq!(c.answer(at(2), &bad), Some(BasMsg::Ack { code: 1 }));
+        assert_eq!(
+            c.answer(at(3), &BasMsg::StatusQuery),
+            Some(BasMsg::Status {
+                temp_milli_c: 23_000,
+                setpoint_milli_c: 24_000,
+                fan_on: true,
+                alarm_on: false,
+            })
+        );
+        assert_eq!(c.answer(at(4), &BasMsg::Ack { code: 0 }), None);
     }
 
     #[test]

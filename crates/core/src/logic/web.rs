@@ -5,18 +5,27 @@
 //! legitimate channel; attack variants (in `bas-attack`) replace the whole
 //! process, modeling remote compromise.
 //!
-//! For multi-tenant traffic (E18) the schedule is shared between the
-//! platform stack and its web process through a [`SharedSchedule`] cell:
-//! the stack re-images the cell on snapshot recycling, and the process
-//! reads it lazily through a [`ScheduleCursor`], so per-instance traffic
-//! survives the warm-boot path without respawning anything. Completed
-//! requests are stamped into a [`RequestLog`] for latency accounting.
+//! [`WebClient`] is the role's platform-neutral core: it decides what to
+//! send and when, and records what came back. Each platform's web process
+//! only connects to the controller and translates the client's decisions
+//! into its own syscalls and message codec.
+//!
+//! The schedule lives in a [`SharedSchedule`] cell owned by the engine's
+//! [`AppIo`]: the engine re-images the cell on snapshot recycling, and the
+//! client reads it lazily through a [`ScheduleCursor`], so per-instance
+//! traffic survives the warm-boot path without respawning anything.
+//! Completed requests are stamped into a [`RequestLog`] for latency
+//! accounting.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
-use bas_sim::time::SimTime;
+use bas_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+
+use crate::proto::BasMsg;
+use crate::scenario::{AppIo, WebLog};
 
 /// One administrator action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -27,72 +36,22 @@ pub enum WebAction {
     QueryStatus,
 }
 
-/// A time-ordered schedule of administrator actions.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WebSchedule {
-    actions: Vec<(SimTime, WebAction)>,
-    next: usize,
-}
-
-impl WebSchedule {
-    /// Creates a schedule; actions are sorted by time.
-    pub fn new(mut actions: Vec<(SimTime, WebAction)>) -> Self {
-        actions.sort_by_key(|(t, _)| *t);
-        WebSchedule { actions, next: 0 }
-    }
-
-    /// An empty schedule (web interface stays idle).
-    pub fn idle() -> Self {
-        WebSchedule::default()
-    }
-
-    /// The time of the next pending action.
-    pub fn next_time(&self) -> Option<SimTime> {
-        self.actions.get(self.next).map(|(t, _)| *t)
-    }
-
-    /// Pops the next action if it is due at `now`.
-    ///
-    /// At most one action per call: a burst of same-tick actions takes
-    /// one wake cycle each. High-rate traffic must use [`drain_due`]
-    /// instead; this single-pop form survives for the legacy callers
-    /// whose syscall sequences tests pin.
-    ///
-    /// [`drain_due`]: WebSchedule::drain_due
-    pub fn pop_due(&mut self, now: SimTime) -> Option<WebAction> {
-        match self.actions.get(self.next) {
-            Some(&(t, action)) if t <= now => {
-                self.next += 1;
-                Some(action)
-            }
-            _ => None,
+impl WebAction {
+    /// The protocol request this action sends to the controller.
+    pub fn request(self) -> BasMsg {
+        match self {
+            WebAction::SetSetpoint(milli_c) => BasMsg::SetpointUpdate { milli_c },
+            WebAction::QueryStatus => BasMsg::StatusQuery,
         }
-    }
-
-    /// Appends every action due at `now` (scheduled time ≤ `now`) to
-    /// `out`, with its scheduled time, advancing past all of them.
-    pub fn drain_due(&mut self, now: SimTime, out: &mut Vec<(SimTime, WebAction)>) {
-        while let Some(&(t, action)) = self.actions.get(self.next) {
-            if t > now {
-                break;
-            }
-            self.next += 1;
-            out.push((t, action));
-        }
-    }
-
-    /// Actions not yet popped.
-    pub fn remaining(&self) -> usize {
-        self.actions.len() - self.next
     }
 }
 
-/// A schedule's action list shared between a platform stack and its web
-/// process. The stack overwrites the cell on boot re-imaging; cursors
+/// A schedule's action list shared between the engine and the web
+/// process. The engine overwrites the cell on boot re-imaging; cursors
 /// pick the new contents up on their next wake.
 pub type SharedSchedule = Rc<RefCell<Vec<(SimTime, WebAction)>>>;
 
-/// Builds a [`SharedSchedule`] from an already time-sorted action list.
+/// Builds a [`SharedSchedule`], sorting the actions by time.
 pub fn shared_schedule(mut actions: Vec<(SimTime, WebAction)>) -> SharedSchedule {
     actions.sort_by_key(|(t, _)| *t);
     Rc::new(RefCell::new(actions))
@@ -100,12 +59,12 @@ pub fn shared_schedule(mut actions: Vec<(SimTime, WebAction)>) -> SharedSchedule
 
 /// A web process's read position into a [`SharedSchedule`].
 ///
-/// Unlike [`WebSchedule`], the actions live behind the shared cell, so a
-/// snapshot-recycled stack can swap in the next instance's traffic
-/// without reconstructing the process that reads it. The cursor resets
-/// to the front whenever the cell is re-imaged (the stack rebuilds the
-/// process state on the `ran` path and the pristine path never moved
-/// the cursor, so `next == 0` is always correct after a swap).
+/// The actions live behind the shared cell, so a snapshot-recycled stack
+/// can swap in the next instance's traffic without reconstructing the
+/// process that reads it. The cursor resets to the front whenever the
+/// cell is re-imaged (the stack rebuilds the process state on the `ran`
+/// path and the pristine path never moved the cursor, so `next == 0` is
+/// always correct after a swap).
 #[derive(Debug, Clone)]
 pub struct ScheduleCursor {
     actions: SharedSchedule,
@@ -118,30 +77,21 @@ impl ScheduleCursor {
         ScheduleCursor { actions, next: 0 }
     }
 
-    /// A cursor over a private copy of `schedule` (legacy constructor
-    /// path — no sharing with any stack).
-    pub fn detached(schedule: &WebSchedule) -> Self {
-        ScheduleCursor {
-            actions: Rc::new(RefCell::new(schedule.actions.clone())),
-            next: schedule.next,
-        }
-    }
-
     /// The time of the next pending action.
     pub fn next_time(&self) -> Option<SimTime> {
         self.actions.borrow().get(self.next).map(|(t, _)| *t)
     }
 
-    /// Appends every action due at `now` to `out` (see
-    /// [`WebSchedule::drain_due`]).
-    pub fn drain_due(&mut self, now: SimTime, out: &mut Vec<(SimTime, WebAction)>) {
+    /// Appends every action due at `now` (scheduled time ≤ `now`) to
+    /// `out`, with its scheduled time, advancing past all of them.
+    pub fn drain_due(&mut self, now: SimTime, out: &mut impl Extend<(SimTime, WebAction)>) {
         let actions = self.actions.borrow();
-        while let Some(&(t, action)) = actions.get(self.next) {
-            if t > now {
+        while let Some(&entry) = actions.get(self.next) {
+            if entry.0 > now {
                 break;
             }
             self.next += 1;
-            out.push((t, action));
+            out.extend(Some(entry));
         }
     }
 
@@ -166,19 +116,115 @@ pub struct RequestSample {
     pub ok: bool,
 }
 
-/// Completed-request log shared between a platform stack and its web
-/// process; cleared by the stack on boot re-imaging.
+/// Completed-request log shared between the engine and the web process;
+/// cleared by the engine on boot re-imaging.
 pub type RequestLog = Rc<RefCell<Vec<RequestSample>>>;
 
-/// An empty [`RequestLog`].
-pub fn new_request_log() -> RequestLog {
-    Rc::new(RefCell::new(Vec::new()))
+/// What the web role does after a clock read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WebStep {
+    /// Issue this action's RPC.
+    Rpc(WebAction),
+    /// Sleep this long, then read the clock again.
+    Sleep(SimDuration),
+}
+
+/// How long the web server sleeps between clock reads once its session
+/// script is exhausted (it keeps serving, modeled as long sleeps).
+const IDLE_SLEEP: SimDuration = SimDuration::from_secs(3_600);
+
+/// The web role's platform-neutral core, with no syscalls of its own.
+///
+/// It owns the schedule cursor, the response and request logs, the due
+/// actions not yet sent, the action whose RPC is in flight and the
+/// replied requests still waiting for a completion stamp. A platform's
+/// web process drives it with two calls:
+///
+/// - after every clock read, [`WebClient::on_clock`] says whether to
+///   issue an RPC or to sleep;
+/// - after every RPC reply, [`WebClient::on_reply`] says whether to issue
+///   the next RPC of a same-tick burst at once or to read the clock.
+///
+/// A burst of due actions therefore costs one wake cycle, not one cycle
+/// per request. Each completed request is stamped at the first clock read
+/// after its reply, so the measured latency includes the open-loop
+/// queueing delay.
+#[derive(Debug)]
+pub struct WebClient {
+    schedule: ScheduleCursor,
+    responses: WebLog,
+    requests: RequestLog,
+    /// Due actions not yet sent (same-tick burst tail).
+    pending: VecDeque<(SimTime, WebAction)>,
+    /// The action whose RPC is in flight.
+    inflight: Option<(SimTime, WebAction)>,
+    /// Replied requests awaiting a completion timestamp.
+    unstamped: Vec<(SimTime, WebAction, bool)>,
+}
+
+impl WebClient {
+    /// A client over the instance's schedule and logs.
+    pub fn new(io: &AppIo) -> Self {
+        WebClient {
+            schedule: ScheduleCursor::new(io.schedule.clone()),
+            responses: io.responses.clone(),
+            requests: io.requests.clone(),
+            pending: VecDeque::new(),
+            inflight: None,
+            unstamped: Vec::new(),
+        }
+    }
+
+    /// The clock read `now`: stamps the replied requests, then issues the
+    /// first due action or sleeps until the next one.
+    pub fn on_clock(&mut self, now: SimTime) -> WebStep {
+        self.requests
+            .borrow_mut()
+            .extend(
+                self.unstamped
+                    .drain(..)
+                    .map(|(scheduled, action, ok)| RequestSample {
+                        scheduled,
+                        completed: now,
+                        action,
+                        ok,
+                    }),
+            );
+        self.schedule.drain_due(now, &mut self.pending);
+        match self.send_next() {
+            Some(action) => WebStep::Rpc(action),
+            None => WebStep::Sleep(self.schedule.next_time().map_or(IDLE_SLEEP, |t| t - now)),
+        }
+    }
+
+    /// The in-flight RPC's reply, decoded (`None` when it failed or did
+    /// not decode). Returns the next burst action to send at once, or
+    /// `None` when the process should read the clock.
+    pub fn on_reply(&mut self, reply: Option<BasMsg>) -> Option<WebAction> {
+        if let Some(msg) = reply {
+            self.responses.borrow_mut().push(msg);
+        }
+        if let Some((scheduled, action)) = self.inflight.take() {
+            self.unstamped.push((scheduled, action, reply.is_some()));
+        }
+        self.send_next()
+    }
+
+    /// The action whose RPC is in flight (seL4 replies decode by request).
+    pub fn inflight(&self) -> Option<WebAction> {
+        self.inflight.map(|(_, action)| action)
+    }
+
+    fn send_next(&mut self) -> Option<WebAction> {
+        self.inflight = self.pending.pop_front();
+        self.inflight.map(|(_, action)| action)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bas_sim::time::SimDuration;
+    use crate::scenario::ScenarioConfig;
 
     fn at(secs: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_secs(secs)
@@ -186,48 +232,39 @@ mod tests {
 
     #[test]
     fn actions_delivered_in_time_order() {
-        let mut s = WebSchedule::new(vec![
+        let mut s = ScheduleCursor::new(shared_schedule(vec![
             (at(20), WebAction::QueryStatus),
             (at(10), WebAction::SetSetpoint(24_000)),
-        ]);
+        ]));
         assert_eq!(s.next_time(), Some(at(10)));
-        assert_eq!(s.pop_due(at(5)), None, "not due yet");
-        assert_eq!(s.pop_due(at(10)), Some(WebAction::SetSetpoint(24_000)));
-        assert_eq!(s.pop_due(at(30)), Some(WebAction::QueryStatus));
-        assert_eq!(s.pop_due(at(40)), None);
+        let mut out = Vec::new();
+        s.drain_due(at(5), &mut out);
+        assert!(out.is_empty(), "not due yet");
+        s.drain_due(at(10), &mut out);
+        assert_eq!(out, vec![(at(10), WebAction::SetSetpoint(24_000))]);
+        s.drain_due(at(30), &mut out);
+        assert_eq!(out[1], (at(20), WebAction::QueryStatus));
+        s.drain_due(at(40), &mut out);
+        assert_eq!(out.len(), 2);
         assert_eq!(s.remaining(), 0);
     }
 
     #[test]
     fn idle_schedule_never_acts() {
-        let mut s = WebSchedule::idle();
+        let mut s = ScheduleCursor::new(shared_schedule(Vec::new()));
         assert_eq!(s.next_time(), None);
-        assert_eq!(s.pop_due(at(1_000_000)), None);
-    }
-
-    #[test]
-    fn pop_due_drains_one_action_per_call() {
-        // Regression pin for the legacy single-pop contract: three
-        // actions due at the same tick take three calls, one cycle each.
-        let mut s = WebSchedule::new(vec![
-            (at(10), WebAction::QueryStatus),
-            (at(10), WebAction::SetSetpoint(23_000)),
-            (at(10), WebAction::QueryStatus),
-        ]);
-        assert!(s.pop_due(at(10)).is_some());
-        assert_eq!(s.remaining(), 2, "same-tick burst deferred by pop_due");
-        assert!(s.pop_due(at(10)).is_some());
-        assert!(s.pop_due(at(10)).is_some());
-        assert_eq!(s.pop_due(at(10)), None);
+        let mut out = Vec::new();
+        s.drain_due(at(1_000_000), &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
     fn drain_due_delivers_same_tick_bursts_at_once() {
-        let mut s = WebSchedule::new(vec![
+        let mut s = ScheduleCursor::new(shared_schedule(vec![
             (at(10), WebAction::QueryStatus),
             (at(10), WebAction::SetSetpoint(23_000)),
             (at(20), WebAction::QueryStatus),
-        ]);
+        ]));
         let mut out = Vec::new();
         s.drain_due(at(5), &mut out);
         assert!(out.is_empty());
@@ -265,5 +302,53 @@ mod tests {
         out.clear();
         cursor.drain_due(at(2), &mut out);
         assert_eq!(out.len(), 2);
+    }
+
+    #[test]
+    fn client_sends_a_burst_in_one_wake_and_stamps_it_at_the_next_clock_read() {
+        let io = AppIo::new(&ScenarioConfig {
+            web_schedule: vec![
+                (at(10), WebAction::QueryStatus),
+                (at(10), WebAction::SetSetpoint(23_000)),
+                (at(20), WebAction::QueryStatus),
+            ],
+            ..ScenarioConfig::default()
+        });
+        let mut web = WebClient::new(&io);
+        assert_eq!(
+            web.on_clock(at(0)),
+            WebStep::Sleep(SimDuration::from_secs(10))
+        );
+        assert_eq!(web.on_clock(at(10)), WebStep::Rpc(WebAction::QueryStatus));
+        assert_eq!(web.inflight(), Some(WebAction::QueryStatus));
+        let ack = BasMsg::Ack { code: 0 };
+        assert_eq!(
+            web.on_reply(Some(ack)),
+            Some(WebAction::SetSetpoint(23_000)),
+            "burst tail goes out without a clock read"
+        );
+        assert_eq!(web.on_reply(None), None, "burst drained: read the clock");
+        assert!(
+            io.requests.borrow().is_empty(),
+            "stamped only on a clock read"
+        );
+        assert_eq!(
+            web.on_clock(at(11)),
+            WebStep::Sleep(SimDuration::from_secs(9))
+        );
+        let stamps: Vec<_> = io
+            .requests
+            .borrow()
+            .iter()
+            .map(|r| (r.scheduled, r.completed, r.ok))
+            .collect();
+        assert_eq!(
+            stamps,
+            vec![(at(10), at(11), true), (at(10), at(11), false)]
+        );
+        assert_eq!(*io.responses.borrow(), vec![ack]);
+        assert_eq!(web.on_clock(at(20)), WebStep::Rpc(WebAction::QueryStatus));
+        assert_eq!(web.on_reply(None), None);
+        assert_eq!(web.on_clock(at(21)), WebStep::Sleep(IDLE_SLEEP));
     }
 }

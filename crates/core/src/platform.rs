@@ -1,4 +1,5 @@
-//! Per-platform process adapters and scenario builders.
+//! Per-platform IPC bindings of the role cores in [`crate::logic`], and the
+//! bootable kernel stacks.
 
 pub mod linux;
 pub mod minix;

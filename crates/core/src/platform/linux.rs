@@ -20,14 +20,11 @@
 //!   (attack A2).
 
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use bas_linux::cred::{Mode, Uid};
 use bas_linux::kernel::{LinuxConfig, LinuxKernel, LinuxProcess};
 use bas_linux::syscall::{MqAccess, Reply, Syscall};
 use bas_plant::devices::install_devices;
-use bas_plant::world::PlantWorld;
-use bas_plant::SharedPlant;
 use bas_sim::device::DeviceId;
 use bas_sim::metrics::KernelMetrics;
 use bas_sim::process::{Action, Process};
@@ -35,13 +32,10 @@ use bas_sim::time::{SimDuration, SimTime};
 
 use crate::engine::{PlatformKernel, ScenarioEngine};
 use crate::logic::control::{ControlCore, Directive};
-use crate::logic::web::{
-    new_request_log, shared_schedule, RequestLog, RequestSample, ScheduleCursor, SharedSchedule,
-    WebAction, WebSchedule,
-};
+use crate::logic::web::{WebAction, WebClient, WebStep};
 use crate::policy::queues;
 use crate::proto::{names, BasMsg};
-use crate::scenario::{new_web_log, Platform, ScenarioConfig, WebLog};
+use crate::scenario::{AppIo, Platform, ScenarioConfig};
 
 /// Scenario uids.
 pub mod uids {
@@ -122,10 +116,10 @@ enum CtrlSt {
     Open(usize),
     RecvSensor,
     Time,
-    DrainThenPollSetpoint,
-    PollSetpoint,
-    DrainThenPollStatus,
-    PollStatus,
+    /// Drain the outbox, then poll web queue `qd` non-blockingly.
+    DrainThenPoll(u32),
+    /// Awaiting the poll of web queue `qd`.
+    Poll(u32),
     DrainThenRecv,
 }
 
@@ -218,60 +212,40 @@ impl Process for LinuxControl {
                         }
                     }
                 }
-                self.state = CtrlSt::DrainThenPollSetpoint;
+                self.state = CtrlSt::DrainThenPoll(QD_SETPOINT_IN);
                 self.resume(None)
             }
-            CtrlSt::DrainThenPollSetpoint => self.drain_or(
-                CtrlSt::PollSetpoint,
+            CtrlSt::DrainThenPoll(qd) => self.drain_or(
+                CtrlSt::Poll(qd),
                 Syscall::MqReceive {
-                    qd: QD_SETPOINT_IN,
+                    qd,
                     nonblocking: true,
                 },
             ),
-            CtrlSt::PollSetpoint => match reply {
+            CtrlSt::Poll(qd) => match reply {
                 Some(Reply::Data { data, .. }) => {
-                    if let Ok(BasMsg::SetpointUpdate { milli_c }) = BasMsg::from_bytes(&data) {
-                        let code = match self.core.on_setpoint_update(self.cycle_now, milli_c) {
-                            Ok(()) => 0,
-                            Err(_) => 1,
-                        };
-                        self.nb_send(QD_REPLY, BasMsg::Ack { code });
+                    // Each web queue carries one request kind; anything
+                    // else arriving on it is dropped unanswered.
+                    let request = BasMsg::from_bytes(&data).ok().filter(|m| match qd {
+                        QD_SETPOINT_IN => matches!(m, BasMsg::SetpointUpdate { .. }),
+                        _ => *m == BasMsg::StatusQuery,
+                    });
+                    if let Some(answer) = request.and_then(|m| self.core.answer(self.cycle_now, &m))
+                    {
+                        self.nb_send(QD_REPLY, answer);
                     }
-                    // Keep polling for more pending updates.
-                    self.state = CtrlSt::DrainThenPollSetpoint;
+                    // Keep polling for more pending requests.
+                    self.state = CtrlSt::DrainThenPoll(qd);
                     self.resume(None)
                 }
+                // Queue drained (or the poll failed): the setpoint queue
+                // hands over to the status queue, which hands back to the
+                // blocking sensor receive.
                 _ => {
-                    self.state = CtrlSt::DrainThenPollStatus;
-                    self.resume(None)
-                }
-            },
-            CtrlSt::DrainThenPollStatus => self.drain_or(
-                CtrlSt::PollStatus,
-                Syscall::MqReceive {
-                    qd: QD_STATUS_IN,
-                    nonblocking: true,
-                },
-            ),
-            CtrlSt::PollStatus => match reply {
-                Some(Reply::Data { data, .. }) => {
-                    if let Ok(BasMsg::StatusQuery) = BasMsg::from_bytes(&data) {
-                        let s = self.core.status();
-                        self.nb_send(
-                            QD_REPLY,
-                            BasMsg::Status {
-                                temp_milli_c: s.last_reading_milli_c,
-                                setpoint_milli_c: s.setpoint_milli_c,
-                                fan_on: s.fan_on,
-                                alarm_on: s.alarm_on,
-                            },
-                        );
-                    }
-                    self.state = CtrlSt::DrainThenPollStatus;
-                    self.resume(None)
-                }
-                _ => {
-                    self.state = CtrlSt::DrainThenRecv;
+                    self.state = match qd {
+                        QD_SETPOINT_IN => CtrlSt::DrainThenPoll(QD_STATUS_IN),
+                        _ => CtrlSt::DrainThenRecv,
+                    };
                     self.resume(None)
                 }
             },
@@ -486,32 +460,22 @@ impl Process for LinuxActuator {
 // Web interface process (benign)
 // ---------------------------------------------------------------------------
 
-/// The benign Linux web interface: scripted administrator actions over
-/// the setpoint/status queues, awaiting replies on the reply queue.
-///
-/// Same-tick bursts drain in one wake (the next send issues straight
-/// after the previous reply, no intervening `GetTime`), and completed
-/// requests are stamped into the optional [`RequestLog`] at the next
-/// clock read — see [`MinixWeb`] for the shared rationale.
-///
-/// [`MinixWeb`]: crate::platform::minix::MinixWeb
+/// The benign Linux web interface: the [`WebClient`] role core bound to
+/// POSIX message queues. It opens the setpoint, status and reply queues,
+/// then sends each RPC on the request kind's queue and blocks on the
+/// reply queue for the answer.
 pub struct LinuxWeb {
-    schedule: ScheduleCursor,
-    responses: WebLog,
-    requests: Option<RequestLog>,
-    pending: VecDeque<(SimTime, WebAction)>,
-    inflight: Option<(SimTime, WebAction)>,
-    unstamped: Vec<(SimTime, WebAction, bool)>,
+    client: WebClient,
     state: WebSt,
 }
 
+/// The syscall the web process last issued.
 enum WebSt {
-    Start,
     Open(usize),
-    AwaitTime,
-    AwaitSleep,
-    AwaitSend,
-    AwaitReply,
+    Clock,
+    Sleep,
+    Send,
+    Recv,
 }
 
 const WEB_OPENS: [(&str, MqAccess); 3] = [
@@ -524,61 +488,31 @@ const WQD_STATUS: u32 = 1;
 const WQD_REPLY: u32 = 2;
 
 impl LinuxWeb {
-    /// Creates the benign web interface over a private schedule copy.
-    pub fn new(schedule: WebSchedule, responses: WebLog) -> Self {
-        LinuxWeb::with_cursor(ScheduleCursor::detached(&schedule), responses, None)
-    }
-
-    /// Creates the benign web interface over a shared schedule cell,
-    /// stamping completed requests into `requests`.
-    pub fn with_cursor(
-        schedule: ScheduleCursor,
-        responses: WebLog,
-        requests: Option<RequestLog>,
-    ) -> Self {
+    /// Creates the benign web interface over the instance's I/O.
+    pub fn new(io: &AppIo) -> Self {
         LinuxWeb {
-            schedule,
-            responses,
-            requests,
-            pending: VecDeque::new(),
-            inflight: None,
-            unstamped: Vec::new(),
-            state: WebSt::Start,
+            client: WebClient::new(io),
+            state: WebSt::Open(0),
         }
     }
 
-    fn send_next(&mut self) -> Action<Syscall> {
-        let (scheduled, action) = self.pending.pop_front().expect("pending action");
-        self.inflight = Some((scheduled, action));
-        let (qd, msg) = match action {
-            WebAction::SetSetpoint(mc) => (WQD_SETPOINT, BasMsg::SetpointUpdate { milli_c: mc }),
-            WebAction::QueryStatus => (WQD_STATUS, BasMsg::StatusQuery),
+    fn read_clock(&mut self) -> Action<Syscall> {
+        self.state = WebSt::Clock;
+        Action::Syscall(Syscall::GetTime)
+    }
+
+    fn send(&mut self, action: WebAction) -> Action<Syscall> {
+        let qd = match action {
+            WebAction::SetSetpoint(_) => WQD_SETPOINT,
+            WebAction::QueryStatus => WQD_STATUS,
         };
-        self.state = WebSt::AwaitSend;
+        self.state = WebSt::Send;
         Action::Syscall(Syscall::MqSend {
             qd,
-            data: msg.to_bytes(),
+            data: action.request().to_bytes(),
             priority: 0,
             nonblocking: false,
         })
-    }
-
-    fn stamp_completions(&mut self, now: SimTime) {
-        if self.unstamped.is_empty() {
-            return;
-        }
-        if let Some(log) = &self.requests {
-            let mut log = log.borrow_mut();
-            for &(scheduled, action, ok) in &self.unstamped {
-                log.push(RequestSample {
-                    scheduled,
-                    completed: now,
-                    action,
-                    ok,
-                });
-            }
-        }
-        self.unstamped.clear();
     }
 }
 
@@ -588,10 +522,6 @@ impl Process for LinuxWeb {
 
     fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
         match self.state {
-            WebSt::Start => {
-                self.state = WebSt::Open(0);
-                self.resume(None)
-            }
             WebSt::Open(i) => {
                 if i > 0 && !matches!(reply, Some(Reply::Qd(_))) {
                     return Action::Exit(1);
@@ -605,64 +535,38 @@ impl Process for LinuxWeb {
                         create: None,
                     });
                 }
-                self.state = WebSt::AwaitTime;
-                Action::Syscall(Syscall::GetTime)
+                self.read_clock()
             }
-            WebSt::AwaitTime => {
+            WebSt::Clock => {
                 let now = match reply {
                     Some(Reply::Time(t)) => t,
                     _ => SimTime::ZERO,
                 };
-                self.stamp_completions(now);
-                if self.pending.is_empty() {
-                    let mut due = Vec::new();
-                    self.schedule.drain_due(now, &mut due);
-                    self.pending.extend(due);
-                }
-                if !self.pending.is_empty() {
-                    return self.send_next();
-                }
-                match self.schedule.next_time() {
-                    None => {
-                        self.state = WebSt::AwaitSleep;
-                        Action::Syscall(Syscall::Sleep {
-                            duration: SimDuration::from_secs(3_600),
-                        })
-                    }
-                    Some(t) => {
-                        self.state = WebSt::AwaitSleep;
-                        Action::Syscall(Syscall::Sleep { duration: t - now })
+                match self.client.on_clock(now) {
+                    WebStep::Rpc(action) => self.send(action),
+                    WebStep::Sleep(duration) => {
+                        self.state = WebSt::Sleep;
+                        Action::Syscall(Syscall::Sleep { duration })
                     }
                 }
             }
-            WebSt::AwaitSleep => {
-                self.state = WebSt::AwaitTime;
-                Action::Syscall(Syscall::GetTime)
-            }
-            WebSt::AwaitSend => {
-                self.state = WebSt::AwaitReply;
+            WebSt::Sleep => self.read_clock(),
+            WebSt::Send => {
+                self.state = WebSt::Recv;
                 Action::Syscall(Syscall::MqReceive {
                     qd: WQD_REPLY,
                     nonblocking: false,
                 })
             }
-            WebSt::AwaitReply => {
-                let mut ok = false;
-                if let Some(Reply::Data { data, .. }) = reply {
-                    if let Ok(decoded) = BasMsg::from_bytes(&data) {
-                        self.responses.borrow_mut().push(decoded);
-                        ok = true;
-                    }
+            WebSt::Recv => {
+                let decoded = match reply {
+                    Some(Reply::Data { data, .. }) => BasMsg::from_bytes(&data).ok(),
+                    _ => None,
+                };
+                match self.client.on_reply(decoded) {
+                    Some(action) => self.send(action),
+                    None => self.read_clock(),
                 }
-                if let Some((scheduled, action)) = self.inflight.take() {
-                    self.unstamped.push((scheduled, action, ok));
-                }
-                if !self.pending.is_empty() {
-                    // Burst tail: next send immediately, no clock read.
-                    return self.send_next();
-                }
-                self.state = WebSt::AwaitTime;
-                Action::Syscall(Syscall::GetTime)
             }
         }
     }
@@ -696,19 +600,10 @@ impl Default for LinuxOverrides {
     }
 }
 
-/// The booted Linux stack: kernel, plant, and web log.
+/// The booted Linux stack: the kernel and its boot-template knobs.
 pub struct LinuxStack {
     /// The simulated kernel (public for experiment introspection).
     pub kernel: LinuxKernel,
-    plant: SharedPlant,
-    web_log: WebLog,
-    /// The effective action schedule, shared with the benign web
-    /// process and re-imaged per instance on recycling (the process
-    /// spawned at boot holds a cursor over this cell, so the pristine
-    /// fast path — which skips respawns — still picks up new traffic).
-    web_schedule: SharedSchedule,
-    /// Completed-request stamps from the benign web process.
-    web_requests: RequestLog,
     /// Boot-template knobs kept so [`PlatformKernel::reset_to_boot`] can
     /// re-run the same queue creation and spawns.
     scheme: UidScheme,
@@ -718,7 +613,9 @@ pub struct LinuxStack {
     forkable: bool,
     /// True once anything mutated the kernel after boot. While false the
     /// stack is still the boot template verbatim (the seed only reaches
-    /// the plant), so recycling skips the kernel reset and respawns.
+    /// the engine's plant, and the boot-time web process reads the
+    /// re-imaged schedule lazily), so recycling skips the kernel reset and
+    /// respawns.
     ran: bool,
 }
 
@@ -730,12 +627,7 @@ pub fn build_linux(config: &ScenarioConfig, overrides: LinuxOverrides) -> LinuxS
     ScenarioEngine::boot(config, overrides)
 }
 
-fn boot_linux(config: &ScenarioConfig, overrides: LinuxOverrides) -> LinuxStack {
-    let plant: SharedPlant = Rc::new(std::cell::RefCell::new(PlantWorld::new(
-        config.synced_plant(),
-        config.seed,
-    )));
-
+fn boot_linux(config: &ScenarioConfig, overrides: LinuxOverrides, io: &AppIo) -> LinuxStack {
     let scheme = overrides.uid_scheme;
     let mut device_nodes = std::collections::BTreeMap::new();
     let dev_mode = Mode::new(0o600);
@@ -758,18 +650,15 @@ fn boot_linux(config: &ScenarioConfig, overrides: LinuxOverrides) -> LinuxStack 
         device_nodes,
         ..LinuxConfig::default()
     });
-    install_devices(&plant, kernel.devices_mut());
+    install_devices(&io.plant, kernel.devices_mut());
 
-    let web_log = new_web_log();
-    let web_schedule = shared_schedule(config.effective_web_schedule());
-    let web_requests = new_request_log();
     let web_uid = overrides
         .web_uid
         .unwrap_or_else(|| scheme.uid_of(names::WEB));
     let forkable = overrides.web_factory.is_none();
     let web_logic: LinuxProcess = match &overrides.web_factory {
         Some(factory) => factory(),
-        None => benign_web(&web_schedule, &web_log, &web_requests),
+        None => Box::new(LinuxWeb::new(io)),
     };
     populate_scenario(&mut kernel, config, scheme, web_uid, web_logic);
 
@@ -787,29 +676,11 @@ fn boot_linux(config: &ScenarioConfig, overrides: LinuxOverrides) -> LinuxStack 
 
     LinuxStack {
         kernel,
-        plant,
-        web_log,
-        web_schedule,
-        web_requests,
         scheme,
         web_uid,
         forkable,
         ran: false,
     }
-}
-
-/// The benign web-interface process over the stack's shared schedule
-/// cell and request log.
-fn benign_web(
-    web_schedule: &SharedSchedule,
-    web_log: &WebLog,
-    web_requests: &RequestLog,
-) -> LinuxProcess {
-    Box::new(LinuxWeb::with_cursor(
-        ScheduleCursor::new(web_schedule.clone()),
-        web_log.clone(),
-        Some(web_requests.clone()),
-    ))
 }
 
 /// Queue creation plus the five boot spawns, shared verbatim between cold
@@ -918,8 +789,8 @@ impl PlatformKernel for LinuxStack {
     const PLATFORM: Platform = Platform::Linux;
     type Overrides = LinuxOverrides;
 
-    fn boot(config: &ScenarioConfig, overrides: LinuxOverrides) -> Self {
-        boot_linux(config, overrides)
+    fn boot(config: &ScenarioConfig, overrides: LinuxOverrides, io: &AppIo) -> Self {
+        boot_linux(config, overrides, io)
     }
 
     fn now(&self) -> SimTime {
@@ -929,10 +800,6 @@ impl PlatformKernel for LinuxStack {
     fn run_until(&mut self, target: SimTime) {
         self.ran = true;
         self.kernel.run_until(target);
-    }
-
-    fn plant(&self) -> SharedPlant {
-        self.plant.clone()
     }
 
     fn metrics(&self) -> KernelMetrics {
@@ -947,42 +814,23 @@ impl PlatformKernel for LinuxStack {
         self.kernel.trace().events_in(category).count()
     }
 
-    fn web_responses(&self) -> Vec<BasMsg> {
-        self.web_log.borrow().clone()
-    }
-
-    fn web_requests(&self) -> Vec<RequestSample> {
-        self.web_requests.borrow().clone()
-    }
-
-    fn reset_to_boot(&mut self, config: &ScenarioConfig) -> bool {
+    fn reset_to_boot(&mut self, config: &ScenarioConfig, io: &AppIo) -> bool {
         if !self.forkable {
             return false;
         }
-        // Re-image the shared schedule cell first: under traffic the
-        // schedule is seed-derived, and the boot-time web process (kept
-        // by the pristine path below) reads this cell lazily.
-        *self.web_schedule.borrow_mut() = config.effective_web_schedule();
         if self.ran {
             self.kernel.reset_to_boot();
-            let web_logic = benign_web(&self.web_schedule, &self.web_log, &self.web_requests);
             populate_scenario(
                 &mut self.kernel,
                 config,
                 self.scheme,
                 self.web_uid,
-                web_logic,
+                Box::new(LinuxWeb::new(io)),
             );
             // The "sleeper" program registered at cold boot survives the
             // kernel reset, so it is not re-registered here.
             self.ran = false;
         }
-        // A never-stepped kernel is still the boot image verbatim (the
-        // seed only reaches the plant). Re-seed the plant in place: the
-        // `Rc` identity is what the installed plant devices hold.
-        *self.plant.borrow_mut() = PlantWorld::new(config.synced_plant(), config.seed);
-        self.web_log.borrow_mut().clear();
-        self.web_requests.borrow_mut().clear();
         true
     }
 

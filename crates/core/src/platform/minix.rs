@@ -8,7 +8,6 @@
 //! `sendrec`; the kernel checks the ACM on every hop.
 
 use std::collections::VecDeque;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use bas_acm::AccessControlMatrix;
@@ -19,8 +18,6 @@ use bas_minix::message::Message;
 use bas_minix::pm;
 use bas_minix::syscall::{Reply, Syscall};
 use bas_plant::devices::install_devices;
-use bas_plant::world::PlantWorld;
-use bas_plant::SharedPlant;
 use bas_sim::device::DeviceId;
 use bas_sim::metrics::KernelMetrics;
 use bas_sim::process::{Action, Process};
@@ -28,18 +25,61 @@ use bas_sim::time::{SimDuration, SimTime};
 
 use crate::engine::{PlatformKernel, ScenarioEngine};
 use crate::logic::control::{ControlCore, Directive};
-use crate::logic::web::{
-    new_request_log, shared_schedule, RequestLog, RequestSample, ScheduleCursor, SharedSchedule,
-    WebAction, WebSchedule,
-};
+use crate::logic::web::{WebAction, WebClient, WebStep};
 use crate::policy;
 use crate::proto::{
     names, BasMsg, AC_ALARM, AC_CONTROL, AC_HEATER, AC_SCENARIO, AC_SENSOR, AC_WEB,
 };
-use crate::scenario::{new_web_log, Platform, ScenarioConfig, WebLog};
+use crate::scenario::{AppIo, Platform, ScenarioConfig};
 
 const LOOKUP_RETRY: SimDuration = SimDuration::from_millis(50);
 const MAX_LOOKUP_RETRIES: u32 = 400;
+
+/// Name-service resolution with boot-time retries, shared by every
+/// process that talks to a peer it did not fork: the loader may not have
+/// forked the peer yet, so a failed lookup sleeps [`LOOKUP_RETRY`] and
+/// asks again, giving up after [`MAX_LOOKUP_RETRIES`] failures.
+#[derive(Default)]
+struct Lookup {
+    retries: u32,
+    /// The last syscall issued was the query (not a retry sleep).
+    asked: bool,
+}
+
+impl Lookup {
+    /// Queries the name service for `name`.
+    fn ask(&mut self, name: &str) -> Action<Syscall> {
+        self.asked = true;
+        Action::Syscall(Syscall::Lookup { name: name.into() })
+    }
+
+    /// Sleeps one retry interval; the next [`Lookup::resume`] asks again.
+    fn retry(&mut self) -> Action<Syscall> {
+        self.asked = false;
+        Action::Syscall(Syscall::Sleep {
+            duration: LOOKUP_RETRY,
+        })
+    }
+
+    /// Advances the resolution of `name` with the reply to the last
+    /// syscall it issued: the endpoint once resolved, else the next
+    /// syscall to issue.
+    fn resume(&mut self, name: &str, reply: Option<Reply>) -> Result<Endpoint, Action<Syscall>> {
+        if !self.asked {
+            return Err(self.ask(name));
+        }
+        match reply {
+            Some(Reply::Resolved(ep)) => Ok(ep),
+            _ => {
+                self.retries += 1;
+                if self.retries > MAX_LOOKUP_RETRIES {
+                    return Err(Action::Exit(1));
+                }
+                Err(self.retry())
+            }
+        }
+    }
+}
 
 /// Program-registry ids assigned by [`build_minix`]'s registration order.
 /// The paper's attacker "ha\[s\] enough knowledge about other control
@@ -68,14 +108,12 @@ pub struct MinixSensor {
     control: Option<Endpoint>,
     seq: u32,
     period: SimDuration,
-    retries: u32,
+    lookup: Lookup,
     state: SensorSt,
 }
 
 enum SensorSt {
-    Init,
-    AwaitLookup,
-    AwaitRetrySleep,
+    Connect,
     AwaitDevRead,
     AwaitSend,
     AwaitSleep,
@@ -88,8 +126,8 @@ impl MinixSensor {
             control: None,
             seq: 0,
             period,
-            retries: 0,
-            state: SensorSt::Init,
+            lookup: Lookup::default(),
+            state: SensorSt::Connect,
         }
     }
 }
@@ -100,37 +138,16 @@ impl Process for MinixSensor {
 
     fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
         match self.state {
-            SensorSt::Init => {
-                self.state = SensorSt::AwaitLookup;
-                Action::Syscall(Syscall::Lookup {
-                    name: names::CONTROL.into(),
-                })
-            }
-            SensorSt::AwaitLookup => match reply {
-                Some(Reply::Resolved(ep)) => {
+            SensorSt::Connect => match self.lookup.resume(names::CONTROL, reply) {
+                Ok(ep) => {
                     self.control = Some(ep);
                     self.state = SensorSt::AwaitDevRead;
                     Action::Syscall(Syscall::DevRead {
                         dev: DeviceId::TEMP_SENSOR,
                     })
                 }
-                _ => {
-                    self.retries += 1;
-                    if self.retries > MAX_LOOKUP_RETRIES {
-                        return Action::Exit(1);
-                    }
-                    self.state = SensorSt::AwaitRetrySleep;
-                    Action::Syscall(Syscall::Sleep {
-                        duration: LOOKUP_RETRY,
-                    })
-                }
+                Err(next) => next,
             },
-            SensorSt::AwaitRetrySleep => {
-                self.state = SensorSt::AwaitLookup;
-                Action::Syscall(Syscall::Lookup {
-                    name: names::CONTROL.into(),
-                })
-            }
             SensorSt::AwaitDevRead => match reply {
                 Some(Reply::DevValue(v)) => {
                     self.seq += 1;
@@ -155,11 +172,9 @@ impl Process for MinixSensor {
                 // the controller was restarted under a new endpoint
                 // generation: re-resolve it through the name service.
                 if matches!(reply, Some(Reply::Err(MinixError::DeadSourceOrDestination))) {
-                    self.retries = 0;
-                    self.state = SensorSt::AwaitRetrySleep;
-                    return Action::Syscall(Syscall::Sleep {
-                        duration: LOOKUP_RETRY,
-                    });
+                    self.lookup = Lookup::default();
+                    self.state = SensorSt::Connect;
+                    return self.lookup.retry();
                 }
                 self.state = SensorSt::AwaitSleep;
                 Action::Syscall(Syscall::Sleep {
@@ -194,7 +209,7 @@ pub struct MinixControl {
     peers: [Option<Endpoint>; 3], // sensor, heater, alarm
     outbox: VecDeque<Syscall>,
     pending: Option<Message>,
-    retries: u32,
+    lookup: Lookup,
     peers_stale: bool,
     booted: bool,
     readings_since_resync: u32,
@@ -215,9 +230,7 @@ pub const CONTROL_LOG_SIZE: usize = 24;
 const RESYNC_EVERY_READINGS: u32 = 30;
 
 enum CtrlSt {
-    Init,
-    AwaitLookup(usize),
-    AwaitRetrySleep(usize),
+    Connect(usize),
     AwaitLogBuf,
     AwaitReceive,
     AwaitTime,
@@ -232,12 +245,12 @@ impl MinixControl {
             peers: [None; 3],
             outbox: VecDeque::new(),
             pending: None,
-            retries: 0,
+            lookup: Lookup::default(),
             peers_stale: false,
             booted: false,
             readings_since_resync: 0,
             log_buf: None,
-            state: CtrlSt::Init,
+            state: CtrlSt::Connect(0),
         }
     }
 
@@ -308,40 +321,23 @@ impl MinixControl {
                     });
                 }
             }
-            BasMsg::SetpointUpdate { milli_c } => {
-                let code = match self.core.on_setpoint_update(now, milli_c) {
-                    Ok(()) => 0,
-                    Err(_) => 1,
-                };
-                // Replies to (untrusted) clients are non-blocking: a
-                // client that is not waiting simply loses its reply. A
-                // blocking send here would let a malicious client park the
-                // controller forever -- the "asymmetric trust" IPC threat
-                // the paper cites (Herder et al. [16]).
-                let (mtype, payload) = BasMsg::Ack { code }.to_minix();
-                self.outbox.push_back(Syscall::NbSend {
-                    dest: msg.source,
-                    mtype,
-                    payload,
-                });
-            }
-            BasMsg::StatusQuery => {
-                let s = self.core.status();
-                let (mtype, payload) = BasMsg::Status {
-                    temp_milli_c: s.last_reading_milli_c,
-                    setpoint_milli_c: s.setpoint_milli_c,
-                    fan_on: s.fan_on,
-                    alarm_on: s.alarm_on,
+            // Web requests are answered by the core; acks from drivers
+            // and anything else are informational.
+            request => {
+                if let Some(answer) = self.core.answer(now, &request) {
+                    // Replies to (untrusted) clients are non-blocking: a
+                    // client that is not waiting simply loses its reply. A
+                    // blocking send here would let a malicious client park
+                    // the controller forever -- the "asymmetric trust" IPC
+                    // threat the paper cites (Herder et al. [16]).
+                    let (mtype, payload) = answer.to_minix();
+                    self.outbox.push_back(Syscall::NbSend {
+                        dest: msg.source,
+                        mtype,
+                        payload,
+                    });
                 }
-                .to_minix();
-                self.outbox.push_back(Syscall::NbSend {
-                    dest: msg.source,
-                    mtype,
-                    payload,
-                });
             }
-            // Acks from drivers and anything else are informational.
-            _ => {}
         }
     }
 }
@@ -353,41 +349,28 @@ impl Process for MinixControl {
     fn resume(&mut self, mut reply: Option<Reply>) -> Action<Syscall> {
         loop {
             match self.state {
-                CtrlSt::Init => {
-                    self.state = CtrlSt::AwaitLookup(0);
-                    return Action::Syscall(Syscall::Lookup {
-                        name: CTRL_LOOKUPS[0].into(),
-                    });
-                }
-                CtrlSt::AwaitLookup(i) => {
-                    match reply.take() {
-                        Some(Reply::Resolved(ep)) => self.peers[i] = Some(ep),
-                        _ if self.booted => {
-                            // Post-boot re-resolution tolerates a missing
-                            // peer (a dead driver): record the gap and
-                            // keep controlling; the resync tick retries.
-                            self.peers[i] = None;
+                CtrlSt::Connect(i) => {
+                    self.peers[i] = if self.booted {
+                        // Post-boot re-resolution tolerates a missing
+                        // peer (a dead driver): record the gap and keep
+                        // controlling; the resync tick retries.
+                        match reply.take() {
+                            Some(Reply::Resolved(ep)) => Some(ep),
+                            _ => None,
                         }
-                        _ => {
-                            // Boot-time: peers are still being forked;
-                            // retry until the loader finishes.
-                            self.retries += 1;
-                            if self.retries > MAX_LOOKUP_RETRIES {
-                                return Action::Exit(1);
-                            }
-                            self.state = CtrlSt::AwaitRetrySleep(i);
-                            return Action::Syscall(Syscall::Sleep {
-                                duration: LOOKUP_RETRY,
-                            });
+                    } else {
+                        // Boot-time: peers are still being forked; retry
+                        // until the loader finishes.
+                        match self.lookup.resume(CTRL_LOOKUPS[i], reply.take()) {
+                            Ok(ep) => Some(ep),
+                            Err(next) => return next,
                         }
-                    }
+                    };
                     if i + 1 < CTRL_LOOKUPS.len() {
-                        self.state = CtrlSt::AwaitLookup(i + 1);
-                        return Action::Syscall(Syscall::Lookup {
-                            name: CTRL_LOOKUPS[i + 1].into(),
-                        });
+                        self.state = CtrlSt::Connect(i + 1);
+                        return self.lookup.ask(CTRL_LOOKUPS[i + 1]);
                     }
-                    self.retries = 0;
+                    self.lookup = Lookup::default();
                     if !self.booted {
                         self.booted = true;
                         // First boot: allocate the environment-log buffer.
@@ -405,12 +388,6 @@ impl Process for MinixControl {
                     }
                     self.state = CtrlSt::AwaitReceive;
                     return Action::Syscall(Syscall::Receive { from: None });
-                }
-                CtrlSt::AwaitRetrySleep(i) => {
-                    self.state = CtrlSt::AwaitLookup(i);
-                    return Action::Syscall(Syscall::Lookup {
-                        name: CTRL_LOOKUPS[i].into(),
-                    });
                 }
                 CtrlSt::AwaitReceive => match reply.take() {
                     Some(Reply::Msg(m)) => {
@@ -448,11 +425,8 @@ impl Process for MinixControl {
                         Some(sys) => return Action::Syscall(sys),
                         None => {
                             if std::mem::take(&mut self.peers_stale) {
-                                self.retries = 0;
-                                self.state = CtrlSt::AwaitLookup(0);
-                                return Action::Syscall(Syscall::Lookup {
-                                    name: CTRL_LOOKUPS[0].into(),
-                                });
+                                self.state = CtrlSt::Connect(0);
+                                return self.lookup.ask(CTRL_LOOKUPS[0]);
                             }
                             self.state = CtrlSt::AwaitReceive;
                             return Action::Syscall(Syscall::Receive { from: None });
@@ -551,100 +525,48 @@ impl Process for MinixActuator {
 // Web interface process (benign)
 // ---------------------------------------------------------------------------
 
-/// The benign web interface: performs the scripted administrator actions
-/// over `sendrec` RPC and records the controller's answers.
-///
-/// Same-tick bursts (high-rate traffic, E18) are drained in one wake:
-/// every due action is collected via [`ScheduleCursor::drain_due`] and
-/// the RPCs issue back-to-back without an intervening `GetUptime`, so a
-/// burst costs one wake cycle instead of one cycle per request. Each
-/// completed request is stamped into the optional [`RequestLog`] at the
-/// next observed uptime (the first clock read after its reply), so the
-/// measured latency includes the open-loop queueing delay.
+/// The benign web interface: the [`WebClient`] role core bound to MINIX
+/// IPC. It resolves the controller through the name service, then issues
+/// the client's RPCs as `sendrec` and reads the clock with `GetUptime`.
 pub struct MinixWeb {
     control: Option<Endpoint>,
-    schedule: ScheduleCursor,
-    responses: WebLog,
-    requests: Option<RequestLog>,
-    /// Due actions drained but not yet sent (same-tick burst tail).
-    pending: VecDeque<(SimTime, WebAction)>,
-    /// The action whose RPC is in flight.
-    inflight: Option<(SimTime, WebAction)>,
-    /// Replied requests awaiting a completion timestamp.
-    unstamped: Vec<(SimTime, WebAction, bool)>,
-    retries: u32,
+    lookup: Lookup,
+    client: WebClient,
     state: WebSt,
 }
 
+/// The syscall the web process last issued.
 enum WebSt {
-    Init,
-    AwaitLookup,
-    AwaitRetrySleep,
-    AwaitTime,
-    AwaitSleep,
-    AwaitRpc,
+    Connect,
+    Clock,
+    Sleep,
+    Rpc,
 }
 
 impl MinixWeb {
-    /// Creates the benign web interface over a private schedule copy.
-    pub fn new(schedule: WebSchedule, responses: WebLog) -> Self {
-        MinixWeb::with_cursor(ScheduleCursor::detached(&schedule), responses, None)
-    }
-
-    /// Creates the benign web interface over a shared schedule cell,
-    /// stamping completed requests into `requests`.
-    pub fn with_cursor(
-        schedule: ScheduleCursor,
-        responses: WebLog,
-        requests: Option<RequestLog>,
-    ) -> Self {
+    /// Creates the benign web interface over the instance's I/O.
+    pub fn new(io: &AppIo) -> Self {
         MinixWeb {
             control: None,
-            schedule,
-            responses,
-            requests,
-            pending: VecDeque::new(),
-            inflight: None,
-            unstamped: Vec::new(),
-            retries: 0,
-            state: WebSt::Init,
+            lookup: Lookup::default(),
+            client: WebClient::new(io),
+            state: WebSt::Connect,
         }
     }
 
-    /// Issues the RPC for the next pending action.
-    fn send_next(&mut self) -> Action<Syscall> {
-        let (scheduled, action) = self.pending.pop_front().expect("pending action");
-        self.inflight = Some((scheduled, action));
-        let msg = match action {
-            WebAction::SetSetpoint(mc) => BasMsg::SetpointUpdate { milli_c: mc },
-            WebAction::QueryStatus => BasMsg::StatusQuery,
-        };
-        let (mtype, payload) = msg.to_minix();
-        self.state = WebSt::AwaitRpc;
+    fn read_clock(&mut self) -> Action<Syscall> {
+        self.state = WebSt::Clock;
+        Action::Syscall(Syscall::GetUptime)
+    }
+
+    fn rpc(&mut self, action: WebAction) -> Action<Syscall> {
+        let (mtype, payload) = action.request().to_minix();
+        self.state = WebSt::Rpc;
         Action::Syscall(Syscall::SendRec {
             dest: self.control.expect("looked up"),
             mtype,
             payload,
         })
-    }
-
-    /// Stamps every replied request with `now` as its completion time.
-    fn stamp_completions(&mut self, now: SimTime) {
-        if self.unstamped.is_empty() {
-            return;
-        }
-        if let Some(log) = &self.requests {
-            let mut log = log.borrow_mut();
-            for &(scheduled, action, ok) in &self.unstamped {
-                log.push(RequestSample {
-                    scheduled,
-                    completed: now,
-                    action,
-                    ok,
-                });
-            }
-        }
-        self.unstamped.clear();
     }
 }
 
@@ -654,85 +576,36 @@ impl Process for MinixWeb {
 
     fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
         match self.state {
-            WebSt::Init => {
-                self.state = WebSt::AwaitLookup;
-                Action::Syscall(Syscall::Lookup {
-                    name: names::CONTROL.into(),
-                })
-            }
-            WebSt::AwaitLookup => match reply {
-                Some(Reply::Resolved(ep)) => {
+            WebSt::Connect => match self.lookup.resume(names::CONTROL, reply) {
+                Ok(ep) => {
                     self.control = Some(ep);
-                    self.state = WebSt::AwaitTime;
-                    Action::Syscall(Syscall::GetUptime)
+                    self.read_clock()
                 }
-                _ => {
-                    self.retries += 1;
-                    if self.retries > MAX_LOOKUP_RETRIES {
-                        return Action::Exit(1);
-                    }
-                    self.state = WebSt::AwaitRetrySleep;
-                    Action::Syscall(Syscall::Sleep {
-                        duration: LOOKUP_RETRY,
-                    })
-                }
+                Err(next) => next,
             },
-            WebSt::AwaitRetrySleep => {
-                self.state = WebSt::AwaitLookup;
-                Action::Syscall(Syscall::Lookup {
-                    name: names::CONTROL.into(),
-                })
-            }
-            WebSt::AwaitTime => {
+            WebSt::Clock => {
                 let now = match reply {
                     Some(Reply::Uptime(t)) => t,
                     _ => SimTime::ZERO,
                 };
-                self.stamp_completions(now);
-                if self.pending.is_empty() {
-                    let mut due = Vec::new();
-                    self.schedule.drain_due(now, &mut due);
-                    self.pending.extend(due);
-                }
-                if !self.pending.is_empty() {
-                    return self.send_next();
-                }
-                match self.schedule.next_time() {
-                    None => {
-                        // Session script exhausted: the web server idles
-                        // (it keeps serving, modeled as long sleeps).
-                        self.state = WebSt::AwaitSleep;
-                        Action::Syscall(Syscall::Sleep {
-                            duration: SimDuration::from_secs(3_600),
-                        })
-                    }
-                    Some(t) => {
-                        self.state = WebSt::AwaitSleep;
-                        Action::Syscall(Syscall::Sleep { duration: t - now })
+                match self.client.on_clock(now) {
+                    WebStep::Rpc(action) => self.rpc(action),
+                    WebStep::Sleep(duration) => {
+                        self.state = WebSt::Sleep;
+                        Action::Syscall(Syscall::Sleep { duration })
                     }
                 }
             }
-            WebSt::AwaitSleep => {
-                self.state = WebSt::AwaitTime;
-                Action::Syscall(Syscall::GetUptime)
-            }
-            WebSt::AwaitRpc => {
-                let mut ok = false;
-                if let Some(Reply::Msg(m)) = reply {
-                    if let Ok(decoded) = BasMsg::from_minix(m.mtype, &m.payload) {
-                        self.responses.borrow_mut().push(decoded);
-                        ok = true;
-                    }
+            WebSt::Sleep => self.read_clock(),
+            WebSt::Rpc => {
+                let decoded = match reply {
+                    Some(Reply::Msg(m)) => BasMsg::from_minix(m.mtype, &m.payload).ok(),
+                    _ => None,
+                };
+                match self.client.on_reply(decoded) {
+                    Some(action) => self.rpc(action),
+                    None => self.read_clock(),
                 }
-                if let Some((scheduled, action)) = self.inflight.take() {
-                    self.unstamped.push((scheduled, action, ok));
-                }
-                if !self.pending.is_empty() {
-                    // Burst tail: next RPC immediately, no clock read.
-                    return self.send_next();
-                }
-                self.state = WebSt::AwaitTime;
-                Action::Syscall(Syscall::GetUptime)
             }
         }
     }
@@ -911,18 +784,10 @@ impl Default for MinixOverrides {
     }
 }
 
-/// The booted MINIX 3 + ACM stack: kernel, plant, and web log.
+/// The booted MINIX 3 + ACM stack: the kernel and its boot plan.
 pub struct MinixStack {
     /// The simulated kernel (public for experiment introspection).
     pub kernel: MinixKernel,
-    plant: SharedPlant,
-    web_log: WebLog,
-    /// The effective action schedule, shared with the benign web
-    /// process (the registered factory holds the same cell), re-imaged
-    /// per instance by [`PlatformKernel::reset_to_boot`].
-    web_schedule: SharedSchedule,
-    /// Completed-request stamps from the benign web process.
-    web_requests: RequestLog,
     /// The boot fork plan, kept so [`PlatformKernel::reset_to_boot`] can
     /// re-run exactly the boot-time spawns (program ids, identities and
     /// uids — including overridden web factories, which live on in the
@@ -936,9 +801,10 @@ pub struct MinixStack {
     forkable: bool,
     /// True once anything mutated the kernel after boot (stepping, fault
     /// or churn injection). A stack with `ran == false` is still byte-
-    /// identical to the boot template — only the plant carries the seed —
-    /// so [`PlatformKernel::reset_to_boot`] can skip the kernel reset and
-    /// the respawns entirely. Every mutating trait method sets this.
+    /// identical to the boot template — only the engine's plant carries
+    /// the seed — so [`PlatformKernel::reset_to_boot`] can skip the kernel
+    /// reset and the respawns entirely. Every mutating trait method sets
+    /// this.
     ran: bool,
 }
 
@@ -950,12 +816,7 @@ pub fn build_minix(config: &ScenarioConfig, overrides: MinixOverrides) -> MinixS
     ScenarioEngine::boot(config, overrides)
 }
 
-fn boot_minix(config: &ScenarioConfig, overrides: MinixOverrides) -> MinixStack {
-    let plant: SharedPlant = Rc::new(std::cell::RefCell::new(PlantWorld::new(
-        config.synced_plant(),
-        config.seed,
-    )));
-
+fn boot_minix(config: &ScenarioConfig, overrides: MinixOverrides, io: &AppIo) -> MinixStack {
     let acm = overrides
         .acm
         .unwrap_or_else(|| Arc::new(policy::scenario_acm()));
@@ -969,11 +830,7 @@ fn boot_minix(config: &ScenarioConfig, overrides: MinixOverrides) -> MinixStack 
         },
         acm,
     );
-    install_devices(&plant, kernel.devices_mut());
-
-    let web_log = new_web_log();
-    let web_schedule = shared_schedule(config.effective_web_schedule());
-    let web_requests = new_request_log();
+    install_devices(&io.plant, kernel.devices_mut());
 
     let period = config.sensor_period;
     let sensor_prog = kernel.register_program(
@@ -996,22 +853,11 @@ fn boot_minix(config: &ScenarioConfig, overrides: MinixOverrides) -> MinixStack 
     let web_prog = match overrides.web_factory {
         Some(factory) => kernel.register_program(names::WEB, factory),
         None => {
-            // The factory holds the *shared* schedule cell: the loader
-            // forks the web process lazily during stepping, so a
-            // recycled stack's re-imaged cell is picked up at fork time.
-            let schedule = web_schedule.clone();
-            let log = web_log.clone();
-            let requests = web_requests.clone();
-            kernel.register_program(
-                names::WEB,
-                Box::new(move || {
-                    Box::new(MinixWeb::with_cursor(
-                        ScheduleCursor::new(schedule.clone()),
-                        log.clone(),
-                        Some(requests.clone()),
-                    ))
-                }),
-            )
+            // The factory holds the instance's I/O handles: the loader
+            // forks the web process lazily during stepping, so a recycled
+            // instance's re-imaged schedule is picked up at fork time.
+            let io = io.clone();
+            kernel.register_program(names::WEB, Box::new(move || Box::new(MinixWeb::new(&io))))
         }
     };
 
@@ -1028,10 +874,6 @@ fn boot_minix(config: &ScenarioConfig, overrides: MinixOverrides) -> MinixStack 
 
     MinixStack {
         kernel,
-        plant,
-        web_log,
-        web_schedule,
-        web_requests,
         boot_plan,
         supervise: overrides.supervise,
         forkable,
@@ -1078,8 +920,8 @@ impl PlatformKernel for MinixStack {
     const PLATFORM: Platform = Platform::Minix;
     type Overrides = MinixOverrides;
 
-    fn boot(config: &ScenarioConfig, overrides: MinixOverrides) -> Self {
-        boot_minix(config, overrides)
+    fn boot(config: &ScenarioConfig, overrides: MinixOverrides, io: &AppIo) -> Self {
+        boot_minix(config, overrides, io)
     }
 
     fn now(&self) -> SimTime {
@@ -1089,10 +931,6 @@ impl PlatformKernel for MinixStack {
     fn run_until(&mut self, target: SimTime) {
         self.ran = true;
         self.kernel.run_until(target);
-    }
-
-    fn plant(&self) -> SharedPlant {
-        self.plant.clone()
     }
 
     fn metrics(&self) -> KernelMetrics {
@@ -1107,34 +945,18 @@ impl PlatformKernel for MinixStack {
         self.kernel.trace().events_in(category).count()
     }
 
-    fn web_responses(&self) -> Vec<BasMsg> {
-        self.web_log.borrow().clone()
-    }
-
-    fn web_requests(&self) -> Vec<RequestSample> {
-        self.web_requests.borrow().clone()
-    }
-
-    fn reset_to_boot(&mut self, config: &ScenarioConfig) -> bool {
+    fn reset_to_boot(&mut self, _config: &ScenarioConfig, _io: &AppIo) -> bool {
         if !self.forkable {
             return false;
         }
+        // A never-stepped kernel is still the boot image verbatim (the
+        // seed only reaches the engine's plant). The registered web
+        // factory survives the reset and still holds the instance's I/O.
         if self.ran {
             self.kernel.reset_to_boot();
             spawn_boot_processes(&mut self.kernel, &self.boot_plan, self.supervise);
             self.ran = false;
         }
-        // A never-stepped kernel is still the boot image verbatim (the
-        // seed only reaches the plant), so only the plant needs work.
-        // Re-seed it in place: the `Rc` identity is what the installed
-        // plant devices and the registered web factory hold.
-        *self.plant.borrow_mut() = PlantWorld::new(config.synced_plant(), config.seed);
-        // The schedule is seed-derived under traffic, so the shared cell
-        // is re-imaged on every recycle — the web factory holds the same
-        // cell and forks a cursor over the new contents.
-        *self.web_schedule.borrow_mut() = config.effective_web_schedule();
-        self.web_log.borrow_mut().clear();
-        self.web_requests.borrow_mut().clear();
         true
     }
 

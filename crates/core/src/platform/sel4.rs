@@ -10,7 +10,6 @@
 //! kernel-enforced identity of the capability system.
 
 use std::collections::VecDeque;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use bas_camkes::codegen::{compile, GlueMap};
@@ -19,8 +18,6 @@ use bas_capdl::realize::{realize, RealizedSystem};
 use bas_capdl::spec::CapDlSpec;
 use bas_capdl::verify::verify;
 use bas_plant::devices::install_devices;
-use bas_plant::world::PlantWorld;
-use bas_plant::SharedPlant;
 use bas_sel4::cap::CPtr;
 use bas_sel4::kernel::{Sel4Config, Sel4Kernel, Sel4Thread};
 use bas_sel4::syscall::{Reply, Syscall};
@@ -30,21 +27,10 @@ use bas_sim::time::{SimDuration, SimTime};
 
 use crate::engine::{PlatformKernel, ScenarioEngine};
 use crate::logic::control::{ControlCore, Directive};
-use crate::logic::web::{
-    new_request_log, shared_schedule, RequestLog, RequestSample, ScheduleCursor, SharedSchedule,
-    WebAction, WebSchedule,
-};
+use crate::logic::web::{WebAction, WebClient, WebStep};
 use crate::policy::{self, actuator_rpc, ctrl_rpc, instances};
-use crate::proto::BasMsg;
-use crate::scenario::{new_web_log, Platform, ScenarioConfig, WebLog};
-
-fn encode_i32(v: i32) -> u64 {
-    u64::from(v as u32)
-}
-
-fn decode_i32(w: u64) -> i32 {
-    w as u32 as i32
-}
+use crate::proto::{decode_i32, encode_i32, BasMsg};
+use crate::scenario::{AppIo, Platform, ScenarioConfig};
 
 // ---------------------------------------------------------------------------
 // Controller thread
@@ -116,39 +102,23 @@ impl Sel4Control {
                 }
                 self.outbox.push_back(self.server.reply(0, vec![]));
             }
-            ctrl_rpc::SET_SETPOINT => {
-                if req.badge != self.web_badge || req.args.is_empty() {
-                    self.outbox.push_back(self.server.reply(1, vec![]));
-                    return;
-                }
-                let code = match self.core.on_setpoint_update(now, decode_i32(req.args[0])) {
-                    Ok(()) => 0u64,
-                    Err(_) => 1u64,
+            label => {
+                // Web requests: only the web interface's badge may call
+                // them; anything else gets the bare refusal.
+                let request = match (label, req.args.first()) {
+                    (ctrl_rpc::SET_SETPOINT, Some(&w)) => Some(BasMsg::SetpointUpdate {
+                        milli_c: decode_i32(w),
+                    }),
+                    (ctrl_rpc::GET_STATUS, _) => Some(BasMsg::StatusQuery),
+                    _ => None,
                 };
-                let actual = encode_i32(self.core.status().setpoint_milli_c);
-                // The reply label doubles as the result code so callers
-                // (and the attack evidence classifier) see validation
-                // failures at the RPC layer.
-                self.outbox
-                    .push_back(self.server.reply(code, vec![code, actual]));
+                let (label, words) = request
+                    .filter(|_| req.badge == self.web_badge)
+                    .and_then(|r| self.core.answer(now, &r))
+                    .and_then(|a| a.to_sel4_reply(self.core.status().setpoint_milli_c))
+                    .unwrap_or((1, Vec::new()));
+                self.outbox.push_back(self.server.reply(label, words));
             }
-            ctrl_rpc::GET_STATUS => {
-                if req.badge != self.web_badge {
-                    self.outbox.push_back(self.server.reply(1, vec![]));
-                    return;
-                }
-                let s = self.core.status();
-                self.outbox.push_back(self.server.reply(
-                    0,
-                    vec![
-                        encode_i32(s.last_reading_milli_c),
-                        encode_i32(s.setpoint_milli_c),
-                        u64::from(s.fan_on),
-                        u64::from(s.alarm_on),
-                    ],
-                ));
-            }
-            _ => self.outbox.push_back(self.server.reply(1, vec![])),
         }
     }
 }
@@ -353,86 +323,46 @@ impl Process for Sel4Actuator {
 // Web interface thread (benign)
 // ---------------------------------------------------------------------------
 
-/// The benign web interface thread: scripted administrator RPCs.
-///
-/// Same-tick bursts drain in one wake (back-to-back RPCs with no
-/// intervening `GetTime`), and completed requests are stamped into the
-/// optional [`RequestLog`] at the next clock read — see [`MinixWeb`]
-/// for the shared rationale.
-///
-/// [`MinixWeb`]: crate::platform::minix::MinixWeb
+/// The benign web interface thread: the [`WebClient`] role core bound to
+/// `seL4_Call` RPC on its CapDL-granted controller endpoint. There is no
+/// connect phase: the capability is in its CSpace from boot.
 pub struct Sel4Web {
     ctrl: RpcClient,
-    schedule: ScheduleCursor,
-    responses: WebLog,
-    requests: Option<RequestLog>,
-    pending: VecDeque<(SimTime, WebAction)>,
-    inflight: Option<(SimTime, WebAction)>,
-    unstamped: Vec<(SimTime, WebAction, bool)>,
+    client: WebClient,
     state: WebSt,
 }
 
+/// The syscall the web process last issued.
 enum WebSt {
-    Start,
-    AwaitTime,
-    AwaitSleep,
-    AwaitRpc,
+    Clock,
+    Sleep,
+    Rpc,
 }
 
 impl Sel4Web {
-    /// Creates the benign web interface over a private schedule copy.
-    pub fn new(ctrl: RpcClient, schedule: WebSchedule, responses: WebLog) -> Self {
-        Sel4Web::with_cursor(ctrl, ScheduleCursor::detached(&schedule), responses, None)
-    }
-
-    /// Creates the benign web interface over a shared schedule cell,
-    /// stamping completed requests into `requests`.
-    pub fn with_cursor(
-        ctrl: RpcClient,
-        schedule: ScheduleCursor,
-        responses: WebLog,
-        requests: Option<RequestLog>,
-    ) -> Self {
+    /// Creates the benign web thread over the instance's I/O.
+    pub fn new(ctrl: RpcClient, io: &AppIo) -> Self {
         Sel4Web {
             ctrl,
-            schedule,
-            responses,
-            requests,
-            pending: VecDeque::new(),
-            inflight: None,
-            unstamped: Vec::new(),
-            state: WebSt::Start,
+            client: WebClient::new(io),
+            // The first wake reads the clock, like every wake from sleep.
+            state: WebSt::Sleep,
         }
     }
 
-    fn send_next(&mut self) -> Action<Syscall> {
-        let (scheduled, action) = self.pending.pop_front().expect("pending action");
-        self.inflight = Some((scheduled, action));
-        self.state = WebSt::AwaitRpc;
-        match action {
+    fn read_clock(&mut self) -> Action<Syscall> {
+        self.state = WebSt::Clock;
+        Action::Syscall(Syscall::GetTime)
+    }
+
+    fn rpc(&mut self, action: WebAction) -> Action<Syscall> {
+        self.state = WebSt::Rpc;
+        Action::Syscall(match action {
             WebAction::SetSetpoint(mc) => {
-                Action::Syscall(self.ctrl.call(ctrl_rpc::SET_SETPOINT, vec![encode_i32(mc)]))
+                self.ctrl.call(ctrl_rpc::SET_SETPOINT, vec![encode_i32(mc)])
             }
-            WebAction::QueryStatus => Action::Syscall(self.ctrl.call(ctrl_rpc::GET_STATUS, vec![])),
-        }
-    }
-
-    fn stamp_completions(&mut self, now: SimTime) {
-        if self.unstamped.is_empty() {
-            return;
-        }
-        if let Some(log) = &self.requests {
-            let mut log = log.borrow_mut();
-            for &(scheduled, action, ok) in &self.unstamped {
-                log.push(RequestSample {
-                    scheduled,
-                    completed: now,
-                    action,
-                    ok,
-                });
-            }
-        }
-        self.unstamped.clear();
+            WebAction::QueryStatus => self.ctrl.call(ctrl_rpc::GET_STATUS, vec![]),
+        })
     }
 }
 
@@ -442,73 +372,31 @@ impl Process for Sel4Web {
 
     fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
         match self.state {
-            WebSt::Start => {
-                self.state = WebSt::AwaitTime;
-                Action::Syscall(Syscall::GetTime)
-            }
-            WebSt::AwaitTime => {
+            WebSt::Clock => {
                 let now = match reply {
                     Some(Reply::Time(t)) => t,
                     _ => SimTime::ZERO,
                 };
-                self.stamp_completions(now);
-                if self.pending.is_empty() {
-                    let mut due = Vec::new();
-                    self.schedule.drain_due(now, &mut due);
-                    self.pending.extend(due);
-                }
-                if !self.pending.is_empty() {
-                    return self.send_next();
-                }
-                match self.schedule.next_time() {
-                    None => {
-                        self.state = WebSt::AwaitSleep;
-                        Action::Syscall(Syscall::Sleep {
-                            duration: SimDuration::from_secs(3_600),
-                        })
-                    }
-                    Some(t) => {
-                        self.state = WebSt::AwaitSleep;
-                        Action::Syscall(Syscall::Sleep { duration: t - now })
+                match self.client.on_clock(now) {
+                    WebStep::Rpc(action) => self.rpc(action),
+                    WebStep::Sleep(duration) => {
+                        self.state = WebSt::Sleep;
+                        Action::Syscall(Syscall::Sleep { duration })
                     }
                 }
             }
-            WebSt::AwaitSleep => {
-                self.state = WebSt::AwaitTime;
-                Action::Syscall(Syscall::GetTime)
-            }
-            WebSt::AwaitRpc => {
-                let mut ok = false;
-                if let Some(Reply::Msg(m)) = reply {
-                    let decoded = match self.inflight {
-                        Some((_, WebAction::SetSetpoint(_))) if !m.words.is_empty() => {
-                            Some(BasMsg::Ack {
-                                code: m.words[0] as u32,
-                            })
-                        }
-                        Some((_, WebAction::QueryStatus)) if m.words.len() >= 4 => {
-                            Some(BasMsg::Status {
-                                temp_milli_c: decode_i32(m.words[0]),
-                                setpoint_milli_c: decode_i32(m.words[1]),
-                                fan_on: m.words[2] != 0,
-                                alarm_on: m.words[3] != 0,
-                            })
-                        }
-                        _ => None,
-                    };
-                    if let Some(d) = decoded {
-                        self.responses.borrow_mut().push(d);
-                        ok = true;
+            WebSt::Sleep => self.read_clock(),
+            WebSt::Rpc => {
+                let decoded = match (reply, self.client.inflight()) {
+                    (Some(Reply::Msg(m)), Some(action)) => {
+                        BasMsg::from_sel4_reply(action.request(), &m.words)
                     }
+                    _ => None,
+                };
+                match self.client.on_reply(decoded) {
+                    Some(action) => self.rpc(action),
+                    None => self.read_clock(),
                 }
-                if let Some((scheduled, action)) = self.inflight.take() {
-                    self.unstamped.push((scheduled, action, ok));
-                }
-                if !self.pending.is_empty() {
-                    return self.send_next();
-                }
-                self.state = WebSt::AwaitTime;
-                Action::Syscall(Syscall::GetTime)
             }
         }
     }
@@ -554,8 +442,7 @@ pub struct Sel4Overrides {
     pub compiled: Option<(Arc<CapDlSpec>, Arc<GlueMap>)>,
 }
 
-/// The booted seL4/CAmkES stack: kernel, compiled CapDL artifacts, plant,
-/// and web log.
+/// The booted seL4/CAmkES stack: kernel and compiled CapDL artifacts.
 pub struct Sel4Stack {
     /// The simulated kernel (public for experiment introspection).
     pub kernel: Sel4Kernel,
@@ -566,22 +453,15 @@ pub struct Sel4Stack {
     pub sys: RealizedSystem,
     /// Slot/badge layout. `Arc`: boot-time state, shareable across forks.
     pub glue: Arc<GlueMap>,
-    plant: SharedPlant,
-    web_log: WebLog,
-    /// The effective action schedule, shared with the benign web thread
-    /// and re-imaged per instance on recycling (the thread realized at
-    /// boot holds a cursor over this cell, so the pristine fast path —
-    /// which skips re-realization — still picks up new traffic).
-    web_schedule: SharedSchedule,
-    /// Completed-request stamps from the benign web thread.
-    web_requests: RequestLog,
     /// False when attacker overrides (web factory, extra caps) booted
     /// this stack: those are one-shot, so a recycled kernel cannot
     /// guarantee cold-boot identity.
     forkable: bool,
     /// True once anything mutated the kernel after boot. While false the
     /// stack is still the boot template verbatim (the seed only reaches
-    /// the plant), so recycling skips the kernel reset and re-realize.
+    /// the engine's plant, and the boot-time web thread reads the
+    /// re-imaged schedule lazily), so recycling skips the kernel reset and
+    /// re-realize.
     ran: bool,
 }
 
@@ -641,7 +521,7 @@ pub fn build_sel4(config: &ScenarioConfig, overrides: Sel4Overrides) -> Sel4Scen
     ScenarioEngine::boot(config, overrides)
 }
 
-fn boot_sel4(config: &ScenarioConfig, overrides: Sel4Overrides) -> Sel4Stack {
+fn boot_sel4(config: &ScenarioConfig, overrides: Sel4Overrides, io: &AppIo) -> Sel4Stack {
     let (spec, glue) = match overrides.compiled {
         Some((spec, glue)) => (spec, glue),
         None => {
@@ -651,30 +531,15 @@ fn boot_sel4(config: &ScenarioConfig, overrides: Sel4Overrides) -> Sel4Stack {
         }
     };
 
-    let plant: SharedPlant = Rc::new(std::cell::RefCell::new(PlantWorld::new(
-        config.synced_plant(),
-        config.seed,
-    )));
-
     let mut kernel = Sel4Kernel::new(Sel4Config {
         max_threads: config.max_procs,
         cost_model: config.cost_model,
         ..Sel4Config::default()
     });
-    install_devices(&plant, kernel.devices_mut());
+    install_devices(&io.plant, kernel.devices_mut());
 
-    let web_log = new_web_log();
-    let web_schedule = shared_schedule(config.effective_web_schedule());
-    let web_requests = new_request_log();
     let forkable = overrides.web_factory.is_none() && overrides.extra_caps.is_empty();
-    let mut loader = scenario_loader(
-        config,
-        glue.clone(),
-        web_log.clone(),
-        web_schedule.clone(),
-        web_requests.clone(),
-        overrides.web_factory,
-    );
+    let mut loader = scenario_loader(config, glue.clone(), io, overrides.web_factory);
 
     let sys = realize(&spec, &mut kernel, &mut loader).expect("scenario realizes");
 
@@ -713,10 +578,6 @@ fn boot_sel4(config: &ScenarioConfig, overrides: Sel4Overrides) -> Sel4Stack {
         spec,
         sys,
         glue,
-        plant,
-        web_log,
-        web_schedule,
-        web_requests,
         forkable,
         ran: false,
     }
@@ -728,11 +589,10 @@ fn boot_sel4(config: &ScenarioConfig, overrides: Sel4Overrides) -> Sel4Stack {
 fn scenario_loader(
     config: &ScenarioConfig,
     glue: Arc<GlueMap>,
-    web_log: WebLog,
-    web_schedule: SharedSchedule,
-    web_requests: RequestLog,
+    io: &AppIo,
     mut web_factory: Option<WebThreadFactory>,
 ) -> impl FnMut(&str) -> Option<Sel4Thread> {
+    let io = io.clone();
     let control_config = config.control;
     let period = config.sensor_period;
     move |name: &str| -> Option<Sel4Thread> {
@@ -763,11 +623,9 @@ fn scenario_loader(
             ))),
             x if x == instances::WEB => match web_factory.take() {
                 Some(factory) => Some(factory(g)),
-                None => Some(Box::new(Sel4Web::with_cursor(
+                None => Some(Box::new(Sel4Web::new(
                     RpcClient::new(g.client_slot(instances::WEB, "ctrl")?),
-                    ScheduleCursor::new(web_schedule.clone()),
-                    web_log.clone(),
-                    Some(web_requests.clone()),
+                    &io,
                 ))),
             },
             _ => None,
@@ -779,8 +637,8 @@ impl PlatformKernel for Sel4Stack {
     const PLATFORM: Platform = Platform::Sel4;
     type Overrides = Sel4Overrides;
 
-    fn boot(config: &ScenarioConfig, overrides: Sel4Overrides) -> Self {
-        boot_sel4(config, overrides)
+    fn boot(config: &ScenarioConfig, overrides: Sel4Overrides, io: &AppIo) -> Self {
+        boot_sel4(config, overrides, io)
     }
 
     fn now(&self) -> SimTime {
@@ -790,10 +648,6 @@ impl PlatformKernel for Sel4Stack {
     fn run_until(&mut self, target: SimTime) {
         self.ran = true;
         self.kernel.run_until(target);
-    }
-
-    fn plant(&self) -> SharedPlant {
-        self.plant.clone()
     }
 
     fn metrics(&self) -> KernelMetrics {
@@ -808,23 +662,10 @@ impl PlatformKernel for Sel4Stack {
         self.kernel.trace().events_in(category).count()
     }
 
-    fn web_responses(&self) -> Vec<BasMsg> {
-        self.web_log.borrow().clone()
-    }
-
-    fn web_requests(&self) -> Vec<RequestSample> {
-        self.web_requests.borrow().clone()
-    }
-
-    fn reset_to_boot(&mut self, config: &ScenarioConfig) -> bool {
+    fn reset_to_boot(&mut self, config: &ScenarioConfig, io: &AppIo) -> bool {
         if !self.forkable {
             return false;
         }
-        // Re-image the shared schedule cell first: under traffic the
-        // schedule is seed-derived, and the realized web thread (on the
-        // pristine path below, the *boot-time* thread with its cursor
-        // still at the front) reads this cell lazily.
-        *self.web_schedule.borrow_mut() = config.effective_web_schedule();
         if self.ran {
             self.kernel.reset_to_boot();
             // Re-realize the shared spec: objects and threads come back in
@@ -832,14 +673,7 @@ impl PlatformKernel for Sel4Stack {
             // boot-time CapDL verification is skipped — `verify` is a pure
             // function of (spec, kernel, sys), all reconstructed identically
             // to the template boot that already passed it.
-            let mut loader = scenario_loader(
-                config,
-                self.glue.clone(),
-                self.web_log.clone(),
-                self.web_schedule.clone(),
-                self.web_requests.clone(),
-                None,
-            );
+            let mut loader = scenario_loader(config, self.glue.clone(), io, None);
             self.sys =
                 realize(&self.spec, &mut self.kernel, &mut loader).expect("scenario realizes");
             for name in [
@@ -853,12 +687,6 @@ impl PlatformKernel for Sel4Stack {
             }
             self.ran = false;
         }
-        // A never-stepped kernel is still the boot image verbatim (the
-        // seed only reaches the plant). Re-seed the plant in place: the
-        // `Rc` identity is what the installed plant devices hold.
-        *self.plant.borrow_mut() = PlantWorld::new(config.synced_plant(), config.seed);
-        self.web_log.borrow_mut().clear();
-        self.web_requests.borrow_mut().clear();
         true
     }
 

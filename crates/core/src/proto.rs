@@ -226,6 +226,66 @@ impl BasMsg {
     }
 }
 
+/// Encodes a signed value as one seL4 message word (two's complement in
+/// the low 32 bits).
+pub fn encode_i32(v: i32) -> u64 {
+    u64::from(v as u32)
+}
+
+/// Decodes a word written by [`encode_i32`].
+pub fn decode_i32(w: u64) -> i32 {
+    w as u32 as i32
+}
+
+impl BasMsg {
+    /// Encodes a controller reply for seL4 as `(reply label, words)`.
+    ///
+    /// An `Ack` carries its code as the label, so callers (and the attack
+    /// evidence classifier) see validation failures at the RPC layer, and
+    /// `[code, setpoint]` as words, `setpoint_milli_c` being the setpoint
+    /// in force after the request. A `Status` is label 0 with its four
+    /// fields. Other messages are not controller replies: `None`.
+    pub fn to_sel4_reply(self, setpoint_milli_c: i32) -> Option<(u64, Vec<u64>)> {
+        Some(match self {
+            BasMsg::Ack { code } => {
+                let code = u64::from(code);
+                (code, vec![code, encode_i32(setpoint_milli_c)])
+            }
+            BasMsg::Status {
+                temp_milli_c,
+                setpoint_milli_c,
+                fan_on,
+                alarm_on,
+            } => (
+                0,
+                vec![
+                    encode_i32(temp_milli_c),
+                    encode_i32(setpoint_milli_c),
+                    u64::from(fan_on),
+                    u64::from(alarm_on),
+                ],
+            ),
+            _ => return None,
+        })
+    }
+
+    /// Decodes the seL4 reply words to `request` (a setpoint update or a
+    /// status query); `None` when the words are too short for the answer
+    /// that request expects.
+    pub fn from_sel4_reply(request: BasMsg, words: &[u64]) -> Option<BasMsg> {
+        match (request, words) {
+            (BasMsg::SetpointUpdate { .. }, [code, ..]) => Some(BasMsg::Ack { code: *code as u32 }),
+            (BasMsg::StatusQuery, [temp, setpoint, fan, alarm, ..]) => Some(BasMsg::Status {
+                temp_milli_c: decode_i32(*temp),
+                setpoint_milli_c: decode_i32(*setpoint),
+                fan_on: *fan != 0,
+                alarm_on: *alarm != 0,
+            }),
+            _ => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,6 +322,33 @@ mod tests {
             let bytes = msg.to_bytes();
             assert_eq!(BasMsg::from_bytes(&bytes), Ok(msg), "{msg:?}");
         }
+    }
+
+    #[test]
+    fn sel4_replies_roundtrip() {
+        let (label, words) = BasMsg::Ack { code: 1 }.to_sel4_reply(-4_000).unwrap();
+        assert_eq!(
+            (label, words.as_slice()),
+            (1, [1, encode_i32(-4_000)].as_slice())
+        );
+        let request = BasMsg::SetpointUpdate { milli_c: 95_000 };
+        assert_eq!(
+            BasMsg::from_sel4_reply(request, &words),
+            Some(BasMsg::Ack { code: 1 })
+        );
+        let status = ALL[6];
+        let (label, words) = status.to_sel4_reply(0).unwrap();
+        assert_eq!((label, words.len()), (0, 4));
+        assert_eq!(
+            BasMsg::from_sel4_reply(BasMsg::StatusQuery, &words),
+            Some(status)
+        );
+        assert_eq!(
+            BasMsg::from_sel4_reply(BasMsg::StatusQuery, &words[..2]),
+            None
+        );
+        assert_eq!(BasMsg::from_sel4_reply(request, &[]), None);
+        assert_eq!(BasMsg::StatusQuery.to_sel4_reply(0), None);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bas_plant::world::PlantConfig;
+use bas_plant::world::{PlantConfig, PlantWorld};
 use bas_plant::SharedPlant;
 use bas_sim::clock::CostModel;
 use bas_sim::metrics::KernelMetrics;
@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::logic::control::ControlConfig;
 use crate::logic::traffic::TrafficProfile;
-use crate::logic::web::{RequestSample, WebAction};
+use crate::logic::web::{shared_schedule, RequestLog, RequestSample, SharedSchedule, WebAction};
 use crate::proto::BasMsg;
 
 /// Which platform a scenario instance runs on.
@@ -40,9 +40,50 @@ impl std::fmt::Display for Platform {
 /// administrator's view of the system).
 pub type WebLog = Rc<RefCell<Vec<BasMsg>>>;
 
-/// Creates an empty web log.
-pub fn new_web_log() -> WebLog {
-    Rc::new(RefCell::new(Vec::new()))
+/// One instance's application I/O: the physical plant and the web
+/// interface's schedule, response log and request log.
+///
+/// [`crate::engine::ScenarioEngine`] creates it and hands it to the
+/// platform stack at boot; the installed plant devices and the benign web
+/// process hold clones of these handles. Recycling re-images it in place
+/// ([`AppIo::reimage`]), so every holder sees the next instance without
+/// being rebuilt.
+#[derive(Debug, Clone)]
+pub struct AppIo {
+    /// The physical world.
+    pub plant: SharedPlant,
+    /// Responses the web interface received.
+    pub responses: WebLog,
+    /// The effective administrator schedule.
+    pub schedule: SharedSchedule,
+    /// Completed-request stamps.
+    pub requests: RequestLog,
+}
+
+impl AppIo {
+    /// Fresh I/O for `config`: a seeded plant, its effective schedule and
+    /// empty logs.
+    pub fn new(config: &ScenarioConfig) -> Self {
+        AppIo {
+            plant: Rc::new(RefCell::new(PlantWorld::new(
+                config.synced_plant(),
+                config.seed,
+            ))),
+            responses: WebLog::default(),
+            schedule: shared_schedule(config.effective_web_schedule()),
+            requests: RequestLog::default(),
+        }
+    }
+
+    /// Re-images everything for `config` (the boot template modulo
+    /// `seed`) in place: re-seeds the plant, swaps in the schedule, which
+    /// is seed-derived under traffic, and clears both logs.
+    pub fn reimage(&self, config: &ScenarioConfig) {
+        *self.plant.borrow_mut() = PlantWorld::new(config.synced_plant(), config.seed);
+        *self.schedule.borrow_mut() = config.effective_web_schedule();
+        self.responses.borrow_mut().clear();
+        self.requests.borrow_mut().clear();
+    }
 }
 
 /// Full configuration of one scenario run.
@@ -204,18 +245,14 @@ pub trait Scenario {
 
     /// Completed web requests with scheduled/completed stamps (empty on
     /// stacks without request accounting, e.g. attacker-replaced webs).
-    fn request_samples(&self) -> Vec<RequestSample> {
-        Vec::new()
-    }
+    fn request_samples(&self) -> Vec<RequestSample>;
 
     /// Returns the scenario to its just-booted state under `config` (the
     /// boot template modulo `seed`), reusing live allocations — the
     /// snapshot-fork recycling path. Returns `false` when the scenario
     /// cannot guarantee byte-identity with a cold boot; the caller must
     /// then boot a fresh instance instead.
-    fn reset_to_boot(&mut self, _config: &ScenarioConfig) -> bool {
-        false
-    }
+    fn reset_to_boot(&mut self, config: &ScenarioConfig) -> bool;
 }
 
 /// A serializable snapshot of the plant's safety state at some instant —

@@ -267,16 +267,16 @@ mod tests {
     /// Attack-override stacks refuse to recycle (the byte-identity gate).
     #[test]
     fn overridden_stack_refuses_recycle() {
-        use crate::logic::web::WebSchedule;
-        use crate::platform::minix::{build_minix, MinixOverrides, MinixWeb};
+        use crate::platform::minix::{build_minix, MinixOverrides};
+        use bas_minix::syscall::{Reply, Syscall};
+        use bas_sim::script::Script;
 
         let config = ScenarioConfig::quiet();
         let overrides = MinixOverrides {
             web_factory: Some(Box::new(|| {
-                Box::new(MinixWeb::new(
-                    WebSchedule::new(Vec::new()),
-                    crate::scenario::new_web_log(),
-                ))
+                Box::new(Script::<Syscall, Reply>::looping(vec![Syscall::Sleep {
+                    duration: SimDuration::from_secs(3_600),
+                }]))
             })),
             ..MinixOverrides::default()
         };
