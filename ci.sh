@@ -124,6 +124,10 @@ for metric in messages_per_second fleet_ipc_messages_per_wall_second; do
   gate BENCH_fleet.json "$metric" floor 0.7 BENCH_fleet_baseline.json \
     "** fleet throughput regressed >30% **"
 done
+# The same ping-pong with the kernel trace on, as every scenario runs it:
+# the cost of one typed ipc.deliver record per message.
+gate BENCH_fleet.json traced_messages_per_second floor 0.7 BENCH_fleet_baseline.json \
+  "** traced IPC hot path regressed >30% **"
 # Snapshot-fork boot gates: instances/sec has a floor like the other
 # rates; bytes/instance is a regression in the *upward* direction, so it
 # gets a ceiling instead (the cold-path keys are "cold_..."-prefixed).

@@ -7,11 +7,14 @@
 //! does).
 //!
 //! The sweep also measures the raw kernel IPC hot path in isolation: a
-//! MINIX ping-pong pair exchanging rendezvous messages with tracing
-//! disabled and a free cost model, so the number reflects the arena
-//! send/deliver path (one copy in, one copy out, zero steady-state
-//! allocations) rather than plant physics. `ci.sh` gates both this rate
-//! and the fleet throughput against `BENCH_fleet_baseline.json`.
+//! MINIX ping-pong pair exchanging rendezvous messages with a free cost
+//! model, so the number reflects the arena send/deliver path (one copy
+//! in, one copy out, zero steady-state allocations) rather than plant
+//! physics. It runs twice: with the kernel trace off
+//! (`messages_per_second`) and on, as every scenario runs it
+//! (`traced_messages_per_second`, one typed `ipc.deliver` record per
+//! message). `ci.sh` gates both rates and the fleet throughput against
+//! `BENCH_fleet_baseline.json`.
 //!
 //! On top of the throughput sweep, the binary benchmarks the *boot
 //! path* under a counting global allocator: cold `boot_platform` per
@@ -128,19 +131,24 @@ impl Process for Sink {
 }
 
 /// Ping-pongs `messages` rendezvous messages through one MINIX kernel
-/// with tracing off and a free cost model, returning (wall seconds,
-/// arena heap events). This is the IPC hot path with nothing else on
-/// it: stage payload into an arena slot, rendezvous, copy out, recycle.
-fn ipc_hot_path(messages: u64) -> (f64, u64) {
+/// with a free cost model, returning (wall seconds, arena heap events).
+/// This is the IPC hot path with nothing else on it: stage payload into
+/// an arena slot, rendezvous, copy out, recycle — plus, when `traced`,
+/// the kernel trace's `ipc.deliver` record for each message.
+fn ipc_hot_path(messages: u64, traced: bool) -> (f64, u64) {
     let acm = AccessControlMatrix::builder()
         .allow_all_types(PUMP_ID, SINK_ID)
         .build();
     let mut k = MinixKernel::new(MinixConfig {
         acm,
         cost_model: CostModel::free(),
+        // Keep every record: a dropped one would skip the cost measured.
+        trace_capacity: usize::MAX,
         ..MinixConfig::default()
     });
-    k.disable_trace();
+    if !traced {
+        k.disable_trace();
+    }
     let sink = k
         .spawn(
             "sink",
@@ -169,6 +177,11 @@ fn ipc_hot_path(messages: u64) -> (f64, u64) {
         messages,
         "every ping-pong message must deliver"
     );
+    assert_eq!(
+        k.trace().events_in("ipc.deliver").count() as u64,
+        if traced { messages } else { 0 },
+        "the traced run records every delivery"
+    );
     (wall, k.metrics().hot_path_allocs)
 }
 
@@ -190,18 +203,27 @@ fn main() {
     // ------------------------------------------------------------------
     // Raw IPC hot path: the arena send/deliver cycle in isolation.
     // ------------------------------------------------------------------
-    section("IPC hot path: MINIX rendezvous ping-pong (trace off, free cost model)");
+    section("IPC hot path: MINIX rendezvous ping-pong (free cost model)");
     let hot_messages: u64 = if h.quick() { 200_000 } else { 1_000_000 };
-    let (hot_wall, hot_heap_events) = ipc_hot_path(hot_messages);
+    let (hot_wall, hot_heap_events) = ipc_hot_path(hot_messages, false);
     let hot_rate = hot_messages as f64 / hot_wall.max(1e-9);
+    let (traced_wall, traced_heap_events) = ipc_hot_path(hot_messages, true);
+    let traced_rate = hot_messages as f64 / traced_wall.max(1e-9);
     assert_eq!(
-        hot_heap_events, 0,
+        hot_heap_events + traced_heap_events,
+        0,
         "steady-state IPC must not touch the allocator (arena pre-warm)"
     );
     println!(
-        "{hot_messages} messages in {:.3}s: {:.2}M msg/s, {hot_heap_events} heap events",
+        "trace off: {hot_messages} messages in {:.3}s: {:.2}M msg/s, {hot_heap_events} heap events",
         hot_wall,
         hot_rate / 1e6
+    );
+    println!(
+        "trace on:  {hot_messages} messages in {:.3}s: {:.2}M msg/s ({:.0}% of trace-off)",
+        traced_wall,
+        traced_rate / 1e6,
+        100.0 * traced_rate / hot_rate
     );
 
     // ------------------------------------------------------------------
@@ -463,6 +485,8 @@ fn main() {
                 ("messages", Json::UInt(hot_messages)),
                 ("wall_seconds", Json::Num(hot_wall)),
                 ("messages_per_second", Json::Num(hot_rate)),
+                ("traced_wall_seconds", Json::Num(traced_wall)),
+                ("traced_messages_per_second", Json::Num(traced_rate)),
                 ("heap_events", Json::UInt(hot_heap_events)),
             ]),
         ),

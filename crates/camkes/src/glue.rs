@@ -65,12 +65,13 @@ impl RpcServer {
         Syscall::Recv { ep: self.ep }
     }
 
-    /// Decodes a delivered message into an [`RpcRequest`].
-    pub fn decode(&self, msg: &DeliveredMessage) -> RpcRequest {
+    /// Decodes a delivered message into an [`RpcRequest`], moving its
+    /// data words rather than copying them.
+    pub fn decode(&self, msg: DeliveredMessage) -> RpcRequest {
         RpcRequest {
             badge: msg.badge,
             label: msg.label,
-            args: msg.words.clone(),
+            args: msg.words,
         }
     }
 
@@ -110,7 +111,7 @@ mod tests {
     fn server_decode_roundtrip() {
         let s = RpcServer::new(CPtr::new(0));
         assert!(matches!(s.next_request(), Syscall::Recv { ep } if ep == CPtr::new(0)));
-        let req = s.decode(&DeliveredMessage {
+        let req = s.decode(DeliveredMessage {
             badge: 5,
             label: 1,
             words: vec![9],

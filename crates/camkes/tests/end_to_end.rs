@@ -24,7 +24,7 @@ impl Process for AddServer {
         match reply {
             None | Some(Reply::Ok) => Action::Syscall(self.server.next_request()),
             Some(Reply::Msg(m)) => {
-                let req = self.server.decode(&m);
+                let req = self.server.decode(m);
                 let sum: u64 = req.args.iter().sum();
                 Action::Syscall(self.server.reply(req.label, vec![sum, req.badge]))
             }

@@ -136,7 +136,7 @@ impl Process for Sel4Control {
                 }
                 CtrlSt::AwaitRecv => match reply.take() {
                     Some(Reply::Msg(m)) => {
-                        self.pending = Some(self.server.decode(&m));
+                        self.pending = Some(self.server.decode(m));
                         self.state = CtrlSt::AwaitTime;
                         return Action::Syscall(Syscall::GetTime);
                     }
@@ -289,7 +289,7 @@ impl Process for Sel4Actuator {
             }
             ActSt::AwaitRecv => match reply {
                 Some(Reply::Msg(m)) => {
-                    let req = self.server.decode(&m);
+                    let req = self.server.decode(m);
                     if req.label == actuator_rpc::SET && !req.args.is_empty() {
                         self.state = ActSt::AwaitWrite;
                         Action::Syscall(Syscall::DevWrite {

@@ -14,6 +14,7 @@
 //! exactly once at delivery.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bas_sim::arena::{MsgArena, MsgRef};
 use bas_sim::caps::{CapChurnOp, CapLog, CapOp, CapTrace, ChurnKind};
@@ -31,6 +32,7 @@ use crate::cred::{Mode, Uid};
 use crate::error::LinuxError;
 use crate::mq::{MessageQueue, MqMessage, MQ_MSG_MAX};
 use crate::syscall::{MqAccess, Reply, Signal, Syscall};
+use crate::trace::{Churn, Detail, QueueName};
 
 /// A boxed Linux user process.
 pub type LinuxProcess = Box<dyn bas_sim::process::Process<Syscall = Syscall, Reply = Reply>>;
@@ -64,7 +66,7 @@ impl Default for LinuxConfig {
             max_procs: 64,
             cost_model: CostModel::default(),
             device_nodes: BTreeMap::new(),
-            trace_capacity: TraceLog::DEFAULT_CAPACITY,
+            trace_capacity: TraceLog::<Detail>::DEFAULT_CAPACITY,
         }
     }
 }
@@ -95,7 +97,7 @@ enum Block {
 }
 
 struct ProcEntry {
-    name: String,
+    name: Arc<str>,
     uid: Uid,
     fds: Vec<Option<OpenQueue>>,
     state: ProcState<Block>,
@@ -119,7 +121,7 @@ pub struct LinuxKernel {
     timers: TimerQueue,
     clock: VirtualClock,
     metrics: KernelMetrics,
-    trace: TraceLog,
+    trace: TraceLog<Detail>,
     devices: DeviceBus,
     device_nodes: BTreeMap<DeviceId, (Uid, Mode)>,
     max_procs: usize,
@@ -152,7 +154,15 @@ fn qname_of(queues: &[Option<MessageQueue>], qid: u32) -> &str {
     queues
         .get(qid as usize)
         .and_then(Option::as_ref)
-        .map_or("?", |q| q.name.as_str())
+        .map_or("?", |q| &q.name)
+}
+
+/// The shared name handle of queue `qid` (`None` once unlinked).
+fn qname_handle(queues: &[Option<MessageQueue>], qid: u32) -> QueueName {
+    queues
+        .get(qid as usize)
+        .and_then(Option::as_ref)
+        .map(|q| q.name.clone())
 }
 
 impl std::fmt::Debug for LinuxKernel {
@@ -242,7 +252,7 @@ impl LinuxKernel {
         if self.process_count() >= self.max_procs {
             return Err(LinuxError::ProcessTableFull);
         }
-        let name = name.into();
+        let name: Arc<str> = name.into().into();
         let slot = self
             .procs
             .iter()
@@ -260,12 +270,12 @@ impl LinuxKernel {
             logic: Some(logic),
             pending_reply: None,
         });
-        self.names.insert(name.clone(), pid);
+        self.names.insert(name.to_string(), pid);
         self.run_queue.enqueue(pid);
         self.metrics.processes_created += 1;
         let now = self.clock.now();
         self.trace
-            .record_with(now, Some(pid), "proc.spawn", || format!("{name} uid={uid}"));
+            .record(now, Some(pid), Detail::Spawn { name, uid });
         Ok(pid)
     }
 
@@ -344,9 +354,15 @@ impl LinuxKernel {
                 op.object.clone(),
             )
         });
-        self.trace.record_with(now, None, "cap.churn", || {
-            format!("{} mode {old:04o} -> {new:04o}", op.label())
-        });
+        self.trace.record(
+            now,
+            None,
+            Detail::Churn(Box::new(Churn {
+                label: op.label(),
+                old,
+                new,
+            })),
+        );
         changed
     }
 
@@ -385,7 +401,7 @@ impl LinuxKernel {
         };
         let now = self.clock.now();
         self.trace
-            .record_with(now, Some(pid), "fault.crash", || format!("killed {name}"));
+            .record(now, Some(pid), Detail::Crash(name.into()));
         self.terminate(pid);
         true
     }
@@ -395,9 +411,8 @@ impl LinuxKernel {
     pub fn skew_clock(&mut self, d: SimDuration) {
         self.clock.advance(d);
         let now = self.clock.now();
-        self.trace.record_with(now, None, "fault.clock", || {
-            format!("skewed +{}ms", d.as_millis())
-        });
+        self.trace
+            .record(now, None, Detail::ClockSkew(d.as_millis()));
     }
 
     /// Pre-creates a message queue owned by `owner` (scenario-loader
@@ -431,7 +446,7 @@ impl LinuxKernel {
 
     /// Interns (or replaces) a queue under its VFS name; returns the id.
     fn install_queue(&mut self, q: MessageQueue) -> u32 {
-        if let Some(&qid) = self.queue_ids.get(&q.name) {
+        if let Some(&qid) = self.queue_ids.get(&*q.name) {
             // Same name re-created: release any payload the old queue
             // still holds before swapping the new one in.
             if let Some(old) = self.queues[qid as usize].take() {
@@ -448,7 +463,7 @@ impl LinuxKernel {
                 self.queues.push(None);
                 self.queues.len() - 1
             });
-        self.queue_ids.insert(q.name.clone(), slot as u32);
+        self.queue_ids.insert(q.name.to_string(), slot as u32);
         self.queues[slot] = Some(q);
         slot as u32
     }
@@ -477,7 +492,7 @@ impl LinuxKernel {
     }
 
     /// The event trace.
-    pub fn trace(&self) -> &TraceLog {
+    pub fn trace(&self) -> &TraceLog<Detail> {
         &self.trace
     }
 
@@ -506,7 +521,7 @@ impl LinuxKernel {
         let mut v: Vec<String> = self
             .procs
             .iter()
-            .filter_map(|p| p.as_ref().map(|e| e.name.clone()))
+            .filter_map(|p| p.as_ref().map(|e| e.name.to_string()))
             .collect();
         v.sort();
         v
@@ -569,7 +584,8 @@ impl LinuxKernel {
     }
 
     fn fire_due_timers(&mut self) {
-        for pid in self.timers.pop_due(self.clock.now()) {
+        let now = self.clock.now();
+        while let Some(pid) = self.timers.pop_due(now) {
             if let Some(entry) = self.entry_mut(pid) {
                 if matches!(entry.state, ProcState::Sleeping) {
                     entry.state = ProcState::Runnable;
@@ -612,8 +628,7 @@ impl LinuxKernel {
             Action::Yield => self.run_queue.enqueue(pid),
             Action::Exit(code) => {
                 let now = self.clock.now();
-                self.trace
-                    .record_with(now, Some(pid), "proc.exit", || format!("code={code}"));
+                self.trace.record(now, Some(pid), Detail::Exit(code));
                 self.terminate(pid);
             }
         }
@@ -685,17 +700,23 @@ impl LinuxKernel {
             None => match create {
                 Some(attr) => {
                     let qid = self.install_queue(MessageQueue::new(
-                        name.clone(),
+                        name.as_str(),
                         uid,
                         Mode::new(attr.mode),
                         attr.capacity,
                     ));
                     let now = self.clock.now();
-                    self.trace.record_with(now, Some(pid), "mq.create", || {
-                        format!("{name} mode={:04o}", attr.mode)
-                    });
+                    let queue = self.queue_ref(qid).expect("just installed").name.clone();
+                    self.trace.record(
+                        now,
+                        Some(pid),
+                        Detail::MqCreate {
+                            queue,
+                            mode: attr.mode,
+                        },
+                    );
                     if self.cap_log.enabled() {
-                        let subject = self.entry_ref(pid).expect("caller").name.clone();
+                        let subject = self.entry_ref(pid).expect("caller").name.to_string();
                         self.cap_log.record_with(now, CapOp::Grant, true, || {
                             (
                                 subject.clone(),
@@ -717,7 +738,7 @@ impl LinuxKernel {
                     q.mode
                         .allows_with_group(uid, q.owner, q.group, access.read, access.write);
                 if self.cap_log.enabled() || !self.armed_churn.is_empty() {
-                    let subject = self.entry_ref(pid).expect("caller").name.clone();
+                    let subject = self.entry_ref(pid).expect("caller").name.to_string();
                     let now = self.clock.now();
                     self.cap_log.record_with(now, CapOp::Check, allowed, || {
                         (
@@ -736,9 +757,9 @@ impl LinuxKernel {
                 if !allowed {
                     self.metrics.access_denied += 1;
                     let now = self.clock.now();
-                    self.trace.record_with(now, Some(pid), "dac.deny", || {
-                        format!("{uid} denied {name}")
-                    });
+                    let queue = self.queue_ref(qid).expect("interned").name.clone();
+                    self.trace
+                        .record(now, Some(pid), Detail::MqDeny { uid, queue });
                     self.ready_with(pid, Reply::Err(LinuxError::AccessDenied));
                     return;
                 }
@@ -788,10 +809,9 @@ impl LinuxKernel {
         match fault {
             Some(IpcFault::Drop) => {
                 let now = self.clock.now();
-                let queues = &self.queues;
-                self.trace.record_with(now, Some(pid), "fault.ipc", || {
-                    format!("drop {pid} -> {}", qname_of(queues, oq.qid))
-                });
+                let queue = qname_handle(&self.queues, oq.qid);
+                self.trace
+                    .record(now, Some(pid), Detail::FaultDrop { sender: pid, queue });
                 // mq_send reports success; the message never lands.
                 return self.ready_with(pid, Reply::Ok);
             }
@@ -800,14 +820,16 @@ impl LinuxKernel {
                 // latency, then enqueues normally.
                 self.clock.advance(d);
                 let now = self.clock.now();
-                let queues = &self.queues;
-                self.trace.record_with(now, Some(pid), "fault.ipc", || {
-                    format!(
-                        "delay {pid} -> {} +{}ms",
-                        qname_of(queues, oq.qid),
-                        d.as_millis()
-                    )
-                });
+                let queue = qname_handle(&self.queues, oq.qid);
+                self.trace.record(
+                    now,
+                    Some(pid),
+                    Detail::FaultDelay {
+                        sender: pid,
+                        queue,
+                        ms: d.as_millis(),
+                    },
+                );
             }
             Some(IpcFault::Duplicate) | None => {}
         }
@@ -823,8 +845,8 @@ impl LinuxKernel {
             let still_ok = q
                 .mode
                 .allows_with_group(e.uid, q.owner, q.group, false, true);
-            let sender = e.name.clone();
-            let qname = q.name.clone();
+            let sender = e.name.to_string();
+            let qname = q.name.to_string();
             let now = self.clock.now();
             self.cap_log.record_with(now, CapOp::Use, still_ok, || {
                 (sender.clone(), format!("mq:{qname}:{sender}"), qname)
@@ -871,10 +893,12 @@ impl LinuxKernel {
             } else {
                 q.push(MqMessage::new(priority, dup).with_use_seq(use_seq));
                 let now = self.clock.now();
-                let queues = &self.queues;
-                self.trace.record_with(now, Some(pid), "fault.ipc", || {
-                    format!("duplicate {pid} -> {}", qname_of(queues, oq.qid))
-                });
+                let queue = qname_handle(&self.queues, oq.qid);
+                self.trace.record(
+                    now,
+                    Some(pid),
+                    Detail::FaultDuplicate { sender: pid, queue },
+                );
                 self.note_ipc(oq.qid, pid);
             }
         }
@@ -966,17 +990,27 @@ impl LinuxKernel {
         if !caller_uid.is_root() && caller_uid != target_uid {
             self.metrics.access_denied += 1;
             let now = self.clock.now();
-            self.trace
-                .record_with(now, Some(caller), "signal.deny", || {
-                    format!("{caller_uid} may not signal {target_uid}")
-                });
+            self.trace.record(
+                now,
+                Some(caller),
+                Detail::SignalDeny {
+                    by: caller_uid,
+                    target: target_uid,
+                },
+            );
             return self.ready_with(caller, Reply::Err(LinuxError::NotPermitted));
         }
         let now = self.clock.now();
-        self.trace
-            .record_with(now, Some(caller), "signal.kill", || {
-                format!("{caller} sent {signal:?} to {target} ({target_name})")
-            });
+        self.trace.record(
+            now,
+            Some(caller),
+            Detail::SignalKill {
+                by: caller,
+                signal,
+                target,
+                name: target_name,
+            },
+        );
         self.terminate(target);
         if target != caller {
             self.ready_with(caller, Reply::Ok);
@@ -1006,7 +1040,7 @@ impl LinuxKernel {
             self.metrics.access_denied += 1;
             let now = self.clock.now();
             self.trace
-                .record_with(now, Some(pid), "dac.deny", || format!("{uid} denied {dev}"));
+                .record(now, Some(pid), Detail::DevDeny { uid, dev });
             return self.ready_with(pid, Reply::Err(LinuxError::AccessDenied));
         }
         match write {
@@ -1014,7 +1048,7 @@ impl LinuxKernel {
                 Ok(()) => {
                     let now = self.clock.now();
                     self.trace
-                        .record_with(now, Some(pid), "dev.write", || format!("{dev} <- {value}"));
+                        .record(now, Some(pid), Detail::DevWrite { dev, value });
                     self.ready_with(pid, Reply::Ok);
                 }
                 Err(_) => self.ready_with(pid, Reply::Err(LinuxError::NoEntry)),
@@ -1128,7 +1162,7 @@ impl LinuxKernel {
             return;
         }
         let qname = qname_of(&self.queues, qid).to_string();
-        let Some(who) = self.entry_ref(receiver).map(|e| e.name.clone()) else {
+        let Some(who) = self.entry_ref(receiver).map(|e| e.name.to_string()) else {
             return;
         };
         let now = self.clock.now();
@@ -1144,10 +1178,9 @@ impl LinuxKernel {
         self.metrics.ipc_bytes += 64;
         self.metrics.hot_path_allocs = self.arena.heap_events();
         let now = self.clock.now();
-        let queues = &self.queues;
-        self.trace.record_with(now, Some(sender), "mq.send", || {
-            format!("{sender} -> {}", qname_of(queues, qid))
-        });
+        let queue = qname_handle(&self.queues, qid);
+        self.trace
+            .record(now, Some(sender), Detail::MqSend { sender, queue });
     }
 
     // ----- termination ----------------------------------------------------------------

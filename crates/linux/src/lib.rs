@@ -45,6 +45,7 @@ pub mod error;
 pub mod kernel;
 pub mod mq;
 pub mod syscall;
+pub mod trace;
 
 pub use cred::{Mode, Uid};
 pub use error::LinuxError;

@@ -7,6 +7,7 @@
 //! within a priority), matching `mq_send(3)`.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use bas_sim::arena::MsgRef;
 use serde::{Deserialize, Serialize};
@@ -57,8 +58,9 @@ impl MqMessage {
 /// A named message queue.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MessageQueue {
-    /// VFS name (e.g. `/mq_sensor_data`).
-    pub name: String,
+    /// VFS name (e.g. `/mq_sensor_data`), shared with the trace records
+    /// that mention the queue.
+    pub name: Arc<str>,
     /// Owning uid (the creator).
     pub owner: Uid,
     /// Group uid the mode's middle triple applies to, if any.
@@ -75,7 +77,7 @@ pub struct MessageQueue {
 
 impl MessageQueue {
     /// Creates an empty queue with no group.
-    pub fn new(name: impl Into<String>, owner: Uid, mode: Mode, capacity: usize) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, owner: Uid, mode: Mode, capacity: usize) -> Self {
         MessageQueue {
             name: name.into(),
             owner,

@@ -38,6 +38,7 @@ use crate::message::{Message, Payload};
 use crate::pcb::{BlockReason, Pcb};
 use crate::pm;
 use crate::syscall::{Reply, Syscall};
+use crate::trace::{Churn, Detail};
 
 /// A boxed MINIX user process.
 pub type MinixProcess = Box<dyn bas_sim::process::Process<Syscall = Syscall, Reply = Reply>>;
@@ -68,7 +69,7 @@ impl Default for MinixConfig {
             acm: AccessControlMatrix::deny_all(),
             quotas: QuotaTable::new(),
             device_owners: BTreeMap::new(),
-            trace_capacity: TraceLog::DEFAULT_CAPACITY,
+            trace_capacity: TraceLog::<Detail>::DEFAULT_CAPACITY,
         }
     }
 }
@@ -92,7 +93,7 @@ pub struct MinixKernel {
     timers: TimerQueue,
     clock: VirtualClock,
     metrics: KernelMetrics,
-    trace: TraceLog,
+    trace: TraceLog<Detail>,
     devices: DeviceBus,
     programs: Vec<(String, ProgramFactory<Syscall, Reply>)>,
     names: BTreeMap<String, Endpoint>,
@@ -235,10 +236,16 @@ impl MinixKernel {
         self.names.insert(name.clone(), endpoint);
         self.run_queue.enqueue(pid);
         self.metrics.processes_created += 1;
-        self.trace
-            .record_with(self.clock.now(), Some(pid), "proc.spawn", || {
-                format!("{name} ac={ac_id} uid={uid} ep={endpoint}")
-            });
+        self.trace.record(
+            self.clock.now(),
+            Some(pid),
+            Detail::Spawn {
+                name: name.into(),
+                ac: ac_id,
+                uid,
+                ep: endpoint,
+            },
+        );
         Ok(endpoint)
     }
 
@@ -306,9 +313,7 @@ impl MinixKernel {
             return false;
         };
         self.trace
-            .record_with(self.clock.now(), Some(pid), "fault.crash", || {
-                format!("killed {name}")
-            });
+            .record(self.clock.now(), Some(pid), Detail::Crash(name.into()));
         self.terminate(pid);
         true
     }
@@ -319,9 +324,7 @@ impl MinixKernel {
     pub fn skew_clock(&mut self, d: SimDuration) {
         self.clock.advance(d);
         self.trace
-            .record_with(self.clock.now(), None, "fault.clock", || {
-                format!("skewed +{}ms", d.as_millis())
-            });
+            .record(self.clock.now(), None, Detail::ClockSkew(d.as_millis()));
     }
 
     // ----- introspection --------------------------------------------------------
@@ -337,7 +340,7 @@ impl MinixKernel {
     }
 
     /// The event trace.
-    pub fn trace(&self) -> &TraceLog {
+    pub fn trace(&self) -> &TraceLog<Detail> {
         &self.trace
     }
 
@@ -473,13 +476,18 @@ impl MinixKernel {
                 dst_name.to_string(),
             )
         });
-        self.trace
-            .record_with(self.clock.now(), None, "cap.churn", || {
-                format!(
-                    "{actor}: {} {sub_name}({sub_ac}) -> {dst_name}({dst_ac})",
-                    kind.label()
-                )
-            });
+        self.trace.record(
+            self.clock.now(),
+            None,
+            Detail::Churn(Box::new(Churn {
+                actor,
+                kind,
+                sub_name: sub_name.to_string(),
+                sub_ac,
+                dst_name: dst_name.to_string(),
+                dst_ac,
+            })),
+        );
         changed
     }
 
@@ -602,7 +610,8 @@ impl MinixKernel {
     }
 
     fn fire_due_timers(&mut self) {
-        for pid in self.timers.pop_due(self.clock.now()) {
+        let now = self.clock.now();
+        while let Some(pid) = self.timers.pop_due(now) {
             if let Some(entry) = self.entry_mut(pid) {
                 if matches!(entry.state, ProcState::Sleeping) {
                     entry.state = ProcState::Runnable;
@@ -650,9 +659,7 @@ impl MinixKernel {
             }
             Action::Exit(code) => {
                 self.trace
-                    .record_with(self.clock.now(), Some(pid), "proc.exit", || {
-                        format!("code={code}")
-                    });
+                    .record(self.clock.now(), Some(pid), Detail::Exit(code));
                 self.terminate(pid);
             }
         }
@@ -825,10 +832,16 @@ impl MinixKernel {
             Err(err) => {
                 if matches!(err, GrantError::NotGrantee | GrantError::PermissionDenied) {
                     self.metrics.access_denied += 1;
-                    self.trace
-                        .record_with(self.clock.now(), Some(caller), "grant.deny", || {
-                            format!("{caller_ep} on grant {grant:?} of {granter}: {err}")
-                        });
+                    self.trace.record(
+                        self.clock.now(),
+                        Some(caller),
+                        Detail::GrantDeny {
+                            caller: caller_ep,
+                            grant,
+                            granter,
+                            err,
+                        },
+                    );
                 }
                 self.ready_with(caller, Reply::Err(grant_errno(err)));
             }
@@ -842,9 +855,7 @@ impl MinixKernel {
         if self.device_owners.get(&dev) != Some(&ac) {
             self.metrics.access_denied += 1;
             self.trace
-                .record_with(self.clock.now(), Some(pid), "dev.deny", || {
-                    format!("{dev} not owned by {ac}")
-                });
+                .record(self.clock.now(), Some(pid), Detail::DevDeny { dev, ac });
             self.ready_with(pid, Reply::Err(MinixError::DeviceAccessDenied));
             return;
         }
@@ -856,9 +867,7 @@ impl MinixKernel {
             match self.devices.write(dev, value) {
                 Ok(()) => {
                     self.trace
-                        .record_with(self.clock.now(), Some(pid), "dev.write", || {
-                            format!("{dev} <- {value}")
-                        });
+                        .record(self.clock.now(), Some(pid), Detail::DevWrite { dev, value });
                     self.ready_with(pid, Reply::Ok);
                 }
                 Err(_) => self.ready_with(pid, Reply::Err(MinixError::InvalidArgument)),
@@ -935,10 +944,16 @@ impl MinixKernel {
         }
         if !decision.is_allowed() {
             self.metrics.access_denied += 1;
-            self.trace
-                .record_with(self.clock.now(), Some(caller), "acm.deny", || {
-                    format!("{caller_ac} -> {dest_ac} m{mtype}: {decision}")
-                });
+            self.trace.record(
+                self.clock.now(),
+                Some(caller),
+                Detail::AcmDeny {
+                    from: caller_ac,
+                    to: dest_ac,
+                    mtype,
+                    decision,
+                },
+            );
             self.ready_with(caller, Reply::Err(MinixError::CallDenied));
             return;
         }
@@ -946,10 +961,14 @@ impl MinixKernel {
         // 3. Optional send quota (flooding bound).
         if self.quotas.charge(caller_ac, SyscallClass::Send).is_err() {
             self.metrics.access_denied += 1;
-            self.trace
-                .record_with(self.clock.now(), Some(caller), "quota.deny", || {
-                    format!("{caller_ac} send quota exhausted")
-                });
+            self.trace.record(
+                self.clock.now(),
+                Some(caller),
+                Detail::QuotaDeny {
+                    ac: caller_ac,
+                    class: SyscallClass::Send,
+                },
+            );
             self.ready_with(caller, Reply::Err(MinixError::QuotaExceeded));
             return;
         }
@@ -991,12 +1010,23 @@ impl MinixKernel {
         // injected fault can disturb authorized application IPC but can
         // neither widen authority nor corrupt platform management.
         if let Some(fault) = self.ipc_faults.pop() {
+            if let IpcFault::Delay(d) = fault {
+                // The message sits in transit: the kernel pays the
+                // latency, then delivery proceeds normally.
+                self.clock.advance(d);
+            }
+            self.trace.record(
+                self.clock.now(),
+                Some(caller),
+                Detail::Fault {
+                    fault,
+                    from: caller_ep,
+                    to: dest,
+                    mtype,
+                },
+            );
             match fault {
                 IpcFault::Drop => {
-                    self.trace
-                        .record_with(self.clock.now(), Some(caller), "fault.ipc", || {
-                            format!("drop {caller_ep} -> {dest} m{mtype}")
-                        });
                     self.arena.free(msg);
                     // A plain send looks delivered; a sendrec fails so
                     // the caller cannot hang on a reply that will
@@ -1008,20 +1038,8 @@ impl MinixKernel {
                     }
                     return;
                 }
-                IpcFault::Delay(d) => {
-                    // The message sits in transit: the kernel pays the
-                    // latency, then delivery proceeds normally.
-                    self.clock.advance(d);
-                    self.trace
-                        .record_with(self.clock.now(), Some(caller), "fault.ipc", || {
-                            format!("delay {caller_ep} -> {dest} m{mtype} +{}ms", d.as_millis())
-                        });
-                }
+                IpcFault::Delay(_) => {}
                 IpcFault::Duplicate => {
-                    self.trace
-                        .record_with(self.clock.now(), Some(caller), "fault.ipc", || {
-                            format!("duplicate {caller_ep} -> {dest} m{mtype}")
-                        });
                     // Refcount the slot instead of copying the payload.
                     let dup = self.arena.dup(msg);
                     self.dup_stash.push_back((caller_ep, dest, mtype, dup));
@@ -1154,10 +1172,14 @@ impl MinixKernel {
             .is_allowed()
         {
             self.metrics.access_denied += 1;
-            self.trace
-                .record_with(self.clock.now(), Some(caller), "acm.deny", || {
-                    format!("{caller_ac} -> {dest_ac} notify")
-                });
+            self.trace.record(
+                self.clock.now(),
+                Some(caller),
+                Detail::NotifyDeny {
+                    from: caller_ac,
+                    to: dest_ac,
+                },
+            );
             self.ready_with(caller, Reply::Err(MinixError::CallDenied));
             return;
         }
@@ -1186,10 +1208,15 @@ impl MinixKernel {
         self.metrics.ipc_messages += 1;
         self.metrics.ipc_bytes += Message::WIRE_SIZE as u64;
         self.clock.charge_ipc_copy(Message::WIRE_SIZE);
-        self.trace
-            .record_with(self.clock.now(), Some(dest), "ipc.deliver", || {
-                format!("{source} -> {dest} m{mtype}")
-            });
+        self.trace.record(
+            self.clock.now(),
+            Some(dest),
+            Detail::Deliver {
+                from: source,
+                to: dest,
+                mtype,
+            },
+        );
         // Capability-stream instrumentation: the delivery *uses* the right
         // that `do_send` admitted, without re-checking it — exactly MINIX's
         // behavior. The recorded `ok` is an observer-only recheck against
@@ -1251,10 +1278,14 @@ impl MinixKernel {
         match mtype {
             pm::PM_FORK2 | pm::PM_SRV_FORK2 => {
                 if self.quotas.charge(caller_ac, SyscallClass::Fork).is_err() {
-                    self.trace
-                        .record_with(self.clock.now(), Some(caller), "quota.deny", || {
-                            format!("{caller_ac} fork quota exhausted")
-                        });
+                    self.trace.record(
+                        self.clock.now(),
+                        Some(caller),
+                        Detail::QuotaDeny {
+                            ac: caller_ac,
+                            class: SyscallClass::Fork,
+                        },
+                    );
                     return Some((pm::PM_ERR, pm::encode_err(MinixError::QuotaExceeded)));
                 }
                 let (program_id, child_ac, child_uid) = pm::decode_fork2(&payload);
@@ -1294,10 +1325,14 @@ impl MinixKernel {
                 if caller_uid != 0 && caller_uid != target_uid {
                     return Some((pm::PM_ERR, pm::encode_err(MinixError::PermissionDenied)));
                 }
-                self.trace
-                    .record_with(self.clock.now(), Some(caller), "pm.kill", || {
-                        format!("{caller_ep} killed {target}")
-                    });
+                self.trace.record(
+                    self.clock.now(),
+                    Some(caller),
+                    Detail::PmKill {
+                        by: caller_ep,
+                        target,
+                    },
+                );
                 self.terminate(target_pid);
                 if target_pid == caller {
                     return None;
@@ -1305,12 +1340,8 @@ impl MinixKernel {
                 Some((pm::PM_OK, Payload::zeroed()))
             }
             pm::PM_EXIT => {
-                self.trace.record(
-                    self.clock.now(),
-                    Some(caller),
-                    "proc.exit",
-                    "pm exit".into(),
-                );
+                self.trace
+                    .record(self.clock.now(), Some(caller), Detail::PmExit);
                 self.terminate(caller);
                 None
             }

@@ -56,6 +56,7 @@ pub mod pcb;
 pub mod pm;
 pub mod script;
 pub mod syscall;
+pub mod trace;
 
 pub use endpoint::Endpoint;
 pub use error::MinixError;

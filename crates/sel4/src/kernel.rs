@@ -27,6 +27,7 @@ use crate::message::{DeliveredMessage, IpcMessage};
 use crate::objects::{KernelObject, ObjId};
 use crate::rights::CapRights;
 use crate::syscall::{Reply, RetypeKind, Syscall};
+use crate::trace::{Churn, Detail};
 
 /// A boxed seL4 user thread.
 pub type Sel4Thread = Box<dyn bas_sim::process::Process<Syscall = Syscall, Reply = Reply>>;
@@ -83,7 +84,7 @@ impl Default for Sel4Config {
             max_threads: 32,
             cspace_slots: 64,
             cost_model: CostModel::default(),
-            trace_capacity: TraceLog::DEFAULT_CAPACITY,
+            trace_capacity: TraceLog::<Detail>::DEFAULT_CAPACITY,
         }
     }
 }
@@ -97,7 +98,7 @@ pub struct Sel4Kernel {
     timers: TimerQueue,
     clock: VirtualClock,
     metrics: KernelMetrics,
-    trace: TraceLog,
+    trace: TraceLog<Detail>,
     devices: DeviceBus,
     last_run: Option<Pid>,
     ipc_faults: IpcFaultState,
@@ -305,7 +306,7 @@ impl Sel4Kernel {
         }
         self.run_queue.enqueue(pid);
         self.trace
-            .record(self.clock.now(), Some(pid), "thread.start", String::new());
+            .record(self.clock.now(), Some(pid), Detail::ThreadStart);
     }
 
     /// Mutable access to the device bus, for installing plant devices.
@@ -336,9 +337,7 @@ impl Sel4Kernel {
             return false;
         };
         self.trace
-            .record_with(self.clock.now(), Some(pid), "fault.crash", || {
-                format!("killed {name}")
-            });
+            .record(self.clock.now(), Some(pid), Detail::Crash(name.into()));
         self.terminate(pid);
         true
     }
@@ -348,9 +347,7 @@ impl Sel4Kernel {
     pub fn skew_clock(&mut self, d: SimDuration) {
         self.clock.advance(d);
         self.trace
-            .record_with(self.clock.now(), None, "fault.clock", || {
-                format!("skewed +{}ms", d.as_millis())
-            });
+            .record(self.clock.now(), None, Detail::ClockSkew(d.as_millis()));
     }
 
     // ----- introspection ------------------------------------------------------
@@ -366,7 +363,7 @@ impl Sel4Kernel {
     }
 
     /// The event trace.
-    pub fn trace(&self) -> &TraceLog {
+    pub fn trace(&self) -> &TraceLog<Detail> {
         &self.trace
     }
 
@@ -431,14 +428,16 @@ impl Sel4Kernel {
                     format!("{obj}"),
                 )
             });
-            self.trace
-                .record_with(self.clock.now(), None, "cap.churn", || {
-                    format!(
-                        "{}: {} {holder_name} caps on {obj}",
-                        sweep.actor,
-                        sweep.kind.label()
-                    )
-                });
+            self.trace.record(
+                self.clock.now(),
+                None,
+                Detail::Churn(Box::new(Churn {
+                    actor: sweep.actor.clone(),
+                    kind: sweep.kind,
+                    holder: holder_name.clone(),
+                    obj,
+                })),
+            );
             any |= changed;
         }
         any
@@ -627,7 +626,8 @@ impl Sel4Kernel {
     }
 
     fn fire_due_timers(&mut self) {
-        for pid in self.timers.pop_due(self.clock.now()) {
+        let now = self.clock.now();
+        while let Some(pid) = self.timers.pop_due(now) {
             if let Some(entry) = self.entry_mut(pid) {
                 if matches!(entry.state, ProcState::Sleeping) {
                     entry.state = ProcState::Runnable;
@@ -670,9 +670,7 @@ impl Sel4Kernel {
             Action::Yield => self.run_queue.enqueue(pid),
             Action::Exit(code) => {
                 self.trace
-                    .record_with(self.clock.now(), Some(pid), "thread.exit", || {
-                        format!("code={code}")
-                    });
+                    .record(self.clock.now(), Some(pid), Detail::Exit(code));
                 self.terminate(pid);
             }
         }
@@ -788,10 +786,11 @@ impl Sel4Kernel {
             Ok(slot) => Reply::Slot(slot),
             Err(e) => Reply::Err(e),
         };
-        self.trace
-            .record_with(self.clock.now(), Some(caller), "untyped.retype", || {
-                format!("{kind:?} from {obj}")
-            });
+        self.trace.record(
+            self.clock.now(),
+            Some(caller),
+            Detail::Retype { kind, from: obj },
+        );
         self.ready_with(caller, r);
     }
 
@@ -810,12 +809,10 @@ impl Sel4Kernel {
         }
     }
 
-    fn deny(&mut self, pid: Pid, err: Sel4Error, what: &str) {
+    fn deny(&mut self, pid: Pid, err: Sel4Error, what: &'static str) {
         self.metrics.access_denied += 1;
         self.trace
-            .record_with(self.clock.now(), Some(pid), "cap.deny", || {
-                format!("{what}: {err}")
-            });
+            .record(self.clock.now(), Some(pid), Detail::CapDeny { what, err });
         self.ready_with(pid, Reply::Err(err));
     }
 
@@ -895,10 +892,15 @@ impl Sel4Kernel {
         if let Some(fault) = self.ipc_faults.pop() {
             match fault {
                 IpcFault::Drop => {
-                    self.trace
-                        .record_with(self.clock.now(), Some(caller), "fault.ipc", || {
-                            format!("drop {caller} ep={ep:?} label={}", msg.label)
-                        });
+                    self.trace.record(
+                        self.clock.now(),
+                        Some(caller),
+                        Detail::FaultDrop {
+                            caller,
+                            ep,
+                            label: msg.label,
+                        },
+                    );
                     // A Call aborts (the reply can never come); a one-way
                     // send looks delivered.
                     if is_call {
@@ -912,19 +914,25 @@ impl Sel4Kernel {
                     // The transfer stalls in the kernel: pay the latency,
                     // then rendezvous normally.
                     self.clock.advance(d);
-                    self.trace
-                        .record_with(self.clock.now(), Some(caller), "fault.ipc", || {
-                            format!("delay {caller} ep={ep:?} +{}ms", d.as_millis())
-                        });
+                    self.trace.record(
+                        self.clock.now(),
+                        Some(caller),
+                        Detail::FaultDelay {
+                            caller,
+                            ep,
+                            ms: d.as_millis(),
+                        },
+                    );
                 }
                 IpcFault::Duplicate => {
                     // Rendezvous IPC has no queue to double-enqueue into
                     // and the one-shot reply capability absorbs a replayed
                     // Call, so the duplicate is absorbed (and recorded).
-                    self.trace
-                        .record_with(self.clock.now(), Some(caller), "fault.ipc", || {
-                            format!("duplicate absorbed {caller} ep={ep:?}")
-                        });
+                    self.trace.record(
+                        self.clock.now(),
+                        Some(caller),
+                        Detail::FaultDuplicate { caller, ep },
+                    );
                 }
             }
         }
@@ -1045,12 +1053,9 @@ impl Sel4Kernel {
                     );
                     received_caps.push(slot);
                 }
-                Err(_) => self.trace.record(
-                    self.clock.now(),
-                    Some(receiver),
-                    "cap.dropped",
-                    "transfer overflowed receiver cspace".into(),
-                ),
+                Err(_) => self
+                    .trace
+                    .record(self.clock.now(), Some(receiver), Detail::CapDropped),
             }
         }
 
@@ -1058,10 +1063,16 @@ impl Sel4Kernel {
         self.metrics.ipc_messages += 1;
         self.metrics.ipc_bytes += bytes as u64;
         self.clock.charge_ipc_copy(bytes);
-        self.trace
-            .record_with(self.clock.now(), Some(receiver), "ipc.deliver", || {
-                format!("{sender} -> {receiver} label={label} badge={badge}")
-            });
+        self.trace.record(
+            self.clock.now(),
+            Some(receiver),
+            Detail::Deliver {
+                sender,
+                receiver,
+                label,
+                badge,
+            },
+        );
 
         // Capability-stream instrumentation: the delivery *uses* the
         // admission decision made at send time without re-checking — real
@@ -1157,9 +1168,7 @@ impl Sel4Kernel {
             // Reply caps are one-shot: if the caller died or was restarted
             // the reply is silently dropped (seL4 semantics).
             self.trace
-                .record_with(self.clock.now(), Some(caller), "ipc.reply_dropped", || {
-                    format!("target {target} not awaiting reply")
-                });
+                .record(self.clock.now(), Some(caller), Detail::ReplyDropped(target));
             self.ready_with(caller, Reply::Ok);
             return;
         }
@@ -1352,10 +1361,11 @@ impl Sel4Kernel {
                 "suspend without write",
             );
         }
-        self.trace
-            .record_with(self.clock.now(), Some(caller), "tcb.suspend", || {
-                format!("{caller} suspended {target}")
-            });
+        self.trace.record(
+            self.clock.now(),
+            Some(caller),
+            Detail::Suspend { by: caller, target },
+        );
         self.terminate(target);
         if target != caller {
             self.ready_with(caller, Reply::Ok);
@@ -1386,10 +1396,11 @@ impl Sel4Kernel {
                 }
                 match self.devices.write(dev, value) {
                     Ok(()) => {
-                        self.trace
-                            .record_with(self.clock.now(), Some(caller), "dev.write", || {
-                                format!("{dev} <- {value}")
-                            });
+                        self.trace.record(
+                            self.clock.now(),
+                            Some(caller),
+                            Detail::DevWrite { dev, value },
+                        );
                         self.ready_with(caller, Reply::Ok);
                     }
                     Err(_) => self.ready_with(caller, Reply::Err(Sel4Error::WrongObjectType)),

@@ -62,6 +62,7 @@ pub mod message;
 pub mod objects;
 pub mod rights;
 pub mod syscall;
+pub mod trace;
 
 pub use cap::{CPtr, Capability};
 pub use cspace::CSpace;

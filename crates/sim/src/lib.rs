@@ -70,4 +70,4 @@ pub use rng::SimRng;
 pub use sched::RunQueue;
 pub use time::{SimDuration, SimTime};
 pub use timer::TimerQueue;
-pub use trace::{TraceEvent, TraceLog};
+pub use trace::{TraceDetail, TraceEvent, TraceLog};

@@ -1,41 +1,56 @@
-//! Structured event trace shared by kernels, scenario processes and the
-//! attack harness.
+//! Structured event trace shared by the three simulated kernels.
 //!
-//! The attack experiments (E3–E7) judge outcomes by inspecting the trace:
-//! e.g. "did the heater driver ever receive a command that did not originate
-//! from the temperature controller?" is answered by scanning delivery events
-//! rather than trusting the attacker's own report.
+//! A record is a [`TraceEvent`]: its time, the process it is attributed
+//! to, and a typed *detail* that each kernel defines for itself (see
+//! [`TraceDetail`]). The detail holds the ids and numbers the kernel
+//! already has in hand — endpoints, pids, message types, device ids,
+//! error enums — so recording a per-message or per-syscall event is one
+//! push of a small value and never touches the heap. Text is produced
+//! only when an event is displayed.
 
 use std::fmt;
-
-use serde::{Deserialize, Serialize};
 
 use crate::process::Pid;
 use crate::time::SimTime;
 
+/// A kernel's typed record payload: names its category and renders the
+/// human-readable detail text.
+pub trait TraceDetail: fmt::Display {
+    /// Stable category tag used for filtering, e.g. `"ipc.deliver"`,
+    /// `"acm.deny"`, `"signal.kill"`.
+    fn category(&self) -> &'static str;
+}
+
 /// One trace record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TraceEvent {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceEvent<D> {
     /// Virtual time of the event.
     pub time: SimTime,
     /// Process the event is attributed to, if any.
     pub pid: Option<Pid>,
-    /// Stable category tag used for filtering, e.g. `"ipc.deliver"`,
-    /// `"acm.deny"`, `"signal.kill"`, `"plant.alarm"`.
-    pub category: &'static str,
-    /// Free-form human-readable detail.
-    pub detail: String,
+    /// What happened.
+    pub detail: D,
 }
 
-impl fmt::Display for TraceEvent {
+impl<D: TraceDetail> TraceEvent<D> {
+    /// The detail's category tag.
+    pub fn category(&self) -> &'static str {
+        self.detail.category()
+    }
+}
+
+impl<D: TraceDetail> fmt::Display for TraceEvent<D> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.pid {
             Some(pid) => write!(
                 f,
                 "[{}] {} {}: {}",
-                self.time, pid, self.category, self.detail
+                self.time,
+                pid,
+                self.category(),
+                self.detail
             ),
-            None => write!(f, "[{}] - {}: {}", self.time, self.category, self.detail),
+            None => write!(f, "[{}] - {}: {}", self.time, self.category(), self.detail),
         }
     }
 }
@@ -43,39 +58,51 @@ impl fmt::Display for TraceEvent {
 /// An append-only event log with bounded memory.
 ///
 /// ```
+/// use std::fmt;
+///
 /// use bas_sim::time::SimTime;
-/// use bas_sim::trace::TraceLog;
+/// use bas_sim::trace::{TraceDetail, TraceLog};
+///
+/// struct Boot;
+///
+/// impl fmt::Display for Boot {
+///     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+///         write!(f, "kernel up")
+///     }
+/// }
+///
+/// impl TraceDetail for Boot {
+///     fn category(&self) -> &'static str {
+///         "boot"
+///     }
+/// }
 ///
 /// let mut log = TraceLog::new();
-/// log.record(SimTime::ZERO, None, "boot", "kernel up".to_string());
+/// log.record(SimTime::ZERO, None, Boot);
 /// assert_eq!(log.events_in("boot").count(), 1);
+/// assert_eq!(log.events()[0].to_string(), "[0.000000s] - boot: kernel up");
 /// ```
 #[derive(Debug, Clone)]
-pub struct TraceLog {
-    events: Vec<TraceEvent>,
+pub struct TraceLog<D> {
+    events: Vec<TraceEvent<D>>,
     capacity: usize,
     dropped: u64,
     enabled: bool,
 }
 
-impl Default for TraceLog {
+impl<D> Default for TraceLog<D> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl TraceLog {
+impl<D> TraceLog<D> {
     /// Default maximum number of retained events.
     pub const DEFAULT_CAPACITY: usize = 1_000_000;
 
     /// Creates an enabled log with the default capacity.
     pub fn new() -> Self {
-        TraceLog {
-            events: Vec::new(),
-            capacity: Self::DEFAULT_CAPACITY,
-            dropped: 0,
-            enabled: true,
-        }
+        Self::with_capacity(Self::DEFAULT_CAPACITY)
     }
 
     /// Creates a log that retains at most `capacity` events; further events
@@ -99,27 +126,9 @@ impl TraceLog {
         self.enabled = true;
     }
 
-    /// Appends an event.
-    pub fn record(
-        &mut self,
-        time: SimTime,
-        pid: Option<Pid>,
-        category: &'static str,
-        detail: String,
-    ) {
-        self.record_with(time, pid, category, || detail);
-    }
-
-    /// Appends an event, building the detail string lazily: the closure
-    /// runs only if the event will actually be retained. Kernel hot paths
-    /// use this so a disabled (or full) log costs no `format!` allocation.
-    pub fn record_with(
-        &mut self,
-        time: SimTime,
-        pid: Option<Pid>,
-        category: &'static str,
-        detail: impl FnOnce() -> String,
-    ) {
+    /// Appends an event. The only heap traffic is the event buffer's own
+    /// geometric growth (and whatever `detail` itself owns).
+    pub fn record(&mut self, time: SimTime, pid: Option<Pid>, detail: D) {
         if !self.enabled {
             return;
         }
@@ -127,32 +136,12 @@ impl TraceLog {
             self.dropped += 1;
             return;
         }
-        self.events.push(TraceEvent {
-            time,
-            pid,
-            category,
-            detail: detail(),
-        });
+        self.events.push(TraceEvent { time, pid, detail });
     }
 
     /// All retained events in order.
-    pub fn events(&self) -> &[TraceEvent] {
+    pub fn events(&self) -> &[TraceEvent<D>] {
         &self.events
-    }
-
-    /// Events whose category equals `category`.
-    pub fn events_in<'a>(&'a self, category: &'a str) -> impl Iterator<Item = &'a TraceEvent> + 'a {
-        self.events.iter().filter(move |e| e.category == category)
-    }
-
-    /// Events whose category starts with `prefix` (e.g. `"ipc."`).
-    pub fn events_with_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = &'a TraceEvent> + 'a {
-        self.events
-            .iter()
-            .filter(move |e| e.category.starts_with(prefix))
     }
 
     /// Number of events discarded due to the capacity bound.
@@ -167,20 +156,56 @@ impl TraceLog {
     }
 }
 
+impl<D: TraceDetail> TraceLog<D> {
+    /// Events whose category equals `category`.
+    pub fn events_in<'a>(
+        &'a self,
+        category: &'a str,
+    ) -> impl Iterator<Item = &'a TraceEvent<D>> + 'a {
+        self.events.iter().filter(move |e| e.category() == category)
+    }
+
+    /// Events whose category starts with `prefix` (e.g. `"ipc."`).
+    pub fn events_with_prefix<'a>(
+        &'a self,
+        prefix: &'a str,
+    ) -> impl Iterator<Item = &'a TraceEvent<D>> + 'a {
+        self.events
+            .iter()
+            .filter(move |e| e.category().starts_with(prefix))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ev(log: &mut TraceLog, cat: &'static str, detail: &str) {
-        log.record(SimTime::ZERO, Some(Pid::new(1)), cat, detail.to_string());
+    /// A test detail: its category and a number.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Tag(&'static str, u32);
+
+    impl fmt::Display for Tag {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write!(f, "n={}", self.1)
+        }
+    }
+
+    impl TraceDetail for Tag {
+        fn category(&self) -> &'static str {
+            self.0
+        }
+    }
+
+    fn ev(log: &mut TraceLog<Tag>, cat: &'static str, n: u32) {
+        log.record(SimTime::ZERO, Some(Pid::new(1)), Tag(cat, n));
     }
 
     #[test]
     fn category_filtering() {
         let mut log = TraceLog::new();
-        ev(&mut log, "ipc.deliver", "a->b");
-        ev(&mut log, "ipc.deny", "c->b");
-        ev(&mut log, "signal.kill", "c->a");
+        ev(&mut log, "ipc.deliver", 1);
+        ev(&mut log, "ipc.deny", 2);
+        ev(&mut log, "signal.kill", 3);
         assert_eq!(log.events_in("ipc.deny").count(), 1);
         assert_eq!(log.events_with_prefix("ipc.").count(), 2);
         assert_eq!(log.events().len(), 3);
@@ -189,51 +214,38 @@ mod tests {
     #[test]
     fn capacity_bound_drops_and_counts() {
         let mut log = TraceLog::with_capacity(2);
-        ev(&mut log, "x", "1");
-        ev(&mut log, "x", "2");
-        ev(&mut log, "x", "3");
+        ev(&mut log, "x", 1);
+        ev(&mut log, "x", 2);
+        ev(&mut log, "x", 3);
         assert_eq!(log.events().len(), 2);
+        assert_eq!(log.events()[1].detail, Tag("x", 2));
         assert_eq!(log.dropped(), 1);
-    }
-
-    #[test]
-    fn record_with_is_lazy_when_disabled_or_full() {
-        let mut log = TraceLog::with_capacity(1);
-        log.disable();
-        log.record_with(SimTime::ZERO, None, "x", || {
-            panic!("closure must not run while disabled")
-        });
-        log.enable();
-        log.record_with(SimTime::ZERO, None, "x", || "kept".to_string());
-        log.record_with(SimTime::ZERO, None, "x", || {
-            panic!("closure must not run once the log is full")
-        });
-        assert_eq!(log.events().len(), 1);
-        assert_eq!(log.events()[0].detail, "kept");
-        assert_eq!(log.dropped(), 1);
+        log.clear();
+        assert!(log.events().is_empty());
+        assert_eq!(log.dropped(), 0);
     }
 
     #[test]
     fn disabled_log_records_nothing() {
         let mut log = TraceLog::new();
         log.disable();
-        ev(&mut log, "x", "1");
+        ev(&mut log, "x", 1);
         assert!(log.events().is_empty());
+        assert_eq!(log.dropped(), 0);
         log.enable();
-        ev(&mut log, "x", "2");
+        ev(&mut log, "x", 2);
         assert_eq!(log.events().len(), 1);
     }
 
     #[test]
-    fn display_mentions_category_and_pid() {
+    fn display_renders_time_pid_category_and_detail() {
         let e = TraceEvent {
             time: SimTime::from_nanos(1_000),
             pid: Some(Pid::new(4)),
-            category: "acm.deny",
-            detail: "spoof blocked".into(),
+            detail: Tag("acm.deny", 7),
         };
-        let s = format!("{e}");
-        assert!(s.contains("acm.deny"));
-        assert!(s.contains("pid4"));
+        assert_eq!(e.to_string(), "[0.000001s] pid4 acm.deny: n=7");
+        let e = TraceEvent { pid: None, ..e };
+        assert_eq!(e.to_string(), "[0.000001s] - acm.deny: n=7");
     }
 }

@@ -29,7 +29,7 @@ impl Process for LockController {
     fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
         match reply {
             Some(Reply::Msg(m)) => {
-                let req = self.server.decode(&m);
+                let req = self.server.decode(m);
                 let granted = req.label == 0 // request_entry
                     && req.args.first().is_some_and(|id| self.allowlist.contains(id));
                 Action::Syscall(
