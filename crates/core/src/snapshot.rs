@@ -151,7 +151,19 @@ impl EngineSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bas_linux::syscall::{Reply as LinuxReply, Syscall as LinuxSyscall};
+    use bas_minix::syscall::{Reply as MinixReply, Syscall as MinixSyscall};
+    use bas_sel4::syscall::{Reply as Sel4Reply, Syscall as Sel4Syscall};
+    use bas_sim::caps::{CapChurnOp, ChurnKind};
+    use bas_sim::device::DeviceId;
+    use bas_sim::fault::IpcFault;
     use bas_sim::time::SimDuration;
+
+    use crate::engine::{PlatformKernel, ScenarioEngine};
+    use crate::platform::linux::LinuxStack;
+    use crate::platform::minix::MinixStack;
+    use crate::platform::sel4::Sel4Stack;
+    use crate::proto::names;
 
     /// The whole soundness claim, concentrated: recycling a *used* engine
     /// replays a different seed byte-identically to a cold boot of that
@@ -264,24 +276,185 @@ mod tests {
         }
     }
 
-    /// Attack-override stacks refuse to recycle (the byte-identity gate).
+    /// Boots `K` for `seed` from the snapshot's template with default
+    /// overrides, keeping the stack typed so tests can reach its hooks.
+    fn typed<K: PlatformKernel>(snapshot: &EngineSnapshot, seed: u64) -> ScenarioEngine<K> {
+        ScenarioEngine::boot(&snapshot.config_for(seed), K::Overrides::default())
+    }
+
+    /// Applies `hook` to a never-stepped engine, recycles it for another
+    /// seed without a step in between, runs 2 simulated minutes and
+    /// compares everything observable with a cold boot of that seed. A
+    /// hook that leaves its mark on the kernel must disable the pristine
+    /// fast path, or the recycled run inherits the mark.
+    fn hooked_recycle_matches_cold_boot<K: PlatformKernel>(
+        hook: &str,
+        apply: impl FnOnce(&mut ScenarioEngine<K>),
+    ) {
+        let platform = K::PLATFORM;
+        let template = ScenarioConfig::quiet();
+        let horizon = SimDuration::from_mins(2);
+        let snapshot = EngineSnapshot::capture(platform, &template);
+
+        let mut engine = typed::<K>(&snapshot, 7);
+        apply(&mut engine);
+        assert!(snapshot.recycle(&mut engine, 1234), "{platform} {hook}");
+        engine.run_for(horizon);
+
+        let mut cold = typed::<K>(&snapshot, 1234);
+        cold.run_for(horizon);
+
+        let what = format!("{platform} after {hook}");
+        assert_eq!(engine.now(), cold.now(), "{what}: clock diverged");
+        assert_eq!(engine.metrics(), cold.metrics(), "{what}: metrics diverged");
+        assert_eq!(
+            engine.alive_names(),
+            cold.alive_names(),
+            "{what}: process table diverged"
+        );
+        assert_eq!(
+            engine.web_responses(),
+            cold.web_responses(),
+            "{what}: web responses diverged"
+        );
+        assert_eq!(
+            crate::scenario::plant_snapshot(&engine),
+            crate::scenario::plant_snapshot(&cold),
+            "{what}: plant diverged"
+        );
+        assert_eq!(
+            engine.stack.cap_trace(),
+            cold.stack.cap_trace(),
+            "{what}: capability trace diverged"
+        );
+        for category in ["cap.churn", "fault.crash", "fault.clock", "fault.ipc"] {
+            assert_eq!(
+                engine.trace_count(category),
+                cold.trace_count(category),
+                "{what}: {category} records diverged"
+            );
+        }
+    }
+
+    /// A churn channel both of whose ends exist right after boot: MINIX
+    /// boots only its loader (which forks through PM), the other
+    /// platforms boot all five processes.
+    fn boot_channel(platform: Platform, kind: ChurnKind) -> CapChurnOp {
+        match platform {
+            Platform::Minix => CapChurnOp::new(kind, names::SCENARIO, "pm"),
+            _ => CapChurnOp::new(kind, names::SENSOR, names::CONTROL),
+        }
+    }
+
+    /// Every mutating hook, applied to a never-stepped engine.
+    fn every_hook_disables_the_pristine_fast_path<K: PlatformKernel>() {
+        hooked_recycle_matches_cold_boot::<K>("inject_crash", |e| {
+            let victim = e.alive_names()[0].clone();
+            assert!(e.stack.inject_crash(&victim), "{victim} was alive");
+        });
+        hooked_recycle_matches_cold_boot::<K>("arm_ipc_fault", |e| {
+            e.stack.arm_ipc_fault(IpcFault::Drop, 3);
+        });
+        hooked_recycle_matches_cold_boot::<K>("skew_clock", |e| {
+            e.stack.skew_clock(SimDuration::from_secs(5));
+        });
+        hooked_recycle_matches_cold_boot::<K>("apply_cap_churn", |e| {
+            let op = boot_channel(K::PLATFORM, ChurnKind::Revoke);
+            assert!(e.stack.apply_cap_churn(&op), "{op:?} resolved");
+        });
+        hooked_recycle_matches_cold_boot::<K>("arm_cap_churn", |e| {
+            let op = CapChurnOp::new(ChurnKind::Revoke, names::SENSOR, names::CONTROL);
+            e.stack.arm_cap_churn(&op, 0);
+        });
+        hooked_recycle_matches_cold_boot::<K>("enable_cap_trace", |e| {
+            e.stack.enable_cap_trace();
+        });
+    }
+
+    #[test]
+    fn minix_hooks_disable_the_pristine_fast_path() {
+        every_hook_disables_the_pristine_fast_path::<MinixStack>();
+    }
+
+    #[test]
+    fn sel4_hooks_disable_the_pristine_fast_path() {
+        every_hook_disables_the_pristine_fast_path::<Sel4Stack>();
+    }
+
+    #[test]
+    fn linux_hooks_disable_the_pristine_fast_path() {
+        every_hook_disables_the_pristine_fast_path::<LinuxStack>();
+    }
+
+    /// Attack-override stacks refuse to recycle (the byte-identity gate),
+    /// on every platform.
     #[test]
     fn overridden_stack_refuses_recycle() {
-        use crate::platform::minix::{build_minix, MinixOverrides};
-        use bas_minix::syscall::{Reply, Syscall};
         use bas_sim::script::Script;
 
         let config = ScenarioConfig::quiet();
-        let overrides = MinixOverrides {
-            web_factory: Some(Box::new(|| {
-                Box::new(Script::<Syscall, Reply>::looping(vec![Syscall::Sleep {
-                    duration: SimDuration::from_secs(3_600),
-                }]))
-            })),
-            ..MinixOverrides::default()
-        };
-        let mut engine = build_minix(&config, overrides);
+        let idle = SimDuration::from_secs(3_600);
+
+        let mut minix = build_minix(
+            &config,
+            MinixOverrides {
+                web_factory: Some(Box::new(move || {
+                    Box::new(Script::<MinixSyscall, MinixReply>::looping(vec![
+                        MinixSyscall::Sleep { duration: idle },
+                    ]))
+                })),
+                ..MinixOverrides::default()
+            },
+        );
         let snapshot = EngineSnapshot::capture(Platform::Minix, &config);
-        assert!(!snapshot.recycle(&mut engine, 1));
+        assert!(!snapshot.recycle(&mut minix, 1), "minix web override");
+
+        let mut sel4 = build_sel4(
+            &config,
+            Sel4Overrides {
+                web_factory: Some(Box::new(move |_| {
+                    Box::new(Script::<Sel4Syscall, Sel4Reply>::looping(vec![
+                        Sel4Syscall::Sleep { duration: idle },
+                    ]))
+                })),
+                ..Sel4Overrides::default()
+            },
+        );
+        let snapshot = EngineSnapshot::capture(Platform::Sel4, &config);
+        assert!(!snapshot.recycle(&mut sel4, 1), "sel4 web override");
+
+        let mut linux = build_linux(
+            &config,
+            LinuxOverrides {
+                web_factory: Some(Box::new(move || {
+                    Box::new(Script::<LinuxSyscall, LinuxReply>::looping(vec![
+                        LinuxSyscall::Sleep { duration: idle },
+                    ]))
+                })),
+                ..LinuxOverrides::default()
+            },
+        );
+        let snapshot = EngineSnapshot::capture(Platform::Linux, &config);
+        assert!(!snapshot.recycle(&mut linux, 1), "linux web override");
+    }
+
+    /// A fault interposer on the device bus survives a kernel reset, so a
+    /// stack whose bus was interposed refuses to recycle too.
+    fn interposed_stack_refuses_recycle<K: PlatformKernel>() {
+        let snapshot = EngineSnapshot::capture(K::PLATFORM, &ScenarioConfig::quiet());
+        let mut engine = typed::<K>(&snapshot, 7);
+        engine
+            .stack
+            .devices_mut()
+            .interpose(DeviceId::TEMP_SENSOR, |inner| inner)
+            .expect("the plant installed the sensor");
+        assert!(!snapshot.recycle(&mut engine, 1), "{}", K::PLATFORM);
+    }
+
+    #[test]
+    fn interposed_stacks_refuse_recycle() {
+        interposed_stack_refuses_recycle::<MinixStack>();
+        interposed_stack_refuses_recycle::<Sel4Stack>();
+        interposed_stack_refuses_recycle::<LinuxStack>();
     }
 }
