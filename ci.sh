@@ -45,6 +45,10 @@ echo "== cargo clippy (bas-analysis + bas-faults + bas-fleet: no unwrap in the a
 cargo clippy -p bas-analysis -p bas-faults -p bas-fleet -p bas-traffic --all-targets -- -D warnings \
   -W clippy::unwrap_used
 
+echo "== rustdoc (deny warnings: a moved or renamed item leaves no dead link) =="
+# The vendored proptest stand-in carries its own broken links and stays out.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --exclude proptest --no-deps --offline
+
 echo "== cargo test =="
 cargo test -q --workspace
 

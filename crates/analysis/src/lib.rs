@@ -15,7 +15,7 @@
 //!   model. Cross-validated against the dynamic harness: the
 //!   `static_vs_dynamic` tests assert prediction == execution for every
 //!   cell, including both policy ablations.
-//! * [`lint`] — a policy linter diffing the effective policy against the
+//! * [`lint`](mod@lint) — a policy linter diffing the effective policy against the
 //!   AADL-minimal justification: over-granted capabilities, ambient
 //!   queue authority, dangling identities, unused message types,
 //!   untrusted→actuator paths, and a least-privilege summary.

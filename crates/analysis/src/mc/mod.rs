@@ -21,7 +21,7 @@
 //!
 //! The module tree: [`state`] (the explored value type), [`gate`] (the
 //! kernel-artifact adjudicator), [`model`] (the
-//! [`bas_core::semantics::StepSemantics`] implementation), [`explore`]
+//! [`bas_core::semantics::StepSemantics`] implementation), [`explore`](mod@explore)
 //! (BFS + ample-set partial-order reduction + counterexample
 //! minimization), [`verdict`] (per-cell three-valued outcomes and the
 //! 54-cell matrix), and [`replay`] (feeding minimized counterexamples

@@ -23,7 +23,7 @@
 //!
 //! The transition graph is a DAG: within a round the `moved` mask grows
 //! strictly, and the tick strictly increases `round`. This is what makes
-//! the ample-set cycle condition (C3) vacuous — see [`super::explore`].
+//! the ample-set cycle condition (C3) vacuous — see [`super::explore`](mod@super::explore).
 
 use bas_attack::{AttackId, AttackerModel};
 use bas_core::platform::linux::UidScheme;

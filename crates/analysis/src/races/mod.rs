@@ -11,7 +11,7 @@
 //! * [`clock`] — vector clocks (Fidge/Mattern) assigned from program
 //!   order plus the recorded IPC edges; happens-before and concurrency
 //!   queries over event pairs.
-//! * [`detect`] — the race detector: check→use pairs racing a
+//! * [`detect`](mod@detect) — the race detector: check→use pairs racing a
 //!   concurrent revoke (TOCTOU), uses strictly after an ordered revoke
 //!   the kernel still honored (use-after-revoke), and unordered
 //!   effective writes by distinct actors (write-write). Defined purely

@@ -5,6 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use bas_acm::{AcId, AccessControlMatrix};
+use bas_sim::kernel::Kernel;
 use bas_sim::process::{Action, Process};
 
 const ROUNDTRIPS: u64 = 1_000;

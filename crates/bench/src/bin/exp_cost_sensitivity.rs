@@ -14,6 +14,7 @@ use bas_minix::message::Payload;
 use bas_minix::pm;
 use bas_minix::syscall::{Reply as MReply, Syscall as MSyscall};
 use bas_sim::clock::CostModel;
+use bas_sim::kernel::Kernel;
 use bas_sim::process::{Action, Process};
 use bas_sim::time::SimDuration;
 

@@ -11,6 +11,7 @@
 use bas_acm::{AcId, AccessControlMatrix};
 use bas_bench::{rule, section, Harness};
 use bas_fleet::Json;
+use bas_sim::kernel::Kernel;
 use bas_sim::process::{Action, Process};
 
 /// One measured row: per-op cost of an IPC pattern on one platform.

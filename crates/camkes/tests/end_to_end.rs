@@ -8,6 +8,7 @@ use bas_camkes::glue::{RpcClient, RpcServer};
 use bas_capdl::{realize, verify};
 use bas_sel4::kernel::{Sel4Config, Sel4Kernel, Sel4Thread};
 use bas_sel4::syscall::{Reply, Syscall};
+use bas_sim::kernel::Kernel;
 use bas_sim::process::{Action, Process};
 use bas_sim::script::{replies, Script};
 

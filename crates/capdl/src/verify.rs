@@ -214,6 +214,7 @@ mod tests {
     use bas_sel4::kernel::{Sel4Config, Sel4Thread};
     use bas_sel4::rights::CapRights;
     use bas_sel4::syscall::{Reply, Syscall};
+    use bas_sim::kernel::Kernel;
     use bas_sim::script::Script;
 
     const SPEC: &str = "object ep endpoint\nthread a\nthread b\n\

@@ -7,6 +7,7 @@ use bas_capdl::verify::{verify, VerifyIssue};
 use bas_sel4::cap::CPtr;
 use bas_sel4::kernel::{Sel4Config, Sel4Kernel, Sel4Thread};
 use bas_sel4::syscall::{Reply, RetypeKind, Syscall};
+use bas_sim::kernel::Kernel;
 use bas_sim::script::{replies, Script};
 
 const SPEC: &str = "object pool untyped 48\nthread allocator\ncap allocator[0] = pool -W- badge=0";

@@ -3,7 +3,7 @@
 //! Each platform stack ([`platform::minix::MinixStack`],
 //! [`platform::sel4::Sel4Stack`], [`platform::linux::LinuxStack`])
 //! implements [`PlatformKernel`] — boot the five-process scenario from its
-//! policy artifact, step the kernel, expose trace and metrics — and
+//! policy artifact and expose its kernel — and
 //! [`ScenarioEngine`] supplies everything that used to be copy-pasted per
 //! platform: the instance's application I/O ([`AppIo`]: plant, web logs,
 //! schedule) and its re-imaging on recycle, the kernel/plant lockstep
@@ -19,6 +19,7 @@ use bas_plant::SharedPlant;
 use bas_sim::caps::{CapChurnOp, CapTrace};
 use bas_sim::device::DeviceBus;
 use bas_sim::fault::IpcFault;
+use bas_sim::kernel::Kernel;
 use bas_sim::metrics::KernelMetrics;
 use bas_sim::time::{SimDuration, SimTime};
 
@@ -29,10 +30,13 @@ use crate::scenario::{AppIo, Platform, Scenario, ScenarioConfig};
 /// One platform's bootable kernel stack, as seen by the generic engine
 /// and the fleet layer.
 ///
-/// Implementations own the simulated kernel and its boot plan; the engine
-/// owns the instance's [`AppIo`], the lockstep loop and the
+/// Implementations own the simulated kernel and its boot plan and expose
+/// the kernel through [`PlatformKernel::kernel`]; clock, counters, trace
+/// and process names are read there. The engine owns the instance's
+/// [`AppIo`], the lockstep loop, the recycle decisions and the
 /// cross-platform [`Scenario`] surface. Attack injection and ablation
-/// policies ride in through [`PlatformKernel::Overrides`].
+/// policies ride in through [`PlatformKernel::Overrides`]; faults and
+/// capability churn through the provided hooks below.
 pub trait PlatformKernel {
     /// The platform this stack models.
     const PLATFORM: Platform;
@@ -41,79 +45,113 @@ pub trait PlatformKernel {
     /// policies, fault injection, supervision.
     type Overrides: Default;
 
+    /// The simulated kernel.
+    type Kernel: Kernel;
+
     /// Boots the five-process scenario from the platform's policy
     /// artifact (ACM / CapDL spec / mq ACL plan), installing `io`'s plant
     /// devices and wiring the benign web process to `io`.
     fn boot(config: &ScenarioConfig, overrides: Self::Overrides, io: &AppIo) -> Self;
 
-    /// Current virtual time.
-    fn now(&self) -> SimTime;
+    /// Whether a stack booted with `overrides` may be recycled. One-shot
+    /// overrides (attacker web factories, which may be stateful script
+    /// cells; extra capability grants) cannot be replayed on a recycled
+    /// kernel with cold-boot identity.
+    fn recyclable(overrides: &Self::Overrides) -> bool;
 
-    /// Advances the kernel's event loop to `target` virtual time.
-    fn run_until(&mut self, target: SimTime);
+    /// The simulated kernel.
+    fn kernel(&self) -> &Self::Kernel;
 
-    /// Kernel counters.
-    fn metrics(&self) -> KernelMetrics;
-
-    /// Names of live processes/threads.
-    fn alive_names(&self) -> Vec<String>;
-
-    /// Number of kernel-trace events in a category (e.g. `"acm.deny"`).
-    fn trace_count(&self, category: &str) -> usize;
+    /// The simulated kernel, mutably. Changes made through it bypass the
+    /// touched-since-boot mark the hooks below set; use the hooks.
+    fn kernel_mut(&mut self) -> &mut Self::Kernel;
 
     /// Returns the kernel to its just-booted state under `config`,
-    /// reusing live allocations — the snapshot-fork boot path. `config`
-    /// must be the boot template modulo `seed`: the stack re-runs its
-    /// stored boot plan against `io`, which the engine re-images itself.
-    /// Returns `false` when this stack cannot guarantee byte-identity with
-    /// a cold boot (e.g. one-shot attacker overrides), in which case the
-    /// caller must cold-boot.
-    fn reset_to_boot(&mut self, config: &ScenarioConfig, io: &AppIo) -> bool;
+    /// reusing live allocations, and re-runs the stored boot plan against
+    /// `io` — the snapshot-fork boot path. `config` must be the boot
+    /// template modulo `seed`. Whether recycling is allowed and needed at
+    /// all is decided by [`ScenarioEngine`].
+    fn reset_to_boot(&mut self, config: &ScenarioConfig, io: &AppIo);
+
+    /// Maps an instance-level capability mutation onto the kernel's own
+    /// authority structure: a MINIX ACM row, seL4 CDT sweeps over the
+    /// destination's endpoints, Linux mq mode edits on the queues that
+    /// carry the channel. Empty when the pair does not resolve.
+    fn resolve_churn(&self, op: &CapChurnOp) -> Vec<<Self::Kernel as Kernel>::Churn>;
 
     // ----- fault-injection hooks (`bas-faults`) -----------------------------
 
-    /// Mutable access to the kernel's device bus, so fault interposers
-    /// can wrap plant devices (`DeviceBus::interpose`).
-    fn devices_mut(&mut self) -> &mut DeviceBus;
+    /// The kernel's device bus, so fault interposers can wrap plant
+    /// devices (`DeviceBus::interpose`). An interposed bus outlives a
+    /// kernel reset, so such a stack no longer recycles.
+    fn devices_mut(&mut self) -> &mut DeviceBus {
+        self.kernel_mut().devices_mut()
+    }
 
     /// Kills the named process/thread outright — a simulated crash, not a
     /// policy-gated kill. Restart semantics are the platform's own: a
     /// supervised MINIX stack re-forks the victim, Linux and seL4 do not.
     /// Returns false if no live process bears the name.
-    fn inject_crash(&mut self, name: &str) -> bool;
+    fn inject_crash(&mut self, name: &str) -> bool {
+        touch(self).kill_named(name)
+    }
 
     /// Arms `count` one-shot IPC faults, consumed in order by subsequent
     /// application sends (after each platform's access-control gate).
-    fn arm_ipc_fault(&mut self, fault: IpcFault, count: u32);
-
-    /// Number of armed IPC faults consumed so far.
-    fn ipc_faults_applied(&self) -> u64;
+    fn arm_ipc_fault(&mut self, fault: IpcFault, count: u32) {
+        touch(self).ipc_faults_mut().arm(fault, count);
+    }
 
     /// Jumps the kernel clock forward by `d` — a tick-skew fault.
-    fn skew_clock(&mut self, d: SimDuration);
+    fn skew_clock(&mut self, d: SimDuration) {
+        touch(self).skew_clock(d);
+    }
 
     // ----- capability churn hooks (`bas-analysis::races`) -------------------
 
     /// Applies a mid-run capability mutation: `op.subject` and `op.object`
-    /// are scenario instance names, and each platform maps them onto its
-    /// own authority structure — a MINIX ACM row, an seL4 CDT revoke
-    /// sweep, a Linux mq mode edit. Returns false when the platform
-    /// cannot resolve the pair (or the op was already in effect).
-    fn apply_cap_churn(&mut self, op: &CapChurnOp) -> bool;
+    /// are scenario instance names (see [`Self::resolve_churn`]). Returns
+    /// false when the platform cannot resolve the pair (or the op was
+    /// already in effect).
+    fn apply_cap_churn(&mut self, op: &CapChurnOp) -> bool {
+        let ops = self.resolve_churn(op);
+        let kernel = touch(self);
+        ops.iter()
+            .fold(false, |changed, op| kernel.apply_cap_churn(op) | changed)
+    }
 
     /// Arms `op` to fire immediately after the `after_checks`-th
     /// subsequent *successful* admission check by `op.subject` toward
     /// `op.object` — deterministically inside the platform's check→use
     /// window.
-    fn arm_cap_churn(&mut self, op: &CapChurnOp, after_checks: u32);
+    fn arm_cap_churn(&mut self, op: &CapChurnOp, after_checks: u32) {
+        let ops = self.resolve_churn(op);
+        let kernel = touch(self);
+        for op in &ops {
+            kernel.arm_cap_churn(op, after_checks);
+        }
+    }
 
     /// Starts recording the kernel's structured capability-event stream
     /// ([`bas_sim::caps::CapEvent`]). Off by default.
-    fn enable_cap_trace(&mut self);
+    fn enable_cap_trace(&mut self) {
+        touch(self).enable_cap_trace();
+    }
 
     /// Snapshot of the capability-event stream recorded so far. Empty
     /// when tracing was never enabled.
-    fn cap_trace(&self) -> CapTrace;
+    fn cap_trace(&self) -> CapTrace {
+        self.kernel().cap_trace()
+    }
+}
+
+/// The stack's kernel, marked as touched since boot. Every hook that
+/// changes a booted kernel goes through here, so the pristine-recycle
+/// check in [`ScenarioEngine`]'s `reset_to_boot` has one source of truth.
+fn touch<K: PlatformKernel + ?Sized>(stack: &mut K) -> &mut K::Kernel {
+    let kernel = stack.kernel_mut();
+    kernel.exec_mut().touch();
+    kernel
 }
 
 /// Hook called with the platform stack at every lockstep chunk boundary
@@ -138,6 +176,8 @@ pub struct ScenarioEngine<K: PlatformKernel> {
     /// `s.stack.kernel`, and on seL4 `s.stack.spec` / `s.stack.sys`).
     pub stack: K,
     io: AppIo,
+    /// False when boot installed one-shot overrides.
+    recyclable: bool,
     chunk: SimDuration,
     reference_changes: Vec<(SimTime, i32)>,
     next_reference: usize,
@@ -148,10 +188,12 @@ impl<K: PlatformKernel> ScenarioEngine<K> {
     /// Boots the scenario on `K` and prepares the lockstep runner.
     pub fn boot(config: &ScenarioConfig, overrides: K::Overrides) -> Self {
         let io = AppIo::new(config);
+        let recyclable = K::recyclable(&overrides);
         let stack = K::boot(config, overrides, &io);
         ScenarioEngine {
             stack,
             io,
+            recyclable,
             chunk: config.lockstep_chunk,
             reference_changes: config.reference_changes(),
             next_reference: 0,
@@ -175,37 +217,37 @@ impl<K: PlatformKernel> Scenario for ScenarioEngine<K> {
     }
 
     fn run_for(&mut self, d: SimDuration) {
-        let end = self.stack.now() + d;
-        while self.stack.now() < end {
+        let end = self.now() + d;
+        while self.now() < end {
             if let Some(hook) = self.tick_hook.as_mut() {
                 hook(&mut self.stack);
             }
             let target = {
-                let t = self.stack.now() + self.chunk;
+                let t = self.now() + self.chunk;
                 if t > end {
                     end
                 } else {
                     t
                 }
             };
-            self.stack.run_until(target);
+            touch(&mut self.stack).run_until(target);
             // Keep the safety oracle's authorized reference in sync with
             // the administrator's (in-range, in-order) setpoint changes.
             while let Some(&(t, mc)) = self.reference_changes.get(self.next_reference) {
-                if t <= self.stack.now() {
+                if t <= self.now() {
                     self.io.plant.borrow_mut().set_reference(mc as f64 / 1000.0);
                     self.next_reference += 1;
                 } else {
                     break;
                 }
             }
-            let now = self.stack.now();
+            let now = self.now();
             self.io.plant.borrow_mut().step_to(now);
         }
     }
 
     fn now(&self) -> SimTime {
-        self.stack.now()
+        self.stack.kernel().now()
     }
 
     fn plant(&self) -> SharedPlant {
@@ -213,15 +255,15 @@ impl<K: PlatformKernel> Scenario for ScenarioEngine<K> {
     }
 
     fn metrics(&self) -> KernelMetrics {
-        self.stack.metrics()
+        *self.stack.kernel().metrics()
     }
 
     fn alive_names(&self) -> Vec<String> {
-        self.stack.alive_names()
+        self.stack.kernel().alive_names()
     }
 
     fn trace_count(&self, category: &str) -> usize {
-        self.stack.trace_count(category)
+        self.stack.kernel().trace().events_in(category).count()
     }
 
     fn web_responses(&self) -> Vec<BasMsg> {
@@ -233,8 +275,17 @@ impl<K: PlatformKernel> Scenario for ScenarioEngine<K> {
     }
 
     fn reset_to_boot(&mut self, config: &ScenarioConfig) -> bool {
-        if !self.stack.reset_to_boot(config, &self.io) {
+        let exec = self.stack.kernel().exec();
+        // One-shot overrides and interposed fault devices both survive a
+        // kernel reset: such an instance must cold-boot instead.
+        if !self.recyclable || exec.devices.interposed() {
             return false;
+        }
+        // An untouched kernel is still the boot image verbatim: the seed
+        // only reaches the plant, which `reimage` re-seeds, and the web
+        // process reads the re-imaged schedule lazily.
+        if exec.touched() {
+            self.stack.reset_to_boot(config, &self.io);
         }
         self.io.reimage(config);
         self.chunk = config.lockstep_chunk;

@@ -25,8 +25,9 @@ use bas_linux::cred::{Mode, Uid};
 use bas_linux::kernel::{LinuxConfig, LinuxKernel, LinuxProcess};
 use bas_linux::syscall::{MqAccess, Reply, Syscall};
 use bas_plant::devices::install_devices;
+use bas_sim::caps::CapChurnOp;
 use bas_sim::device::DeviceId;
-use bas_sim::metrics::KernelMetrics;
+use bas_sim::kernel::Kernel;
 use bas_sim::process::{Action, Process};
 use bas_sim::time::{SimDuration, SimTime};
 
@@ -608,15 +609,6 @@ pub struct LinuxStack {
     /// re-run the same queue creation and spawns.
     scheme: UidScheme,
     web_uid: u32,
-    /// False when a custom web factory booted this stack: factories may
-    /// be stateful, so recycling cannot guarantee cold-boot identity.
-    forkable: bool,
-    /// True once anything mutated the kernel after boot. While false the
-    /// stack is still the boot template verbatim (the seed only reaches
-    /// the engine's plant, and the boot-time web process reads the
-    /// re-imaged schedule lazily), so recycling skips the kernel reset and
-    /// respawns.
-    ran: bool,
 }
 
 /// A running Linux scenario: the generic engine over [`LinuxStack`].
@@ -655,7 +647,6 @@ fn boot_linux(config: &ScenarioConfig, overrides: LinuxOverrides, io: &AppIo) ->
     let web_uid = overrides
         .web_uid
         .unwrap_or_else(|| scheme.uid_of(names::WEB));
-    let forkable = overrides.web_factory.is_none();
     let web_logic: LinuxProcess = match &overrides.web_factory {
         Some(factory) => factory(),
         None => Box::new(LinuxWeb::new(io)),
@@ -678,8 +669,6 @@ fn boot_linux(config: &ScenarioConfig, overrides: LinuxOverrides, io: &AppIo) ->
         kernel,
         scheme,
         web_uid,
-        forkable,
-        ran: false,
     }
 }
 
@@ -788,109 +777,45 @@ fn populate_scenario(
 impl PlatformKernel for LinuxStack {
     const PLATFORM: Platform = Platform::Linux;
     type Overrides = LinuxOverrides;
+    type Kernel = LinuxKernel;
 
     fn boot(config: &ScenarioConfig, overrides: LinuxOverrides, io: &AppIo) -> Self {
         boot_linux(config, overrides, io)
     }
 
-    fn now(&self) -> SimTime {
-        self.kernel.now()
+    fn recyclable(overrides: &LinuxOverrides) -> bool {
+        overrides.web_factory.is_none()
     }
 
-    fn run_until(&mut self, target: SimTime) {
-        self.ran = true;
-        self.kernel.run_until(target);
+    fn kernel(&self) -> &LinuxKernel {
+        &self.kernel
     }
 
-    fn metrics(&self) -> KernelMetrics {
-        *self.kernel.metrics()
+    fn kernel_mut(&mut self) -> &mut LinuxKernel {
+        &mut self.kernel
     }
 
-    fn alive_names(&self) -> Vec<String> {
-        self.kernel.alive_process_names()
+    fn reset_to_boot(&mut self, config: &ScenarioConfig, io: &AppIo) {
+        self.kernel.reset_to_boot();
+        populate_scenario(
+            &mut self.kernel,
+            config,
+            self.scheme,
+            self.web_uid,
+            Box::new(LinuxWeb::new(io)),
+        );
+        // The "sleeper" program registered at cold boot survives the
+        // kernel reset, so it is not re-registered here.
     }
 
-    fn trace_count(&self, category: &str) -> usize {
-        self.kernel.trace().events_in(category).count()
-    }
-
-    fn reset_to_boot(&mut self, config: &ScenarioConfig, io: &AppIo) -> bool {
-        if !self.forkable {
-            return false;
-        }
-        if self.ran {
-            self.kernel.reset_to_boot();
-            populate_scenario(
-                &mut self.kernel,
-                config,
-                self.scheme,
-                self.web_uid,
-                Box::new(LinuxWeb::new(io)),
-            );
-            // The "sleeper" program registered at cold boot survives the
-            // kernel reset, so it is not re-registered here.
-            self.ran = false;
-        }
-        true
-    }
-
-    fn devices_mut(&mut self) -> &mut bas_sim::device::DeviceBus {
-        // Interposed fault devices survive a kernel reset, so recycling
-        // can no longer promise cold-boot identity.
-        self.forkable = false;
-        self.kernel.devices_mut()
-    }
-
-    fn inject_crash(&mut self, name: &str) -> bool {
-        self.ran = true;
-        self.kernel.kill_named(name)
-    }
-
-    fn arm_ipc_fault(&mut self, fault: bas_sim::fault::IpcFault, count: u32) {
-        self.ran = true;
-        self.kernel.ipc_faults_mut().arm(fault, count);
-    }
-
-    fn ipc_faults_applied(&self) -> u64 {
-        self.kernel.ipc_faults().applied()
-    }
-
-    fn skew_clock(&mut self, d: bas_sim::time::SimDuration) {
-        self.ran = true;
-        self.kernel.skew_clock(d);
-    }
-
-    fn apply_cap_churn(&mut self, op: &bas_sim::caps::CapChurnOp) -> bool {
-        self.ran = true;
-        let mut changed = false;
-        for queue in churn_queues(&op.subject, &op.object) {
-            let q_op = bas_sim::caps::CapChurnOp {
+    fn resolve_churn(&self, op: &CapChurnOp) -> Vec<CapChurnOp> {
+        churn_queues(&op.subject, &op.object)
+            .into_iter()
+            .map(|queue| CapChurnOp {
                 object: queue.to_string(),
                 ..op.clone()
-            };
-            changed |= self.kernel.apply_cap_churn(&q_op);
-        }
-        changed
-    }
-
-    fn arm_cap_churn(&mut self, op: &bas_sim::caps::CapChurnOp, after_checks: u32) {
-        self.ran = true;
-        for queue in churn_queues(&op.subject, &op.object) {
-            let q_op = bas_sim::caps::CapChurnOp {
-                object: queue.to_string(),
-                ..op.clone()
-            };
-            self.kernel.arm_cap_churn(&q_op, after_checks);
-        }
-    }
-
-    fn enable_cap_trace(&mut self) {
-        self.ran = true;
-        self.kernel.enable_cap_trace();
-    }
-
-    fn cap_trace(&self) -> bas_sim::caps::CapTrace {
-        self.kernel.cap_trace()
+            })
+            .collect()
     }
 }
 

@@ -18,8 +18,9 @@ use bas_minix::message::Message;
 use bas_minix::pm;
 use bas_minix::syscall::{Reply, Syscall};
 use bas_plant::devices::install_devices;
+use bas_sim::caps::CapChurnOp;
 use bas_sim::device::DeviceId;
-use bas_sim::metrics::KernelMetrics;
+use bas_sim::kernel::Kernel;
 use bas_sim::process::{Action, Process};
 use bas_sim::time::{SimDuration, SimTime};
 
@@ -768,8 +769,8 @@ pub struct MinixOverrides {
     pub acm: Option<Arc<AccessControlMatrix>>,
     /// Runs a [`MinixSupervisor`] watching the four critical processes
     /// (MINIX's self-repair behavior). Crash *injection* is no longer an
-    /// override: `bas-faults` kills processes through
-    /// [`PlatformKernel::inject_crash`] at scheduled times instead.
+    /// override: `bas-faults` kills processes through the
+    /// [`PlatformKernel::inject_crash`] hook at scheduled times instead.
     pub supervise: bool,
 }
 
@@ -795,17 +796,6 @@ pub struct MinixStack {
     boot_plan: Vec<(u32, bas_acm::AcId, u32)>,
     /// Whether boot spawned the reincarnation-server supervisor.
     supervise: bool,
-    /// False when a custom web factory was installed: attacker factories
-    /// may be stateful (one-shot script cells), so re-invoking them on a
-    /// recycled kernel cannot guarantee cold-boot identity.
-    forkable: bool,
-    /// True once anything mutated the kernel after boot (stepping, fault
-    /// or churn injection). A stack with `ran == false` is still byte-
-    /// identical to the boot template — only the engine's plant carries
-    /// the seed — so [`PlatformKernel::reset_to_boot`] can skip the kernel
-    /// reset and the respawns entirely. Every mutating trait method sets
-    /// this.
-    ran: bool,
 }
 
 /// A running MINIX scenario: the generic engine over [`MinixStack`].
@@ -849,7 +839,6 @@ fn boot_minix(config: &ScenarioConfig, overrides: MinixOverrides, io: &AppIo) ->
     let alarm_prog =
         kernel.register_program(names::ALARM, Box::new(|| Box::new(MinixActuator::alarm())));
 
-    let forkable = overrides.web_factory.is_none();
     let web_prog = match overrides.web_factory {
         Some(factory) => kernel.register_program(names::WEB, factory),
         None => {
@@ -876,8 +865,6 @@ fn boot_minix(config: &ScenarioConfig, overrides: MinixOverrides, io: &AppIo) ->
         kernel,
         boot_plan,
         supervise: overrides.supervise,
-        forkable,
-        ran: false,
     }
 }
 
@@ -919,92 +906,34 @@ fn spawn_boot_processes(
 impl PlatformKernel for MinixStack {
     const PLATFORM: Platform = Platform::Minix;
     type Overrides = MinixOverrides;
+    type Kernel = MinixKernel;
 
     fn boot(config: &ScenarioConfig, overrides: MinixOverrides, io: &AppIo) -> Self {
         boot_minix(config, overrides, io)
     }
 
-    fn now(&self) -> SimTime {
-        self.kernel.now()
+    fn recyclable(overrides: &MinixOverrides) -> bool {
+        overrides.web_factory.is_none()
     }
 
-    fn run_until(&mut self, target: SimTime) {
-        self.ran = true;
-        self.kernel.run_until(target);
+    fn kernel(&self) -> &MinixKernel {
+        &self.kernel
     }
 
-    fn metrics(&self) -> KernelMetrics {
-        *self.kernel.metrics()
+    fn kernel_mut(&mut self) -> &mut MinixKernel {
+        &mut self.kernel
     }
 
-    fn alive_names(&self) -> Vec<String> {
-        self.kernel.alive_process_names()
+    fn reset_to_boot(&mut self, _config: &ScenarioConfig, _io: &AppIo) {
+        // The registered web factory survives the reset and still holds
+        // the instance's I/O.
+        self.kernel.reset_to_boot();
+        spawn_boot_processes(&mut self.kernel, &self.boot_plan, self.supervise);
     }
 
-    fn trace_count(&self, category: &str) -> usize {
-        self.kernel.trace().events_in(category).count()
-    }
-
-    fn reset_to_boot(&mut self, _config: &ScenarioConfig, _io: &AppIo) -> bool {
-        if !self.forkable {
-            return false;
-        }
-        // A never-stepped kernel is still the boot image verbatim (the
-        // seed only reaches the engine's plant). The registered web
-        // factory survives the reset and still holds the instance's I/O.
-        if self.ran {
-            self.kernel.reset_to_boot();
-            spawn_boot_processes(&mut self.kernel, &self.boot_plan, self.supervise);
-            self.ran = false;
-        }
-        true
-    }
-
-    fn devices_mut(&mut self) -> &mut bas_sim::device::DeviceBus {
-        // Interposed fault devices survive a kernel reset, so a stack
-        // whose device bus was touched can no longer promise cold-boot
-        // identity on recycle.
-        self.forkable = false;
-        self.kernel.devices_mut()
-    }
-
-    fn inject_crash(&mut self, name: &str) -> bool {
-        self.ran = true;
-        self.kernel.kill_named(name)
-    }
-
-    fn arm_ipc_fault(&mut self, fault: bas_sim::fault::IpcFault, count: u32) {
-        self.ran = true;
-        self.kernel.ipc_faults_mut().arm(fault, count);
-    }
-
-    fn ipc_faults_applied(&self) -> u64 {
-        self.kernel.ipc_faults().applied()
-    }
-
-    fn skew_clock(&mut self, d: SimDuration) {
-        self.ran = true;
-        self.kernel.skew_clock(d);
-    }
-
-    fn apply_cap_churn(&mut self, op: &bas_sim::caps::CapChurnOp) -> bool {
-        self.ran = true;
+    fn resolve_churn(&self, op: &CapChurnOp) -> Vec<CapChurnOp> {
         // Instance names are MINIX process names verbatim; the kernel
         // resolves them to ACM principals itself.
-        self.kernel.apply_cap_churn(op)
-    }
-
-    fn arm_cap_churn(&mut self, op: &bas_sim::caps::CapChurnOp, after_checks: u32) {
-        self.ran = true;
-        self.kernel.arm_cap_churn(op, after_checks);
-    }
-
-    fn enable_cap_trace(&mut self) {
-        self.ran = true;
-        self.kernel.enable_cap_trace();
-    }
-
-    fn cap_trace(&self) -> bas_sim::caps::CapTrace {
-        self.kernel.cap_trace()
+        vec![op.clone()]
     }
 }

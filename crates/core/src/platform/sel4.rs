@@ -19,9 +19,10 @@ use bas_capdl::spec::CapDlSpec;
 use bas_capdl::verify::verify;
 use bas_plant::devices::install_devices;
 use bas_sel4::cap::CPtr;
-use bas_sel4::kernel::{Sel4Config, Sel4Kernel, Sel4Thread};
+use bas_sel4::kernel::{ChurnSweep, Sel4Config, Sel4Kernel, Sel4Thread};
 use bas_sel4::syscall::{Reply, Syscall};
-use bas_sim::metrics::KernelMetrics;
+use bas_sim::caps::CapChurnOp;
+use bas_sim::kernel::Kernel;
 use bas_sim::process::{Action, Process};
 use bas_sim::time::{SimDuration, SimTime};
 
@@ -453,16 +454,6 @@ pub struct Sel4Stack {
     pub sys: RealizedSystem,
     /// Slot/badge layout. `Arc`: boot-time state, shareable across forks.
     pub glue: Arc<GlueMap>,
-    /// False when attacker overrides (web factory, extra caps) booted
-    /// this stack: those are one-shot, so a recycled kernel cannot
-    /// guarantee cold-boot identity.
-    forkable: bool,
-    /// True once anything mutated the kernel after boot. While false the
-    /// stack is still the boot template verbatim (the seed only reaches
-    /// the engine's plant, and the boot-time web thread reads the
-    /// re-imaged schedule lazily), so recycling skips the kernel reset and
-    /// re-realize.
-    ran: bool,
 }
 
 impl Sel4Stack {
@@ -470,7 +461,7 @@ impl Sel4Stack {
     /// the subject thread's capabilities to every endpoint the
     /// destination instance serves (`ep_<dest>_<iface>` in the realized
     /// CapDL spec). Returns `None` when either side doesn't resolve.
-    fn churn_sweep(&self, op: &bas_sim::caps::CapChurnOp) -> Option<bas_sel4::kernel::ChurnSweep> {
+    fn churn_sweep(&self, op: &CapChurnOp) -> Option<ChurnSweep> {
         use bas_sel4::rights::CapRights;
         use bas_sim::caps::ChurnKind;
 
@@ -497,7 +488,7 @@ impl Sel4Stack {
             ChurnKind::Attenuate => (CapRights::READ, 0),
             ChurnKind::Revoke => (CapRights::NONE, 0),
         };
-        Some(bas_sel4::kernel::ChurnSweep {
+        Some(ChurnSweep {
             kind: op.kind,
             actor: op.actor.clone(),
             holder,
@@ -538,7 +529,6 @@ fn boot_sel4(config: &ScenarioConfig, overrides: Sel4Overrides, io: &AppIo) -> S
     });
     install_devices(&io.plant, kernel.devices_mut());
 
-    let forkable = overrides.web_factory.is_none() && overrides.extra_caps.is_empty();
     let mut loader = scenario_loader(config, glue.clone(), io, overrides.web_factory);
 
     let sys = realize(&spec, &mut kernel, &mut loader).expect("scenario realizes");
@@ -578,8 +568,6 @@ fn boot_sel4(config: &ScenarioConfig, overrides: Sel4Overrides, io: &AppIo) -> S
         spec,
         sys,
         glue,
-        forkable,
-        ran: false,
     }
 }
 
@@ -636,107 +624,45 @@ fn scenario_loader(
 impl PlatformKernel for Sel4Stack {
     const PLATFORM: Platform = Platform::Sel4;
     type Overrides = Sel4Overrides;
+    type Kernel = Sel4Kernel;
 
     fn boot(config: &ScenarioConfig, overrides: Sel4Overrides, io: &AppIo) -> Self {
         boot_sel4(config, overrides, io)
     }
 
-    fn now(&self) -> SimTime {
-        self.kernel.now()
+    fn recyclable(overrides: &Sel4Overrides) -> bool {
+        overrides.web_factory.is_none() && overrides.extra_caps.is_empty()
     }
 
-    fn run_until(&mut self, target: SimTime) {
-        self.ran = true;
-        self.kernel.run_until(target);
+    fn kernel(&self) -> &Sel4Kernel {
+        &self.kernel
     }
 
-    fn metrics(&self) -> KernelMetrics {
-        *self.kernel.metrics()
+    fn kernel_mut(&mut self) -> &mut Sel4Kernel {
+        &mut self.kernel
     }
 
-    fn alive_names(&self) -> Vec<String> {
-        self.kernel.alive_thread_names()
-    }
-
-    fn trace_count(&self, category: &str) -> usize {
-        self.kernel.trace().events_in(category).count()
-    }
-
-    fn reset_to_boot(&mut self, config: &ScenarioConfig, io: &AppIo) -> bool {
-        if !self.forkable {
-            return false;
-        }
-        if self.ran {
-            self.kernel.reset_to_boot();
-            // Re-realize the shared spec: objects and threads come back in
-            // spec order, so ids and CSpace layouts match a cold boot. The
-            // boot-time CapDL verification is skipped — `verify` is a pure
-            // function of (spec, kernel, sys), all reconstructed identically
-            // to the template boot that already passed it.
-            let mut loader = scenario_loader(config, self.glue.clone(), io, None);
-            self.sys =
-                realize(&self.spec, &mut self.kernel, &mut loader).expect("scenario realizes");
-            for name in [
-                instances::CONTROL,
-                instances::HEATER,
-                instances::ALARM,
-                instances::SENSOR,
-                instances::WEB,
-            ] {
-                self.kernel.start_thread(self.sys.threads[name]);
-            }
-            self.ran = false;
-        }
-        true
-    }
-
-    fn devices_mut(&mut self) -> &mut bas_sim::device::DeviceBus {
-        // Interposed fault devices survive a kernel reset, so recycling
-        // can no longer promise cold-boot identity.
-        self.forkable = false;
-        self.kernel.devices_mut()
-    }
-
-    fn inject_crash(&mut self, name: &str) -> bool {
-        self.ran = true;
-        self.kernel.kill_named(name)
-    }
-
-    fn arm_ipc_fault(&mut self, fault: bas_sim::fault::IpcFault, count: u32) {
-        self.ran = true;
-        self.kernel.ipc_faults_mut().arm(fault, count);
-    }
-
-    fn ipc_faults_applied(&self) -> u64 {
-        self.kernel.ipc_faults().applied()
-    }
-
-    fn skew_clock(&mut self, d: bas_sim::time::SimDuration) {
-        self.ran = true;
-        self.kernel.skew_clock(d);
-    }
-
-    fn apply_cap_churn(&mut self, op: &bas_sim::caps::CapChurnOp) -> bool {
-        self.ran = true;
-        match self.churn_sweep(op) {
-            Some(sweep) => self.kernel.apply_churn_sweep(&sweep),
-            None => false,
+    fn reset_to_boot(&mut self, config: &ScenarioConfig, io: &AppIo) {
+        self.kernel.reset_to_boot();
+        // Re-realize the shared spec: objects and threads come back in
+        // spec order, so ids and CSpace layouts match a cold boot. The
+        // boot-time CapDL verification is skipped — `verify` is a pure
+        // function of (spec, kernel, sys), all reconstructed identically
+        // to the template boot that already passed it.
+        let mut loader = scenario_loader(config, self.glue.clone(), io, None);
+        self.sys = realize(&self.spec, &mut self.kernel, &mut loader).expect("scenario realizes");
+        for name in [
+            instances::CONTROL,
+            instances::HEATER,
+            instances::ALARM,
+            instances::SENSOR,
+            instances::WEB,
+        ] {
+            self.kernel.start_thread(self.sys.threads[name]);
         }
     }
 
-    fn arm_cap_churn(&mut self, op: &bas_sim::caps::CapChurnOp, after_checks: u32) {
-        self.ran = true;
-        if let Some(sweep) = self.churn_sweep(op) {
-            self.kernel.arm_churn_sweep(sweep, after_checks);
-        }
-    }
-
-    fn enable_cap_trace(&mut self) {
-        self.ran = true;
-        self.kernel.enable_cap_trace();
-    }
-
-    fn cap_trace(&self) -> bas_sim::caps::CapTrace {
-        self.kernel.cap_trace()
+    fn resolve_churn(&self, op: &CapChurnOp) -> Vec<ChurnSweep> {
+        self.churn_sweep(op).into_iter().collect()
     }
 }

@@ -28,6 +28,7 @@ use bas_core::scenario::{plant_snapshot, Scenario, ScenarioConfig};
 use bas_sim::caps::{CapChurnOp, ChurnKind};
 use bas_sim::device::DeviceId;
 use bas_sim::fault::IpcFault;
+use bas_sim::kernel::Kernel;
 use bas_sim::script::Script;
 use bas_sim::time::{SimDuration, SimTime};
 

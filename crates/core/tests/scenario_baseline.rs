@@ -7,6 +7,7 @@ use bas_core::platform::minix::{build_minix, MinixOverrides};
 use bas_core::platform::sel4::{build_sel4, Sel4Overrides};
 use bas_core::proto::BasMsg;
 use bas_core::scenario::{critical_alive, Scenario, ScenarioConfig};
+use bas_sim::kernel::Kernel;
 use bas_sim::time::SimDuration;
 
 fn assert_baseline_healthy(scenario: &mut dyn Scenario) {

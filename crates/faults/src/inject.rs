@@ -18,6 +18,7 @@ use bas_sim::device::DeviceId;
 use bas_sim::fault::{
     sensor_fault_handle, FaultyDevice, IpcFault, SensorFaultHandle, SensorFaultMode,
 };
+use bas_sim::kernel::Kernel;
 use bas_sim::metrics::KernelMetrics;
 use bas_sim::time::{SimDuration, SimTime};
 
@@ -107,12 +108,12 @@ pub fn install<K: PlatformKernel>(
     let events = plan.events().to_vec();
     let mut next = 0usize;
     engine.set_tick_hook(move |stack| {
-        let now = stack.now();
+        let now = stack.kernel().now();
         while next < events.len() && events[next].at.as_nanos() <= now.as_nanos() {
             let ev = &events[next];
             let mut inner = hook_log.inner.borrow_mut();
             if inner.baseline.is_none() {
-                inner.baseline = Some(stack.metrics());
+                inner.baseline = Some(*stack.kernel().metrics());
             }
             let hit = apply(stack, &handles, &ev.kind);
             inner.fired.push(FiredEvent {

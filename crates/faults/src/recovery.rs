@@ -139,7 +139,7 @@ fn run_on<K: PlatformKernel>(
         fan_switches: plant.fan().switch_count(),
         final_temp_c: plant.temperature_c(),
         critical_alive: critical_alive(&engine),
-        processes_created: engine.stack.metrics().processes_created,
+        processes_created: engine.metrics().processes_created,
         safe: plant.safety_report().is_safe(),
         timeline,
     }

@@ -7,6 +7,7 @@
 use bas_core::engine::{PlatformKernel, ScenarioEngine};
 use bas_core::scenario::{critical_alive, Scenario};
 use bas_fleet::Json;
+use bas_sim::kernel::Kernel;
 
 use crate::inject::InjectionLog;
 
@@ -124,7 +125,7 @@ pub fn grade<K: PlatformKernel>(
         _ => Some(0.0), // no faults fired (baseline) or empty trace
     };
 
-    let metrics = engine.stack.metrics();
+    let metrics = engine.metrics();
     let processes_restarted = match log.baseline_metrics() {
         Some(base) => metrics
             .processes_created
@@ -143,6 +144,6 @@ pub fn grade<K: PlatformKernel>(
         processes_restarted,
         critical_alive: critical_alive(engine),
         events_fired: log.fired_count(),
-        ipc_faults_applied: engine.stack.ipc_faults_applied(),
+        ipc_faults_applied: engine.stack.kernel().ipc_faults().applied(),
     }
 }

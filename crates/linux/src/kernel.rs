@@ -9,23 +9,21 @@
 //! Hot-path layout: queue names are interned at `mq_open` time, so a
 //! descriptor carries a dense `u32` queue id and `mq_send`/`mq_receive`
 //! never touch a `String`. Payload bytes are staged once into the kernel
-//! [`MsgArena`] at the user→kernel boundary; queues and blocked-sender
+//! [`MsgArena`](bas_sim::arena::MsgArena) at the user→kernel boundary; queues and blocked-sender
 //! PCBs move the 8-byte [`MsgRef`] handle, and the bytes are copied out
 //! exactly once at delivery.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bas_sim::arena::{MsgArena, MsgRef};
-use bas_sim::caps::{CapChurnOp, CapLog, CapOp, CapTrace, ChurnKind};
-use bas_sim::clock::{CostModel, VirtualClock};
-use bas_sim::device::{DeviceBus, DeviceId};
-use bas_sim::fault::{IpcFault, IpcFaultState};
-use bas_sim::metrics::KernelMetrics;
-use bas_sim::process::{Action, Pid, ProcState, ProgramFactory};
-use bas_sim::sched::RunQueue;
-use bas_sim::time::{SimDuration, SimTime};
-use bas_sim::timer::TimerQueue;
+use bas_sim::arena::MsgRef;
+use bas_sim::caps::{take_due, CapChurnOp, CapOp, ChurnKind};
+use bas_sim::clock::CostModel;
+use bas_sim::device::DeviceId;
+use bas_sim::fault::IpcFault;
+use bas_sim::kernel::{Executive, Kernel, Task};
+use bas_sim::process::{Pid, ProcState, ProgramFactory};
+use bas_sim::time::SimDuration;
 use bas_sim::trace::TraceLog;
 
 use crate::cred::{Mode, Uid};
@@ -80,8 +78,9 @@ struct OpenQueue {
     access: MqAccess,
 }
 
+/// Why a process is blocked (the kernel's [`Kernel::Block`]).
 #[derive(Debug)]
-enum Block {
+pub enum Block {
     /// Blocked in `mq_send` on a full queue. The payload is already
     /// staged in the arena; the PCB parks only the handle.
     MqSendWait {
@@ -100,9 +99,7 @@ struct ProcEntry {
     name: Arc<str>,
     uid: Uid,
     fds: Vec<Option<OpenQueue>>,
-    state: ProcState<Block>,
-    logic: Option<LinuxProcess>,
-    pending_reply: Option<Reply>,
+    task: Task<Syscall, Reply, Block>,
 }
 
 /// The simulated Linux kernel.
@@ -113,22 +110,13 @@ pub struct LinuxKernel {
     queues: Vec<Option<MessageQueue>>,
     /// VFS name → interned queue id, consulted only at open/unlink.
     queue_ids: BTreeMap<String, u32>,
-    /// Kernel message arena: payload bytes for queued and parked sends.
-    arena: MsgArena,
+    /// Clock, scheduler, timers, trace, devices and the message arena,
+    /// which holds the payload bytes of queued and parked sends.
+    exec: Executive<Detail>,
     programs: Vec<(String, ProgramFactory<Syscall, Reply>)>,
     names: BTreeMap<String, Pid>,
-    run_queue: RunQueue,
-    timers: TimerQueue,
-    clock: VirtualClock,
-    metrics: KernelMetrics,
-    trace: TraceLog<Detail>,
-    devices: DeviceBus,
     device_nodes: BTreeMap<DeviceId, (Uid, Mode)>,
     max_procs: usize,
-    last_run: Option<Pid>,
-    ipc_faults: IpcFaultState,
-    /// Structured capability-event stream (disabled by default).
-    cap_log: CapLog,
     /// Churn ops armed to fire after the Nth successful open check.
     armed_churn: Vec<(CapChurnOp, u32)>,
 }
@@ -149,7 +137,8 @@ fn class_bits(uid: Uid, owner: Uid, group: Option<Uid>) -> u16 {
     }
 }
 
-/// Trace-only name lookup (runs inside lazy trace closures).
+/// The VFS name of queue `qid` for capability-log records (`"?"` once
+/// unlinked).
 fn qname_of(queues: &[Option<MessageQueue>], qid: u32) -> &str {
     queues
         .get(qid as usize)
@@ -168,10 +157,10 @@ fn qname_handle(queues: &[Option<MessageQueue>], qid: u32) -> QueueName {
 impl std::fmt::Debug for LinuxKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LinuxKernel")
-            .field("now", &self.clock.now())
+            .field("now", &self.now())
             .field("processes", &self.process_count())
             .field("queues", &self.queue_ids.len())
-            .field("metrics", &self.metrics)
+            .field("metrics", &self.exec.metrics)
             .finish()
     }
 }
@@ -183,20 +172,11 @@ impl LinuxKernel {
             procs: Vec::new(),
             queues: Vec::new(),
             queue_ids: BTreeMap::new(),
-            arena: MsgArena::with_capacity(config.max_procs),
+            exec: Executive::new(config.cost_model, config.trace_capacity, config.max_procs),
             programs: Vec::new(),
             names: BTreeMap::new(),
-            run_queue: RunQueue::new(),
-            timers: TimerQueue::new(),
-            clock: VirtualClock::new(config.cost_model),
-            metrics: KernelMetrics::default(),
-            trace: TraceLog::with_capacity(config.trace_capacity),
-            devices: DeviceBus::new(),
             device_nodes: config.device_nodes,
             max_procs: config.max_procs,
-            last_run: None,
-            ipc_faults: IpcFaultState::default(),
-            cap_log: CapLog::new(),
             armed_churn: Vec::new(),
         }
     }
@@ -213,16 +193,8 @@ impl LinuxKernel {
         self.procs.clear();
         self.queues.clear();
         self.queue_ids.clear();
-        self.arena.reset_to_capacity(self.max_procs);
+        self.exec.reset();
         self.names.clear();
-        self.run_queue.clear();
-        self.timers.clear();
-        self.clock.reset();
-        self.metrics = KernelMetrics::default();
-        self.trace.clear();
-        self.last_run = None;
-        self.ipc_faults = IpcFaultState::default();
-        self.cap_log = CapLog::new();
         self.armed_churn.clear();
     }
 
@@ -266,153 +238,24 @@ impl LinuxKernel {
             name: name.clone(),
             uid: Uid::new(uid),
             fds: Vec::new(),
-            state: ProcState::Runnable,
-            logic: Some(logic),
-            pending_reply: None,
+            task: Task::new(logic),
         });
         self.names.insert(name.to_string(), pid);
-        self.run_queue.enqueue(pid);
-        self.metrics.processes_created += 1;
-        let now = self.clock.now();
-        self.trace
-            .record(now, Some(pid), Detail::Spawn { name, uid });
+        self.exec.run_queue.enqueue(pid);
+        self.exec.metrics.processes_created += 1;
+        self.exec.record(Some(pid), Detail::Spawn { name, uid });
         Ok(pid)
-    }
-
-    /// Mutable access to the device bus, for installing plant devices.
-    pub fn devices_mut(&mut self) -> &mut DeviceBus {
-        &mut self.devices
-    }
-
-    // ----- fault injection ---------------------------------------------------
-
-    /// Armed one-shot IPC faults, consumed by `mq_send` calls *after* the
-    /// descriptor and DAC checks pass.
-    pub fn ipc_faults_mut(&mut self) -> &mut IpcFaultState {
-        &mut self.ipc_faults
-    }
-
-    /// Read access to the IPC fault queue (applied/pending counters).
-    pub fn ipc_faults(&self) -> &IpcFaultState {
-        &self.ipc_faults
     }
 
     // ----- capability churn ---------------------------------------------------
 
-    /// Starts recording the structured capability-event stream.
-    pub fn enable_cap_trace(&mut self) {
-        self.cap_log.enable();
-    }
-
-    /// Snapshot of the capability-event stream recorded so far.
-    pub fn cap_trace(&self) -> CapTrace {
-        self.cap_log.trace()
-    }
-
-    /// Applies a chmod-style churn op: edits the permission triple through
-    /// which the live process named `op.subject` reaches the queue named
-    /// `op.object`. Revoke clears the triple, attenuate strips its write
-    /// bits, grant sets read+write. Returns false when the subject or
-    /// queue is unknown or the bits were already in the requested state.
-    ///
-    /// Open descriptors are deliberately left untouched — exactly Linux's
-    /// semantics, and exactly the window the race detector hunts:
-    /// `mq_send` trusts the open-time DAC check forever after.
-    pub fn apply_cap_churn(&mut self, op: &CapChurnOp) -> bool {
-        let Some(uid) = self
-            .pid_of(&op.subject)
-            .and_then(|p| self.entry_ref(p))
-            .map(|e| e.uid)
-        else {
-            return false;
-        };
-        let Some(&qid) = self.queue_ids.get(&op.object) else {
-            return false;
-        };
-        let Some(q) = self.queues.get_mut(qid as usize).and_then(Option::as_mut) else {
-            return false;
-        };
-        let class = class_bits(uid, q.owner, q.group);
-        let old = q.mode.bits();
-        let new = match op.kind {
-            ChurnKind::Grant => old | (class & 0o666),
-            ChurnKind::Attenuate => old & !(class & 0o222),
-            ChurnKind::Revoke => old & !class,
-        };
-        q.mode = Mode::new(new);
-        let changed = new != old;
-        let cap_op = match op.kind {
-            ChurnKind::Grant => CapOp::Grant,
-            ChurnKind::Attenuate => CapOp::Attenuate,
-            ChurnKind::Revoke => CapOp::Revoke,
-        };
-        let now = self.clock.now();
-        self.cap_log.record_with(now, cap_op, changed, || {
-            (
-                op.actor.clone(),
-                format!("mq:{}:{}", op.object, op.subject),
-                op.object.clone(),
-            )
-        });
-        self.trace.record(
-            now,
-            None,
-            Detail::Churn(Box::new(Churn {
-                label: op.label(),
-                old,
-                new,
-            })),
-        );
-        changed
-    }
-
-    /// Arms a churn op to fire immediately after the `after_checks`-th
-    /// subsequent *successful* DAC open check by `op.subject` on
-    /// `op.object` — deterministically inside the check→use window.
-    pub fn arm_cap_churn(&mut self, op: &CapChurnOp, after_checks: u32) {
-        self.armed_churn.push((op.clone(), after_checks));
-    }
-
     fn fire_armed_churn(&mut self, opener: &str, qname: &str) {
-        let mut due = Vec::new();
-        self.armed_churn.retain_mut(|(op, remaining)| {
-            if op.subject != opener || op.object != qname {
-                return true;
-            }
-            if *remaining == 0 {
-                due.push(op.clone());
-                false
-            } else {
-                *remaining -= 1;
-                true
-            }
+        let due = take_due(&mut self.armed_churn, |op| {
+            op.subject == opener && op.object == qname
         });
         for op in due {
             self.apply_cap_churn(&op);
         }
-    }
-
-    /// Kills the named process outright (a simulated crash — distinct
-    /// from `kill(2)`, which is subject to DAC). Returns false if no live
-    /// process bears the name. There is no supervisor: nothing restarts it.
-    pub fn kill_named(&mut self, name: &str) -> bool {
-        let Some(pid) = self.pid_of(name) else {
-            return false;
-        };
-        let now = self.clock.now();
-        self.trace
-            .record(now, Some(pid), Detail::Crash(name.into()));
-        self.terminate(pid);
-        true
-    }
-
-    /// Jumps the kernel clock forward by `d` without running anyone — a
-    /// tick-skew fault.
-    pub fn skew_clock(&mut self, d: SimDuration) {
-        self.clock.advance(d);
-        let now = self.clock.now();
-        self.trace
-            .record(now, None, Detail::ClockSkew(d.as_millis()));
     }
 
     /// Pre-creates a message queue owned by `owner` (scenario-loader
@@ -471,7 +314,7 @@ impl LinuxKernel {
     /// Returns every queued payload slot of a detached queue to the arena.
     fn free_queue_slots(&mut self, mut q: MessageQueue) {
         while let Some(m) = q.pop() {
-            self.arena.free(m.msg);
+            self.exec.arena.free(m.msg);
         }
     }
 
@@ -481,26 +324,6 @@ impl LinuxKernel {
 
     // ----- introspection -------------------------------------------------------
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.clock.now()
-    }
-
-    /// Kernel counters.
-    pub fn metrics(&self) -> &KernelMetrics {
-        &self.metrics
-    }
-
-    /// The event trace.
-    pub fn trace(&self) -> &TraceLog<Detail> {
-        &self.trace
-    }
-
-    /// Disables tracing (throughput benchmarks).
-    pub fn disable_trace(&mut self) {
-        self.trace.disable();
-    }
-
     /// True if the process is alive.
     pub fn is_alive(&self, pid: Pid) -> bool {
         self.entry_ref(pid).is_some()
@@ -509,22 +332,6 @@ impl LinuxKernel {
     /// Number of live processes.
     pub fn process_count(&self) -> usize {
         self.procs.iter().filter(|p| p.is_some()).count()
-    }
-
-    /// Looks up a live process by name.
-    pub fn pid_of(&self, name: &str) -> Option<Pid> {
-        self.names.get(name).copied().filter(|&p| self.is_alive(p))
-    }
-
-    /// Names of live processes, sorted.
-    pub fn alive_process_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .procs
-            .iter()
-            .filter_map(|p| p.as_ref().map(|e| e.name.to_string()))
-            .collect();
-        v.sort();
-        v
     }
 
     /// Live queue names, for diagnostics.
@@ -540,159 +347,7 @@ impl LinuxKernel {
             .map(MessageQueue::len)
     }
 
-    // ----- execution -------------------------------------------------------------
-
-    /// Runs until virtual time reaches `t`.
-    pub fn run_until(&mut self, t: SimTime) {
-        loop {
-            self.fire_due_timers();
-            if self.clock.now() >= t {
-                return;
-            }
-            if let Some(pid) = self.run_queue.dequeue() {
-                self.dispatch(pid);
-            } else {
-                match self.timers.next_deadline() {
-                    Some(d) if d <= t => self.clock.advance_to(d),
-                    _ => {
-                        self.clock.advance_to(t);
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Runs until nothing is runnable and no timer is armed.
-    pub fn run_to_quiescence(&mut self) -> usize {
-        let mut steps = 0;
-        loop {
-            self.fire_due_timers();
-            let Some(pid) = self.run_queue.dequeue() else {
-                match self.timers.next_deadline() {
-                    Some(d) => {
-                        self.clock.advance_to(d);
-                        continue;
-                    }
-                    None => return steps,
-                }
-            };
-            self.dispatch(pid);
-            steps += 1;
-            assert!(steps < 5_000_000, "kernel failed to quiesce");
-        }
-    }
-
-    fn fire_due_timers(&mut self) {
-        let now = self.clock.now();
-        while let Some(pid) = self.timers.pop_due(now) {
-            if let Some(entry) = self.entry_mut(pid) {
-                if matches!(entry.state, ProcState::Sleeping) {
-                    entry.state = ProcState::Runnable;
-                    entry.pending_reply = Some(Reply::Ok);
-                    self.run_queue.enqueue(pid);
-                }
-            }
-        }
-    }
-
-    fn dispatch(&mut self, pid: Pid) {
-        let Some(entry) = self.entry_mut(pid) else {
-            return;
-        };
-        if !entry.state.is_runnable() {
-            return;
-        }
-        let mut logic = entry.logic.take().expect("runnable process has logic");
-        let reply = entry.pending_reply.take();
-
-        if self.last_run != Some(pid) {
-            self.clock.charge_context_switch();
-            self.metrics.context_switches += 1;
-            self.last_run = Some(pid);
-        }
-        self.clock.charge_user_compute();
-
-        let action = logic.resume(reply);
-        if let Some(entry) = self.entry_mut(pid) {
-            entry.logic = Some(logic);
-        }
-
-        match action {
-            Action::Syscall(sys) => {
-                self.metrics.kernel_entries += 1;
-                self.clock.charge_kernel_entry();
-                self.clock.charge_syscall_dispatch();
-                self.handle_syscall(pid, sys);
-            }
-            Action::Yield => self.run_queue.enqueue(pid),
-            Action::Exit(code) => {
-                let now = self.clock.now();
-                self.trace.record(now, Some(pid), Detail::Exit(code));
-                self.terminate(pid);
-            }
-        }
-    }
-
     // ----- syscalls ---------------------------------------------------------------
-
-    fn handle_syscall(&mut self, pid: Pid, sys: Syscall) {
-        match sys {
-            Syscall::MqOpen {
-                name,
-                access,
-                create,
-            } => self.do_mq_open(pid, name, access, create),
-            Syscall::MqSend {
-                qd,
-                data,
-                priority,
-                nonblocking,
-            } => self.do_mq_send(pid, qd, data, priority, nonblocking),
-            Syscall::MqReceive { qd, nonblocking } => self.do_mq_receive(pid, qd, nonblocking),
-            Syscall::MqUnlink { name } => self.do_mq_unlink(pid, name),
-            Syscall::Kill {
-                pid: target,
-                signal,
-            } => self.do_kill(pid, target, signal),
-            Syscall::Fork { program } => self.do_fork(pid, program),
-            Syscall::SetUid { uid } => {
-                let caller_uid = self.entry_ref(pid).expect("caller").uid;
-                let r = if caller_uid.is_root() {
-                    self.entry_mut(pid).expect("caller").uid = Uid::new(uid);
-                    Reply::Ok
-                } else {
-                    Reply::Err(LinuxError::NotPermitted)
-                };
-                self.ready_with(pid, r);
-            }
-            Syscall::PidOf { name } => {
-                let r = match self.pid_of(&name) {
-                    Some(p) => Reply::Pid(p),
-                    None => Reply::Err(LinuxError::NoSuchProcess),
-                };
-                self.ready_with(pid, r);
-            }
-            Syscall::GetPid => self.ready_with(pid, Reply::Pid(pid)),
-            Syscall::GetUid => {
-                let uid = self.entry_ref(pid).expect("caller").uid.as_u32();
-                self.ready_with(pid, Reply::Uid(uid));
-            }
-            Syscall::Sleep { duration } => {
-                let deadline = self.clock.now() + duration;
-                self.timers.arm(deadline, pid);
-                if let Some(entry) = self.entry_mut(pid) {
-                    entry.state = ProcState::Sleeping;
-                }
-            }
-            Syscall::GetTime => {
-                let now = self.clock.now();
-                self.ready_with(pid, Reply::Time(now));
-            }
-            Syscall::DevRead { dev } => self.do_device(pid, dev, None),
-            Syscall::DevWrite { dev, value } => self.do_device(pid, dev, Some(value)),
-        }
-    }
 
     fn do_mq_open(&mut self, pid: Pid, name: String, access: MqAccess, create: Option<MqCreate>) {
         let uid = self.entry_ref(pid).expect("caller").uid;
@@ -705,19 +360,18 @@ impl LinuxKernel {
                         Mode::new(attr.mode),
                         attr.capacity,
                     ));
-                    let now = self.clock.now();
+                    let now = self.now();
                     let queue = self.queue_ref(qid).expect("just installed").name.clone();
-                    self.trace.record(
-                        now,
+                    self.exec.record(
                         Some(pid),
                         Detail::MqCreate {
                             queue,
                             mode: attr.mode,
                         },
                     );
-                    if self.cap_log.enabled() {
+                    if self.exec.cap_log.enabled() {
                         let subject = self.entry_ref(pid).expect("caller").name.to_string();
-                        self.cap_log.record_with(now, CapOp::Grant, true, || {
+                        self.exec.cap_log.record_with(now, CapOp::Grant, true, || {
                             (
                                 subject.clone(),
                                 format!("mq:{name}:{subject}"),
@@ -737,16 +391,18 @@ impl LinuxKernel {
                 let allowed =
                     q.mode
                         .allows_with_group(uid, q.owner, q.group, access.read, access.write);
-                if self.cap_log.enabled() || !self.armed_churn.is_empty() {
+                if self.exec.cap_log.enabled() || !self.armed_churn.is_empty() {
                     let subject = self.entry_ref(pid).expect("caller").name.to_string();
-                    let now = self.clock.now();
-                    self.cap_log.record_with(now, CapOp::Check, allowed, || {
-                        (
-                            subject.clone(),
-                            format!("mq:{name}:{subject}"),
-                            name.clone(),
-                        )
-                    });
+                    let now = self.now();
+                    self.exec
+                        .cap_log
+                        .record_with(now, CapOp::Check, allowed, || {
+                            (
+                                subject.clone(),
+                                format!("mq:{name}:{subject}"),
+                                name.clone(),
+                            )
+                        });
                     if allowed {
                         // The armed revoke lands *after* the DAC check and
                         // *before* the descriptor is handed out — the
@@ -755,11 +411,8 @@ impl LinuxKernel {
                     }
                 }
                 if !allowed {
-                    self.metrics.access_denied += 1;
-                    let now = self.clock.now();
                     let queue = self.queue_ref(qid).expect("interned").name.clone();
-                    self.trace
-                        .record(now, Some(pid), Detail::MqDeny { uid, queue });
+                    self.exec.deny(pid, Detail::MqDeny { uid, queue });
                     self.ready_with(pid, Reply::Err(LinuxError::AccessDenied));
                     return;
                 }
@@ -805,24 +458,21 @@ impl LinuxKernel {
         // Scheduled IPC fault (`bas-faults` campaigns). Consumed only
         // after the descriptor checks pass, so an injected fault disturbs
         // authorized traffic but cannot widen authority.
-        let fault = self.ipc_faults.pop();
+        let fault = self.exec.ipc_faults.pop();
         match fault {
             Some(IpcFault::Drop) => {
-                let now = self.clock.now();
                 let queue = qname_handle(&self.queues, oq.qid);
-                self.trace
-                    .record(now, Some(pid), Detail::FaultDrop { sender: pid, queue });
+                self.exec
+                    .record(Some(pid), Detail::FaultDrop { sender: pid, queue });
                 // mq_send reports success; the message never lands.
                 return self.ready_with(pid, Reply::Ok);
             }
             Some(IpcFault::Delay(d)) => {
                 // The message sits in transit: the kernel pays the
                 // latency, then enqueues normally.
-                self.clock.advance(d);
-                let now = self.clock.now();
+                self.exec.clock.advance(d);
                 let queue = qname_handle(&self.queues, oq.qid);
-                self.trace.record(
-                    now,
+                self.exec.record(
                     Some(pid),
                     Detail::FaultDelay {
                         sender: pid,
@@ -839,7 +489,7 @@ impl LinuxKernel {
         // Linux) consults only the stored descriptor, so a send through a
         // revoked-but-open descriptor proceeds — and is recorded with
         // ok=false, the stale-authority evidence the detector consumes.
-        let use_seq = if self.cap_log.enabled() {
+        let use_seq = if self.exec.cap_log.enabled() {
             let q = self.queue_ref(oq.qid).expect("checked above");
             let e = self.entry_ref(pid).expect("caller");
             let still_ok = q
@@ -847,28 +497,30 @@ impl LinuxKernel {
                 .allows_with_group(e.uid, q.owner, q.group, false, true);
             let sender = e.name.to_string();
             let qname = q.name.to_string();
-            let now = self.clock.now();
-            self.cap_log.record_with(now, CapOp::Use, still_ok, || {
-                (sender.clone(), format!("mq:{qname}:{sender}"), qname)
-            })
+            let now = self.now();
+            self.exec
+                .cap_log
+                .record_with(now, CapOp::Use, still_ok, || {
+                    (sender.clone(), format!("mq:{qname}:{sender}"), qname)
+                })
         } else {
             None
         };
 
         // Stage the payload into the arena once (the user→kernel copy);
         // from here on only the handle moves.
-        let msg = self.arena.alloc(&data);
+        let msg = self.exec.arena.alloc(&data);
         let q = self.queues[oq.qid as usize]
             .as_mut()
             .expect("checked above");
         if q.is_full() {
             if nonblocking {
-                self.arena.free(msg);
+                self.exec.arena.free(msg);
                 return self.ready_with(pid, Reply::Err(LinuxError::WouldBlock));
             }
-            self.metrics.ipc_waits += 1;
+            self.exec.metrics.ipc_waits += 1;
             if let Some(entry) = self.entry_mut(pid) {
-                entry.state = ProcState::Blocked(Block::MqSendWait {
+                entry.task.state = ProcState::Blocked(Block::MqSendWait {
                     qid: oq.qid,
                     msg,
                     priority,
@@ -879,7 +531,8 @@ impl LinuxKernel {
         }
         // A duplicated send is a second reference to the same slot, not a
         // second copy of the bytes.
-        let duplicate = matches!(fault, Some(IpcFault::Duplicate)).then(|| self.arena.dup(msg));
+        let duplicate =
+            matches!(fault, Some(IpcFault::Duplicate)).then(|| self.exec.arena.dup(msg));
         q.push(MqMessage::new(priority, msg).with_use_seq(use_seq));
         self.note_ipc(oq.qid, pid);
         if let Some(dup) = duplicate {
@@ -889,16 +542,12 @@ impl LinuxKernel {
                 .as_mut()
                 .expect("checked above");
             if q.is_full() {
-                self.arena.free(dup);
+                self.exec.arena.free(dup);
             } else {
                 q.push(MqMessage::new(priority, dup).with_use_seq(use_seq));
-                let now = self.clock.now();
                 let queue = qname_handle(&self.queues, oq.qid);
-                self.trace.record(
-                    now,
-                    Some(pid),
-                    Detail::FaultDuplicate { sender: pid, queue },
-                );
+                self.exec
+                    .record(Some(pid), Detail::FaultDuplicate { sender: pid, queue });
                 self.note_ipc(oq.qid, pid);
             }
         }
@@ -925,8 +574,8 @@ impl LinuxKernel {
             Some(m) => {
                 // The kernel→user copy: bytes leave the arena exactly
                 // once, and the slot recycles immediately.
-                let data = self.arena.get(m.msg).to_vec();
-                self.arena.free(m.msg);
+                let data = self.exec.arena.get(m.msg).to_vec();
+                self.exec.arena.free(m.msg);
                 self.note_cap_recv(oq.qid, pid, m.use_seq);
                 self.ready_with(
                     pid,
@@ -940,7 +589,7 @@ impl LinuxKernel {
             None if nonblocking => self.ready_with(pid, Reply::Err(LinuxError::WouldBlock)),
             None => {
                 if let Some(entry) = self.entry_mut(pid) {
-                    entry.state = ProcState::Blocked(Block::MqRecvWait { qid: oq.qid });
+                    entry.task.state = ProcState::Blocked(Block::MqRecvWait { qid: oq.qid });
                 }
             }
         }
@@ -965,9 +614,9 @@ impl LinuxKernel {
                     for p in self.blocked_on_queue(qid) {
                         let parked = self
                             .entry_mut(p)
-                            .map(|e| std::mem::replace(&mut e.state, ProcState::Runnable));
+                            .map(|e| std::mem::replace(&mut e.task.state, ProcState::Runnable));
                         if let Some(ProcState::Blocked(Block::MqSendWait { msg, .. })) = parked {
-                            self.arena.free(msg);
+                            self.exec.arena.free(msg);
                         }
                         self.ready_with(p, Reply::Err(LinuxError::NoEntry));
                     }
@@ -988,11 +637,8 @@ impl LinuxKernel {
         };
         // The entire permission model: same uid or root.
         if !caller_uid.is_root() && caller_uid != target_uid {
-            self.metrics.access_denied += 1;
-            let now = self.clock.now();
-            self.trace.record(
-                now,
-                Some(caller),
+            self.exec.deny(
+                caller,
                 Detail::SignalDeny {
                     by: caller_uid,
                     target: target_uid,
@@ -1000,9 +646,7 @@ impl LinuxKernel {
             );
             return self.ready_with(caller, Reply::Err(LinuxError::NotPermitted));
         }
-        let now = self.clock.now();
-        self.trace.record(
-            now,
+        self.exec.record(
             Some(caller),
             Detail::SignalKill {
                 by: caller,
@@ -1023,7 +667,7 @@ impl LinuxKernel {
             return self.ready_with(caller, Reply::Err(LinuxError::NoSuchProgram));
         };
         let child_logic = factory();
-        let child_name = format!("{name}#{}", self.metrics.processes_created + 1);
+        let child_name = format!("{name}#{}", self.exec.metrics.processes_created + 1);
         match self.spawn(child_name, uid.as_u32(), child_logic) {
             Ok(child) => self.ready_with(caller, Reply::Pid(child)),
             Err(e) => self.ready_with(caller, Reply::Err(e)),
@@ -1037,23 +681,18 @@ impl LinuxKernel {
         };
         let (want_read, want_write) = (write.is_none(), write.is_some());
         if !mode.allows(uid, owner, want_read, want_write) {
-            self.metrics.access_denied += 1;
-            let now = self.clock.now();
-            self.trace
-                .record(now, Some(pid), Detail::DevDeny { uid, dev });
+            self.exec.deny(pid, Detail::DevDeny { uid, dev });
             return self.ready_with(pid, Reply::Err(LinuxError::AccessDenied));
         }
         match write {
-            Some(value) => match self.devices.write(dev, value) {
+            Some(value) => match self.exec.devices.write(dev, value) {
                 Ok(()) => {
-                    let now = self.clock.now();
-                    self.trace
-                        .record(now, Some(pid), Detail::DevWrite { dev, value });
+                    self.exec.record(Some(pid), Detail::DevWrite { dev, value });
                     self.ready_with(pid, Reply::Ok);
                 }
                 Err(_) => self.ready_with(pid, Reply::Err(LinuxError::NoEntry)),
             },
-            None => match self.devices.read(dev) {
+            None => match self.exec.devices.read(dev) {
                 Ok(v) => self.ready_with(pid, Reply::DevValue(v)),
                 Err(_) => self.ready_with(pid, Reply::Err(LinuxError::NoEntry)),
             },
@@ -1068,7 +707,7 @@ impl LinuxKernel {
             .enumerate()
             .filter_map(|(i, p)| {
                 let e = p.as_ref()?;
-                let hit = match &e.state {
+                let hit = match &e.task.state {
                     ProcState::Blocked(Block::MqSendWait { qid: q, .. })
                     | ProcState::Blocked(Block::MqRecvWait { qid: q }) => *q == qid,
                     _ => false,
@@ -1090,7 +729,7 @@ impl LinuxKernel {
                 let receiver = self.procs.iter().enumerate().find_map(|(i, p)| {
                     let e = p.as_ref()?;
                     matches!(
-                        &e.state,
+                        &e.task.state,
                         ProcState::Blocked(Block::MqRecvWait { qid: q }) if *q == qid
                     )
                     .then(|| Pid::new(i as u32))
@@ -1101,8 +740,8 @@ impl LinuxKernel {
                         .expect("exists")
                         .pop()
                         .expect("nonempty");
-                    let data = self.arena.get(m.msg).to_vec();
-                    self.arena.free(m.msg);
+                    let data = self.exec.arena.get(m.msg).to_vec();
+                    self.exec.arena.free(m.msg);
                     self.note_cap_recv(qid, r, m.use_seq);
                     self.ready_with(
                         r,
@@ -1121,7 +760,7 @@ impl LinuxKernel {
                 let sender = self.procs.iter().enumerate().find_map(|(i, p)| {
                     let e = p.as_ref()?;
                     matches!(
-                        &e.state,
+                        &e.task.state,
                         ProcState::Blocked(Block::MqSendWait { qid: q, .. }) if *q == qid
                     )
                     .then(|| Pid::new(i as u32))
@@ -1129,7 +768,7 @@ impl LinuxKernel {
                 if let Some(s) = sender {
                     let (msg, priority, use_seq) = {
                         let entry = self.entry_mut(s).expect("sender alive");
-                        match std::mem::replace(&mut entry.state, ProcState::Runnable) {
+                        match std::mem::replace(&mut entry.task.state, ProcState::Runnable) {
                             ProcState::Blocked(Block::MqSendWait {
                                 msg,
                                 priority,
@@ -1158,57 +797,28 @@ impl LinuxKernel {
     /// Records the receiver-side `Recv` event and the happens-before edge
     /// from the message's send-side `Use`, if capability tracing is on.
     fn note_cap_recv(&mut self, qid: u32, receiver: Pid, use_seq: Option<u64>) {
-        if !self.cap_log.enabled() {
+        if !self.exec.cap_log.enabled() {
             return;
         }
         let qname = qname_of(&self.queues, qid).to_string();
         let Some(who) = self.entry_ref(receiver).map(|e| e.name.to_string()) else {
             return;
         };
-        let now = self.clock.now();
-        let recv_seq = self.cap_log.record_with(now, CapOp::Recv, true, || {
+        let now = self.now();
+        let recv_seq = self.exec.cap_log.record_with(now, CapOp::Recv, true, || {
             (who.clone(), format!("mq:{qname}:{who}"), qname)
         });
-        self.cap_log.edge(use_seq, recv_seq);
+        self.exec.cap_log.edge(use_seq, recv_seq);
     }
 
     fn note_ipc(&mut self, qid: u32, sender: Pid) {
-        self.metrics.ipc_messages += 1;
-        self.clock.charge_ipc_copy(64);
-        self.metrics.ipc_bytes += 64;
-        self.metrics.hot_path_allocs = self.arena.heap_events();
-        let now = self.clock.now();
+        self.exec.metrics.ipc_messages += 1;
+        self.exec.clock.charge_ipc_copy(64);
+        self.exec.metrics.ipc_bytes += 64;
+        self.exec.metrics.hot_path_allocs = self.exec.arena.heap_events();
         let queue = qname_handle(&self.queues, qid);
-        self.trace
-            .record(now, Some(sender), Detail::MqSend { sender, queue });
-    }
-
-    // ----- termination ----------------------------------------------------------------
-
-    fn terminate(&mut self, pid: Pid) {
-        let Some(entry) = self.procs.get_mut(pid.as_usize()).and_then(Option::take) else {
-            return;
-        };
-        // A send parked on a full queue still owns its arena slot.
-        if let ProcState::Blocked(Block::MqSendWait { msg, .. }) = &entry.state {
-            self.arena.free(*msg);
-        }
-        self.run_queue.remove(pid);
-        self.timers.cancel(pid);
-        self.names.retain(|_, p| *p != pid);
-        self.metrics.processes_reaped += 1;
-        if self.last_run == Some(pid) {
-            self.last_run = None;
-        }
-        drop(entry);
-    }
-
-    fn ready_with(&mut self, pid: Pid, reply: Reply) {
-        if let Some(entry) = self.entry_mut(pid) {
-            entry.pending_reply = Some(reply);
-            entry.state = ProcState::Runnable;
-            self.run_queue.enqueue(pid);
-        }
+        self.exec
+            .record(Some(sender), Detail::MqSend { sender, queue });
     }
 
     fn entry_ref(&self, pid: Pid) -> Option<&ProcEntry> {
@@ -1217,5 +827,180 @@ impl LinuxKernel {
 
     fn entry_mut(&mut self, pid: Pid) -> Option<&mut ProcEntry> {
         self.procs.get_mut(pid.as_usize()).and_then(Option::as_mut)
+    }
+}
+
+impl Kernel for LinuxKernel {
+    type Syscall = Syscall;
+    type Reply = Reply;
+    type Block = Block;
+    type Detail = Detail;
+    type Churn = CapChurnOp;
+
+    const WAKE: Reply = Reply::Ok;
+
+    #[inline]
+    fn exec(&self) -> &Executive<Detail> {
+        &self.exec
+    }
+
+    #[inline]
+    fn exec_mut(&mut self) -> &mut Executive<Detail> {
+        &mut self.exec
+    }
+
+    #[inline]
+    fn task_mut(&mut self, pid: Pid) -> Option<&mut Task<Syscall, Reply, Block>> {
+        self.entry_mut(pid).map(|e| &mut e.task)
+    }
+
+    fn handle_syscall(&mut self, pid: Pid, sys: Syscall) {
+        match sys {
+            Syscall::MqOpen {
+                name,
+                access,
+                create,
+            } => self.do_mq_open(pid, name, access, create),
+            Syscall::MqSend {
+                qd,
+                data,
+                priority,
+                nonblocking,
+            } => self.do_mq_send(pid, qd, data, priority, nonblocking),
+            Syscall::MqReceive { qd, nonblocking } => self.do_mq_receive(pid, qd, nonblocking),
+            Syscall::MqUnlink { name } => self.do_mq_unlink(pid, name),
+            Syscall::Kill {
+                pid: target,
+                signal,
+            } => self.do_kill(pid, target, signal),
+            Syscall::Fork { program } => self.do_fork(pid, program),
+            Syscall::SetUid { uid } => {
+                let caller_uid = self.entry_ref(pid).expect("caller").uid;
+                let r = if caller_uid.is_root() {
+                    self.entry_mut(pid).expect("caller").uid = Uid::new(uid);
+                    Reply::Ok
+                } else {
+                    Reply::Err(LinuxError::NotPermitted)
+                };
+                self.ready_with(pid, r);
+            }
+            Syscall::PidOf { name } => {
+                let r = match self.pid_of(&name) {
+                    Some(p) => Reply::Pid(p),
+                    None => Reply::Err(LinuxError::NoSuchProcess),
+                };
+                self.ready_with(pid, r);
+            }
+            Syscall::GetPid => self.ready_with(pid, Reply::Pid(pid)),
+            Syscall::GetUid => {
+                let uid = self.entry_ref(pid).expect("caller").uid.as_u32();
+                self.ready_with(pid, Reply::Uid(uid));
+            }
+            Syscall::Sleep { duration } => self.sleep(pid, duration),
+            Syscall::GetTime => {
+                let now = self.now();
+                self.ready_with(pid, Reply::Time(now));
+            }
+            Syscall::DevRead { dev } => self.do_device(pid, dev, None),
+            Syscall::DevWrite { dev, value } => self.do_device(pid, dev, Some(value)),
+        }
+    }
+
+    fn terminate(&mut self, pid: Pid) {
+        let Some(entry) = self.procs.get_mut(pid.as_usize()).and_then(Option::take) else {
+            return;
+        };
+        // A send parked on a full queue still owns its arena slot.
+        if let ProcState::Blocked(Block::MqSendWait { msg, .. }) = &entry.task.state {
+            self.exec.arena.free(*msg);
+        }
+        self.exec.reap(pid);
+        self.names.retain(|_, p| *p != pid);
+    }
+
+    fn pid_of(&self, name: &str) -> Option<Pid> {
+        self.names.get(name).copied().filter(|&p| self.is_alive(p))
+    }
+
+    /// Names of live processes, sorted.
+    fn alive_names(&self) -> Vec<String> {
+        let mut v: Vec<String> = self
+            .procs
+            .iter()
+            .filter_map(|p| p.as_ref().map(|e| e.name.to_string()))
+            .collect();
+        v.sort();
+        v
+    }
+
+    fn exit_detail(code: i32) -> Detail {
+        Detail::Exit(code)
+    }
+
+    fn crash_detail(name: &str) -> Detail {
+        Detail::Crash(name.into())
+    }
+
+    fn skew_detail(d: SimDuration) -> Detail {
+        Detail::ClockSkew(d.as_millis())
+    }
+
+    /// Applies a chmod-style churn op: edits the permission triple through
+    /// which the live process named `op.subject` reaches the queue named
+    /// `op.object`. Revoke clears the triple, attenuate strips its write
+    /// bits, grant sets read+write. Returns false when the subject or
+    /// queue is unknown or the bits were already in the requested state.
+    ///
+    /// Open descriptors are deliberately left untouched — exactly Linux's
+    /// semantics, and exactly the window the race detector hunts:
+    /// `mq_send` trusts the open-time DAC check forever after.
+    fn apply_cap_churn(&mut self, op: &CapChurnOp) -> bool {
+        let Some(uid) = self
+            .pid_of(&op.subject)
+            .and_then(|p| self.entry_ref(p))
+            .map(|e| e.uid)
+        else {
+            return false;
+        };
+        let Some(&qid) = self.queue_ids.get(&op.object) else {
+            return false;
+        };
+        let Some(q) = self.queues.get_mut(qid as usize).and_then(Option::as_mut) else {
+            return false;
+        };
+        let class = class_bits(uid, q.owner, q.group);
+        let old = q.mode.bits();
+        let new = match op.kind {
+            ChurnKind::Grant => old | (class & 0o666),
+            ChurnKind::Attenuate => old & !(class & 0o222),
+            ChurnKind::Revoke => old & !class,
+        };
+        q.mode = Mode::new(new);
+        let changed = new != old;
+        let cap_op = CapOp::from(op.kind);
+        let now = self.now();
+        self.exec.cap_log.record_with(now, cap_op, changed, || {
+            (
+                op.actor.clone(),
+                format!("mq:{}:{}", op.object, op.subject),
+                op.object.clone(),
+            )
+        });
+        self.exec.record(
+            None,
+            Detail::Churn(Box::new(Churn {
+                label: op.label(),
+                old,
+                new,
+            })),
+        );
+        changed
+    }
+
+    /// Arms a churn op to fire immediately after the `after_checks`-th
+    /// subsequent *successful* DAC open check by `op.subject` on
+    /// `op.object` — deterministically inside the check→use window.
+    fn arm_cap_churn(&mut self, op: &CapChurnOp, after_checks: u32) {
+        self.armed_churn.push((op.clone(), after_checks));
     }
 }

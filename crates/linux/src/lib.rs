@@ -25,6 +25,7 @@
 //! ```
 //! use bas_linux::kernel::{LinuxConfig, LinuxKernel, MqCreate};
 //! use bas_linux::syscall::{MqAccess, Reply, Syscall};
+//! use bas_sim::kernel::Kernel;
 //! use bas_sim::script::Script;
 //!
 //! let mut k = LinuxKernel::new(LinuxConfig::default());

@@ -8,6 +8,7 @@ use bas_linux::error::LinuxError;
 use bas_linux::kernel::{LinuxConfig, LinuxKernel};
 use bas_linux::syscall::{MqAccess, Reply, Syscall};
 use bas_sim::caps::{CapChurnOp, CapOp, ChurnKind};
+use bas_sim::kernel::Kernel;
 use bas_sim::script::{replies, Script};
 
 type S = Script<Syscall, Reply>;

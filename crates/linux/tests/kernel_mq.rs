@@ -7,6 +7,7 @@ use bas_linux::error::LinuxError;
 use bas_linux::kernel::{LinuxConfig, LinuxKernel, MqCreate};
 use bas_linux::syscall::{MqAccess, Reply, Signal, Syscall};
 use bas_sim::device::DeviceId;
+use bas_sim::kernel::Kernel;
 use bas_sim::script::{replies, Script};
 use bas_sim::time::SimDuration;
 

@@ -6,6 +6,7 @@ use bas_minix::error::MinixError;
 use bas_minix::kernel::{MinixConfig, MinixKernel};
 use bas_minix::script::{collected_replies, ScriptProcess};
 use bas_minix::syscall::{Reply, Syscall};
+use bas_sim::kernel::Kernel;
 
 const A: AcId = AcId::new(10);
 const B: AcId = AcId::new(11);

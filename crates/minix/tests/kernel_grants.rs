@@ -9,6 +9,7 @@ use bas_minix::grant::{BufId, GrantId, GrantPerms};
 use bas_minix::kernel::{MinixConfig, MinixKernel};
 use bas_minix::script::{collected_replies, ScriptProcess};
 use bas_minix::syscall::{Reply, Syscall};
+use bas_sim::kernel::Kernel;
 
 const GRANTER: AcId = AcId::new(10);
 const GRANTEE: AcId = AcId::new(11);

@@ -10,6 +10,7 @@ use bas_minix::pm::NOTIFY_MTYPE;
 use bas_minix::script::{collected_replies, ScriptProcess};
 use bas_minix::syscall::{Reply, Syscall};
 use bas_sim::clock::CostModel;
+use bas_sim::kernel::Kernel;
 
 const TX: AcId = AcId::new(10);
 const RX: AcId = AcId::new(11);

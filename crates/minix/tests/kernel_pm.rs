@@ -11,6 +11,7 @@ use bas_minix::pm::{
 use bas_minix::script::{collected_replies, ScriptProcess};
 use bas_minix::syscall::{Reply, Syscall};
 use bas_sim::device::DeviceId;
+use bas_sim::kernel::Kernel;
 
 const LOADER: AcId = AcId::new(2);
 const CHILD: AcId = AcId::new(100);

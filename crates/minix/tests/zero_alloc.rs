@@ -28,6 +28,7 @@ use bas_minix::kernel::{MinixConfig, MinixKernel};
 use bas_minix::message::Payload;
 use bas_minix::syscall::{Reply, Syscall};
 use bas_sim::clock::CostModel;
+use bas_sim::kernel::Kernel;
 use bas_sim::process::{Action, Process};
 use bas_sim::time::{SimDuration, SimTime};
 

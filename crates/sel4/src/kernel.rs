@@ -7,17 +7,14 @@
 //! over all capabilities to the bootstrap process" — the bootstrap path
 //! here is the `create_*`/`grant_*` API used by `bas-capdl`'s realizer.
 
-use bas_sim::arena::{MsgArena, MsgRef};
-use bas_sim::caps::{CapLog, CapOp, CapTrace, ChurnKind};
-use bas_sim::clock::{CostModel, VirtualClock};
-use bas_sim::device::DeviceBus;
+use bas_sim::arena::MsgRef;
+use bas_sim::caps::{take_due, CapOp, ChurnKind};
+use bas_sim::clock::CostModel;
 use bas_sim::device::DeviceId;
-use bas_sim::fault::{IpcFault, IpcFaultState};
-use bas_sim::metrics::KernelMetrics;
-use bas_sim::process::{Action, Pid, ProcState};
-use bas_sim::sched::RunQueue;
-use bas_sim::time::{SimDuration, SimTime};
-use bas_sim::timer::TimerQueue;
+use bas_sim::fault::IpcFault;
+use bas_sim::kernel::{Executive, Kernel, Task};
+use bas_sim::process::{Pid, ProcState};
+use bas_sim::time::SimDuration;
 use bas_sim::trace::TraceLog;
 
 use crate::cap::{CPtr, CapTarget, Capability};
@@ -32,17 +29,18 @@ use crate::trace::{Churn, Detail};
 /// A boxed seL4 user thread.
 pub type Sel4Thread = Box<dyn bas_sim::process::Process<Syscall = Syscall, Reply = Reply>>;
 
-/// Why a thread is blocked.
+/// Why a thread is blocked (the kernel's [`Kernel::Block`]).
 #[derive(Debug)]
-enum Block {
+pub enum Block {
     SendingOn { ep: ObjId, queued: QueuedSend },
     ReceivingOn { ep: ObjId },
     WaitingNtfn { ntfn: ObjId },
     AwaitingReply,
 }
 
+/// A parked send's staged transfer.
 #[derive(Debug)]
-struct QueuedSend {
+pub struct QueuedSend {
     badge: u64,
     label: u64,
     /// Arena handle to the staged message registers (owns one slot
@@ -57,9 +55,7 @@ struct QueuedSend {
 struct ThreadEntry {
     name: String,
     cspace: CSpace,
-    state: ProcState<Block>,
-    logic: Option<Sel4Thread>,
-    pending_reply: Option<Reply>,
+    task: Task<Syscall, Reply, Block>,
     /// The one-shot reply capability installed by a received `Call`.
     reply_slot: Option<Capability>,
     started: bool,
@@ -94,19 +90,10 @@ pub struct Sel4Kernel {
     config: Sel4Config,
     objects: Vec<KernelObject>,
     threads: Vec<Option<ThreadEntry>>,
-    run_queue: RunQueue,
-    timers: TimerQueue,
-    clock: VirtualClock,
-    metrics: KernelMetrics,
-    trace: TraceLog<Detail>,
-    devices: DeviceBus,
-    last_run: Option<Pid>,
-    ipc_faults: IpcFaultState,
-    /// Fixed-slot message arena: staged message registers live here while
-    /// a send is parked; queues and PCB states move 8-byte handles.
-    arena: MsgArena,
-    /// Capability-operation event stream (disabled by default).
-    cap_log: CapLog,
+    /// Clock, scheduler, timers, trace, devices and the message arena:
+    /// staged message registers live in the arena while a send is
+    /// parked, and queues and thread states move 8-byte handles.
+    exec: Executive<Detail>,
     /// Armed churn sweeps: each fires after its matching successful send
     /// admission check count reaches zero — inside the check→delivery
     /// TOCTOU window by construction.
@@ -142,10 +129,10 @@ pub struct ChurnSweep {
 impl std::fmt::Debug for Sel4Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sel4Kernel")
-            .field("now", &self.clock.now())
+            .field("now", &self.now())
             .field("objects", &self.objects.len())
             .field("threads", &self.thread_count())
-            .field("metrics", &self.metrics)
+            .field("metrics", &self.exec.metrics)
             .finish()
     }
 }
@@ -156,17 +143,8 @@ impl Sel4Kernel {
         Sel4Kernel {
             objects: Vec::new(),
             threads: Vec::new(),
-            run_queue: RunQueue::new(),
-            timers: TimerQueue::new(),
-            clock: VirtualClock::new(config.cost_model),
-            metrics: KernelMetrics::default(),
-            trace: TraceLog::with_capacity(config.trace_capacity),
-            devices: DeviceBus::new(),
-            last_run: None,
-            ipc_faults: IpcFaultState::default(),
             // One parked send per thread bounds the slot working set.
-            arena: MsgArena::with_capacity(config.max_threads),
-            cap_log: CapLog::new(),
+            exec: Executive::new(config.cost_model, config.trace_capacity, config.max_threads),
             armed_churn: Vec::new(),
             cdt: std::collections::BTreeMap::new(),
             config,
@@ -184,15 +162,7 @@ impl Sel4Kernel {
     pub fn reset_to_boot(&mut self) {
         self.objects.clear();
         self.threads.clear();
-        self.run_queue.clear();
-        self.timers.clear();
-        self.clock.reset();
-        self.metrics = KernelMetrics::default();
-        self.trace.clear();
-        self.last_run = None;
-        self.ipc_faults = IpcFaultState::default();
-        self.arena.reset_to_capacity(self.config.max_threads);
-        self.cap_log = CapLog::new();
+        self.exec.reset();
         self.armed_churn.clear();
         self.cdt.clear();
     }
@@ -234,15 +204,13 @@ impl Sel4Kernel {
         self.threads.push(Some(ThreadEntry {
             name: name.into(),
             cspace: CSpace::new(self.config.cspace_slots),
-            state: ProcState::Runnable,
-            logic: Some(logic),
-            pending_reply: None,
+            task: Task::new(logic),
             reply_slot: None,
             started: false,
         }));
         let tcb = self.alloc_object(KernelObject::Tcb { pid });
         let _ = tcb;
-        self.metrics.processes_created += 1;
+        self.exec.metrics.processes_created += 1;
         pid
     }
 
@@ -301,86 +269,14 @@ impl Sel4Kernel {
         if let Some(entry) = self.entry_mut(pid) {
             if !entry.started {
                 entry.started = true;
-                entry.state = ProcState::Runnable;
+                entry.task.state = ProcState::Runnable;
             }
         }
-        self.run_queue.enqueue(pid);
-        self.trace
-            .record(self.clock.now(), Some(pid), Detail::ThreadStart);
+        self.exec.run_queue.enqueue(pid);
+        self.exec.record(Some(pid), Detail::ThreadStart);
     }
 
-    /// Mutable access to the device bus, for installing plant devices.
-    pub fn devices_mut(&mut self) -> &mut DeviceBus {
-        &mut self.devices
-    }
-
-    // ----- fault injection ----------------------------------------------------
-
-    /// Armed one-shot IPC faults, consumed by endpoint sends *after* the
-    /// capability rights checks pass.
-    pub fn ipc_faults_mut(&mut self) -> &mut IpcFaultState {
-        &mut self.ipc_faults
-    }
-
-    /// Read access to the IPC fault queue (applied/pending counters).
-    pub fn ipc_faults(&self) -> &IpcFaultState {
-        &self.ipc_faults
-    }
-
-    /// Kills the named thread outright (a simulated crash). Returns false
-    /// if no live thread bears the name. seL4 systems here are static:
-    /// nothing restarts the thread, and callers blocked on its endpoints
-    /// stay blocked — exactly the degradation the recovery experiment
-    /// measures.
-    pub fn kill_named(&mut self, name: &str) -> bool {
-        let Some(pid) = self.thread_named(name) else {
-            return false;
-        };
-        self.trace
-            .record(self.clock.now(), Some(pid), Detail::Crash(name.into()));
-        self.terminate(pid);
-        true
-    }
-
-    /// Jumps the kernel clock forward by `d` without running anyone — a
-    /// tick-skew fault.
-    pub fn skew_clock(&mut self, d: SimDuration) {
-        self.clock.advance(d);
-        self.trace
-            .record(self.clock.now(), None, Detail::ClockSkew(d.as_millis()));
-    }
-
-    // ----- introspection ------------------------------------------------------
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.clock.now()
-    }
-
-    /// Kernel counters.
-    pub fn metrics(&self) -> &KernelMetrics {
-        &self.metrics
-    }
-
-    /// The event trace.
-    pub fn trace(&self) -> &TraceLog<Detail> {
-        &self.trace
-    }
-
-    /// Disables tracing (throughput benchmarks).
-    pub fn disable_trace(&mut self) {
-        self.trace.disable();
-    }
-
-    /// Enables capability-operation recording (idempotent).
-    pub fn enable_cap_trace(&mut self) {
-        self.cap_log.enable();
-    }
-
-    /// Snapshots the capability-operation stream.
-    pub fn cap_trace(&self) -> CapTrace {
-        self.cap_log.trace()
-    }
+    // ----- capability churn ----------------------------------------------------
 
     /// Applies a resolved churn sweep immediately. Returns `true` if any
     /// capability actually changed (a revoke of an absent capability or an
@@ -416,20 +312,15 @@ impl Sel4Kernel {
                     n > 0
                 }
             };
-            let op = match sweep.kind {
-                ChurnKind::Grant => CapOp::Grant,
-                ChurnKind::Attenuate => CapOp::Attenuate,
-                ChurnKind::Revoke => CapOp::Revoke,
-            };
-            self.cap_log.record_with(self.clock.now(), op, changed, || {
+            let op = CapOp::from(sweep.kind);
+            self.exec.cap_log.record_with(self.now(), op, changed, || {
                 (
                     sweep.actor.clone(),
                     format!("{holder_name}:{obj}"),
                     format!("{obj}"),
                 )
             });
-            self.trace.record(
-                self.clock.now(),
+            self.exec.record(
                 None,
                 Detail::Churn(Box::new(Churn {
                     actor: sweep.actor.clone(),
@@ -523,19 +414,8 @@ impl Sel4Kernel {
     /// Fires any armed churn sweep matching a successful admission check
     /// by `caller` on endpoint `ep`.
     fn fire_armed_churn(&mut self, caller: Pid, ep: ObjId) {
-        if self.armed_churn.is_empty() {
-            return;
-        }
-        let mut due = Vec::new();
-        self.armed_churn.retain_mut(|(sweep, remaining)| {
-            if sweep.holder == caller && sweep.objs.contains(&ep) {
-                if *remaining == 0 {
-                    due.push(sweep.clone());
-                    return false;
-                }
-                *remaining -= 1;
-            }
-            true
+        let due = take_due(&mut self.armed_churn, |sweep| {
+            sweep.holder == caller && sweep.objs.contains(&ep)
         });
         for sweep in due {
             self.apply_churn_sweep(&sweep);
@@ -571,170 +451,7 @@ impl Sel4Kernel {
         self.threads.iter().filter(|t| t.is_some()).count()
     }
 
-    /// Names of live threads, sorted.
-    pub fn alive_thread_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .threads
-            .iter()
-            .filter_map(|t| t.as_ref().map(|e| e.name.clone()))
-            .collect();
-        v.sort();
-        v
-    }
-
-    // ----- execution ------------------------------------------------------------
-
-    /// Runs until virtual time reaches `t`.
-    pub fn run_until(&mut self, t: SimTime) {
-        loop {
-            self.fire_due_timers();
-            if self.clock.now() >= t {
-                return;
-            }
-            if let Some(pid) = self.run_queue.dequeue() {
-                self.dispatch(pid);
-            } else {
-                match self.timers.next_deadline() {
-                    Some(d) if d <= t => self.clock.advance_to(d),
-                    _ => {
-                        self.clock.advance_to(t);
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Runs until nothing is runnable and no timer is armed.
-    pub fn run_to_quiescence(&mut self) -> usize {
-        let mut steps = 0;
-        loop {
-            self.fire_due_timers();
-            let Some(pid) = self.run_queue.dequeue() else {
-                match self.timers.next_deadline() {
-                    Some(d) => {
-                        self.clock.advance_to(d);
-                        continue;
-                    }
-                    None => return steps,
-                }
-            };
-            self.dispatch(pid);
-            steps += 1;
-            assert!(steps < 5_000_000, "kernel failed to quiesce");
-        }
-    }
-
-    fn fire_due_timers(&mut self) {
-        let now = self.clock.now();
-        while let Some(pid) = self.timers.pop_due(now) {
-            if let Some(entry) = self.entry_mut(pid) {
-                if matches!(entry.state, ProcState::Sleeping) {
-                    entry.state = ProcState::Runnable;
-                    entry.pending_reply = Some(Reply::Ok);
-                    self.run_queue.enqueue(pid);
-                }
-            }
-        }
-    }
-
-    fn dispatch(&mut self, pid: Pid) {
-        let Some(entry) = self.entry_mut(pid) else {
-            return;
-        };
-        if !entry.state.is_runnable() {
-            return;
-        }
-        let mut logic = entry.logic.take().expect("runnable thread has logic");
-        let reply = entry.pending_reply.take();
-
-        if self.last_run != Some(pid) {
-            self.clock.charge_context_switch();
-            self.metrics.context_switches += 1;
-            self.last_run = Some(pid);
-        }
-        self.clock.charge_user_compute();
-
-        let action = logic.resume(reply);
-        if let Some(entry) = self.entry_mut(pid) {
-            entry.logic = Some(logic);
-        }
-
-        match action {
-            Action::Syscall(sys) => {
-                self.metrics.kernel_entries += 1;
-                self.clock.charge_kernel_entry();
-                self.clock.charge_syscall_dispatch();
-                self.handle_syscall(pid, sys);
-            }
-            Action::Yield => self.run_queue.enqueue(pid),
-            Action::Exit(code) => {
-                self.trace
-                    .record(self.clock.now(), Some(pid), Detail::Exit(code));
-                self.terminate(pid);
-            }
-        }
-    }
-
     // ----- syscalls --------------------------------------------------------------
-
-    fn handle_syscall(&mut self, pid: Pid, sys: Syscall) {
-        match sys {
-            Syscall::Send { ep, msg } => self.do_send(pid, ep, msg, true, false),
-            Syscall::NBSend { ep, msg } => self.do_send(pid, ep, msg, false, false),
-            Syscall::Call { ep, msg } => self.do_send(pid, ep, msg, true, true),
-            Syscall::Recv { ep } => self.do_recv(pid, ep, true),
-            Syscall::NBRecv { ep } => self.do_recv(pid, ep, false),
-            Syscall::Reply { msg } => self.do_reply(pid, msg),
-            Syscall::Signal { ntfn } => self.do_signal(pid, ntfn),
-            Syscall::Wait { ntfn } => self.do_wait(pid, ntfn),
-            Syscall::Mint { src, rights, badge } => self.do_mint(pid, src, rights, badge),
-            Syscall::Delete { slot } => {
-                let r = match self
-                    .entry_mut(pid)
-                    .expect("caller alive")
-                    .cspace
-                    .remove(slot)
-                {
-                    Ok(_) => Reply::Ok,
-                    Err(e) => Reply::Err(e),
-                };
-                self.ready_with(pid, r);
-            }
-            Syscall::Identify { slot } => {
-                let r = match self
-                    .entry_ref(pid)
-                    .expect("caller alive")
-                    .cspace
-                    .lookup(slot)
-                {
-                    Ok(cap) => match cap.target {
-                        CapTarget::Object(obj) => {
-                            Reply::Identified(self.object(obj).map(KernelObject::kind))
-                        }
-                        CapTarget::Reply(_) => Reply::Identified(None),
-                    },
-                    Err(e) => Reply::Err(e),
-                };
-                self.ready_with(pid, r);
-            }
-            Syscall::TcbSuspend { tcb } => self.do_tcb_suspend(pid, tcb),
-            Syscall::Sleep { duration } => {
-                let deadline = self.clock.now() + duration;
-                self.timers.arm(deadline, pid);
-                if let Some(entry) = self.entry_mut(pid) {
-                    entry.state = ProcState::Sleeping;
-                }
-            }
-            Syscall::GetTime => {
-                let now = self.clock.now();
-                self.ready_with(pid, Reply::Time(now));
-            }
-            Syscall::DevRead { dev } => self.do_device(pid, dev, None),
-            Syscall::DevWrite { dev, value } => self.do_device(pid, dev, Some(value)),
-            Syscall::Retype { untyped, kind } => self.do_retype(pid, untyped, kind),
-        }
-    }
 
     fn do_retype(&mut self, caller: Pid, untyped_ptr: CPtr, kind: RetypeKind) {
         let cap = match self
@@ -786,11 +503,8 @@ impl Sel4Kernel {
             Ok(slot) => Reply::Slot(slot),
             Err(e) => Reply::Err(e),
         };
-        self.trace.record(
-            self.clock.now(),
-            Some(caller),
-            Detail::Retype { kind, from: obj },
-        );
+        self.exec
+            .record(Some(caller), Detail::Retype { kind, from: obj });
         self.ready_with(caller, r);
     }
 
@@ -810,9 +524,7 @@ impl Sel4Kernel {
     }
 
     fn deny(&mut self, pid: Pid, err: Sel4Error, what: &'static str) {
-        self.metrics.access_denied += 1;
-        self.trace
-            .record(self.clock.now(), Some(pid), Detail::CapDeny { what, err });
+        self.exec.deny(pid, Detail::CapDeny { what, err });
         self.ready_with(pid, Reply::Err(err));
     }
 
@@ -836,13 +548,14 @@ impl Sel4Kernel {
         let rights_ok = cap.rights.write
             && (!is_call || cap.rights.grant)
             && (msg.caps.is_empty() || cap.rights.grant);
-        if self.cap_log.enabled() || !self.armed_churn.is_empty() {
+        if self.exec.cap_log.enabled() || !self.armed_churn.is_empty() {
             let caller_name = self
                 .entry_ref(caller)
                 .map(|e| e.name.clone())
                 .unwrap_or_default();
-            self.cap_log
-                .record_with(self.clock.now(), CapOp::Check, rights_ok, || {
+            self.exec
+                .cap_log
+                .record_with(self.now(), CapOp::Check, rights_ok, || {
                     (
                         caller_name.clone(),
                         format!("{caller_name}:{ep}"),
@@ -889,11 +602,10 @@ impl Sel4Kernel {
         // *after* every capability rights check passed, so an injected
         // fault can disturb authorized IPC but cannot bypass the
         // capability gate.
-        if let Some(fault) = self.ipc_faults.pop() {
+        if let Some(fault) = self.exec.ipc_faults.pop() {
             match fault {
                 IpcFault::Drop => {
-                    self.trace.record(
-                        self.clock.now(),
+                    self.exec.record(
                         Some(caller),
                         Detail::FaultDrop {
                             caller,
@@ -913,9 +625,8 @@ impl Sel4Kernel {
                 IpcFault::Delay(d) => {
                     // The transfer stalls in the kernel: pay the latency,
                     // then rendezvous normally.
-                    self.clock.advance(d);
-                    self.trace.record(
-                        self.clock.now(),
+                    self.exec.clock.advance(d);
+                    self.exec.record(
                         Some(caller),
                         Detail::FaultDelay {
                             caller,
@@ -928,11 +639,8 @@ impl Sel4Kernel {
                     // Rendezvous IPC has no queue to double-enqueue into
                     // and the one-shot reply capability absorbs a replayed
                     // Call, so the duplicate is absorbed (and recorded).
-                    self.trace.record(
-                        self.clock.now(),
-                        Some(caller),
-                        Detail::FaultDuplicate { caller, ep },
-                    );
+                    self.exec
+                        .record(Some(caller), Detail::FaultDuplicate { caller, ep });
                 }
             }
         }
@@ -942,7 +650,7 @@ impl Sel4Kernel {
         let queued = QueuedSend {
             badge: cap.badge,
             label: msg.label,
-            words: self.arena.alloc_words(&msg.words),
+            words: self.exec.arena.alloc_words(&msg.words),
             caps,
             is_call,
         };
@@ -950,9 +658,9 @@ impl Sel4Kernel {
         if let Some(receiver) = self.find_receiver(ep) {
             self.rendezvous(caller, receiver, ep, queued);
         } else if blocking {
-            self.metrics.ipc_waits += 1;
+            self.exec.metrics.ipc_waits += 1;
             if let Some(entry) = self.entry_mut(caller) {
-                entry.state = ProcState::Blocked(Block::SendingOn { ep, queued });
+                entry.task.state = ProcState::Blocked(Block::SendingOn { ep, queued });
             }
         } else {
             self.ready_with(caller, Reply::Err(Sel4Error::NotReady));
@@ -971,7 +679,7 @@ impl Sel4Kernel {
         // Lowest-pid sender blocked on this endpoint.
         let sender = self.threads.iter().enumerate().find_map(|(i, t)| {
             let e = t.as_ref()?;
-            match &e.state {
+            match &e.task.state {
                 ProcState::Blocked(Block::SendingOn { ep: s_ep, .. }) if *s_ep == ep => {
                     Some(Pid::new(i as u32))
                 }
@@ -983,7 +691,7 @@ impl Sel4Kernel {
             Some(sender_pid) => {
                 let queued = {
                     let entry = self.entry_mut(sender_pid).expect("sender alive");
-                    match std::mem::replace(&mut entry.state, ProcState::Runnable) {
+                    match std::mem::replace(&mut entry.task.state, ProcState::Runnable) {
                         ProcState::Blocked(Block::SendingOn { queued, .. }) => queued,
                         _ => unreachable!("sender was sending"),
                     }
@@ -992,7 +700,7 @@ impl Sel4Kernel {
             }
             None if blocking => {
                 if let Some(entry) = self.entry_mut(caller) {
-                    entry.state = ProcState::Blocked(Block::ReceivingOn { ep });
+                    entry.task.state = ProcState::Blocked(Block::ReceivingOn { ep });
                 }
             }
             None => self.ready_with(caller, Reply::Err(Sel4Error::NotReady)),
@@ -1003,7 +711,7 @@ impl Sel4Kernel {
     fn rendezvous(&mut self, sender: Pid, receiver: Pid, ep: ObjId, queued: QueuedSend) {
         // Receiver was blocked ReceivingOn; clear its state first.
         if let Some(entry) = self.entry_mut(receiver) {
-            entry.state = ProcState::Runnable;
+            entry.task.state = ProcState::Runnable;
         }
         self.complete_transfer(sender, receiver, ep, queued);
     }
@@ -1030,9 +738,9 @@ impl Sel4Kernel {
         } = queued;
         // The one kernel→user copy: unpack the registers and recycle the
         // slot before handing the message to the receiver.
-        let words = self.arena.get_words(words_ref);
-        self.arena.free(words_ref);
-        self.metrics.hot_path_allocs = self.arena.heap_events();
+        let words = self.exec.arena.get_words(words_ref);
+        self.exec.arena.free(words_ref);
+        self.exec.metrics.hot_path_allocs = self.exec.arena.heap_events();
 
         // Install transferred caps into the receiver's CSpace; drops on
         // overflow (with a trace record), as real seL4 truncates. Each
@@ -1053,18 +761,15 @@ impl Sel4Kernel {
                     );
                     received_caps.push(slot);
                 }
-                Err(_) => self
-                    .trace
-                    .record(self.clock.now(), Some(receiver), Detail::CapDropped),
+                Err(_) => self.exec.record(Some(receiver), Detail::CapDropped),
             }
         }
 
         let bytes = 8 + words.len() * 8;
-        self.metrics.ipc_messages += 1;
-        self.metrics.ipc_bytes += bytes as u64;
-        self.clock.charge_ipc_copy(bytes);
-        self.trace.record(
-            self.clock.now(),
+        self.exec.metrics.ipc_messages += 1;
+        self.exec.metrics.ipc_bytes += bytes as u64;
+        self.exec.clock.charge_ipc_copy(bytes);
+        self.exec.record(
             Some(receiver),
             Detail::Deliver {
                 sender,
@@ -1079,7 +784,7 @@ impl Sel4Kernel {
         // seL4 behavior. `ok` is an observer-only recheck against the
         // sender's *current* CSpace; `ok = false` on a delivered message
         // is the stale-handle use the race detector flags.
-        if self.cap_log.enabled() {
+        if self.exec.cap_log.enabled() {
             let sender_name = self
                 .entry_ref(sender)
                 .map(|e| e.name.clone())
@@ -1096,22 +801,25 @@ impl Sel4Kernel {
                         .any(|(_, c)| c.object() == Some(ep) && c.rights.write)
                 })
                 .unwrap_or(false);
-            let now = self.clock.now();
-            let use_seq = self.cap_log.record_with(now, CapOp::Use, still_ok, || {
-                (
-                    sender_name.clone(),
-                    format!("{sender_name}:{ep}"),
-                    format!("{ep}"),
-                )
-            });
-            let recv_seq = self.cap_log.record_with(now, CapOp::Recv, true, || {
+            let now = self.now();
+            let use_seq = self
+                .exec
+                .cap_log
+                .record_with(now, CapOp::Use, still_ok, || {
+                    (
+                        sender_name.clone(),
+                        format!("{sender_name}:{ep}"),
+                        format!("{ep}"),
+                    )
+                });
+            let recv_seq = self.exec.cap_log.record_with(now, CapOp::Recv, true, || {
                 (
                     receiver_name.clone(),
                     format!("{sender_name}:{ep}"),
                     format!("{ep}"),
                 )
             });
-            self.cap_log.edge(use_seq, recv_seq);
+            self.exec.cap_log.edge(use_seq, recv_seq);
         }
 
         if is_call {
@@ -1119,7 +827,7 @@ impl Sel4Kernel {
                 entry.reply_slot = Some(Capability::reply_to(sender));
             }
             if let Some(entry) = self.entry_mut(sender) {
-                entry.state = ProcState::Blocked(Block::AwaitingReply);
+                entry.task.state = ProcState::Blocked(Block::AwaitingReply);
             }
         } else {
             self.ready_with(sender, Reply::Ok);
@@ -1161,14 +869,13 @@ impl Sel4Kernel {
         }
 
         let target_waiting = matches!(
-            self.entry_ref(target).map(|e| &e.state),
+            self.entry_ref(target).map(|e| &e.task.state),
             Some(ProcState::Blocked(Block::AwaitingReply))
         );
         if !target_waiting {
             // Reply caps are one-shot: if the caller died or was restarted
             // the reply is silently dropped (seL4 semantics).
-            self.trace
-                .record(self.clock.now(), Some(caller), Detail::ReplyDropped(target));
+            self.exec.record(Some(caller), Detail::ReplyDropped(target));
             self.ready_with(caller, Reply::Ok);
             return;
         }
@@ -1186,9 +893,9 @@ impl Sel4Kernel {
         }
 
         let bytes = 8 + msg.words.len() * 8;
-        self.metrics.ipc_messages += 1;
-        self.metrics.ipc_bytes += bytes as u64;
-        self.clock.charge_ipc_copy(bytes);
+        self.exec.metrics.ipc_messages += 1;
+        self.exec.metrics.ipc_bytes += bytes as u64;
+        self.exec.clock.charge_ipc_copy(bytes);
 
         self.ready_with(
             target,
@@ -1233,7 +940,7 @@ impl Sel4Kernel {
 
         let waiter = self.threads.iter().enumerate().find_map(|(i, t)| {
             let e = t.as_ref()?;
-            match &e.state {
+            match &e.task.state {
                 ProcState::Blocked(Block::WaitingNtfn { ntfn }) if *ntfn == obj => {
                     Some(Pid::new(i as u32))
                 }
@@ -1297,7 +1004,7 @@ impl Sel4Kernel {
                         }),
                     );
                 } else if let Some(entry) = self.entry_mut(caller) {
-                    entry.state = ProcState::Blocked(Block::WaitingNtfn { ntfn: obj });
+                    entry.task.state = ProcState::Blocked(Block::WaitingNtfn { ntfn: obj });
                 }
             }
             _ => self.deny(
@@ -1361,11 +1068,8 @@ impl Sel4Kernel {
                 "suspend without write",
             );
         }
-        self.trace.record(
-            self.clock.now(),
-            Some(caller),
-            Detail::Suspend { by: caller, target },
-        );
+        self.exec
+            .record(Some(caller), Detail::Suspend { by: caller, target });
         self.terminate(target);
         if target != caller {
             self.ready_with(caller, Reply::Ok);
@@ -1394,13 +1098,10 @@ impl Sel4Kernel {
                 if !cap.rights.write {
                     return self.deny(caller, Sel4Error::InsufficientRights, "device write");
                 }
-                match self.devices.write(dev, value) {
+                match self.exec.devices.write(dev, value) {
                     Ok(()) => {
-                        self.trace.record(
-                            self.clock.now(),
-                            Some(caller),
-                            Detail::DevWrite { dev, value },
-                        );
+                        self.exec
+                            .record(Some(caller), Detail::DevWrite { dev, value });
                         self.ready_with(caller, Reply::Ok);
                     }
                     Err(_) => self.ready_with(caller, Reply::Err(Sel4Error::WrongObjectType)),
@@ -1410,7 +1111,7 @@ impl Sel4Kernel {
                 if !cap.rights.read {
                     return self.deny(caller, Sel4Error::InsufficientRights, "device read");
                 }
-                match self.devices.read(dev) {
+                match self.exec.devices.read(dev) {
                     Ok(v) => self.ready_with(caller, Reply::DevValue(v)),
                     Err(_) => self.ready_with(caller, Reply::Err(Sel4Error::WrongObjectType)),
                 }
@@ -1423,7 +1124,7 @@ impl Sel4Kernel {
     fn find_receiver(&self, ep: ObjId) -> Option<Pid> {
         self.threads.iter().enumerate().find_map(|(i, t)| {
             let e = t.as_ref()?;
-            match &e.state {
+            match &e.task.state {
                 ProcState::Blocked(Block::ReceivingOn { ep: r_ep }) if *r_ep == ep => {
                     Some(Pid::new(i as u32))
                 }
@@ -1438,48 +1139,6 @@ impl Sel4Kernel {
         id
     }
 
-    fn terminate(&mut self, pid: Pid) {
-        let Some(entry) = self.threads.get_mut(pid.as_usize()).and_then(Option::take) else {
-            return;
-        };
-        // A thread parked in a send owns a staged arena slot; recycle it.
-        if let ProcState::Blocked(Block::SendingOn { ref queued, .. }) = entry.state {
-            self.arena.free(queued.words);
-        }
-        self.run_queue.remove(pid);
-        self.timers.cancel(pid);
-        // The dead thread's CSpace is gone; drop its derivation records
-        // (entries derived *from* them become roots, which is harmless:
-        // sweeps start from live holders).
-        self.cdt.retain(|child, _| child.0 != pid.as_u32());
-        self.metrics.processes_reaped += 1;
-        if self.last_run == Some(pid) {
-            self.last_run = None;
-        }
-        // If the dead thread owed someone a reply, wake the caller with an
-        // aborted-IPC error.
-        if let Some(Capability {
-            target: CapTarget::Reply(waiter),
-            ..
-        }) = entry.reply_slot
-        {
-            if matches!(
-                self.entry_ref(waiter).map(|e| &e.state),
-                Some(ProcState::Blocked(Block::AwaitingReply))
-            ) {
-                self.ready_with(waiter, Reply::Err(Sel4Error::InvalidCapability));
-            }
-        }
-    }
-
-    fn ready_with(&mut self, pid: Pid, reply: Reply) {
-        if let Some(entry) = self.entry_mut(pid) {
-            entry.pending_reply = Some(reply);
-            entry.state = ProcState::Runnable;
-            self.run_queue.enqueue(pid);
-        }
-    }
-
     fn entry_ref(&self, pid: Pid) -> Option<&ThreadEntry> {
         self.threads.get(pid.as_usize()).and_then(Option::as_ref)
     }
@@ -1488,5 +1147,146 @@ impl Sel4Kernel {
         self.threads
             .get_mut(pid.as_usize())
             .and_then(Option::as_mut)
+    }
+}
+
+impl Kernel for Sel4Kernel {
+    type Syscall = Syscall;
+    type Reply = Reply;
+    type Block = Block;
+    type Detail = Detail;
+    type Churn = ChurnSweep;
+
+    const WAKE: Reply = Reply::Ok;
+
+    #[inline]
+    fn exec(&self) -> &Executive<Detail> {
+        &self.exec
+    }
+
+    #[inline]
+    fn exec_mut(&mut self) -> &mut Executive<Detail> {
+        &mut self.exec
+    }
+
+    #[inline]
+    fn task_mut(&mut self, pid: Pid) -> Option<&mut Task<Syscall, Reply, Block>> {
+        self.entry_mut(pid).map(|e| &mut e.task)
+    }
+
+    fn handle_syscall(&mut self, pid: Pid, sys: Syscall) {
+        match sys {
+            Syscall::Send { ep, msg } => self.do_send(pid, ep, msg, true, false),
+            Syscall::NBSend { ep, msg } => self.do_send(pid, ep, msg, false, false),
+            Syscall::Call { ep, msg } => self.do_send(pid, ep, msg, true, true),
+            Syscall::Recv { ep } => self.do_recv(pid, ep, true),
+            Syscall::NBRecv { ep } => self.do_recv(pid, ep, false),
+            Syscall::Reply { msg } => self.do_reply(pid, msg),
+            Syscall::Signal { ntfn } => self.do_signal(pid, ntfn),
+            Syscall::Wait { ntfn } => self.do_wait(pid, ntfn),
+            Syscall::Mint { src, rights, badge } => self.do_mint(pid, src, rights, badge),
+            Syscall::Delete { slot } => {
+                let r = match self
+                    .entry_mut(pid)
+                    .expect("caller alive")
+                    .cspace
+                    .remove(slot)
+                {
+                    Ok(_) => Reply::Ok,
+                    Err(e) => Reply::Err(e),
+                };
+                self.ready_with(pid, r);
+            }
+            Syscall::Identify { slot } => {
+                let r = match self
+                    .entry_ref(pid)
+                    .expect("caller alive")
+                    .cspace
+                    .lookup(slot)
+                {
+                    Ok(cap) => match cap.target {
+                        CapTarget::Object(obj) => {
+                            Reply::Identified(self.object(obj).map(KernelObject::kind))
+                        }
+                        CapTarget::Reply(_) => Reply::Identified(None),
+                    },
+                    Err(e) => Reply::Err(e),
+                };
+                self.ready_with(pid, r);
+            }
+            Syscall::TcbSuspend { tcb } => self.do_tcb_suspend(pid, tcb),
+            Syscall::Sleep { duration } => self.sleep(pid, duration),
+            Syscall::GetTime => {
+                let now = self.now();
+                self.ready_with(pid, Reply::Time(now));
+            }
+            Syscall::DevRead { dev } => self.do_device(pid, dev, None),
+            Syscall::DevWrite { dev, value } => self.do_device(pid, dev, Some(value)),
+            Syscall::Retype { untyped, kind } => self.do_retype(pid, untyped, kind),
+        }
+    }
+
+    fn terminate(&mut self, pid: Pid) {
+        let Some(entry) = self.threads.get_mut(pid.as_usize()).and_then(Option::take) else {
+            return;
+        };
+        // A thread parked in a send owns a staged arena slot; recycle it.
+        if let ProcState::Blocked(Block::SendingOn { ref queued, .. }) = entry.task.state {
+            self.exec.arena.free(queued.words);
+        }
+        self.exec.reap(pid);
+        // The dead thread's CSpace is gone; drop its derivation records
+        // (entries derived *from* them become roots, which is harmless:
+        // sweeps start from live holders).
+        self.cdt.retain(|child, _| child.0 != pid.as_u32());
+        // If the dead thread owed someone a reply, wake the caller with an
+        // aborted-IPC error.
+        if let Some(Capability {
+            target: CapTarget::Reply(waiter),
+            ..
+        }) = entry.reply_slot
+        {
+            if matches!(
+                self.entry_ref(waiter).map(|e| &e.task.state),
+                Some(ProcState::Blocked(Block::AwaitingReply))
+            ) {
+                self.ready_with(waiter, Reply::Err(Sel4Error::InvalidCapability));
+            }
+        }
+    }
+
+    fn pid_of(&self, name: &str) -> Option<Pid> {
+        self.thread_named(name)
+    }
+
+    /// Names of live threads, sorted.
+    fn alive_names(&self) -> Vec<String> {
+        let mut v: Vec<String> = self
+            .threads
+            .iter()
+            .filter_map(|t| t.as_ref().map(|e| e.name.clone()))
+            .collect();
+        v.sort();
+        v
+    }
+
+    fn exit_detail(code: i32) -> Detail {
+        Detail::Exit(code)
+    }
+
+    fn crash_detail(name: &str) -> Detail {
+        Detail::Crash(name.into())
+    }
+
+    fn skew_detail(d: SimDuration) -> Detail {
+        Detail::ClockSkew(d.as_millis())
+    }
+
+    fn apply_cap_churn(&mut self, sweep: &ChurnSweep) -> bool {
+        self.apply_churn_sweep(sweep)
+    }
+
+    fn arm_cap_churn(&mut self, sweep: &ChurnSweep, after_checks: u32) {
+        self.arm_churn_sweep(sweep.clone(), after_checks);
     }
 }

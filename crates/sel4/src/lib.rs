@@ -36,6 +36,7 @@
 //! use bas_sel4::message::IpcMessage;
 //! use bas_sel4::rights::CapRights;
 //! use bas_sel4::syscall::{Reply, Syscall};
+//! use bas_sim::kernel::Kernel;
 //! use bas_sim::script::Script;
 //!
 //! let mut k = Sel4Kernel::new(Sel4Config::default());

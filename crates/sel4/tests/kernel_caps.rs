@@ -9,6 +9,7 @@ use bas_sel4::message::IpcMessage;
 use bas_sel4::objects::ObjKind;
 use bas_sel4::rights::CapRights;
 use bas_sel4::syscall::{Reply, Syscall};
+use bas_sim::kernel::Kernel;
 use bas_sim::process::Pid;
 use bas_sim::script::{replies, Script};
 
@@ -505,9 +506,6 @@ fn thread_names_and_counts() {
     assert_eq!(k.thread_count(), 2);
     assert_eq!(k.thread_named("a"), Some(a));
     assert_eq!(k.thread_named("zz"), None);
-    assert_eq!(
-        k.alive_thread_names(),
-        vec!["a".to_string(), "b".to_string()]
-    );
+    assert_eq!(k.alive_names(), vec!["a".to_string(), "b".to_string()]);
     assert_eq!(k.tcb_of(Pid::new(99)), None);
 }

@@ -9,6 +9,7 @@ use bas_sel4::message::IpcMessage;
 use bas_sel4::rights::CapRights;
 use bas_sel4::syscall::{Reply, Syscall};
 use bas_sim::caps::{CapOp, ChurnKind};
+use bas_sim::kernel::Kernel;
 use bas_sim::process::Pid;
 use bas_sim::script::{replies, Script};
 

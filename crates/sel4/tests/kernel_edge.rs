@@ -8,6 +8,7 @@ use bas_sel4::kernel::{Sel4Config, Sel4Kernel};
 use bas_sel4::message::IpcMessage;
 use bas_sel4::rights::CapRights;
 use bas_sel4::syscall::{Reply, Syscall};
+use bas_sim::kernel::Kernel;
 use bas_sim::script::{replies, Script};
 
 type S = Script<Syscall, Reply>;

@@ -10,6 +10,7 @@ use bas_sel4::message::IpcMessage;
 use bas_sel4::objects::ObjKind;
 use bas_sel4::rights::CapRights;
 use bas_sel4::syscall::{Reply, RetypeKind, Syscall};
+use bas_sim::kernel::Kernel;
 use bas_sim::script::{replies, Script};
 
 type S = Script<Syscall, Reply>;

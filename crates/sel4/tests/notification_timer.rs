@@ -8,6 +8,7 @@ use bas_sel4::cap::{CPtr, Capability};
 use bas_sel4::kernel::{Sel4Config, Sel4Kernel};
 use bas_sel4::rights::CapRights;
 use bas_sel4::syscall::{Reply, Syscall};
+use bas_sim::kernel::Kernel;
 use bas_sim::process::{Action, Process};
 use bas_sim::time::{SimDuration, SimTime};
 

@@ -232,6 +232,17 @@ pub enum ChurnKind {
     Revoke,
 }
 
+impl From<ChurnKind> for CapOp {
+    /// The write event a churn op records.
+    fn from(kind: ChurnKind) -> CapOp {
+        match kind {
+            ChurnKind::Grant => CapOp::Grant,
+            ChurnKind::Attenuate => CapOp::Attenuate,
+            ChurnKind::Revoke => CapOp::Revoke,
+        }
+    }
+}
+
 impl ChurnKind {
     /// Stable lowercase label.
     pub fn label(self) -> &'static str {
@@ -289,6 +300,24 @@ impl CapChurnOp {
             self.object
         )
     }
+}
+
+/// Counts one successful admission check against every armed churn op
+/// that `hits` it, and disarms and returns (in arming order) the ops whose
+/// countdown had reached zero. Each entry is an op and the number of
+/// further matching checks to let pass first.
+pub fn take_due<T>(armed: &mut Vec<(T, u32)>, hits: impl Fn(&T) -> bool) -> Vec<T> {
+    armed
+        .extract_if(.., |(op, remaining)| {
+            if !hits(op) {
+                return false;
+            }
+            let due = *remaining == 0;
+            *remaining = remaining.saturating_sub(1);
+            due
+        })
+        .map(|(op, _)| op)
+        .collect()
 }
 
 #[cfg(test)]
@@ -356,5 +385,14 @@ mod tests {
         assert!(CapOp::Revoke.is_write());
         assert!(!CapOp::Check.is_write());
         assert!(!CapOp::Recv.is_write());
+    }
+
+    #[test]
+    fn take_due_counts_down_matching_ops_only() {
+        let mut armed = vec![("a", 1), ("b", 0), ("a", 0)];
+        assert_eq!(take_due(&mut armed, |op| *op == "a"), ["a"]);
+        assert_eq!(armed, [("a", 0), ("b", 0)]);
+        assert_eq!(take_due(&mut armed, |op| *op == "a"), ["a"]);
+        assert_eq!(armed, [("b", 0)]);
     }
 }

@@ -74,6 +74,7 @@ impl std::error::Error for NoSuchDeviceError {}
 #[derive(Default)]
 pub struct DeviceBus {
     devices: BTreeMap<DeviceId, Box<dyn Device>>,
+    interposed: bool,
 }
 
 impl fmt::Debug for DeviceBus {
@@ -89,6 +90,7 @@ impl DeviceBus {
     pub fn new() -> Self {
         DeviceBus {
             devices: BTreeMap::new(),
+            interposed: false,
         }
     }
 
@@ -118,7 +120,14 @@ impl DeviceBus {
     ) -> Result<(), NoSuchDeviceError> {
         let inner = self.devices.remove(&id).ok_or(NoSuchDeviceError(id))?;
         self.devices.insert(id, wrap(inner));
+        self.interposed = true;
         Ok(())
+    }
+
+    /// True once [`DeviceBus::interpose`] replaced a device. Interposers
+    /// outlive a kernel reset, so such a bus is no longer its boot image.
+    pub fn interposed(&self) -> bool {
+        self.interposed
     }
 
     /// Reads from the device.
@@ -218,6 +227,17 @@ mod tests {
         // Interposing an unknown id reports the error instead of creating
         // a device from nothing.
         assert!(bus.interpose(DeviceId::new(99), |inner| inner).is_err());
+    }
+
+    /// Only a successful interposition marks the bus.
+    #[test]
+    fn interposed_reports_a_replaced_device() {
+        let mut bus = DeviceBus::new();
+        bus.register(DeviceId::FAN, Box::new(Register(Rc::default())));
+        assert!(bus.interpose(DeviceId::ALARM, |inner| inner).is_err());
+        assert!(!bus.interposed());
+        bus.interpose(DeviceId::FAN, |inner| inner).unwrap();
+        assert!(bus.interposed());
     }
 
     #[test]

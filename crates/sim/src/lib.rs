@@ -4,8 +4,10 @@
 //! system platforms in the BAS reproduction (`bas-minix`, `bas-sel4` and
 //! `bas-linux`): a virtual clock with a configurable cost model, a
 //! process-as-resumable-state-machine abstraction, a round-robin run queue,
-//! a timer queue, kernel metrics, a deterministic RNG, an event trace, and a
-//! device bus connecting drivers to the simulated physical world.
+//! a timer queue, kernel metrics, a deterministic RNG, an event trace, a
+//! device bus connecting drivers to the simulated physical world, and the
+//! [`kernel`] executive that runs them: the one scheduler loop, timer
+//! wake-up path and cost charging all three kernels share.
 //!
 //! ## Execution model
 //!
@@ -48,6 +50,7 @@ pub mod caps;
 pub mod clock;
 pub mod device;
 pub mod fault;
+pub mod kernel;
 pub mod metrics;
 pub mod pool;
 pub mod process;
@@ -63,6 +66,7 @@ pub use caps::{CapChurnOp, CapEvent, CapLog, CapOp, CapTrace, ChurnKind};
 pub use clock::{CostModel, VirtualClock};
 pub use device::{Device, DeviceBus, DeviceId};
 pub use fault::{FaultyDevice, IpcFault, IpcFaultState, SensorFaultHandle, SensorFaultMode};
+pub use kernel::{Executive, Kernel, Task};
 pub use metrics::KernelMetrics;
 pub use pool::WorkerPool;
 pub use process::{Action, Pid, ProcState, Process};

@@ -14,6 +14,7 @@ use bas::sel4::kernel::{Sel4Config, Sel4Kernel, Sel4Thread};
 use bas::sel4::syscall::{Reply, Syscall};
 use bas::sim::process::{Action, Process};
 use bas::sim::script::{replies, Script};
+use bas_sim::kernel::Kernel;
 
 /// The lock controller: grants access when the badge id is on the
 /// allowlist, and never exposes anything else.

@@ -24,6 +24,7 @@ use bas::sel4::syscall::{Reply, Syscall};
 use bas::sim::device::DeviceId;
 use bas::sim::process::{Action, Process};
 use bas::sim::time::{SimDuration, SimTime};
+use bas_sim::kernel::Kernel;
 
 /// Device ids per zone: zone 0 uses 10/11/12, zone 1 uses 20/21/22.
 fn zone_devices(zone: u32) -> (DeviceId, DeviceId, DeviceId) {
