@@ -4,18 +4,32 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# json_number KEY FILE
+# Prints the first "KEY" number in FILE. The leading quote anchors the
+# grep to the exact key, so prefixed keys such as
+# "cold_bytes_per_instance" never match. Fails, naming the key and the
+# file, when FILE holds no number under KEY.
+json_number() {
+  local key=$1 file=$2 value
+  value=$(grep -m1 -o "\"$key\": *[0-9.eE+-]*" "$file" | sed 's/.*: *//' || true)
+  if [ -z "$value" ]; then
+    echo "gate: no number for key \"$key\" in $file" >&2
+    return 1
+  fi
+  echo "$value"
+}
+
 # gate FILE KEY floor|ceiling FRACTION BASELINE MESSAGE
 # Reads the first "KEY" number in FILE and fails with MESSAGE when it is
 # below (floor) or above (ceiling) FRACTION times BASELINE. BASELINE is a
-# committed JSON file holding the same key, or a plain number. The
-# leading quote anchors the grep to the exact key, so prefixed keys such
-# as "cold_bytes_per_instance" never match.
+# committed JSON file holding the same key, or a plain number. A key
+# missing from FILE or from a BASELINE file fails the gate.
 gate() {
   local file=$1 key=$2 kind=$3 fraction=$4 baseline=$5 message=$6
   local current reference
-  current=$(grep -m1 -o "\"$key\": *[0-9.eE+-]*" "$file" | sed 's/.*: *//')
+  current=$(json_number "$key" "$file") || exit 1
   if [ -f "$baseline" ]; then
-    reference=$(grep -m1 -o "\"$key\": *[0-9.eE+-]*" "$baseline" | sed 's/.*: *//')
+    reference=$(json_number "$key" "$baseline") || exit 1
   else
     reference=$baseline
   fi

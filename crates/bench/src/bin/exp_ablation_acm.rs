@@ -23,6 +23,7 @@ use bas_bench::{rule, section, Harness};
 use bas_core::platform::minix::{MinixOverrides, MinixStack};
 use bas_core::proto::{AC_ALARM, AC_CONTROL, AC_HEATER, AC_SENSOR, AC_WEB};
 use bas_core::scenario::{critical_alive, Scenario, ScenarioConfig};
+use bas_core::ScenarioEngine;
 use bas_minix::pm;
 use bas_sim::time::SimDuration;
 use std::cell::RefCell;
@@ -62,7 +63,6 @@ fn permissive_acm() -> AccessControlMatrix {
 }
 
 fn run_minix_attack(
-    h: &Harness,
     attack: AttackId,
     acm: Option<AccessControlMatrix>,
     fork_quota: Option<u64>,
@@ -85,7 +85,7 @@ fn run_minix_attack(
         acm: acm.map(std::sync::Arc::new),
         ..MinixOverrides::default()
     };
-    let mut s = h.build_stack::<MinixStack>(&scenario_cfg, overrides);
+    let mut s = ScenarioEngine::<MinixStack>::boot(&scenario_cfg, overrides);
     s.run_for(warmup + SimDuration::from_secs(1_020));
     let plant = s.plant();
     let safe = plant.borrow().safety_report().is_safe();
@@ -120,7 +120,7 @@ fn main() {
             ("permissive ACM", Some(permissive_acm()), None),
             ("scenario ACM + quota", None, Some(2u64)),
         ] {
-            let (safe, alive, successes, denials) = run_minix_attack(&h, attack, acm, quota);
+            let (safe, alive, successes, denials) = run_minix_attack(attack, acm, quota);
             println!(
                 "{:<22} {:<22} {:>10} {:>9} {:>7} {:>9}",
                 attack.to_string(),
@@ -147,13 +147,12 @@ fn main() {
 
     // Sanity check of the headline claims (the binary doubles as a test).
     let (safe, _, _, _) = run_minix_attack(
-        &h,
         AttackId::SpoofActuatorCommands,
         Some(permissive_acm()),
         None,
     );
     assert!(!safe, "permissive ACM must let the actuator spoof through");
-    let (safe, _, _, _) = run_minix_attack(&h, AttackId::SpoofActuatorCommands, None, None);
+    let (safe, _, _, _) = run_minix_attack(AttackId::SpoofActuatorCommands, None, None);
     assert!(safe, "scenario ACM must stop the actuator spoof");
 
     let acm_check = bas_core::policy::scenario_acm();

@@ -17,6 +17,7 @@ use bas_capdl::verify::verify;
 use bas_core::platform::sel4::{ExtraCap, Sel4Overrides, Sel4Stack};
 use bas_core::policy::{actuator_rpc, instances};
 use bas_core::scenario::{Scenario, ScenarioConfig};
+use bas_core::ScenarioEngine;
 use bas_sel4::cap::CPtr;
 use bas_sel4::message::IpcMessage;
 use bas_sel4::rights::CapRights;
@@ -31,7 +32,8 @@ fn scenario_cfg() -> ScenarioConfig {
 }
 
 fn main() {
-    let h = Harness::new("ablation_caps");
+    // No flag changes these runs; the harness still rejects bad ones.
+    Harness::new("ablation_caps");
     section("configuration 1: the compiled capability distribution (paper §IV-D.3)");
     {
         let evidence = new_evidence();
@@ -46,7 +48,7 @@ fn main() {
             extra_caps: Vec::new(),
             ..Sel4Overrides::default()
         };
-        let mut s = h.build_stack::<Sel4Stack>(&scenario_cfg(), overrides);
+        let mut s = ScenarioEngine::<Sel4Stack>::boot(&scenario_cfg(), overrides);
         s.run_for(WARMUP + SimDuration::from_secs(1_020));
         let e = evidence.borrow();
         let plant = s.plant();
@@ -108,7 +110,7 @@ fn main() {
             ],
             ..Sel4Overrides::default()
         };
-        let mut s = h.build_stack::<Sel4Stack>(&scenario_cfg(), overrides);
+        let mut s = ScenarioEngine::<Sel4Stack>::boot(&scenario_cfg(), overrides);
 
         // The auditor catches the misconfiguration immediately:
         let issues = verify(&s.stack.spec, &s.stack.kernel, &s.stack.sys);

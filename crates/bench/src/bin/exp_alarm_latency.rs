@@ -7,6 +7,7 @@
 //! Run: `cargo run --release -p bas-bench --bin exp_alarm_latency [-- --quick --json]`
 
 use bas_bench::{rule, section, Harness};
+use bas_core::boot_platform;
 use bas_core::scenario::{plant_snapshot, Platform, ScenarioConfig};
 use bas_fleet::{Json, LatencyHistogram};
 use bas_sim::time::SimDuration;
@@ -20,8 +21,8 @@ fn config(seed: u64) -> ScenarioConfig {
     cfg
 }
 
-fn run_one(h: &Harness, platform: Platform, seed: u64) -> Option<f64> {
-    let mut scenario = h.build(platform, &config(seed));
+fn run_one(platform: Platform, seed: u64) -> Option<f64> {
+    let mut scenario = boot_platform(platform, &config(seed));
     scenario.run_for(SimDuration::from_secs(1_500));
     let snapshot = plant_snapshot(scenario.as_ref());
     assert!(
@@ -52,7 +53,7 @@ fn main() {
         );
         let mut min = f64::INFINITY;
         for seed in 1..=seeds {
-            let latency = run_one(&h, platform, seed).unwrap_or_else(|| {
+            let latency = run_one(platform, seed).unwrap_or_else(|| {
                 panic!("{platform} seed {seed}: every seed must produce an alarm")
             });
             hist.record(latency);

@@ -14,13 +14,16 @@ use bas_capdl::verify::verify;
 use bas_core::platform::sel4::{Sel4Overrides, Sel4Stack};
 use bas_core::policy::instances;
 use bas_core::scenario::{Scenario, ScenarioConfig};
+use bas_core::ScenarioEngine;
 use bas_sel4::cap::Capability;
 use bas_sel4::rights::CapRights;
 use bas_sim::time::SimDuration;
 
 fn main() {
-    let h = Harness::new("capdl_verify");
-    let mut s = h.build_stack::<Sel4Stack>(&ScenarioConfig::quiet(), Sel4Overrides::default());
+    // No flag changes these runs; the harness still rejects bad ones.
+    Harness::new("capdl_verify");
+    let mut s =
+        ScenarioEngine::<Sel4Stack>::boot(&ScenarioConfig::quiet(), Sel4Overrides::default());
 
     section("compiled CapDL specification");
     print!("{}", s.stack.spec.to_text());

@@ -5,89 +5,13 @@
 //!
 //! Run: `cargo run --release -p bas-bench --bin exp_cost_sensitivity`
 
-use bas_acm::{AcId, AccessControlMatrix};
+use bas_bench::ipc::IpcFixture;
 use bas_bench::{rule, section, Harness};
-use bas_linux::kernel::{LinuxConfig, LinuxKernel};
-use bas_linux::syscall::{Reply as LReply, Syscall as LSyscall};
-use bas_minix::kernel::{MinixConfig, MinixKernel};
-use bas_minix::message::Payload;
-use bas_minix::pm;
-use bas_minix::syscall::{Reply as MReply, Syscall as MSyscall};
 use bas_sim::clock::CostModel;
-use bas_sim::kernel::Kernel;
-use bas_sim::process::{Action, Process};
 use bas_sim::time::SimDuration;
 
-struct MinixGetpid {
-    remaining: u64,
-}
-impl Process for MinixGetpid {
-    type Syscall = MSyscall;
-    type Reply = MReply;
-    fn resume(&mut self, _reply: Option<MReply>) -> Action<MSyscall> {
-        if self.remaining == 0 {
-            return Action::Exit(0);
-        }
-        self.remaining -= 1;
-        Action::Syscall(MSyscall::SendRec {
-            dest: pm::PM_ENDPOINT,
-            mtype: pm::PM_GETPID,
-            payload: Payload::zeroed(),
-        })
-    }
-}
-
-struct LinuxGetpid {
-    remaining: u64,
-}
-impl Process for LinuxGetpid {
-    type Syscall = LSyscall;
-    type Reply = LReply;
-    fn resume(&mut self, _reply: Option<LReply>) -> Action<LSyscall> {
-        if self.remaining == 0 {
-            return Action::Exit(0);
-        }
-        self.remaining -= 1;
-        Action::Syscall(LSyscall::GetPid)
-    }
-}
-
-fn minix_ns_per_op(n: u64, cost_model: CostModel) -> f64 {
-    let acm = pm::allow_pm_ops(
-        AccessControlMatrix::builder(),
-        AcId::new(1),
-        [pm::PM_GETPID],
-    )
-    .build();
-    let mut k = MinixKernel::new(MinixConfig {
-        acm,
-        cost_model,
-        ..MinixConfig::default()
-    });
-    k.disable_trace();
-    k.spawn(
-        "caller",
-        AcId::new(1),
-        0,
-        Box::new(MinixGetpid { remaining: n }),
-    )
-    .unwrap();
-    let t0 = k.now();
-    k.run_to_quiescence();
-    (k.now() - t0).as_nanos() as f64 / n as f64
-}
-
-fn linux_ns_per_op(n: u64, cost_model: CostModel) -> f64 {
-    let mut k = LinuxKernel::new(LinuxConfig {
-        cost_model,
-        ..LinuxConfig::default()
-    });
-    k.disable_trace();
-    k.spawn("caller", 1_000, Box::new(LinuxGetpid { remaining: n }))
-        .unwrap();
-    let t0 = k.now();
-    k.run_to_quiescence();
-    (k.now() - t0).as_nanos() as f64 / n as f64
+fn ns_per_op(fixture: IpcFixture, n: u64, cost_model: CostModel) -> f64 {
+    fixture.run(n, cost_model).virtual_ns as f64 / n as f64
 }
 
 fn main() {
@@ -106,8 +30,8 @@ fn main() {
             context_switch: SimDuration::from_nanos(ctx_ns),
             ..CostModel::default()
         };
-        let minix = minix_ns_per_op(n, cost_model);
-        let linux = linux_ns_per_op(n, cost_model);
+        let minix = ns_per_op(IpcFixture::MinixGetpid, n, cost_model);
+        let linux = ns_per_op(IpcFixture::LinuxGetpid, n, cost_model);
         println!(
             "{:>16} {:>18.1} {:>18.1} {:>9.2}x",
             ctx_ns,

@@ -5,6 +5,7 @@
 //! Run: `cargo run --release -p bas-bench --bin exp_scenario_baseline`
 
 use bas_bench::{rule, section, Harness};
+use bas_core::boot_platform;
 use bas_core::scenario::{critical_alive, Scenario, ScenarioConfig};
 use bas_sim::time::SimDuration;
 
@@ -57,7 +58,7 @@ fn main() {
 
     let mut scenarios = Vec::new();
     for platform in h.platforms() {
-        let mut s = h.build(platform, &config);
+        let mut s = boot_platform(platform, &config);
         run(&platform.to_string(), s.as_mut(), minutes);
         scenarios.push((platform, s));
     }

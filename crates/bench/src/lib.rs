@@ -25,10 +25,12 @@
 //! | `exp_cap_races` | E19 — capability-churn races: detector vs checker vs static leaks |
 //!
 //! Every binary drives a [`Harness`], which owns the shared experiment
-//! plumbing: flag parsing (`--quick`, `--json`, `--platform`), platform
-//! iteration, scenario construction through the `PlatformKernel` trait,
-//! and table/JSON emission. The binaries keep only experiment-specific
-//! logic.
+//! plumbing: flag parsing (`--quick`, `--json`, `--platform`,
+//! `--workers`), platform iteration, and table/JSON emission. Binaries
+//! boot scenarios themselves through `bas_core::boot_platform` or
+//! `ScenarioEngine::boot` and keep only experiment-specific logic. The
+//! per-platform IPC stacks that E8, E8b and the `ipc` bench measure live
+//! once in [`ipc`].
 //!
 //! Criterion benches (`benches/`): `ipc` (round-trip cost per platform),
 //! `micro` (ACM/CSpace/mq/plant primitives), `scenario` (end-to-end
@@ -36,10 +38,10 @@
 
 use std::path::PathBuf;
 
-use bas_core::engine::PlatformKernel;
-use bas_core::scenario::{Platform, Scenario, ScenarioConfig};
-use bas_core::{boot_platform, ScenarioEngine};
+use bas_core::scenario::Platform;
 use bas_fleet::Json;
+
+pub mod ipc;
 
 /// Shared plumbing for every `exp_*` binary.
 ///
@@ -53,6 +55,9 @@ use bas_fleet::Json;
 /// - `--platform linux|minix|sel4` — restrict [`Harness::platforms`].
 /// - `--workers N` — worker threads for parallel experiments
 ///   ([`Harness::workers`]; defaults to the available cores).
+///
+/// An unknown platform or a `--workers` value that is not a count exits
+/// with status 2 rather than running with a default.
 pub struct Harness {
     name: &'static str,
     quick: bool,
@@ -76,11 +81,16 @@ impl Harness {
                 }
             }
         });
-        let workers = args
-            .iter()
-            .position(|a| a == "--workers")
-            .and_then(|idx| args.get(idx + 1)?.parse().ok())
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let workers = match args.iter().position(|a| a == "--workers") {
+            None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            Some(idx) => {
+                let value = args.get(idx + 1);
+                value.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
+                    eprintln!("bad --workers value {value:?}; expected a thread count");
+                    std::process::exit(2);
+                })
+            }
+        };
         Harness {
             name,
             quick: args.iter().any(|a| a == "--quick"),
@@ -126,24 +136,6 @@ impl Harness {
             .into_iter()
             .filter(|p| self.platform_filter.is_none_or(|f| f == *p))
             .collect()
-    }
-
-    /// Boots the default scenario stack for `platform` — the one-liner
-    /// replacing the per-binary three-way `build_*` match.
-    pub fn build(&self, platform: Platform, config: &ScenarioConfig) -> Box<dyn Scenario> {
-        boot_platform(platform, config)
-    }
-
-    /// Boots a *typed* stack with experiment-specific overrides, through
-    /// the same [`PlatformKernel`] trait the generic path uses. For
-    /// experiments that must reach into the stack (CapDL audits, crash
-    /// injection, attacker processes).
-    pub fn build_stack<K: PlatformKernel>(
-        &self,
-        config: &ScenarioConfig,
-        overrides: K::Overrides,
-    ) -> ScenarioEngine<K> {
-        ScenarioEngine::boot(config, overrides)
     }
 
     /// Writes `BENCH_<name>.json` in the current directory when `--json`

@@ -58,3 +58,13 @@ fn cost_sensitivity_quick_output_is_pinned() {
     let got = stdout_of(env!("CARGO_BIN_EXE_exp_cost_sensitivity"), &["--quick"]);
     assert_eq!(got, E8B_QUICK);
 }
+
+#[test]
+fn bad_workers_value_exits_2() {
+    let status = Command::new(env!("CARGO_BIN_EXE_exp_fault_campaign"))
+        .args(["--quick", "--workers", "x"])
+        .output()
+        .expect("run binary")
+        .status;
+    assert_eq!(status.code(), Some(2));
+}

@@ -26,8 +26,8 @@
 //! ```
 //! use bas_acm::{AcId, AccessControlMatrix, MsgType};
 //! use bas_minix::kernel::{MinixConfig, MinixKernel};
-//! use bas_minix::script::ScriptProcess;
-//! use bas_minix::syscall::Syscall;
+//! use bas_minix::syscall::{Reply, Syscall};
+//! use bas_sim::script::Script;
 //!
 //! // Policy: ac10 may send m1 to ac11; nothing else.
 //! let acm = AccessControlMatrix::builder()
@@ -35,11 +35,11 @@
 //!     .build();
 //! let mut k = MinixKernel::new(MinixConfig { acm, ..MinixConfig::default() });
 //! let receiver = k
-//!     .spawn("rx", AcId::new(11), 1000, Box::new(ScriptProcess::new(vec![
+//!     .spawn("rx", AcId::new(11), 1000, Box::new(Script::<Syscall, Reply>::new(vec![
 //!         Syscall::Receive { from: None },
 //!     ])))
 //!     .unwrap();
-//! k.spawn("tx", AcId::new(10), 1000, Box::new(ScriptProcess::new(vec![
+//! k.spawn("tx", AcId::new(10), 1000, Box::new(Script::<Syscall, Reply>::new(vec![
 //!     Syscall::send(receiver, 1, [0u8; 0]),
 //! ])))
 //! .unwrap();
@@ -54,7 +54,6 @@ pub mod kernel;
 pub mod message;
 pub mod pcb;
 pub mod pm;
-pub mod script;
 pub mod syscall;
 pub mod trace;
 

@@ -6,11 +6,13 @@ use bas_acm::{AcId, AccessControlMatrix, MsgType, MsgTypeSet};
 use bas_minix::error::MinixError;
 use bas_minix::kernel::{MinixConfig, MinixKernel};
 use bas_minix::pm;
-use bas_minix::script::{collected_replies, ScriptProcess};
 use bas_minix::syscall::{Reply, Syscall};
 use bas_sim::caps::{CapChurnOp, CapOp, ChurnKind};
 use bas_sim::clock::CostModel;
 use bas_sim::kernel::Kernel;
+use bas_sim::script::{replies, Script};
+
+type S = Script<Syscall, Reply>;
 
 const TX: AcId = AcId::new(10);
 const RX: AcId = AcId::new(11);
@@ -39,19 +41,16 @@ fn applied_revoke_denies_subsequent_sends() {
             "rx",
             RX,
             1000,
-            Box::new(ScriptProcess::new(vec![Syscall::Receive { from: None }])),
+            Box::new(S::new(vec![Syscall::Receive { from: None }])),
         )
         .unwrap();
-    let (tx_script, tx_log) = ScriptProcess::new(vec![Syscall::send(rx, 7, [1u8])]).logged();
+    let (tx_script, tx_log) = S::new(vec![Syscall::send(rx, 7, [1u8])]).logged();
     k.spawn("tx", TX, 1000, Box::new(tx_script)).unwrap();
 
     // Revoke before the sender ever runs: a clean denial, no race.
     assert!(k.apply_cap_churn(&CapChurnOp::new(ChurnKind::Revoke, "tx", "rx")));
     k.run_to_quiescence();
-    assert_eq!(
-        collected_replies(&tx_log),
-        vec![Reply::Err(MinixError::CallDenied)]
-    );
+    assert_eq!(replies(&tx_log), vec![Reply::Err(MinixError::CallDenied)]);
 
     let trace = k.cap_trace();
     let ops: Vec<CapOp> = trace.events.iter().map(|e| e.op).collect();
@@ -70,13 +69,13 @@ fn armed_revoke_fires_inside_the_toctou_window() {
             "rx",
             RX,
             1000,
-            Box::new(ScriptProcess::new(vec![Syscall::Receive { from: None }])),
+            Box::new(S::new(vec![Syscall::Receive { from: None }])),
         )
         .unwrap();
     // Let the receiver park in Receive so the send rendezvouses instantly
     // — the adversarial case for time-based churn, trivial for armed churn.
     k.run_to_quiescence();
-    let (tx_script, tx_log) = ScriptProcess::new(vec![Syscall::send(rx, 7, [1u8])]).logged();
+    let (tx_script, tx_log) = S::new(vec![Syscall::send(rx, 7, [1u8])]).logged();
     k.spawn("tx", TX, 1000, Box::new(tx_script)).unwrap();
 
     k.arm_cap_churn(&CapChurnOp::new(ChurnKind::Revoke, "tx", "rx"), 0);
@@ -84,7 +83,7 @@ fn armed_revoke_fires_inside_the_toctou_window() {
 
     // The message was delivered anyway: the kernel checked at admission,
     // the revoke landed, and delivery trusted the stale admission.
-    assert_eq!(collected_replies(&tx_log), vec![Reply::Ok]);
+    assert_eq!(replies(&tx_log), vec![Reply::Ok]);
     assert_eq!(k.metrics().ipc_messages, 1);
 
     let trace = k.cap_trace();
@@ -115,14 +114,14 @@ fn armed_churn_counts_down_matching_checks_only() {
             "rx",
             RX,
             1000,
-            Box::new(ScriptProcess::new(vec![
+            Box::new(S::new(vec![
                 Syscall::Receive { from: None },
                 Syscall::Receive { from: None },
             ])),
         )
         .unwrap();
     k.run_to_quiescence();
-    let (tx_script, tx_log) = ScriptProcess::new(vec![
+    let (tx_script, tx_log) = S::new(vec![
         Syscall::send(rx, 1, [1u8]),
         Syscall::send(rx, 2, [2u8]),
     ])
@@ -133,7 +132,7 @@ fn armed_churn_counts_down_matching_checks_only() {
     // victim.
     k.arm_cap_churn(&CapChurnOp::new(ChurnKind::Revoke, "tx", "rx"), 1);
     k.run_to_quiescence();
-    assert_eq!(collected_replies(&tx_log), vec![Reply::Ok, Reply::Ok]);
+    assert_eq!(replies(&tx_log), vec![Reply::Ok, Reply::Ok]);
 
     let trace = k.cap_trace();
     let uses: Vec<bool> = trace
@@ -153,10 +152,10 @@ fn attenuate_keeps_only_acks() {
             "rx",
             RX,
             1000,
-            Box::new(ScriptProcess::new(vec![Syscall::Receive { from: None }])),
+            Box::new(S::new(vec![Syscall::Receive { from: None }])),
         )
         .unwrap();
-    let (tx_script, tx_log) = ScriptProcess::new(vec![
+    let (tx_script, tx_log) = S::new(vec![
         Syscall::send(rx, 5, [1u8]),
         Syscall::send(rx, MsgType::ACK.as_u32(), [0u8; 0]),
     ])
@@ -165,7 +164,7 @@ fn attenuate_keeps_only_acks() {
     assert!(k.apply_cap_churn(&CapChurnOp::new(ChurnKind::Attenuate, "tx", "rx")));
     k.run_to_quiescence();
     assert_eq!(
-        collected_replies(&tx_log),
+        replies(&tx_log),
         vec![Reply::Err(MinixError::CallDenied), Reply::Ok]
     );
 }
@@ -184,7 +183,7 @@ fn pm_revoke_rpc_cuts_the_row_and_logs_provenance() {
     .build();
     let mut k = kernel_with(acm);
     k.enable_cap_trace();
-    let (rx_script, rx_log) = ScriptProcess::new(vec![Syscall::sendrec(
+    let (rx_script, rx_log) = S::new(vec![Syscall::sendrec(
         pm::PM_ENDPOINT,
         pm::PM_REVOKE,
         pm::encode_cap_rpc(TX, RX, MsgTypeSet::All).as_bytes(),
@@ -193,7 +192,7 @@ fn pm_revoke_rpc_cuts_the_row_and_logs_provenance() {
     k.spawn("rx", RX, 1000, Box::new(rx_script)).unwrap();
     k.run_to_quiescence();
 
-    let replies = collected_replies(&rx_log);
+    let replies = replies(&rx_log);
     assert_eq!(replies.len(), 1);
     assert_eq!(replies[0].message().expect("pm reply").mtype, pm::PM_OK);
 
@@ -219,7 +218,7 @@ fn pm_delegate_rpc_is_bounded_by_grantor_authority() {
     )
     .build();
     let mut k = kernel_with(acm);
-    let (tx_script, tx_log) = ScriptProcess::new(vec![
+    let (tx_script, tx_log) = S::new(vec![
         Syscall::sendrec(
             pm::PM_ENDPOINT,
             pm::PM_DELEGATE,
@@ -234,16 +233,11 @@ fn pm_delegate_rpc_is_bounded_by_grantor_authority() {
     ])
     .logged();
     k.spawn("tx", TX, 1000, Box::new(tx_script)).unwrap();
-    k.spawn(
-        "rx",
-        RX,
-        1000,
-        Box::new(ScriptProcess::new(vec![Syscall::GetUptime])),
-    )
-    .unwrap();
+    k.spawn("rx", RX, 1000, Box::new(S::new(vec![Syscall::GetUptime])))
+        .unwrap();
     k.run_to_quiescence();
 
-    let replies = collected_replies(&tx_log);
+    let replies = replies(&tx_log);
     assert_eq!(replies.len(), 2);
     // Over-broad delegation rejected; subset delegation accepted.
     assert_eq!(replies[0].message().expect("reply").mtype, pm::PM_ERR);

@@ -4,9 +4,11 @@
 use bas_acm::{AcId, AccessControlMatrix, QuotaTable, SyscallClass};
 use bas_minix::error::MinixError;
 use bas_minix::kernel::{MinixConfig, MinixKernel};
-use bas_minix::script::{collected_replies, ScriptProcess};
 use bas_minix::syscall::{Reply, Syscall};
 use bas_sim::kernel::Kernel;
+use bas_sim::script::{replies, Script};
+
+type S = Script<Syscall, Reply>;
 
 const A: AcId = AcId::new(10);
 const B: AcId = AcId::new(11);
@@ -40,11 +42,7 @@ fn mutual_sendrec_deadlocks_without_crashing_the_kernel() {
             "a",
             A,
             0,
-            Box::new(ScriptProcess::new(vec![Syscall::sendrec(
-                b_predicted,
-                1,
-                [],
-            )])),
+            Box::new(S::new(vec![Syscall::sendrec(b_predicted, 1, [])])),
         )
         .unwrap();
     let b = k
@@ -52,7 +50,7 @@ fn mutual_sendrec_deadlocks_without_crashing_the_kernel() {
             "b",
             B,
             0,
-            Box::new(ScriptProcess::new(vec![Syscall::sendrec(a, 1, [])])),
+            Box::new(S::new(vec![Syscall::sendrec(a, 1, [])])),
         )
         .unwrap();
     assert_eq!(b, b_predicted);
@@ -74,7 +72,7 @@ fn send_to_self_parks_the_sender() {
             "a",
             A,
             0,
-            Box::new(ScriptProcess::new(vec![Syscall::send(self_ep, 1, [])])),
+            Box::new(S::new(vec![Syscall::send(self_ep, 1, [])])),
         )
         .unwrap();
     assert_eq!(a, self_ep);
@@ -89,7 +87,7 @@ fn send_to_self_parks_the_sender() {
             "a",
             A,
             0,
-            Box::new(ScriptProcess::new(vec![Syscall::send(self_ep, 1, [])])),
+            Box::new(S::new(vec![Syscall::send(self_ep, 1, [])])),
         )
         .unwrap();
     k2.run_to_quiescence();
@@ -109,9 +107,7 @@ fn notify_bits_from_two_senders_deliver_separately() {
             "tx1",
             A,
             0,
-            Box::new(ScriptProcess::new(vec![Syscall::Notify {
-                dest: rx_predicted,
-            }])),
+            Box::new(S::new(vec![Syscall::Notify { dest: rx_predicted }])),
         )
         .unwrap();
     let tx2 = k
@@ -119,12 +115,10 @@ fn notify_bits_from_two_senders_deliver_separately() {
             "tx2",
             C,
             0,
-            Box::new(ScriptProcess::new(vec![Syscall::Notify {
-                dest: rx_predicted,
-            }])),
+            Box::new(S::new(vec![Syscall::Notify { dest: rx_predicted }])),
         )
         .unwrap();
-    let (rx, rx_log) = ScriptProcess::new(vec![
+    let (rx, rx_log) = S::new(vec![
         Syscall::GetUptime, // stay busy while the notifies queue
         Syscall::Receive { from: None },
         Syscall::Receive { from: None },
@@ -133,7 +127,7 @@ fn notify_bits_from_two_senders_deliver_separately() {
     let rx_ep = k.spawn("rx", B, 0, Box::new(rx)).unwrap();
     assert_eq!(rx_ep, rx_predicted);
     k.run_to_quiescence();
-    let sources: Vec<_> = collected_replies(&rx_log)
+    let sources: Vec<_> = replies(&rx_log)
         .iter()
         .filter_map(|r| r.message().map(|m| m.source))
         .collect();
@@ -149,12 +143,12 @@ fn receive_from_specific_defers_other_senders() {
     });
     let rx_predicted = bas_minix::endpoint::Endpoint::new(3, 0);
     // Both senders block sending to rx before rx ever receives.
-    let (tx_a, tx_a_log) = ScriptProcess::new(vec![Syscall::send(rx_predicted, 1, [1u8])]).logged();
+    let (tx_a, tx_a_log) = S::new(vec![Syscall::send(rx_predicted, 1, [1u8])]).logged();
     k.spawn("tx_a", A, 0, Box::new(tx_a)).unwrap();
-    let (tx_c, tx_c_log) = ScriptProcess::new(vec![Syscall::send(rx_predicted, 2, [2u8])]).logged();
+    let (tx_c, tx_c_log) = S::new(vec![Syscall::send(rx_predicted, 2, [2u8])]).logged();
     let tx_c_ep = k.spawn("tx_c", C, 0, Box::new(tx_c)).unwrap();
     // rx receives only from tx_c first, then from anyone.
-    let (rx, rx_log) = ScriptProcess::new(vec![
+    let (rx, rx_log) = S::new(vec![
         Syscall::Receive {
             from: Some(tx_c_ep),
         },
@@ -165,15 +159,15 @@ fn receive_from_specific_defers_other_senders() {
     assert_eq!(rx_ep, rx_predicted);
     k.run_to_quiescence();
 
-    let got = collected_replies(&rx_log);
+    let got = replies(&rx_log);
     assert_eq!(
         got[0].message().unwrap().mtype,
         2,
         "filtered receive picked tx_c"
     );
     assert_eq!(got[1].message().unwrap().mtype, 1, "tx_a served afterwards");
-    assert_eq!(collected_replies(&tx_a_log), vec![Reply::Ok]);
-    assert_eq!(collected_replies(&tx_c_log), vec![Reply::Ok]);
+    assert_eq!(replies(&tx_a_log), vec![Reply::Ok]);
+    assert_eq!(replies(&tx_c_log), vec![Reply::Ok]);
 }
 
 #[test]
@@ -190,16 +184,14 @@ fn send_quota_cuts_off_flooding_identity() {
             "rx",
             B,
             0,
-            Box::new(ScriptProcess::looping(vec![Syscall::Receive {
-                from: None,
-            }])),
+            Box::new(S::looping(vec![Syscall::Receive { from: None }])),
         )
         .unwrap();
     let sends: Vec<Syscall> = (0..6).map(|i| Syscall::send(rx, 1, [i as u8])).collect();
-    let (tx, log) = ScriptProcess::new(sends).logged();
+    let (tx, log) = S::new(sends).logged();
     k.spawn("tx", A, 0, Box::new(tx)).unwrap();
     k.run_until(bas_sim::time::SimTime::from_nanos(10_000_000_000));
-    let replies = collected_replies(&log);
+    let replies = replies(&log);
     let ok = replies.iter().filter(|r| **r == Reply::Ok).count();
     let quota_denied = replies
         .iter()
@@ -217,16 +209,11 @@ fn trace_records_every_security_relevant_category() {
             "rx",
             B,
             0,
-            Box::new(ScriptProcess::new(vec![Syscall::Receive { from: None }])),
+            Box::new(S::new(vec![Syscall::Receive { from: None }])),
         )
         .unwrap();
-    k.spawn(
-        "tx",
-        A,
-        0,
-        Box::new(ScriptProcess::new(vec![Syscall::send(rx, 1, [])])),
-    )
-    .unwrap();
+    k.spawn("tx", A, 0, Box::new(S::new(vec![Syscall::send(rx, 1, [])])))
+        .unwrap();
     k.run_to_quiescence();
     assert!(k.trace().events_in("proc.spawn").count() >= 2);
     assert_eq!(k.trace().events_in("acm.deny").count(), 1);

@@ -7,9 +7,11 @@ use bas_acm::{AcId, AccessControlMatrix};
 use bas_minix::error::MinixError;
 use bas_minix::grant::{BufId, GrantId, GrantPerms};
 use bas_minix::kernel::{MinixConfig, MinixKernel};
-use bas_minix::script::{collected_replies, ScriptProcess};
 use bas_minix::syscall::{Reply, Syscall};
 use bas_sim::kernel::Kernel;
+use bas_sim::script::{replies, Script};
+
+type S = Script<Syscall, Reply>;
 
 const GRANTER: AcId = AcId::new(10);
 const GRANTEE: AcId = AcId::new(11);
@@ -33,7 +35,7 @@ fn grantee_round_trips_data_through_a_grant() {
     let mut k = kernel();
     // Granter (slot 1): create buffer, fill it, grant a window to the
     // grantee (slot 2), then idle.
-    let (granter, granter_log) = ScriptProcess::new(vec![
+    let (granter, granter_log) = S::new(vec![
         Syscall::MemCreate { size: 64 },
         Syscall::MemWrite {
             buf: BufId(0),
@@ -55,7 +57,7 @@ fn grantee_round_trips_data_through_a_grant() {
 
     // Grantee (slot 2): wait for the grant to exist, then read through
     // it, write back, re-read.
-    let (grantee, grantee_log) = ScriptProcess::new(vec![
+    let (grantee, grantee_log) = S::new(vec![
         Syscall::Sleep {
             duration: bas_sim::time::SimDuration::from_millis(100),
         },
@@ -83,12 +85,12 @@ fn grantee_round_trips_data_through_a_grant() {
         .unwrap();
     k.run_to_quiescence();
 
-    let g = collected_replies(&granter_log);
+    let g = replies(&granter_log);
     assert_eq!(g[0], Reply::Buf(BufId(0)));
     assert_eq!(g[1], Reply::Ok);
     assert_eq!(g[2], Reply::Granted(GrantId(0)));
 
-    let got = collected_replies(&grantee_log);
+    let got = replies(&grantee_log);
     assert_eq!(got[1], Reply::Bytes(vec![10, 20, 30, 40]));
     assert_eq!(got[2], Reply::Ok);
     assert_eq!(got[3], Reply::Bytes(vec![10, 20, 30, 40, 99, 98]));
@@ -101,7 +103,7 @@ fn grantee_round_trips_data_through_a_grant() {
 #[test]
 fn third_process_cannot_use_someone_elses_grant() {
     let mut k = kernel();
-    let (granter, _) = ScriptProcess::new(vec![
+    let (granter, _) = S::new(vec![
         Syscall::MemCreate { size: 16 },
         Syscall::GrantCreate {
             buf: BufId(0),
@@ -119,14 +121,14 @@ fn third_process_cannot_use_someone_elses_grant() {
         "grantee",
         GRANTEE,
         1000,
-        Box::new(ScriptProcess::new(vec![
+        Box::new(S::new(vec![
             Syscall::Receive { from: None }, // passive; just occupies slot 2
         ])),
     )
     .unwrap();
     // The intruder (slot 3) knows the grant id and granter — and runs as
     // ROOT — but is not the grantee.
-    let (intruder, log) = ScriptProcess::new(vec![
+    let (intruder, log) = S::new(vec![
         Syscall::Sleep {
             duration: bas_sim::time::SimDuration::from_millis(100),
         },
@@ -149,7 +151,7 @@ fn third_process_cannot_use_someone_elses_grant() {
     k.run_to_quiescence();
 
     assert_eq!(
-        collected_replies(&log),
+        replies(&log),
         vec![
             Reply::Ok,
             Reply::Err(MinixError::PermissionDenied),
@@ -164,7 +166,7 @@ fn third_process_cannot_use_someone_elses_grant() {
 #[test]
 fn revocation_cuts_off_a_live_grantee() {
     let mut k = kernel();
-    let (granter, _) = ScriptProcess::new(vec![
+    let (granter, _) = S::new(vec![
         Syscall::MemCreate { size: 16 },
         Syscall::GrantCreate {
             buf: BufId(0),
@@ -183,7 +185,7 @@ fn revocation_cuts_off_a_live_grantee() {
     .logged();
     k.spawn("granter", GRANTER, 1000, Box::new(granter))
         .unwrap();
-    let (grantee, log) = ScriptProcess::new(vec![
+    let (grantee, log) = S::new(vec![
         Syscall::Sleep {
             duration: bas_sim::time::SimDuration::from_millis(100),
         },
@@ -208,7 +210,7 @@ fn revocation_cuts_off_a_live_grantee() {
         .unwrap();
     k.run_to_quiescence();
 
-    let got = collected_replies(&log);
+    let got = replies(&log);
     assert_eq!(got[0], Reply::Ok, "settling sleep");
     assert_eq!(got[1], Reply::Bytes(vec![0]), "first read succeeds");
     assert_eq!(got[2], Reply::Ok, "sleep");
@@ -227,7 +229,7 @@ fn grant_dies_with_the_granter() {
         "granter",
         GRANTER,
         1000,
-        Box::new(ScriptProcess::new(vec![
+        Box::new(S::new(vec![
             Syscall::MemCreate { size: 8 },
             Syscall::GrantCreate {
                 buf: BufId(0),
@@ -239,7 +241,7 @@ fn grant_dies_with_the_granter() {
         ])),
     )
     .unwrap();
-    let (grantee, log) = ScriptProcess::new(vec![
+    let (grantee, log) = S::new(vec![
         Syscall::Sleep {
             duration: bas_sim::time::SimDuration::from_secs(1),
         },
@@ -255,7 +257,7 @@ fn grant_dies_with_the_granter() {
         .unwrap();
     k.run_to_quiescence();
     assert_eq!(
-        collected_replies(&log)[1],
+        replies(&log)[1],
         Reply::Err(MinixError::DeadSourceOrDestination),
         "stale endpoint generation: the dead granter's memory is unreachable"
     );

@@ -7,10 +7,12 @@ use bas_minix::error::MinixError;
 use bas_minix::kernel::{MinixConfig, MinixKernel};
 use bas_minix::message::Payload;
 use bas_minix::pm::NOTIFY_MTYPE;
-use bas_minix::script::{collected_replies, ScriptProcess};
 use bas_minix::syscall::{Reply, Syscall};
 use bas_sim::clock::CostModel;
 use bas_sim::kernel::Kernel;
+use bas_sim::script::{replies, Script};
+
+type S = Script<Syscall, Reply>;
 
 const TX: AcId = AcId::new(10);
 const RX: AcId = AcId::new(11);
@@ -38,21 +40,21 @@ fn send_then_receive_delivers_once() {
             "rx",
             RX,
             1000,
-            Box::new(ScriptProcess::new(vec![Syscall::Receive { from: None }])),
+            Box::new(S::new(vec![Syscall::Receive { from: None }])),
         )
         .unwrap();
-    let (tx_script, tx_log) = ScriptProcess::new(vec![Syscall::send(rx, 7, [1u8, 2, 3])]).logged();
+    let (tx_script, tx_log) = S::new(vec![Syscall::send(rx, 7, [1u8, 2, 3])]).logged();
     k.spawn("tx", TX, 1000, Box::new(tx_script)).unwrap();
     k.run_to_quiescence();
     assert_eq!(k.metrics().ipc_messages, 1);
-    assert_eq!(collected_replies(&tx_log), vec![Reply::Ok]);
+    assert_eq!(replies(&tx_log), vec![Reply::Ok]);
 }
 
 #[test]
 fn receive_then_send_also_rendezvouses() {
     // Order independence: receiver blocks first, sender arrives later.
     let mut k = kernel_with(open_acm());
-    let (rx_script, rx_log) = ScriptProcess::new(vec![Syscall::Receive { from: None }]).logged();
+    let (rx_script, rx_log) = S::new(vec![Syscall::Receive { from: None }]).logged();
     let rx = k.spawn("rx", RX, 1000, Box::new(rx_script)).unwrap();
     // Let the receiver block before the sender exists.
     k.run_to_quiescence();
@@ -61,11 +63,11 @@ fn receive_then_send_also_rendezvouses() {
             "tx",
             TX,
             1000,
-            Box::new(ScriptProcess::new(vec![Syscall::send(rx, 9, [5u8])])),
+            Box::new(S::new(vec![Syscall::send(rx, 9, [5u8])])),
         )
         .unwrap();
     k.run_to_quiescence();
-    let replies = collected_replies(&rx_log);
+    let replies = replies(&rx_log);
     assert_eq!(replies.len(), 1);
     let msg = replies[0].message().expect("delivered message");
     assert_eq!(msg.source, tx, "kernel must stamp the true sender endpoint");
@@ -81,7 +83,7 @@ fn delivered_source_is_kernel_stamped_not_forgeable() {
     // receiver sees is the kernel-stamped endpoint. Verify the stamp
     // matches the actual sender even when the payload claims otherwise.
     let mut k = kernel_with(open_acm());
-    let (rx_script, rx_log) = ScriptProcess::new(vec![Syscall::Receive { from: None }]).logged();
+    let (rx_script, rx_log) = S::new(vec![Syscall::Receive { from: None }]).logged();
     let rx = k.spawn("rx", RX, 1000, Box::new(rx_script)).unwrap();
     // Payload bytes pretend to be "endpoint 1 gen 0" — irrelevant.
     let mut fake = Payload::zeroed();
@@ -91,7 +93,7 @@ fn delivered_source_is_kernel_stamped_not_forgeable() {
             "tx",
             TX,
             1000,
-            Box::new(ScriptProcess::new(vec![Syscall::Send {
+            Box::new(S::new(vec![Syscall::Send {
                 dest: rx,
                 mtype: 1,
                 payload: fake,
@@ -99,7 +101,7 @@ fn delivered_source_is_kernel_stamped_not_forgeable() {
         )
         .unwrap();
     k.run_to_quiescence();
-    let replies = collected_replies(&rx_log);
+    let replies = replies(&rx_log);
     let msg = replies[0].message().unwrap();
     assert_eq!(msg.source, tx);
     assert_ne!(msg.source, Endpoint::new(1, 0));
@@ -112,18 +114,18 @@ fn acm_denies_unlisted_channel_and_receiver_unaffected() {
         .allow_all_types(RX, TX)
         .build();
     let mut k = kernel_with(acm);
-    let (rx_script, rx_log) = ScriptProcess::new(vec![Syscall::Receive { from: None }]).logged();
+    let (rx_script, rx_log) = S::new(vec![Syscall::Receive { from: None }]).logged();
     let rx = k.spawn("rx", RX, 1000, Box::new(rx_script)).unwrap();
-    let (tx_script, tx_log) = ScriptProcess::new(vec![Syscall::send(rx, 1, [])]).logged();
+    let (tx_script, tx_log) = S::new(vec![Syscall::send(rx, 1, [])]).logged();
     k.spawn("tx", TX, 1000, Box::new(tx_script)).unwrap();
     k.run_to_quiescence();
     assert_eq!(
-        collected_replies(&tx_log),
+        replies(&tx_log),
         vec![Reply::Err(MinixError::CallDenied)],
         "sender sees ECALLDENIED"
     );
     assert!(
-        collected_replies(&rx_log).is_empty(),
+        replies(&rx_log).is_empty(),
         "receiver still blocked, got nothing"
     );
     assert_eq!(k.metrics().access_denied, 1);
@@ -142,20 +144,20 @@ fn acm_denies_wrong_message_type_on_existing_channel() {
             "rx",
             RX,
             1000,
-            Box::new(ScriptProcess::new(vec![
+            Box::new(S::new(vec![
                 Syscall::Receive { from: None },
                 Syscall::Receive { from: None },
             ])),
         )
         .unwrap();
-    let (tx_script, tx_log) = ScriptProcess::new(vec![
+    let (tx_script, tx_log) = S::new(vec![
         Syscall::send(rx, 1, []), // denied: wrong type
         Syscall::send(rx, 2, []), // allowed
     ])
     .logged();
     k.spawn("tx", TX, 1000, Box::new(tx_script)).unwrap();
     k.run_to_quiescence();
-    let replies = collected_replies(&tx_log);
+    let replies = replies(&tx_log);
     assert_eq!(replies[0], Reply::Err(MinixError::CallDenied));
     assert_eq!(replies[1], Reply::Ok);
     assert_eq!(k.metrics().ipc_messages, 1);
@@ -165,13 +167,11 @@ fn acm_denies_wrong_message_type_on_existing_channel() {
 fn sendrec_completes_rpc_roundtrip() {
     let mut k = kernel_with(open_acm());
     // Server: receive, then reply to whoever called (we know it's tx).
-    let (server_script, server_log) =
-        ScriptProcess::new(vec![Syscall::Receive { from: None }]).logged();
+    let (server_script, server_log) = S::new(vec![Syscall::Receive { from: None }]).logged();
     let server = k
         .spawn("server", RX, 1000, Box::new(server_script))
         .unwrap();
-    let (client_script, client_log) =
-        ScriptProcess::new(vec![Syscall::sendrec(server, 3, [42u8])]).logged();
+    let (client_script, client_log) = S::new(vec![Syscall::sendrec(server, 3, [42u8])]).logged();
     let client = k
         .spawn("client", TX, 1000, Box::new(client_script))
         .unwrap();
@@ -179,11 +179,11 @@ fn sendrec_completes_rpc_roundtrip() {
     // Server got the request, then its script ended and it exited; the
     // client, parked awaiting the reply, must be unblocked with an error
     // rather than hang forever.
-    let req = collected_replies(&server_log);
+    let req = replies(&server_log);
     assert_eq!(req.len(), 1);
     assert_eq!(req[0].message().unwrap().source, client);
     assert_eq!(
-        collected_replies(&client_log),
+        replies(&client_log),
         vec![Reply::Err(MinixError::DeadSourceOrDestination)],
         "server died before replying"
     );
@@ -209,11 +209,10 @@ fn sendrec_completes_rpc_roundtrip() {
     let server2 = k2
         .spawn("server", RX, 1000, Box::new(ReplyingServer))
         .unwrap();
-    let (client2, client2_log) =
-        ScriptProcess::new(vec![Syscall::sendrec(server2, 3, [42u8])]).logged();
+    let (client2, client2_log) = S::new(vec![Syscall::sendrec(server2, 3, [42u8])]).logged();
     k2.spawn("client", TX, 1000, Box::new(client2)).unwrap();
     k2.run_to_quiescence();
-    let replies = collected_replies(&client2_log);
+    let replies = replies(&client2_log);
     assert_eq!(replies.len(), 1, "client got exactly the reply");
     let msg = replies[0].message().unwrap();
     assert_eq!(msg.source, server2);
@@ -234,31 +233,28 @@ fn nb_send_fails_when_receiver_not_ready() {
             "rx",
             RX,
             1000,
-            Box::new(ScriptProcess::new(vec![Syscall::Sleep {
+            Box::new(S::new(vec![Syscall::Sleep {
                 duration: bas_sim::time::SimDuration::from_secs(100),
             }])),
         )
         .unwrap();
-    let (tx_script, tx_log) = ScriptProcess::new(vec![Syscall::nb_send(rx, 1, [])]).logged();
+    let (tx_script, tx_log) = S::new(vec![Syscall::nb_send(rx, 1, [])]).logged();
     k.spawn("tx", TX, 1000, Box::new(tx_script)).unwrap();
     k.run_to_quiescence();
-    assert_eq!(
-        collected_replies(&tx_log),
-        vec![Reply::Err(MinixError::NotReady)]
-    );
+    assert_eq!(replies(&tx_log), vec![Reply::Err(MinixError::NotReady)]);
 }
 
 #[test]
 fn nb_send_succeeds_when_receiver_waiting() {
     let mut k = kernel_with(open_acm());
-    let (rx_script, rx_log) = ScriptProcess::new(vec![Syscall::Receive { from: None }]).logged();
+    let (rx_script, rx_log) = S::new(vec![Syscall::Receive { from: None }]).logged();
     let rx = k.spawn("rx", RX, 1000, Box::new(rx_script)).unwrap();
     k.run_to_quiescence(); // receiver blocks
-    let (tx_script, tx_log) = ScriptProcess::new(vec![Syscall::nb_send(rx, 4, [9u8])]).logged();
+    let (tx_script, tx_log) = S::new(vec![Syscall::nb_send(rx, 4, [9u8])]).logged();
     k.spawn("tx", TX, 1000, Box::new(tx_script)).unwrap();
     k.run_to_quiescence();
-    assert_eq!(collected_replies(&tx_log), vec![Reply::Ok]);
-    assert_eq!(collected_replies(&rx_log)[0].message().unwrap().mtype, 4);
+    assert_eq!(replies(&tx_log), vec![Reply::Ok]);
+    assert_eq!(replies(&rx_log)[0].message().unwrap().mtype, 4);
 }
 
 #[test]
@@ -271,13 +267,11 @@ fn receive_filter_ignores_other_senders() {
     let mut k = kernel_with(acm);
     // rx receives only from a specific endpoint that we'll learn below.
     // Spawn senders first so we can reference their endpoints.
-    let (rx_script_placeholder, _) = ScriptProcess::new(vec![]).logged();
+    let (rx_script_placeholder, _) = S::new(vec![]).logged();
     drop(rx_script_placeholder);
 
     // Spawn rx last: it filters on tx2's endpoint.
-    let tx1 = k
-        .spawn("tx1", TX, 1000, Box::new(ScriptProcess::new(vec![])))
-        .unwrap();
+    let tx1 = k.spawn("tx1", TX, 1000, Box::new(S::new(vec![]))).unwrap();
     let _ = tx1;
     // We need the endpoints before building rx's script, so spawn stub
     // senders that block sending to rx's future endpoint — but endpoints
@@ -288,19 +282,14 @@ fn receive_filter_ignores_other_senders() {
             "tx2",
             third,
             1000,
-            Box::new(ScriptProcess::new(vec![Syscall::send(
-                rx_predicted,
-                8,
-                [2u8],
-            )])),
+            Box::new(S::new(vec![Syscall::send(rx_predicted, 8, [2u8])])),
         )
         .unwrap();
-    let (rx_script, rx_log) =
-        ScriptProcess::new(vec![Syscall::Receive { from: Some(tx2) }]).logged();
+    let (rx_script, rx_log) = S::new(vec![Syscall::Receive { from: Some(tx2) }]).logged();
     let rx = k.spawn("rx", RX, 1000, Box::new(rx_script)).unwrap();
     assert_eq!(rx, rx_predicted, "slot allocation is deterministic");
     k.run_to_quiescence();
-    let replies = collected_replies(&rx_log);
+    let replies = replies(&rx_log);
     assert_eq!(replies.len(), 1);
     assert_eq!(replies[0].message().unwrap().source, tx2);
 }
@@ -309,10 +298,9 @@ fn receive_filter_ignores_other_senders() {
 fn notify_queues_when_receiver_busy_and_delivers_on_receive() {
     let mut k = kernel_with(open_acm());
     let rx_predicted = Endpoint::new(2, 0);
-    let (tx_script, tx_log) =
-        ScriptProcess::new(vec![Syscall::Notify { dest: rx_predicted }]).logged();
+    let (tx_script, tx_log) = S::new(vec![Syscall::Notify { dest: rx_predicted }]).logged();
     let tx = k.spawn("tx", TX, 1000, Box::new(tx_script)).unwrap();
-    let (rx_script, rx_log) = ScriptProcess::new(vec![
+    let (rx_script, rx_log) = S::new(vec![
         Syscall::GetUptime, // busy turn; notify arrives while not receiving
         Syscall::Receive { from: None },
     ])
@@ -320,12 +308,8 @@ fn notify_queues_when_receiver_busy_and_delivers_on_receive() {
     let rx = k.spawn("rx", RX, 1000, Box::new(rx_script)).unwrap();
     assert_eq!(rx, rx_predicted);
     k.run_to_quiescence();
-    assert_eq!(
-        collected_replies(&tx_log),
-        vec![Reply::Ok],
-        "notify never blocks"
-    );
-    let rx_replies = collected_replies(&rx_log);
+    assert_eq!(replies(&tx_log), vec![Reply::Ok], "notify never blocks");
+    let rx_replies = replies(&rx_log);
     let delivered = rx_replies
         .iter()
         .find_map(|r| r.message())
@@ -343,16 +327,13 @@ fn notify_subject_to_acm() {
             "rx",
             RX,
             1000,
-            Box::new(ScriptProcess::new(vec![Syscall::Receive { from: None }])),
+            Box::new(S::new(vec![Syscall::Receive { from: None }])),
         )
         .unwrap();
-    let (tx_script, tx_log) = ScriptProcess::new(vec![Syscall::Notify { dest: rx }]).logged();
+    let (tx_script, tx_log) = S::new(vec![Syscall::Notify { dest: rx }]).logged();
     k.spawn("tx", TX, 1000, Box::new(tx_script)).unwrap();
     k.run_to_quiescence();
-    assert_eq!(
-        collected_replies(&tx_log),
-        vec![Reply::Err(MinixError::CallDenied)]
-    );
+    assert_eq!(replies(&tx_log), vec![Reply::Err(MinixError::CallDenied)]);
 }
 
 #[test]
@@ -360,7 +341,7 @@ fn send_to_stale_generation_fails() {
     let mut k = kernel_with(open_acm());
     // Victim exits immediately.
     let victim = k
-        .spawn("victim", RX, 1000, Box::new(ScriptProcess::new(vec![])))
+        .spawn("victim", RX, 1000, Box::new(S::new(vec![])))
         .unwrap();
     k.run_to_quiescence(); // victim exits; slot freed, generation bumped
                            // New process reuses the slot with a new generation.
@@ -369,16 +350,16 @@ fn send_to_stale_generation_fails() {
             "reborn",
             RX,
             1000,
-            Box::new(ScriptProcess::new(vec![Syscall::Receive { from: None }])),
+            Box::new(S::new(vec![Syscall::Receive { from: None }])),
         )
         .unwrap();
     assert_eq!(victim.slot(), reborn.slot(), "slot reused");
     assert_ne!(victim, reborn, "generation differs");
-    let (tx_script, tx_log) = ScriptProcess::new(vec![Syscall::send(victim, 1, [])]).logged();
+    let (tx_script, tx_log) = S::new(vec![Syscall::send(victim, 1, [])]).logged();
     k.spawn("tx", TX, 1000, Box::new(tx_script)).unwrap();
     k.run_to_quiescence();
     assert_eq!(
-        collected_replies(&tx_log),
+        replies(&tx_log),
         vec![Reply::Err(MinixError::DeadSourceOrDestination)],
         "stale endpoint must not reach the slot's new occupant"
     );
@@ -394,18 +375,18 @@ fn blocked_sender_unblocked_with_error_when_peer_dies() {
             "rx",
             RX,
             1000,
-            Box::new(ScriptProcess::new(vec![Syscall::Sleep {
+            Box::new(S::new(vec![Syscall::Sleep {
                 duration: bas_sim::time::SimDuration::from_millis(1),
             }])),
         )
         .unwrap();
-    let (tx_script, tx_log) = ScriptProcess::new(vec![Syscall::send(rx, 1, [])]).logged();
+    let (tx_script, tx_log) = S::new(vec![Syscall::send(rx, 1, [])]).logged();
     k.spawn("tx", TX, 1000, Box::new(tx_script)).unwrap();
     k.run_to_quiescence();
     // rx woke from sleep, script ended, process exited; tx was blocked
     // sending and must get EDEADSRCDST.
     assert_eq!(
-        collected_replies(&tx_log),
+        replies(&tx_log),
         vec![Reply::Err(MinixError::DeadSourceOrDestination)]
     );
     // The blocked send is backpressure: exactly one ipc_wait, and no
@@ -417,7 +398,7 @@ fn blocked_sender_unblocked_with_error_when_peer_dies() {
 #[test]
 fn uptime_whoami_lookup_roundtrip() {
     let mut k = kernel_with(open_acm());
-    let (script, log) = ScriptProcess::new(vec![
+    let (script, log) = S::new(vec![
         Syscall::GetUptime,
         Syscall::WhoAmI,
         Syscall::Lookup { name: "me".into() },
@@ -428,7 +409,7 @@ fn uptime_whoami_lookup_roundtrip() {
     .logged();
     let me = k.spawn("me", TX, 55, Box::new(script)).unwrap();
     k.run_to_quiescence();
-    let replies = collected_replies(&log);
+    let replies = replies(&log);
     assert!(matches!(replies[0], Reply::Uptime(_)));
     match &replies[1] {
         Reply::Ident {
@@ -454,14 +435,14 @@ fn ipc_charges_context_switches_and_copy_costs() {
             "rx",
             RX,
             1000,
-            Box::new(ScriptProcess::new(vec![Syscall::Receive { from: None }])),
+            Box::new(S::new(vec![Syscall::Receive { from: None }])),
         )
         .unwrap();
     k.spawn(
         "tx",
         TX,
         1000,
-        Box::new(ScriptProcess::new(vec![Syscall::send(rx, 1, [])])),
+        Box::new(S::new(vec![Syscall::send(rx, 1, [])])),
     )
     .unwrap();
     let t0 = k.now();

@@ -8,10 +8,12 @@ use bas_minix::pm::{
     self, decode_err, decode_fork2_ok, encode_fork2, encode_kill, PM_ENDPOINT, PM_ERR, PM_EXIT,
     PM_FORK2, PM_GETPID, PM_KILL, PM_OK,
 };
-use bas_minix::script::{collected_replies, ScriptProcess};
 use bas_minix::syscall::{Reply, Syscall};
 use bas_sim::device::DeviceId;
 use bas_sim::kernel::Kernel;
+use bas_sim::script::{replies, Script};
+
+type S = Script<Syscall, Reply>;
 
 const LOADER: AcId = AcId::new(2);
 const CHILD: AcId = AcId::new(100);
@@ -40,9 +42,9 @@ fn fork2_loads_registered_program_with_given_ac_id() {
     });
     let prog = k.register_program(
         "worker",
-        Box::new(|| Box::new(ScriptProcess::new(vec![Syscall::WhoAmI]))),
+        Box::new(|| Box::new(S::new(vec![Syscall::WhoAmI]))),
     );
-    let (loader, log) = ScriptProcess::new(vec![Syscall::SendRec {
+    let (loader, log) = S::new(vec![Syscall::SendRec {
         dest: PM_ENDPOINT,
         mtype: PM_FORK2,
         payload: encode_fork2(prog, CHILD, 1234),
@@ -50,7 +52,7 @@ fn fork2_loads_registered_program_with_given_ac_id() {
     .logged();
     k.spawn("loader", LOADER, 0, Box::new(loader)).unwrap();
     k.run_to_quiescence();
-    let replies = collected_replies(&log);
+    let replies = replies(&log);
     let msg = replies[0].message().expect("PM replied");
     assert_eq!(msg.source, PM_ENDPOINT);
     assert_eq!(msg.mtype, PM_OK);
@@ -66,7 +68,7 @@ fn fork2_unknown_program_errors() {
         acm: pm_acm(false),
         ..MinixConfig::default()
     });
-    let (loader, log) = ScriptProcess::new(vec![Syscall::SendRec {
+    let (loader, log) = S::new(vec![Syscall::SendRec {
         dest: PM_ENDPOINT,
         mtype: PM_FORK2,
         payload: encode_fork2(99, CHILD, 0),
@@ -74,7 +76,7 @@ fn fork2_unknown_program_errors() {
     .logged();
     k.spawn("loader", LOADER, 0, Box::new(loader)).unwrap();
     k.run_to_quiescence();
-    let msg = *collected_replies(&log)[0].message().unwrap();
+    let msg = *replies(&log)[0].message().unwrap();
     assert_eq!(msg.mtype, PM_ERR);
     assert_eq!(decode_err(&msg.payload), Some(MinixError::NoSuchProgram));
 }
@@ -92,10 +94,10 @@ fn kill_requires_acm_channel_web_interface_denied() {
             "victim",
             CHILD,
             1000,
-            Box::new(ScriptProcess::new(vec![Syscall::Receive { from: None }])),
+            Box::new(S::new(vec![Syscall::Receive { from: None }])),
         )
         .unwrap();
-    let (web, log) = ScriptProcess::new(vec![Syscall::SendRec {
+    let (web, log) = S::new(vec![Syscall::SendRec {
         dest: PM_ENDPOINT,
         mtype: PM_KILL,
         payload: encode_kill(victim),
@@ -104,7 +106,7 @@ fn kill_requires_acm_channel_web_interface_denied() {
     k.spawn("web", WEB, 0, Box::new(web)).unwrap(); // uid 0 = root!
     k.run_to_quiescence();
     assert_eq!(
-        collected_replies(&log),
+        replies(&log),
         vec![Reply::Err(MinixError::CallDenied)],
         "ACM drops the KILL request before PM sees it, root or not"
     );
@@ -123,11 +125,11 @@ fn kill_allowed_by_acm_still_needs_uid_permission() {
             "victim",
             CHILD,
             1000,
-            Box::new(ScriptProcess::new(vec![Syscall::Receive { from: None }])),
+            Box::new(S::new(vec![Syscall::Receive { from: None }])),
         )
         .unwrap();
     // Loader is allowed KILL by ACM but runs as uid 42 ≠ victim's 1000.
-    let (loader, log) = ScriptProcess::new(vec![Syscall::SendRec {
+    let (loader, log) = S::new(vec![Syscall::SendRec {
         dest: PM_ENDPOINT,
         mtype: PM_KILL,
         payload: encode_kill(victim),
@@ -135,7 +137,7 @@ fn kill_allowed_by_acm_still_needs_uid_permission() {
     .logged();
     k.spawn("loader", LOADER, 42, Box::new(loader)).unwrap();
     k.run_to_quiescence();
-    let msg = *collected_replies(&log)[0].message().unwrap();
+    let msg = *replies(&log)[0].message().unwrap();
     assert_eq!(msg.mtype, PM_ERR);
     assert_eq!(decode_err(&msg.payload), Some(MinixError::PermissionDenied));
     assert!(k.is_alive(victim));
@@ -152,10 +154,10 @@ fn root_with_acm_permission_can_kill() {
             "victim",
             CHILD,
             1000,
-            Box::new(ScriptProcess::new(vec![Syscall::Receive { from: None }])),
+            Box::new(S::new(vec![Syscall::Receive { from: None }])),
         )
         .unwrap();
-    let (loader, log) = ScriptProcess::new(vec![Syscall::SendRec {
+    let (loader, log) = S::new(vec![Syscall::SendRec {
         dest: PM_ENDPOINT,
         mtype: PM_KILL,
         payload: encode_kill(victim),
@@ -163,7 +165,7 @@ fn root_with_acm_permission_can_kill() {
     .logged();
     k.spawn("loader", LOADER, 0, Box::new(loader)).unwrap();
     k.run_to_quiescence();
-    let msg = *collected_replies(&log)[0].message().unwrap();
+    let msg = *replies(&log)[0].message().unwrap();
     assert_eq!(msg.mtype, PM_OK);
     assert!(!k.is_alive(victim));
     assert_eq!(k.trace().events_in("pm.kill").count(), 1);
@@ -175,7 +177,7 @@ fn pm_itself_cannot_be_killed() {
         acm: pm_acm(true),
         ..MinixConfig::default()
     });
-    let (loader, log) = ScriptProcess::new(vec![Syscall::SendRec {
+    let (loader, log) = S::new(vec![Syscall::SendRec {
         dest: PM_ENDPOINT,
         mtype: PM_KILL,
         payload: encode_kill(PM_ENDPOINT),
@@ -183,7 +185,7 @@ fn pm_itself_cannot_be_killed() {
     .logged();
     k.spawn("loader", LOADER, 0, Box::new(loader)).unwrap();
     k.run_to_quiescence();
-    let msg = *collected_replies(&log)[0].message().unwrap();
+    let msg = *replies(&log)[0].message().unwrap();
     assert_eq!(decode_err(&msg.payload), Some(MinixError::PermissionDenied));
 }
 
@@ -198,7 +200,7 @@ fn exit_via_pm_terminates_caller() {
             "quitter",
             LOADER,
             0,
-            Box::new(ScriptProcess::new(vec![
+            Box::new(S::new(vec![
                 Syscall::Send {
                     dest: PM_ENDPOINT,
                     mtype: PM_EXIT,
@@ -220,7 +222,7 @@ fn getpid_returns_pid_and_endpoint() {
         acm: pm_acm(false),
         ..MinixConfig::default()
     });
-    let (p, log) = ScriptProcess::new(vec![Syscall::SendRec {
+    let (p, log) = S::new(vec![Syscall::SendRec {
         dest: PM_ENDPOINT,
         mtype: PM_GETPID,
         payload: bas_minix::message::Payload::zeroed(),
@@ -228,7 +230,7 @@ fn getpid_returns_pid_and_endpoint() {
     .logged();
     let ep = k.spawn("asker", LOADER, 0, Box::new(p)).unwrap();
     k.run_to_quiescence();
-    let msg = *collected_replies(&log)[0].message().unwrap();
+    let msg = *replies(&log)[0].message().unwrap();
     assert_eq!(msg.mtype, PM_OK);
     assert_eq!(msg.payload.read_u32(0), u32::from(ep.slot()));
     assert_eq!(msg.payload.read_u32(4), ep.as_raw());
@@ -246,7 +248,7 @@ fn fork_bomb_fills_process_table_without_quota() {
     });
     let prog = k.register_program(
         "sleeper",
-        Box::new(|| Box::new(ScriptProcess::new(vec![Syscall::Receive { from: None }]))),
+        Box::new(|| Box::new(S::new(vec![Syscall::Receive { from: None }]))),
     );
     let bomb: Vec<Syscall> = (0..20)
         .map(|_| Syscall::SendRec {
@@ -255,10 +257,10 @@ fn fork_bomb_fills_process_table_without_quota() {
             payload: encode_fork2(prog, CHILD, 1000),
         })
         .collect();
-    let (web, log) = ScriptProcess::new(bomb).logged();
+    let (web, log) = S::new(bomb).logged();
     k.spawn("web", WEB, 1000, Box::new(web)).unwrap();
     k.run_to_quiescence();
-    let replies = collected_replies(&log);
+    let replies = replies(&log);
     let full_errors = replies
         .iter()
         .filter_map(|r| r.message())
@@ -291,7 +293,7 @@ fn fork_quota_contains_fork_bomb() {
     });
     let prog = k.register_program(
         "sleeper",
-        Box::new(|| Box::new(ScriptProcess::new(vec![Syscall::Receive { from: None }]))),
+        Box::new(|| Box::new(S::new(vec![Syscall::Receive { from: None }]))),
     );
     let bomb: Vec<Syscall> = (0..10)
         .map(|_| Syscall::SendRec {
@@ -300,10 +302,10 @@ fn fork_quota_contains_fork_bomb() {
             payload: encode_fork2(prog, CHILD, 1000),
         })
         .collect();
-    let (web, log) = ScriptProcess::new(bomb).logged();
+    let (web, log) = S::new(bomb).logged();
     k.spawn("web", WEB, 1000, Box::new(web)).unwrap();
     k.run_to_quiescence();
-    let replies = collected_replies(&log);
+    let replies = replies(&log);
     let ok = replies
         .iter()
         .filter_map(|r| r.message())
@@ -346,17 +348,16 @@ fn device_access_gated_by_ownership() {
     k.devices_mut().register(dev, Box::new(Reg(cell.clone())));
 
     // The driver can write.
-    let (driver, driver_log) =
-        ScriptProcess::new(vec![Syscall::DevWrite { dev, value: 1 }]).logged();
+    let (driver, driver_log) = S::new(vec![Syscall::DevWrite { dev, value: 1 }]).logged();
     k.spawn("driver", CHILD, 1000, Box::new(driver)).unwrap();
     // The web interface cannot — not even as root.
-    let (web, web_log) = ScriptProcess::new(vec![Syscall::DevWrite { dev, value: 0 }]).logged();
+    let (web, web_log) = S::new(vec![Syscall::DevWrite { dev, value: 0 }]).logged();
     k.spawn("web", WEB, 0, Box::new(web)).unwrap();
     k.run_to_quiescence();
 
-    assert_eq!(collected_replies(&driver_log), vec![Reply::Ok]);
+    assert_eq!(replies(&driver_log), vec![Reply::Ok]);
     assert_eq!(
-        collected_replies(&web_log),
+        replies(&web_log),
         vec![Reply::Err(MinixError::DeviceAccessDenied)]
     );
     assert_eq!(
@@ -373,7 +374,7 @@ fn sleep_advances_virtual_time_accurately() {
         acm: pm_acm(false),
         ..MinixConfig::default()
     });
-    let (p, log) = ScriptProcess::new(vec![
+    let (p, log) = S::new(vec![
         Syscall::Sleep {
             duration: bas_sim::time::SimDuration::from_secs(5),
         },
@@ -382,7 +383,7 @@ fn sleep_advances_virtual_time_accurately() {
     .logged();
     k.spawn("sleeper", LOADER, 0, Box::new(p)).unwrap();
     k.run_to_quiescence();
-    let replies = collected_replies(&log);
+    let replies = replies(&log);
     assert_eq!(replies[0], Reply::Ok);
     match replies[1] {
         Reply::Uptime(t) => assert!(t.as_secs() >= 5, "woke at {t}"),

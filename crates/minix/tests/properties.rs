@@ -5,9 +5,11 @@ use bas_acm::{AcId, AccessControlMatrix, MsgType};
 use bas_minix::endpoint::Endpoint;
 use bas_minix::kernel::{MinixConfig, MinixKernel};
 use bas_minix::message::{Payload, PAYLOAD_LEN};
-use bas_minix::script::{collected_replies, ScriptProcess};
 use bas_minix::syscall::{Reply, Syscall};
+use bas_sim::script::{replies, Script};
 use proptest::prelude::*;
+
+type S = Script<Syscall, Reply>;
 
 proptest! {
     /// Payload field codecs round-trip at any valid offset.
@@ -66,11 +68,11 @@ proptest! {
             .build();
         let mut k = MinixKernel::new(MinixConfig { acm, ..MinixConfig::default() });
         let rx_ep = k
-            .spawn("rx", rx, 1000, Box::new(ScriptProcess::new(vec![
+            .spawn("rx", rx, 1000, Box::new(S::new(vec![
                 Syscall::Receive { from: None },
             ])))
             .unwrap();
-        let (tx_script, log) = ScriptProcess::new(vec![Syscall::Send {
+        let (tx_script, log) = S::new(vec![Syscall::Send {
             dest: rx_ep,
             mtype: attempt,
             payload: Payload::from_bytes(&payload_bytes),
@@ -79,7 +81,7 @@ proptest! {
         k.spawn("tx", tx, sender_uid, Box::new(tx_script)).unwrap();
         k.run_to_quiescence();
 
-        let replies = collected_replies(&log);
+        let replies = replies(&log);
         let should_pass = allowed.contains(&attempt);
         if should_pass {
             prop_assert_eq!(&replies[..], &[Reply::Ok][..]);
@@ -103,17 +105,17 @@ proptest! {
         let acm = AccessControlMatrix::builder().allow_all_types(tx, rx).build();
         let mut k = MinixKernel::new(MinixConfig { acm, ..MinixConfig::default() });
         let (rx_script, rx_log) =
-            ScriptProcess::new(vec![Syscall::Receive { from: None }]).logged();
+            S::new(vec![Syscall::Receive { from: None }]).logged();
         let rx_ep = k.spawn("rx", rx, 1000, Box::new(rx_script)).unwrap();
         let tx_ep = k
-            .spawn("tx", tx, 1000, Box::new(ScriptProcess::new(vec![Syscall::Send {
+            .spawn("tx", tx, 1000, Box::new(S::new(vec![Syscall::Send {
                 dest: rx_ep,
                 mtype: 1,
                 payload: Payload::from_bytes(&payload_bytes),
             }])))
             .unwrap();
         k.run_to_quiescence();
-        let got = collected_replies(&rx_log);
+        let got = replies(&rx_log);
         let msg = got[0].message().expect("delivered");
         prop_assert_eq!(msg.source, tx_ep);
     }

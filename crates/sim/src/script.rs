@@ -1,7 +1,7 @@
 //! Generic scripted processes, usable with any platform's syscall types.
 //!
-//! `bas-sel4` and `bas-linux` tests and attack payloads reuse this; the
-//! MINIX crate has its own specialized variant that predates it.
+//! The MINIX, seL4 and Linux tests, attack payloads and IPC fixtures all
+//! use this one type.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -114,6 +114,22 @@ mod tests {
         let _ = p.resume(Some(1));
         assert!(matches!(p.resume(Some(2)), Action::Exit(0)));
         assert_eq!(replies(&log), vec![1, 2]);
+    }
+
+    #[test]
+    fn log_starts_with_none_and_holds_one_entry_per_resume() {
+        let (mut p, log): (Script<u8, u8>, _) = Script::new(vec![10, 20]).logged();
+        let _ = p.resume(None);
+        let _ = p.resume(Some(1));
+        let _ = p.resume(Some(2));
+        assert_eq!(log.borrow().len(), 3);
+        assert_eq!(log.borrow()[0], None);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one step")]
+    fn empty_looping_script_rejected() {
+        let _: Script<u8, ()> = Script::looping(vec![]);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 
 use bas::acm::fig3::{fig3_matrix, APP1, APP2, APP3};
 use bas::minix::kernel::{MinixConfig, MinixKernel};
-use bas::minix::script::{collected_replies, ScriptProcess};
 use bas::minix::syscall::{Reply, Syscall};
 use bas::sim::process::{Action, Process};
+use bas::sim::script::{replies, Script};
 
 /// A tiny RPC server: receives a request, replies with an ack (type 0)
 /// carrying the invoked function number, forever.
@@ -59,7 +59,7 @@ fn main() {
         .unwrap();
 
     // App2 invokes App1's functions 1, 2, 3 in turn via sendrec.
-    let (caller, log) = ScriptProcess::new(vec![
+    let (caller, log) = Script::new(vec![
         Syscall::sendrec(app1, 1, []), // app1_f1 — reserved for App3: DENIED
         Syscall::sendrec(app1, 2, []), // app1_f2 — allowed
         Syscall::sendrec(app1, 3, []), // app1_f3 — allowed
@@ -69,7 +69,7 @@ fn main() {
     kernel.run_to_quiescence();
 
     println!("App2's three calls against App1:");
-    for (f, reply) in (1..=3).zip(collected_replies(&log)) {
+    for (f, reply) in (1..=3).zip(replies(&log)) {
         match reply {
             Reply::Msg(m) => println!(
                 "  app1_f{f}() -> ack for function {}",
