@@ -1,8 +1,9 @@
 //! The IPC fixtures behind E8 (`exp_ipc_overhead`), E8b
 //! (`exp_cost_sensitivity`) and the `ipc` Criterion bench: one RPC
-//! round-trip stack per platform and one `getpid` stack per platform with
-//! a process server to ask, each built once here so the virtual-time
-//! tables and the wall-clock bench measure the same programs.
+//! round-trip stack per platform, and a `getpid` stack for MINIX (a
+//! message to the PM server) and Linux (a direct trap). Each is built
+//! once here so the virtual-time tables and the wall-clock bench measure
+//! the same programs.
 //!
 //! Every client and caller is a [`Script`], and so is the seL4 server.
 //! Only the two servers that react to what they receive are small
@@ -77,6 +78,8 @@ mod minix {
     use bas_minix::pm;
     use bas_minix::syscall::{Reply, Syscall};
 
+    type S = Script<Syscall, Reply>;
+
     /// Receives, then replies to whoever the kernel says sent the request.
     struct Server;
     impl Process for Server {
@@ -107,7 +110,7 @@ mod minix {
             .build();
         let mut k = kernel(acm, cost_model);
         let server = k.spawn("server", SERVER, 0, Box::new(Server)).unwrap();
-        let client = Script::<Syscall, Reply>::new(vec![Syscall::sendrec(server, 1, []); n]);
+        let client = S::new(vec![Syscall::sendrec(server, 1, []); n]);
         k.spawn("client", CLIENT, 0, Box::new(client)).unwrap();
         k
     }
@@ -120,7 +123,7 @@ mod minix {
             mtype: pm::PM_GETPID,
             payload: Payload::zeroed(),
         };
-        let caller = Script::<Syscall, Reply>::new(vec![call; n]);
+        let caller = S::new(vec![call; n]);
         k.spawn("caller", CLIENT, 0, Box::new(caller)).unwrap();
         k
     }
@@ -170,6 +173,8 @@ mod linux {
     use bas_linux::cred::{Mode, Uid};
     use bas_linux::kernel::{LinuxConfig, LinuxKernel};
     use bas_linux::syscall::{MqAccess, Reply, Syscall};
+
+    type S = Script<Syscall, Reply>;
 
     fn open(name: &str, access: MqAccess) -> Syscall {
         Syscall::MqOpen {
@@ -234,18 +239,13 @@ mod linux {
         for _ in 0..n {
             steps.extend([send(0, 1), receive(1)]);
         }
-        k.spawn(
-            "client",
-            UID,
-            Box::new(Script::<Syscall, Reply>::new(steps)),
-        )
-        .unwrap();
+        k.spawn("client", UID, Box::new(S::new(steps))).unwrap();
         k
     }
 
     pub(super) fn getpid(n: usize, cost_model: CostModel) -> LinuxKernel {
         let mut k = kernel(cost_model);
-        let caller = Script::<Syscall, Reply>::new(vec![Syscall::GetPid; n]);
+        let caller = S::new(vec![Syscall::GetPid; n]);
         k.spawn("caller", UID, Box::new(caller)).unwrap();
         k
     }
