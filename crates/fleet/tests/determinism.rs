@@ -5,6 +5,7 @@
 //! change who computes an instance, never what the instance computes.
 
 use bas_attack::model::{AttackId, AttackerModel};
+use bas_core::logic::traffic::TrafficProfile;
 use bas_core::scenario::Platform;
 use bas_fleet::{run_fleet, Campaign, FleetConfig};
 use bas_sim::time::SimDuration;
@@ -84,4 +85,61 @@ fn campaign_fleet_is_deterministic_too() {
     let campaign = parallel.campaign.expect("campaign summary");
     assert_eq!(campaign.mechanism_succeeded, 4);
     assert_eq!(campaign.compromised, 4);
+}
+
+/// FNV-1a over the report's JSON bytes.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+fn report_digest(config: &FleetConfig) -> u64 {
+    fnv1a(run_fleet(config).report.to_json().as_bytes())
+}
+
+#[test]
+fn fleet_reports_match_pinned_digests() {
+    // Digests of `FleetReport::to_json` pinned from a known-good build:
+    // a change to how the runner schedules, recycles or reports instances
+    // must leave every byte of the report alone.
+    let pinned = [
+        (Platform::Minix, 0x5ded_a78d_e5d1_17e5_u64),
+        (Platform::Sel4, 0x24eb_78dc_abee_2744),
+        (Platform::Linux, 0x537d_e4ee_89cf_fbac),
+    ];
+    for (platform, digest) in pinned {
+        let mut config = FleetConfig::benign(platform, 40, 2);
+        config.horizon = SimDuration::from_mins(10);
+        assert_eq!(
+            report_digest(&config),
+            digest,
+            "{platform}: 40-instance 10-minute fleet"
+        );
+    }
+
+    // More instances than one worker's default residency (256).
+    let mut config = FleetConfig::benign(Platform::Minix, 300, 1);
+    config.horizon = SimDuration::from_mins(1);
+    assert_eq!(
+        report_digest(&config),
+        0x278e_bd92_5f7a_f1ef,
+        "300-instance 1-minute fleet"
+    );
+
+    // Per-instance tenant traffic: the schedule and the oracle's
+    // reference changes are both derived from the instance seed.
+    let mut config = FleetConfig::benign(Platform::Minix, 30, 2);
+    config.horizon = SimDuration::from_secs(660);
+    config.template.traffic = Some(TrafficProfile::default());
+    let report = run_fleet(&config).report;
+    assert!(
+        report.totals.requests > 0,
+        "tenant traffic must reach the web"
+    );
+    assert_eq!(
+        fnv1a(report.to_json().as_bytes()),
+        0x70d3_2fd0_78ae_d412,
+        "30-instance fleet with tenant traffic"
+    );
 }
