@@ -153,6 +153,13 @@ gate BENCH_fleet.json boot_instances_per_sec floor 0.7 BENCH_fleet_baseline.json
   "** snapshot boot throughput regressed >30% **"
 gate BENCH_fleet.json bytes_per_instance ceiling 1.3 BENCH_fleet_baseline.json \
   "** snapshot boot memory per instance regressed >30% **"
+# Residency: the largest --quick fleet (16 instances, 10 simulated min)
+# on one worker. Each worker runs its instances one at a time on one
+# recycled engine (~100 KiB live); 16 resident engines would need ~1.5
+# MiB. The value is an exact byte count, so the ceiling is a plain
+# number that host load cannot trip, not a re-measured baseline.
+gate BENCH_fleet.json fleet_peak_live_bytes ceiling 1 524288 \
+  "** fleet peak live heap above 512 KiB: engines are piling up per worker **"
 # The 2-worker speedup floor needs real cores; on a single-CPU host the
 # determinism and throughput gates above still ran.
 cores=$(grep -m1 -o '"cores": *[0-9]*' BENCH_fleet.json | sed 's/.*: *//')

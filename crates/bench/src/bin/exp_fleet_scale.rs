@@ -26,6 +26,13 @@
 //! platform); `ci.sh` additionally gates `boot_instances_per_sec` and
 //! `bytes_per_instance` against the committed baseline.
 //!
+//! The same allocator tracks live bytes, so the sweep also reports
+//! `fleet_peak_live_bytes`: the peak live heap while the largest fleet
+//! runs on one worker. Each worker runs its instances one at a time on
+//! one recycled engine, so the number does not grow with the fleet;
+//! being a byte count rather than a rate, `ci.sh` gates it against a
+//! fixed ceiling.
+//!
 //! Run: `cargo run --release -p bas-bench --bin exp_fleet_scale [-- --quick --platform minix]`
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -52,32 +59,58 @@ use bas_sim::time::SimDuration;
 
 /// Bytes and calls handed out by the global allocator; the boot
 /// benchmark reads deltas around each boot loop, so `bytes_per_instance`
-/// counts every allocation a boot performs (frees are irrelevant: the
-/// cost being measured is allocator traffic, not residency).
+/// counts every allocation a boot performs (frees are irrelevant there:
+/// the cost being measured is allocator traffic, not residency).
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated, and the most ever allocated at once since
+/// the last [`reset_peak`] (residency, for `fleet_peak_live_bytes`).
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 struct CountingAlloc;
 
+impl CountingAlloc {
+    fn count(size: usize) {
+        ALLOC_BYTES.fetch_add(size as u64, Ordering::Relaxed);
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        let live = LIVE_BYTES.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
+        PEAK_LIVE_BYTES.fetch_max(live, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// and only adds bookkeeping on atomics, so `System`'s guarantees carry
+// over unchanged.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        CountingAlloc::count(layout.size());
+        // SAFETY: forwarded from our caller, who upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        CountingAlloc::count(layout.size());
+        // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        CountingAlloc::count(new_size);
+        // SAFETY: `ptr` came from `System`; the caller upholds the rest.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
+}
+
+/// Restarts peak tracking at the current live heap and returns it.
+fn reset_peak() -> u64 {
+    let live = LIVE_BYTES.load(Ordering::SeqCst);
+    PEAK_LIVE_BYTES.store(live, Ordering::SeqCst);
+    live
 }
 
 #[global_allocator]
@@ -349,6 +382,7 @@ fn main() {
     let mut largest_report = None;
     let mut speedup_at_largest: Vec<(usize, f64)> = Vec::new();
     let mut fleet_rate_1w = 0.0f64;
+    let mut fleet_peak_live_bytes = 0u64;
     for &instances in sizes {
         let mut baseline_wall = None;
         let mut reference_json: Option<String> = None;
@@ -358,7 +392,9 @@ fn main() {
             }
             let mut config = FleetConfig::benign(platform, instances, w);
             config.horizon = horizon;
+            let live_before = reset_peak();
             let run = run_fleet_with(&pool, &config);
+            let peak_live = PEAK_LIVE_BYTES.load(Ordering::SeqCst) - live_before;
 
             // Every worker count must compute the identical report.
             let json = run.report.to_json();
@@ -413,12 +449,18 @@ fn main() {
                 speedup_at_largest.push((w, speedup));
                 if w == 1 {
                     fleet_rate_1w = run.wall.ipc_messages_per_wall_second;
+                    fleet_peak_live_bytes = peak_live;
                 }
                 largest_report = Some(run.report);
             }
         }
         rule();
     }
+
+    println!(
+        "peak live heap, largest fleet on 1 worker: {:.1} KiB",
+        fleet_peak_live_bytes as f64 / 1024.0
+    );
 
     let report = largest_report.expect("at least one fleet ran");
     assert_eq!(report.totals.critical_losses, 0);
@@ -439,7 +481,7 @@ fn main() {
         }
     }
     if cores >= 2 {
-        // Resident batches must show through on the largest fleet even
+        // Per-worker batches must show through on the largest fleet even
         // at 2 workers: >1.2x in quick mode (16 instances), >1.7x in
         // full mode (256 instances, the BENCH-quoted configuration).
         let floor = if h.quick() { 1.2 } else { 1.7 };
@@ -510,6 +552,7 @@ fn main() {
             "fleet_ipc_messages_per_wall_second",
             Json::Num(fleet_rate_1w),
         ),
+        ("fleet_peak_live_bytes", Json::UInt(fleet_peak_live_bytes)),
         (
             "speedup_2_workers",
             if speedup_2w.is_nan() {

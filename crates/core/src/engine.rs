@@ -188,6 +188,7 @@ impl<K: PlatformKernel> ScenarioEngine<K> {
     /// Boots the scenario on `K` and prepares the lockstep runner.
     pub fn boot(config: &ScenarioConfig, overrides: K::Overrides) -> Self {
         let io = AppIo::new(config);
+        let reference_changes = config.reference_changes(&io.schedule.borrow());
         let recyclable = K::recyclable(&overrides);
         let stack = K::boot(config, overrides, &io);
         ScenarioEngine {
@@ -195,7 +196,7 @@ impl<K: PlatformKernel> ScenarioEngine<K> {
             io,
             recyclable,
             chunk: config.lockstep_chunk,
-            reference_changes: config.reference_changes(),
+            reference_changes,
             next_reference: 0,
             tick_hook: None,
         }
@@ -289,7 +290,7 @@ impl<K: PlatformKernel> Scenario for ScenarioEngine<K> {
         }
         self.io.reimage(config);
         self.chunk = config.lockstep_chunk;
-        self.reference_changes = config.reference_changes();
+        self.reference_changes = config.reference_changes(&self.io.schedule.borrow());
         self.next_reference = 0;
         true
     }

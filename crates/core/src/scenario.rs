@@ -185,12 +185,13 @@ impl ScenarioConfig {
     }
 
     /// The authorized setpoint changes (in range, in time order) the
-    /// safety oracle should follow during a run. Follows the *effective*
-    /// schedule, so tenant setpoint writes move the oracle's reference
-    /// exactly like scripted administrator writes.
-    pub fn reference_changes(&self) -> Vec<(SimTime, i32)> {
-        let mut v: Vec<(SimTime, i32)> = self
-            .effective_web_schedule()
+    /// safety oracle should follow during a run, given the run's
+    /// *effective* schedule ([`ScenarioConfig::effective_web_schedule`]),
+    /// so tenant setpoint writes move the oracle's reference exactly like
+    /// scripted administrator writes. Taking the already-built schedule
+    /// keeps the traffic expansion to one per boot.
+    pub fn reference_changes(&self, schedule: &[(SimTime, WebAction)]) -> Vec<(SimTime, i32)> {
+        let mut v: Vec<(SimTime, i32)> = schedule
             .iter()
             .filter_map(|(t, a)| match a {
                 WebAction::SetSetpoint(mc)
@@ -336,7 +337,7 @@ mod tests {
             (SimTime::from_nanos(3), WebAction::QueryStatus),
         ];
         assert_eq!(
-            cfg.reference_changes(),
+            cfg.reference_changes(&cfg.effective_web_schedule()),
             vec![(SimTime::from_nanos(2), 24_000)]
         );
     }

@@ -3,15 +3,16 @@
 //! Each instance is a complete scenario — kernel stack plus plant —
 //! booted and driven entirely on one worker thread (scenarios hold
 //! `Rc<RefCell<…>>` plant state and never cross threads). The fleet is
-//! split into *contiguous per-worker batches*: each [`WorkerPool`]
-//! job boots its batch once, keeps the engines resident in an
-//! [`EngineBatch`] (struct-of-arrays hot state), and sweeps them epoch
-//! by epoch to the horizon; only the final report merge synchronizes.
-//! Thread scheduling decides only *when* a batch computes, never *what*
-//! it computes: every per-instance RNG seed derives from the root seed
-//! and instance index alone, and the epoch schedule is
-//! worker-independent, which is what makes the [`FleetReport`]
-//! deterministic under any worker count.
+//! split into *contiguous per-worker batches*: each [`WorkerPool`] job
+//! runs its instances one after another on a single engine, checked out
+//! of its [`InstancePool`], advanced epoch by epoch to the horizon,
+//! reported, and recycled for the next index — so a worker's live heap
+//! is one instance's, whatever the fleet size. Only the final report
+//! merge synchronizes. Thread scheduling decides only *when* a batch
+//! computes, never *what* it computes: every per-instance RNG seed
+//! derives from the root seed and instance index alone, and the epoch
+//! schedule is worker-independent, which is what makes the
+//! [`FleetReport`] deterministic under any worker count.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -19,14 +20,13 @@ use std::time::Instant;
 
 use bas_attack::harness::{run_attack, AttackRunConfig};
 use bas_attack::model::{AttackId, AttackerModel};
-use bas_core::scenario::{critical_alive, plant_snapshot, Platform, ScenarioConfig};
+use bas_core::scenario::{Platform, Scenario, ScenarioConfig};
 use bas_core::EngineSnapshot;
 use bas_sim::time::SimDuration;
 use bas_sim::WorkerPool;
 
-use crate::batch::EngineBatch;
 use crate::instances::InstancePool;
-use crate::report::{AttackCell, FleetReport, InstanceReport, RequestStats};
+use crate::report::{AttackCell, FleetReport, InstanceReport};
 use crate::seed::instance_seed;
 
 /// An attack campaign: every instance runs the same attack under the
@@ -107,18 +107,18 @@ pub struct FleetConfig {
     /// How benign instances boot (campaigns always boot cold through
     /// the attack harness).
     pub boot: BootMode,
-    /// Engines resident per worker at once. Benign fleets larger than
-    /// `workers × max_resident` run in cohorts, recycling engines
-    /// between cohorts, which bounds memory at ~`max_resident` stacks
-    /// per worker no matter the fleet size.
+    /// Upper bound on the engines a worker keeps alive at once. The
+    /// runner always keeps one — each worker runs its instances to the
+    /// horizon one at a time and recycles the engine for the next — so
+    /// every value of at least 1 is met.
     pub max_resident: usize,
     /// `Some` turns the fleet into an attack campaign.
     pub campaign: Option<Campaign>,
 }
 
-/// Default for [`FleetConfig::max_resident`]: large enough that the
-/// BENCH-quoted 256-instance fleet stays fully resident on one worker,
-/// small enough that a 100k fleet fits comfortably in memory.
+/// Default for [`FleetConfig::max_resident`]: the cohort size callers
+/// that hold several engines at once (such as the snapshot boot
+/// benchmark in `exp_fleet_scale`) use.
 pub const DEFAULT_MAX_RESIDENT: usize = 256;
 
 impl FleetConfig {
@@ -173,7 +173,8 @@ impl FleetConfig {
 pub struct WallStats {
     /// Worker threads actually used.
     pub workers: usize,
-    /// Instances resident per worker batch (last batch may be smaller).
+    /// Instances per worker's contiguous range (the last may be
+    /// smaller); each worker runs its range one instance at a time.
     pub batch_size: usize,
     /// Elapsed wall-clock seconds.
     pub wall_seconds: f64,
@@ -205,11 +206,11 @@ pub fn run_fleet(config: &FleetConfig) -> FleetRun {
     run_fleet_with(&WorkerPool::new(config.workers), config)
 }
 
-/// Virtual time each worker advances its resident batch per sweep: a
-/// fixed multiple of the scenario's lockstep chunk, so epoch boundaries
-/// land exactly on chunk boundaries and the chunked advance computes
-/// the same instance trajectory as a single `run_for(horizon)` — and
-/// the schedule never depends on the worker count.
+/// Virtual time a worker advances its engine per epoch: a fixed
+/// multiple of the scenario's lockstep chunk, so epoch boundaries land
+/// exactly on chunk boundaries and the chunked advance computes the
+/// same instance trajectory as a single `run_for(horizon)` — and the
+/// schedule never depends on the worker count.
 fn epoch_duration(config: &FleetConfig) -> SimDuration {
     const CHUNKS_PER_EPOCH: u64 = 600;
     SimDuration::from_nanos(config.template.lockstep_chunk.as_nanos() * CHUNKS_PER_EPOCH)
@@ -218,9 +219,9 @@ fn epoch_duration(config: &FleetConfig) -> SimDuration {
 /// Runs the fleet on an existing pool and aggregates the report.
 ///
 /// Instances are split into contiguous batches — one [`WorkerPool::map`]
-/// job per worker, each resident on its thread for the whole run — so
-/// the report is a pure function of the configuration regardless of
-/// worker count or pool size.
+/// job per worker, each on its thread for the whole run — so the report
+/// is a pure function of the configuration regardless of worker count
+/// or pool size.
 pub fn run_fleet_with(pool: &WorkerPool, config: &FleetConfig) -> FleetRun {
     // Degenerate shapes are rejected at construction (`try_benign`); a
     // hand-built empty config still gets an empty report, not a panic.
@@ -237,6 +238,9 @@ pub fn run_fleet_with(pool: &WorkerPool, config: &FleetConfig) -> FleetRun {
     }
     let workers = config.workers.clamp(1, config.instances).min(pool.size());
     let batch_size = config.instances.div_ceil(workers);
+    // Rounding the batch size up can leave trailing workers nothing to
+    // do (33 instances on 8 workers: 7 batches of 5 cover them all).
+    let workers = config.instances.div_ceil(batch_size);
     // The warm template boots once per fleet; every worker forks its
     // instances from the same shared snapshot. Campaigns and cold mode
     // skip the capture (their instances never touch it).
@@ -281,11 +285,10 @@ pub fn run_fleet_with(pool: &WorkerPool, config: &FleetConfig) -> FleetRun {
     FleetRun { report, wall }
 }
 
-/// One worker's whole run: materialize cohorts of at most
-/// [`FleetConfig::max_resident`] instances from the pool, sweep each to
-/// the horizon in epochs, recycle its engines into the next cohort.
-/// Returns the index-ordered reports plus the busy seconds spent (for
-/// [`WallStats::worker_utilization`]).
+/// One worker's whole run: each instance in `range`, in order, on one
+/// engine drawn from the worker's [`InstancePool`] and returned to it
+/// after its report. Returns the index-ordered reports plus the busy
+/// seconds spent (for [`WallStats::worker_utilization`]).
 fn run_batch(
     config: &FleetConfig,
     snapshot: Option<Arc<EngineSnapshot>>,
@@ -295,73 +298,64 @@ fn run_batch(
     let reports = match &config.campaign {
         None => {
             let mut pool = InstancePool::for_config(config, snapshot);
-            let epoch_ns = epoch_duration(config).as_nanos().max(1);
-            let total_ns = config.horizon.as_nanos();
-            let cohort = config.max_resident.max(1);
-            let mut reports = Vec::with_capacity(range.len());
-            let mut begin = range.start;
-            while begin < range.end {
-                let end = (begin + cohort).min(range.end);
-                let mut batch = EngineBatch::materialize(&mut pool, config, begin..end);
-                let mut done_ns = 0;
-                while done_ns < total_ns {
-                    let step = (total_ns - done_ns).min(epoch_ns);
-                    batch.advance(SimDuration::from_nanos(step));
-                    done_ns += step;
-                }
-                reports.extend(batch.finish_into(&mut pool));
-                begin = end;
-            }
-            reports
+            range
+                .map(|index| {
+                    let mut engine = pool.checkout(config, index);
+                    advance_to_horizon(engine.as_mut(), config);
+                    let seed = instance_seed(config.root_seed, index);
+                    let report = InstanceReport::from_scenario(index, seed, engine.as_ref());
+                    pool.checkin(engine);
+                    report
+                })
+                .collect()
         }
         // Attack campaigns drive each instance through the attack
         // harness's own warmup/window/cooldown phases; they cannot be
         // epoch-stepped externally, so the batch runs them one-shot.
-        Some(_) => range.map(|index| run_instance(config, index)).collect(),
+        Some(campaign) => range
+            .map(|index| run_campaign_instance(config, campaign, index))
+            .collect(),
     };
     (reports, t0.elapsed().as_secs_f64())
 }
 
-/// Boots, runs, and snapshots one instance, entirely on the calling
-/// thread.
-fn run_instance(config: &FleetConfig, index: usize) -> InstanceReport {
+/// Advances a freshly checked-out engine to [`FleetConfig::horizon`] in
+/// [`epoch_duration`] steps.
+fn advance_to_horizon(engine: &mut dyn Scenario, config: &FleetConfig) {
+    let epoch_ns = epoch_duration(config).as_nanos().max(1);
+    let total_ns = config.horizon.as_nanos();
+    let mut done_ns = 0;
+    while done_ns < total_ns {
+        let step = (total_ns - done_ns).min(epoch_ns);
+        engine.run_for(SimDuration::from_nanos(step));
+        done_ns += step;
+    }
+}
+
+/// Boots, attacks, and snapshots one campaign instance through the
+/// attack harness, entirely on the calling thread.
+fn run_campaign_instance(
+    config: &FleetConfig,
+    campaign: &Campaign,
+    index: usize,
+) -> InstanceReport {
     let seed = instance_seed(config.root_seed, index);
-    match &config.campaign {
-        None => {
-            let mut scenario_cfg = config.template.clone();
-            scenario_cfg.seed = seed;
-            let mut s = bas_core::boot_platform(config.platform, &scenario_cfg);
-            s.run_for(config.horizon);
-            InstanceReport {
-                index,
-                seed,
-                sim_seconds: s.now().as_secs_f64(),
-                critical_alive: critical_alive(s.as_ref()),
-                metrics: s.metrics(),
-                plant: plant_snapshot(s.as_ref()),
-                attack: None,
-                requests: RequestStats::from_samples(&s.request_samples()),
-            }
-        }
-        Some(campaign) => {
-            let mut run = campaign.run.clone();
-            run.scenario.seed = seed;
-            let outcome = run_attack(config.platform, campaign.attacker, campaign.attack, &run);
-            let cell = AttackCell {
-                mechanism_succeeded: outcome.mechanism.succeeded(),
-                compromised: outcome.compromised(),
-            };
-            InstanceReport {
-                index,
-                seed,
-                sim_seconds: (run.warmup + run.window + run.cooldown).as_secs_f64(),
-                critical_alive: outcome.critical_alive,
-                metrics: outcome.metrics,
-                plant: outcome.plant,
-                attack: Some(cell),
-                requests: None,
-            }
-        }
+    let mut run = campaign.run.clone();
+    run.scenario.seed = seed;
+    let outcome = run_attack(config.platform, campaign.attacker, campaign.attack, &run);
+    let cell = AttackCell {
+        mechanism_succeeded: outcome.mechanism.succeeded(),
+        compromised: outcome.compromised(),
+    };
+    InstanceReport {
+        index,
+        seed,
+        sim_seconds: (run.warmup + run.window + run.cooldown).as_secs_f64(),
+        critical_alive: outcome.critical_alive,
+        metrics: outcome.metrics,
+        plant: outcome.plant,
+        attack: Some(cell),
+        requests: None,
     }
 }
 
@@ -383,6 +377,7 @@ mod tests {
         for (i, r) in run.report.per_instance.iter().enumerate() {
             assert_eq!(r.index, i);
             assert_eq!(r.seed, instance_seed(config.root_seed, i));
+            assert!((r.sim_seconds - 300.0).abs() < 1e-9);
         }
         assert!(run.wall.workers == 2);
         assert!(run.wall.sim_seconds_per_wall_second > 0.0);
@@ -391,12 +386,22 @@ mod tests {
     #[test]
     fn chunked_claiming_covers_every_instance_exactly_once() {
         // Awkward instance/worker ratios must still produce dense,
-        // ordered indices (chunk arithmetic cannot drop or double-run).
-        for (instances, workers) in [(1, 1), (5, 2), (16, 3), (17, 4), (33, 8)] {
+        // ordered indices (chunk arithmetic cannot drop or double-run),
+        // and every worker counted must have had instances to run.
+        for (instances, workers, used) in [
+            (1, 1, 1),
+            (5, 2, 2),
+            (5, 4, 3),
+            (16, 3, 3),
+            (17, 4, 4),
+            (33, 8, 7),
+        ] {
             let mut config = FleetConfig::benign(Platform::Minix, instances, workers);
             config.horizon = SimDuration::from_mins(1);
             let run = run_fleet(&config);
             assert_eq!(run.report.per_instance.len(), instances);
+            assert_eq!(run.wall.workers, used, "{instances}x{workers}");
+            assert_eq!(run.wall.worker_utilization.len(), used);
             for (i, r) in run.report.per_instance.iter().enumerate() {
                 assert_eq!(r.index, i, "{instances}x{workers}");
                 assert_eq!(r.seed, instance_seed(config.root_seed, i));
@@ -435,16 +440,44 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_cold_boot_agree_across_cohorts() {
-        // max_resident smaller than the fleet forces recycling through
-        // the freelist; the reports must still be byte-identical.
+    fn snapshot_and_cold_boot_agree_across_recycling() {
+        // Every instance after a worker's first runs on a recycled
+        // engine; the reports must still be byte-identical.
         let mut config = FleetConfig::benign(Platform::Minix, 5, 2);
         config.horizon = SimDuration::from_mins(2);
-        config.max_resident = 2;
         let snap = run_fleet(&config);
         config.boot = BootMode::Cold;
         let cold = run_fleet(&config);
         assert_eq!(snap.report.to_json(), cold.report.to_json());
+    }
+
+    #[test]
+    fn chunked_advance_equals_one_shot_advance() {
+        // Epoch stepping must not change what an instance computes: the
+        // lockstep chunk sequence is identical either way.
+        let mut config = FleetConfig::benign(Platform::Minix, 2, 1);
+        config.horizon = SimDuration::from_mins(10);
+        let mut pool = InstancePool::new(None);
+        for index in 0..2 {
+            let seed = instance_seed(config.root_seed, index);
+            let mut chunked = pool.checkout(&config, index);
+            for _ in 0..5 {
+                chunked.run_for(SimDuration::from_mins(2));
+            }
+            let mut epochs = pool.checkout(&config, index);
+            advance_to_horizon(epochs.as_mut(), &config);
+            let mut oneshot = pool.checkout(&config, index);
+            oneshot.run_for(config.horizon);
+            let expected = InstanceReport::from_scenario(index, seed, oneshot.as_ref());
+            assert_eq!(
+                InstanceReport::from_scenario(index, seed, chunked.as_ref()),
+                expected
+            );
+            assert_eq!(
+                InstanceReport::from_scenario(index, seed, epochs.as_ref()),
+                expected
+            );
+        }
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Per-worker instance pool: the fleet side of snapshot/fork boot.
 //!
-//! A fleet run at 100k+ instances cannot keep every engine resident at
-//! once, and cold-booting each one repeats policy lowering and kernel
-//! construction 100k times. An [`InstancePool`] owns one worker's supply
-//! of engines: checked-out engines come from a recycling freelist
-//! (reset in place to the boot image via
+//! Cold-booting every instance of a 100k+ fleet repeats policy lowering
+//! and kernel construction 100k times. An [`InstancePool`] owns one
+//! worker's supply of engines: checked-out engines come from a recycling
+//! freelist (reset in place to the boot image via
 //! [`bas_core::EngineSnapshot::recycle`]) or, when the freelist is dry,
 //! are forked fresh from the shared snapshot; checked-in engines return
-//! to the freelist for the next cohort. In [`BootMode::Cold`] the pool
+//! to the freelist for the next instance. In [`BootMode::Cold`] the pool
 //! degenerates to plain `boot_platform` per checkout and drops on
 //! checkin, which is exactly the pre-snapshot fleet — the two modes
 //! produce byte-identical reports (guarded by `tests/snapshot_fork.rs`).

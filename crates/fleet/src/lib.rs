@@ -17,10 +17,10 @@
 //! - [`instances`] — [`instances::InstancePool`], the snapshot/fork
 //!   boot path: per-worker engine recycling against one shared
 //!   [`bas_core::EngineSnapshot`],
-//! - [`batch`] — [`batch::EngineBatch`], a worker's resident instances
-//!   in struct-of-arrays layout,
 //! - [`engine`] — [`engine::FleetConfig`] and [`engine::run_fleet`],
-//!   which spreads per-worker batches over a [`WorkerPool`],
+//!   which spreads contiguous per-worker batches over a [`WorkerPool`];
+//!   each worker runs its instances one at a time on one recycled
+//!   engine, so a worker's live heap does not grow with the fleet,
 //! - [`report`] — [`FleetReport`] and friends, with hand-rolled
 //!   deterministic JSON,
 //! - [`json`] — the tiny ordered JSON writer the reports (and
@@ -35,7 +35,6 @@
 //! println!("{}", run.report.to_json());
 //! ```
 
-pub mod batch;
 pub mod engine;
 pub mod instances;
 pub mod json;
@@ -43,7 +42,6 @@ pub mod report;
 pub mod seed;
 
 pub use bas_sim::WorkerPool;
-pub use batch::EngineBatch;
 pub use engine::{
     run_fleet, run_fleet_with, BootMode, Campaign, FleetConfig, FleetConfigError, FleetRun,
     WallStats, DEFAULT_MAX_RESIDENT,

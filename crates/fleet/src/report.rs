@@ -8,7 +8,7 @@
 //! threads computed it (the determinism guard in `tests/determinism.rs`).
 
 use bas_attack::model::{AttackId, AttackerModel};
-use bas_core::scenario::{PlantSnapshot, Platform};
+use bas_core::scenario::{critical_alive, plant_snapshot, PlantSnapshot, Platform, Scenario};
 use bas_sim::metrics::KernelMetrics;
 use serde::{Deserialize, Serialize};
 
@@ -260,6 +260,21 @@ pub struct InstanceReport {
 }
 
 impl InstanceReport {
+    /// Snapshots benign instance `index`, seeded with `seed`, as `engine`
+    /// stands now.
+    pub(crate) fn from_scenario(index: usize, seed: u64, engine: &dyn Scenario) -> InstanceReport {
+        InstanceReport {
+            index,
+            seed,
+            sim_seconds: engine.now().as_secs_f64(),
+            critical_alive: critical_alive(engine),
+            metrics: engine.metrics(),
+            plant: plant_snapshot(engine),
+            attack: None,
+            requests: RequestStats::from_samples(&engine.request_samples()),
+        }
+    }
+
     fn to_json(&self) -> Json {
         let mut fields = vec![
             ("index", Json::UInt(self.index as u64)),

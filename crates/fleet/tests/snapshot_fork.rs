@@ -1,10 +1,10 @@
 //! Property guard for the snapshot/fork boot path: a fleet forked from
 //! a warm template produces the byte-identical `FleetReport` JSON a
 //! cold-booted fleet produces — across all three platforms, random root
-//! seeds, every worker count, and cohort sizes small enough to force
-//! engine recycling through the freelist. This is the fleet-level face
-//! of the `bas-core` snapshot soundness argument; if it ever fails, a
-//! `reset_to_boot` implementation left residue behind.
+//! seeds, and every worker count; every instance after a worker's first
+//! runs on an engine recycled through the freelist. This is the
+//! fleet-level face of the `bas-core` snapshot soundness argument; if it
+//! ever fails, a `reset_to_boot` implementation left residue behind.
 
 use bas_core::scenario::Platform;
 use bas_fleet::{run_fleet, BootMode, FleetConfig};
@@ -34,8 +34,8 @@ proptest! {
             .expect("instances >= 1");
         config.root_seed = root_seed;
         config.horizon = SimDuration::from_mins(horizon_mins);
-        // Smaller than the fleet whenever instances > max_resident, so
-        // later cohorts run on recycled engines, not fresh forks.
+        // An upper bound on resident engines that the runner always
+        // meets with one, so it must not change the report either.
         config.max_resident = max_resident;
 
         config.boot = BootMode::Snapshot;
