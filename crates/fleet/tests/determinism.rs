@@ -143,3 +143,29 @@ fn fleet_reports_match_pinned_digests() {
         "30-instance fleet with tenant traffic"
     );
 }
+
+#[test]
+fn boot_churn_shaped_fleets_match_pinned_digests() {
+    // Short instances, where per-instance boot, recycle and report costs
+    // dominate. Digests pinned from a known-good build: a change to how
+    // reports are collected or where they are written must leave every
+    // byte alone.
+
+    // Many 10-second MINIX instances on one worker (the boot-churn shape).
+    let mut config = FleetConfig::benign(Platform::Minix, 600, 1);
+    config.horizon = SimDuration::from_secs(10);
+    assert_eq!(
+        report_digest(&config),
+        0xb25b_a9e7_cdf8_130b,
+        "600-instance 10-second fleet at 1 worker"
+    );
+
+    // Uneven batches: 50 instances on 3 workers run 17/17/16.
+    let mut config = FleetConfig::benign(Platform::Minix, 50, 3);
+    config.horizon = SimDuration::from_mins(2);
+    assert_eq!(
+        report_digest(&config),
+        0x7e3e_e3ac_ed8b_7689,
+        "50-instance 2-minute fleet at 3 workers"
+    );
+}
