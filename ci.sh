@@ -160,6 +160,15 @@ gate BENCH_fleet.json bytes_per_instance ceiling 1.3 BENCH_fleet_baseline.json \
 # number that host load cannot trip, not a re-measured baseline.
 gate BENCH_fleet.json fleet_peak_live_bytes ceiling 1 524288 \
   "** fleet peak live heap above 512 KiB: engines are piling up per worker **"
+# Allocation budgets, exact allocator-call counts: a warm MINIX instance
+# (checkout, 10 simulated s, report, checkin) allocates only its six
+# process objects and the controller's memory-table slot list, and a
+# recycled MINIX engine's steady state allocates nothing. Counts, not
+# timings, so the ceilings are plain numbers.
+gate BENCH_fleet.json lifecycle_allocs_per_instance ceiling 1 7 \
+  "** warm MINIX instance allocates more than its 7-call budget **"
+gate BENCH_fleet.json minix_steady_allocs_per_sim_second ceiling 1 0 \
+  "** recycled MINIX engine allocates in its steady state **"
 # The 2-worker speedup floor needs real cores; on a single-CPU host the
 # determinism and throughput gates above still ran.
 cores=$(grep -m1 -o '"cores": *[0-9]*' BENCH_fleet.json | sed 's/.*: *//')

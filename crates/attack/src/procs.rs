@@ -199,7 +199,7 @@ pub mod minix_attacker {
                 Phase::Start => {
                     self.phase = Phase::AwaitLookup(0);
                     Action::Syscall(Syscall::Lookup {
-                        name: self.lookups[0].clone(),
+                        name: self.lookups[0].clone().into(),
                     })
                 }
                 &mut Phase::AwaitLookup(i) => {
@@ -210,7 +210,7 @@ pub mod minix_attacker {
                     if i + 1 < self.lookups.len() {
                         self.phase = Phase::AwaitLookup(i + 1);
                         return Action::Syscall(Syscall::Lookup {
-                            name: self.lookups[i + 1].clone(),
+                            name: self.lookups[i + 1].clone().into(),
                         });
                     }
                     self.build()

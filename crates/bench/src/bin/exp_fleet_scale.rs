@@ -33,6 +33,14 @@
 //! being a byte count rather than a rate, `ci.sh` gates it against a
 //! fixed ceiling.
 //!
+//! The allocator also counts calls, and the binary reports two exact
+//! allocation budgets: `lifecycle_allocs_per_instance`, the alloc and
+//! realloc calls of one warm MINIX instance (checkout, 10 simulated s,
+//! report, checkin), and `<platform>_steady_allocs_per_sim_second`, the
+//! calls a recycled engine makes per simulated second between 60 s and
+//! 600 s. Both are counts, not timings, so `ci.sh` gates the MINIX values
+//! with plain-number ceilings that host load cannot trip.
+//!
 //! Run: `cargo run --release -p bas-bench --bin exp_fleet_scale [-- --quick --platform minix]`
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -42,11 +50,11 @@ use std::time::Instant;
 
 use bas_acm::{AcId, AccessControlMatrix};
 use bas_bench::{rule, section, Harness};
-use bas_core::scenario::{Platform, ScenarioConfig};
+use bas_core::scenario::{critical_alive, plant_snapshot, Platform, ScenarioConfig};
 use bas_core::EngineSnapshot;
 use bas_fleet::{
-    instance_seed, run_fleet_with, FleetConfig, InstancePool, Json, WorkerPool,
-    DEFAULT_MAX_RESIDENT,
+    instance_seed, run_fleet_with, FleetConfig, InstancePool, InstanceReport, Json, RequestStats,
+    WorkerPool, DEFAULT_MAX_RESIDENT,
 };
 use bas_minix::endpoint::Endpoint;
 use bas_minix::kernel::{MinixConfig, MinixKernel};
@@ -115,6 +123,54 @@ fn reset_peak() -> u64 {
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Allocator calls (alloc + realloc) `f` makes; single-threaded use only.
+fn alloc_calls_in(f: impl FnOnce()) -> u64 {
+    let calls0 = ALLOC_CALLS.load(Ordering::SeqCst);
+    f();
+    ALLOC_CALLS.load(Ordering::SeqCst) - calls0
+}
+
+/// The two allocation budgets on `platform`: mean allocator calls per
+/// warm instance life cycle (checkout, 10 simulated s, report, checkin)
+/// over `instances` instances, and the calls per simulated second a
+/// recycled engine makes between 60 s and 600 s.
+fn alloc_budget(platform: Platform, instances: usize) -> (f64, f64) {
+    let config = FleetConfig::benign(platform, instances, 1);
+    let snapshot = Arc::new(EngineSnapshot::capture(platform, &config.template));
+    let mut pool = InstancePool::new(Some(snapshot));
+    // One long run first, so every buffer an instance fills has grown to
+    // its steady size.
+    let mut engine = pool.checkout(&config, 0);
+    engine.run_for(SimDuration::from_mins(10));
+    pool.checkin(engine);
+
+    let mut engine = pool.checkout(&config, 1);
+    engine.run_for(SimDuration::from_secs(60));
+    let steady = alloc_calls_in(|| engine.run_for(SimDuration::from_secs(540)));
+    pool.checkin(engine);
+
+    let mut reports = Vec::with_capacity(instances);
+    let lifecycle = alloc_calls_in(|| {
+        for index in 0..instances {
+            let mut engine = pool.checkout(&config, index);
+            engine.run_for(SimDuration::from_secs(10));
+            reports.push(InstanceReport {
+                index,
+                seed: instance_seed(config.root_seed, index),
+                sim_seconds: engine.now().as_secs_f64(),
+                critical_alive: critical_alive(engine.as_ref()),
+                metrics: engine.metrics(),
+                plant: plant_snapshot(engine.as_ref()),
+                attack: None,
+                requests: RequestStats::from_samples(&engine.request_samples()),
+            });
+            pool.checkin(engine);
+        }
+    });
+    assert!(reports.iter().all(|r| r.critical_alive));
+    (lifecycle as f64 / instances as f64, steady as f64 / 540.0)
+}
 
 const PUMP_ID: AcId = AcId::new(40);
 const SINK_ID: AcId = AcId::new(41);
@@ -364,6 +420,23 @@ fn main() {
         );
     }
 
+    // ------------------------------------------------------------------
+    // Allocation budgets: exact allocator-call counts, one thread.
+    // ------------------------------------------------------------------
+    section("allocation budgets: allocator calls per warm instance and per simulated second");
+    let budget_instances = h.scale(1_000, 100) as usize;
+    println!(
+        "{:<12} {:>24} {:>24}",
+        "platform", "calls/instance (10 s)", "calls/sim-s (60-600 s)"
+    );
+    rule();
+    let budget_platforms = [Platform::Minix, Platform::Linux, Platform::Sel4];
+    let budgets = budget_platforms.map(|p| alloc_budget(p, budget_instances));
+    for (p, (lifecycle, steady)) in budget_platforms.iter().zip(budgets) {
+        println!("{:<12} {lifecycle:>24.2} {steady:>24.2}", p.to_string());
+    }
+    let [(minix_lifecycle, minix_steady), (_, linux_steady), (_, sel4_steady)] = budgets;
+
     section(&format!(
         "fleet scaling on {platform}: instances × workers, {} simulated minutes each",
         horizon.as_secs_f64() / 60.0
@@ -553,6 +626,22 @@ fn main() {
             Json::Num(fleet_rate_1w),
         ),
         ("fleet_peak_live_bytes", Json::UInt(fleet_peak_live_bytes)),
+        (
+            "alloc_budget",
+            Json::obj(vec![
+                ("instances", Json::UInt(budget_instances as u64)),
+                ("lifecycle_allocs_per_instance", Json::Num(minix_lifecycle)),
+                (
+                    "minix_steady_allocs_per_sim_second",
+                    Json::Num(minix_steady),
+                ),
+                (
+                    "linux_steady_allocs_per_sim_second",
+                    Json::Num(linux_steady),
+                ),
+                ("sel4_steady_allocs_per_sim_second", Json::Num(sel4_steady)),
+            ]),
+        ),
         (
             "speedup_2_workers",
             if speedup_2w.is_nan() {

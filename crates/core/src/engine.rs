@@ -259,6 +259,10 @@ impl<K: PlatformKernel> Scenario for ScenarioEngine<K> {
         *self.stack.kernel().metrics()
     }
 
+    fn any_alive(&self, pred: &mut dyn FnMut(&str) -> bool) -> bool {
+        self.stack.kernel().any_alive(pred)
+    }
+
     fn alive_names(&self) -> Vec<String> {
         self.stack.kernel().alive_names()
     }

@@ -53,6 +53,56 @@ pub enum Directive {
     SetAlarm(bool),
 }
 
+/// The directives one sensor reading produces: at most a fan and an
+/// alarm command, in that order. Held inline, so the control loop never
+/// allocates; reads as a slice and iterates by value.
+#[derive(Clone, Copy)]
+pub struct Directives {
+    buf: [Directive; 2],
+    len: usize,
+}
+
+impl Directives {
+    const NONE: Directives = Directives {
+        buf: [Directive::SetFan(false); 2],
+        len: 0,
+    };
+
+    fn push(&mut self, d: Directive) {
+        self.buf[self.len] = d;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Directives {
+    type Target = [Directive];
+
+    fn deref(&self) -> &[Directive] {
+        &self.buf[..self.len]
+    }
+}
+
+impl IntoIterator for Directives {
+    type Item = Directive;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Directive, 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.buf.into_iter().take(self.len)
+    }
+}
+
+impl PartialEq<Vec<Directive>> for Directives {
+    fn eq(&self, other: &Vec<Directive>) -> bool {
+        **self == other[..]
+    }
+}
+
+impl std::fmt::Debug for Directives {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Why a setpoint update was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SetpointOutOfRange {
@@ -123,10 +173,10 @@ impl ControlCore {
 
     /// Processes one sensor reading; returns the actuator commands that
     /// changed state (idempotent commands are suppressed).
-    pub fn on_sensor_reading(&mut self, now: SimTime, milli_c: i32) -> Vec<Directive> {
+    pub fn on_sensor_reading(&mut self, now: SimTime, milli_c: i32) -> Directives {
         self.readings_processed += 1;
         self.last_reading_milli_c = milli_c;
-        let mut directives = Vec::new();
+        let mut directives = Directives::NONE;
 
         // Bang-bang fan control with hysteresis.
         let want_fan = if milli_c > self.setpoint_milli_c + self.config.hysteresis_milli_c {

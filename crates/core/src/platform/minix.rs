@@ -7,12 +7,12 @@
 //! drivers over rendezvous sends; the web interface performs RPCs via
 //! `sendrec`; the kernel checks the ACM on every hop.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bas_acm::AccessControlMatrix;
 use bas_minix::endpoint::Endpoint;
 use bas_minix::error::MinixError;
+use bas_minix::grant::MemBytes;
 use bas_minix::kernel::{MinixConfig, MinixKernel, MinixProcess};
 use bas_minix::message::Message;
 use bas_minix::pm;
@@ -49,7 +49,7 @@ struct Lookup {
 
 impl Lookup {
     /// Queries the name service for `name`.
-    fn ask(&mut self, name: &str) -> Action<Syscall> {
+    fn ask(&mut self, name: &'static str) -> Action<Syscall> {
         self.asked = true;
         Action::Syscall(Syscall::Lookup { name: name.into() })
     }
@@ -65,7 +65,11 @@ impl Lookup {
     /// Advances the resolution of `name` with the reply to the last
     /// syscall it issued: the endpoint once resolved, else the next
     /// syscall to issue.
-    fn resume(&mut self, name: &str, reply: Option<Reply>) -> Result<Endpoint, Action<Syscall>> {
+    fn resume(
+        &mut self,
+        name: &'static str,
+        reply: Option<Reply>,
+    ) -> Result<Endpoint, Action<Syscall>> {
         if !self.asked {
             return Err(self.ask(name));
         }
@@ -208,7 +212,7 @@ const CTRL_LOOKUPS: [&str; 3] = [names::SENSOR, names::HEATER, names::ALARM];
 pub struct MinixControl {
     core: ControlCore,
     peers: [Option<Endpoint>; 3], // sensor, heater, alarm
-    outbox: VecDeque<Syscall>,
+    outbox: Outbox,
     pending: Option<Message>,
     lookup: Lookup,
     peers_stale: bool,
@@ -230,6 +234,35 @@ pub const CONTROL_LOG_SIZE: usize = 24;
 /// controllers) and is what lets a reincarnated driver resynchronize.
 const RESYNC_EVERY_READINGS: u32 = 30;
 
+/// The syscalls one handled message produces, drained in order before
+/// the next receive: at most a fan command, an alarm command and the log
+/// write. Held inline, so the control loop never allocates.
+#[derive(Default)]
+struct Outbox {
+    slots: [Option<Syscall>; 3],
+    head: usize,
+    len: usize,
+}
+
+impl Outbox {
+    /// Queues `sys`. The controller handles one message per drain, so
+    /// the three slots always suffice.
+    fn push_back(&mut self, sys: Syscall) {
+        self.slots[self.len] = Some(sys);
+        self.len += 1;
+    }
+
+    fn pop_front(&mut self) -> Option<Syscall> {
+        if self.head == self.len {
+            self.head = 0;
+            self.len = 0;
+            return None;
+        }
+        self.head += 1;
+        self.slots[self.head - 1].take()
+    }
+}
+
 enum CtrlSt {
     Connect(usize),
     AwaitLogBuf,
@@ -244,7 +277,7 @@ impl MinixControl {
         MinixControl {
             core,
             peers: [None; 3],
-            outbox: VecDeque::new(),
+            outbox: Outbox::default(),
             pending: None,
             lookup: Lookup::default(),
             peers_stale: false,
@@ -309,12 +342,11 @@ impl MinixControl {
                 // into the controller's log buffer.
                 if let Some(buf) = self.log_buf {
                     let s = self.core.status();
-                    let mut rec = Vec::with_capacity(CONTROL_LOG_SIZE);
+                    let mut rec = MemBytes::EMPTY;
                     rec.extend_from_slice(&(now.as_secs() as u32).to_le_bytes());
                     rec.extend_from_slice(&s.last_reading_milli_c.to_le_bytes());
                     rec.extend_from_slice(&s.setpoint_milli_c.to_le_bytes());
-                    rec.push(u8::from(s.fan_on));
-                    rec.push(u8::from(s.alarm_on));
+                    rec.extend_from_slice(&[u8::from(s.fan_on), u8::from(s.alarm_on)]);
                     self.outbox.push_back(Syscall::MemWrite {
                         buf,
                         offset: 0,
@@ -624,15 +656,22 @@ impl Process for MinixWeb {
 /// processes, tells kernel each process's ac_id, and loads the correct
 /// binaries for each of them."
 pub struct MinixLoader {
-    plan: Vec<(u32, bas_acm::AcId, u32)>, // (program id, ac_id, uid)
+    plan: BootPlan,
     idx: usize,
 }
+
+/// A loader's fork plan: `(program id, ac_id, uid)` per child, in fork
+/// order. Shared, so re-spawning the loader on recycle copies nothing.
+pub type BootPlan = Arc<[(u32, bas_acm::AcId, u32)]>;
 
 impl MinixLoader {
     /// Creates a loader that forks the given `(program, ac_id, uid)`
     /// plan in order.
-    pub fn new(plan: Vec<(u32, bas_acm::AcId, u32)>) -> Self {
-        MinixLoader { plan, idx: 0 }
+    pub fn new(plan: impl Into<BootPlan>) -> Self {
+        MinixLoader {
+            plan: plan.into(),
+            idx: 0,
+        }
     }
 }
 
@@ -705,7 +744,7 @@ impl MinixSupervisor {
         }
         self.state = SupSt::AwaitLookup;
         Action::Syscall(Syscall::Lookup {
-            name: self.watch[self.idx].0.to_string(),
+            name: self.watch[self.idx].0.into(),
         })
     }
 
@@ -793,7 +832,10 @@ pub struct MinixStack {
     /// re-run exactly the boot-time spawns (program ids, identities and
     /// uids — including overridden web factories, which live on in the
     /// kernel's program registry).
-    boot_plan: Vec<(u32, bas_acm::AcId, u32)>,
+    boot_plan: BootPlan,
+    /// The loader's process name, allocated once at cold boot and shared
+    /// by every re-spawned loader.
+    loader_name: Arc<str>,
     /// Whether boot spawned the reincarnation-server supervisor.
     supervise: bool,
 }
@@ -852,18 +894,20 @@ fn boot_minix(config: &ScenarioConfig, overrides: MinixOverrides, io: &AppIo) ->
 
     // Fork order: controller first so lookups converge quickly, then
     // drivers, sensor, and finally the untrusted web interface.
-    let boot_plan = vec![
+    let boot_plan: BootPlan = Arc::new([
         (control_prog, AC_CONTROL, 1000),
         (heater_prog, AC_HEATER, 1000),
         (alarm_prog, AC_ALARM, 1000),
         (sensor_prog, AC_SENSOR, 1000),
         (web_prog, AC_WEB, overrides.web_uid),
-    ];
-    spawn_boot_processes(&mut kernel, &boot_plan, overrides.supervise);
+    ]);
+    let loader_name: Arc<str> = names::SCENARIO.into();
+    spawn_boot_processes(&mut kernel, &loader_name, &boot_plan, overrides.supervise);
 
     MinixStack {
         kernel,
         boot_plan,
+        loader_name,
         supervise: overrides.supervise,
     }
 }
@@ -874,22 +918,23 @@ fn boot_minix(config: &ScenarioConfig, overrides: MinixOverrides, io: &AppIo) ->
 /// entries (the plan's head, in registration order).
 fn spawn_boot_processes(
     kernel: &mut MinixKernel,
-    boot_plan: &[(u32, bas_acm::AcId, u32)],
+    loader_name: &Arc<str>,
+    boot_plan: &BootPlan,
     supervise: bool,
 ) {
     kernel
         .spawn(
-            names::SCENARIO,
+            loader_name.clone(),
             AC_SCENARIO,
             0,
-            Box::new(MinixLoader::new(boot_plan.to_vec())),
+            Box::new(MinixLoader::new(boot_plan.clone())),
         )
         .expect("fresh kernel has room for the loader");
 
     if supervise {
         let watch = [names::CONTROL, names::HEATER, names::ALARM, names::SENSOR]
             .iter()
-            .zip(boot_plan)
+            .zip(boot_plan.iter())
             .map(|(&name, &(prog, ac, uid))| (name, prog, ac, uid))
             .collect();
         kernel
@@ -928,7 +973,12 @@ impl PlatformKernel for MinixStack {
         // The registered web factory survives the reset and still holds
         // the instance's I/O.
         self.kernel.reset_to_boot();
-        spawn_boot_processes(&mut self.kernel, &self.boot_plan, self.supervise);
+        spawn_boot_processes(
+            &mut self.kernel,
+            &self.loader_name,
+            &self.boot_plan,
+            self.supervise,
+        );
     }
 
     fn resolve_churn(&self, op: &CapChurnOp) -> Vec<CapChurnOp> {

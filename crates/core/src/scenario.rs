@@ -76,10 +76,13 @@ impl AppIo {
     }
 
     /// Re-images everything for `config` (the boot template modulo
-    /// `seed`) in place: re-seeds the plant, swaps in the schedule, which
-    /// is seed-derived under traffic, and clears both logs.
+    /// `seed`) in place: resets and re-seeds the plant (keeping its
+    /// buffers), swaps in the schedule, which is seed-derived under
+    /// traffic, and clears both logs.
     pub fn reimage(&self, config: &ScenarioConfig) {
-        *self.plant.borrow_mut() = PlantWorld::new(config.synced_plant(), config.seed);
+        self.plant
+            .borrow_mut()
+            .reset(config.synced_plant(), config.seed);
         *self.schedule.borrow_mut() = config.effective_web_schedule();
         self.responses.borrow_mut().clear();
         self.requests.borrow_mut().clear();
@@ -235,7 +238,11 @@ pub trait Scenario {
     /// Kernel counters.
     fn metrics(&self) -> KernelMetrics;
 
-    /// Names of live processes/threads.
+    /// Calls `pred` with the name of each live process/thread until it
+    /// returns true; returns whether it did. Allocation-free.
+    fn any_alive(&self, pred: &mut dyn FnMut(&str) -> bool) -> bool;
+
+    /// Names of live processes/threads, sorted.
     fn alive_names(&self) -> Vec<String>;
 
     /// Number of kernel-trace events in a category (e.g. `"acm.deny"`).
@@ -298,13 +305,14 @@ pub fn plant_snapshot(scenario: &dyn Scenario) -> PlantSnapshot {
 }
 
 /// True if every critical process is still alive. Fork-suffixed names
-/// (`temp_control#7`) count as the same program.
+/// (`temp_control#7`) count as the same program. Names are checked in
+/// place, so the check never allocates.
 pub fn critical_alive(scenario: &dyn Scenario) -> bool {
-    let names = scenario.alive_names();
     CRITICAL_PROCESSES.iter().all(|c| {
-        names
-            .iter()
-            .any(|n| n == c || n.starts_with(&format!("{c}#")))
+        scenario.any_alive(&mut |name| {
+            name.strip_prefix(c)
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with('#'))
+        })
     })
 }
 

@@ -7,15 +7,15 @@
 //! runs its instances one after another on a single engine, checked out
 //! of its [`InstancePool`], advanced epoch by epoch to the horizon,
 //! reported, and recycled for the next index — so a worker's live heap
-//! is one instance's, whatever the fleet size. Only the final report
-//! merge synchronizes. Thread scheduling decides only *when* a batch
-//! computes, never *what* it computes: every per-instance RNG seed
-//! derives from the root seed and instance index alone, and the epoch
-//! schedule is worker-independent, which is what makes the
+//! is one instance's, whatever the fleet size. Each report is written
+//! once, into the worker's own chunk of one preallocated slot buffer, so
+//! only the final join synchronizes. Thread scheduling decides only
+//! *when* a batch computes, never *what* it computes: every per-instance
+//! RNG seed derives from the root seed and instance index alone, and the
+//! epoch schedule is worker-independent, which is what makes the
 //! [`FleetReport`] deterministic under any worker count.
 
-use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use bas_attack::harness::{run_attack, AttackRunConfig};
@@ -251,20 +251,34 @@ pub fn run_fleet_with(pool: &WorkerPool, config: &FleetConfig) -> FleetRun {
         ))),
         _ => None,
     };
-    let start = Instant::now();
+    // One report slot per instance, allocated once: each worker writes
+    // its contiguous range into its own disjoint chunk, so a report is
+    // written once, in place, and never copied into a merged buffer.
+    let mut slots: Vec<Option<InstanceReport>> = Vec::new();
+    slots.resize_with(config.instances, || None);
 
-    let batches = pool.map(workers, |w| {
-        let range = (w * batch_size)..((w + 1) * batch_size).min(config.instances);
-        run_batch(config, snapshot.clone(), range)
+    let start = Instant::now();
+    // Job `w` takes chunk `w` exactly once; the lock is never contended
+    // and only hands the `&mut` chunk across the `Fn` job boundary.
+    let chunks: Vec<Mutex<&mut [Option<InstanceReport>]>> =
+        slots.chunks_mut(batch_size).map(Mutex::new).collect();
+    let busy = pool.map(workers, |w| {
+        let mut chunk = chunks[w].lock().expect("each chunk has one job");
+        run_batch(config, snapshot.clone(), w * batch_size, &mut chunk)
     });
+    drop(chunks);
 
     let wall_seconds = start.elapsed().as_secs_f64();
-    let mut per_instance = Vec::with_capacity(config.instances);
-    let mut worker_utilization = Vec::with_capacity(workers);
-    for (reports, busy_seconds) in batches {
-        per_instance.extend(reports);
-        worker_utilization.push((busy_seconds / wall_seconds.max(1e-9)).min(1.0));
-    }
+    let worker_utilization = busy
+        .into_iter()
+        .map(|busy_seconds| (busy_seconds / wall_seconds.max(1e-9)).min(1.0))
+        .collect();
+    // `Option<InstanceReport>` has the report's size and alignment, so
+    // the unwrap reuses the slot buffer instead of allocating another.
+    let per_instance = slots
+        .into_iter()
+        .map(|slot| slot.expect("every instance reported"))
+        .collect();
 
     let report = FleetReport::aggregate(
         config.platform,
@@ -285,38 +299,43 @@ pub fn run_fleet_with(pool: &WorkerPool, config: &FleetConfig) -> FleetRun {
     FleetRun { report, wall }
 }
 
-/// One worker's whole run: each instance in `range`, in order, on one
-/// engine drawn from the worker's [`InstancePool`] and returned to it
-/// after its report. Returns the index-ordered reports plus the busy
-/// seconds spent (for [`WallStats::worker_utilization`]).
+/// One worker's whole run: instance `first + k` for each slot `k` of
+/// `reports`, in order, on one engine drawn from the worker's
+/// [`InstancePool`] and returned to it after its report, which is
+/// written straight into its slot. Returns the busy seconds spent (for
+/// [`WallStats::worker_utilization`]).
 fn run_batch(
     config: &FleetConfig,
     snapshot: Option<Arc<EngineSnapshot>>,
-    range: Range<usize>,
-) -> (Vec<InstanceReport>, f64) {
+    first: usize,
+    reports: &mut [Option<InstanceReport>],
+) -> f64 {
     let t0 = Instant::now();
-    let reports = match &config.campaign {
+    let indexed = reports
+        .iter_mut()
+        .enumerate()
+        .map(|(k, slot)| (first + k, slot));
+    match &config.campaign {
         None => {
             let mut pool = InstancePool::for_config(config, snapshot);
-            range
-                .map(|index| {
-                    let mut engine = pool.checkout(config, index);
-                    advance_to_horizon(engine.as_mut(), config);
-                    let seed = instance_seed(config.root_seed, index);
-                    let report = InstanceReport::from_scenario(index, seed, engine.as_ref());
-                    pool.checkin(engine);
-                    report
-                })
-                .collect()
+            for (index, slot) in indexed {
+                let mut engine = pool.checkout(config, index);
+                advance_to_horizon(engine.as_mut(), config);
+                let seed = instance_seed(config.root_seed, index);
+                *slot = Some(InstanceReport::from_scenario(index, seed, engine.as_ref()));
+                pool.checkin(engine);
+            }
         }
         // Attack campaigns drive each instance through the attack
         // harness's own warmup/window/cooldown phases; they cannot be
         // epoch-stepped externally, so the batch runs them one-shot.
-        Some(campaign) => range
-            .map(|index| run_campaign_instance(config, campaign, index))
-            .collect(),
-    };
-    (reports, t0.elapsed().as_secs_f64())
+        Some(campaign) => {
+            for (index, slot) in indexed {
+                *slot = Some(run_campaign_instance(config, campaign, index));
+            }
+        }
+    }
+    t0.elapsed().as_secs_f64()
 }
 
 /// Advances a freshly checked-out engine to [`FleetConfig::horizon`] in

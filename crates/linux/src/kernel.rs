@@ -922,15 +922,8 @@ impl Kernel for LinuxKernel {
         self.names.get(name).copied().filter(|&p| self.is_alive(p))
     }
 
-    /// Names of live processes, sorted.
-    fn alive_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .procs
-            .iter()
-            .filter_map(|p| p.as_ref().map(|e| e.name.to_string()))
-            .collect();
-        v.sort();
-        v
+    fn any_alive(&self, pred: &mut dyn FnMut(&str) -> bool) -> bool {
+        self.procs.iter().flatten().any(|e| pred(&e.name))
     }
 
     fn exit_detail(code: i32) -> Detail {

@@ -68,6 +68,66 @@ pub struct Grant {
     pub perms: GrantPerms,
 }
 
+/// Most bytes one [`crate::syscall::Syscall::MemWrite`] carries: a
+/// message payload's worth.
+pub const MEM_WRITE_MAX: usize = crate::message::PAYLOAD_LEN;
+
+/// The bytes of one [`crate::syscall::Syscall::MemWrite`], held inline
+/// (up to [`MEM_WRITE_MAX`]) so writing a record into a buffer never
+/// allocates. Reads as a byte slice. A one-byte length keeps `Syscall`
+/// at the size of its payload-carrying sends.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct MemBytes {
+    len: u8,
+    bytes: [u8; MEM_WRITE_MAX],
+}
+
+impl MemBytes {
+    /// No bytes.
+    pub const EMPTY: MemBytes = MemBytes {
+        len: 0,
+        bytes: [0; MEM_WRITE_MAX],
+    };
+
+    /// A copy of `bytes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is longer than [`MEM_WRITE_MAX`].
+    pub fn new(bytes: &[u8]) -> MemBytes {
+        let mut m = MemBytes::EMPTY;
+        m.extend_from_slice(bytes);
+        m
+    }
+
+    /// Appends `bytes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the total would exceed [`MEM_WRITE_MAX`].
+    pub fn extend_from_slice(&mut self, bytes: &[u8]) {
+        let start = usize::from(self.len);
+        let end = start + bytes.len();
+        assert!(end <= MEM_WRITE_MAX, "memory write too large: {end}");
+        self.bytes[start..end].copy_from_slice(bytes);
+        self.len = end as u8;
+    }
+}
+
+impl std::ops::Deref for MemBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..usize::from(self.len)]
+    }
+}
+
+impl std::fmt::Debug for MemBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "MemBytes({:02x?})", &**self)
+    }
+}
+
 /// Per-process memory state: owned buffers plus outstanding grants.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemoryTable {
@@ -108,9 +168,24 @@ impl std::error::Error for GrantError {}
 impl MemoryTable {
     /// Allocates a zeroed buffer of `size` bytes.
     pub fn create_buffer(&mut self, size: usize) -> BufId {
+        self.create_buffer_in(Vec::new(), size)
+    }
+
+    /// Creates a zeroed buffer of `size` bytes in `bytes`' allocation,
+    /// such as one a dead process left behind
+    /// ([`MemoryTable::into_buffers`]).
+    pub fn create_buffer_in(&mut self, mut bytes: Vec<u8>, size: usize) -> BufId {
         let id = BufId(self.buffers.len() as u32);
-        self.buffers.push(Some(vec![0; size]));
+        bytes.clear();
+        bytes.resize(size, 0);
+        self.buffers.push(Some(bytes));
         id
+    }
+
+    /// The allocations of every owned buffer, for a later process's
+    /// [`MemoryTable::create_buffer_in`].
+    pub fn into_buffers(self) -> impl Iterator<Item = Vec<u8>> {
+        self.buffers.into_iter().flatten()
     }
 
     /// Writes `data` into one of the *owner's own* buffers.
@@ -287,6 +362,33 @@ mod tests {
         t.write_own(buf, 0, &[1, 2, 3, 4]).unwrap();
         let g = t.create_grant(buf, 0, 16, ep(5), perms).unwrap();
         (t, buf, g)
+    }
+
+    #[test]
+    fn a_released_buffer_is_reused_zeroed() {
+        let (t, _, _) = table_with_grant(GrantPerms::RW);
+        let mut released = t.into_buffers();
+        let bytes = released.next().expect("the table owned one buffer");
+        assert!(released.next().is_none());
+        let ptr = bytes.as_ptr();
+        let mut fresh = MemoryTable::default();
+        let buf = fresh.create_buffer_in(bytes, 8);
+        assert_eq!(fresh.read_own(buf, 0, 8).unwrap(), vec![0; 8]);
+        assert_eq!(fresh.buffers[0].as_ref().map(|b| b.as_ptr()), Some(ptr));
+    }
+
+    #[test]
+    fn mem_bytes_hold_up_to_a_payload_inline() {
+        let mut m = MemBytes::new(&[1, 2]);
+        m.extend_from_slice(&[3]);
+        assert_eq!(&*m, &[1, 2, 3]);
+        assert_eq!(MemBytes::new(&[0; MEM_WRITE_MAX]).len(), MEM_WRITE_MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "memory write too large")]
+    fn mem_bytes_reject_more_than_a_payload() {
+        MemBytes::new(&[0; MEM_WRITE_MAX + 1]);
     }
 
     #[test]

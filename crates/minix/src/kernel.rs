@@ -90,8 +90,11 @@ pub struct MinixKernel {
     /// [`MsgRef`] (blocked-sender PCBs, the dup stash), copied once in at
     /// `do_send` and once out at delivery.
     exec: Executive<Detail>,
-    programs: Vec<(String, ProgramFactory<Syscall, Reply>)>,
-    names: BTreeMap<String, Endpoint>,
+    /// Registered program images by id. The names are shared: a fork
+    /// hands its child the registry's `Arc`, so a process name is never
+    /// copied.
+    programs: Vec<(Arc<str>, ProgramFactory<Syscall, Reply>)>,
+    names: BTreeMap<Arc<str>, Endpoint>,
     /// The live ACM. Shared (`Arc`) so a fleet of forked kernels can point
     /// at one boot matrix; copy-on-write via [`Arc::make_mut`] the moment
     /// a churn op mutates it, so sharing never changes semantics.
@@ -112,6 +115,10 @@ pub struct MinixKernel {
     armed_churn: Vec<(CapChurnOp, u32)>,
     /// Provenance of runtime ACM mutations (audited by `bas-analysis`).
     delegations: DelegationLog,
+    /// Memory buffers dead processes left behind, reused by later
+    /// `MemCreate` calls, so a recycled kernel re-creates its processes'
+    /// buffers without allocating.
+    spare_buffers: Vec<Vec<u8>>,
 }
 
 impl std::fmt::Debug for MinixKernel {
@@ -148,7 +155,7 @@ impl MinixKernel {
             });
         }
         let mut names = BTreeMap::new();
-        names.insert("pm".to_string(), pm::PM_ENDPOINT);
+        names.insert("pm".into(), pm::PM_ENDPOINT);
         MinixKernel {
             slots,
             // One parked message per process slot is the structural bound
@@ -163,6 +170,7 @@ impl MinixKernel {
             dup_stash: VecDeque::new(),
             armed_churn: Vec::new(),
             delegations: DelegationLog::new(),
+            spare_buffers: Vec::new(),
         }
     }
 
@@ -172,7 +180,7 @@ impl MinixKernel {
     /// program id.
     pub fn register_program(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         factory: ProgramFactory<Syscall, Reply>,
     ) -> u32 {
         self.programs.push((name.into(), factory));
@@ -180,14 +188,15 @@ impl MinixKernel {
     }
 
     /// Loads a process directly (boot-time loader path; at runtime use PM
-    /// `fork2` messages).
+    /// `fork2` messages). The process table, the name service and the
+    /// spawn record all share `name`'s one allocation.
     ///
     /// # Errors
     ///
     /// Returns [`MinixError::ProcessTableFull`] when no slot is free.
     pub fn spawn(
         &mut self,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         ac_id: AcId,
         uid: u32,
         logic: MinixProcess,
@@ -214,7 +223,7 @@ impl MinixKernel {
         self.exec.record(
             Some(pid),
             Detail::Spawn {
-                name: name.into(),
+                name,
                 ac: ac_id,
                 uid,
                 ep: endpoint,
@@ -239,13 +248,15 @@ impl MinixKernel {
             // no entry is already in its post-`new` state.
             if slot.generation != 0 || slot.entry.is_some() {
                 slot.generation = 0;
-                slot.entry = None;
+                if let Some(entry) = slot.entry.take() {
+                    self.spare_buffers.extend(entry.pcb.memory.into_buffers());
+                }
             }
         }
         self.exec.reset();
         // The PM name is the only boot-time entry; every other name was
         // inserted by a spawn and dies with its process table.
-        self.names.retain(|name, _| name == "pm");
+        self.names.retain(|name, _| &**name == "pm");
         self.acm = self.boot_acm.clone();
         self.quotas.reset_usage();
         self.dup_stash.clear();
@@ -301,7 +312,7 @@ impl MinixKernel {
         }
         self.slots.iter().find_map(|s| {
             let e = s.entry.as_ref()?;
-            (e.pcb.ac_id == ac).then(|| e.pcb.name.clone())
+            (e.pcb.ac_id == ac).then(|| e.pcb.name.to_string())
         })
     }
 
@@ -559,9 +570,9 @@ impl MinixKernel {
                 .cap_log
                 .record_with(self.now(), CapOp::Check, decision.is_allowed(), || {
                     (
-                        sub_name.clone(),
+                        sub_name.to_string(),
                         format!("acm:{caller_ac}->{dest_ac}"),
-                        dst_name.clone(),
+                        dst_name.to_string(),
                     )
                 });
             if decision.is_allowed() {
@@ -859,16 +870,16 @@ impl MinixKernel {
                     .cap_log
                     .record_with(now, CapOp::Use, still_ok, || {
                         (
-                            src_name.clone(),
+                            src_name.to_string(),
                             format!("acm:{src_ac}->{dst_ac}"),
-                            dst_name.clone(),
+                            dst_name.to_string(),
                         )
                     });
                 let recv_seq = self.exec.cap_log.record_with(now, CapOp::Recv, true, || {
                     (
-                        dst_name.clone(),
+                        dst_name.to_string(),
                         format!("acm:{src_ac}->{dst_ac}"),
-                        dst_name.clone(),
+                        dst_name.to_string(),
                     )
                 });
                 self.exec.cap_log.edge(use_seq, recv_seq);
@@ -910,8 +921,8 @@ impl MinixKernel {
                 // name-service lookups find the well-known processes);
                 // further instances — e.g. fork-bomb children — get a
                 // uniquifying suffix.
-                let child_name = if self.names.contains_key(prog_name.as_str()) {
-                    format!("{prog_name}#{}", self.exec.metrics.processes_created + 1)
+                let child_name: Arc<str> = if self.names.contains_key(prog_name) {
+                    format!("{prog_name}#{}", self.exec.metrics.processes_created + 1).into()
                 } else {
                     prog_name.clone()
                 };
@@ -977,7 +988,7 @@ impl MinixKernel {
                 };
                 let actor = self
                     .entry_ref(caller)
-                    .map(|e| e.pcb.name.clone())
+                    .map(|e| e.pcb.name.to_string())
                     .unwrap_or_else(|| format!("{caller_ep}"));
                 if kind == ChurnKind::Grant && caller_ac != pm::PM_AC_ID {
                     let own = self
@@ -1095,8 +1106,9 @@ impl Kernel for MinixKernel {
             Syscall::DevRead { dev } => self.do_device(pid, dev, None),
             Syscall::DevWrite { dev, value } => self.do_device(pid, dev, Some(value)),
             Syscall::MemCreate { size } => {
+                let bytes = self.spare_buffers.pop().unwrap_or_default();
                 let reply = match self.entry_mut(pid) {
-                    Some(e) => Reply::Buf(e.pcb.memory.create_buffer(size)),
+                    Some(e) => Reply::Buf(e.pcb.memory.create_buffer_in(bytes, size)),
                     None => return,
                 };
                 self.ready_with(pid, reply);
@@ -1179,6 +1191,7 @@ impl Kernel for MinixKernel {
             self.slots[pid.as_usize()].generation.wrapping_add(1);
         self.exec.reap(pid);
         self.names.retain(|_, ep| *ep != dead_ep);
+        self.spare_buffers.extend(entry.pcb.memory.into_buffers());
         let arena = &mut self.exec.arena;
         self.dup_stash.retain(|(src, dest, _, msg)| {
             let keep = *src != dead_ep && *dest != dead_ep;
@@ -1223,15 +1236,11 @@ impl Kernel for MinixKernel {
         self.endpoint_of(name).and_then(|ep| self.lookup_live(ep))
     }
 
-    /// Names of live processes, sorted.
-    fn alive_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .slots
+    fn any_alive(&self, pred: &mut dyn FnMut(&str) -> bool) -> bool {
+        self.slots
             .iter()
-            .filter_map(|s| s.entry.as_ref().map(|e| e.pcb.name.clone()))
-            .collect();
-        v.sort();
-        v
+            .filter_map(|s| s.entry.as_ref())
+            .any(|e| pred(&e.pcb.name))
     }
 
     fn exit_detail(code: i32) -> Detail {

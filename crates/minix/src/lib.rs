@@ -59,7 +59,7 @@ pub mod trace;
 
 pub use endpoint::Endpoint;
 pub use error::MinixError;
-pub use grant::{BufId, GrantId, GrantPerms, MemoryTable};
+pub use grant::{BufId, GrantId, GrantPerms, MemBytes, MemoryTable};
 pub use kernel::{MinixConfig, MinixKernel};
 pub use message::{Message, Payload};
 pub use pcb::{BlockReason, Pcb};

@@ -5,6 +5,8 @@
 //! (ac_id) [...] We use the added ac_id field to uniquely identify each
 //! process and enforce the control policy."
 
+use std::sync::Arc;
+
 use bas_acm::AcId;
 use bas_sim::arena::MsgRef;
 use bas_sim::process::Pid;
@@ -44,8 +46,9 @@ pub struct Pcb {
     pub pid: Pid,
     /// IPC address (slot + generation).
     pub endpoint: Endpoint,
-    /// Registered name (for the name service and traces).
-    pub name: String,
+    /// Registered name (for the name service and traces), shared with
+    /// the name service and the program registry.
+    pub name: Arc<str>,
     /// The paper's access-control identity, immutable after load.
     pub ac_id: AcId,
     /// POSIX-style uid; *not* consulted for IPC policy (the point of the
@@ -65,7 +68,7 @@ impl Pcb {
     pub fn new(
         pid: Pid,
         endpoint: Endpoint,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         ac_id: AcId,
         uid: u32,
     ) -> Self {

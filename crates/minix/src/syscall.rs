@@ -4,13 +4,15 @@
 //! primitives to all user processes. Because the kernel facilitates all of
 //! the IPC, it is the ideal location to enforce IPC policy."
 
+use std::borrow::Cow;
+
 use bas_acm::AcId;
 use bas_sim::device::DeviceId;
 use bas_sim::time::{SimDuration, SimTime};
 
 use crate::endpoint::Endpoint;
 use crate::error::MinixError;
-use crate::grant::{BufId, GrantId, GrantPerms};
+use crate::grant::{BufId, GrantId, GrantPerms, MemBytes};
 use crate::message::{Message, Payload};
 
 /// A system call trapped to the MINIX kernel.
@@ -65,8 +67,9 @@ pub enum Syscall {
     WhoAmI,
     /// Resolve a process name to its endpoint (DS-server analog).
     Lookup {
-        /// The registered process name.
-        name: String,
+        /// The registered process name (borrowed when it is a
+        /// well-known constant, so asking never allocates).
+        name: Cow<'static, str>,
     },
     /// Read a device register (drivers only; gated by device ownership).
     DevRead {
@@ -91,8 +94,8 @@ pub enum Syscall {
         buf: BufId,
         /// Byte offset.
         offset: usize,
-        /// Data to write.
-        data: Vec<u8>,
+        /// Data to write, inline.
+        data: MemBytes,
     },
     /// Reads from one of the caller's own buffers.
     MemRead {

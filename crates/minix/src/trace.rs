@@ -7,6 +7,7 @@
 //! is rendered only when it is displayed.
 
 use std::fmt;
+use std::sync::Arc;
 
 use bas_acm::{AcId, Decision, SyscallClass};
 use bas_sim::caps::ChurnKind;
@@ -23,8 +24,8 @@ use crate::grant::{GrantError, GrantId};
 pub enum Detail {
     /// `proc.spawn`: a process was loaded or forked.
     Spawn {
-        /// Process name.
-        name: Box<str>,
+        /// Process name (shared with the process table).
+        name: Arc<str>,
         /// Its access-control identity.
         ac: AcId,
         /// Its uid.

@@ -5,7 +5,7 @@
 
 use bas_acm::{AcId, AccessControlMatrix};
 use bas_minix::error::MinixError;
-use bas_minix::grant::{BufId, GrantId, GrantPerms};
+use bas_minix::grant::{BufId, GrantId, GrantPerms, MemBytes};
 use bas_minix::kernel::{MinixConfig, MinixKernel};
 use bas_minix::syscall::{Reply, Syscall};
 use bas_sim::kernel::Kernel;
@@ -40,7 +40,7 @@ fn grantee_round_trips_data_through_a_grant() {
         Syscall::MemWrite {
             buf: BufId(0),
             offset: 0,
-            data: vec![10, 20, 30, 40],
+            data: MemBytes::new(&[10, 20, 30, 40]),
         },
         Syscall::GrantCreate {
             buf: BufId(0),

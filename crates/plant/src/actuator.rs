@@ -36,6 +36,13 @@ impl OnOffActuator {
         }
     }
 
+    /// Switches the actuator off and forgets its history, keeping the
+    /// history's capacity.
+    pub fn reset(&mut self) {
+        self.on = false;
+        self.transitions.clear();
+    }
+
     /// The actuator's name ("fan", "alarm").
     pub fn name(&self) -> &str {
         &self.name

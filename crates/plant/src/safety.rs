@@ -101,6 +101,25 @@ impl SafetyMonitor {
         }
     }
 
+    /// Returns the monitor to `SafetyMonitor::new(setpoint_c, band_c,
+    /// deadline)` in place: the violation and latency logs are cleared
+    /// but keep their capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `band_c` is not positive.
+    pub fn reset(&mut self, setpoint_c: f64, band_c: f64, deadline: SimDuration) {
+        let mut violations = std::mem::take(&mut self.violations);
+        let mut alarm_latencies = std::mem::take(&mut self.alarm_latencies);
+        violations.clear();
+        alarm_latencies.clear();
+        *self = SafetyMonitor {
+            violations,
+            alarm_latencies,
+            ..SafetyMonitor::new(setpoint_c, band_c, deadline)
+        };
+    }
+
     /// The current reference setpoint, °C.
     pub fn setpoint_c(&self) -> f64 {
         self.setpoint_c

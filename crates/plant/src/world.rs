@@ -127,6 +127,30 @@ impl PlantWorld {
         }
     }
 
+    /// Re-images the world as [`PlantWorld::new`]`(config, seed)` builds
+    /// it, in place: the trace, the actuator histories and the safety
+    /// monitor's logs are cleared but keep their capacity, so a recycled
+    /// world fills them without allocating again.
+    pub fn reset(&mut self, mut config: PlantConfig, seed: u64) {
+        self.room = config.room.clone();
+        self.room.set_temperature_c(config.initial_temp_c);
+        config.heat_schedule.sort_by_key(|(t, _)| *t);
+        self.sensor = TemperatureSensor::new(
+            config.sensor_noise_std_c,
+            config.sensor_quantization_c,
+            seed,
+        );
+        self.fan.reset();
+        self.alarm.reset();
+        self.monitor
+            .reset(config.setpoint_c, config.band_c, config.alarm_deadline);
+        self.trace.clear();
+        self.now = SimTime::ZERO;
+        self.next_sample_at = SimTime::ZERO;
+        self.next_heat_idx = 0;
+        self.config = config;
+    }
+
     /// Current virtual time the world has been advanced to.
     pub fn now(&self) -> SimTime {
         self.now
@@ -301,6 +325,29 @@ mod tests {
         w.step_to(at(1));
         assert_eq!(w.temperature_c(), t);
         assert_eq!(w.now(), at(5));
+    }
+
+    #[test]
+    fn reset_rebuilds_the_new_world_in_place() {
+        let config = PlantConfig {
+            heat_schedule: vec![
+                (SimDuration::from_secs(100), 0.0),
+                (SimDuration::from_secs(10), 600.0),
+            ],
+            ..PlantConfig::default()
+        };
+        let mut w = PlantWorld::new(PlantConfig::default(), 1);
+        w.set_fan(true);
+        w.step_to(at(900));
+        w.set_alarm(true);
+        w.step_to(at(1_800));
+        let trace_capacity = w.trace.capacity();
+        w.reset(config.clone(), 9);
+        assert_eq!(
+            format!("{w:?}"),
+            format!("{:?}", PlantWorld::new(config, 9))
+        );
+        assert_eq!(w.trace.capacity(), trace_capacity);
     }
 
     #[test]

@@ -1259,15 +1259,8 @@ impl Kernel for Sel4Kernel {
         self.thread_named(name)
     }
 
-    /// Names of live threads, sorted.
-    fn alive_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .threads
-            .iter()
-            .filter_map(|t| t.as_ref().map(|e| e.name.clone()))
-            .collect();
-        v.sort();
-        v
+    fn any_alive(&self, pred: &mut dyn FnMut(&str) -> bool) -> bool {
+        self.threads.iter().flatten().any(|e| pred(&e.name))
     }
 
     fn exit_detail(code: i32) -> Detail {

@@ -194,8 +194,21 @@ pub trait Kernel {
     /// The live process named `name`.
     fn pid_of(&self, name: &str) -> Option<Pid>;
 
+    /// Calls `pred` with the name of each live process, in process-table
+    /// order, until it returns true; returns whether it did. Reads the
+    /// names in place, so a liveness check never touches the heap.
+    fn any_alive(&self, pred: &mut dyn FnMut(&str) -> bool) -> bool;
+
     /// Names of live processes, sorted.
-    fn alive_names(&self) -> Vec<String>;
+    fn alive_names(&self) -> Vec<String> {
+        let mut names = Vec::new();
+        self.any_alive(&mut |name| {
+            names.push(name.to_string());
+            false
+        });
+        names.sort();
+        names
+    }
 
     /// The record of `Action::Exit(code)`.
     fn exit_detail(code: i32) -> Self::Detail;
@@ -498,12 +511,8 @@ mod tests {
                 .position(|p| p.as_ref().is_some_and(|(n, _)| n == name));
             i.map(|i| Pid::new(i as u32))
         }
-        fn alive_names(&self) -> Vec<String> {
-            self.procs
-                .iter()
-                .flatten()
-                .map(|(n, _)| n.clone())
-                .collect()
+        fn any_alive(&self, pred: &mut dyn FnMut(&str) -> bool) -> bool {
+            self.procs.iter().flatten().any(|(n, _)| pred(n))
         }
         fn exit_detail(code: i32) -> Note {
             Note::Exit(code)

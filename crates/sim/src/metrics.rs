@@ -35,10 +35,13 @@ pub struct KernelMetrics {
     pub processes_created: u64,
     /// Processes that exited or were killed.
     pub processes_reaped: u64,
-    /// Heap allocations attributable to the per-tick IPC path (message
-    /// arena slot-table growth and oversized-payload spills). A warm
-    /// kernel holds this constant across ticks; the zero-alloc test gates
-    /// on it.
+    /// Message-arena heap events only: slot-table growth and
+    /// oversized-payload spills. It does not count any other heap
+    /// allocation, so zero here does not mean the run allocated nothing
+    /// (the Linux and seL4 stacks still build a payload `Vec` per
+    /// message); the counting-allocator tests in `bas-fleet` and
+    /// `bas-minix` measure that. A warm kernel holds this constant across
+    /// ticks.
     pub hot_path_allocs: u64,
     /// Sends that had to block — the receiver was not at its rendezvous
     /// (MINIX/seL4) or the queue was full (Linux mq). The queue-depth /

@@ -62,14 +62,10 @@ impl TimerQueue {
     }
 
     /// Cancels every wakeup armed for `pid` (used when a process dies while
-    /// sleeping).
+    /// sleeping), in place: no buffer is built and the heap keeps its
+    /// allocation.
     pub fn cancel(&mut self, pid: Pid) {
-        let entries: Vec<_> = self
-            .heap
-            .drain()
-            .filter(|Reverse((_, _, p))| *p != pid)
-            .collect();
-        self.heap = entries.into();
+        self.heap.retain(|Reverse((_, _, p))| *p != pid);
     }
 
     /// Disarms everything and rewinds the tie-breaking sequence to zero,
@@ -132,6 +128,21 @@ mod tests {
         tq.cancel(Pid::new(1));
         assert_eq!(tq.len(), 1);
         assert_eq!(drain(&mut tq, SimTime::from_nanos(100)), vec![Pid::new(2)]);
+    }
+
+    #[test]
+    fn cancel_keeps_arm_order_among_equal_deadlines() {
+        let mut tq = TimerQueue::new();
+        let t = SimTime::from_nanos(5);
+        for pid in [3, 1, 8, 1, 6, 2] {
+            tq.arm(t, Pid::new(pid));
+        }
+        tq.arm(SimTime::from_nanos(2), Pid::new(1));
+        tq.cancel(Pid::new(1));
+        assert_eq!(
+            drain(&mut tq, t),
+            vec![Pid::new(3), Pid::new(8), Pid::new(6), Pid::new(2)]
+        );
     }
 
     #[test]
