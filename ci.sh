@@ -111,6 +111,13 @@ mv BENCH_races.json /tmp/BENCH_races.w1.json
 cmp /tmp/BENCH_races.w1.json BENCH_races.json \
   || { echo "** BENCH_races.json differs across worker counts **"; exit 1; }
 
+echo "== committed reports match their regeneration =="
+# The three reports above carry no wall-clock values, so each must also
+# regenerate byte-identical to its committed copy: a change that moves
+# one commits the new file with it.
+git diff --exit-code -- BENCH_faults.json BENCH_cap_flow.json BENCH_races.json \
+  || { echo "** a committed report differs from its regeneration **"; exit 1; }
+
 echo "== race-detector perf gate (trace events/sec vs committed baseline, 30% floor) =="
 # Guards the engine-driven churn sweep: replaying the full 21-scenario
 # catalog must keep its trace-events/sec within 30% of the committed

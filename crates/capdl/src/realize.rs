@@ -97,7 +97,7 @@ pub fn realize(
     for thread in &spec.threads {
         let logic = loader(&thread.name)
             .ok_or_else(|| RealizeError::MissingProgram(thread.name.clone()))?;
-        let pid = kernel.create_thread(thread.name.clone(), logic);
+        let pid = kernel.create_thread(thread.name.as_str(), logic);
         sys.threads.insert(thread.name.clone(), pid);
     }
 

@@ -87,9 +87,6 @@ pub enum Block {
         qid: u32,
         msg: MsgRef,
         priority: u32,
-        /// Capability-trace seq of the send's `Use` event, carried so the
-        /// eventual enqueue (and delivery) keeps its provenance.
-        use_seq: Option<u64>,
     },
     /// Blocked in `mq_receive` on an empty queue.
     MqRecvWait { qid: u32 },
@@ -135,15 +132,6 @@ fn class_bits(uid: Uid, owner: Uid, group: Option<Uid>) -> u16 {
     } else {
         0o077
     }
-}
-
-/// The VFS name of queue `qid` for capability-log records (`"?"` once
-/// unlinked).
-fn qname_of(queues: &[Option<MessageQueue>], qid: u32) -> &str {
-    queues
-        .get(qid as usize)
-        .and_then(Option::as_ref)
-        .map_or("?", |q| &q.name)
 }
 
 /// The shared name handle of queue `qid` (`None` once unlinked).
@@ -360,7 +348,8 @@ impl LinuxKernel {
                         Mode::new(attr.mode),
                         attr.capacity,
                     ));
-                    let now = self.now();
+                    // With capability tracing on, this record is also the
+                    // creator's grant.
                     let queue = self.queue_ref(qid).expect("just installed").name.clone();
                     self.exec.record(
                         Some(pid),
@@ -369,16 +358,6 @@ impl LinuxKernel {
                             mode: attr.mode,
                         },
                     );
-                    if self.exec.cap_log.enabled() {
-                        let subject = self.entry_ref(pid).expect("caller").name.to_string();
-                        self.exec.cap_log.record_with(now, CapOp::Grant, true, || {
-                            (
-                                subject.clone(),
-                                format!("mq:{name}:{subject}"),
-                                name.clone(),
-                            )
-                        });
-                    }
                     qid
                 }
                 None => {
@@ -391,24 +370,13 @@ impl LinuxKernel {
                 let allowed =
                     q.mode
                         .allows_with_group(uid, q.owner, q.group, access.read, access.write);
-                if self.exec.cap_log.enabled() || !self.armed_churn.is_empty() {
-                    let subject = self.entry_ref(pid).expect("caller").name.to_string();
-                    let now = self.now();
-                    self.exec
-                        .cap_log
-                        .record_with(now, CapOp::Check, allowed, || {
-                            (
-                                subject.clone(),
-                                format!("mq:{name}:{subject}"),
-                                name.clone(),
-                            )
-                        });
-                    if allowed {
-                        // The armed revoke lands *after* the DAC check and
-                        // *before* the descriptor is handed out — the
-                        // descriptor then outlives the permission.
-                        self.fire_armed_churn(&subject, &name);
-                    }
+                self.note_cap(pid, CapOp::Check, qid, None, allowed);
+                if allowed && !self.armed_churn.is_empty() {
+                    // The armed revoke lands *after* the DAC check and
+                    // *before* the descriptor is handed out — the
+                    // descriptor then outlives the permission.
+                    let subject = self.entry_ref(pid).expect("caller").name.clone();
+                    self.fire_armed_churn(&subject, &name);
                 }
                 if !allowed {
                     let queue = self.queue_ref(qid).expect("interned").name.clone();
@@ -484,32 +452,22 @@ impl LinuxKernel {
             Some(IpcFault::Duplicate) | None => {}
         }
 
-        // The send-side capability use. `still_ok` is an observer-only
-        // recheck of the *current* mode bits: the kernel itself (like
-        // Linux) consults only the stored descriptor, so a send through a
-        // revoked-but-open descriptor proceeds — and is recorded with
-        // ok=false, the stale-authority evidence the detector consumes.
-        let use_seq = if self.exec.cap_log.enabled() {
-            let q = self.queue_ref(oq.qid).expect("checked above");
-            let e = self.entry_ref(pid).expect("caller");
-            let still_ok = q
-                .mode
-                .allows_with_group(e.uid, q.owner, q.group, false, true);
-            let sender = e.name.to_string();
-            let qname = q.name.to_string();
-            let now = self.now();
-            self.exec
-                .cap_log
-                .record_with(now, CapOp::Use, still_ok, || {
-                    (sender.clone(), format!("mq:{qname}:{sender}"), qname)
-                })
-        } else {
-            None
-        };
-
         // Stage the payload into the arena once (the user→kernel copy);
         // from here on only the handle moves.
         let msg = self.exec.arena.alloc(&data);
+
+        // The send-side capability use, which the receive record pairs
+        // with through `msg`. `ok` is an observer-only recheck of the
+        // *current* mode bits: the kernel itself (like Linux) consults only
+        // the stored descriptor, so a send through a revoked-but-open
+        // descriptor proceeds — and is recorded with ok=false, the
+        // stale-authority evidence the detector consumes.
+        if self.exec.cap_tracing() {
+            let q = self.queue_ref(oq.qid).expect("checked above");
+            let uid = self.entry_ref(pid).expect("caller").uid;
+            let ok = q.mode.allows_with_group(uid, q.owner, q.group, false, true);
+            self.note_cap(pid, CapOp::Use, oq.qid, Some(msg), ok);
+        }
         let q = self.queues[oq.qid as usize]
             .as_mut()
             .expect("checked above");
@@ -524,7 +482,6 @@ impl LinuxKernel {
                     qid: oq.qid,
                     msg,
                     priority,
-                    use_seq,
                 });
             }
             return;
@@ -533,7 +490,7 @@ impl LinuxKernel {
         // second copy of the bytes.
         let duplicate =
             matches!(fault, Some(IpcFault::Duplicate)).then(|| self.exec.arena.dup(msg));
-        q.push(MqMessage::new(priority, msg).with_use_seq(use_seq));
+        q.push(MqMessage::new(priority, msg));
         self.note_ipc(oq.qid, pid);
         if let Some(dup) = duplicate {
             // The queue absorbs a duplicate only while it has room; a
@@ -544,7 +501,7 @@ impl LinuxKernel {
             if q.is_full() {
                 self.exec.arena.free(dup);
             } else {
-                q.push(MqMessage::new(priority, dup).with_use_seq(use_seq));
+                q.push(MqMessage::new(priority, dup));
                 let queue = qname_handle(&self.queues, oq.qid);
                 self.exec
                     .record(Some(pid), Detail::FaultDuplicate { sender: pid, queue });
@@ -576,7 +533,7 @@ impl LinuxKernel {
                 // once, and the slot recycles immediately.
                 let data = self.exec.arena.get(m.msg).to_vec();
                 self.exec.arena.free(m.msg);
-                self.note_cap_recv(oq.qid, pid, m.use_seq);
+                self.note_cap(pid, CapOp::Recv, oq.qid, Some(m.msg), true);
                 self.ready_with(
                     pid,
                     Reply::Data {
@@ -742,7 +699,7 @@ impl LinuxKernel {
                         .expect("nonempty");
                     let data = self.exec.arena.get(m.msg).to_vec();
                     self.exec.arena.free(m.msg);
-                    self.note_cap_recv(qid, r, m.use_seq);
+                    self.note_cap(r, CapOp::Recv, qid, Some(m.msg), true);
                     self.ready_with(
                         r,
                         Reply::Data {
@@ -766,22 +723,19 @@ impl LinuxKernel {
                     .then(|| Pid::new(i as u32))
                 });
                 if let Some(s) = sender {
-                    let (msg, priority, use_seq) = {
+                    let (msg, priority) = {
                         let entry = self.entry_mut(s).expect("sender alive");
                         match std::mem::replace(&mut entry.task.state, ProcState::Runnable) {
-                            ProcState::Blocked(Block::MqSendWait {
-                                msg,
-                                priority,
-                                use_seq,
-                                ..
-                            }) => (msg, priority, use_seq),
+                            ProcState::Blocked(Block::MqSendWait { msg, priority, .. }) => {
+                                (msg, priority)
+                            }
                             _ => unreachable!("sender was send-waiting"),
                         }
                     };
                     self.queues[qid as usize]
                         .as_mut()
                         .expect("exists")
-                        .push(MqMessage::new(priority, msg).with_use_seq(use_seq));
+                        .push(MqMessage::new(priority, msg));
                     self.note_ipc(qid, s);
                     self.ready_with(s, Reply::Ok);
                     progressed = true;
@@ -794,21 +748,14 @@ impl LinuxKernel {
         }
     }
 
-    /// Records the receiver-side `Recv` event and the happens-before edge
-    /// from the message's send-side `Use`, if capability tracing is on.
-    fn note_cap_recv(&mut self, qid: u32, receiver: Pid, use_seq: Option<u64>) {
-        if !self.exec.cap_log.enabled() {
-            return;
+    /// Records `pid`'s capability check, use or receive on queue `qid`
+    /// (with the message sent or received), if capability tracing is on.
+    fn note_cap(&mut self, pid: Pid, op: CapOp, qid: u32, msg: Option<MsgRef>, ok: bool) {
+        if self.exec.cap_tracing() {
+            let queue = qname_handle(&self.queues, qid);
+            let cap = Detail::MqCap { op, queue, msg, ok };
+            self.exec.record(Some(pid), cap);
         }
-        let qname = qname_of(&self.queues, qid).to_string();
-        let Some(who) = self.entry_ref(receiver).map(|e| e.name.to_string()) else {
-            return;
-        };
-        let now = self.now();
-        let recv_seq = self.exec.cap_log.record_with(now, CapOp::Recv, true, || {
-            (who.clone(), format!("mq:{qname}:{who}"), qname)
-        });
-        self.exec.cap_log.edge(use_seq, recv_seq);
     }
 
     fn note_ipc(&mut self, qid: u32, sender: Pid) {
@@ -969,25 +916,15 @@ impl Kernel for LinuxKernel {
             ChurnKind::Revoke => old & !class,
         };
         q.mode = Mode::new(new);
-        let changed = new != old;
-        let cap_op = CapOp::from(op.kind);
-        let now = self.now();
-        self.exec.cap_log.record_with(now, cap_op, changed, || {
-            (
-                op.actor.clone(),
-                format!("mq:{}:{}", op.object, op.subject),
-                op.object.clone(),
-            )
-        });
         self.exec.record(
             None,
             Detail::Churn(Box::new(Churn {
-                label: op.label(),
+                op: op.clone(),
                 old,
                 new,
             })),
         );
-        changed
+        new != old
     }
 
     /// Arms a churn op to fire immediately after the `after_checks`-th

@@ -31,27 +31,12 @@ pub struct MqMessage {
     pub priority: u32,
     /// Arena handle to the payload bytes.
     pub msg: MsgRef,
-    /// Seq of the `CapOp::Use` event recorded when this message entered
-    /// the kernel, if capability tracing is on. Travels with the message
-    /// so delivery can record the matching `Recv` and happens-before
-    /// edge.
-    pub use_seq: Option<u64>,
 }
 
 impl MqMessage {
-    /// A message with no capability-trace provenance.
+    /// A message of `priority` staged as `msg`.
     pub fn new(priority: u32, msg: MsgRef) -> Self {
-        MqMessage {
-            priority,
-            msg,
-            use_seq: None,
-        }
-    }
-
-    /// Attaches the sender-side `Use` event seq (builder style).
-    pub fn with_use_seq(mut self, use_seq: Option<u64>) -> Self {
-        self.use_seq = use_seq;
-        self
+        MqMessage { priority, msg }
     }
 }
 

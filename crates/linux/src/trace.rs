@@ -11,6 +11,8 @@
 use std::fmt;
 use std::sync::Arc;
 
+use bas_sim::arena::MsgRef;
+use bas_sim::caps::{CapChurnOp, CapOp, CapRecord, CapView};
 use bas_sim::device::DeviceId;
 use bas_sim::process::Pid;
 use bas_sim::trace::TraceDetail;
@@ -108,6 +110,18 @@ pub enum Detail {
         /// The written value.
         value: i64,
     },
+    /// `cap.check`, `cap.use` or `cap.recv` (capability tracing only):
+    /// the record's process opened `queue`, or sent or received `msg`.
+    MqCap {
+        /// [`CapOp::Check`], [`CapOp::Use`] or [`CapOp::Recv`].
+        op: CapOp,
+        /// The queue.
+        queue: QueueName,
+        /// The message sent or received.
+        msg: Option<MsgRef>,
+        /// The DAC verdict; for a use, the current mode bits'.
+        ok: bool,
+    },
     /// `mq.send`: a message from `sender` landed in `queue`.
     MqSend {
         /// Sending process.
@@ -117,12 +131,12 @@ pub enum Detail {
     },
 }
 
-/// A runtime queue-mode edit (fault-campaign path, so it keeps its label
-/// as owned text).
+/// A runtime queue-mode edit (fault-campaign path, so it keeps its op's
+/// names as owned text).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Churn {
-    /// The churn op's display label.
-    pub label: String,
+    /// The churn op: its subject's reach to the queue named by its object.
+    pub op: CapChurnOp,
     /// Mode bits before.
     pub old: u16,
     /// Mode bits after.
@@ -151,6 +165,9 @@ impl TraceDetail for Detail {
             Detail::SignalKill { .. } => "signal.kill",
             Detail::DevWrite { .. } => "dev.write",
             Detail::MqSend { .. } => "mq.send",
+            Detail::MqCap { op, .. } if *op == CapOp::Check => "cap.check",
+            Detail::MqCap { op, .. } if *op == CapOp::Use => "cap.use",
+            Detail::MqCap { .. } => "cap.recv",
         }
     }
 }
@@ -171,7 +188,7 @@ impl fmt::Display for Detail {
             Detail::FaultDuplicate { sender, queue: q } => {
                 write!(f, "duplicate {sender} -> {}", queue(q))
             }
-            Detail::Churn(c) => write!(f, "{} mode {:04o} -> {:04o}", c.label, c.old, c.new),
+            Detail::Churn(c) => write!(f, "{} mode {:04o} -> {:04o}", c.op.label(), c.old, c.new),
             Detail::MqCreate { queue, mode } => write!(f, "{queue} mode={mode:04o}"),
             Detail::MqDeny { uid, queue } => write!(f, "{uid} denied {queue}"),
             Detail::DevDeny { uid, dev } => write!(f, "{uid} denied {dev}"),
@@ -184,12 +201,38 @@ impl fmt::Display for Detail {
             } => write!(f, "{by} sent {signal:?} to {target} ({name})"),
             Detail::DevWrite { dev, value } => write!(f, "{dev} <- {value}"),
             Detail::MqSend { sender, queue: q } => write!(f, "{sender} -> {}", queue(q)),
+            Detail::MqCap { op, queue, ok, .. } => {
+                write!(f, "{} {} ok={ok}", op.label(), self::queue(queue))
+            }
         }
+    }
+}
+
+impl CapRecord for Detail {
+    /// A capability is a process's reach to a queue, `mq:<queue>:<process>`;
+    /// creating a queue grants it to its creator.
+    fn cap_events(&self, pid: Option<Pid>, view: &mut CapView) {
+        let (op, ok, q, msg) = match self {
+            Detail::Spawn { name, .. } => return view.spawned(pid, name),
+            Detail::MqCreate { queue, .. } => (CapOp::Grant, true, &**queue, None),
+            Detail::MqCap { op, queue, msg, ok } => (*op, *ok, self::queue(queue), *msg),
+            Detail::Churn(c) => {
+                let cap = format!("mq:{}:{}", c.op.object, c.op.subject);
+                let names = [c.op.actor.clone(), cap, c.op.object.clone()];
+                return view.push(c.op.kind.into(), c.old != c.new, names, None);
+            }
+            _ => return,
+        };
+        let me = view.name(pid);
+        let names = [me.clone(), format!("mq:{q}:{me}"), q.to_string()];
+        view.push(op, ok, names, msg);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use bas_sim::caps::ChurnKind;
+
     use super::*;
 
     #[test]
@@ -238,7 +281,7 @@ mod tests {
             ),
             (
                 Detail::Churn(Box::new(Churn {
-                    label: "cap.revoke(a->b)".into(),
+                    op: CapChurnOp::new(ChurnKind::Revoke, "a", "b"),
                     old: 0o660,
                     new: 0o600,
                 })),

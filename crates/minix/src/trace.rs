@@ -10,7 +10,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use bas_acm::{AcId, Decision, SyscallClass};
-use bas_sim::caps::ChurnKind;
+use bas_sim::caps::{CapOp, CapRecord, CapView, ChurnKind};
 use bas_sim::device::DeviceId;
 use bas_sim::fault::IpcFault;
 use bas_sim::process::Pid;
@@ -81,6 +81,8 @@ pub enum Detail {
         /// Destination identity.
         to: AcId,
     },
+    /// `cap.check` or `cap.use` (capability tracing only).
+    AcmCap(AcmCap),
     /// `quota.deny`: the identity's quota for `class` is spent.
     QuotaDeny {
         /// The charged identity.
@@ -122,6 +124,22 @@ pub enum Detail {
     },
 }
 
+/// A capability record: the ACM row `from -> to` was checked for a send
+/// from the record's process to `peer`, or used by a delivery to `peer`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AcmCap {
+    /// [`CapOp::Check`] or [`CapOp::Use`].
+    pub op: CapOp,
+    /// Sender identity.
+    pub from: AcId,
+    /// Destination identity.
+    pub to: AcId,
+    /// Destination process.
+    pub peer: Pid,
+    /// The ACM's verdict; for a use, the current ACM's.
+    pub ok: bool,
+}
+
 /// A runtime ACM mutation (boot-time and fault-campaign path, so it keeps
 /// its names as owned text).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,6 +156,8 @@ pub struct Churn {
     pub dst_name: String,
     /// The row's object identity.
     pub dst_ac: AcId,
+    /// Whether the matrix changed.
+    pub changed: bool,
 }
 
 impl TraceDetail for Detail {
@@ -151,6 +171,8 @@ impl TraceDetail for Detail {
             Detail::Churn(_) => "cap.churn",
             Detail::Deliver { .. } => "ipc.deliver",
             Detail::AcmDeny { .. } | Detail::NotifyDeny { .. } => "acm.deny",
+            Detail::AcmCap(c) if c.op == CapOp::Check => "cap.check",
+            Detail::AcmCap(_) => "cap.use",
             Detail::QuotaDeny { .. } => "quota.deny",
             Detail::DevDeny { .. } => "dev.deny",
             Detail::DevWrite { .. } => "dev.write",
@@ -198,6 +220,12 @@ impl fmt::Display for Detail {
                 decision,
             } => write!(f, "{from} -> {to} m{mtype}: {decision}"),
             Detail::NotifyDeny { from, to } => write!(f, "{from} -> {to} notify"),
+            Detail::AcmCap(c) => {
+                let AcmCap {
+                    from, to, peer, ok, ..
+                } = c;
+                write!(f, "{} {from} -> {to} {peer} ok={ok}", c.op.label())
+            }
             Detail::QuotaDeny { ac, class } => write!(f, "{ac} {class} quota exhausted"),
             Detail::DevDeny { dev, ac } => write!(f, "{dev} not owned by {ac}"),
             Detail::DevWrite { dev, value } => write!(f, "{dev} <- {value}"),
@@ -208,6 +236,30 @@ impl fmt::Display for Detail {
                 err,
             } => write!(f, "{caller} on grant {grant:?} of {granter}: {err}"),
             Detail::PmKill { by, target } => write!(f, "{by} killed {target}"),
+        }
+    }
+}
+
+impl CapRecord for Detail {
+    /// A capability is an ACM row, `acm:<subject>-><object>`.
+    fn cap_events(&self, pid: Option<Pid>, view: &mut CapView) {
+        match self {
+            Detail::Spawn { name, .. } => view.spawned(pid, name),
+            Detail::AcmCap(c) => {
+                let (me, peer) = (view.name(pid), view.name(Some(c.peer)));
+                let cap = format!("acm:{}->{}", c.from, c.to);
+                if c.op == CapOp::Check {
+                    view.push(CapOp::Check, c.ok, [me, cap, peer], None);
+                } else {
+                    view.delivery(c.ok, [me, peer.clone(), cap, peer]);
+                }
+            }
+            Detail::Churn(c) => {
+                let cap = format!("acm:{}->{}", c.sub_ac, c.dst_ac);
+                let names = [c.actor.clone(), cap, c.dst_name.clone()];
+                view.push(c.kind.into(), c.changed, names, None);
+            }
+            _ => {}
         }
     }
 }
@@ -262,6 +314,7 @@ mod tests {
                     sub_ac: a,
                     dst_name: "c".into(),
                     dst_ac: b,
+                    changed: true,
                 })),
                 format!("churn-sched: revoke s({a}) -> c({b})"),
             ),

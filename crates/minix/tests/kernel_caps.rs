@@ -246,4 +246,13 @@ fn pm_delegate_rpc_is_bounded_by_grantor_authority() {
     assert!(!k.acm().check(RX, RX, MsgType::new(9)).is_allowed());
     assert_eq!(k.delegations().records.len(), 1);
     assert_eq!(k.delegations().records[0].grantor, TX);
+    // The refusal is counted and recorded together.
+    let deny_records = k
+        .trace()
+        .events()
+        .iter()
+        .filter(|e| e.category().ends_with(".deny"))
+        .count();
+    assert_eq!(deny_records, 1);
+    assert_eq!(k.metrics().access_denied, deny_records as u64);
 }

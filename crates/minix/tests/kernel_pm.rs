@@ -319,6 +319,14 @@ fn fork_quota_contains_fork_bomb() {
     assert_eq!(ok, 2, "only the quota'd forks succeed");
     assert_eq!(quota_errors, 8);
     assert_eq!(k.trace().events_in("quota.deny").count(), 8);
+    // Every refusal is counted where it is recorded.
+    let deny_records = k
+        .trace()
+        .events()
+        .iter()
+        .filter(|e| e.category().ends_with(".deny"))
+        .count();
+    assert_eq!(k.metrics().access_denied, deny_records as u64);
 }
 
 #[test]

@@ -1,4 +1,5 @@
-//! Steady-state IPC must never touch the heap, with the kernel trace on.
+//! Steady-state IPC must never touch the heap, with the kernel trace on
+//! and with capability tracing on as well.
 //!
 //! The arena refactor's contract is "one copy in, one copy out, zero
 //! allocations": once a kernel is booted and its message arena warm,
@@ -129,8 +130,9 @@ impl Process for Napper {
     }
 }
 
-#[test]
-fn steady_state_ipc_does_not_allocate() {
+/// Runs the counted ping-pong window (with capability tracing switched on
+/// when `cap_trace`) and checks its allocator calls.
+fn assert_steady_state_is_heap_free(cap_trace: bool) {
     let acm = AccessControlMatrix::builder()
         .allow_all_types(TX, RX)
         .build();
@@ -154,6 +156,9 @@ fn steady_state_ipc_does_not_allocate() {
         }),
     )
     .expect("napper");
+    if cap_trace {
+        k.enable_cap_trace();
+    }
 
     // Warmup: boot-time growth (run queue words, process slots, the
     // pre-warmed arena, the timer heap) all happens here, uncounted.
@@ -196,8 +201,27 @@ fn steady_state_ipc_does_not_allocate() {
     let growth_bound = u64::from(recorded.next_power_of_two().trailing_zeros());
     assert!(
         allocs <= growth_bound,
-        "steady-state IPC hit the global allocator {allocs} time(s) across \
-         {delivered} messages and {fired} timer fires; the trace buffer's \
-         growth accounts for at most {growth_bound} ({recorded} records)"
+        "steady-state IPC (capability tracing {cap_trace}) hit the global \
+         allocator {allocs} time(s) across {delivered} messages and {fired} \
+         timer fires; the trace buffer's growth accounts for at most \
+         {growth_bound} ({recorded} records)"
     );
+    if cap_trace {
+        // Each delivery is one record standing for its use and receive.
+        assert_eq!(
+            k.trace().events_in("cap.use").count() as u64,
+            k.metrics().ipc_messages,
+            "every delivery is a capability use"
+        );
+    }
+}
+
+// One test runs both cases in turn: the counting allocator is
+// process-wide, so the two windows must never overlap.
+#[test]
+fn steady_state_ipc_does_not_allocate() {
+    assert_steady_state_is_heap_free(false);
+    // Capability records are typed too: checks and uses add records,
+    // never strings.
+    assert_steady_state_is_heap_free(true);
 }

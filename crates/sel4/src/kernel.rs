@@ -7,6 +7,8 @@
 //! over all capabilities to the bootstrap process" — the bootstrap path
 //! here is the `create_*`/`grant_*` API used by `bas-capdl`'s realizer.
 
+use std::sync::Arc;
+
 use bas_sim::arena::MsgRef;
 use bas_sim::caps::{take_due, CapOp, ChurnKind};
 use bas_sim::clock::CostModel;
@@ -24,7 +26,7 @@ use crate::message::{DeliveredMessage, IpcMessage};
 use crate::objects::{KernelObject, ObjId};
 use crate::rights::CapRights;
 use crate::syscall::{Reply, RetypeKind, Syscall};
-use crate::trace::{Churn, Detail};
+use crate::trace::{Churn, Detail, EpCap};
 
 /// A boxed seL4 user thread.
 pub type Sel4Thread = Box<dyn bas_sim::process::Process<Syscall = Syscall, Reply = Reply>>;
@@ -53,7 +55,8 @@ pub struct QueuedSend {
 }
 
 struct ThreadEntry {
-    name: String,
+    /// Shared with the thread's start record.
+    name: Arc<str>,
     cspace: CSpace,
     task: Task<Syscall, Reply, Block>,
     /// The one-shot reply capability installed by a received `Call`.
@@ -195,7 +198,7 @@ impl Sel4Kernel {
     /// # Panics
     ///
     /// Panics if the thread table is full.
-    pub fn create_thread(&mut self, name: impl Into<String>, logic: Sel4Thread) -> Pid {
+    pub fn create_thread(&mut self, name: impl Into<Arc<str>>, logic: Sel4Thread) -> Pid {
         assert!(
             self.threads.len() < self.config.max_threads,
             "thread table full"
@@ -273,7 +276,9 @@ impl Sel4Kernel {
             }
         }
         self.exec.run_queue.enqueue(pid);
-        self.exec.record(Some(pid), Detail::ThreadStart);
+        let name = self.entry_ref(pid).map(|e| e.name.clone());
+        self.exec
+            .record(Some(pid), Detail::ThreadStart(name.unwrap_or_default()));
     }
 
     // ----- capability churn ----------------------------------------------------
@@ -312,14 +317,6 @@ impl Sel4Kernel {
                     n > 0
                 }
             };
-            let op = CapOp::from(sweep.kind);
-            self.exec.cap_log.record_with(self.now(), op, changed, || {
-                (
-                    sweep.actor.clone(),
-                    format!("{holder_name}:{obj}"),
-                    format!("{obj}"),
-                )
-            });
             self.exec.record(
                 None,
                 Detail::Churn(Box::new(Churn {
@@ -327,6 +324,7 @@ impl Sel4Kernel {
                     kind: sweep.kind,
                     holder: holder_name.clone(),
                     obj,
+                    changed,
                 })),
             );
             any |= changed;
@@ -436,7 +434,7 @@ impl Sel4Kernel {
     pub fn thread_named(&self, name: &str) -> Option<Pid> {
         self.threads.iter().enumerate().find_map(|(i, t)| {
             t.as_ref()
-                .filter(|e| e.name == name)
+                .filter(|e| &*e.name == name)
                 .map(|_| Pid::new(i as u32))
         })
     }
@@ -548,23 +546,17 @@ impl Sel4Kernel {
         let rights_ok = cap.rights.write
             && (!is_call || cap.rights.grant)
             && (msg.caps.is_empty() || cap.rights.grant);
-        if self.exec.cap_log.enabled() || !self.armed_churn.is_empty() {
-            let caller_name = self
-                .entry_ref(caller)
-                .map(|e| e.name.clone())
-                .unwrap_or_default();
-            self.exec
-                .cap_log
-                .record_with(self.now(), CapOp::Check, rights_ok, || {
-                    (
-                        caller_name.clone(),
-                        format!("{caller_name}:{ep}"),
-                        format!("{ep}"),
-                    )
-                });
-            if rights_ok {
-                self.fire_armed_churn(caller, ep);
-            }
+        if self.exec.cap_tracing() {
+            let check = EpCap {
+                op: CapOp::Check,
+                ep,
+                receiver: None,
+                ok: rights_ok,
+            };
+            self.exec.record(Some(caller), Detail::EpCap(check));
+        }
+        if rights_ok && !self.armed_churn.is_empty() {
+            self.fire_armed_churn(caller, ep);
         }
         if !cap.rights.write {
             return self.deny(caller, Sel4Error::InsufficientRights, "send without write");
@@ -784,42 +776,19 @@ impl Sel4Kernel {
         // seL4 behavior. `ok` is an observer-only recheck against the
         // sender's *current* CSpace; `ok = false` on a delivered message
         // is the stale-handle use the race detector flags.
-        if self.exec.cap_log.enabled() {
-            let sender_name = self
-                .entry_ref(sender)
-                .map(|e| e.name.clone())
-                .unwrap_or_default();
-            let receiver_name = self
-                .entry_ref(receiver)
-                .map(|e| e.name.clone())
-                .unwrap_or_default();
-            let still_ok = self
-                .entry_ref(sender)
-                .map(|e| {
-                    e.cspace
-                        .iter()
-                        .any(|(_, c)| c.object() == Some(ep) && c.rights.write)
-                })
-                .unwrap_or(false);
-            let now = self.now();
-            let use_seq = self
-                .exec
-                .cap_log
-                .record_with(now, CapOp::Use, still_ok, || {
-                    (
-                        sender_name.clone(),
-                        format!("{sender_name}:{ep}"),
-                        format!("{ep}"),
-                    )
-                });
-            let recv_seq = self.exec.cap_log.record_with(now, CapOp::Recv, true, || {
-                (
-                    receiver_name.clone(),
-                    format!("{sender_name}:{ep}"),
-                    format!("{ep}"),
-                )
+        if self.exec.cap_tracing() {
+            let ok = self.entry_ref(sender).is_some_and(|e| {
+                e.cspace
+                    .iter()
+                    .any(|(_, c)| c.object() == Some(ep) && c.rights.write)
             });
-            self.exec.cap_log.edge(use_seq, recv_seq);
+            let used = EpCap {
+                op: CapOp::Use,
+                ep,
+                receiver: Some(receiver),
+                ok,
+            };
+            self.exec.record(Some(sender), Detail::EpCap(used));
         }
 
         if is_call {

@@ -7,8 +7,9 @@
 //! record is rendered only when it is displayed.
 
 use std::fmt;
+use std::sync::Arc;
 
-use bas_sim::caps::ChurnKind;
+use bas_sim::caps::{CapOp, CapRecord, CapView, ChurnKind};
 use bas_sim::device::DeviceId;
 use bas_sim::process::Pid;
 use bas_sim::trace::TraceDetail;
@@ -20,8 +21,8 @@ use crate::syscall::RetypeKind;
 /// One seL4 kernel trace record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Detail {
-    /// `thread.start`: a thread was made runnable.
-    ThreadStart,
+    /// `thread.start`: the named thread was made runnable (name not shown).
+    ThreadStart(Arc<str>),
     /// `thread.exit`: a thread returned `code`.
     Exit(i32),
     /// `fault.crash`: the named thread was killed by fault injection.
@@ -69,6 +70,8 @@ pub enum Detail {
         /// The kernel error returned.
         err: Sel4Error,
     },
+    /// `cap.check` or `cap.use` (capability tracing only).
+    EpCap(EpCap),
     /// `cap.dropped`: a transferred capability did not fit the receiver.
     CapDropped,
     /// `ipc.deliver`: a message moved from `sender` to `receiver`.
@@ -100,6 +103,20 @@ pub enum Detail {
     },
 }
 
+/// A capability record: the record's thread's send on `ep` passed or
+/// failed its rights test, or reached `receiver`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EpCap {
+    /// [`CapOp::Check`] or [`CapOp::Use`].
+    pub op: CapOp,
+    /// The endpoint object.
+    pub ep: ObjId,
+    /// The receiving thread of a use.
+    pub receiver: Option<Pid>,
+    /// The rights verdict; for a use, the sender's current write right.
+    pub ok: bool,
+}
+
 /// A runtime capability sweep on one object (fault-campaign path, so it
 /// keeps its names as owned text).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,15 +126,17 @@ pub struct Churn {
     /// Grant, attenuate or revoke.
     pub kind: ChurnKind,
     /// The thread whose capabilities changed.
-    pub holder: String,
+    pub holder: Arc<str>,
     /// The object they reach.
     pub obj: ObjId,
+    /// Whether any capability changed.
+    pub changed: bool,
 }
 
 impl TraceDetail for Detail {
     fn category(&self) -> &'static str {
         match self {
-            Detail::ThreadStart => "thread.start",
+            Detail::ThreadStart(_) => "thread.start",
             Detail::Exit(_) => "thread.exit",
             Detail::Crash(_) => "fault.crash",
             Detail::ClockSkew(_) => "fault.clock",
@@ -127,6 +146,8 @@ impl TraceDetail for Detail {
             Detail::Churn(_) => "cap.churn",
             Detail::Retype { .. } => "untyped.retype",
             Detail::CapDeny { .. } => "cap.deny",
+            Detail::EpCap(c) if c.op == CapOp::Check => "cap.check",
+            Detail::EpCap(_) => "cap.use",
             Detail::CapDropped => "cap.dropped",
             Detail::Deliver { .. } => "ipc.deliver",
             Detail::ReplyDropped(_) => "ipc.reply_dropped",
@@ -139,7 +160,7 @@ impl TraceDetail for Detail {
 impl fmt::Display for Detail {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Detail::ThreadStart => Ok(()),
+            Detail::ThreadStart(_) => Ok(()),
             Detail::Exit(code) => write!(f, "code={code}"),
             Detail::Crash(name) => write!(f, "killed {name}"),
             Detail::ClockSkew(ms) => write!(f, "skewed +{ms}ms"),
@@ -160,6 +181,7 @@ impl fmt::Display for Detail {
             ),
             Detail::Retype { kind, from } => write!(f, "{kind:?} from {from}"),
             Detail::CapDeny { what, err } => write!(f, "{what}: {err}"),
+            Detail::EpCap(c) => write!(f, "{} {} ok={}", c.op.label(), c.ep, c.ok),
             Detail::CapDropped => write!(f, "transfer overflowed receiver cspace"),
             Detail::Deliver {
                 sender,
@@ -170,6 +192,31 @@ impl fmt::Display for Detail {
             Detail::ReplyDropped(target) => write!(f, "target {target} not awaiting reply"),
             Detail::Suspend { by, target } => write!(f, "{by} suspended {target}"),
             Detail::DevWrite { dev, value } => write!(f, "{dev} <- {value}"),
+        }
+    }
+}
+
+impl CapRecord for Detail {
+    /// A capability is a holder's reach to an endpoint, `<holder>:<ep>`.
+    fn cap_events(&self, pid: Option<Pid>, view: &mut CapView) {
+        match self {
+            Detail::ThreadStart(name) => view.spawned(pid, name),
+            Detail::EpCap(c) => {
+                let me = view.name(pid);
+                let cap = format!("{me}:{}", c.ep);
+                if c.op == CapOp::Check {
+                    view.push(CapOp::Check, c.ok, [me, cap, c.ep.to_string()], None);
+                } else {
+                    let receiver = view.name(c.receiver);
+                    view.delivery(c.ok, [me, receiver, cap, c.ep.to_string()]);
+                }
+            }
+            Detail::Churn(c) => {
+                let cap = format!("{}:{}", c.holder, c.obj);
+                let names = [c.actor.clone(), cap, c.obj.to_string()];
+                view.push(c.kind.into(), c.changed, names, None);
+            }
+            _ => {}
         }
     }
 }
@@ -189,7 +236,7 @@ mod tests {
     fn renders_the_legacy_text() {
         let (p, q) = (Pid::new(2), Pid::new(5));
         let cases: Vec<(Detail, &str)> = vec![
-            (Detail::ThreadStart, ""),
+            (Detail::ThreadStart("sensor".into()), ""),
             (Detail::Exit(0), "code=0"),
             (Detail::Crash("alarm".into()), "killed alarm"),
             (Detail::ClockSkew(7_000), "skewed +7000ms"),
@@ -222,6 +269,7 @@ mod tests {
                     kind: ChurnKind::Attenuate,
                     holder: "temp_sensor".into(),
                     obj: ObjId::new(7),
+                    changed: true,
                 })),
                 "churn-sched: attenuate temp_sensor caps on obj7",
             ),

@@ -62,7 +62,7 @@ pub mod timer;
 pub mod trace;
 
 pub use arena::{MsgArena, MsgRef};
-pub use caps::{CapChurnOp, CapEvent, CapLog, CapOp, CapTrace, ChurnKind};
+pub use caps::{CapChurnOp, CapEvent, CapOp, CapRecord, CapTrace, ChurnKind};
 pub use clock::{CostModel, VirtualClock};
 pub use device::{Device, DeviceBus, DeviceId};
 pub use fault::{FaultyDevice, IpcFault, IpcFaultState, SensorFaultHandle, SensorFaultMode};
