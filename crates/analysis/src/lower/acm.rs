@@ -203,16 +203,14 @@ pub fn lower(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bas_core::policy::{scenario_acm, scenario_device_owners, scenario_quotas};
+    use bas_core::policy::{scenario_acm, scenario_device_owners, scenario_quotas, PROCESSES};
     use bas_core::proto::{names, AC_CONTROL, AC_SCENARIO, AC_WEB, MT_SETPOINT};
 
     fn scenario_binding() -> AcmBinding {
-        let mut subjects = BTreeMap::new();
-        subjects.insert(bas_core::proto::AC_SENSOR, names::SENSOR.to_string());
-        subjects.insert(AC_CONTROL, names::CONTROL.to_string());
-        subjects.insert(bas_core::proto::AC_HEATER, names::HEATER.to_string());
-        subjects.insert(bas_core::proto::AC_ALARM, names::ALARM.to_string());
-        subjects.insert(AC_WEB, names::WEB.to_string());
+        let mut subjects: BTreeMap<_, _> = PROCESSES
+            .iter()
+            .map(|p| (p.ac, p.name.to_string()))
+            .collect();
         subjects.insert(AC_SCENARIO, names::SCENARIO.to_string());
         AcmBinding {
             subjects,

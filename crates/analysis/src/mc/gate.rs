@@ -6,11 +6,12 @@
 //! lowered view) and once by this gate, which consults the same primitive
 //! artifacts the dynamic kernel stacks enforce: the MINIX ACM via
 //! [`AccessControlMatrix::check`], the compiled CapDL capability
-//! distribution via possession lookups, and the Linux mq/device DAC via
-//! [`Mode::allows_with_group`] with the root bypass. Any disagreement is
-//! a violation state, so bounded exploration proves the IR lowering
-//! faithful along every reachable interleaving — not just the one
-//! schedule the dynamic engine happens to run.
+//! distribution via possession lookups, and the Linux loader's mq and
+//! device ACLs ([`UidScheme::queue_acl`], [`UidScheme::device_nodes`])
+//! via [`bas_linux::cred::Mode::allows_with_group`] with the root bypass.
+//! Any disagreement is a violation state, so bounded exploration proves
+//! the IR lowering faithful along every reachable interleaving — not
+//! just the one schedule the dynamic engine happens to run.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -18,23 +19,16 @@ use bas_acm::{AcId, AccessControlMatrix, MsgType};
 use bas_attack::AttackerModel;
 use bas_capdl::spec::{CapTargetSpec, SpecObjKind};
 use bas_core::platform::linux::UidScheme;
-use bas_core::policy::{queues, scenario_acm, scenario_assembly, scenario_device_owners};
-use bas_core::proto::{
-    names, AC_ALARM, AC_CONTROL, AC_HEATER, AC_SENSOR, AC_WEB, MT_ALARM_CMD, MT_FAN_CMD,
-    MT_SENSOR_READING, MT_SETPOINT, MT_STATUS_QUERY,
+use bas_core::policy::{
+    process, scenario_acm, scenario_assembly, scenario_device_owners, ChannelSpec, CHANNELS,
+    PROCESSES,
 };
+use bas_core::proto::names;
 use bas_core::scenario::Platform;
-use bas_linux::cred::{Mode, Uid};
+use bas_linux::cred::Uid;
 use bas_minix::pm;
 use bas_sel4::rights::CapRights;
 use bas_sim::device::DeviceId;
-
-/// One Linux queue ACL as the loader creates it.
-pub struct QueueAcl {
-    owner: Uid,
-    group: Option<Uid>,
-    mode: Mode,
-}
 
 /// The per-platform kernel adjudicator.
 pub enum KernelGate {
@@ -59,48 +53,21 @@ pub enum KernelGate {
     Linux {
         /// Subject → effective uid (the attacker's uid already applied).
         uid_of: BTreeMap<String, Uid>,
-        /// Queue name → its ACL.
-        queue_acls: BTreeMap<String, QueueAcl>,
-        /// Device → (owner, mode).
-        device_acls: BTreeMap<DeviceId, (Uid, Mode)>,
+        /// The loader's account scheme, which fixes every queue and
+        /// device-node ACL.
+        scheme: UidScheme,
     },
 }
 
-fn minix_ac(subject: &str) -> Option<AcId> {
-    match subject {
-        x if x == names::SENSOR => Some(AC_SENSOR),
-        x if x == names::CONTROL => Some(AC_CONTROL),
-        x if x == names::HEATER => Some(AC_HEATER),
-        x if x == names::ALARM => Some(AC_ALARM),
-        x if x == names::WEB => Some(AC_WEB),
-        _ => None,
-    }
+fn ac(subject: &str) -> Option<AcId> {
+    process(subject).map(|p| p.ac)
 }
 
-/// The queue a `(receiver, msg type)` delivery goes through, and its
-/// intended single writer — fixed by the loader's deployment plan.
-fn linux_route(receiver: &str, mtype: u32) -> Option<(&'static str, &'static str)> {
-    match (receiver, mtype) {
-        (r, MT_SENSOR_READING) if r == names::CONTROL => Some((queues::SENSOR_IN, names::SENSOR)),
-        (r, MT_SETPOINT) if r == names::CONTROL => Some((queues::SETPOINT_IN, names::WEB)),
-        (r, MT_STATUS_QUERY) if r == names::CONTROL => Some((queues::STATUS_IN, names::WEB)),
-        (r, MT_FAN_CMD) if r == names::HEATER => Some((queues::HEATER_CMD, names::CONTROL)),
-        (r, MT_ALARM_CMD) if r == names::ALARM => Some((queues::ALARM_CMD, names::CONTROL)),
-        _ => None,
-    }
-}
-
-/// The controller/driver endpoint admitting a `(receiver, msg type)`
-/// RPC, by compiled object name.
-fn sel4_endpoint(receiver: &str, mtype: u32) -> Option<String> {
-    match (receiver, mtype) {
-        (r, MT_SENSOR_READING | MT_SETPOINT | MT_STATUS_QUERY) if r == names::CONTROL => {
-            Some(format!("ep_{}_ctrl", names::CONTROL))
-        }
-        (r, MT_FAN_CMD) if r == names::HEATER => Some(format!("ep_{}_cmd", names::HEATER)),
-        (r, MT_ALARM_CMD) if r == names::ALARM => Some(format!("ep_{}_cmd", names::ALARM)),
-        _ => None,
-    }
+/// The channel delivering messages of `mtype` to `receiver`.
+fn channel_into(receiver: &str, mtype: u32) -> Option<&'static ChannelSpec> {
+    CHANNELS
+        .iter()
+        .find(|c| c.to == receiver && c.msg_type == mtype)
 }
 
 impl KernelGate {
@@ -145,63 +112,17 @@ impl KernelGate {
                 }
             }
             Platform::Linux => {
-                let uid = |process: &str| {
-                    if process == names::WEB && attacker == AttackerModel::Root {
+                let uid = |name: &str| {
+                    if name == names::WEB && attacker == AttackerModel::Root {
                         Uid::ROOT
                     } else {
-                        Uid::new(scheme.uid_of(process))
+                        Uid::new(scheme.uid_of(name))
                     }
                 };
-                let mut uid_of = BTreeMap::new();
-                for p in [
-                    names::SENSOR,
-                    names::CONTROL,
-                    names::HEATER,
-                    names::ALARM,
-                    names::WEB,
-                ] {
-                    uid_of.insert(p.to_string(), uid(p));
-                }
-                // The loader's queue ACLs: shared scheme puts every queue
-                // under the shared account at 0600; the hardened scheme
-                // makes the reader the owner and the single intended
-                // writer the (one-member) group, at 0620.
-                let routes = [
-                    (queues::SENSOR_IN, names::CONTROL, names::SENSOR),
-                    (queues::SETPOINT_IN, names::CONTROL, names::WEB),
-                    (queues::STATUS_IN, names::CONTROL, names::WEB),
-                    (queues::HEATER_CMD, names::HEATER, names::CONTROL),
-                    (queues::ALARM_CMD, names::ALARM, names::CONTROL),
-                    (queues::WEB_REPLY, names::WEB, names::CONTROL),
-                ];
-                let mut queue_acls = BTreeMap::new();
-                for (q, reader, writer) in routes {
-                    let acl = match scheme {
-                        UidScheme::SharedAccount => QueueAcl {
-                            owner: Uid::new(bas_core::platform::linux::uids::SHARED),
-                            group: None,
-                            mode: Mode::new(0o600),
-                        },
-                        UidScheme::PerProcessHardened => QueueAcl {
-                            owner: Uid::new(scheme.uid_of(reader)),
-                            group: Some(Uid::new(scheme.uid_of(writer))),
-                            mode: Mode::new(0o620),
-                        },
-                    };
-                    queue_acls.insert(q.to_string(), acl);
-                }
-                let mut device_acls = BTreeMap::new();
-                for (dev, driver) in [
-                    (DeviceId::TEMP_SENSOR, names::SENSOR),
-                    (DeviceId::FAN, names::HEATER),
-                    (DeviceId::ALARM, names::ALARM),
-                ] {
-                    device_acls.insert(dev, (Uid::new(scheme.uid_of(driver)), Mode::new(0o600)));
-                }
+                let uid_of = PROCESSES.iter().map(|p| (p.name.to_string(), uid(p.name)));
                 KernelGate::Linux {
-                    uid_of,
-                    queue_acls,
-                    device_acls,
+                    uid_of: uid_of.collect(),
+                    scheme,
                 }
             }
         }
@@ -213,22 +134,20 @@ impl KernelGate {
     pub fn allows_send(&self, sender: &str, receiver: &str, mtype: u32) -> bool {
         match self {
             KernelGate::Minix { acm, .. } => {
-                let (Some(s), Some(r)) = (minix_ac(sender), minix_ac(receiver)) else {
+                let (Some(s), Some(r)) = (ac(sender), ac(receiver)) else {
                     return false;
                 };
                 acm.check(s, r, MsgType::new(mtype)).is_allowed()
             }
-            KernelGate::Sel4 { endpoint_caps, .. } => sel4_endpoint(receiver, mtype)
+            KernelGate::Sel4 { endpoint_caps, .. } => channel_into(receiver, mtype)
+                .and_then(|c| Some(format!("ep_{receiver}_{}", c.server_iface?)))
                 .is_some_and(|ep| endpoint_caps.contains(&(sender.to_string(), ep))),
-            KernelGate::Linux {
-                uid_of, queue_acls, ..
-            } => {
-                let Some((q, _writer)) = linux_route(receiver, mtype) else {
+            KernelGate::Linux { uid_of, scheme } => {
+                let (Some(&who), Some(c)) = (uid_of.get(sender), channel_into(receiver, mtype))
+                else {
                     return false;
                 };
-                let (Some(&who), Some(acl)) = (uid_of.get(sender), queue_acls.get(q)) else {
-                    return false;
-                };
+                let acl = scheme.queue_acl(c);
                 acl.mode
                     .allows_with_group(who, acl.owner, acl.group, false, true)
             }
@@ -238,7 +157,7 @@ impl KernelGate {
     /// May `subject` terminate `victim`?
     pub fn allows_kill(&self, subject: &str, victim: &str) -> bool {
         match self {
-            KernelGate::Minix { acm, .. } => minix_ac(subject).is_some_and(|s| {
+            KernelGate::Minix { acm, .. } => ac(subject).is_some_and(|s| {
                 acm.check(s, pm::PM_AC_ID, MsgType::new(pm::PM_KILL))
                     .is_allowed()
             }),
@@ -256,7 +175,7 @@ impl KernelGate {
     /// May `subject` create a new process/thread?
     pub fn allows_fork(&self, subject: &str) -> bool {
         match self {
-            KernelGate::Minix { acm, .. } => minix_ac(subject).is_some_and(|s| {
+            KernelGate::Minix { acm, .. } => ac(subject).is_some_and(|s| {
                 acm.check(s, pm::PM_AC_ID, MsgType::new(pm::PM_FORK2))
                     .is_allowed()
             }),
@@ -270,23 +189,20 @@ impl KernelGate {
     /// May `subject` access device `dev` (write or read)?
     pub fn allows_device(&self, subject: &str, dev: DeviceId, write: bool) -> bool {
         match self {
-            KernelGate::Minix { device_owners, .. } => minix_ac(subject)
+            KernelGate::Minix { device_owners, .. } => ac(subject)
                 .is_some_and(|s| device_owners.get(&dev).is_some_and(|&owner| owner == s)),
             KernelGate::Sel4 { device_caps, .. } => {
                 device_caps.contains(&(subject.to_string(), dev, write))
                     || (!write && device_caps.contains(&(subject.to_string(), dev, true)))
             }
-            KernelGate::Linux {
-                uid_of,
-                device_acls,
-                ..
-            } => {
-                let (Some(&who), Some(&(owner, mode))) =
-                    (uid_of.get(subject), device_acls.get(&dev))
-                else {
+            KernelGate::Linux { uid_of, scheme } => {
+                let Some(&who) = uid_of.get(subject) else {
                     return false;
                 };
-                mode.allows(who, owner, !write, write)
+                let mut nodes = scheme.device_nodes();
+                nodes
+                    .find(|&(d, _)| d == dev)
+                    .is_some_and(|(_, (owner, mode))| mode.allows(who, owner, !write, write))
             }
         }
     }
@@ -295,6 +211,7 @@ impl KernelGate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bas_core::proto::{MT_FAN_CMD, MT_SENSOR_READING, MT_SETPOINT};
 
     #[test]
     fn minix_gate_enforces_the_acm() {

@@ -7,25 +7,20 @@
 //! against. The cross-validation harness (`exp_policy_audit`, the
 //! `static_vs_dynamic` tests) builds every model through here.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use bas_aadl::backends::linux_plan;
 use bas_acm::AccessControlMatrix;
 use bas_attack::{AttackId, AttackerModel};
 use bas_capdl::spec::{CapDecl, CapTargetSpec};
-use bas_core::platform::linux::{uids, UidScheme};
+use bas_core::platform::linux::UidScheme;
 use bas_core::platform::sel4::ExtraCap;
 use bas_core::policy::{
-    queues, scenario_acm, scenario_assembly, scenario_device_owners, scenario_quotas, SCENARIO_AADL,
+    channel_agreement, scenario_acm, scenario_assembly, scenario_device_owners, scenario_quotas,
+    CHANNELS, PROCESSES, SCENARIO_AADL,
 };
-use bas_core::proto::{
-    names, AC_ALARM, AC_CONTROL, AC_HEATER, AC_SCENARIO, AC_SENSOR, AC_WEB, MT_ACK,
-    MT_SENSOR_READING, MT_SETPOINT,
-};
+use bas_core::proto::{names, AC_SCENARIO, MT_ACK, MT_SENSOR_READING, MT_SETPOINT};
 use bas_core::scenario::Platform;
-use bas_linux::cred::Mode;
 use bas_minix::pm;
-use bas_sim::device::DeviceId;
 
 use crate::ir::{AppContracts, PolicyModel, Roles, Trust};
 use crate::lint::Justification;
@@ -33,23 +28,6 @@ use crate::lower::acm::AcmBinding;
 use crate::lower::capdl::CapdlBinding;
 use crate::lower::linux::{LinuxDeployment, QueueSpec};
 use crate::taint::{predict, StaticVerdict};
-
-/// AADL instance name → canonical process name.
-const INSTANCE_TO_NAME: [(&str, &str); 5] = [
-    ("tempSensProc", names::SENSOR),
-    ("tempProc", names::CONTROL),
-    ("heaterActProc", names::HEATER),
-    ("alarmProc", names::ALARM),
-    ("webInterface", names::WEB),
-];
-
-fn canon(instance: &str) -> String {
-    INSTANCE_TO_NAME
-        .iter()
-        .find(|(i, _)| *i == instance)
-        .map(|(_, n)| (*n).to_string())
-        .unwrap_or_else(|| instance.to_string())
-}
 
 /// The application contracts shared by all three platforms (the process
 /// code is identical; only the enforcement underneath differs).
@@ -96,12 +74,10 @@ pub fn minix_model(
     acm: Option<&AccessControlMatrix>,
     web_fork_limit: Option<u64>,
 ) -> PolicyModel {
-    let mut subjects = BTreeMap::new();
-    subjects.insert(AC_SENSOR, names::SENSOR.to_string());
-    subjects.insert(AC_CONTROL, names::CONTROL.to_string());
-    subjects.insert(AC_HEATER, names::HEATER.to_string());
-    subjects.insert(AC_ALARM, names::ALARM.to_string());
-    subjects.insert(AC_WEB, names::WEB.to_string());
+    let mut subjects: BTreeMap<_, _> = PROCESSES
+        .iter()
+        .map(|p| (p.ac, p.name.to_string()))
+        .collect();
     subjects.insert(AC_SCENARIO, names::SCENARIO.to_string());
     let binding = AcmBinding {
         subjects,
@@ -157,22 +133,16 @@ pub fn sel4_model(attacker: AttackerModel, extra_caps: &[ExtraCap]) -> PolicyMod
     }
 
     let mut binding = CapdlBinding::default();
-    binding.endpoint_types.insert(
-        format!("ep_{}_{}", names::CONTROL, "ctrl"),
-        vec![
-            MT_SENSOR_READING,
-            MT_SETPOINT,
-            bas_core::proto::MT_STATUS_QUERY,
-        ],
-    );
-    binding.endpoint_types.insert(
-        format!("ep_{}_{}", names::HEATER, "cmd"),
-        vec![bas_core::proto::MT_FAN_CMD],
-    );
-    binding.endpoint_types.insert(
-        format!("ep_{}_{}", names::ALARM, "cmd"),
-        vec![bas_core::proto::MT_ALARM_CMD],
-    );
+    for c in &CHANNELS {
+        if let Some(iface) = c.server_iface {
+            let endpoint = format!("ep_{}_{iface}", c.to);
+            binding
+                .endpoint_types
+                .entry(endpoint)
+                .or_default()
+                .push(c.msg_type);
+        }
+    }
 
     let mut model = crate::lower::capdl::lower(&spec, &binding);
     model.legitimate_handles = clean_counts;
@@ -183,93 +153,46 @@ pub fn sel4_model(attacker: AttackerModel, extra_caps: &[ExtraCap]) -> PolicyMod
 /// Linux mq baseline, for either uid scheme. Under A2 the web interface
 /// runs as root ("gained through a privilege escalation exploit").
 pub fn linux_model(attacker: AttackerModel, scheme: UidScheme) -> PolicyModel {
-    let aadl = bas_aadl::parse(SCENARIO_AADL).expect("scenario AADL parses");
-    let plan = linux_plan::compile(&aadl).expect("scenario plan compiles");
-
     let web_uid = match attacker {
         AttackerModel::ArbitraryCode => scheme.uid_of(names::WEB),
         AttackerModel::Root => 0,
     };
-    let mut subject_uids = BTreeMap::new();
-    for name in [names::SENSOR, names::CONTROL, names::HEATER, names::ALARM] {
-        subject_uids.insert(name.to_string(), scheme.uid_of(name));
-    }
-    subject_uids.insert(names::WEB.to_string(), web_uid);
+    let subject_uids = PROCESSES
+        .iter()
+        .map(|p| match p.name {
+            names::WEB => (p.name.to_string(), web_uid),
+            name => (name.to_string(), scheme.uid_of(name)),
+        })
+        .collect();
 
-    // Message types per queue: the type declared on the out port feeding
-    // it (queues are single-purpose in the plan).
-    let mut queue_types: BTreeMap<String, Vec<u32>> = BTreeMap::new();
-    if let Some(system) = &aadl.system {
-        for conn in &system.connections {
-            let Some(proc_ty) = aadl.process_of_instance(&conn.from.0) else {
-                continue;
-            };
-            let Some(port) = proc_ty.ports.iter().find(|p| p.name == conn.from.1) else {
-                continue;
-            };
-            let q = linux_plan::queue_name(&conn.to.0, &conn.to.1);
-            if let Some(t) = port.msg_type {
-                queue_types.entry(q).or_default().push(t);
+    // The AADL plan's queues in name order, then the reply queue the
+    // loader adds outside the AADL (as `build_linux` does).
+    let mut channels: Vec<_> = CHANNELS.iter().collect();
+    channels.sort_by_key(|c| (c.aadl.is_none(), c.queue));
+    let queues = channels
+        .into_iter()
+        .map(|c| {
+            let acl = scheme.queue_acl(c);
+            QueueSpec {
+                name: c.queue.to_string(),
+                owner: acl.owner.as_u32(),
+                group: acl.group.map(|g| g.as_u32()),
+                mode: acl.mode,
+                reader: c.to.to_string(),
+                writers: vec![c.from.to_string()],
+                msg_types: vec![c.msg_type],
             }
-        }
-    }
+        })
+        .collect();
 
-    let acl_for = |reader: &str, writer: &str| -> (u32, Option<u32>, Mode) {
-        match scheme {
-            UidScheme::SharedAccount => (uids::SHARED, None, Mode::new(0o600)),
-            UidScheme::PerProcessHardened => (
-                scheme.uid_of(reader),
-                Some(scheme.uid_of(writer)),
-                Mode::new(0o620),
-            ),
-        }
-    };
-
-    let mut queue_specs = Vec::new();
-    for q in &plan.queues {
-        let reader = canon(&q.reader);
-        let writers: Vec<String> = q.writers.iter().map(|w| canon(w)).collect();
-        let (owner, group, mode) = acl_for(&reader, writers.first().map_or("", |w| w.as_str()));
-        queue_specs.push(QueueSpec {
-            name: q.name.clone(),
-            owner,
-            group,
-            mode,
-            reader,
-            writers,
-            msg_types: queue_types.get(&q.name).cloned().unwrap_or_default(),
-        });
-    }
-    // The reply queue (control → web acks/status) is created by the
-    // loader outside the AADL plan, like `build_linux` does.
-    let (owner, group, mode) = acl_for(names::WEB, names::CONTROL);
-    queue_specs.push(QueueSpec {
-        name: queues::WEB_REPLY.to_string(),
-        owner,
-        group,
-        mode,
-        reader: names::WEB.to_string(),
-        writers: vec![names::CONTROL.to_string()],
-        msg_types: vec![MT_ACK],
-    });
-
-    let mut devices = BTreeMap::new();
-    devices.insert(
-        DeviceId::TEMP_SENSOR,
-        (scheme.uid_of(names::SENSOR), Mode::new(0o600)),
-    );
-    devices.insert(
-        DeviceId::FAN,
-        (scheme.uid_of(names::HEATER), Mode::new(0o600)),
-    );
-    devices.insert(
-        DeviceId::ALARM,
-        (scheme.uid_of(names::ALARM), Mode::new(0o600)),
-    );
+    let devices = scheme
+        .device_nodes()
+        .map(|(dev, (owner, mode))| (dev, (owner.as_u32(), mode)))
+        .collect();
 
     let dep = LinuxDeployment {
         subject_uids,
-        queues: queue_specs,
+        queues,
         devices,
     };
     let model = crate::lower::linux::lower(&dep);
@@ -290,26 +213,23 @@ pub fn scenario_justification() -> Justification {
     let aadl = bas_aadl::parse(SCENARIO_AADL).expect("scenario AADL parses");
     let mut j = Justification::default();
 
-    for (_, name) in INSTANCE_TO_NAME {
-        j.subjects.insert(name.to_string());
+    for p in &PROCESSES {
+        j.subjects.insert(p.name.to_string());
+        if let Some(dev) = p.device {
+            j.device_owners.insert(dev, p.name.to_string());
+        }
     }
     j.subjects.insert(names::SCENARIO.to_string());
 
-    if let Some(system) = &aadl.system {
-        for conn in &system.connections {
-            let from = canon(&conn.from.0);
-            let to = canon(&conn.to.0);
-            let msg_type = aadl
-                .process_of_instance(&conn.from.0)
-                .and_then(|p| p.ports.iter().find(|port| port.name == conn.from.1))
-                .and_then(|port| port.msg_type);
-            if let Some(t) = msg_type {
-                j.app_edges.insert((from.clone(), to.clone(), t));
-            }
-            // Acknowledgments flow both ways on every connected pair.
-            j.app_edges.insert((from.clone(), to.clone(), MT_ACK));
-            j.app_edges.insert((to, from, MT_ACK));
+    // The application edges as the AADL declares them.
+    let (connections, _) = channel_agreement(&aadl);
+    for (_, from, to, msg_type) in connections {
+        if let Some(t) = msg_type {
+            j.app_edges.insert((from.clone(), to.clone(), t));
         }
+        // Acknowledgments flow both ways on every connected pair.
+        j.app_edges.insert((from.clone(), to.clone(), MT_ACK));
+        j.app_edges.insert((to, from, MT_ACK));
     }
 
     j.sys_ops = [
@@ -319,26 +239,10 @@ pub fn scenario_justification() -> Justification {
     ]
     .into();
 
-    for (dev, ac) in scenario_device_owners() {
-        let name = match ac {
-            x if x == AC_SENSOR => names::SENSOR,
-            x if x == AC_HEATER => names::HEATER,
-            x if x == AC_ALARM => names::ALARM,
-            _ => continue,
-        };
-        j.device_owners.insert(dev, name.to_string());
+    for c in &CHANNELS {
+        let members = j.queue_membership.entry(c.queue.to_string()).or_default();
+        members.extend([c.from.to_string(), c.to.to_string()]);
     }
-
-    let plan = linux_plan::compile(&aadl).expect("scenario plan compiles");
-    for q in &plan.queues {
-        let mut members: BTreeSet<String> = q.writers.iter().map(|w| canon(w)).collect();
-        members.insert(canon(&q.reader));
-        j.queue_membership.insert(q.name.clone(), members);
-    }
-    j.queue_membership.insert(
-        queues::WEB_REPLY.to_string(),
-        [names::WEB.to_string(), names::CONTROL.to_string()].into(),
-    );
 
     j
 }

@@ -22,9 +22,9 @@ use bas_attack::procs::{AttackScript, AttackStep, MinixAttacker, Sel4Attacker};
 use bas_core::platform::linux::UidScheme;
 use bas_core::platform::minix::{build_minix, MinixOverrides};
 use bas_core::platform::sel4::{build_sel4, ExtraCap, Sel4Overrides};
-use bas_core::policy::{actuator_rpc, instances};
+use bas_core::policy::{self, actuator_rpc};
+use bas_core::proto::names;
 use bas_core::scenario::{critical_alive, Platform, Scenario, ScenarioConfig};
-use bas_minix::pm;
 use bas_sel4::cap::CPtr;
 use bas_sel4::message::IpcMessage;
 use bas_sel4::rights::CapRights;
@@ -106,35 +106,6 @@ fn hardened_linux_static_equals_dynamic() {
 // ACM ablation (mirrors exp_ablation_acm's dynamic setup)
 // ---------------------------------------------------------------------------
 
-fn permissive_acm() -> AccessControlMatrix {
-    use bas_core::proto::{AC_ALARM, AC_CONTROL, AC_HEATER, AC_SCENARIO, AC_SENSOR, AC_WEB};
-    let ids = [AC_SENSOR, AC_CONTROL, AC_HEATER, AC_ALARM, AC_WEB];
-    let mut b = AccessControlMatrix::builder();
-    for s in ids {
-        for r in ids {
-            if s != r {
-                b = b.allow_all_types(s, r);
-            }
-        }
-    }
-    b = pm::allow_pm_ops(b, AC_WEB, [pm::PM_FORK2, pm::PM_GETPID]);
-    for ac in [AC_SENSOR, AC_CONTROL, AC_HEATER, AC_ALARM] {
-        b = pm::allow_pm_ops(b, ac, [pm::PM_GETPID]);
-    }
-    b = pm::allow_pm_ops(
-        b,
-        AC_SCENARIO,
-        [
-            pm::PM_FORK2,
-            pm::PM_SRV_FORK2,
-            pm::PM_KILL,
-            pm::PM_EXIT,
-            pm::PM_GETPID,
-        ],
-    );
-    b.build()
-}
-
 /// Dynamic MINIX run with an overridden ACM / fork quota, as in
 /// `exp_ablation_acm`. Returns `(mechanism delivered, compromised)`.
 fn run_minix_ablation(
@@ -182,7 +153,7 @@ fn ablation_acm_static_equals_dynamic() {
     for attack in attacks {
         for (label, acm, quota) in [
             ("scenario", None, None),
-            ("permissive", Some(permissive_acm()), None),
+            ("permissive", Some(policy::permissive_acm()), None),
             ("quota", None, Some(2u64)),
         ] {
             let model = minix_model(AttackerModel::ArbitraryCode, acm.as_ref(), quota);
@@ -206,7 +177,7 @@ fn ablation_acm_static_equals_dynamic() {
 /// be vacuous if both configurations predicted the same thing).
 #[test]
 fn ablation_acm_flips_static_verdicts() {
-    let permissive = permissive_acm();
+    let permissive = policy::permissive_acm();
     let scenario = minix_model(AttackerModel::ArbitraryCode, None, None);
     let ablated = minix_model(AttackerModel::ArbitraryCode, Some(&permissive), None);
 
@@ -235,14 +206,14 @@ fn ablation_acm_flips_static_verdicts() {
 fn stray_caps() -> Vec<ExtraCap> {
     vec![
         ExtraCap {
-            holder: instances::WEB,
-            endpoint_of: (instances::HEATER, "cmd"),
+            holder: names::WEB,
+            endpoint_of: (names::HEATER, "cmd"),
             rights: CapRights::WRITE_GRANT,
             badge: 99,
         },
         ExtraCap {
-            holder: instances::WEB,
-            endpoint_of: (instances::ALARM, "cmd"),
+            holder: names::WEB,
+            endpoint_of: (names::ALARM, "cmd"),
             rights: CapRights::WRITE_GRANT,
             badge: 99,
         },
@@ -353,7 +324,7 @@ fn lint_flags_stray_capabilities() {
         .filter(|f| {
             f.severity == Severity::Error
                 && f.code == "over-granted-capability"
-                && f.subject == instances::WEB
+                && f.subject == names::WEB
         })
         .count();
     assert_eq!(stray, 2, "both stray caps flagged: {findings:#?}");

@@ -7,7 +7,7 @@
 
 use bas_camkes::codegen::GlueMap;
 use bas_core::platform::minix::prog_ids;
-use bas_core::policy::{ctrl_rpc, instances, queues};
+use bas_core::policy::{ctrl_rpc, queues, CHANNELS};
 use bas_core::proto::{names, BasMsg, AC_WEB};
 use bas_sim::time::SimDuration;
 
@@ -230,7 +230,7 @@ pub fn sel4_script(
     use bas_sel4::syscall::Syscall;
 
     let ctrl = glue
-        .client_slot(instances::WEB, "ctrl")
+        .client_slot(names::WEB, "ctrl")
         .expect("web has its RPC cap");
     let enc = |v: i32| u64::from(v as u32);
 
@@ -457,8 +457,8 @@ pub fn linux_script(
                     max_loops = Some(60);
                 }
                 AttackId::BruteForceHandles => {
-                    for name in queues::ALL {
-                        setup.push(AttackStep::counted(open(name, MqAccess::RW)));
+                    for channel in &CHANNELS {
+                        setup.push(AttackStep::counted(open(channel.queue, MqAccess::RW)));
                     }
                     max_loops = Some(1);
                 }

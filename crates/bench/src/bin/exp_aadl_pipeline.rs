@@ -1,12 +1,33 @@
 //! E9 (§IV): the AADL workflow — one architecture description compiled
 //! into every platform's policy artifact, as the paper's AADL-to-C
 //! compiler generated the ACM "based on the specified connections".
+//! Each artifact is compared with the policy the platforms run, and the
+//! topology tables of `bas_core::policy` with what the AADL declares; the
+//! binary exits 1 after printing if any comparison fails.
 //!
 //! Run: `cargo run --release -p bas-bench --bin exp_aadl_pipeline`
 
 use bas_aadl::backends;
-use bas_bench::{rule, section, Harness};
-use bas_core::policy;
+use bas_bench::{rule, section, verdict, Harness};
+use bas_core::policy::{self, Agreement};
+
+/// Prints one comparison's line; returns whether it held.
+fn check(what: &str, holds: bool) -> bool {
+    println!(
+        "{what}: {}",
+        verdict(holds, "EXACT MATCH", "** MISMATCH **")
+    );
+    holds
+}
+
+/// Prints one table agreement; on a mismatch, both sides.
+fn agree<T: PartialEq + std::fmt::Debug>(what: &str, (aadl, tables): Agreement<T>) -> bool {
+    let holds = check(what, aadl == tables);
+    if !holds {
+        println!("  aadl:   {aadl:?}\n  tables: {tables:?}");
+    }
+    holds
+}
 
 fn main() {
     // Static experiment; the harness only standardizes flag handling.
@@ -21,14 +42,17 @@ fn main() {
     let generated_acm = backends::acm::compile(&model).expect("acm backend");
     print!("{}", generated_acm.render_table(6));
     rule();
-    let matches = generated_acm == policy::scenario_app_acm();
-    println!(
-        "equality with the hand-written application policy: {}",
-        if matches {
-            "EXACT MATCH"
-        } else {
-            "** MISMATCH **"
-        }
+    let mut all_match = check(
+        "equality with the table-derived application policy",
+        generated_acm == policy::scenario_app_acm(),
+    );
+    all_match &= agree(
+        "process table (AADL label, ac_id)",
+        policy::process_agreement(&model),
+    );
+    all_match &= agree(
+        "channel table (connection, endpoints, msg type)",
+        policy::channel_agreement(&model),
     );
 
     section("backend 2: CAmkES assembly (seL4)");
@@ -73,9 +97,16 @@ fn main() {
         );
     }
     rule();
+    all_match &= agree(
+        "queue plan vs channel table (queue, reader, writers)",
+        policy::queue_agreement(&plan),
+    );
     println!(
         "plus the reply queue {} the loader adds for controller->web acks \
          (6 queues total, as in §IV-C)",
         policy::queues::WEB_REPLY
     );
+    if !all_match {
+        std::process::exit(1);
+    }
 }

@@ -21,46 +21,13 @@ use bas_attack::model::AttackId;
 use bas_attack::procs::MinixAttacker;
 use bas_bench::{rule, section, Harness};
 use bas_core::platform::minix::{MinixOverrides, MinixStack};
-use bas_core::proto::{AC_ALARM, AC_CONTROL, AC_HEATER, AC_SENSOR, AC_WEB};
+use bas_core::policy;
+use bas_core::proto::{AC_HEATER, AC_WEB};
 use bas_core::scenario::{critical_alive, Scenario, ScenarioConfig};
 use bas_core::ScenarioEngine;
-use bas_minix::pm;
 use bas_sim::time::SimDuration;
 use std::cell::RefCell;
 use std::rc::Rc;
-
-/// Every application pair may exchange every message type; PM rows as in
-/// the scenario. This is "a microkernel with message passing but no
-/// mandatory IPC policy".
-fn permissive_acm() -> AccessControlMatrix {
-    let ids = [AC_SENSOR, AC_CONTROL, AC_HEATER, AC_ALARM, AC_WEB];
-    let mut b = AccessControlMatrix::builder();
-    for s in ids {
-        for r in ids {
-            if s != r {
-                b = b.allow_all_types(s, r);
-            }
-        }
-    }
-    // PM policy unchanged (kill still denied to web): the ablation is
-    // about the *application* matrix.
-    b = pm::allow_pm_ops(b, AC_WEB, [pm::PM_FORK2, pm::PM_GETPID]);
-    for ac in [AC_SENSOR, AC_CONTROL, AC_HEATER, AC_ALARM] {
-        b = pm::allow_pm_ops(b, ac, [pm::PM_GETPID]);
-    }
-    b = pm::allow_pm_ops(
-        b,
-        bas_core::proto::AC_SCENARIO,
-        [
-            pm::PM_FORK2,
-            pm::PM_SRV_FORK2,
-            pm::PM_KILL,
-            pm::PM_EXIT,
-            pm::PM_GETPID,
-        ],
-    );
-    b.build()
-}
 
 fn run_minix_attack(
     attack: AttackId,
@@ -117,7 +84,7 @@ fn main() {
     for &attack in attacks {
         for (label, acm, quota) in [
             ("scenario ACM", None, None),
-            ("permissive ACM", Some(permissive_acm()), None),
+            ("permissive ACM", Some(policy::permissive_acm()), None),
             ("scenario ACM + quota", None, Some(2u64)),
         ] {
             let (safe, alive, successes, denials) = run_minix_attack(attack, acm, quota);
@@ -148,7 +115,7 @@ fn main() {
     // Sanity check of the headline claims (the binary doubles as a test).
     let (safe, _, _, _) = run_minix_attack(
         AttackId::SpoofActuatorCommands,
-        Some(permissive_acm()),
+        Some(policy::permissive_acm()),
         None,
     );
     assert!(!safe, "permissive ACM must let the actuator spoof through");

@@ -15,7 +15,8 @@ use bas_attack::procs::{AttackScript, AttackStep, Sel4Attacker};
 use bas_bench::{rule, section, Harness};
 use bas_capdl::verify::verify;
 use bas_core::platform::sel4::{ExtraCap, Sel4Overrides, Sel4Stack};
-use bas_core::policy::{actuator_rpc, instances};
+use bas_core::policy::actuator_rpc;
+use bas_core::proto::names;
 use bas_core::scenario::{Scenario, ScenarioConfig};
 use bas_core::ScenarioEngine;
 use bas_sel4::cap::CPtr;
@@ -96,14 +97,14 @@ fn main() {
             })),
             extra_caps: vec![
                 ExtraCap {
-                    holder: instances::WEB,
-                    endpoint_of: (instances::HEATER, "cmd"),
+                    holder: names::WEB,
+                    endpoint_of: (names::HEATER, "cmd"),
                     rights: CapRights::WRITE_GRANT,
                     badge: 99,
                 },
                 ExtraCap {
-                    holder: instances::WEB,
-                    endpoint_of: (instances::ALARM, "cmd"),
+                    holder: names::WEB,
+                    endpoint_of: (names::ALARM, "cmd"),
                     rights: CapRights::WRITE_GRANT,
                     badge: 99,
                 },

@@ -12,7 +12,7 @@
 use bas_bench::{rule, section, Harness};
 use bas_capdl::verify::verify;
 use bas_core::platform::sel4::{Sel4Overrides, Sel4Stack};
-use bas_core::policy::instances;
+use bas_core::proto::names;
 use bas_core::scenario::{Scenario, ScenarioConfig};
 use bas_core::ScenarioEngine;
 use bas_sel4::cap::Capability;
@@ -42,8 +42,8 @@ fn main() {
     section("audit #3: after injecting an undeclared capability");
     // Simulate a bootstrap bug: the web interface is handed a write
     // capability to the heater's command endpoint.
-    let web = s.stack.sys.threads[instances::WEB];
-    let heater_ep = s.stack.sys.objects[&format!("ep_{}_{}", instances::HEATER, "cmd")];
+    let web = s.stack.sys.threads[names::WEB];
+    let heater_ep = s.stack.sys.objects[&format!("ep_{}_{}", names::HEATER, "cmd")];
     s.stack
         .kernel
         .grant_cap(

@@ -21,7 +21,7 @@ use bas_attack::model::{AttackId, AttackerModel};
 use bas_bench::{rule, section, verdict, Harness};
 use bas_core::platform::linux::UidScheme;
 use bas_core::platform::sel4::ExtraCap;
-use bas_core::policy::instances;
+use bas_core::proto::names;
 use bas_core::scenario::Platform;
 use bas_sel4::rights::CapRights;
 
@@ -139,7 +139,7 @@ fn main() {
     // 4. Ablations: the static verdicts flip with the policy.
     // -----------------------------------------------------------------
     section("ablation predictions (static analogues of exp_ablation_acm / exp_ablation_caps)");
-    let permissive = permissive_acm();
+    let permissive = bas_core::policy::permissive_acm();
     let scenario_m = minix_model(AttackerModel::ArbitraryCode, None, None);
     let permissive_m = minix_model(AttackerModel::ArbitraryCode, Some(&permissive), None);
     for (label, model) in [
@@ -169,14 +169,14 @@ fn main() {
 
     let stray = vec![
         ExtraCap {
-            holder: instances::WEB,
-            endpoint_of: (instances::HEATER, "cmd"),
+            holder: names::WEB,
+            endpoint_of: (names::HEATER, "cmd"),
             rights: CapRights::WRITE_GRANT,
             badge: 99,
         },
         ExtraCap {
-            holder: instances::WEB,
-            endpoint_of: (instances::ALARM, "cmd"),
+            holder: names::WEB,
+            endpoint_of: (names::ALARM, "cmd"),
             rights: CapRights::WRITE_GRANT,
             badge: 99,
         },
@@ -202,14 +202,14 @@ fn main() {
         .filter(|f| {
             f.severity == Severity::Error
                 && f.code == "over-granted-capability"
-                && f.subject == instances::WEB
+                && f.subject == names::WEB
         })
         .collect();
     assert_eq!(stray_findings.len(), 2, "linter flags both stray caps");
     println!(
         "lint on the ablated spec: {} high-severity finding(s) against {}",
         stray_findings.len(),
-        instances::WEB
+        names::WEB
     );
 
     // -----------------------------------------------------------------
@@ -288,36 +288,4 @@ fn main() {
         );
         std::process::exit(1);
     }
-}
-
-/// Every application pair open, PM rows unchanged — as in
-/// `exp_ablation_acm`.
-fn permissive_acm() -> bas_acm::AccessControlMatrix {
-    use bas_core::proto::{AC_ALARM, AC_CONTROL, AC_HEATER, AC_SCENARIO, AC_SENSOR, AC_WEB};
-    use bas_minix::pm;
-    let ids = [AC_SENSOR, AC_CONTROL, AC_HEATER, AC_ALARM, AC_WEB];
-    let mut b = bas_acm::AccessControlMatrix::builder();
-    for s in ids {
-        for r in ids {
-            if s != r {
-                b = b.allow_all_types(s, r);
-            }
-        }
-    }
-    b = pm::allow_pm_ops(b, AC_WEB, [pm::PM_FORK2, pm::PM_GETPID]);
-    for ac in [AC_SENSOR, AC_CONTROL, AC_HEATER, AC_ALARM] {
-        b = pm::allow_pm_ops(b, ac, [pm::PM_GETPID]);
-    }
-    b = pm::allow_pm_ops(
-        b,
-        AC_SCENARIO,
-        [
-            pm::PM_FORK2,
-            pm::PM_SRV_FORK2,
-            pm::PM_KILL,
-            pm::PM_EXIT,
-            pm::PM_GETPID,
-        ],
-    );
-    b.build()
 }

@@ -34,25 +34,12 @@ use bas_sim::time::{SimDuration, SimTime};
 use crate::engine::{PlatformKernel, ScenarioEngine};
 use crate::logic::control::{ControlCore, Directive};
 use crate::logic::web::{WebAction, WebClient, WebStep};
-use crate::policy::queues;
+use crate::policy::{self, queues, ChannelSpec, CHANNELS, PROCESSES};
 use crate::proto::{names, BasMsg};
 use crate::scenario::{AppIo, Platform, ScenarioConfig};
 
-/// Scenario uids.
-pub mod uids {
-    /// The shared account everything runs under in the paper's baseline.
-    pub const SHARED: u32 = 1000;
-    /// Hardened scheme: sensor.
-    pub const SENSOR: u32 = 1001;
-    /// Hardened scheme: controller.
-    pub const CONTROL: u32 = 1002;
-    /// Hardened scheme: heater driver.
-    pub const HEATER: u32 = 1003;
-    /// Hardened scheme: alarm driver.
-    pub const ALARM: u32 = 1004;
-    /// Hardened scheme: web interface.
-    pub const WEB: u32 = 1005;
-}
+/// The shared account everything runs under in the paper's baseline.
+pub const SHARED_UID: u32 = 1000;
 
 /// How processes and queues are assigned to accounts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,20 +52,54 @@ pub enum UidScheme {
     PerProcessHardened,
 }
 
+/// A message queue's access control, as the loader creates it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueueAcl {
+    /// The owning uid.
+    pub owner: Uid,
+    /// The uid the mode's group triple applies to, if any.
+    pub group: Option<Uid>,
+    /// The permission bits.
+    pub mode: Mode,
+}
+
 impl UidScheme {
     /// The uid a process runs under in this scheme.
     pub fn uid_of(self, process: &str) -> u32 {
         match self {
-            UidScheme::SharedAccount => uids::SHARED,
-            UidScheme::PerProcessHardened => match process {
-                x if x == names::SENSOR => uids::SENSOR,
-                x if x == names::CONTROL => uids::CONTROL,
-                x if x == names::HEATER => uids::HEATER,
-                x if x == names::ALARM => uids::ALARM,
-                x if x == names::WEB => uids::WEB,
-                _ => uids::SHARED,
+            UidScheme::SharedAccount => SHARED_UID,
+            UidScheme::PerProcessHardened => {
+                policy::process(process).map_or(SHARED_UID, |p| p.hardened_uid)
+            }
+        }
+    }
+
+    /// The ACL of `channel`'s queue: the shared scheme puts every queue
+    /// under the shared account at `0600`; the hardened scheme makes the
+    /// reader the owner and the single intended writer the group, at
+    /// `0620`.
+    pub fn queue_acl(self, channel: &ChannelSpec) -> QueueAcl {
+        match self {
+            UidScheme::SharedAccount => QueueAcl {
+                owner: Uid::new(SHARED_UID),
+                group: None,
+                mode: Mode::new(0o600),
+            },
+            UidScheme::PerProcessHardened => QueueAcl {
+                owner: Uid::new(self.uid_of(channel.to)),
+                group: Some(Uid::new(self.uid_of(channel.from))),
+                mode: Mode::new(0o620),
             },
         }
+    }
+
+    /// Every device node with its owner (the driver's uid) and mode
+    /// `0600`.
+    pub fn device_nodes(self) -> impl Iterator<Item = (DeviceId, (Uid, Mode))> {
+        PROCESSES.iter().filter_map(move |p| {
+            let owner = Uid::new(self.uid_of(p.name));
+            p.device.map(|dev| (dev, (owner, Mode::new(0o600))))
+        })
     }
 }
 
@@ -622,19 +643,9 @@ pub fn build_linux(config: &ScenarioConfig, overrides: LinuxOverrides) -> LinuxS
 fn boot_linux(config: &ScenarioConfig, overrides: LinuxOverrides, io: &AppIo) -> LinuxStack {
     let scheme = overrides.uid_scheme;
     let mut device_nodes = std::collections::BTreeMap::new();
-    let dev_mode = Mode::new(0o600);
-    device_nodes.insert(
-        DeviceId::TEMP_SENSOR,
-        (Uid::new(scheme.uid_of(names::SENSOR)), dev_mode),
-    );
-    device_nodes.insert(
-        DeviceId::FAN,
-        (Uid::new(scheme.uid_of(names::HEATER)), dev_mode),
-    );
-    device_nodes.insert(
-        DeviceId::ALARM,
-        (Uid::new(scheme.uid_of(names::ALARM)), dev_mode),
-    );
+    for (dev, node) in scheme.device_nodes() {
+        device_nodes.insert(dev, node);
+    }
 
     let mut kernel = LinuxKernel::new(LinuxConfig {
         max_procs: config.max_procs,
@@ -684,94 +695,34 @@ fn populate_scenario(
     web_logic: LinuxProcess,
 ) {
     let capacity = 64;
-    match scheme {
-        UidScheme::SharedAccount => {
-            let owner = Uid::new(uids::SHARED);
-            for name in queues::ALL {
-                kernel.create_queue(name, owner, Mode::new(0o600), capacity);
+    for channel in &CHANNELS {
+        let acl = scheme.queue_acl(channel);
+        match acl.group {
+            None => kernel.create_queue(channel.queue, acl.owner, acl.mode, capacity),
+            Some(group) => {
+                kernel.create_queue_grouped(channel.queue, acl.owner, group, acl.mode, capacity)
             }
-        }
-        UidScheme::PerProcessHardened => {
-            // owner = reader, group = single intended writer, mode 0620.
-            let mode = Mode::new(0o620);
-            let ctrl = Uid::new(uids::CONTROL);
-            kernel.create_queue_grouped(
-                queues::SENSOR_IN,
-                ctrl,
-                Uid::new(uids::SENSOR),
-                mode,
-                capacity,
-            );
-            kernel.create_queue_grouped(
-                queues::SETPOINT_IN,
-                ctrl,
-                Uid::new(uids::WEB),
-                mode,
-                capacity,
-            );
-            kernel.create_queue_grouped(
-                queues::STATUS_IN,
-                ctrl,
-                Uid::new(uids::WEB),
-                mode,
-                capacity,
-            );
-            kernel.create_queue_grouped(
-                queues::HEATER_CMD,
-                Uid::new(uids::HEATER),
-                ctrl,
-                mode,
-                capacity,
-            );
-            kernel.create_queue_grouped(
-                queues::ALARM_CMD,
-                Uid::new(uids::ALARM),
-                ctrl,
-                mode,
-                capacity,
-            );
-            kernel.create_queue_grouped(
-                queues::WEB_REPLY,
-                Uid::new(uids::WEB),
-                ctrl,
-                mode,
-                capacity,
-            );
         }
     }
 
-    let control_config = config.control;
-    kernel
-        .spawn(
-            names::CONTROL,
-            scheme.uid_of(names::CONTROL),
-            Box::new(LinuxControl::new(ControlCore::new(control_config))),
-        )
-        .expect("room for controller");
-    kernel
-        .spawn(
-            names::HEATER,
-            scheme.uid_of(names::HEATER),
-            Box::new(LinuxActuator::heater()),
-        )
-        .expect("room for heater");
-    kernel
-        .spawn(
-            names::ALARM,
-            scheme.uid_of(names::ALARM),
-            Box::new(LinuxActuator::alarm()),
-        )
-        .expect("room for alarm");
-    kernel
-        .spawn(
-            names::SENSOR,
-            scheme.uid_of(names::SENSOR),
-            Box::new(LinuxSensor::new(config.sensor_period)),
-        )
-        .expect("room for sensor");
-    kernel
-        .spawn(names::WEB, web_uid, web_logic)
-        .expect("room for web interface");
+    let mut web_logic = Some(web_logic);
+    for p in &PROCESSES {
+        let logic: LinuxProcess = match p.name {
+            names::CONTROL => Box::new(LinuxControl::new(ControlCore::new(config.control))),
+            names::HEATER => Box::new(LinuxActuator::heater()),
+            names::ALARM => Box::new(LinuxActuator::alarm()),
+            names::SENSOR => Box::new(LinuxSensor::new(config.sensor_period)),
+            names::WEB => web_logic.take().expect("one web interface"),
+            other => unreachable!("{other} has no Linux program"),
+        };
+        let uid = match p.name {
+            names::WEB => web_uid,
+            name => scheme.uid_of(name),
+        };
+        kernel
+            .spawn(p.name, uid, logic)
+            .expect("room for the scenario");
+    }
 }
 
 impl PlatformKernel for LinuxStack {
@@ -810,7 +761,6 @@ impl PlatformKernel for LinuxStack {
 
     fn resolve_churn(&self, op: &CapChurnOp) -> Vec<CapChurnOp> {
         churn_queues(&op.subject, &op.object)
-            .into_iter()
             .map(|queue| CapChurnOp {
                 object: queue.to_string(),
                 ..op.clone()
@@ -821,19 +771,17 @@ impl PlatformKernel for LinuxStack {
 
 /// Maps an instance-level channel (subject instance → destination
 /// instance) onto the mq names carrying it; an `op.object` that is
-/// already a VFS queue name (leading `/`) passes through unchanged.
+/// already a VFS queue name (leading `/`) names its queue directly.
 /// Unknown pairs map to nothing, and the churn op reports unresolved.
-fn churn_queues(subject: &str, object: &str) -> Vec<&'static str> {
-    use crate::proto::names;
-    if object.starts_with('/') {
-        return queues::ALL.into_iter().filter(|q| *q == object).collect();
-    }
-    match (subject, object) {
-        (names::SENSOR, names::CONTROL) => vec![queues::SENSOR_IN],
-        (names::WEB, names::CONTROL) => vec![queues::SETPOINT_IN, queues::STATUS_IN],
-        (names::CONTROL, names::HEATER) => vec![queues::HEATER_CMD],
-        (names::CONTROL, names::ALARM) => vec![queues::ALARM_CMD],
-        (names::CONTROL, names::WEB) => vec![queues::WEB_REPLY],
-        _ => Vec::new(),
-    }
+fn churn_queues<'a>(subject: &'a str, object: &'a str) -> impl Iterator<Item = &'static str> + 'a {
+    CHANNELS
+        .iter()
+        .filter(move |c| {
+            if object.starts_with('/') {
+                c.queue == object
+            } else {
+                c.from == subject && c.to == object
+            }
+        })
+        .map(|c| c.queue)
 }

@@ -27,10 +27,8 @@ use bas_sim::time::{SimDuration, SimTime};
 use crate::engine::{PlatformKernel, ScenarioEngine};
 use crate::logic::control::{ControlCore, Directive};
 use crate::logic::web::{WebAction, WebClient, WebStep};
-use crate::policy;
-use crate::proto::{
-    names, BasMsg, AC_ALARM, AC_CONTROL, AC_HEATER, AC_SCENARIO, AC_SENSOR, AC_WEB,
-};
+use crate::policy::{self, PROCESSES};
+use crate::proto::{names, BasMsg, AC_SCENARIO};
 use crate::scenario::{AppIo, Platform, ScenarioConfig};
 
 const LOOKUP_RETRY: SimDuration = SimDuration::from_millis(50);
@@ -892,15 +890,15 @@ fn boot_minix(config: &ScenarioConfig, overrides: MinixOverrides, io: &AppIo) ->
         }
     };
 
-    // Fork order: controller first so lookups converge quickly, then
-    // drivers, sensor, and finally the untrusted web interface.
-    let boot_plan: BootPlan = Arc::new([
-        (control_prog, AC_CONTROL, 1000),
-        (heater_prog, AC_HEATER, 1000),
-        (alarm_prog, AC_ALARM, 1000),
-        (sensor_prog, AC_SENSOR, 1000),
-        (web_prog, AC_WEB, overrides.web_uid),
-    ]);
+    // Fork order: the topology table's boot order.
+    let boot_plan: BootPlan = Arc::new(PROCESSES.map(|p| match p.name {
+        names::CONTROL => (control_prog, p.ac, 1000),
+        names::HEATER => (heater_prog, p.ac, 1000),
+        names::ALARM => (alarm_prog, p.ac, 1000),
+        names::SENSOR => (sensor_prog, p.ac, 1000),
+        names::WEB => (web_prog, p.ac, overrides.web_uid),
+        other => unreachable!("{other} has no MINIX program"),
+    }));
     let loader_name: Arc<str> = names::SCENARIO.into();
     spawn_boot_processes(&mut kernel, &loader_name, &boot_plan, overrides.supervise);
 
@@ -915,7 +913,7 @@ fn boot_minix(config: &ScenarioConfig, overrides: MinixOverrides, io: &AppIo) ->
 /// The boot-time spawns, shared verbatim between cold boot and
 /// [`PlatformKernel::reset_to_boot`]: the loader (who forks the plan
 /// through PM) and optionally the supervisor watching the four critical
-/// entries (the plan's head, in registration order).
+/// entries (every plan entry but the web interface's).
 fn spawn_boot_processes(
     kernel: &mut MinixKernel,
     loader_name: &Arc<str>,
@@ -932,10 +930,11 @@ fn spawn_boot_processes(
         .expect("fresh kernel has room for the loader");
 
     if supervise {
-        let watch = [names::CONTROL, names::HEATER, names::ALARM, names::SENSOR]
+        let watch = PROCESSES
             .iter()
             .zip(boot_plan.iter())
-            .map(|(&name, &(prog, ac, uid))| (name, prog, ac, uid))
+            .filter(|(p, _)| p.name != names::WEB)
+            .map(|(p, &(prog, ac, uid))| (p.name, prog, ac, uid))
             .collect();
         kernel
             .spawn(

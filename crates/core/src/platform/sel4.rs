@@ -29,8 +29,8 @@ use bas_sim::time::{SimDuration, SimTime};
 use crate::engine::{PlatformKernel, ScenarioEngine};
 use crate::logic::control::{ControlCore, Directive};
 use crate::logic::web::{WebAction, WebClient, WebStep};
-use crate::policy::{self, actuator_rpc, ctrl_rpc, instances};
-use crate::proto::{decode_i32, encode_i32, BasMsg};
+use crate::policy::{self, actuator_rpc, ctrl_rpc, PROCESSES};
+use crate::proto::{decode_i32, encode_i32, names, BasMsg};
 use crate::scenario::{AppIo, Platform, ScenarioConfig};
 
 // ---------------------------------------------------------------------------
@@ -167,7 +167,7 @@ impl Process for Sel4Control {
     }
 
     fn name(&self) -> &str {
-        instances::CONTROL
+        names::CONTROL
     }
 }
 
@@ -242,7 +242,7 @@ impl Process for Sel4Sensor {
     }
 
     fn name(&self) -> &str {
-        instances::SENSOR
+        names::SENSOR
     }
 }
 
@@ -403,7 +403,7 @@ impl Process for Sel4Web {
     }
 
     fn name(&self) -> &str {
-        instances::WEB
+        names::WEB
     }
 }
 
@@ -553,14 +553,8 @@ fn boot_sel4(config: &ScenarioConfig, overrides: Sel4Overrides, io: &AppIo) -> S
             .expect("ablation cap fits");
     }
 
-    for name in [
-        instances::CONTROL,
-        instances::HEATER,
-        instances::ALARM,
-        instances::SENSOR,
-        instances::WEB,
-    ] {
-        kernel.start_thread(sys.threads[name]);
+    for p in &PROCESSES {
+        kernel.start_thread(sys.threads[p.name]);
     }
 
     Sel4Stack {
@@ -586,33 +580,33 @@ fn scenario_loader(
     move |name: &str| -> Option<Sel4Thread> {
         let g = &*glue;
         match name {
-            x if x == instances::CONTROL => Some(Box::new(Sel4Control::new(
+            x if x == names::CONTROL => Some(Box::new(Sel4Control::new(
                 ControlCore::new(control_config),
-                RpcServer::new(g.server_slot(instances::CONTROL, "ctrl")?),
-                RpcClient::new(g.client_slot(instances::CONTROL, "fan")?),
-                RpcClient::new(g.client_slot(instances::CONTROL, "alarm")?),
-                g.badge_of(instances::SENSOR, "ctrl")?,
-                g.badge_of(instances::WEB, "ctrl")?,
+                RpcServer::new(g.server_slot(names::CONTROL, "ctrl")?),
+                RpcClient::new(g.client_slot(names::CONTROL, "fan")?),
+                RpcClient::new(g.client_slot(names::CONTROL, "alarm")?),
+                g.badge_of(names::SENSOR, "ctrl")?,
+                g.badge_of(names::WEB, "ctrl")?,
             ))),
-            x if x == instances::SENSOR => Some(Box::new(Sel4Sensor::new(
-                g.device_slot(instances::SENSOR, "temp")?,
-                RpcClient::new(g.client_slot(instances::SENSOR, "ctrl")?),
+            x if x == names::SENSOR => Some(Box::new(Sel4Sensor::new(
+                g.device_slot(names::SENSOR, "temp")?,
+                RpcClient::new(g.client_slot(names::SENSOR, "ctrl")?),
                 period,
             ))),
-            x if x == instances::HEATER => Some(Box::new(Sel4Actuator::new(
-                RpcServer::new(g.server_slot(instances::HEATER, "cmd")?),
-                g.device_slot(instances::HEATER, "fan")?,
-                instances::HEATER,
+            x if x == names::HEATER => Some(Box::new(Sel4Actuator::new(
+                RpcServer::new(g.server_slot(names::HEATER, "cmd")?),
+                g.device_slot(names::HEATER, "fan")?,
+                names::HEATER,
             ))),
-            x if x == instances::ALARM => Some(Box::new(Sel4Actuator::new(
-                RpcServer::new(g.server_slot(instances::ALARM, "cmd")?),
-                g.device_slot(instances::ALARM, "alarm")?,
-                instances::ALARM,
+            x if x == names::ALARM => Some(Box::new(Sel4Actuator::new(
+                RpcServer::new(g.server_slot(names::ALARM, "cmd")?),
+                g.device_slot(names::ALARM, "alarm")?,
+                names::ALARM,
             ))),
-            x if x == instances::WEB => match web_factory.take() {
+            x if x == names::WEB => match web_factory.take() {
                 Some(factory) => Some(factory(g)),
                 None => Some(Box::new(Sel4Web::new(
-                    RpcClient::new(g.client_slot(instances::WEB, "ctrl")?),
+                    RpcClient::new(g.client_slot(names::WEB, "ctrl")?),
                     &io,
                 ))),
             },
@@ -651,14 +645,8 @@ impl PlatformKernel for Sel4Stack {
         // to the template boot that already passed it.
         let mut loader = scenario_loader(config, self.glue.clone(), io, None);
         self.sys = realize(&self.spec, &mut self.kernel, &mut loader).expect("scenario realizes");
-        for name in [
-            instances::CONTROL,
-            instances::HEATER,
-            instances::ALARM,
-            instances::SENSOR,
-            instances::WEB,
-        ] {
-            self.kernel.start_thread(self.sys.threads[name]);
+        for p in &PROCESSES {
+            self.kernel.start_thread(self.sys.threads[p.name]);
         }
     }
 

@@ -2,12 +2,20 @@
 //!
 //! The paper derives all per-platform policy artifacts from one AADL
 //! architecture description ([`SCENARIO_AADL`], which mirrors its Fig. 2).
-//! This module provides the hand-built equivalents — the ACM, the CAmkES
-//! assembly, the Linux queue set — and the E9 experiment checks that the
-//! `bas-aadl` backends generate the same artifacts from the AADL source.
+//! Here the scenario topology is written once, as two static tables:
+//! [`PROCESSES`] (name, `ac_id`, hardened uid, AADL label, device) and
+//! [`CHANNELS`] (endpoints, message type, Linux queue, seL4 interface).
+//! The ACM rows, the device owners, the Linux loader's uids, queue ACLs
+//! and device nodes, and the static analyzer's bindings all derive from
+//! them. The CAmkES assembly stays hand-written, because its connection
+//! order fixes the badges. [`process_agreement`], [`channel_agreement`]
+//! and [`queue_agreement`] pin the tables to what the `bas-aadl` parser
+//! and backends read from the AADL source; the E9 experiment prints them.
 
 use std::collections::BTreeMap;
 
+use bas_aadl::backends::linux_plan::LinuxIpcPlan;
+use bas_aadl::AadlModel;
 use bas_acm::{AcId, AccessControlMatrix, AcmBuilder, MsgType, QuotaTable, SyscallClass};
 use bas_camkes::assembly::Assembly;
 use bas_camkes::component::{Component, Procedure};
@@ -15,9 +23,10 @@ use bas_minix::pm;
 use bas_sel4::rights::CapRights;
 use bas_sim::device::DeviceId;
 
+use crate::proto::names::{self, ALARM, CONTROL, HEATER, SENSOR, WEB};
 use crate::proto::{
-    AC_ALARM, AC_CONTROL, AC_HEATER, AC_SCENARIO, AC_SENSOR, AC_WEB, MT_ALARM_CMD, MT_FAN_CMD,
-    MT_SENSOR_READING, MT_SETPOINT, MT_STATUS_QUERY,
+    AC_ALARM, AC_CONTROL, AC_HEATER, AC_SCENARIO, AC_SENSOR, AC_WEB, MT_ACK, MT_ALARM_CMD,
+    MT_FAN_CMD, MT_SENSOR_READING, MT_SETPOINT, MT_STATUS_QUERY,
 };
 
 /// The scenario architecture in the AADL subset, mirroring the paper's
@@ -82,27 +91,225 @@ connections
 end TempControlSystem.impl;
 ";
 
-/// Application-level ACM rows: one typed channel per Fig. 2 connection
+/// One scenario process: the AADL subcomponent it is, plus the
+/// deployment facts the AADL subset cannot say (its hardened Linux uid
+/// and the device it drives).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProcessSpec {
+    /// Canonical process name, also its CAmkES instance name.
+    pub name: &'static str,
+    /// Its `ac_id`, as the AADL declares it.
+    pub ac: AcId,
+    /// Its uid under the hardened Linux scheme.
+    pub hardened_uid: u32,
+    /// Its subcomponent label in the AADL system.
+    pub aadl_instance: &'static str,
+    /// The device it drives, if any.
+    pub device: Option<DeviceId>,
+}
+
+/// One typed channel between two scenario processes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChannelSpec {
+    /// The sending process.
+    pub from: &'static str,
+    /// The receiving process.
+    pub to: &'static str,
+    /// The message type it carries.
+    pub msg_type: u32,
+    /// The Linux message queue carrying it.
+    pub queue: &'static str,
+    /// The interface of `to`'s CAmkES component that serves it; `None`
+    /// for the reply queue (seL4 replies ride the RPC reply capability).
+    pub server_iface: Option<&'static str>,
+    /// The AADL connection it implements; `None` for the reply queue,
+    /// which the Linux loader adds outside the AADL.
+    pub aadl: Option<&'static str>,
+}
+
+impl ProcessSpec {
+    const fn new(
+        name: &'static str,
+        ac: AcId,
+        hardened_uid: u32,
+        aadl_instance: &'static str,
+        device: Option<DeviceId>,
+    ) -> Self {
+        ProcessSpec {
+            name,
+            ac,
+            hardened_uid,
+            aadl_instance,
+            device,
+        }
+    }
+}
+
+impl ChannelSpec {
+    /// A channel implementing AADL connection `aadl`, served on seL4 by
+    /// `to`'s interface `server_iface`.
+    const fn aadl(
+        aadl: &'static str,
+        (from, to): (&'static str, &'static str),
+        msg_type: u32,
+        queue: &'static str,
+        server_iface: &'static str,
+    ) -> Self {
+        ChannelSpec {
+            from,
+            to,
+            msg_type,
+            queue,
+            server_iface: Some(server_iface),
+            aadl: Some(aadl),
+        }
+    }
+}
+
+/// The five application processes, written once, in boot order:
+/// controller first so lookups converge quickly, then the drivers, the
+/// sensor, and finally the untrusted web interface.
+#[rustfmt::skip]
+pub static PROCESSES: [ProcessSpec; 5] = [
+    //               name     ac_id       hardened uid  AADL label       owned device
+    ProcessSpec::new(CONTROL, AC_CONTROL, 1002,         "tempProc",      None),
+    ProcessSpec::new(HEATER,  AC_HEATER,  1003,         "heaterActProc", Some(DeviceId::FAN)),
+    ProcessSpec::new(ALARM,   AC_ALARM,   1004,         "alarmProc",     Some(DeviceId::ALARM)),
+    ProcessSpec::new(SENSOR,  AC_SENSOR,  1001,         "tempSensProc",  Some(DeviceId::TEMP_SENSOR)),
+    ProcessSpec::new(WEB,     AC_WEB,     1005,         "webInterface",  None),
+];
+
+/// Every channel, written once, in the Linux loader's queue-creation
+/// order: the five AADL connections (c4 and c5 both feed the controller
+/// from the web interface) and the controller → web reply queue, which
+/// the loader adds outside the AADL.
+#[rustfmt::skip]
+pub static CHANNELS: [ChannelSpec; 6] = [
+    //                AADL  (from,    to)       message type       Linux queue          seL4 interface
+    ChannelSpec::aadl("c1", (SENSOR,  CONTROL), MT_SENSOR_READING, queues::SENSOR_IN,   "ctrl"),
+    ChannelSpec::aadl("c4", (WEB,     CONTROL), MT_SETPOINT,       queues::SETPOINT_IN, "ctrl"),
+    ChannelSpec::aadl("c5", (WEB,     CONTROL), MT_STATUS_QUERY,   queues::STATUS_IN,   "ctrl"),
+    ChannelSpec::aadl("c2", (CONTROL, HEATER),  MT_FAN_CMD,        queues::HEATER_CMD,  "cmd"),
+    ChannelSpec::aadl("c3", (CONTROL, ALARM),   MT_ALARM_CMD,      queues::ALARM_CMD,   "cmd"),
+    ChannelSpec {
+        from: CONTROL,
+        to: WEB,
+        msg_type: MT_ACK,
+        queue: queues::WEB_REPLY,
+        server_iface: None,
+        aadl: None,
+    },
+];
+
+/// The scenario process named `name`.
+pub fn process(name: &str) -> Option<&'static ProcessSpec> {
+    PROCESSES.iter().find(|p| p.name == name)
+}
+
+fn ac_of(name: &str) -> AcId {
+    process(name)
+        .expect("channel ends are scenario processes")
+        .ac
+}
+
+/// One agreement check: the rows read from the AADL, then the rows of
+/// the tables, each sorted. The check holds when the two are equal.
+pub type Agreement<T> = (Vec<T>, Vec<T>);
+
+fn sorted<T: Ord>(mut rows: Vec<T>) -> Vec<T> {
+    rows.sort();
+    rows
+}
+
+/// The process name of an AADL subcomponent label (the label itself if
+/// no [`PROCESSES`] row carries it).
+fn name_of_label(label: &str) -> String {
+    PROCESSES
+        .iter()
+        .find(|p| p.aadl_instance == label)
+        .map_or(label, |p| p.name)
+        .to_string()
+}
+
+/// `(label, ac_id)` of every AADL subcomponent and of every
+/// [`PROCESSES`] row.
+pub fn process_agreement(model: &AadlModel) -> Agreement<(String, Option<u32>)> {
+    let aadl = model
+        .system
+        .iter()
+        .flat_map(|s| &s.subcomponents)
+        .map(|(label, _)| {
+            let ac = model.process_of_instance(label).and_then(|p| p.ac_id);
+            (label.clone(), ac)
+        })
+        .collect();
+    let tables = PROCESSES
+        .iter()
+        .map(|p| (p.aadl_instance.to_string(), Some(p.ac.as_u32())))
+        .collect();
+    (sorted(aadl), sorted(tables))
+}
+
+/// `(connection, from, to, msg type)` of every AADL connection, in
+/// process names, and of every [`CHANNELS`] row that implements one.
+pub fn channel_agreement(model: &AadlModel) -> Agreement<(String, String, String, Option<u32>)> {
+    let aadl = model
+        .system
+        .iter()
+        .flat_map(|s| &s.connections)
+        .map(|c| {
+            let msg_type = model
+                .process_of_instance(&c.from.0)
+                .and_then(|p| p.port(&c.from.1))
+                .and_then(|port| port.msg_type);
+            let (from, to) = (name_of_label(&c.from.0), name_of_label(&c.to.0));
+            (c.name.clone(), from, to, msg_type)
+        })
+        .collect();
+    let tables = CHANNELS
+        .iter()
+        .filter_map(|c| {
+            let label = c.aadl?.to_string();
+            Some((label, c.from.into(), c.to.into(), Some(c.msg_type)))
+        })
+        .collect();
+    (sorted(aadl), sorted(tables))
+}
+
+/// `(queue, reader, writers)` of every queue in the Linux plan, in
+/// process names, and of every [`CHANNELS`] row that implements an AADL
+/// connection.
+pub fn queue_agreement(plan: &LinuxIpcPlan) -> Agreement<(String, String, Vec<String>)> {
+    let aadl = plan
+        .queues
+        .iter()
+        .map(|q| {
+            let writers = sorted(q.writers.iter().map(|w| name_of_label(w)).collect());
+            (q.name.clone(), name_of_label(&q.reader), writers)
+        })
+        .collect();
+    let tables = CHANNELS
+        .iter()
+        .filter(|c| c.aadl.is_some())
+        .map(|c| (c.queue.into(), c.to.into(), vec![c.from.into()]))
+        .collect();
+    (sorted(aadl), sorted(tables))
+}
+
+/// Application-level ACM rows: one typed channel per AADL connection
 /// plus acknowledgments both ways on every connected pair.
 pub fn scenario_app_acm() -> AccessControlMatrix {
     app_rows(AccessControlMatrix::builder()).build()
 }
 
-fn app_rows(builder: AcmBuilder) -> AcmBuilder {
+fn app_rows(mut builder: AcmBuilder) -> AcmBuilder {
+    for c in CHANNELS.iter().filter(|c| c.aadl.is_some()) {
+        let (from, to) = (ac_of(c.from), ac_of(c.to));
+        builder = builder
+            .allow(from, to, [MsgType::new(c.msg_type)])
+            .allow_ack_between(from, to);
+    }
     builder
-        // c1: sensor → control, sensor readings.
-        .allow(AC_SENSOR, AC_CONTROL, [MsgType::new(MT_SENSOR_READING)])
-        .allow_ack_between(AC_SENSOR, AC_CONTROL)
-        // c2: control → heater, fan commands.
-        .allow(AC_CONTROL, AC_HEATER, [MsgType::new(MT_FAN_CMD)])
-        .allow_ack_between(AC_CONTROL, AC_HEATER)
-        // c3: control → alarm, alarm commands.
-        .allow(AC_CONTROL, AC_ALARM, [MsgType::new(MT_ALARM_CMD)])
-        .allow_ack_between(AC_CONTROL, AC_ALARM)
-        // c4/c5: web → control, setpoint updates and status queries.
-        .allow(AC_WEB, AC_CONTROL, [MsgType::new(MT_SETPOINT)])
-        .allow_ack_between(AC_WEB, AC_CONTROL)
-        .allow(AC_WEB, AC_CONTROL, [MsgType::new(MT_STATUS_QUERY)])
 }
 
 /// The full MINIX ACM: application rows plus PM-server rows.
@@ -113,7 +320,24 @@ fn app_rows(builder: AcmBuilder) -> AcmBuilder {
 /// "the policy explicitly disallowed the web interface process to use
 /// kill".
 pub fn scenario_acm() -> AccessControlMatrix {
-    let mut b = app_rows(AccessControlMatrix::builder());
+    pm_rows(app_rows(AccessControlMatrix::builder())).build()
+}
+
+/// The A1 ablation's matrix, "a microkernel with message passing but
+/// no mandatory IPC policy": every application pair may exchange every
+/// message type. The PM rows are unchanged (kill is still denied to the
+/// web interface): the ablation is about the application matrix.
+pub fn permissive_acm() -> AccessControlMatrix {
+    let mut b = AccessControlMatrix::builder();
+    for s in &PROCESSES {
+        for r in PROCESSES.iter().filter(|r| r.ac != s.ac) {
+            b = b.allow_all_types(s.ac, r.ac);
+        }
+    }
+    pm_rows(b).build()
+}
+
+fn pm_rows(mut b: AcmBuilder) -> AcmBuilder {
     b = pm::allow_pm_ops(
         b,
         AC_SCENARIO,
@@ -125,20 +349,21 @@ pub fn scenario_acm() -> AccessControlMatrix {
             pm::PM_GETPID,
         ],
     );
-    b = pm::allow_pm_ops(b, AC_WEB, [pm::PM_FORK2, pm::PM_GETPID]);
-    for ac in [AC_SENSOR, AC_CONTROL, AC_HEATER, AC_ALARM] {
-        b = pm::allow_pm_ops(b, ac, [pm::PM_GETPID]);
+    for p in &PROCESSES {
+        b = pm::allow_pm_ops(b, p.ac, [pm::PM_GETPID]);
     }
-    b.build()
+    pm::allow_pm_ops(b, AC_WEB, [pm::PM_FORK2])
 }
 
 /// Device ownership on MINIX: each device belongs to exactly its driver
 /// identity.
 pub fn scenario_device_owners() -> BTreeMap<DeviceId, AcId> {
     let mut owners = BTreeMap::new();
-    owners.insert(DeviceId::TEMP_SENSOR, AC_SENSOR);
-    owners.insert(DeviceId::FAN, AC_HEATER);
-    owners.insert(DeviceId::ALARM, AC_ALARM);
+    for p in &PROCESSES {
+        if let Some(dev) = p.device {
+            owners.insert(dev, p.ac);
+        }
+    }
     owners
 }
 
@@ -151,23 +376,6 @@ pub fn scenario_quotas(web_fork_limit: Option<u64>) -> QuotaTable {
         quotas.set_limit(AC_WEB, SyscallClass::Fork, limit);
     }
     quotas
-}
-
-/// CAmkES instance names. These reuse the canonical process names so the
-/// cross-platform liveness checks treat threads and processes uniformly
-/// (the AADL source keeps the paper's `tempProc`-style subcomponent
-/// labels).
-pub mod instances {
-    /// Sensor driver instance.
-    pub const SENSOR: &str = crate::proto::names::SENSOR;
-    /// Controller instance.
-    pub const CONTROL: &str = crate::proto::names::CONTROL;
-    /// Heater/fan driver instance.
-    pub const HEATER: &str = crate::proto::names::HEATER;
-    /// Alarm driver instance.
-    pub const ALARM: &str = crate::proto::names::ALARM;
-    /// Web interface instance.
-    pub const WEB: &str = crate::proto::names::WEB;
 }
 
 /// RPC method labels on the controller's provided interface.
@@ -223,28 +431,16 @@ pub fn scenario_assembly() -> Assembly {
     let web = Component::new("WebInterfaceProcess").uses("ctrl", ctrl_api);
 
     Assembly::new()
-        .instance(instances::CONTROL, control)
-        .instance(instances::SENSOR, sensor)
-        .instance(instances::HEATER, heater)
-        .instance(instances::ALARM, alarm)
-        .instance(instances::WEB, web)
+        .instance(names::CONTROL, control)
+        .instance(names::SENSOR, sensor)
+        .instance(names::HEATER, heater)
+        .instance(names::ALARM, alarm)
+        .instance(names::WEB, web)
         // Badge order: sensor = 1, web = 2 on the controller endpoint.
-        .rpc_connection(
-            "c1",
-            (instances::SENSOR, "ctrl"),
-            (instances::CONTROL, "ctrl"),
-        )
-        .rpc_connection("c4", (instances::WEB, "ctrl"), (instances::CONTROL, "ctrl"))
-        .rpc_connection(
-            "c2",
-            (instances::CONTROL, "fan"),
-            (instances::HEATER, "cmd"),
-        )
-        .rpc_connection(
-            "c3",
-            (instances::CONTROL, "alarm"),
-            (instances::ALARM, "cmd"),
-        )
+        .rpc_connection("c1", (names::SENSOR, "ctrl"), (names::CONTROL, "ctrl"))
+        .rpc_connection("c4", (names::WEB, "ctrl"), (names::CONTROL, "ctrl"))
+        .rpc_connection("c2", (names::CONTROL, "fan"), (names::HEATER, "cmd"))
+        .rpc_connection("c3", (names::CONTROL, "alarm"), (names::ALARM, "cmd"))
 }
 
 /// Linux message-queue names — six queues, as in §IV-C ("creates 6
@@ -262,22 +458,11 @@ pub mod queues {
     pub const ALARM_CMD: &str = "/mq_alarmProc_cmd_in";
     /// control → web replies (acks/status).
     pub const WEB_REPLY: &str = "/mq_webInterface_reply";
-
-    /// All six queue names.
-    pub const ALL: [&str; 6] = [
-        SENSOR_IN,
-        SETPOINT_IN,
-        STATUS_IN,
-        HEATER_CMD,
-        ALARM_CMD,
-        WEB_REPLY,
-    ];
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::MT_ACK;
 
     #[test]
     fn web_cannot_fake_sensor_readings_by_policy() {
@@ -340,29 +525,18 @@ mod tests {
     }
 
     #[test]
-    fn aadl_camkes_backend_produces_valid_assembly() {
+    fn tables_agree_with_the_aadl_both_ways() {
         let model = bas_aadl::parse(SCENARIO_AADL).unwrap();
-        let assembly = bas_aadl::backends::camkes::compile(&model).unwrap();
-        assert!(assembly.validate().is_ok());
-        assert_eq!(assembly.instances.len(), 5);
-        assert_eq!(assembly.connections.len(), 5);
-    }
-
-    #[test]
-    fn aadl_linux_plan_covers_five_in_ports() {
-        let model = bas_aadl::parse(SCENARIO_AADL).unwrap();
+        let (aadl, tables) = process_agreement(&model);
+        assert_eq!(aadl.len(), 5);
+        assert_eq!(aadl, tables, "instance labels and ac_ids");
+        let (aadl, tables) = channel_agreement(&model);
+        assert_eq!(aadl.len(), 5);
+        assert_eq!(aadl, tables, "connections: endpoints and message types");
         let plan = bas_aadl::backends::linux_plan::compile(&model).unwrap();
-        assert_eq!(plan.queues.len(), 5, "one queue per connected in-port");
-        let q = plan.queue_for("tempProc", "sensor_in").unwrap();
-        assert_eq!(
-            q.name,
-            queues::SENSOR_IN,
-            "hand constants match generated names"
-        );
-        assert_eq!(
-            plan.queue_for("heaterActProc", "cmd_in").unwrap().name,
-            queues::HEATER_CMD
-        );
+        let (aadl, tables) = queue_agreement(&plan);
+        assert_eq!(aadl.len(), 5);
+        assert_eq!(aadl, tables, "queue plan: names, readers and writers");
     }
 
     #[test]
@@ -370,11 +544,11 @@ mod tests {
         let (spec, glue) = bas_camkes::codegen::compile(&scenario_assembly()).unwrap();
         assert!(spec.validate().is_ok());
         // Badge layout: sensor 1, web 2.
-        assert_eq!(glue.badge_of(instances::SENSOR, "ctrl"), Some(1));
-        assert_eq!(glue.badge_of(instances::WEB, "ctrl"), Some(2));
+        assert_eq!(glue.badge_of(names::SENSOR, "ctrl"), Some(1));
+        assert_eq!(glue.badge_of(names::WEB, "ctrl"), Some(2));
         // Drivers hold device caps; web holds exactly one cap.
-        assert!(glue.device_slot(instances::HEATER, "fan").is_some());
-        let web_caps = spec.caps_of(instances::WEB).count();
+        assert!(glue.device_slot(names::HEATER, "fan").is_some());
+        let web_caps = spec.caps_of(names::WEB).count();
         assert_eq!(web_caps, 1, "web interface has only its RPC capability");
     }
 

@@ -579,6 +579,8 @@ impl LinuxKernel {
                     }
                     self.ready_with(pid, Reply::Ok);
                 } else {
+                    let queue = self.queue_ref(qid).expect("interned").name.clone();
+                    self.exec.deny(pid, Detail::MqDeny { uid, queue });
                     self.ready_with(pid, Reply::Err(LinuxError::AccessDenied));
                 }
             }

@@ -71,7 +71,7 @@ pub enum Detail {
         /// Its permission bits.
         mode: u16,
     },
-    /// `dac.deny`: `uid` may not open `queue`.
+    /// `dac.deny`: `uid` may not open or unlink `queue`.
     MqDeny {
         /// The caller's uid.
         uid: Uid,

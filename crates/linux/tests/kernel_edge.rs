@@ -7,6 +7,7 @@ use bas_linux::error::LinuxError;
 use bas_linux::kernel::{LinuxConfig, LinuxKernel, MqCreate};
 use bas_linux::mq::MQ_MSG_MAX;
 use bas_linux::syscall::{MqAccess, Reply, Signal, Syscall};
+use bas_linux::trace::Detail;
 use bas_sim::kernel::Kernel;
 use bas_sim::script::{replies, Script};
 
@@ -32,6 +33,13 @@ fn unlink_requires_ownership_or_root() {
     k.spawn("stranger", 2000, Box::new(stranger)).unwrap();
     k.run_to_quiescence();
     assert_eq!(replies(&s_log), vec![Reply::Err(LinuxError::AccessDenied)]);
+    assert_eq!(k.metrics().access_denied, 1);
+    let denials: Vec<&Detail> = k.trace().events_in("dac.deny").map(|e| &e.detail).collect();
+    assert!(
+        matches!(denials.as_slice(), [Detail::MqDeny { uid, queue }]
+            if *uid == Uid::new(2000) && &**queue == "/owned"),
+        "one typed refusal: {denials:?}"
+    );
 
     let (root, r_log) = S::new(vec![Syscall::MqUnlink {
         name: "/owned".into(),

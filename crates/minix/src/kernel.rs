@@ -487,8 +487,11 @@ impl MinixKernel {
         }
         if let Some(value) = write {
             if self.quotas.charge(ac, SyscallClass::DeviceWrite).is_err() {
-                self.ready_with(pid, Reply::Err(MinixError::QuotaExceeded));
-                return;
+                let spent = Detail::QuotaDeny {
+                    ac,
+                    class: SyscallClass::DeviceWrite,
+                };
+                return self.deny(pid, spent, MinixError::QuotaExceeded);
             }
             match self.exec.devices.write(dev, value) {
                 Ok(()) => {
@@ -880,10 +883,20 @@ impl MinixKernel {
             }
             pm::PM_KILL => {
                 let target = pm::decode_kill(&payload);
+                let refused = Detail::KillDeny {
+                    by: caller_ep,
+                    target,
+                };
                 if target == pm::PM_ENDPOINT {
+                    self.exec.deny(caller, refused);
                     return Some((pm::PM_ERR, pm::encode_err(MinixError::PermissionDenied)));
                 }
                 if self.quotas.charge(caller_ac, SyscallClass::Kill).is_err() {
+                    let spent = Detail::QuotaDeny {
+                        ac: caller_ac,
+                        class: SyscallClass::Kill,
+                    };
+                    self.exec.deny(caller, spent);
                     return Some((pm::PM_ERR, pm::encode_err(MinixError::QuotaExceeded)));
                 }
                 let Some(target_pid) = self.lookup_live(target) else {
@@ -894,6 +907,7 @@ impl MinixKernel {
                 // addition to* the ACM having allowed the KILL message type
                 // at all.
                 if caller_uid != 0 && caller_uid != target_uid {
+                    self.exec.deny(caller, refused);
                     return Some((pm::PM_ERR, pm::encode_err(MinixError::PermissionDenied)));
                 }
                 self.exec.record(

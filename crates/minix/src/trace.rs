@@ -87,7 +87,7 @@ pub enum Detail {
     QuotaDeny {
         /// The charged identity.
         ac: AcId,
-        /// The exhausted class (`send` or `fork`).
+        /// The exhausted class.
         class: SyscallClass,
     },
     /// `dev.deny`: `ac` does not own `dev`.
@@ -114,6 +114,14 @@ pub enum Detail {
         granter: Endpoint,
         /// Why it was refused.
         err: GrantError,
+    },
+    /// `pm.deny`: PM refused `by`'s request to kill `target` (PM itself,
+    /// or a process of another uid).
+    KillDeny {
+        /// The requesting endpoint.
+        by: Endpoint,
+        /// The endpoint it named.
+        target: Endpoint,
     },
     /// `pm.kill`: `by` had PM kill `target`.
     PmKill {
@@ -177,6 +185,7 @@ impl TraceDetail for Detail {
             Detail::DevDeny { .. } => "dev.deny",
             Detail::DevWrite { .. } => "dev.write",
             Detail::GrantDeny { .. } => "grant.deny",
+            Detail::KillDeny { .. } => "pm.deny",
             Detail::PmKill { .. } => "pm.kill",
         }
     }
@@ -235,6 +244,7 @@ impl fmt::Display for Detail {
                 granter,
                 err,
             } => write!(f, "{caller} on grant {grant:?} of {granter}: {err}"),
+            Detail::KillDeny { by, target } => write!(f, "{by} may not kill {target}"),
             Detail::PmKill { by, target } => write!(f, "{by} killed {target}"),
         }
     }
@@ -371,6 +381,13 @@ mod tests {
                     "{ep} on grant GrantId(9) of {other}: {}",
                     GrantError::NotGrantee
                 ),
+            ),
+            (
+                Detail::KillDeny {
+                    by: ep,
+                    target: other,
+                },
+                format!("{ep} may not kill {other}"),
             ),
             (
                 Detail::PmKill {

@@ -9,6 +9,7 @@ use bas_minix::pm::{
     PM_FORK2, PM_GETPID, PM_KILL, PM_OK,
 };
 use bas_minix::syscall::{Reply, Syscall};
+use bas_minix::trace::Detail;
 use bas_sim::device::DeviceId;
 use bas_sim::kernel::Kernel;
 use bas_sim::script::{replies, Script};
@@ -18,6 +19,20 @@ type S = Script<Syscall, Reply>;
 const LOADER: AcId = AcId::new(2);
 const CHILD: AcId = AcId::new(100);
 const WEB: AcId = AcId::new(104);
+
+/// The kernel's refusal records, after checking that each one is
+/// counted in `access_denied` and nothing else is.
+fn denials(k: &MinixKernel) -> Vec<Detail> {
+    let records: Vec<Detail> = k
+        .trace()
+        .events()
+        .iter()
+        .filter(|e| e.category().ends_with(".deny"))
+        .map(|e| e.detail.clone())
+        .collect();
+    assert_eq!(k.metrics().access_denied, records.len() as u64);
+    records
+}
 
 fn pm_acm(kill_for_loader: bool) -> AccessControlMatrix {
     let b = AccessControlMatrix::builder();
@@ -135,12 +150,13 @@ fn kill_allowed_by_acm_still_needs_uid_permission() {
         payload: encode_kill(victim),
     }])
     .logged();
-    k.spawn("loader", LOADER, 42, Box::new(loader)).unwrap();
+    let by = k.spawn("loader", LOADER, 42, Box::new(loader)).unwrap();
     k.run_to_quiescence();
     let msg = *replies(&log)[0].message().unwrap();
     assert_eq!(msg.mtype, PM_ERR);
     assert_eq!(decode_err(&msg.payload), Some(MinixError::PermissionDenied));
     assert!(k.is_alive(victim));
+    assert_eq!(denials(&k), vec![Detail::KillDeny { by, target: victim }]);
 }
 
 #[test]
@@ -183,10 +199,62 @@ fn pm_itself_cannot_be_killed() {
         payload: encode_kill(PM_ENDPOINT),
     }])
     .logged();
-    k.spawn("loader", LOADER, 0, Box::new(loader)).unwrap();
+    let by = k.spawn("loader", LOADER, 0, Box::new(loader)).unwrap();
     k.run_to_quiescence();
     let msg = *replies(&log)[0].message().unwrap();
     assert_eq!(decode_err(&msg.payload), Some(MinixError::PermissionDenied));
+    assert_eq!(
+        denials(&k),
+        vec![Detail::KillDeny {
+            by,
+            target: PM_ENDPOINT
+        }]
+    );
+}
+
+#[test]
+fn kill_quota_refuses_the_second_kill() {
+    let mut quotas = QuotaTable::new();
+    quotas.set_limit(LOADER, SyscallClass::Kill, 1);
+    let mut k = MinixKernel::new(MinixConfig {
+        acm: pm_acm(true),
+        quotas,
+        ..MinixConfig::default()
+    });
+    let victims: Vec<_> = ["first", "second"]
+        .into_iter()
+        .map(|name| {
+            let idle = Box::new(S::new(vec![Syscall::Receive { from: None }]));
+            k.spawn(name, CHILD, 1000, idle).unwrap()
+        })
+        .collect();
+    let kills = victims
+        .iter()
+        .map(|&v| Syscall::SendRec {
+            dest: PM_ENDPOINT,
+            mtype: PM_KILL,
+            payload: encode_kill(v),
+        })
+        .collect();
+    let (loader, log) = S::new(kills).logged();
+    k.spawn("loader", LOADER, 0, Box::new(loader)).unwrap();
+    k.run_to_quiescence();
+    let replies = replies(&log);
+    assert_eq!(replies[0].message().unwrap().mtype, PM_OK);
+    let refused = replies[1].message().unwrap();
+    assert_eq!(
+        decode_err(&refused.payload),
+        Some(MinixError::QuotaExceeded)
+    );
+    assert!(!k.is_alive(victims[0]));
+    assert!(k.is_alive(victims[1]));
+    assert_eq!(
+        denials(&k),
+        vec![Detail::QuotaDeny {
+            ac: LOADER,
+            class: SyscallClass::Kill
+        }]
+    );
 }
 
 #[test]
@@ -374,6 +442,46 @@ fn device_access_gated_by_ownership() {
         "driver's write landed; attacker's was dropped"
     );
     assert_eq!(k.trace().events_in("dev.deny").count(), 1);
+    assert_eq!(denials(&k), vec![Detail::DevDeny { dev, ac: WEB }]);
+}
+
+#[test]
+fn device_write_quota_refuses_the_owner_too() {
+    let dev = DeviceId::FAN;
+    let mut quotas = QuotaTable::new();
+    quotas.set_limit(CHILD, SyscallClass::DeviceWrite, 1);
+    let mut k = MinixKernel::new(MinixConfig {
+        acm: AccessControlMatrix::deny_all(),
+        device_owners: [(dev, CHILD)].into(),
+        quotas,
+        ..MinixConfig::default()
+    });
+    struct Sink;
+    impl bas_sim::device::Device for Sink {
+        fn read(&mut self) -> i64 {
+            0
+        }
+        fn write(&mut self, _: i64) {}
+    }
+    k.devices_mut().register(dev, Box::new(Sink));
+    let writes = vec![
+        Syscall::DevWrite { dev, value: 1 },
+        Syscall::DevWrite { dev, value: 0 },
+    ];
+    let (driver, log) = S::new(writes).logged();
+    k.spawn("driver", CHILD, 1000, Box::new(driver)).unwrap();
+    k.run_to_quiescence();
+    assert_eq!(
+        replies(&log),
+        vec![Reply::Ok, Reply::Err(MinixError::QuotaExceeded)]
+    );
+    assert_eq!(
+        denials(&k),
+        vec![Detail::QuotaDeny {
+            ac: CHILD,
+            class: SyscallClass::DeviceWrite
+        }]
+    );
 }
 
 #[test]
