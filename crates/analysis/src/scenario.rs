@@ -67,7 +67,7 @@ fn finish(mut model: PolicyModel, attacker: AttackerModel, web_uid: Option<u32>)
     model
 }
 
-/// MINIX 3 + ACM. `acm` overrides the scenario matrix (the E10 ablation);
+/// MINIX 3 + ACM. `acm` overrides the scenario matrix (the A1 ablation);
 /// `web_fork_limit` is the fork-quota knob.
 pub fn minix_model(
     attacker: AttackerModel,

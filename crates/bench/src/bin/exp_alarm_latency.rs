@@ -103,10 +103,7 @@ fn main() {
                             ("min_s", Json::Num(*min)),
                             ("max_s", Json::Num(hist.max_s)),
                             ("bin_width_s", Json::Num(hist.bin_width_s)),
-                            (
-                                "counts",
-                                Json::Arr(hist.counts.iter().map(|&c| Json::UInt(c)).collect()),
-                            ),
+                            ("counts", Json::Arr(hist.counts().map(Json::UInt).collect())),
                             ("overflow", Json::UInt(hist.overflow)),
                         ])
                     })

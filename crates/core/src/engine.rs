@@ -271,6 +271,10 @@ impl<K: PlatformKernel> Scenario for ScenarioEngine<K> {
         self.stack.kernel().trace().events_in(category).count()
     }
 
+    fn disable_trace(&mut self) {
+        self.stack.kernel_mut().disable_trace();
+    }
+
     fn web_responses(&self) -> Vec<BasMsg> {
         self.io.responses.borrow().clone()
     }

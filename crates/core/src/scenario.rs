@@ -248,6 +248,12 @@ pub trait Scenario {
     /// Number of kernel-trace events in a category (e.g. `"acm.deny"`).
     fn trace_count(&self, category: &str) -> usize;
 
+    /// Stops the kernel trace from recording further events (see
+    /// [`bas_sim::kernel::Kernel::disable_trace`]). The setting survives
+    /// [`Scenario::reset_to_boot`], which clears the events already kept;
+    /// nothing the scenario reports besides `trace_count` reads the trace.
+    fn disable_trace(&mut self);
+
     /// Responses observed by the web interface.
     fn web_responses(&self) -> Vec<BasMsg>;
 

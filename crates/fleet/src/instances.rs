@@ -57,7 +57,19 @@ impl InstancePool {
     /// [`instance_seed`]`(config.root_seed, index)`: recycled from the
     /// freelist when possible, forked from the snapshot otherwise, and
     /// cold-booted when the pool has no snapshot.
+    ///
+    /// The engine comes with its kernel trace off: no report reads it,
+    /// and it would grow with every kernel event. For a traced run of the
+    /// same instance, [`EngineSnapshot::materialize`] (or
+    /// `bas_core::boot_platform`) the same seed directly.
     pub fn checkout(&mut self, config: &FleetConfig, index: usize) -> Box<dyn Scenario> {
+        let mut engine = self.engine_for(config, index);
+        engine.disable_trace();
+        engine
+    }
+
+    /// [`Self::checkout`]'s engine, before its trace is switched off.
+    fn engine_for(&mut self, config: &FleetConfig, index: usize) -> Box<dyn Scenario> {
         let seed = instance_seed(config.root_seed, index);
         let Some(snapshot) = &self.snapshot else {
             self.materialized += 1;
@@ -123,6 +135,23 @@ mod tests {
         assert_eq!(pool.materialized(), 2);
         assert_eq!(pool.recycled(), 1);
         assert_eq!(pool.idle(), 1);
+    }
+
+    #[test]
+    fn checked_out_engines_run_untraced() {
+        // Forked, recycled and cold-booted engines alike: the plant's
+        // device writes happen, but the kernel trace keeps none of them.
+        let config = FleetConfig::benign(Platform::Sel4, 3, 1);
+        let snapshot = Arc::new(EngineSnapshot::capture(config.platform, &config.template));
+        for mut pool in [InstancePool::new(Some(snapshot)), InstancePool::new(None)] {
+            for index in 0..3 {
+                let mut engine = pool.checkout(&config, index);
+                engine.run_for(bas_sim::time::SimDuration::from_mins(1));
+                assert!(engine.metrics().ipc_messages > 0);
+                assert_eq!(engine.trace_count("dev.write"), 0);
+                pool.checkin(engine);
+            }
+        }
     }
 
     #[test]

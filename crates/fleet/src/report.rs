@@ -15,12 +15,21 @@ use serde::{Deserialize, Serialize};
 use crate::json::Json;
 
 /// A fixed-width histogram of latencies, seconds.
+///
+/// Its geometry is a bin count and `bin_width_s`, but it stores
+/// counts only up to its highest occupied bin: the bins past them read
+/// zero. A fleet holds one request histogram per instance and nearly
+/// every request lands in bin 0, so a dense array would be almost all
+/// zeros. [`LatencyHistogram::counts`] yields every bin.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencyHistogram {
     /// Width of each bin, seconds.
     pub bin_width_s: f64,
-    /// `counts[i]` covers `[i·w, (i+1)·w)`.
-    pub counts: Vec<u64>,
+    /// Bin `i` covers `[i·w, (i+1)·w)` for `i < bins`.
+    bins: usize,
+    /// Counts of bins `0..counts.len()`; the last one stored is nonzero,
+    /// so equal histograms store equal vectors.
+    counts: Vec<u64>,
     /// Samples at or beyond the last bin edge.
     pub overflow: u64,
     /// Non-finite samples (NaN/±inf) rejected by [`record`]: they carry
@@ -48,13 +57,20 @@ impl LatencyHistogram {
     pub fn new(bin_width_s: f64, bins: usize) -> Self {
         LatencyHistogram {
             bin_width_s,
-            counts: vec![0; bins],
+            bins,
+            counts: Vec::new(),
             overflow: 0,
             invalid: 0,
             samples: 0,
             sum_s: 0.0,
             max_s: 0.0,
         }
+    }
+
+    /// Every bin's count, in order: one value per bin of the geometry,
+    /// zeros included.
+    pub fn counts(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        (0..self.bins).map(|i| self.counts.get(i).copied().unwrap_or(0))
     }
 
     /// Records one latency sample.
@@ -72,8 +88,12 @@ impl LatencyHistogram {
         }
         let v = latency_s.max(0.0);
         let bin = v / self.bin_width_s;
-        if bin.is_finite() && (bin.floor() as usize) < self.counts.len() {
-            self.counts[bin.floor() as usize] += 1;
+        let i = bin.floor() as usize;
+        if bin.is_finite() && i < self.bins {
+            if i >= self.counts.len() {
+                self.counts.resize(i + 1, 0);
+            }
+            self.counts[i] += 1;
         } else {
             // Beyond the last edge — including the degenerate
             // bin_width_s <= 0 geometry, where every bin is empty.
@@ -98,10 +118,13 @@ impl LatencyHistogram {
     /// Folds `other` into `self`. Both histograms must share a geometry.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         assert_eq!(
-            (self.bin_width_s, self.counts.len()),
-            (other.bin_width_s, other.counts.len()),
+            (self.bin_width_s, self.bins),
+            (other.bin_width_s, other.bins),
             "merging histograms with different geometries"
         );
+        if self.counts.len() < other.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -126,6 +149,8 @@ impl LatencyHistogram {
         }
         let rank = ((p * self.samples as f64).ceil() as u64).clamp(1, self.samples);
         let mut seen = 0u64;
+        // The unstored bins are empty, so a rank not reached in the
+        // stored ones lies in the overflow region.
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
@@ -139,10 +164,7 @@ impl LatencyHistogram {
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("bin_width_s", Json::Num(self.bin_width_s)),
-            (
-                "counts",
-                Json::Arr(self.counts.iter().map(|&c| Json::UInt(c)).collect()),
-            ),
+            ("counts", Json::Arr(self.counts().map(Json::UInt).collect())),
             ("overflow", Json::UInt(self.overflow)),
             ("invalid", Json::UInt(self.invalid)),
             ("samples", Json::UInt(self.samples)),
@@ -155,17 +177,20 @@ impl LatencyHistogram {
 /// Web-request accounting for one instance (the E18 traffic runs).
 ///
 /// Latency is `completed - scheduled` per request — open-loop time in
-/// queue plus the RPC round trip — binned at sub-millisecond geometry
+/// queue plus the RPC round trip — binned at millisecond geometry
 /// ([`RequestStats::BIN_WIDTH_S`]) since kernel round trips sit far
-/// below the 30 s alarm-latency bins.
+/// below the 30 s alarm-latency bins; a round trip well under 1 ms
+/// lands in bin 0.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RequestStats {
     /// Requests completed (a response came back, ok or error).
     pub requests: u64,
     /// Requests whose response decoded as a success.
     pub ok: u64,
-    /// Request-latency distribution, seconds.
-    pub latency: LatencyHistogram,
+    /// Request-latency distribution, seconds. Boxed so that the
+    /// `Option<RequestStats>` every [`InstanceReport`] holds costs a
+    /// pointer, not an inline histogram, on instances without requests.
+    pub latency: Box<LatencyHistogram>,
 }
 
 impl RequestStats {
@@ -180,7 +205,7 @@ impl RequestStats {
         RequestStats {
             requests: 0,
             ok: 0,
-            latency: LatencyHistogram::new(Self::BIN_WIDTH_S, Self::BINS),
+            latency: Box::new(LatencyHistogram::new(Self::BIN_WIDTH_S, Self::BINS)),
         }
     }
 
@@ -261,8 +286,8 @@ pub struct InstanceReport {
 
 impl InstanceReport {
     /// Snapshots benign instance `index`, seeded with `seed`, as `engine`
-    /// stands now.
-    pub(crate) fn from_scenario(index: usize, seed: u64, engine: &dyn Scenario) -> InstanceReport {
+    /// stands now: the report a fleet worker writes for it.
+    pub fn from_scenario(index: usize, seed: u64, engine: &dyn Scenario) -> InstanceReport {
         InstanceReport {
             index,
             seed,
@@ -559,9 +584,10 @@ mod tests {
         h.record(599.9);
         h.record(600.0);
         h.record(1e9);
-        assert_eq!(h.counts[0], 2);
-        assert_eq!(h.counts[1], 1);
-        assert_eq!(h.counts[19], 1);
+        let counts: Vec<u64> = h.counts().collect();
+        assert_eq!(counts[0], 2);
+        assert_eq!(counts[1], 1);
+        assert_eq!(counts[19], 1);
         assert_eq!(h.overflow, 2);
         assert_eq!(h.invalid, 0);
         assert_eq!(h.samples, 6);
@@ -602,7 +628,7 @@ mod tests {
         h.record(-5.0);
         // The old code sent negatives to `overflow` ("at or beyond the
         // last bin edge") and subtracted them from `sum_s`.
-        assert_eq!(h.counts[0], 1);
+        assert_eq!(h.counts().next(), Some(1));
         assert_eq!(h.overflow, 0);
         assert_eq!(h.samples, 1);
         assert_eq!(h.sum_s, 0.0);
@@ -616,7 +642,7 @@ mod tests {
         h.record(10.0);
         h.record(20.0);
         h.record(30.0); // == last edge → overflow
-        assert_eq!(h.counts, vec![1, 1, 1]);
+        assert_eq!(h.counts().collect::<Vec<_>>(), vec![1, 1, 1]);
         assert_eq!(h.overflow, 1);
     }
 
@@ -626,7 +652,7 @@ mod tests {
         h.record(0.0);
         h.record(1.0);
         h.record(f64::NAN);
-        assert_eq!(h.counts, vec![0, 0, 0, 0]);
+        assert_eq!(h.counts().collect::<Vec<_>>(), vec![0, 0, 0, 0]);
         assert_eq!(h.overflow, 2);
         assert_eq!(h.invalid, 1);
         assert_eq!(h.samples, 2);
@@ -689,7 +715,7 @@ mod tests {
             for _ in 0..nans {
                 h.record(f64::NAN);
             }
-            let binned: u64 = h.counts.iter().sum();
+            let binned: u64 = h.counts().sum();
             prop_assert_eq!(binned + h.overflow, h.samples);
             prop_assert_eq!(h.samples, samples.len() as u64);
             prop_assert_eq!(h.invalid, nans as u64);

@@ -78,10 +78,7 @@ fn benign_traffic_completes_cleanly() {
     let p99 = report.latency_percentile(0.99);
     assert!(p50 <= p99);
     let hist = &report.fleet.request_latency;
-    assert_eq!(
-        hist.counts.iter().sum::<u64>() + hist.overflow,
-        hist.samples
-    );
+    assert_eq!(hist.counts().sum::<u64>() + hist.overflow, hist.samples);
     assert_eq!(hist.invalid, 0);
     assert_eq!(hist.samples, report.fleet.totals.requests);
     // Attack lanes are present (all zero) so the JSON shape is stable.
