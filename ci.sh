@@ -144,6 +144,9 @@ echo "== fleet perf gate (IPC hot path + throughput vs committed baseline, 30% f
 # the --quick sweep's rates must stay within 30% of the committed
 # BENCH_fleet_baseline.json (refresh the baseline deliberately when the
 # machine or the executor changes for good reason).
+# The committed full-mode report, whose exact counts are compared with
+# their regeneration at the end of this section.
+cp BENCH_fleet.json /tmp/BENCH_fleet.committed.json
 ./target/release/exp_fleet_scale --quick > /dev/null
 for metric in messages_per_second fleet_ipc_messages_per_wall_second; do
   gate BENCH_fleet.json "$metric" floor 0.7 BENCH_fleet_baseline.json \
@@ -172,12 +175,15 @@ gate BENCH_fleet.json fleet_peak_live_bytes ceiling 1 65536 \
 # Allocation budgets, exact allocator-call counts: a warm MINIX instance
 # (checkout, 10 simulated s, report, checkin) allocates only its six
 # process objects and the controller's memory-table slot list, and a
-# recycled MINIX engine's steady state allocates nothing. Counts, not
-# timings, so the ceilings are plain numbers.
+# recycled engine's steady state allocates nothing on any platform (the
+# Linux and seL4 payloads travel inline, as MINIX messages do). Counts,
+# not timings, so the ceilings are plain numbers.
 gate BENCH_fleet.json lifecycle_allocs_per_instance ceiling 1 7 \
   "** warm MINIX instance allocates more than its 7-call budget **"
-gate BENCH_fleet.json minix_steady_allocs_per_sim_second ceiling 1 0 \
-  "** recycled MINIX engine allocates in its steady state **"
+for platform in minix linux sel4; do
+  gate BENCH_fleet.json "${platform}_steady_allocs_per_sim_second" ceiling 1 0 \
+    "** recycled $platform engine allocates in its steady state **"
+done
 # The 2-worker speedup floor needs real cores; on a single-CPU host the
 # determinism and throughput gates above still ran.
 cores=$(grep -m1 -o '"cores": *[0-9]*' BENCH_fleet.json | sed 's/.*: *//')
@@ -190,6 +196,19 @@ fi
 # Leave the committed full-mode BENCH_fleet.json (256-instance sweep) in
 # place rather than the quick file the gate just measured.
 ./target/release/exp_fleet_scale > /dev/null
+# Its byte and allocator-call counts are exact (they repeat across
+# regenerations), so the committed copy must carry the regenerated
+# values: a change that moves one commits the new file with it.
+for key in cold_bytes_per_instance bytes_per_instance fleet_peak_live_bytes \
+  lifecycle_allocs_per_instance minix_steady_allocs_per_sim_second \
+  linux_steady_allocs_per_sim_second sel4_steady_allocs_per_sim_second; do
+  committed=$(json_number "$key" /tmp/BENCH_fleet.committed.json) || exit 1
+  regenerated=$(json_number "$key" BENCH_fleet.json) || exit 1
+  if [ "$committed" != "$regenerated" ]; then
+    echo "** BENCH_fleet.json $key: committed $committed, regenerated $regenerated **"
+    exit 1
+  fi
+done
 
 echo "== traffic perf gate (E18: requests/sec vs committed baseline, 30% floor) =="
 # exp_traffic itself asserts the deterministic TrafficReport is

@@ -259,7 +259,7 @@ mod tests {
         let accepted = DeliveredMessage {
             badge: 0,
             label: 0,
-            words: vec![],
+            words: Default::default(),
             received_caps: vec![],
             reply_expected: false,
         };

@@ -38,8 +38,9 @@
 //! realloc calls of one warm MINIX instance (checkout, 10 simulated s,
 //! report, checkin), and `<platform>_steady_allocs_per_sim_second`, the
 //! calls a recycled engine makes per simulated second between 60 s and
-//! 600 s. Both are counts, not timings, so `ci.sh` gates the MINIX values
-//! with plain-number ceilings that host load cannot trip.
+//! 600 s. Both are counts, not timings, so `ci.sh` gates the MINIX
+//! life cycle and every platform's steady state with plain-number
+//! ceilings that host load cannot trip.
 //!
 //! Run: `cargo run --release -p bas-bench --bin exp_fleet_scale [-- --quick --platform minix]`
 

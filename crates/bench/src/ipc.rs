@@ -187,7 +187,7 @@ mod linux {
     fn send(qd: u32, byte: u8) -> Syscall {
         Syscall::MqSend {
             qd,
-            data: vec![byte],
+            data: [byte].into(),
             priority: 0,
             nonblocking: false,
         }

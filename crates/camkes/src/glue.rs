@@ -8,6 +8,7 @@
 use bas_sel4::cap::CPtr;
 use bas_sel4::message::{DeliveredMessage, IpcMessage};
 use bas_sel4::syscall::Syscall;
+use bas_sim::inline::MsgWords;
 
 /// Client-side stub for one used interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,7 +24,7 @@ impl RpcClient {
 
     /// Builds the `seL4_Call` for method `label` with integer arguments.
     /// The kernel reply (a [`DeliveredMessage`]) is the RPC result.
-    pub fn call(&self, label: u64, args: impl Into<Vec<u64>>) -> Syscall {
+    pub fn call(&self, label: u64, args: impl Into<MsgWords>) -> Syscall {
         Syscall::Call {
             ep: self.ep,
             msg: IpcMessage::with_data(label, args),
@@ -51,7 +52,7 @@ pub struct RpcRequest {
     /// The method label.
     pub label: u64,
     /// Integer arguments.
-    pub args: Vec<u64>,
+    pub args: MsgWords,
 }
 
 impl RpcServer {
@@ -76,7 +77,7 @@ impl RpcServer {
     }
 
     /// Builds the `seL4_Reply` answering the current request.
-    pub fn reply(&self, label: u64, results: impl Into<Vec<u64>>) -> Syscall {
+    pub fn reply(&self, label: u64, results: impl Into<MsgWords>) -> Syscall {
         Syscall::Reply {
             msg: IpcMessage::with_data(label, results),
         }
@@ -114,7 +115,7 @@ mod tests {
         let req = s.decode(DeliveredMessage {
             badge: 5,
             label: 1,
-            words: vec![9],
+            words: MsgWords::from([9]),
             received_caps: vec![],
             reply_expected: true,
         });
@@ -123,7 +124,7 @@ mod tests {
             RpcRequest {
                 badge: 5,
                 label: 1,
-                args: vec![9]
+                args: MsgWords::from([9])
             }
         );
         match s.reply(0, vec![42]) {

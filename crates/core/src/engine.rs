@@ -15,7 +15,7 @@
 //! [`platform::sel4::Sel4Stack`]: crate::platform::sel4::Sel4Stack
 //! [`platform::linux::LinuxStack`]: crate::platform::linux::LinuxStack
 
-use bas_plant::SharedPlant;
+use bas_plant::{PlantWorld, SharedPlant};
 use bas_sim::caps::{CapChurnOp, CapTrace};
 use bas_sim::device::DeviceBus;
 use bas_sim::fault::IpcFault;
@@ -154,6 +154,26 @@ fn touch<K: PlatformKernel + ?Sized>(stack: &mut K) -> &mut K::Kernel {
     kernel
 }
 
+/// Brings `plant` to `now`, a lockstep chunk boundary: applies the
+/// administrator's (in-range, in-order) setpoint changes due by then to
+/// the safety oracle's authorized reference, then steps the physics.
+/// `next` indexes the first change not yet applied.
+fn step_plant_to(
+    plant: &mut PlantWorld,
+    changes: &[(SimTime, i32)],
+    next: &mut usize,
+    now: SimTime,
+) {
+    while let Some(&(t, mc)) = changes.get(*next) {
+        if t > now {
+            break;
+        }
+        plant.set_reference(mc as f64 / 1000.0);
+        *next += 1;
+    }
+    plant.step_to(now);
+}
+
 /// Hook called with the platform stack at every lockstep chunk boundary
 /// (see [`ScenarioEngine::set_tick_hook`]).
 pub type TickHook<K> = Box<dyn FnMut(&mut K)>;
@@ -206,9 +226,40 @@ impl<K: PlatformKernel> ScenarioEngine<K> {
     /// lockstep chunk in [`Scenario::run_for`] (so roughly every
     /// `config.lockstep_chunk` of virtual time). `bas-faults` uses this
     /// to fire scheduled fault events: anything due at or before the
-    /// current virtual time fires on the next chunk boundary.
+    /// current virtual time fires on the next chunk boundary. With a hook
+    /// installed, every chunk is stepped one at a time, idle or not.
     pub fn set_tick_hook(&mut self, hook: impl FnMut(&mut K) + 'static) {
         self.tick_hook = Some(Box::new(hook));
+    }
+
+    /// Fast-forwards over the whole lockstep chunks before `end` in which
+    /// the kernel has nothing to run (see [`Kernel::idle_before`]):
+    /// nothing runnable, and no timer due before the chunk's boundary.
+    /// The plant is still stepped at every skipped boundary, exactly as
+    /// the per-chunk loop would step it; the kernel clock then jumps once
+    /// to the last one, waking any sleeper due there. Returns whether any
+    /// chunk was skipped.
+    fn skip_idle_chunks(&mut self, end: SimTime) -> bool {
+        let kernel = self.stack.kernel();
+        let mut boundary = kernel.now() + self.chunk;
+        let mut last = None;
+        let mut plant = self.io.plant.borrow_mut();
+        while boundary <= end && kernel.idle_before(boundary) {
+            step_plant_to(
+                &mut plant,
+                &self.reference_changes,
+                &mut self.next_reference,
+                boundary,
+            );
+            last = Some(boundary);
+            boundary += self.chunk;
+        }
+        drop(plant);
+        let Some(last) = last else {
+            return false;
+        };
+        touch(&mut self.stack).run_until(last);
+        true
     }
 }
 
@@ -222,28 +273,18 @@ impl<K: PlatformKernel> Scenario for ScenarioEngine<K> {
         while self.now() < end {
             if let Some(hook) = self.tick_hook.as_mut() {
                 hook(&mut self.stack);
+            } else if self.skip_idle_chunks(end) {
+                continue;
             }
-            let target = {
-                let t = self.now() + self.chunk;
-                if t > end {
-                    end
-                } else {
-                    t
-                }
-            };
+            let target = (self.now() + self.chunk).min(end);
             touch(&mut self.stack).run_until(target);
-            // Keep the safety oracle's authorized reference in sync with
-            // the administrator's (in-range, in-order) setpoint changes.
-            while let Some(&(t, mc)) = self.reference_changes.get(self.next_reference) {
-                if t <= self.now() {
-                    self.io.plant.borrow_mut().set_reference(mc as f64 / 1000.0);
-                    self.next_reference += 1;
-                } else {
-                    break;
-                }
-            }
             let now = self.now();
-            self.io.plant.borrow_mut().step_to(now);
+            step_plant_to(
+                &mut self.io.plant.borrow_mut(),
+                &self.reference_changes,
+                &mut self.next_reference,
+                now,
+            );
         }
     }
 

@@ -225,6 +225,10 @@ pub struct MinixControl {
 /// of the latest status snapshot.
 pub const CONTROL_LOG_SIZE: usize = 24;
 
+/// Byte size of one log record: seconds, last reading, setpoint (4 bytes
+/// each, little-endian), then the fan and alarm states.
+const LOG_RECORD_LEN: usize = 14;
+
 /// Every N sensor readings the controller re-asserts both actuator
 /// outputs even if unchanged. Directives are edge-triggered, so a command
 /// lost to a crashed driver would otherwise never be repeated; periodic
@@ -340,15 +344,16 @@ impl MinixControl {
                 // into the controller's log buffer.
                 if let Some(buf) = self.log_buf {
                     let s = self.core.status();
-                    let mut rec = MemBytes::EMPTY;
-                    rec.extend_from_slice(&(now.as_secs() as u32).to_le_bytes());
-                    rec.extend_from_slice(&s.last_reading_milli_c.to_le_bytes());
-                    rec.extend_from_slice(&s.setpoint_milli_c.to_le_bytes());
-                    rec.extend_from_slice(&[u8::from(s.fan_on), u8::from(s.alarm_on)]);
+                    let mut rec = [0u8; LOG_RECORD_LEN];
+                    rec[..4].copy_from_slice(&(now.as_secs() as u32).to_le_bytes());
+                    rec[4..8].copy_from_slice(&s.last_reading_milli_c.to_le_bytes());
+                    rec[8..12].copy_from_slice(&s.setpoint_milli_c.to_le_bytes());
+                    rec[12] = u8::from(s.fan_on);
+                    rec[13] = u8::from(s.alarm_on);
                     self.outbox.push_back(Syscall::MemWrite {
                         buf,
                         offset: 0,
-                        data: rec,
+                        data: MemBytes::from(rec),
                     });
                 }
             }

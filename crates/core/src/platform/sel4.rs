@@ -22,6 +22,7 @@ use bas_sel4::cap::CPtr;
 use bas_sel4::kernel::{ChurnSweep, Sel4Config, Sel4Kernel, Sel4Thread};
 use bas_sel4::syscall::{Reply, Syscall};
 use bas_sim::caps::CapChurnOp;
+use bas_sim::inline::MsgWords;
 use bas_sim::kernel::Kernel;
 use bas_sim::process::{Action, Process};
 use bas_sim::time::{SimDuration, SimTime};
@@ -87,7 +88,7 @@ impl Sel4Control {
                 // report readings. A compromised web interface calling
                 // with a forged label still carries *its own* badge.
                 if req.badge != self.sensor_badge || req.args.is_empty() {
-                    self.outbox.push_back(self.server.reply(1, vec![]));
+                    self.outbox.push_back(self.server.reply(1, []));
                     return;
                 }
                 let milli_c = decode_i32(req.args[0]);
@@ -95,13 +96,13 @@ impl Sel4Control {
                     match d {
                         Directive::SetFan(on) => self
                             .outbox
-                            .push_back(self.fan.call(actuator_rpc::SET, vec![u64::from(on)])),
+                            .push_back(self.fan.call(actuator_rpc::SET, [u64::from(on)])),
                         Directive::SetAlarm(on) => self
                             .outbox
-                            .push_back(self.alarm.call(actuator_rpc::SET, vec![u64::from(on)])),
+                            .push_back(self.alarm.call(actuator_rpc::SET, [u64::from(on)])),
                     }
                 }
-                self.outbox.push_back(self.server.reply(0, vec![]));
+                self.outbox.push_back(self.server.reply(0, []));
             }
             label => {
                 // Web requests: only the web interface's badge may call
@@ -117,7 +118,7 @@ impl Sel4Control {
                     .filter(|_| req.badge == self.web_badge)
                     .and_then(|r| self.core.answer(now, &r))
                     .and_then(|a| a.to_sel4_reply(self.core.status().setpoint_milli_c))
-                    .unwrap_or((1, Vec::new()));
+                    .unwrap_or((1, MsgWords::new()));
                 self.outbox.push_back(self.server.reply(label, words));
             }
         }
@@ -221,7 +222,7 @@ impl Process for Sel4Sensor {
                     self.state = SensorSt::AwaitCall;
                     Action::Syscall(self.ctrl.call(
                         ctrl_rpc::REPORT_READING,
-                        vec![encode_i32(v as i32), u64::from(self.seq)],
+                        [encode_i32(v as i32), u64::from(self.seq)],
                     ))
                 }
                 _ => Action::Exit(1),
@@ -299,14 +300,14 @@ impl Process for Sel4Actuator {
                         })
                     } else {
                         self.state = ActSt::AwaitReply;
-                        Action::Syscall(self.server.reply(1, vec![]))
+                        Action::Syscall(self.server.reply(1, []))
                     }
                 }
                 _ => Action::Syscall(self.server.next_request()),
             },
             ActSt::AwaitWrite => {
                 self.state = ActSt::AwaitReply;
-                Action::Syscall(self.server.reply(0, vec![]))
+                Action::Syscall(self.server.reply(0, []))
             }
             ActSt::AwaitReply => {
                 self.state = ActSt::AwaitRecv;
@@ -359,10 +360,8 @@ impl Sel4Web {
     fn rpc(&mut self, action: WebAction) -> Action<Syscall> {
         self.state = WebSt::Rpc;
         Action::Syscall(match action {
-            WebAction::SetSetpoint(mc) => {
-                self.ctrl.call(ctrl_rpc::SET_SETPOINT, vec![encode_i32(mc)])
-            }
-            WebAction::QueryStatus => self.ctrl.call(ctrl_rpc::GET_STATUS, vec![]),
+            WebAction::SetSetpoint(mc) => self.ctrl.call(ctrl_rpc::SET_SETPOINT, [encode_i32(mc)]),
+            WebAction::QueryStatus => self.ctrl.call(ctrl_rpc::GET_STATUS, []),
         })
     }
 }

@@ -9,6 +9,7 @@
 
 use bas_acm::AcId;
 use bas_minix::message::Payload;
+use bas_sim::inline::{MsgBytes, MsgWords};
 use serde::{Deserialize, Serialize};
 
 /// `ac_id` of the temperature sensor process.
@@ -113,6 +114,11 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
+/// Length of a message's Linux mq encoding ([`BasMsg::to_bytes`]): the
+/// 4-byte type tag and the first 20 payload bytes, which hold every
+/// field of every message.
+pub const MQ_WIRE_LEN: usize = 24;
+
 // Ack-class subtags (within message type 0).
 const SUB_ACK: u32 = 0;
 const SUB_STATUS: u32 = 2;
@@ -198,15 +204,16 @@ impl BasMsg {
         })
     }
 
-    /// Encodes for Linux message queues: a tagged byte string. Note the
-    /// deliberate absence of any sender field — mq messages have no
-    /// identity, which is the spoofing attack's entry point.
-    pub fn to_bytes(self) -> Vec<u8> {
+    /// Encodes for Linux message queues: a tagged byte string of
+    /// [`MQ_WIRE_LEN`] bytes, held inline. Note the deliberate absence of
+    /// any sender field — mq messages have no identity, which is the
+    /// spoofing attack's entry point.
+    pub fn to_bytes(self) -> MsgBytes {
         let (tag, payload) = self.to_minix();
-        let mut out = Vec::with_capacity(12);
-        out.extend_from_slice(&tag.to_le_bytes());
-        out.extend_from_slice(&payload.as_bytes()[..20]);
-        out
+        let mut out = [0u8; MQ_WIRE_LEN];
+        out[..4].copy_from_slice(&tag.to_le_bytes());
+        out[4..].copy_from_slice(&payload.as_bytes()[..MQ_WIRE_LEN - 4]);
+        MsgBytes::from(out)
     }
 
     /// Decodes from Linux mq bytes.
@@ -245,11 +252,11 @@ impl BasMsg {
     /// `[code, setpoint]` as words, `setpoint_milli_c` being the setpoint
     /// in force after the request. A `Status` is label 0 with its four
     /// fields. Other messages are not controller replies: `None`.
-    pub fn to_sel4_reply(self, setpoint_milli_c: i32) -> Option<(u64, Vec<u64>)> {
+    pub fn to_sel4_reply(self, setpoint_milli_c: i32) -> Option<(u64, MsgWords)> {
         Some(match self {
             BasMsg::Ack { code } => {
                 let code = u64::from(code);
-                (code, vec![code, encode_i32(setpoint_milli_c)])
+                (code, MsgWords::from([code, encode_i32(setpoint_milli_c)]))
             }
             BasMsg::Status {
                 temp_milli_c,
@@ -258,12 +265,12 @@ impl BasMsg {
                 alarm_on,
             } => (
                 0,
-                vec![
+                MsgWords::from([
                     encode_i32(temp_milli_c),
                     encode_i32(setpoint_milli_c),
                     u64::from(fan_on),
                     u64::from(alarm_on),
-                ],
+                ]),
             ),
             _ => return None,
         })
@@ -320,6 +327,7 @@ mod tests {
     fn bytes_roundtrip_all_variants() {
         for msg in ALL {
             let bytes = msg.to_bytes();
+            assert!(!bytes.spilled(), "{msg:?} left the inline buffer");
             assert_eq!(BasMsg::from_bytes(&bytes), Ok(msg), "{msg:?}");
         }
     }
@@ -339,6 +347,7 @@ mod tests {
         let status = ALL[6];
         let (label, words) = status.to_sel4_reply(0).unwrap();
         assert_eq!((label, words.len()), (0, 4));
+        assert!(!words.spilled(), "the longest reply stays inline");
         assert_eq!(
             BasMsg::from_sel4_reply(BasMsg::StatusQuery, &words),
             Some(status)

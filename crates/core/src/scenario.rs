@@ -225,7 +225,15 @@ pub trait Scenario {
     /// The platform this scenario runs on.
     fn platform(&self) -> Platform;
 
-    /// Advances kernel and plant in lockstep for `d` of virtual time.
+    /// Advances kernel and plant in lockstep for `d` of virtual time, one
+    /// `lockstep_chunk` at a time: the kernel runs to the chunk's
+    /// boundary, then the plant steps to it. Chunks in which the kernel
+    /// has nothing to do (nothing runnable, no timer due by the boundary)
+    /// are fast-forwarded: the plant still steps at each of their
+    /// boundaries, and the kernel clock jumps once past all of them. The
+    /// result is the same as stepping every chunk. A tick hook installed
+    /// with [`crate::engine::ScenarioEngine::set_tick_hook`] runs at every
+    /// chunk, so it keeps per-chunk stepping.
     fn run_for(&mut self, d: SimDuration);
 
     /// Current virtual time.

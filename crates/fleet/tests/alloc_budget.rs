@@ -75,13 +75,12 @@ fn calls_in(f: impl FnOnce()) -> u64 {
 /// controller's memory-table slot list.
 const MINIX_LIFECYCLE_CALLS: u64 = 7;
 /// Ceilings on the calls a recycled engine makes over simulated
-/// 60–600 s: none on MINIX. Linux and seL4 still build a payload `Vec`
-/// per message (about 3.1 and 2.1 calls per simulated second); their
-/// ceilings are those exact counts.
+/// 60–600 s: none on any platform. Linux mq payloads and seL4 message
+/// registers travel inline, as MINIX's fixed-size messages do.
 const STEADY_CALLS: [(Platform, u64); 3] = [
     (Platform::Minix, 0),
-    (Platform::Linux, 1_680),
-    (Platform::Sel4, 1_120),
+    (Platform::Linux, 0),
+    (Platform::Sel4, 0),
 ];
 
 /// Snapshots `engine` as a fleet worker reports it.

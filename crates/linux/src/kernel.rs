@@ -21,6 +21,7 @@ use bas_sim::caps::{take_due, CapChurnOp, CapOp, ChurnKind};
 use bas_sim::clock::CostModel;
 use bas_sim::device::DeviceId;
 use bas_sim::fault::IpcFault;
+use bas_sim::inline::MsgBytes;
 use bas_sim::kernel::{Executive, Kernel, Task};
 use bas_sim::process::{Pid, ProcState, ProgramFactory};
 use bas_sim::time::SimDuration;
@@ -408,7 +409,7 @@ impl LinuxKernel {
             .ok_or(LinuxError::BadDescriptor)
     }
 
-    fn do_mq_send(&mut self, pid: Pid, qd: u32, data: Vec<u8>, priority: u32, nonblocking: bool) {
+    fn do_mq_send(&mut self, pid: Pid, qd: u32, data: MsgBytes, priority: u32, nonblocking: bool) {
         let oq = match self.open_queue(pid, qd) {
             Ok(o) => o,
             Err(e) => return self.ready_with(pid, Reply::Err(e)),
@@ -531,7 +532,7 @@ impl LinuxKernel {
             Some(m) => {
                 // The kernel→user copy: bytes leave the arena exactly
                 // once, and the slot recycles immediately.
-                let data = self.exec.arena.get(m.msg).to_vec();
+                let data = MsgBytes::from_slice(self.exec.arena.get(m.msg));
                 self.exec.arena.free(m.msg);
                 self.note_cap(pid, CapOp::Recv, oq.qid, Some(m.msg), true);
                 self.ready_with(
@@ -699,7 +700,7 @@ impl LinuxKernel {
                         .expect("exists")
                         .pop()
                         .expect("nonempty");
-                    let data = self.exec.arena.get(m.msg).to_vec();
+                    let data = MsgBytes::from_slice(self.exec.arena.get(m.msg));
                     self.exec.arena.free(m.msg);
                     self.note_cap(r, CapOp::Recv, qid, Some(m.msg), true);
                     self.ready_with(

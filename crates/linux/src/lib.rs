@@ -35,7 +35,7 @@
 //!         access: MqAccess::WRITE,
 //!         create: Some(MqCreate { mode: 0o622, capacity: 8 }),
 //!     },
-//!     Syscall::MqSend { qd: 0, data: vec![1, 2, 3], priority: 0, nonblocking: false },
+//!     Syscall::MqSend { qd: 0, data: [1, 2, 3].into(), priority: 0, nonblocking: false },
 //! ]))).unwrap();
 //! k.run_to_quiescence();
 //! assert_eq!(k.metrics().ipc_messages, 1);

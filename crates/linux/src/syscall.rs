@@ -1,6 +1,7 @@
 //! The Linux system-call surface used by the scenario and the attacks.
 
 use bas_sim::device::DeviceId;
+use bas_sim::inline::MsgBytes;
 use bas_sim::process::Pid;
 use bas_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -61,8 +62,9 @@ pub enum Syscall {
     MqSend {
         /// Queue descriptor from `MqOpen`.
         qd: u32,
-        /// Payload bytes.
-        data: Vec<u8>,
+        /// Payload bytes (at most [`crate::mq::MQ_MSG_MAX`]; held inline
+        /// up to the scenario's message size).
+        data: MsgBytes,
         /// Priority (higher = delivered first).
         priority: u32,
         /// `O_NONBLOCK` behaviour on a full queue.
@@ -140,7 +142,7 @@ pub enum Reply {
     /// A received message (`MqReceive`). Note: no sender identity.
     Data {
         /// Payload bytes.
-        data: Vec<u8>,
+        data: MsgBytes,
         /// Sender-chosen priority.
         priority: u32,
     },
@@ -160,7 +162,7 @@ impl Reply {
     /// Extracts received data, if any.
     pub fn data(&self) -> Option<&[u8]> {
         match self {
-            Reply::Data { data, .. } => Some(data),
+            Reply::Data { data, .. } => Some(data.as_slice()),
             _ => None,
         }
     }
@@ -195,7 +197,7 @@ mod tests {
     fn reply_accessors() {
         assert_eq!(
             Reply::Data {
-                data: vec![1],
+                data: MsgBytes::from([1]),
                 priority: 0
             }
             .data(),

@@ -24,7 +24,7 @@ fn open(name: &str, access: MqAccess) -> Syscall {
 fn send(qd: u32, data: &[u8]) -> Syscall {
     Syscall::MqSend {
         qd,
-        data: data.to_vec(),
+        data: data.into(),
         priority: 0,
         nonblocking: false,
     }
@@ -87,7 +87,7 @@ fn armed_revoke_leaves_a_permanently_stale_descriptor() {
     assert_eq!(
         replies(&rx_log)[1],
         Reply::Data {
-            data: vec![7],
+            data: vec![7].into(),
             priority: 0
         }
     );

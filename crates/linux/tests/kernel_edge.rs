@@ -59,7 +59,7 @@ fn oversized_message_rejected_with_emsgsize() {
         open("/q", MqAccess::WRITE),
         Syscall::MqSend {
             qd: 0,
-            data: vec![0u8; MQ_MSG_MAX + 1],
+            data: vec![0u8; MQ_MSG_MAX + 1].into(),
             priority: 0,
             nonblocking: true,
         },
@@ -80,7 +80,7 @@ fn descriptor_direction_enforced() {
         // would have allowed a write open.
         Syscall::MqSend {
             qd: 0,
-            data: vec![1],
+            data: vec![1].into(),
             priority: 0,
             nonblocking: true,
         },
@@ -169,7 +169,7 @@ fn create_with_o_creat_then_full_dac_cycle() {
         },
         Syscall::MqSend {
             qd: 0,
-            data: vec![9],
+            data: vec![9].into(),
             priority: 0,
             nonblocking: true,
         },

@@ -32,7 +32,7 @@ fn open_creat(name: &str, access: MqAccess, mode: u16) -> Syscall {
 fn send(qd: u32, data: &[u8]) -> Syscall {
     Syscall::MqSend {
         qd,
-        data: data.to_vec(),
+        data: data.into(),
         priority: 0,
         nonblocking: false,
     }
@@ -59,7 +59,7 @@ fn mq_send_receive_roundtrip() {
     assert_eq!(
         got[1],
         Reply::Data {
-            data: vec![7, 8],
+            data: vec![7, 8].into(),
             priority: 0
         }
     );
@@ -206,13 +206,13 @@ fn nonblocking_ops_return_eagain() {
         }, // empty
         Syscall::MqSend {
             qd: 0,
-            data: vec![1],
+            data: vec![1].into(),
             priority: 0,
             nonblocking: true,
         },
         Syscall::MqSend {
             qd: 0,
-            data: vec![2],
+            data: vec![2].into(),
             priority: 0,
             nonblocking: true,
         }, // full
@@ -447,13 +447,13 @@ fn priority_ordering_observed_by_receiver() {
         open("/q", MqAccess::WRITE),
         Syscall::MqSend {
             qd: 0,
-            data: vec![1],
+            data: vec![1].into(),
             priority: 0,
             nonblocking: false,
         },
         Syscall::MqSend {
             qd: 0,
-            data: vec![2],
+            data: vec![2].into(),
             priority: 9,
             nonblocking: false,
         },

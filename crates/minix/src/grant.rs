@@ -114,6 +114,17 @@ impl MemBytes {
     }
 }
 
+impl<const M: usize> From<[u8; M]> for MemBytes {
+    /// The bytes of a fixed-size record: one copy of a known length.
+    fn from(record: [u8; M]) -> MemBytes {
+        const { assert!(M <= MEM_WRITE_MAX, "memory write too large") };
+        let mut m = MemBytes::EMPTY;
+        m.bytes[..M].copy_from_slice(&record);
+        m.len = M as u8;
+        m
+    }
+}
+
 impl std::ops::Deref for MemBytes {
     type Target = [u8];
 
@@ -382,6 +393,7 @@ mod tests {
         let mut m = MemBytes::new(&[1, 2]);
         m.extend_from_slice(&[3]);
         assert_eq!(&*m, &[1, 2, 3]);
+        assert_eq!(MemBytes::from([1, 2, 3]), m);
         assert_eq!(MemBytes::new(&[0; MEM_WRITE_MAX]).len(), MEM_WRITE_MAX);
     }
 

@@ -14,6 +14,7 @@ use bas_sim::caps::{take_due, CapOp, ChurnKind};
 use bas_sim::clock::CostModel;
 use bas_sim::device::DeviceId;
 use bas_sim::fault::IpcFault;
+use bas_sim::inline::MsgWords;
 use bas_sim::kernel::{Executive, Kernel, Task};
 use bas_sim::process::{Pid, ProcState};
 use bas_sim::time::SimDuration;
@@ -925,7 +926,7 @@ impl Sel4Kernel {
                     Reply::Msg(DeliveredMessage {
                         badge: signal_bits,
                         label: 0,
-                        words: vec![],
+                        words: MsgWords::new(),
                         received_caps: vec![],
                         reply_expected: false,
                     }),
@@ -967,7 +968,7 @@ impl Sel4Kernel {
                         Reply::Msg(DeliveredMessage {
                             badge: bits,
                             label: 0,
-                            words: vec![],
+                            words: MsgWords::new(),
                             received_caps: vec![],
                             reply_expected: false,
                         }),

@@ -3,6 +3,7 @@
 //! seL4 messages are a label plus a bounded number of message registers;
 //! capabilities can ride along if the endpoint capability carries `grant`.
 
+use bas_sim::inline::MsgWords;
 use serde::{Deserialize, Serialize};
 
 use crate::cap::CPtr;
@@ -20,8 +21,9 @@ pub const MAX_MSG_CAPS: usize = 3;
 pub struct IpcMessage {
     /// The message label (analogous to a method/selector id).
     pub label: u64,
-    /// Data words.
-    pub words: Vec<u64>,
+    /// Data words (at most [`MAX_MSG_WORDS`]; held inline up to the
+    /// scenario's message size).
+    pub words: MsgWords,
     /// CSpace slots (in the *sender's* CSpace) of capabilities to
     /// transfer. Requires `grant` on the endpoint capability.
     pub caps: Vec<CPtr>,
@@ -32,7 +34,7 @@ impl IpcMessage {
     pub fn with_label(label: u64) -> Self {
         IpcMessage {
             label,
-            words: Vec::new(),
+            words: MsgWords::new(),
             caps: Vec::new(),
         }
     }
@@ -42,7 +44,7 @@ impl IpcMessage {
     /// # Panics
     ///
     /// Panics if more than [`MAX_MSG_WORDS`] words are supplied.
-    pub fn with_data(label: u64, words: impl Into<Vec<u64>>) -> Self {
+    pub fn with_data(label: u64, words: impl Into<MsgWords>) -> Self {
         let words = words.into();
         assert!(
             words.len() <= MAX_MSG_WORDS,
@@ -77,7 +79,7 @@ pub struct DeliveredMessage {
     /// The message label.
     pub label: u64,
     /// Data words.
-    pub words: Vec<u64>,
+    pub words: MsgWords,
     /// Slots in the *receiver's* CSpace where transferred capabilities
     /// were installed.
     pub received_caps: Vec<CPtr>,

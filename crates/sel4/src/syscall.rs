@@ -193,6 +193,8 @@ impl Reply {
 mod tests {
     use super::*;
 
+    use bas_sim::inline::MsgWords;
+
     #[test]
     fn reply_accessors() {
         assert!(Reply::Ok.is_ok());
@@ -205,7 +207,7 @@ mod tests {
         let m = DeliveredMessage {
             badge: 1,
             label: 2,
-            words: vec![],
+            words: MsgWords::new(),
             received_caps: vec![],
             reply_expected: false,
         };

@@ -42,6 +42,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::inline::MsgWords;
+
 /// Slot payload capacity, matching the MINIX wire message (64 bytes) and
 /// eight seL4 message registers (8 × u64).
 pub const SLOT_BYTES: usize = 64;
@@ -240,12 +242,13 @@ impl MsgArena {
     }
 
     /// Unpacks the slot as little-endian u64 words (inverse of
-    /// [`Self::alloc_words`]). The one kernel→user copy on the seL4 path.
+    /// [`Self::alloc_words`]). The one kernel→user copy on the seL4 path;
+    /// a message of the scenario's size stays off the heap.
     ///
     /// # Panics
     ///
     /// Panics if `r` is stale or the payload length is not a multiple of 8.
-    pub fn get_words(&self, r: MsgRef) -> Vec<u64> {
+    pub fn get_words(&self, r: MsgRef) -> MsgWords {
         let bytes = self.get(r);
         assert!(
             bytes.len().is_multiple_of(8),
@@ -409,6 +412,7 @@ mod tests {
         let words = vec![1u64, 0xdead_beef, u64::MAX, 0];
         let r = a.alloc_words(&words);
         assert_eq!(a.get_words(r), words);
+        assert!(!a.get_words(r).spilled());
         a.free(r);
         // Spill: more than eight registers.
         let long: Vec<u64> = (0..32).collect();

@@ -50,6 +50,7 @@ pub mod caps;
 pub mod clock;
 pub mod device;
 pub mod fault;
+pub mod inline;
 pub mod kernel;
 pub mod metrics;
 pub mod pool;

@@ -37,9 +37,8 @@ pub struct KernelMetrics {
     pub processes_reaped: u64,
     /// Message-arena heap events only: slot-table growth and
     /// oversized-payload spills. It does not count any other heap
-    /// allocation, so zero here does not mean the run allocated nothing
-    /// (the Linux and seL4 stacks still build a payload `Vec` per
-    /// message); the counting-allocator tests in `bas-fleet` and
+    /// allocation, so zero here does not by itself mean the run allocated
+    /// nothing; the counting-allocator tests in `bas-fleet` and
     /// `bas-minix` measure that. A warm kernel holds this constant across
     /// ticks.
     pub hot_path_allocs: u64,
