@@ -1,8 +1,12 @@
 //! Pins the stdout of the experiment binaries whose tables back the
-//! paper's §III overhead remark (E8 and E8b) and checks their flag
-//! handling. The binaries run in `--quick` mode; the expected text is the
-//! deterministic virtual-time output, so any change to a fixture's
-//! syscall sequence, counters or cost model shows up here.
+//! paper's §III overhead remark (E8 and E8b) and of the static policy
+//! audit (E12), and checks their flag handling. E8 and E8b run in
+//! `--quick` mode; the expected text is the deterministic virtual-time
+//! output, so any change to a fixture's syscall sequence, counters or
+//! cost model shows up here. E12 is pinned by line count and digest: it
+//! prints the lowered policies, the predicted matrix and the lint
+//! reports, so a change to any static verdict, rationale or finding
+//! shows up here too.
 
 use std::process::Command;
 
@@ -57,6 +61,23 @@ fn ipc_overhead_quick_output_is_pinned() {
 fn cost_sensitivity_quick_output_is_pinned() {
     let got = stdout_of(env!("CARGO_BIN_EXE_exp_cost_sensitivity"), &["--quick"]);
     assert_eq!(got, E8B_QUICK);
+}
+
+/// FNV-1a over `text`'s bytes.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn policy_audit_output_is_pinned() {
+    let got = stdout_of(env!("CARGO_BIN_EXE_exp_policy_audit"), &[]);
+    assert_eq!(
+        format!("lines {} fnv1a {:016x}", got.lines().count(), fnv1a(&got)),
+        "lines 400 fnv1a 9df4ffdc54953b42",
+        "{got}"
+    );
 }
 
 #[test]
