@@ -10,11 +10,13 @@
 //! declared object type, the ThreadX KOM shape).
 //!
 //! Everything reachability-shaped in the analyzer — the closure
-//! propagation, the taint actuator-path search, the escalation-witness
-//! search — runs on one shared deterministic BFS engine ([`reach`]).
-//! Witnesses ([`Witness`]) are shortest escalation chains `subject →
-//! cap hops → asset`; `exp_cap_flow` (E17) cross-validates them against
-//! model-checker reachability in both directions.
+//! propagation and the escalation-witness search — runs on one shared
+//! deterministic BFS engine ([`reach`]). Witnesses ([`Witness`]) are
+//! shortest escalation chains `subject → cap hops → asset`; the linter
+//! renders them as evidence, [`predict`] turns them into the static
+//! verdict of each attack cell, and `exp_cap_flow` (E17)
+//! cross-validates them against model-checker reachability in both
+//! directions.
 
 mod closure;
 mod graph;
@@ -29,5 +31,6 @@ pub use lattice::{op, Perms};
 pub use reach::{reach, Reached};
 pub use scenarios::{derivation_scenarios, DerivationScenario};
 pub use witness::{
-    escalation_witnesses, masquerade_exploitable, witnesses_for_attack, Asset, Witness,
+    escalation_witnesses, expectation, masquerade_exploitable, predict, witnesses_for_attack,
+    Asset, StaticVerdict, Witness,
 };

@@ -1,10 +1,9 @@
 //! A small deterministic worklist engine.
 //!
 //! One breadth-first fixpoint serves every reachability question in the
-//! analyzer: the derivation-closure propagation, the taint
-//! actuator-path search and the escalation-witness search all
-//! instantiate [`reach`] with their own node type and successor
-//! function. Nodes are ordered (`Ord`) and successors are sorted before
+//! analyzer: the derivation-closure propagation and the
+//! escalation-witness search both instantiate [`reach`] with their own
+//! node type and successor function. Nodes are ordered (`Ord`) and successors are sorted before
 //! expansion, so the exploration order — and therefore every rendered
 //! path — is byte-stable across runs. Because the search is
 //! breadth-first, the parent pointers recover a *shortest-hop* path to

@@ -12,11 +12,18 @@
 //! map one-to-one onto the model checker's compromise properties — the
 //! differential experiment (`exp_cap_flow`, E17) holds the two accountable
 //! to each other in both directions.
+//!
+//! The witnesses are also the analyzer's one static judge of the §IV-D
+//! attack matrix: [`predict`] calls a cell compromised exactly when a
+//! relevant witness exists, and pairs that with whether the attack's
+//! primitive gets past its enforcement point. The `static_vs_dynamic`
+//! tests hold every such verdict to the dynamic harness.
 
 use std::fmt;
 
+use bas_attack::expectations::Expectation;
 use bas_attack::AttackId;
-use bas_core::proto::{MT_ALARM_CMD, MT_FAN_CMD, MT_SETPOINT};
+use bas_core::proto::{MT_ALARM_CMD, MT_FAN_CMD, MT_SENSOR_READING, MT_SETPOINT};
 use bas_sim::device::DeviceId;
 
 use super::closure::{closure, Closure};
@@ -327,15 +334,261 @@ pub fn witnesses_for_attack<'a>(
         .collect()
 }
 
+/// The static verdict for one `(policy, attack)` cell.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StaticVerdict {
+    /// The attack primitive gets past its enforcement point at least once.
+    pub mechanism_delivers: bool,
+    /// The attack reaches a safety-relevant sink: a relevant witness
+    /// exists ([`witnesses_for_attack`]).
+    pub compromised: bool,
+    /// Human-readable justification (one line).
+    pub rationale: String,
+}
+
+/// Collapses a verdict to the paper's three-valued outcome, as the
+/// dynamic harness does: compromise ⇒ `Compromised`, delivery without
+/// compromise ⇒ `ResourceExhaustionOnly`, neither ⇒ `Stopped`.
+pub fn expectation(v: &StaticVerdict) -> Expectation {
+    if v.compromised {
+        Expectation::Compromised
+    } else if v.mechanism_delivers {
+        Expectation::ResourceExhaustionOnly
+    } else {
+        Expectation::Stopped
+    }
+}
+
+/// Judges `attack` mounted from the model's web position without running
+/// anything. Compromise is the presence of a relevant escalation
+/// witness; mechanism delivery is whether the attack's primitive gets
+/// past the enforcement point it is judged at (kernel ACM, capability
+/// check, DAC, or the server's in-band reply).
+pub fn predict(model: &PolicyModel, attack: AttackId) -> StaticVerdict {
+    let web = model.roles.web.as_str();
+    let ctrl = model.roles.controller.as_str();
+    let alarm = model.roles.alarm.as_str();
+    let compromised = !witnesses_for_attack(&escalation_witnesses(model), attack, model).is_empty();
+    let (mechanism_delivers, rationale) = match attack {
+        AttackId::SpoofSensorData => {
+            let mech = model.mechanism_delivers(web, ctrl, MT_SENSOR_READING, true);
+            let rationale = if !mech && !compromised {
+                format!("no accepted {web} -> {ctrl} sensor-reading channel")
+            } else if !compromised {
+                format!("{ctrl} authenticates readings; {web} is not the sensor")
+            } else {
+                format!("{web} can inject accepted readings into {ctrl}")
+            };
+            (mech, rationale)
+        }
+        AttackId::SpoofActuatorCommands => {
+            let mech = model.mechanism_delivers(web, &model.roles.heater, MT_FAN_CMD, true)
+                || model.mechanism_delivers(web, alarm, MT_ALARM_CMD, true);
+            let rationale = if compromised {
+                format!("{web} reaches an actuator driver; drivers obey any well-formed command")
+            } else {
+                format!("no {web} -> actuator command channel")
+            };
+            (mech, rationale)
+        }
+        AttackId::KillCritical => {
+            let can = model.can_kill(web, ctrl) || model.can_kill(web, alarm);
+            let rationale = if can {
+                format!("{web} holds kill authority over a critical process")
+            } else {
+                format!("{web} has no kill authority over {ctrl} or {alarm}")
+            };
+            (can, rationale)
+        }
+        AttackId::ForkBomb => {
+            let quota = model.fork_quota.get(web);
+            let rationale = match (model.can_fork(web), quota) {
+                (false, _) => format!("{web} holds no process-creation authority"),
+                (true, Some(0)) => format!("{web} fork quota is zero"),
+                (true, Some(n)) => {
+                    format!("{web} can fork up to quota {n}; resource pressure only")
+                }
+                (true, None) => format!("{web} can fork without limit; resource pressure only"),
+            };
+            (model.can_fork(web) && quota != Some(&0), rationale)
+        }
+        AttackId::BruteForceHandles => {
+            let reach = model.enumerable_handles.get(web).copied().unwrap_or(0);
+            let legit = model.legitimate_handles.get(web).copied().unwrap_or(0);
+            let rationale =
+                format!("enumeration reaches {reach} handle(s), {legit} legitimately {web}'s");
+            (reach > legit, rationale)
+        }
+        AttackId::FloodLegitChannel => {
+            // The flood payload is junk: an RPC server rejects it in-band,
+            // a kernel or DAC check admits it regardless of content.
+            let mech = model.mechanism_delivers(web, ctrl, MT_SETPOINT, false);
+            let rationale = if mech {
+                format!("{web} may flood its setpoint channel; contents are discarded")
+            } else {
+                format!("flood dies at the enforcement point before {ctrl}")
+            };
+            (mech, rationale)
+        }
+        AttackId::DirectDeviceWrite => {
+            let can = model.device_channel(web, DeviceId::FAN, true).is_some()
+                || model.device_channel(web, DeviceId::ALARM, true).is_some();
+            let rationale = if can {
+                format!("{web} holds write access to actuator device registers")
+            } else {
+                format!("{web} holds no device capability/node access")
+            };
+            (can, rationale)
+        }
+        // Setpoints are judged at the application acknowledgment: every
+        // platform's controller range-validates, so a setpoint counts as
+        // delivered exactly when it is accepted.
+        AttackId::SetpointTamper => {
+            let rationale = if compromised {
+                format!("{ctrl} accepts out-of-range setpoints")
+            } else {
+                format!("{ctrl} range-validates setpoints; tamper rejected in-band")
+            };
+            (compromised, rationale)
+        }
+        AttackId::ReplaySetpoint => {
+            let rationale = if compromised {
+                format!("replayed setpoints are in-range and unauthenticated; {ctrl} accepts them")
+            } else {
+                format!("no {web} -> {ctrl} setpoint channel")
+            };
+            (compromised, rationale)
+        }
+    };
+    StaticVerdict {
+        mechanism_delivers,
+        compromised,
+        rationale,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flow::graph::{DerivationKind, ObjType};
     use crate::flow::lattice::Perms;
+    use crate::ir::{Channel, ChannelKind, Operation, PlatformTraits, Trust};
     use crate::scenario::model_for;
+    use bas_acm::matrix::MsgTypeSet;
+    use bas_acm::MsgType;
     use bas_attack::AttackerModel;
     use bas_core::platform::linux::UidScheme;
     use bas_core::scenario::Platform;
+
+    /// A two-subject model: `web` sends sensor readings and setpoints to
+    /// `ctrl` over a channel of `kind`; `ctrl` authenticates readings,
+    /// range-validates setpoints and actuates on readings.
+    fn base(kind: ChannelKind, stamped: bool) -> PolicyModel {
+        let mut m = PolicyModel::new(
+            Platform::Minix,
+            PlatformTraits {
+                kernel_stamped_identity: stamped,
+                rpc_in_band_validation: kind == ChannelKind::RpcCall,
+                uid_root_bypass: false,
+                unguessable_handles: true,
+            },
+        );
+        m.roles.web = "web".into();
+        m.roles.controller = "ctrl".into();
+        m.roles.heater = "heater".into();
+        m.roles.alarm = "alarm".into();
+        m.add_subject("web", Trust::Untrusted, None);
+        m.add_subject("ctrl", Trust::Trusted, None);
+        m.contracts.authenticated.insert(
+            ("ctrl".into(), MT_SENSOR_READING),
+            ["sensor".to_string()].into(),
+        );
+        m.contracts.validated.insert(("ctrl".into(), MT_SETPOINT));
+        m.contracts
+            .actuation_inputs
+            .insert(("ctrl".into(), MT_SENSOR_READING));
+        m.channels.push(Channel {
+            subject: "web".into(),
+            object: ObjectId::Process("ctrl".into()),
+            op: Operation::Send,
+            msg_types: MsgTypeSet::of([MsgType::new(MT_SENSOR_READING), MsgType::new(MT_SETPOINT)]),
+            kind,
+            badge: Some(2),
+        });
+        m.normalize();
+        m
+    }
+
+    #[test]
+    fn spoof_on_async_channel_delivers_but_dies_at_auth() {
+        let v = predict(
+            &base(ChannelKind::AsyncSend, true),
+            AttackId::SpoofSensorData,
+        );
+        assert!(v.mechanism_delivers, "kernel admits the send");
+        assert!(!v.compromised, "app authentication rejects it");
+        assert_eq!(expectation(&v), Expectation::ResourceExhaustionOnly);
+    }
+
+    #[test]
+    fn spoof_on_rpc_channel_is_stopped_in_band() {
+        let v = predict(&base(ChannelKind::RpcCall, true), AttackId::SpoofSensorData);
+        assert!(!v.mechanism_delivers, "rejection is the RPC reply");
+        assert_eq!(expectation(&v), Expectation::Stopped);
+    }
+
+    #[test]
+    fn spoof_without_kernel_identity_compromises() {
+        let mut m = base(ChannelKind::QueueWrite, false);
+        // Queue delivery needs reader metadata.
+        m.channels = vec![Channel {
+            subject: "web".into(),
+            object: ObjectId::Queue("/mq_in".into()),
+            op: Operation::Send,
+            msg_types: MsgTypeSet::of([MsgType::new(MT_SENSOR_READING)]),
+            kind: ChannelKind::QueueWrite,
+            badge: None,
+        }];
+        m.queue_readers.insert("/mq_in".into(), "ctrl".into());
+        let v = predict(&m, AttackId::SpoofSensorData);
+        assert!(v.compromised, "no sender identity to authenticate");
+        assert_eq!(expectation(&v), Expectation::Compromised);
+    }
+
+    #[test]
+    fn replay_compromises_wherever_setpoints_flow() {
+        for kind in [ChannelKind::AsyncSend, ChannelKind::RpcCall] {
+            let v = predict(&base(kind, true), AttackId::ReplaySetpoint);
+            assert_eq!(expectation(&v), Expectation::Compromised, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn tamper_is_stopped_by_validation() {
+        let v = predict(
+            &base(ChannelKind::AsyncSend, true),
+            AttackId::SetpointTamper,
+        );
+        assert_eq!(expectation(&v), Expectation::Stopped);
+    }
+
+    #[test]
+    fn fork_quota_zero_stops_the_bomb() {
+        let mut m = base(ChannelKind::AsyncSend, true);
+        m.channels.push(Channel {
+            subject: "web".into(),
+            object: ObjectId::ProcessManager,
+            op: Operation::Fork,
+            msg_types: MsgTypeSet::EMPTY,
+            kind: ChannelKind::SysOp,
+            badge: None,
+        });
+        let v = predict(&m, AttackId::ForkBomb);
+        assert_eq!(expectation(&v), Expectation::ResourceExhaustionOnly);
+        m.fork_quota.insert("web".into(), 0);
+        let v = predict(&m, AttackId::ForkBomb);
+        assert_eq!(expectation(&v), Expectation::Stopped);
+    }
 
     fn shared_linux() -> PolicyModel {
         model_for(

@@ -330,6 +330,27 @@ impl PolicyModel {
         true
     }
 
+    /// Whether a `mtype` message from `sender` gets past its enforcement
+    /// point into `receiver`. On an RPC channel the server's in-band
+    /// reply *is* the verdict, so a message the application rejects was
+    /// never delivered; on any other channel kernel admission decides,
+    /// whatever the content.
+    pub fn mechanism_delivers(
+        &self,
+        sender: &str,
+        receiver: &str,
+        mtype: u32,
+        in_range: bool,
+    ) -> bool {
+        match self.delivery_channel(sender, receiver, mtype) {
+            Some(ch) if ch.kind == ChannelKind::RpcCall => {
+                self.app_accepts(sender, receiver, mtype, in_range)
+            }
+            Some(_) => true,
+            None => false,
+        }
+    }
+
     /// Whether `subject` holds device access of the given direction.
     pub fn device_channel(&self, subject: &str, dev: DeviceId, write: bool) -> Option<&Channel> {
         let want = if write {
@@ -456,6 +477,29 @@ mod tests {
         m.contracts.validated.insert(("ctrl".into(), 4));
         assert!(!m.app_accepts("web", "ctrl", 4, false));
         assert!(m.app_accepts("web", "ctrl", 4, true));
+    }
+
+    #[test]
+    fn rpc_delivery_is_the_in_band_reply() {
+        let mut m = PolicyModel::new(Platform::Minix, traits());
+        m.contracts.validated.insert(("ctrl".into(), 4));
+        assert!(!m.mechanism_delivers("web", "ctrl", 4, true), "no channel");
+        m.channels.push(chan(
+            "web",
+            ObjectId::Process("ctrl".into()),
+            Operation::Send,
+            &[4],
+        ));
+        assert!(
+            m.mechanism_delivers("web", "ctrl", 4, false),
+            "kernel admits junk"
+        );
+        m.channels[0].kind = ChannelKind::RpcCall;
+        assert!(
+            !m.mechanism_delivers("web", "ctrl", 4, false),
+            "rejected in-band"
+        );
+        assert!(m.mechanism_delivers("web", "ctrl", 4, true));
     }
 
     #[test]

@@ -10,11 +10,6 @@
 //!
 //! On top of the IR:
 //!
-//! * [`taint`] — reachability/taint analysis from untrusted subjects,
-//!   yielding a predicted attack-outcome matrix per platform × attacker
-//!   model. Cross-validated against the dynamic harness: the
-//!   `static_vs_dynamic` tests assert prediction == execution for every
-//!   cell, including both policy ablations.
 //! * [`lint`](mod@lint) — a policy linter diffing the effective policy against the
 //!   AADL-minimal justification: over-granted capabilities, ambient
 //!   queue authority, dangling identities, unused message types,
@@ -31,7 +26,12 @@
 //!   forest: a worklist fixpoint under a permission lattice checking
 //!   attenuation monotonicity, transitive revocation and expiry, a
 //!   kernel-object-masquerading detector, and shortest escalation-path
-//!   witnesses cross-validated against [`mc`] in both directions.
+//!   witnesses cross-validated against [`mc`] in both directions. The
+//!   witnesses are the crate's one static judge of the attack matrix:
+//!   [`flow::predict`] calls a cell compromised exactly when a relevant
+//!   witness exists, per platform × attacker model, and the
+//!   `static_vs_dynamic` tests assert prediction == execution for every
+//!   cell, including both policy ablations.
 //! * [`races`] — the dynamic complement of [`flow`]: vector-clock
 //!   happens-before analysis of capability-churn event streams from
 //!   the live kernels, detecting TOCTOU windows, use-after-revoke and
@@ -45,10 +45,8 @@ pub mod lower;
 pub mod mc;
 pub mod races;
 pub mod scenario;
-pub mod taint;
 
 pub use flow::{closure, escalation_witnesses, CapGraph, Perms, Witness};
 pub use ir::{Channel, ChannelKind, ObjectId, Operation, PolicyModel, Trust};
 pub use lint::{findings_report_json, findings_to_json, lint, Finding, Justification, Severity};
 pub use races::{churn_scenarios, detect as detect_races, Race, RaceKind};
-pub use taint::{expectation, predict, untrusted_actuator_paths, StaticVerdict};

@@ -14,9 +14,8 @@ use bas_acm::MsgType;
 use bas_core::proto::MT_ACK;
 use bas_sim::device::DeviceId;
 
-use crate::flow::{self, FlowKind};
+use crate::flow::{self, Asset, FlowKind, Witness};
 use crate::ir::{ChannelKind, ObjectId, Operation, PolicyModel, Trust};
-use crate::taint::untrusted_actuator_paths;
 
 /// Finding severity, most severe first (sort order = report order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -116,15 +115,16 @@ fn escalate(model: &PolicyModel, subject: &str, base: Severity) -> Severity {
 /// Runs every lint rule; returns findings sorted most-severe first.
 pub fn lint(model: &PolicyModel, justification: &Justification) -> Vec<Finding> {
     let mut findings = Vec::new();
+    let witnesses = flow::escalation_witnesses(model);
 
     check_message_channels(model, justification, &mut findings);
     check_sys_ops(model, justification, &mut findings);
     check_device_access(model, justification, &mut findings);
     check_queue_membership(model, justification, &mut findings);
     check_dangling_identities(model, &mut findings);
-    check_actuator_paths(model, &mut findings);
+    check_actuator_paths(model, &witnesses, &mut findings);
     check_derivations(model, &mut findings);
-    check_escalation_witnesses(model, &mut findings);
+    check_escalation_witnesses(&witnesses, &mut findings);
     least_privilege_diff(model, justification, &mut findings);
 
     findings.sort_by(|a, b| {
@@ -335,19 +335,26 @@ fn check_dangling_identities(model: &PolicyModel, findings: &mut Vec<Finding>) {
     }
 }
 
-/// Rule: untrusted-to-actuator-path — taint reachability from untrusted
-/// subjects into actuation.
-fn check_actuator_paths(model: &PolicyModel, findings: &mut Vec<Finding>) {
-    for path in untrusted_actuator_paths(model) {
-        let subject = path.split(' ').next().unwrap_or("?").to_string();
-        // The path's source is untrusted by construction, so this always
-        // escalates; `High` covers a source that lost its binding.
+/// Rule: untrusted-to-actuator-path — every escalation witness by which
+/// an untrusted subject influences actuation: direct device access,
+/// unmediated commands into a driver, tainted control input, plus any
+/// capability-borne route a breached derivation opens.
+fn check_actuator_paths(model: &PolicyModel, witnesses: &[Witness], findings: &mut Vec<Finding>) {
+    for w in witnesses {
+        if !matches!(
+            w.asset,
+            Asset::DeviceWrite(_) | Asset::ActuatorCommand(_) | Asset::TaintedActuation { .. }
+        ) {
+            continue;
+        }
+        // The witness's source is untrusted by construction, so this
+        // always escalates; `High` covers a source that lost its binding.
         findings.push(Finding {
-            severity: escalate(model, &subject, Severity::High),
+            severity: escalate(model, &w.subject, Severity::High),
             code: "untrusted-to-actuator-path",
-            subject,
+            subject: w.subject.clone(),
             object: "actuators".into(),
-            detail: path,
+            detail: w.render(),
         });
     }
 }
@@ -431,11 +438,8 @@ fn leak_reaches_untrusted(
 /// Rule: derived-cap-escalation — an untrusted subject reaches a
 /// safety-relevant asset *through* an anomalous capability edge. The
 /// shortest chain is the finding's evidence.
-fn check_escalation_witnesses(model: &PolicyModel, findings: &mut Vec<Finding>) {
-    if model.caps.is_empty() {
-        return;
-    }
-    for w in flow::escalation_witnesses(model) {
+fn check_escalation_witnesses(witnesses: &[Witness], findings: &mut Vec<Finding>) {
+    for w in witnesses {
         if !w.via_caps {
             continue; // channel-direct routes are covered by other rules
         }
@@ -801,5 +805,45 @@ mod tests {
         let json = findings_to_json(&findings);
         assert!(json.contains("\\\"hi\\\""));
         assert!(json.starts_with('[') && json.ends_with(']'));
+    }
+
+    #[test]
+    fn actuator_paths_surface_unauthenticated_influence() {
+        // `web` writes sensor readings into the controller's queue, and
+        // the controller actuates on them.
+        let model = |stamped: bool| {
+            let mut m = PolicyModel::new(
+                Platform::Linux,
+                PlatformTraits {
+                    kernel_stamped_identity: stamped,
+                    ..traits()
+                },
+            );
+            m.add_subject("web", Trust::Untrusted, None);
+            m.add_subject("ctrl", Trust::Trusted, None);
+            m.contracts
+                .authenticated
+                .insert(("ctrl".into(), 1), ["sensor".to_string()].into());
+            m.contracts.actuation_inputs.insert(("ctrl".into(), 1));
+            m.channels.push(Channel {
+                object: ObjectId::Queue("/mq_in".into()),
+                kind: ChannelKind::QueueWrite,
+                ..send("web", "ctrl", &[1])
+            });
+            m.queue_readers.insert("/mq_in".into(), "ctrl".into());
+            m
+        };
+        let paths = |m: &PolicyModel| -> Vec<Finding> {
+            lint(m, &Justification::default())
+                .into_iter()
+                .filter(|f| f.code == "untrusted-to-actuator-path")
+                .collect()
+        };
+        let found = paths(&model(false));
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].severity, Severity::Error);
+        assert!(found[0].detail.contains("tainted control input"));
+        // With kernel identity, the controller rejects the readings.
+        assert!(paths(&model(true)).is_empty());
     }
 }

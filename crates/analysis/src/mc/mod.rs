@@ -1,7 +1,8 @@
 //! # bas-mc — bounded explicit-state model checking of the scenario
 //!
-//! The taint analyzer ([`crate::taint`]) predicts the attack matrix by
-//! graph reachability; the dynamic harness executes it on one schedule.
+//! The static judge ([`crate::flow::predict`]) predicts the attack matrix
+//! from escalation witnesses; the dynamic harness executes it on one
+//! schedule.
 //! This module closes the remaining gap: it *enumerates every
 //! interleaving* of the five scenario processes and the attacker's
 //! primitives up to a bounded horizon, adjudicating each operation

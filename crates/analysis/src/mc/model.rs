@@ -35,7 +35,7 @@ use bas_sim::device::DeviceId;
 use super::gate::KernelGate;
 use super::state::{flags, AttackOp, McAction, McState, Proc, ReadingOrigin, WebMsg};
 use crate::flow::{self, CapId};
-use crate::ir::{ChannelKind, ObjectId, PolicyModel, Roles};
+use crate::ir::{ObjectId, PolicyModel, Roles};
 use crate::scenario::model_for;
 
 /// The message types the transition relation sends, in table order.
@@ -163,16 +163,10 @@ impl Adjudication {
             adj.kill[ri] = Verdict::judge(ir.can_kill(web, target), gate.allows_kill(web, target));
             for (m, &mtype) in MTYPES.iter().enumerate() {
                 for in_range in [false, true] {
-                    let accepts = ir.app_accepts(web, target, mtype, in_range);
-                    adj.web_accepts[ri][m][usize::from(in_range)] = accepts;
-                    // On an RPC channel the server's in-band reply *is*
-                    // the verdict; elsewhere kernel admission is.
+                    adj.web_accepts[ri][m][usize::from(in_range)] =
+                        ir.app_accepts(web, target, mtype, in_range);
                     adj.web_mech[ri][m][usize::from(in_range)] =
-                        match ir.delivery_channel(web, target, mtype) {
-                            Some(ch) if ch.kind == ChannelKind::RpcCall => accepts,
-                            Some(_) => true,
-                            None => false,
-                        };
+                        ir.mechanism_delivers(web, target, mtype, in_range);
                 }
             }
         }
@@ -216,8 +210,8 @@ impl Adjudication {
         self.web_accepts[receiver.index()][mtype_slot(mtype)][usize::from(in_range)]
     }
 
-    /// The mechanism-delivery judgment of `taint::predict`, applied to a
-    /// single web → `receiver` channel.
+    /// Whether a web-sent `mtype` message gets past its enforcement point
+    /// into `receiver` ([`PolicyModel::mechanism_delivers`]).
     pub fn mech_delivers(&self, receiver: Proc, mtype: u32, in_range: bool) -> bool {
         self.web_mech[receiver.index()][mtype_slot(mtype)][usize::from(in_range)]
     }

@@ -18,7 +18,7 @@ use bas_sim::WorkerPool;
 use super::explore::{explore, minimize_trace, ExploreOpts, ExploreStats};
 use super::model::{McBounds, ScenarioModel};
 use super::state::{McAction, McState};
-use crate::taint;
+use crate::flow;
 
 /// Fact bits produced by [`classify`]. Bits 0–5 coincide with the
 /// monotone state flags; the rest are derived from state shape.
@@ -183,7 +183,9 @@ pub struct CellReport {
     pub mc: Expectation,
     /// The paper's ground-truth expectation.
     pub paper: Expectation,
-    /// The static analyzer's (PR 1 taint) verdict for the same policy.
+    /// The static verdict for the same policy ([`flow::predict`]). The
+    /// field keeps its historical name, which the reports' `taint` keys
+    /// carry.
     pub taint: Expectation,
     /// Exploration counters (reduced run).
     pub stats: ExploreStats,
@@ -246,7 +248,7 @@ pub fn check_cell(model: &ScenarioModel, opts: &ExploreOpts) -> CellReport {
         attack: model.attack,
         mc: to_expectation(reached),
         paper: paper_expectation(model.platform, model.attacker, model.attack),
-        taint: taint::expectation(&taint::predict(model.ir(), model.attack)),
+        taint: flow::expectation(&flow::predict(model.ir(), model.attack)),
         stats: ex.stats,
         reached,
         counterexample,

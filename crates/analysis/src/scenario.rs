@@ -22,12 +22,12 @@ use bas_core::proto::{names, AC_SCENARIO, MT_ACK, MT_SENSOR_READING, MT_SETPOINT
 use bas_core::scenario::Platform;
 use bas_minix::pm;
 
+use crate::flow::{predict, StaticVerdict};
 use crate::ir::{AppContracts, PolicyModel, Roles, Trust};
 use crate::lint::Justification;
 use crate::lower::acm::AcmBinding;
 use crate::lower::capdl::CapdlBinding;
 use crate::lower::linux::{LinuxDeployment, QueueSpec};
-use crate::taint::{predict, StaticVerdict};
 
 /// The application contracts shared by all three platforms (the process
 /// code is identical; only the enforcement underneath differs).
@@ -284,7 +284,7 @@ pub fn predicted_matrix(scheme: UidScheme) -> Vec<PredictedCell> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::taint::expectation;
+    use crate::flow::expectation;
     use bas_attack::expectations::Expectation;
 
     #[test]

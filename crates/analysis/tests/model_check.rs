@@ -1,4 +1,4 @@
-//! The model checker vs the paper table vs the taint analyzer, over the
+//! The model checker vs the paper table vs the static verdict, over the
 //! whole 54-cell matrix — plus the structural invariants of exploration:
 //! POR-verdict equivalence, invariant unreachability, minimization.
 

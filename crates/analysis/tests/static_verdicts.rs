@@ -6,8 +6,8 @@
 //! rendered verdicts, so a change to the judge that moves any verdict or
 //! its rationale text fails here.
 
+use bas_analysis::flow::predict;
 use bas_analysis::scenario::{minix_model, model_for, sel4_model};
-use bas_analysis::taint::predict;
 use bas_analysis::PolicyModel;
 use bas_attack::model::{AttackId, AttackerModel};
 use bas_core::platform::linux::UidScheme;

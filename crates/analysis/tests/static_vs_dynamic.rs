@@ -11,8 +11,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use bas_acm::AccessControlMatrix;
+use bas_analysis::flow::predict;
 use bas_analysis::scenario::{minix_model, scenario_justification, sel4_model};
-use bas_analysis::taint::predict;
 use bas_analysis::{lint, Severity};
 use bas_attack::evidence::new_evidence;
 use bas_attack::harness::{run_attack, AttackRunConfig};

@@ -6,7 +6,8 @@
 //! primitives is explored to the bounded horizon, each operation
 //! dual-adjudicated by the Policy IR and the kernel artifacts. The
 //! experiment reports per-cell verdicts against the paper table and the
-//! taint analyzer, the partial-order-reduction factor at equal depth,
+//! static verdict derived from the flow analysis's escalation witnesses
+//! (the `taint` column), the partial-order-reduction factor at equal depth,
 //! and minimized counterexample traces — each replayed through the real
 //! dynamic engine to confirm the violation manifests.
 //!
@@ -139,7 +140,7 @@ fn main() {
     let states_per_second = total_states as f64 / wall_seconds.max(1e-9);
     let bytes_per_state = ExploreStats::bytes_per_state::<McAction>();
     println!(
-        "three-way agreement (checker == paper == taint): {agreed}/{} cells, \
+        "three-way agreement (checker == paper == static): {agreed}/{} cells, \
          {exhaustive}/{} proved exhaustively at the bound",
         reports.len(),
         reports.len()
@@ -349,7 +350,7 @@ fn main() {
         "verdict: {}",
         verdict(
             failures == 0,
-            "model checker, paper table, taint analyzer and dynamic engine all agree",
+            "model checker, paper table, static verdict and dynamic engine all agree",
             &format!("{failures} check(s) failed"),
         )
     );

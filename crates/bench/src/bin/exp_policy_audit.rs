@@ -2,8 +2,8 @@
 //! alone, plus the policy lint report, with no simulation in the loop.
 //!
 //! All three platform policies (MINIX ACM, compiled CapDL spec, Linux mq
-//! ACL plan) lower into the unified Policy IR; a reachability analysis
-//! then predicts every §IV-D attack outcome, and a lint pass diffs each
+//! ACL plan) lower into the unified Policy IR; the escalation-witness
+//! search then predicts every §IV-D attack outcome, and a lint pass diffs each
 //! policy against the AADL-minimal one. The `static_vs_dynamic` tests in
 //! `bas-analysis` assert cell-for-cell agreement with the dynamic
 //! harness; this binary prints the artifacts and re-checks the headline
@@ -11,10 +11,10 @@
 //!
 //! Run: `cargo run --release -p bas-bench --bin exp_policy_audit`
 
+use bas_analysis::flow::{expectation, predict};
 use bas_analysis::scenario::{
     minix_model, model_for, predicted_matrix, scenario_justification, sel4_model,
 };
-use bas_analysis::taint::{expectation, predict};
 use bas_analysis::{findings_report_json, lint, Severity};
 use bas_attack::expectations::{paper_expectation, Expectation};
 use bas_attack::model::{AttackId, AttackerModel};
