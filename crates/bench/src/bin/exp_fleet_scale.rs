@@ -554,43 +554,6 @@ fn main() {
             speedup_2w = s;
         }
     }
-    if cores >= 2 {
-        // Per-worker batches must show through on the largest fleet even
-        // at 2 workers: >1.2x in quick mode (16 instances), >1.7x in
-        // full mode (256 instances, the BENCH-quoted configuration).
-        let floor = if h.quick() { 1.2 } else { 1.7 };
-        let best2 = speedup_at_largest
-            .iter()
-            .filter(|(w, _)| *w >= 2)
-            .map(|(_, s)| *s)
-            .fold(0.0f64, f64::max);
-        assert!(
-            best2 > floor,
-            "expected >{floor}x speedup with >=2 workers on {cores} cores \
-             ({}+ instances), got {best2:.2}x",
-            sizes.last().unwrap()
-        );
-        println!(
-            "speedup check: {best2:.2}x with >=2 workers on {cores} cores (>{floor}x required) — OK"
-        );
-    } else {
-        println!("2-worker speedup check skipped ({cores} core available)");
-    }
-    if cores >= 4 && !h.quick() {
-        let best = speedup_at_largest
-            .iter()
-            .filter(|(w, _)| *w >= 4)
-            .map(|(_, s)| *s)
-            .fold(0.0f64, f64::max);
-        assert!(
-            best > 2.0,
-            "expected >2x speedup with >=4 workers on {cores} cores, got {best:.2}x"
-        );
-        println!("speedup check: {best:.2}x with >=4 workers on {cores} cores (>2x required) — OK");
-    } else if !h.quick() {
-        println!("4-worker speedup check skipped ({cores} cores available)");
-    }
-
     h.write_json(&Json::obj(vec![
         ("schema", Json::Str("bas-fleet-scale/v3".into())),
         ("platform", Json::Str(platform.to_string())),
@@ -654,4 +617,43 @@ fn main() {
         ("sweep", Json::Arr(sweep)),
         ("largest_fleet_report", report.to_json_value()),
     ]));
+    // The wall-clock speedup floors are checked after the report is
+    // written, so a run on a loaded host still leaves its exact counts
+    // behind for comparison.
+    if cores >= 2 {
+        // Per-worker batches must show through on the largest fleet even
+        // at 2 workers: >1.2x in quick mode (16 instances), >1.7x in
+        // full mode (256 instances, the BENCH-quoted configuration).
+        let floor = if h.quick() { 1.2 } else { 1.7 };
+        let best2 = speedup_at_largest
+            .iter()
+            .filter(|(w, _)| *w >= 2)
+            .map(|(_, s)| *s)
+            .fold(0.0f64, f64::max);
+        assert!(
+            best2 > floor,
+            "expected >{floor}x speedup with >=2 workers on {cores} cores \
+             ({}+ instances), got {best2:.2}x",
+            sizes.last().unwrap()
+        );
+        println!(
+            "speedup check: {best2:.2}x with >=2 workers on {cores} cores (>{floor}x required) — OK"
+        );
+    } else {
+        println!("2-worker speedup check skipped ({cores} core available)");
+    }
+    if cores >= 4 && !h.quick() {
+        let best = speedup_at_largest
+            .iter()
+            .filter(|(w, _)| *w >= 4)
+            .map(|(_, s)| *s)
+            .fold(0.0f64, f64::max);
+        assert!(
+            best > 2.0,
+            "expected >2x speedup with >=4 workers on {cores} cores, got {best:.2}x"
+        );
+        println!("speedup check: {best:.2}x with >=4 workers on {cores} cores (>2x required) — OK");
+    } else if !h.quick() {
+        println!("4-worker speedup check skipped ({cores} cores available)");
+    }
 }
