@@ -10,12 +10,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::AadlModel;
 
 /// One queue the loader must create.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueuePlan {
     /// VFS queue name (`/mq_<instance>_<port>`).
     pub name: String,
@@ -28,7 +26,7 @@ pub struct QueuePlan {
 }
 
 /// The full queue plan.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LinuxIpcPlan {
     /// All queues, sorted by name.
     pub queues: Vec<QueuePlan>,

@@ -1,9 +1,7 @@
 //! Semantic model of the AADL subset.
 
-use serde::{Deserialize, Serialize};
-
 /// Direction of a process port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortDirection {
     /// The process sends on this port.
     Out,
@@ -12,7 +10,7 @@ pub enum PortDirection {
 }
 
 /// An event/data port on a process type.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Port {
     /// Port name, unique within its process.
     pub name: String,
@@ -25,7 +23,7 @@ pub struct Port {
 }
 
 /// A process type declaration.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessType {
     /// Type name (e.g. `TempSensorProcess`).
     pub name: String,
@@ -44,7 +42,7 @@ impl ProcessType {
 }
 
 /// A directed port connection inside the system implementation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Connection {
     /// Connection label (e.g. `c1`).
     pub name: String,
@@ -55,7 +53,7 @@ pub struct Connection {
 }
 
 /// The system implementation: instances plus connections.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemImpl {
     /// Implementation name (e.g. `TempControlSystem.impl`).
     pub name: String,
@@ -77,7 +75,7 @@ impl SystemImpl {
 
 /// A parsed AADL model: process types plus (at most) one system
 /// implementation.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AadlModel {
     /// All process type declarations.
     pub processes: Vec<ProcessType>,

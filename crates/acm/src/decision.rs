@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Why a message was denied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DenyReason {
     /// No matrix entry exists for the (sender, receiver) pair at all — the
     /// processes may not communicate in this direction.
@@ -32,7 +30,7 @@ impl fmt::Display for DenyReason {
 /// A denied message is dropped by the kernel — from the paper: "if the
 /// message type is 1 the message will be denied and the request will be
 /// dropped instead."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Decision {
     /// The transfer may proceed.
     Allow,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The access-control identifier the paper adds to the MINIX 3 process
 /// control block.
 ///
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(sensor.as_u32(), 100);
 /// assert_eq!(format!("{sensor}"), "ac100");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AcId(u32);
 
 impl AcId {
@@ -47,7 +45,7 @@ impl fmt::Display for AcId {
 /// communication is allowed. The interpretation of message type is reserved
 /// for the individual processes [...] In our experiment, we use the message
 /// type field to represent different remote procedure calls."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MsgType(u32);
 
 impl MsgType {

@@ -12,12 +12,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::id::AcId;
 
 /// Classes of system calls a quota can bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SyscallClass {
     /// Process creation (`fork`, `fork2`).
     Fork,
@@ -41,7 +39,7 @@ impl fmt::Display for SyscallClass {
 }
 
 /// Error returned when a charge would exceed the identity's quota.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuotaExceeded {
     /// The identity that hit its limit.
     pub ac_id: AcId,
@@ -80,7 +78,7 @@ impl std::error::Error for QuotaExceeded {}
 /// // Other identities are unaffected.
 /// assert!(quotas.charge(AcId::new(101), SyscallClass::Fork).is_ok());
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QuotaTable {
     limits: BTreeMap<(AcId, SyscallClass), u64>,
     used: BTreeMap<(AcId, SyscallClass), u64>,

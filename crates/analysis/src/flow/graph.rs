@@ -13,13 +13,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use super::lattice::Perms;
 use crate::ir::ObjectId;
 
 /// Index of a capability node in its [`CapGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CapId(pub u32);
 
 impl fmt::Display for CapId {
@@ -32,7 +30,7 @@ impl fmt::Display for CapId {
 /// kernel's object table *declares*, and what the holder's *handle*
 /// asserts. The masquerading detector flags any disagreement (the
 /// ThreadX kernel-object-masquerading shape).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ObjType {
     /// An IPC endpoint / process mailbox.
     Endpoint,
@@ -75,7 +73,7 @@ impl fmt::Display for ObjType {
 }
 
 /// How a capability came into existence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DerivationKind {
     /// Bootstrap authority; no parent.
     Root,
@@ -99,7 +97,7 @@ impl fmt::Display for DerivationKind {
 /// One capability: holder, object, both type views, stored rights and
 /// provenance. `rights` is what the kernel's slot *records* — the flow
 /// analysis separately computes what the chain actually *justifies*.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapNode {
     /// The subject holding the capability.
     pub holder: String,
@@ -123,7 +121,7 @@ pub struct CapNode {
 
 /// The derivation forest of one policy, plus the logical clock expiries
 /// are judged against.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CapGraph {
     /// All capability nodes; `CapId` indexes this vector.
     pub nodes: Vec<CapNode>,

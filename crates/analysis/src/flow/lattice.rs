@@ -12,7 +12,6 @@
 use std::fmt;
 
 use bas_sel4::rights::CapRights;
-use serde::{Deserialize, Serialize};
 
 use crate::ir::Operation;
 
@@ -35,7 +34,7 @@ pub mod op {
 }
 
 /// One point of the permission lattice: `(operations, message types)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Perms {
     /// Operation bitmask (see [`op`]).
     pub ops: u8,

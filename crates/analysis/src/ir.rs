@@ -15,10 +15,9 @@ use bas_acm::matrix::MsgTypeSet;
 use bas_acm::MsgType;
 use bas_core::scenario::Platform;
 use bas_sim::device::DeviceId;
-use serde::{Deserialize, Serialize};
 
 /// Whether a subject is inside or outside the trust boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Trust {
     /// Part of the trusted computing base of the scenario.
     Trusted,
@@ -27,7 +26,7 @@ pub enum Trust {
 }
 
 /// Per-subject facts.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubjectInfo {
     /// Trust classification.
     pub trust: Trust,
@@ -36,7 +35,7 @@ pub struct SubjectInfo {
 }
 
 /// What a channel points at.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ObjectId {
     /// Another subject (message delivery to a process/thread).
     Process(String),
@@ -61,7 +60,7 @@ impl fmt::Display for ObjectId {
 }
 
 /// The operation a channel authorizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Operation {
     /// Send a message toward the object.
     Send,
@@ -99,7 +98,7 @@ impl fmt::Display for Operation {
 
 /// The enforcement mechanism standing between a send and its delivery —
 /// this determines *where* an attack's first observable verdict lands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ChannelKind {
     /// MINIX-style asynchronous send: the kernel consults the ACM at the
     /// send syscall, so the mechanism verdict is the kernel's.
@@ -120,7 +119,7 @@ pub enum ChannelKind {
 }
 
 /// One edge of the channel graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Channel {
     /// The acting subject.
     pub subject: String,
@@ -167,7 +166,7 @@ pub fn type_bits(set: MsgTypeSet) -> u64 {
 }
 
 /// Platform-level mechanism facts the analyses condition on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlatformTraits {
     /// Message sources are kernel-stamped (MINIX endpoints, seL4 badges)
     /// — application-level sender authentication is sound.
@@ -186,7 +185,7 @@ pub struct PlatformTraits {
 /// process code is the same on all three; only the enforcement differs).
 /// These are *trusted facts about application code*, not kernel policy —
 /// the analyzer needs them to predict where delivered messages still die.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AppContracts {
     /// `(receiver, msg type)` inputs whose sender the receiver
     /// authenticates via kernel-stamped identity, mapped to the set of
@@ -202,7 +201,7 @@ pub struct AppContracts {
 }
 
 /// The scenario roles the attack predictor needs to name.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Roles {
     /// The control-loop process.
     pub controller: String,
@@ -217,7 +216,7 @@ pub struct Roles {
 }
 
 /// The lowered policy of one deployment: the unified channel graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PolicyModel {
     /// Which platform this policy governs.
     pub platform: Platform,

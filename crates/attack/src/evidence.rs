@@ -8,10 +8,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use serde::{Deserialize, Serialize};
-
 /// Counters accumulated by an attacker process.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AttackEvidence {
     /// Counted attack operations issued.
     pub attempts: u64,

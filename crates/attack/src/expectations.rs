@@ -6,12 +6,11 @@
 //! compare against; `EXPERIMENTS.md` records paper-vs-measured.
 
 use bas_core::scenario::Platform;
-use serde::{Deserialize, Serialize};
 
 use crate::model::{AttackId, AttackerModel};
 
 /// A predicted outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Expectation {
     /// The attack mechanism succeeds and the physical process (or a
     /// critical process) is compromised.

@@ -2,10 +2,9 @@
 
 use bas_core::scenario::{PlantSnapshot, Platform};
 use bas_sim::metrics::KernelMetrics;
-use serde::{Deserialize, Serialize};
 
 /// The paper's two attacker models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackerModel {
     /// A1: arbitrary code execution in the web-interface process.
     ArbitraryCode,
@@ -26,7 +25,7 @@ impl std::fmt::Display for AttackerModel {
 }
 
 /// The attack catalogue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AttackId {
     /// Impersonate the temperature sensor: inject "everything is normal"
     /// readings so the controller idles the fan and never raises the
@@ -111,7 +110,7 @@ impl std::fmt::Display for AttackId {
 
 /// Whether the attack *mechanism* worked, judged from syscall replies and
 /// kernel traces.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MechanismOutcome {
     /// The kernel accepted the malicious operations.
     Succeeded(String),
@@ -136,7 +135,7 @@ impl std::fmt::Display for MechanismOutcome {
 }
 
 /// What happened in the physical world (from the safety oracle — E7).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhysicalSummary {
     /// The alarm-deadline safety property was violated.
     pub safety_violated: bool,
@@ -151,7 +150,7 @@ pub struct PhysicalSummary {
 }
 
 /// One cell of the attack matrix (E6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttackOutcome {
     /// Platform attacked.
     pub platform: Platform,

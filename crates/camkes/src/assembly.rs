@@ -1,21 +1,19 @@
 //! Assemblies: component instances wired by connections.
 
-use serde::{Deserialize, Serialize};
-
 use crate::component::Component;
 
 /// Connector types. The paper's system uses `seL4RPCCall` exclusively:
 /// "We chose to use this type for our connections to avoid a scenario
 /// where the malicious web interface could indefinitely block one of the
 /// temperature controller's threads."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Connector {
     /// RPC over `seL4_Call`/`seL4_Reply` with a badged endpoint.
     Sel4RpcCall,
 }
 
 /// A named component instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Instance {
     /// Instance name, unique in the assembly.
     pub name: String,
@@ -25,7 +23,7 @@ pub struct Instance {
 
 /// A connection from a client's used interface to a server's provided
 /// interface.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Connection {
     /// Connection name.
     pub name: String,
@@ -38,7 +36,7 @@ pub struct Connection {
 }
 
 /// A complete system description.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Assembly {
     /// All component instances.
     pub instances: Vec<Instance>,

@@ -3,11 +3,10 @@
 
 use bas_sel4::rights::CapRights;
 use bas_sim::device::DeviceId;
-use serde::{Deserialize, Serialize};
 
 /// An RPC procedure: a named set of methods. A method's index is its wire
 /// label.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Procedure {
     /// Procedure name.
     pub name: String,
@@ -43,7 +42,7 @@ impl Procedure {
 }
 
 /// A named interface on a component (an instantiated procedure).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Interface {
     /// Interface name unique within the component.
     pub name: String,
@@ -52,7 +51,7 @@ pub struct Interface {
 }
 
 /// A hardware dependency: the component needs a device capability.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HardwareDecl {
     /// Dependency name unique within the component.
     pub name: String,
@@ -63,7 +62,7 @@ pub struct HardwareDecl {
 }
 
 /// A component type.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Component {
     /// Component type name.
     pub name: String,

@@ -2,12 +2,11 @@
 
 use bas_sel4::rights::CapRights;
 use bas_sim::device::DeviceId;
-use serde::{Deserialize, Serialize};
 
 use crate::text::{self, CapDlParseError};
 
 /// Object kinds a spec can declare.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpecObjKind {
     /// An IPC endpoint.
     Endpoint,
@@ -20,7 +19,7 @@ pub enum SpecObjKind {
 }
 
 /// A declared kernel object.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjDecl {
     /// Spec-unique object name.
     pub name: String,
@@ -29,7 +28,7 @@ pub struct ObjDecl {
 }
 
 /// A declared thread (its TCB object is implicit).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreadDecl {
     /// Spec-unique thread name; also the program image name the realizer
     /// asks its loader for.
@@ -37,7 +36,7 @@ pub struct ThreadDecl {
 }
 
 /// What a declared capability points at.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CapTargetSpec {
     /// A declared object, by name.
     Object(String),
@@ -46,7 +45,7 @@ pub enum CapTargetSpec {
 }
 
 /// One capability in some thread's CSpace after bootstrap.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapDecl {
     /// The holding thread's name.
     pub holder: String,
@@ -66,7 +65,7 @@ pub struct CapDecl {
 /// CapDL proper tracks the CDT implicitly through `maybe_original`
 /// markers; this spec dialect records the provenance edge explicitly so
 /// the static analyzer can rebuild the derivation forest.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DerivationDecl {
     /// The derived capability, as `(holder, slot)`.
     pub child: (String, u32),
@@ -76,7 +75,7 @@ pub struct DerivationDecl {
 }
 
 /// A complete capability-distribution specification.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct CapDlSpec {
     /// Declared objects.
     pub objects: Vec<ObjDecl>,

@@ -8,12 +8,11 @@
 //! this range" — out-of-range setpoints are rejected.
 
 use bas_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::proto::BasMsg;
 
 /// Static control parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControlConfig {
     /// Initial setpoint, milli-°C.
     pub setpoint_milli_c: i32,
@@ -123,7 +122,7 @@ impl std::fmt::Display for SetpointOutOfRange {
 impl std::error::Error for SetpointOutOfRange {}
 
 /// Controller status snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControlStatus {
     /// Last accepted sensor reading, milli-°C (0 before the first).
     pub last_reading_milli_c: i32,

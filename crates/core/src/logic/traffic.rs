@@ -16,12 +16,11 @@
 
 use bas_sim::rng::SimRng;
 use bas_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::logic::web::WebAction;
 
 /// Inter-arrival process of one tenant's requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalProcess {
     /// Exponential gaps (Poisson arrivals) — the classic open-system
     /// model of independent human tenants.
@@ -37,7 +36,7 @@ pub enum ArrivalProcess {
 /// Lives in the scenario *template* (identical across a fleet); only the
 /// instance seed differentiates the concrete schedules, which is what
 /// lets snapshot/fork boot share one warm template under traffic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficProfile {
     /// When the tenant sessions open.
     pub start: SimTime,

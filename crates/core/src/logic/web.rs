@@ -22,13 +22,12 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use bas_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::proto::BasMsg;
 use crate::scenario::{AppIo, WebLog};
 
 /// One administrator action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WebAction {
     /// Change the setpoint (milli-°C).
     SetSetpoint(i32),
@@ -102,7 +101,7 @@ impl ScheduleCursor {
 }
 
 /// One completed web request, stamped by the web process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestSample {
     /// When the open-loop generator scheduled the request.
     pub scheduled: SimTime,

@@ -10,7 +10,6 @@
 use bas_acm::AcId;
 use bas_minix::message::Payload;
 use bas_sim::inline::{MsgBytes, MsgWords};
-use serde::{Deserialize, Serialize};
 
 /// `ac_id` of the temperature sensor process.
 pub const AC_SENSOR: AcId = AcId::new(100);
@@ -55,7 +54,7 @@ pub mod names {
 }
 
 /// A decoded protocol message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BasMsg {
     /// Periodic reading from the sensor driver.
     SensorReading {

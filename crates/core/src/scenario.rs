@@ -8,7 +8,6 @@ use bas_plant::SharedPlant;
 use bas_sim::clock::CostModel;
 use bas_sim::metrics::KernelMetrics;
 use bas_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::logic::control::ControlConfig;
 use crate::logic::traffic::TrafficProfile;
@@ -16,7 +15,7 @@ use crate::logic::web::{shared_schedule, RequestLog, RequestSample, SharedSchedu
 use crate::proto::BasMsg;
 
 /// Which platform a scenario instance runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Platform {
     /// Security-enhanced MINIX 3 (ACM).
     Minix,
@@ -280,7 +279,7 @@ pub trait Scenario {
 /// A serializable snapshot of the plant's safety state at some instant —
 /// the cross-platform "what did the physical world experience" record the
 /// attack harness and the fleet engine aggregate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlantSnapshot {
     /// The alarm-deadline safety property was violated.
     pub safety_violated: bool,

@@ -1,8 +1,7 @@
 //! A tiny deterministic JSON writer.
 //!
-//! The vendored `serde` is a marker-only stand-in (derives expand to
-//! nothing), so every report in this workspace serializes by hand. This
-//! module centralizes that: build a [`Json`] tree, call [`Json::render`].
+//! The workspace has no serialization dependency, so every report in
+//! it serializes by hand. This module centralizes that: build a [`Json`] tree, call [`Json::render`].
 //! Object keys keep insertion order and floats use Rust's shortest
 //! round-trip formatting, so the same tree always renders to the same
 //! bytes — the property the fleet determinism guard asserts on.

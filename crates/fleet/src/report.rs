@@ -10,7 +10,6 @@
 use bas_attack::model::{AttackId, AttackerModel};
 use bas_core::scenario::{critical_alive, plant_snapshot, PlantSnapshot, Platform, Scenario};
 use bas_sim::metrics::KernelMetrics;
-use serde::{Deserialize, Serialize};
 
 use crate::json::Json;
 
@@ -21,7 +20,7 @@ use crate::json::Json;
 /// zero. A fleet holds one request histogram per instance and nearly
 /// every request lands in bin 0, so a dense array would be almost all
 /// zeros. [`LatencyHistogram::counts`] yields every bin.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     /// Width of each bin, seconds.
     pub bin_width_s: f64,
@@ -181,7 +180,7 @@ impl LatencyHistogram {
 /// ([`RequestStats::BIN_WIDTH_S`]) since kernel round trips sit far
 /// below the 30 s alarm-latency bins; a round trip well under 1 ms
 /// lands in bin 0.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestStats {
     /// Requests completed (a response came back, ok or error).
     pub requests: u64,
@@ -254,7 +253,7 @@ impl Default for RequestStats {
 }
 
 /// Attack-campaign verdict for one instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttackCell {
     /// The kernel accepted the malicious operations.
     pub mechanism_succeeded: bool,
@@ -263,7 +262,7 @@ pub struct AttackCell {
 }
 
 /// Outcome of one building instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceReport {
     /// Instance index within the fleet (0-based).
     pub index: usize,
@@ -331,7 +330,7 @@ impl InstanceReport {
 }
 
 /// Fleet-wide sums over the per-instance reports.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetTotals {
     /// Total simulated seconds across all instances.
     pub sim_seconds: f64,
@@ -387,7 +386,7 @@ impl FleetTotals {
 }
 
 /// Campaign identity and aggregate verdict counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignSummary {
     /// The attack every instance ran.
     pub attack: AttackId,
@@ -404,7 +403,7 @@ pub struct CampaignSummary {
 /// Contains *only* simulation-derived data — no wall-clock, no worker
 /// count — so [`FleetReport::to_json`] is byte-identical for the same
 /// `(config, root_seed)` regardless of parallelism.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Platform every instance ran on.
     pub platform: Platform,

@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A user id. Uid 0 is root and bypasses every DAC check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Uid(u32);
 
 impl Uid {
@@ -49,7 +47,7 @@ impl fmt::Display for Uid {
 /// assert!(!m.allows(Uid::new(1001), owner, true, false));
 /// assert!(m.allows(Uid::ROOT, owner, true, true), "root bypasses DAC");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Mode(u16);
 
 impl Mode {

@@ -37,7 +37,7 @@ use crate::trace::{Churn, Detail, QueueName};
 pub type LinuxProcess = Box<dyn bas_sim::process::Process<Syscall = Syscall, Reply = Reply>>;
 
 /// `O_CREAT` attributes for `mq_open`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MqCreate {
     /// Permission bits for the new queue.
     pub mode: u16,

@@ -10,7 +10,6 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bas_sim::arena::MsgRef;
-use serde::{Deserialize, Serialize};
 
 use crate::cred::{Mode, Uid};
 
@@ -25,7 +24,7 @@ pub const MQ_MSG_MAX: usize = 256;
 /// full/blocked/unblocked transitions without copying bytes. Whoever pops
 /// the message (or tears the queue down) owns the slot reference and must
 /// free it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MqMessage {
     /// Sender-chosen priority (higher delivered first).
     pub priority: u32,
@@ -41,7 +40,7 @@ impl MqMessage {
 }
 
 /// A named message queue.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MessageQueue {
     /// VFS name (e.g. `/mq_sensor_data`), shared with the trace records
     /// that mention the queue.

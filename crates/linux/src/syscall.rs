@@ -4,13 +4,12 @@ use bas_sim::device::DeviceId;
 use bas_sim::inline::MsgBytes;
 use bas_sim::process::Pid;
 use bas_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::error::LinuxError;
 use crate::kernel::MqCreate;
 
 /// Access intents for `mq_open`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MqAccess {
     /// `O_RDONLY`-style read intent.
     pub read: bool,
@@ -38,7 +37,7 @@ impl MqAccess {
 
 /// Signals the model delivers. Both terminate the target; they differ only
 /// in the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Signal {
     /// `SIGKILL`.
     Kill,

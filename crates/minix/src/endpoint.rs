@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A MINIX IPC address.
 ///
 /// The generation number makes endpoints *temporally* unique: when a slot
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(e.generation(), 2);
 /// assert_eq!(Endpoint::from_raw(e.as_raw()), e);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Endpoint {
     slot: u16,
     generation: u16,

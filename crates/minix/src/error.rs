@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Errors returned by the simulated MINIX kernel and PM server.
 ///
 /// Named after the real MINIX 3 errno values where one exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MinixError {
     /// Destination or source endpoint is invalid, dead, or from a stale
     /// generation (`EDEADSRCDST`).

@@ -12,20 +12,18 @@
 //! `GrantCreate`, `SafeCopyFrom`, `SafeCopyTo`, `GrantRevoke`) are wired
 //! in [`crate::kernel`].
 
-use serde::{Deserialize, Serialize};
-
 use crate::endpoint::Endpoint;
 
 /// Identifies a memory buffer within its owning process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BufId(pub u32);
 
 /// Identifies a grant within its granting process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GrantId(pub u32);
 
 /// Grant permissions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GrantPerms {
     /// Grantee may copy out of the window.
     pub read: bool,
@@ -52,7 +50,7 @@ impl GrantPerms {
 }
 
 /// One grant: a window onto a buffer, for one grantee.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Grant {
     /// The granter's buffer being exposed.
     pub buf: BufId,
@@ -140,14 +138,14 @@ impl std::fmt::Debug for MemBytes {
 }
 
 /// Per-process memory state: owned buffers plus outstanding grants.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemoryTable {
     buffers: Vec<Option<Vec<u8>>>,
     grants: Vec<Option<Grant>>,
 }
 
 /// Why a grant operation failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GrantError {
     /// The named buffer does not exist.
     NoSuchBuffer,

@@ -6,8 +6,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::endpoint::Endpoint;
 
 /// Size of the payload portion of a message, in bytes.
@@ -24,7 +22,7 @@ pub const PAYLOAD_LEN: usize = 56;
 /// assert_eq!(p.read_i32(0), -42);
 /// assert_eq!(p.read_u64(8), 7_000_000_000);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Payload([u8; PAYLOAD_LEN]);
 
 impl Payload {
@@ -131,7 +129,7 @@ impl fmt::Debug for Payload {
 /// cannot forge it, which is the heart of the paper's spoofing defense:
 /// "The web interface process in user land cannot change a process's
 /// identity stored in the kernel PCB."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Message {
     /// Sender endpoint, kernel-stamped.
     pub source: Endpoint,

@@ -1,7 +1,6 @@
 //! On/off actuators (fan, alarm) with switching history.
 
 use bas_sim::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A two-state actuator that records every state transition.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(fan.transitions().len(), 2);
 /// assert!(!fan.is_on());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OnOffActuator {
     name: String,
     on: bool,

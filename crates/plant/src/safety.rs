@@ -12,10 +12,9 @@
 //! compromised platform cannot hide a violation from it.
 
 use bas_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One recorded violation of the safety property.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SafetyViolation {
     /// When the violation was detected.
     pub time: SimTime,
@@ -28,7 +27,7 @@ pub struct SafetyViolation {
 }
 
 /// Summary produced at the end of a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SafetyReport {
     /// All detected violations, in time order.
     pub violations: Vec<SafetyViolation>,

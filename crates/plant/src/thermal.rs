@@ -9,8 +9,6 @@
 //! dT/dt = ( q_ext − (k + fan·k_fan) · (T − T_ambient) ) / C
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters and state of the room model.
 ///
 /// ```
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// room.step(60.0, false); // one minute, fan off: external heat wins
 /// assert!(room.temperature_c() > t0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoomThermalModel {
     /// Current enclosure temperature, °C.
     temp_c: f64,

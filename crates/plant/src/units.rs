@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A temperature in thousandths of a degree Celsius.
 ///
 /// This is the wire representation used by the BAS message protocol: an
@@ -19,9 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((t.as_celsius() - 21.5).abs() < 1e-9);
 /// assert_eq!(format!("{t}"), "21.500°C");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MilliCelsius(i32);
 
 impl MilliCelsius {

@@ -2,7 +2,6 @@
 //! the kernels' virtual clock.
 
 use bas_sim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::actuator::OnOffActuator;
 use crate::safety::{SafetyMonitor, SafetyReport};
@@ -12,7 +11,7 @@ use crate::units::MilliCelsius;
 
 /// One row of the plant trace (the data behind the paper's Fig. 2-style
 /// time-series plots).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlantSample {
     /// Virtual time of the sample.
     pub time: SimTime,
@@ -27,7 +26,7 @@ pub struct PlantSample {
 }
 
 /// Configuration of the physical world.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlantConfig {
     /// Temperature at boot, °C.
     pub initial_temp_c: f64,

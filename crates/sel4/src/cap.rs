@@ -3,14 +3,13 @@
 use std::fmt;
 
 use bas_sim::process::Pid;
-use serde::{Deserialize, Serialize};
 
 use crate::objects::ObjId;
 use crate::rights::CapRights;
 
 /// A capability pointer: the slot index of a capability in the invoking
 /// thread's CSpace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CPtr(u32);
 
 impl CPtr {
@@ -37,7 +36,7 @@ impl fmt::Display for CPtr {
 }
 
 /// What a capability designates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CapTarget {
     /// An ordinary kernel object.
     Object(ObjId),
@@ -48,7 +47,7 @@ pub enum CapTarget {
 }
 
 /// A capability: an unforgeable token granting rights over a target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Capability {
     /// What the capability designates.
     pub target: CapTarget,

@@ -5,8 +5,6 @@
 //! that thread. This is the confinement property the paper's brute-force
 //! experiment probes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cap::{CPtr, Capability};
 use crate::error::Sel4Error;
 
@@ -23,7 +21,7 @@ use crate::error::Sel4Error;
 /// assert!(cs.lookup(slot).is_ok());
 /// assert!(cs.lookup(CPtr::new(7)).is_err(), "empty slot");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CSpace {
     slots: Vec<Option<Capability>>,
 }

@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Errors returned by the simulated seL4 kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Sel4Error {
     /// The capability pointer names an empty or out-of-range slot. The
     /// kernel deliberately does not distinguish the two cases, so probing

@@ -4,7 +4,6 @@
 //! capabilities can ride along if the endpoint capability carries `grant`.
 
 use bas_sim::inline::MsgWords;
-use serde::{Deserialize, Serialize};
 
 use crate::cap::CPtr;
 
@@ -17,7 +16,7 @@ pub const MAX_MSG_WORDS: usize = 64;
 pub const MAX_MSG_CAPS: usize = 3;
 
 /// An outgoing IPC message.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct IpcMessage {
     /// The message label (analogous to a method/selector id).
     pub label: u64,
@@ -71,7 +70,7 @@ impl IpcMessage {
 }
 
 /// A message as delivered to a receiver.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeliveredMessage {
     /// The badge of the capability the *sender* invoked — the receiver's
     /// only information about the sender's identity, and unforgeable.

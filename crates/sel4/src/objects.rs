@@ -9,10 +9,9 @@ use std::fmt;
 
 use bas_sim::device::DeviceId;
 use bas_sim::process::Pid;
-use serde::{Deserialize, Serialize};
 
 /// Index of a kernel object in the kernel's object table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjId(u32);
 
 impl ObjId {
@@ -40,7 +39,7 @@ impl fmt::Display for ObjId {
 
 /// Discriminates object kinds (also what `CapIdentify` reveals to a
 /// brute-forcing probe).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObjKind {
     /// A thread control block.
     Tcb,

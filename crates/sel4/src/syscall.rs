@@ -13,10 +13,9 @@ use crate::cap::CPtr;
 use crate::error::Sel4Error;
 use crate::message::{DeliveredMessage, IpcMessage};
 use crate::objects::ObjKind;
-use serde::{Deserialize, Serialize};
 
 /// Object kinds creatable from untyped memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RetypeKind {
     /// An IPC endpoint (16 modeled bytes).
     Endpoint,

@@ -40,8 +40,6 @@
 //! assert_eq!(arena.try_get(d), None); // generation tag catches the stale ref
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::inline::MsgWords;
 
 /// Slot payload capacity, matching the MINIX wire message (64 bytes) and
@@ -51,7 +49,7 @@ pub const SLOT_BYTES: usize = 64;
 /// Generation-tagged handle to one message slot. 8 bytes, `Copy`: this is
 /// what queues, blocked-sender PCB states and fault stashes move around
 /// instead of owned payload buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MsgRef {
     index: u32,
     gen: u32,

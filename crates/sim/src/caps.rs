@@ -20,15 +20,13 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::arena::MsgRef;
 use crate::process::Pid;
 use crate::time::SimTime;
 use crate::trace::TraceEvent;
 
 /// One kind of capability operation in the event stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CapOp {
     /// A new right was installed (boot grant, delegation, regrant).
     Grant,
@@ -74,7 +72,7 @@ impl CapOp {
 /// `cap` names the capability instance (platform-specific encoding, e.g.
 /// `acm:ac104->ac101` or `mq:/mq_tempProc_setpoint_in:web_interface`) and
 /// is the identity the detector correlates across events.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapEvent {
     /// Global emission sequence number (unique within one run).
     pub seq: u64,
@@ -95,7 +93,7 @@ pub struct CapEvent {
 /// A completed capability trace: the event stream plus the IPC edges
 /// (`sender-side seq → receiver-side seq`) that induce cross-subject
 /// happens-before ordering.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CapTrace {
     /// All events, in emission (seq) order.
     pub events: Vec<CapEvent>,
@@ -219,7 +217,7 @@ impl CapTrace {
 }
 
 /// What a churn request does to the named right.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnKind {
     /// Install (or re-install) the right.
     Grant,
@@ -256,7 +254,7 @@ impl ChurnKind {
 /// the seL4 endpoint capabilities `subject` holds on `object`'s
 /// interfaces, or the mode bits of the mq connecting `subject` to
 /// `object` on Linux.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapChurnOp {
     /// The mutation.
     pub kind: ChurnKind,

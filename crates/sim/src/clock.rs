@@ -8,8 +8,6 @@
 //! defaults are loosely calibrated to a ~1 GHz embedded ARM core (the
 //! BeagleBone Black used by the paper's testbed).
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{SimDuration, SimTime};
 
 /// Nanosecond charges for kernel-level operations.
@@ -19,7 +17,7 @@ use crate::time::{SimDuration, SimTime};
 /// let m = CostModel::default();
 /// assert!(m.context_switch.as_nanos() > m.kernel_entry.as_nanos());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// Cost of switching between two processes (register save/restore,
     /// address-space switch, cache effects).

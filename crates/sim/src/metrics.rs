@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Counters maintained by every simulated kernel.
 ///
 /// These back the paper's §III performance remark: the microkernel platforms
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// m.ipc_messages += 2;
 /// assert!(format!("{m}").contains("ipc_messages=2"));
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelMetrics {
     /// Process-to-process switches performed by the scheduler.
     pub context_switches: u64,

@@ -9,8 +9,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A process identifier, unique for the lifetime of one simulated kernel.
 ///
 /// ```
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.as_u32(), 3);
 /// assert_eq!(format!("{p}"), "pid3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pid(u32);
 
 impl Pid {

@@ -6,8 +6,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// An instant in virtual time, in nanoseconds since simulation boot.
 ///
 /// ```
@@ -17,9 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.as_nanos(), 1_500_000_000);
 /// assert_eq!(t - SimTime::ZERO, SimDuration::from_secs(1) + SimDuration::from_millis(500));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {
@@ -90,9 +86,7 @@ impl Sub<SimTime> for SimTime {
 /// assert_eq!(SimDuration::from_secs(2) * 3, SimDuration::from_millis(6_000));
 /// assert!(SimDuration::from_micros(1) < SimDuration::from_millis(1));
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimDuration {
