@@ -555,41 +555,6 @@ mod tests {
         assert_eq!(expectation(&v), Expectation::Compromised);
     }
 
-    #[test]
-    fn replay_compromises_wherever_setpoints_flow() {
-        for kind in [ChannelKind::AsyncSend, ChannelKind::RpcCall] {
-            let v = predict(&base(kind, true), AttackId::ReplaySetpoint);
-            assert_eq!(expectation(&v), Expectation::Compromised, "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn tamper_is_stopped_by_validation() {
-        let v = predict(
-            &base(ChannelKind::AsyncSend, true),
-            AttackId::SetpointTamper,
-        );
-        assert_eq!(expectation(&v), Expectation::Stopped);
-    }
-
-    #[test]
-    fn fork_quota_zero_stops_the_bomb() {
-        let mut m = base(ChannelKind::AsyncSend, true);
-        m.channels.push(Channel {
-            subject: "web".into(),
-            object: ObjectId::ProcessManager,
-            op: Operation::Fork,
-            msg_types: MsgTypeSet::EMPTY,
-            kind: ChannelKind::SysOp,
-            badge: None,
-        });
-        let v = predict(&m, AttackId::ForkBomb);
-        assert_eq!(expectation(&v), Expectation::ResourceExhaustionOnly);
-        m.fork_quota.insert("web".into(), 0);
-        let v = predict(&m, AttackId::ForkBomb);
-        assert_eq!(expectation(&v), Expectation::Stopped);
-    }
-
     fn shared_linux() -> PolicyModel {
         model_for(
             Platform::Linux,

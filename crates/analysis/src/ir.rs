@@ -479,29 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn rpc_delivery_is_the_in_band_reply() {
-        let mut m = PolicyModel::new(Platform::Minix, traits());
-        m.contracts.validated.insert(("ctrl".into(), 4));
-        assert!(!m.mechanism_delivers("web", "ctrl", 4, true), "no channel");
-        m.channels.push(chan(
-            "web",
-            ObjectId::Process("ctrl".into()),
-            Operation::Send,
-            &[4],
-        ));
-        assert!(
-            m.mechanism_delivers("web", "ctrl", 4, false),
-            "kernel admits junk"
-        );
-        m.channels[0].kind = ChannelKind::RpcCall;
-        assert!(
-            !m.mechanism_delivers("web", "ctrl", 4, false),
-            "rejected in-band"
-        );
-        assert!(m.mechanism_delivers("web", "ctrl", 4, true));
-    }
-
-    #[test]
     fn kill_via_pm_or_direct_tcb() {
         let mut m = PolicyModel::new(Platform::Minix, traits());
         m.channels.push(chan(
