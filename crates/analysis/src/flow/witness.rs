@@ -564,7 +564,7 @@ mod tests {
     }
 
     #[test]
-    fn channel_witness_renders_the_legacy_taint_path() {
+    fn channel_witness_renders_the_tainted_input_path() {
         let ws = escalation_witnesses(&shared_linux());
         let tainted: Vec<&Witness> = ws
             .iter()

@@ -10,8 +10,9 @@
 //!    × attack cell, the presence of a relevant escalation witness must
 //!    equal the model checker's verdict and the paper table. (The
 //!    `taint` column is the static verdict, which is derived from these
-//!    same witnesses, so it is printed but not compared.) Forward: every witness's predicted property bits
-//!    intersect what the checker actually reached. Reverse: every
+//!    same witnesses, so it is printed but not compared.) Forward:
+//!    every witness's predicted property bits intersect what the
+//!    checker actually reached. Reverse: every
 //!    compromise counterexample the checker minimizes is covered by a
 //!    witness predicting that property.
 //! 2. **Derivation scenarios (21).** Each seeded anomaly — amplified

@@ -1,10 +1,11 @@
 //! A tiny deterministic JSON writer.
 //!
 //! The workspace has no serialization dependency, so every report in
-//! it serializes by hand. This module centralizes that: build a [`Json`] tree, call [`Json::render`].
-//! Object keys keep insertion order and floats use Rust's shortest
-//! round-trip formatting, so the same tree always renders to the same
-//! bytes — the property the fleet determinism guard asserts on.
+//! it serializes by hand. This module centralizes that: build a
+//! [`Json`] tree, call [`Json::render`]. Object keys keep insertion
+//! order and floats use Rust's shortest round-trip formatting, so the
+//! same tree always renders to the same bytes — the property the fleet
+//! determinism guard asserts on.
 
 /// An ordered JSON value.
 #[derive(Debug, Clone, PartialEq)]
