@@ -363,12 +363,26 @@ pub fn expectation(v: &StaticVerdict) -> Expectation {
 /// anything. Compromise is the presence of a relevant escalation
 /// witness; mechanism delivery is whether the attack's primitive gets
 /// past the enforcement point it is judged at (kernel ACM, capability
-/// check, DAC, or the server's in-band reply).
+/// check, DAC, or the server's in-band reply). A cell whose every
+/// relevant witness crosses an anomalous capability edge is delivered
+/// through that chain, and the rendered chain is its rationale.
 pub fn predict(model: &PolicyModel, attack: AttackId) -> StaticVerdict {
     let web = model.roles.web.as_str();
     let ctrl = model.roles.controller.as_str();
     let alarm = model.roles.alarm.as_str();
-    let compromised = !witnesses_for_attack(&escalation_witnesses(model), attack, model).is_empty();
+    let witnesses = escalation_witnesses(model);
+    let relevant = witnesses_for_attack(&witnesses, attack, model);
+    // A cell reached only across anomalous capability edges has no
+    // channel for the queries below to find: the chain itself is how the
+    // primitive gets through, and it is the rationale.
+    if !relevant.is_empty() && relevant.iter().all(|w| w.via_caps) {
+        return StaticVerdict {
+            mechanism_delivers: true,
+            compromised: true,
+            rationale: relevant[0].render(),
+        };
+    }
+    let compromised = !relevant.is_empty();
     let (mechanism_delivers, rationale) = match attack {
         AttackId::SpoofSensorData => {
             let mech = model.mechanism_delivers(web, ctrl, MT_SENSOR_READING, true);
@@ -555,6 +569,40 @@ mod tests {
         assert_eq!(expectation(&v), Expectation::Compromised);
     }
 
+    #[test]
+    fn replay_compromises_wherever_setpoints_flow() {
+        for kind in [ChannelKind::AsyncSend, ChannelKind::RpcCall] {
+            let m = base(kind, true);
+            let v = predict(&m, AttackId::ReplaySetpoint);
+            assert_eq!(expectation(&v), Expectation::Compromised, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn tamper_is_stopped_by_validation() {
+        let m = base(ChannelKind::AsyncSend, true);
+        let v = predict(&m, AttackId::SetpointTamper);
+        assert_eq!(expectation(&v), Expectation::Stopped);
+    }
+
+    #[test]
+    fn fork_quota_zero_stops_the_bomb() {
+        let mut m = base(ChannelKind::AsyncSend, true);
+        m.channels.push(Channel {
+            subject: "web".into(),
+            object: ObjectId::ProcessManager,
+            op: Operation::Fork,
+            msg_types: MsgTypeSet::EMPTY,
+            kind: ChannelKind::SysOp,
+            badge: None,
+        });
+        let v = predict(&m, AttackId::ForkBomb);
+        assert_eq!(expectation(&v), Expectation::ResourceExhaustionOnly);
+        m.fork_quota.insert("web".into(), 0);
+        let v = predict(&m, AttackId::ForkBomb);
+        assert_eq!(expectation(&v), Expectation::Stopped);
+    }
+
     fn shared_linux() -> PolicyModel {
         model_for(
             Platform::Linux,
@@ -614,6 +662,38 @@ mod tests {
             .expect("escalation witness through the amplified cap");
         assert_eq!(w.subject, web);
         assert_eq!(w.hops.len(), 3, "subject -> cap -> asset: {:?}", w.hops);
+    }
+
+    #[test]
+    fn cap_only_compromise_is_delivered_through_the_chain() {
+        let mut cap_only = 0;
+        for s in crate::flow::derivation_scenarios() {
+            let ws = escalation_witnesses(&s.model);
+            for attack in AttackId::ALL {
+                let relevant = witnesses_for_attack(&ws, attack, &s.model);
+                let v = predict(&s.model, attack);
+                assert_eq!(v.compromised, !relevant.is_empty(), "{} {attack}", s.name);
+                if !relevant.is_empty() && relevant.iter().all(|w| w.via_caps) {
+                    cap_only += 1;
+                    assert!(v.mechanism_delivers, "{} {attack}", s.name);
+                    assert_eq!(v.rationale, relevant[0].render(), "{} {attack}", s.name);
+                }
+            }
+        }
+        // The amplified derivation hands web fan-register write authority
+        // on every platform, with no device channel behind it.
+        assert!(cap_only >= 3, "{cap_only}");
+        let amplified = crate::flow::derivation_scenarios()
+            .into_iter()
+            .find(|s| s.name == "sel4/amplified-derive")
+            .expect("scenario");
+        let v = predict(&amplified.model, AttackId::DirectDeviceWrite);
+        assert!(v.compromised && v.mechanism_delivers);
+        assert!(
+            v.rationale.ends_with("dev:fan (direct register write)"),
+            "{}",
+            v.rationale
+        );
     }
 
     #[test]

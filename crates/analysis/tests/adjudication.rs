@@ -14,6 +14,7 @@ use bas_analysis::mc::{
     check_cell, matrix_cells, ExploreOpts, KernelGate, Proc, ScenarioModel, Verdict, DEVICES,
     MTYPES,
 };
+use bas_analysis::ChannelKind;
 use bas_attack::{AttackId, AttackerModel};
 use bas_core::platform::linux::UidScheme;
 use bas_core::proto::MT_SENSOR_READING;
@@ -68,14 +69,27 @@ fn assert_table_is_live(m: &ScenarioModel, label: &str) {
         );
         for mtype in MTYPES {
             for in_range in [false, true] {
+                let accepts = ir.app_accepts(web, subject, mtype, in_range);
                 assert_eq!(
                     adj.app_accepts(s, mtype, in_range),
-                    ir.app_accepts(web, subject, mtype, in_range),
+                    accepts,
                     "{label}: app_accepts web -> {s} type {mtype} in_range={in_range}"
+                );
+                // The delivery rule, restated: an RPC server's in-band
+                // acceptance decides, any other channel is kernel admission.
+                let mech = match ir.delivery_channel(web, subject, mtype) {
+                    Some(ch) if ch.kind == ChannelKind::RpcCall => accepts,
+                    Some(_) => true,
+                    None => false,
+                };
+                assert_eq!(
+                    ir.mechanism_delivers(web, subject, mtype, in_range),
+                    mech,
+                    "{label}: ir mechanism_delivers web -> {s} type {mtype} in_range={in_range}"
                 );
                 assert_eq!(
                     adj.mech_delivers(s, mtype, in_range),
-                    ir.mechanism_delivers(web, subject, mtype, in_range),
+                    mech,
                     "{label}: mech_delivers web -> {s} type {mtype} in_range={in_range}"
                 );
             }
