@@ -13,6 +13,13 @@ use bas_attack::model::{AttackId, AttackerModel};
 use bas_core::scenario::Platform;
 use bas_sim::time::SimDuration;
 
+/// FNV-1a over `text`'s bytes.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// One golden cell: (mechanism succeeded, critical alive, safety violated).
 type Cell = (bool, bool, bool);
 
@@ -74,11 +81,13 @@ fn golden_max_deviation(platform: Platform, attack: AttackId) -> Option<f64> {
 #[test]
 fn engine_matches_prerefactor_attack_matrix() {
     let config = AttackRunConfig::default();
+    let mut outcomes = String::new();
     for platform in [Platform::Linux, Platform::Minix, Platform::Sel4] {
         let golden = golden_column(platform);
         for (i, attack) in AttackId::ALL.into_iter().enumerate() {
             for attacker in [AttackerModel::ArbitraryCode, AttackerModel::Root] {
                 let o = run_attack(platform, attacker, attack, &config);
+                outcomes.push_str(&format!("{o:?}\n"));
                 let measured = (
                     o.mechanism.succeeded(),
                     o.critical_alive,
@@ -99,6 +108,17 @@ fn engine_matches_prerefactor_attack_matrix() {
             }
         }
     }
+    // The whole outcome of every cell: evidence counts and notes, kernel
+    // metrics and the plant snapshot.
+    assert_eq!(
+        format!(
+            "cells {} fnv1a {:016x}",
+            outcomes.lines().count(),
+            fnv1a(&outcomes)
+        ),
+        "cells 54 fnv1a 6880e02fa8f3e1de",
+        "{outcomes}"
+    );
 }
 
 /// The hardened-Linux column (per-process uids, 0620 queues): A1 is
@@ -133,12 +153,14 @@ fn engine_matches_prerefactor_hardened_linux() {
         (false, true, false), // setpoint-tamper
         (true, true, true),   // replay-setpoint
     ];
+    let mut outcomes = String::new();
     for (attacker, golden) in [
         (AttackerModel::ArbitraryCode, golden_a1),
         (AttackerModel::Root, golden_a2),
     ] {
         for (i, attack) in AttackId::ALL.into_iter().enumerate() {
             let o = run_attack(Platform::Linux, attacker, attack, &config);
+            outcomes.push_str(&format!("{o:?}\n"));
             let measured = (
                 o.mechanism.succeeded(),
                 o.critical_alive,
@@ -150,6 +172,15 @@ fn engine_matches_prerefactor_hardened_linux() {
             );
         }
     }
+    assert_eq!(
+        format!(
+            "cells {} fnv1a {:016x}",
+            outcomes.lines().count(),
+            fnv1a(&outcomes)
+        ),
+        "cells 18 fnv1a 620b8571dd410a72",
+        "{outcomes}"
+    );
 }
 
 /// Benign E1 verdicts through the generic boot path: every platform runs

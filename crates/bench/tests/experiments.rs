@@ -1,12 +1,13 @@
 //! Pins the stdout of the experiment binaries whose tables back the
-//! paper's §III overhead remark (E8 and E8b) and of the static policy
-//! audit (E12), and checks their flag handling. E8 and E8b run in
-//! `--quick` mode; the expected text is the deterministic virtual-time
-//! output, so any change to a fixture's syscall sequence, counters or
-//! cost model shows up here. E12 is pinned by line count and digest: it
-//! prints the lowered policies, the predicted matrix and the lint
-//! reports, so a change to any static verdict, rationale or finding
-//! shows up here too.
+//! paper's §III overhead remark (E8 and E8b), of the static policy audit
+//! (E12) and of the two ablations (A1 and A2), and checks their flag
+//! handling. E8 and E8b run in `--quick` mode; the expected text is the
+//! deterministic virtual-time output, so any change to a fixture's
+//! syscall sequence, counters or cost model shows up here. E12 and the
+//! ablations are pinned by line count and digest: E12 prints the lowered
+//! policies, the predicted matrix and the lint reports, so a change to
+//! any static verdict, rationale or finding shows up here too; the
+//! ablations print each attacker's evidence counts and safety verdict.
 
 use std::process::Command;
 
@@ -76,6 +77,30 @@ fn policy_audit_output_is_pinned() {
     assert_eq!(
         format!("lines {} fnv1a {:016x}", got.lines().count(), fnv1a(&got)),
         "lines 400 fnv1a 9df4ffdc54953b42",
+        "{got}"
+    );
+}
+
+/// The A1 ablation (MINIX ACM) in full mode: four attacks under three
+/// policies, each row read from the attacker's evidence and the plant.
+#[test]
+fn ablation_acm_output_is_pinned() {
+    let got = stdout_of(env!("CARGO_BIN_EXE_exp_ablation_acm"), &[]);
+    assert_eq!(
+        format!("lines {} fnv1a {:016x}", got.lines().count(), fnv1a(&got)),
+        "lines 31 fnv1a 84c8e47a191433f6",
+        "{got}"
+    );
+}
+
+/// The A2 ablation (seL4 stray capabilities): both configurations'
+/// attacker counts, the CapDL audit and the safety verdicts.
+#[test]
+fn ablation_caps_output_is_pinned() {
+    let got = stdout_of(env!("CARGO_BIN_EXE_exp_ablation_caps"), &[]);
+    assert_eq!(
+        format!("lines {} fnv1a {:016x}", got.lines().count(), fnv1a(&got)),
+        "lines 15 fnv1a 64c319af19ce520a",
         "{got}"
     );
 }
