@@ -37,7 +37,7 @@ pub mod verdict;
 
 pub use explore::{explore, minimize_trace, Exploration, ExploreOpts, ExploreStats};
 pub use gate::KernelGate;
-pub use model::{attack_ops, Adjudication, McBounds, ScenarioModel, Verdict, DEVICES, MTYPES};
+pub use model::{Adjudication, McBounds, ScenarioModel, Verdict, DEVICES, MTYPES};
 pub use replay::{property_manifested, replay_counterexample, ReplayResult};
 pub use state::{flags, AttackOp, McAction, McState, Proc};
 pub use verdict::{

@@ -4,7 +4,11 @@
 //! `(platform, attacker, attack)`: the four critical processes take one
 //! deterministic step per round, the attacker interleaves up to one
 //! primitive per round from the web position, and an environment tick
-//! closes the round with plant physics. Every IPC send, kill, fork and
+//! closes the round with plant physics. The primitives an attack offers
+//! are its program's ops ([`AttackId::program`]), the same alphabet the
+//! dynamic harness lowers through each platform's binding
+//! ([`bas_attack::bind`]); the checker interleaves the ops freely and
+//! ignores the program's pace and bound. Every IPC send, kill, fork and
 //! device access is adjudicated **twice** — by the Policy IR and by the
 //! kernel-artifact [`KernelGate`] — and any disagreement raises the
 //! [`flags::GATE_MISMATCH`] violation on the transition that performs
@@ -248,21 +252,6 @@ impl Default for McBounds {
             burst_round: 2,
             fork_cap: 3,
         }
-    }
-}
-
-/// The attacker primitives each attack of the catalogue offers.
-pub fn attack_ops(attack: AttackId) -> &'static [AttackOp] {
-    match attack {
-        AttackId::SpoofSensorData => &[AttackOp::InjectReading],
-        AttackId::SpoofActuatorCommands => &[AttackOp::ForgeFanOff, AttackOp::ForgeAlarmOff],
-        AttackId::KillCritical => &[AttackOp::Kill(Proc::Ctrl), AttackOp::Kill(Proc::Alarm)],
-        AttackId::ForkBomb => &[AttackOp::Fork],
-        AttackId::BruteForceHandles => &[AttackOp::Probe],
-        AttackId::FloodLegitChannel => &[AttackOp::Flood],
-        AttackId::DirectDeviceWrite => &[AttackOp::DevForceFan, AttackOp::DevForceAlarm],
-        AttackId::SetpointTamper => &[AttackOp::Tamper],
-        AttackId::ReplaySetpoint => &[AttackOp::Replay],
     }
 }
 
@@ -776,7 +765,7 @@ impl StepSemantics for ScenarioModel {
             }
         }
         if !s.has_moved(Proc::Web) && s.budget > 0 {
-            for &op in attack_ops(self.attack) {
+            for &op in self.attack.program().ops {
                 let available = match op {
                     AttackOp::Kill(v) => s.is_alive(v),
                     AttackOp::Fork => s.forks < self.bounds.fork_cap,

@@ -10,6 +10,12 @@
 //! violating interleaving exists; for the scenario's attacks the two
 //! coincide (the attack harness drives the adversarial schedule), which
 //! is exactly what this bridge verifies.
+//!
+//! The witness and the dynamic attacker share one alphabet: each
+//! `attack:` step of a counterexample is an [`bas_attack::AttackOp`] of
+//! the cell's program, and the harness runs that program through the
+//! platform's binding. The replay still re-runs the whole cell rather
+//! than the witness's own op sequence.
 
 use bas_attack::{run_attack, AttackOutcome, AttackRunConfig};
 use bas_core::platform::linux::UidScheme;

@@ -9,56 +9,7 @@
 //! `u64` ([`McState::pack`]), which is the explorer's exact
 //! deduplication key.
 
-/// The five scenario processes, in lockstep order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Proc {
-    /// Temperature sensor driver.
-    Sensor,
-    /// The control-loop process.
-    Ctrl,
-    /// Heater/fan driver.
-    Heater,
-    /// Alarm driver.
-    Alarm,
-    /// The web interface — the attacker's position.
-    Web,
-}
-
-impl Proc {
-    /// The four critical processes whose moves gate the environment tick.
-    pub const CRITICAL: [Proc; 4] = [Proc::Sensor, Proc::Ctrl, Proc::Heater, Proc::Alarm];
-
-    /// Every process, in [`Proc::index`] order.
-    pub const ALL: [Proc; 5] = [
-        Proc::Sensor,
-        Proc::Ctrl,
-        Proc::Heater,
-        Proc::Alarm,
-        Proc::Web,
-    ];
-
-    /// Bit index for `alive` / `moved` masks.
-    pub fn bit(self) -> u8 {
-        match self {
-            Proc::Sensor => 1 << 0,
-            Proc::Ctrl => 1 << 1,
-            Proc::Heater => 1 << 2,
-            Proc::Alarm => 1 << 3,
-            Proc::Web => 1 << 4,
-        }
-    }
-
-    /// Owner index for ample-set grouping (env = 5).
-    pub fn index(self) -> usize {
-        match self {
-            Proc::Sensor => 0,
-            Proc::Ctrl => 1,
-            Proc::Heater => 2,
-            Proc::Alarm => 3,
-            Proc::Web => 4,
-        }
-    }
-}
+pub use bas_attack::program::{AttackOp, Proc};
 
 /// Who a pending sensor reading claims to be from. The kernel stamps the
 /// true origin where the platform supports it; the controller's
@@ -82,44 +33,6 @@ pub enum WebMsg {
     ReplaySetpoint,
 }
 
-/// An attacker primitive. Which ones are offered depends on the attack
-/// under analysis; each costs one unit of the attacker's action budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AttackOp {
-    /// Inject an "everything is normal" sensor reading.
-    InjectReading,
-    /// Forge a fan-off command to the heater driver.
-    ForgeFanOff,
-    /// Forge an alarm-off command to the alarm driver.
-    ForgeAlarmOff,
-    /// Kill a critical process.
-    Kill(Proc),
-    /// Fork one child (the fork-bomb primitive).
-    Fork,
-    /// Enumerate reachable IPC handles (one-shot probe).
-    Probe,
-    /// Flood the legitimate setpoint channel with junk.
-    Flood,
-    /// Send an out-of-range setpoint.
-    Tamper,
-    /// Replay a captured in-range setpoint.
-    Replay,
-    /// Write the fan device register directly (force off).
-    DevForceFan,
-    /// Write the alarm device register directly (force off).
-    DevForceAlarm,
-    /// Invoke a type-confused handle (kernel-object masquerading).
-    Masquerade,
-    /// Invoke a derivation-breached capability (amplified, leaked past
-    /// a revoke, or expired-but-live).
-    UseDerived,
-    /// Revoke the sensor→controller send right mid-run (capability
-    /// churn, the race-detector cross-validation).
-    Revoke,
-    /// Re-grant the previously revoked sensor→controller right.
-    Regrant,
-}
-
 /// One atomic transition of the abstract scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum McAction {
@@ -129,40 +42,6 @@ pub enum McAction {
     Attack(AttackOp),
     /// The environment advances: plant physics + the round barrier.
     EnvTick,
-}
-
-impl std::fmt::Display for Proc {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Proc::Sensor => "sensor",
-            Proc::Ctrl => "ctrl",
-            Proc::Heater => "heater",
-            Proc::Alarm => "alarm",
-            Proc::Web => "web",
-        })
-    }
-}
-
-impl std::fmt::Display for AttackOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AttackOp::InjectReading => f.write_str("inject-reading"),
-            AttackOp::ForgeFanOff => f.write_str("forge-fan-off"),
-            AttackOp::ForgeAlarmOff => f.write_str("forge-alarm-off"),
-            AttackOp::Kill(p) => write!(f, "kill({p})"),
-            AttackOp::Fork => f.write_str("fork"),
-            AttackOp::Probe => f.write_str("probe"),
-            AttackOp::Flood => f.write_str("flood"),
-            AttackOp::Tamper => f.write_str("tamper"),
-            AttackOp::Replay => f.write_str("replay"),
-            AttackOp::DevForceFan => f.write_str("dev-force-fan"),
-            AttackOp::DevForceAlarm => f.write_str("dev-force-alarm"),
-            AttackOp::Masquerade => f.write_str("masquerade"),
-            AttackOp::UseDerived => f.write_str("use-derived"),
-            AttackOp::Revoke => f.write_str("revoke"),
-            AttackOp::Regrant => f.write_str("regrant"),
-        }
-    }
 }
 
 impl std::fmt::Display for McAction {

@@ -7,18 +7,15 @@
 //! under both policy ablations (permissive ACM, stray seL4 capabilities),
 //! where the *verdicts themselves flip* — so agreement is not vacuous.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use bas_acm::AccessControlMatrix;
 use bas_analysis::flow::predict;
 use bas_analysis::scenario::{minix_model, scenario_justification, sel4_model};
 use bas_analysis::{lint, Severity};
 use bas_attack::evidence::new_evidence;
 use bas_attack::harness::{run_attack, AttackRunConfig};
-use bas_attack::library;
 use bas_attack::model::{AttackId, AttackerModel};
-use bas_attack::procs::{AttackScript, AttackStep, MinixAttacker, Sel4Attacker};
+use bas_attack::procs::{AttackScript, AttackStep, Plan};
+use bas_attack::{web_factory, MinixBinding, Sel4Binding};
 use bas_core::platform::linux::UidScheme;
 use bas_core::platform::minix::{build_minix, MinixOverrides};
 use bas_core::platform::sel4::{build_sel4, ExtraCap, Sel4Overrides};
@@ -119,14 +116,8 @@ fn run_minix_ablation(
     scenario_cfg.plant.heat_schedule = vec![(warmup + SimDuration::from_secs(300), 600.0)];
 
     let evidence = new_evidence();
-    let (lookups, builder) = library::minix_script(attack, warmup);
-    let cell = Rc::new(RefCell::new(Some((lookups, builder))));
-    let ev = evidence.clone();
     let overrides = MinixOverrides {
-        web_factory: Some(Box::new(move || {
-            let (lookups, builder) = cell.borrow_mut().take().expect("spawned once");
-            Box::new(MinixAttacker::new(lookups, builder, ev.clone()))
-        })),
+        web_factory: Some(web_factory::<MinixBinding>(attack, warmup, &evidence)),
         web_uid: 1000,
         acm: acm.map(std::sync::Arc::new),
         ..MinixOverrides::default()
@@ -229,38 +220,29 @@ fn run_sel4_ablation(extra_caps: Vec<ExtraCap>) -> (bool, bool) {
     cfg.plant.heat_schedule = vec![(WARMUP + SimDuration::from_secs(300), 600.0)];
 
     let evidence = new_evidence();
-    let ev = evidence.clone();
+    let plan = if with_extras {
+        // The attacker knows the layout: the stray caps land in slots 1
+        // (heater) and 2 (alarm) after its RPC cap.
+        let mut loop_body = Vec::new();
+        for slot in [1u32, 2] {
+            loop_body.push(AttackStep::counted(bas_sel4::syscall::Syscall::Call {
+                ep: CPtr::new(slot),
+                msg: IpcMessage::with_data(actuator_rpc::SET, vec![0]),
+            }));
+        }
+        loop_body.push(AttackStep::pacing(bas_sel4::syscall::Syscall::Sleep {
+            duration: SimDuration::from_millis(200),
+        }));
+        Plan::Script(AttackScript {
+            setup: vec![],
+            loop_body,
+            max_loops: None,
+        })
+    } else {
+        AttackId::SpoofActuatorCommands.into()
+    };
     let overrides = Sel4Overrides {
-        web_factory: Some(Box::new(move |glue| {
-            if with_extras {
-                // The attacker knows the layout: the stray caps land in
-                // slots 1 (heater) and 2 (alarm) after its RPC cap.
-                let mut loop_body = Vec::new();
-                for slot in [1u32, 2] {
-                    loop_body.push(AttackStep::counted(bas_sel4::syscall::Syscall::Call {
-                        ep: CPtr::new(slot),
-                        msg: IpcMessage::with_data(actuator_rpc::SET, vec![0]),
-                    }));
-                }
-                loop_body.push(AttackStep::pacing(bas_sel4::syscall::Syscall::Sleep {
-                    duration: SimDuration::from_millis(200),
-                }));
-                Box::new(Sel4Attacker::new(
-                    AttackScript {
-                        delay: WARMUP,
-                        setup: vec![],
-                        loop_body,
-                        max_loops: None,
-                    },
-                    ev,
-                ))
-            } else {
-                Box::new(Sel4Attacker::new(
-                    library::sel4_script(AttackId::SpoofActuatorCommands, WARMUP, glue),
-                    ev,
-                ))
-            }
-        })),
+        web_factory: Some(web_factory::<Sel4Binding>(plan, WARMUP, &evidence)),
         extra_caps,
         ..Sel4Overrides::default()
     };

@@ -8,22 +8,16 @@
 //! property — making the physical consequence of each attack observable,
 //! not assumed.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use bas_core::platform::linux::{build_linux, LinuxOverrides, UidScheme};
 use bas_core::platform::minix::{build_minix, MinixOverrides};
 use bas_core::platform::sel4::{build_sel4, Sel4Overrides};
-use bas_core::scenario::{
-    critical_alive, plant_snapshot, PlantSnapshot, Platform, Scenario, ScenarioConfig,
-};
-use bas_sim::metrics::KernelMetrics;
+use bas_core::scenario::{critical_alive, plant_snapshot, Platform, Scenario, ScenarioConfig};
 use bas_sim::time::SimDuration;
 
+use crate::bind::{LinuxBinding, MinixBinding, Sel4Binding};
 use crate::evidence::{new_evidence, AttackEvidence};
-use crate::library;
 use crate::model::{AttackId, AttackOutcome, AttackerModel, MechanismOutcome, PhysicalSummary};
-use crate::procs::{LinuxAttacker, MinixAttacker, Sel4Attacker};
+use crate::procs::{web_factory, Binding};
 
 /// Timing and configuration of one attack run.
 #[derive(Clone)]
@@ -70,87 +64,61 @@ pub fn run_attack(
     config: &AttackRunConfig,
 ) -> AttackOutcome {
     let evidence = new_evidence();
-    let total = config.warmup + config.window + config.cooldown;
+    let (warmup, ev) = (config.warmup, &evidence);
+    let root = attacker == AttackerModel::Root;
 
-    let (critical, plant, metrics, alive_count): (bool, PlantSnapshot, KernelMetrics, usize) =
-        match platform {
-            Platform::Minix => {
-                let (lookups, builder) = library::minix_script(attack, config.warmup);
-                let builder_cell = Rc::new(RefCell::new(Some((lookups, builder))));
-                let ev = evidence.clone();
-                let overrides = MinixOverrides {
-                    web_factory: Some(Box::new(move || {
-                        let (lookups, builder) = builder_cell
-                            .borrow_mut()
-                            .take()
-                            .expect("web interface spawned once");
-                        Box::new(MinixAttacker::new(lookups, builder, ev.clone()))
-                    })),
-                    web_uid: match attacker {
-                        AttackerModel::ArbitraryCode => 1000,
-                        AttackerModel::Root => 0,
-                    },
-                    acm: None,
+    let (mut s, legitimate): (Box<dyn Scenario>, u64) = match platform {
+        Platform::Minix => (
+            Box::new(build_minix(
+                &config.scenario,
+                MinixOverrides {
+                    web_factory: Some(web_factory::<MinixBinding>(attack, warmup, ev)),
+                    web_uid: if root { 0 } else { 1000 },
                     ..MinixOverrides::default()
-                };
-                let mut s = build_minix(&config.scenario, overrides);
-                s.run_for(total);
-                summarize(&s)
-            }
-            Platform::Sel4 => {
-                // "the seL4 kernel and CAmkES generated code have no concept
-                // of user or root" — A2 is identical to A1.
-                let ev = evidence.clone();
-                let warmup = config.warmup;
-                let overrides = Sel4Overrides {
-                    web_factory: Some(Box::new(move |glue| {
-                        Box::new(Sel4Attacker::new(
-                            library::sel4_script(attack, warmup, glue),
-                            ev,
-                        ))
-                    })),
-                    extra_caps: Vec::new(),
+                },
+            )),
+            MinixBinding::legitimate_handles(),
+        ),
+        // "the seL4 kernel and CAmkES generated code have no concept of
+        // user or root" — A2 is identical to A1.
+        Platform::Sel4 => (
+            Box::new(build_sel4(
+                &config.scenario,
+                Sel4Overrides {
+                    web_factory: Some(web_factory::<Sel4Binding>(attack, warmup, ev)),
                     ..Sel4Overrides::default()
-                };
-                let mut s = build_sel4(&config.scenario, overrides);
-                s.run_for(total);
-                summarize(&s)
-            }
-            Platform::Linux => {
-                let (pid_lookups, builder) = library::linux_script(attack);
-                let builder_cell = Rc::new(RefCell::new(Some((pid_lookups, builder))));
-                let ev = evidence.clone();
-                let warmup = config.warmup;
-                let overrides = LinuxOverrides {
-                    web_factory: Some(Box::new(move || {
-                        let (pid_lookups, builder) = builder_cell
-                            .borrow_mut()
-                            .take()
-                            .expect("web interface spawned once");
-                        Box::new(LinuxAttacker::new(pid_lookups, builder, ev.clone(), warmup))
-                    })),
-                    web_uid: match attacker {
-                        AttackerModel::ArbitraryCode => None, // the scheme's web uid
-                        AttackerModel::Root => Some(0),
-                    },
+                },
+            )),
+            Sel4Binding::legitimate_handles(),
+        ),
+        Platform::Linux => (
+            Box::new(build_linux(
+                &config.scenario,
+                LinuxOverrides {
+                    web_factory: Some(web_factory::<LinuxBinding>(attack, warmup, ev)),
+                    // `None` keeps the scheme's web uid.
+                    web_uid: root.then_some(0),
                     uid_scheme: config.linux_uid_scheme,
-                };
-                let mut s = build_linux(&config.scenario, overrides);
-                s.run_for(total);
-                summarize(&s)
-            }
-        };
+                },
+            )),
+            LinuxBinding::legitimate_handles(),
+        ),
+    };
+    s.run_for(config.warmup + config.window + config.cooldown);
+    let plant = plant_snapshot(s.as_ref());
 
     let mut ev: AttackEvidence = evidence.borrow().clone();
-    ev.notes
-        .push(format!("{alive_count} processes alive after attack"));
+    ev.notes.push(format!(
+        "{} processes alive after attack",
+        s.alive_names().len()
+    ));
 
     AttackOutcome {
         platform,
         attacker,
         attack,
-        mechanism: judge_mechanism(platform, attack, &ev),
-        critical_alive: critical,
+        mechanism: judge_mechanism(legitimate, attack, &ev),
+        critical_alive: critical_alive(s.as_ref()),
         physical: PhysicalSummary {
             safety_violated: plant.safety_violated,
             max_deviation_c: plant.max_deviation_c,
@@ -159,32 +127,17 @@ pub fn run_attack(
             fan_switches: plant.fan_switches,
         },
         plant,
-        metrics,
+        metrics: s.metrics(),
         evidence: ev,
     }
 }
 
-fn summarize(s: &dyn Scenario) -> (bool, PlantSnapshot, KernelMetrics, usize) {
-    (
-        critical_alive(s),
-        plant_snapshot(s),
-        s.metrics(),
-        s.alive_names().len(),
-    )
-}
-
-fn judge_mechanism(platform: Platform, attack: AttackId, ev: &AttackEvidence) -> MechanismOutcome {
+/// The mechanism verdict. Enumeration is judged by what it found
+/// *beyond the `legitimate` handles* the web interface holds by design
+/// (`Binding::legitimate_handles`) — the paper's criterion:
+/// "unsuccessful in finding any additional capabilities".
+fn judge_mechanism(legitimate: u64, attack: AttackId, ev: &AttackEvidence) -> MechanismOutcome {
     if attack == AttackId::BruteForceHandles {
-        // Enumeration is judged by what it found *beyond the attacker's
-        // legitimate holdings* — the paper's criterion: "unsuccessful in
-        // finding any additional capabilities". The web interface
-        // legitimately holds 1 capability on seL4, 3 queue handles on
-        // Linux (setpoint, status, reply), and 0 raw endpoints on MINIX.
-        let legitimate = match platform {
-            Platform::Sel4 => 1,
-            Platform::Linux => 3,
-            Platform::Minix => 0,
-        };
         return if ev.handles_found > legitimate {
             MechanismOutcome::Succeeded(format!(
                 "{} handle(s) reachable ({} beyond legitimate) of {} probed",
@@ -212,18 +165,4 @@ fn judge_mechanism(platform: Platform, attack: AttackId, ev: &AttackEvidence) ->
     } else {
         MechanismOutcome::Blocked(format!("no operation completed ({} errors)", ev.errors))
     }
-}
-
-/// Runs the full cross-product matrix (E6): every attack × platform ×
-/// attacker model.
-pub fn run_matrix(config: &AttackRunConfig) -> Vec<AttackOutcome> {
-    let mut out = Vec::new();
-    for attack in AttackId::ALL {
-        for platform in [Platform::Linux, Platform::Minix, Platform::Sel4] {
-            for attacker in [AttackerModel::ArbitraryCode, AttackerModel::Root] {
-                out.push(run_attack(platform, attacker, attack, config));
-            }
-        }
-    }
-    out
 }

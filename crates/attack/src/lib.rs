@@ -18,25 +18,31 @@
 //! world's safety oracle.
 //!
 //! - [`model`] — attacker models, attack identifiers, outcome types,
+//! - [`program`] — the attacker alphabet ([`program::AttackOp`], shared
+//!   with the model checker) and one platform-neutral program per attack,
+//! - [`bind`] — one binding per platform from each op to its syscalls,
+//! - [`procs`] — the one attacker process, and [`procs::web_factory`],
+//!   which mounts it on a platform's web-interface slot,
 //! - [`evidence`] — per-syscall evidence collection and reply
 //!   classification,
-//! - [`procs`] — the attacker process implementations per platform,
-//! - [`library`] — the attack catalogue (spoofing, kills, fork bombs,
-//!   brute force, floods, device access, setpoint tampering),
 //! - [`harness`] — warmup/attack/cooldown runner producing
 //!   [`model::AttackOutcome`]s,
 //! - [`expectations`] — the paper's predicted outcome for every cell of
 //!   the attack matrix, which `EXPERIMENTS.md` compares against measured
 //!   results.
 
+pub mod bind;
 pub mod evidence;
 pub mod expectations;
 pub mod harness;
-pub mod library;
 pub mod model;
 pub mod procs;
+pub mod program;
 
+pub use bind::{LinuxBinding, MinixBinding, Sel4Binding};
 pub use evidence::{AttackEvidence, EvidenceLog};
 pub use expectations::paper_expectation;
 pub use harness::{run_attack, AttackRunConfig};
 pub use model::{AttackId, AttackOutcome, AttackerModel, MechanismOutcome, PhysicalSummary};
+pub use procs::web_factory;
+pub use program::{AttackOp, AttackProgram, Proc};

@@ -1,23 +1,24 @@
-//! Attacker process implementations, one per platform.
+//! The attacker process: one state machine for every platform.
 //!
-//! Each attacker is a resumable state machine that (1) sleeps until the
-//! attack start time (the system runs benignly during warmup), (2)
-//! performs reconnaissance (name-service lookups on MINIX, pid lookups on
-//! Linux; on seL4 the CapDL layout is assumed known, per the paper), (3)
-//! runs a one-time setup sequence, then (4) repeats its loop body until
-//! the loop budget is exhausted, recording classified kernel replies into
-//! a shared [`EvidenceLog`]. Steps (3) and (4) are one platform-neutral
-//! [`ScriptRunner`]; each attacker keeps only its reconnaissance and the
-//! hook that classifies its kernel's replies.
+//! [`Attacker`] takes the web interface's place. It resolves the processes
+//! its program aims at and sleeps out the warmup, in the order its
+//! platform's [`Binding`] asks for; lowers the program through the
+//! binding ([`lower`]); and runs the result with the platform-neutral
+//! [`ScriptRunner`], recording the kernel's reply to every counted step
+//! into a shared [`EvidenceLog`] through the binding's `classify_*` hook.
+//! [`web_factory`] is the one entry that mounts an attack on a platform's
+//! web-interface slot.
 
 use bas_sim::process::{Action, Process};
 use bas_sim::time::SimDuration;
 
-use crate::evidence::{classify_linux, classify_minix, classify_sel4, Class, EvidenceLog};
+use crate::evidence::{AttackEvidence, EvidenceLog};
+use crate::model::AttackId;
+use crate::program::{AttackOp, AttackProgram, Proc};
 
 /// One attack step: a syscall plus whether its reply counts as evidence
 /// (pacing sleeps don't).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttackStep<S> {
     /// The syscall to issue.
     pub syscall: S,
@@ -43,15 +44,17 @@ impl<S> AttackStep<S> {
     }
 }
 
-/// The common schedule of an attack.
+/// The common schedule of an attack, after the warmup; also what one op
+/// lowers to on one platform.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttackScript<S> {
-    /// Idle time before the attack starts (warmup).
-    pub delay: SimDuration,
-    /// One-time setup steps (queue opens, probes).
+    /// One-time setup steps: acquisitions (queue opens) and one-shot
+    /// sweeps and probes.
     pub setup: Vec<AttackStep<S>>,
     /// Steps repeated until the budget runs out.
     pub loop_body: Vec<AttackStep<S>>,
-    /// Number of loop iterations (`None` = forever).
+    /// Number of loop iterations (`None` = forever); for one op, the most
+    /// it is worth (a blind sweep gives up).
     pub max_loops: Option<u64>,
 }
 
@@ -83,11 +86,6 @@ impl<S: Clone> ScriptRunner<S> {
             last_counted: false,
             done: false,
         }
-    }
-
-    /// The script's warmup delay.
-    pub fn delay(&self) -> SimDuration {
-        self.script.delay
     }
 
     /// Hands `reply` to `record` when it answers a counted step, then
@@ -127,281 +125,212 @@ impl<S: Clone> ScriptRunner<S> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// MINIX attacker
-// ---------------------------------------------------------------------------
+/// One platform's binding of the attacker alphabet to its syscalls.
+pub trait Binding: Sized + 'static {
+    /// The platform's syscall.
+    type Syscall: Clone + PartialEq + 'static;
+    /// The platform's syscall reply.
+    type Reply: 'static;
+    /// A resolved process (a MINIX endpoint, a Linux pid).
+    type Handle: Copy + 'static;
+    /// The platform's web-interface factory (its overrides' field).
+    type Factory;
 
-pub use minix_attacker::{MinixAttacker, MinixScriptBuilder};
+    /// Whether reconnaissance runs before the warmup sleep (MINIX) or
+    /// after it (Linux).
+    const RESOLVE_FIRST: bool = false;
 
-/// MINIX attacker implementation.
-pub mod minix_attacker {
-    use super::*;
-    use bas_minix::endpoint::Endpoint;
-    use bas_minix::syscall::{Reply, Syscall};
+    /// The lookup that resolves `op`'s [`target`](AttackOp::target),
+    /// when this platform's lowering of `op` needs its handle.
+    fn lookup(_op: AttackOp) -> Option<Self::Syscall> {
+        None
+    }
 
-    /// Builds the script once reconnaissance has resolved the requested
-    /// process names (a `None` entry means the name was not found).
-    pub type MinixScriptBuilder = Box<dyn FnOnce(&[Option<Endpoint>]) -> AttackScript<Syscall>>;
+    /// The handle a lookup's reply carries (`None` = not found).
+    fn handle(_reply: Option<Self::Reply>) -> Option<Self::Handle> {
+        None
+    }
 
-    /// The compromised web-interface process on MINIX.
-    pub struct MinixAttacker {
-        lookups: Vec<String>,
-        resolved: Vec<Option<Endpoint>>,
-        builder: Option<MinixScriptBuilder>,
+    /// Lowers `op`, given its resolved target; `None` when this platform
+    /// does not bind `op` at all.
+    fn lower(
+        &mut self,
+        op: AttackOp,
+        target: Option<Self::Handle>,
+    ) -> Option<AttackScript<Self::Syscall>>;
+
+    /// A sleep for `duration`.
+    fn sleep(duration: SimDuration) -> Self::Syscall;
+
+    /// Records the kernel's reply to a counted step.
+    fn record(reply: &Self::Reply, evidence: &mut AttackEvidence);
+
+    /// How many IPC handles the web interface holds by design: handle
+    /// enumeration succeeds only beyond these.
+    fn legitimate_handles() -> u64;
+
+    /// The platform's web-interface factory, spawning `spawn`'s attacker
+    /// over a fresh binding.
+    fn factory(spawn: impl Fn(Self) -> Attacker<Self> + 'static) -> Self::Factory;
+}
+
+/// Lowers `program` through `binding` into a script. `handle` gives the
+/// resolved handle of each looked-up process (`None` for a process not
+/// looked up or not found).
+///
+/// The setup holds every op's setup steps, and the loop body every op's
+/// loop steps and then the pacing sleep. Steps identical to an earlier
+/// op's are issued once; the loop stops at the smallest of the program's
+/// bound and the ops' own; and an iteration with no counted step ends
+/// the script after setup.
+///
+/// # Errors
+///
+/// Returns the first op the binding leaves unbound.
+pub fn lower<B: Binding>(
+    binding: &mut B,
+    program: AttackProgram,
+    handle: impl Fn(Proc) -> Option<B::Handle>,
+) -> Result<AttackScript<B::Syscall>, AttackOp> {
+    let (mut setup, mut each) = (Vec::new(), Vec::new());
+    let mut max_loops = program.bound;
+    for &op in program.ops {
+        let target = op.target().and_then(&handle);
+        let lowered = binding.lower(op, target).ok_or(op)?;
+        for (blocks, steps) in [(&mut setup, lowered.setup), (&mut each, lowered.loop_body)] {
+            if !blocks.contains(&steps) {
+                blocks.push(steps);
+            }
+        }
+        max_loops = match (max_loops, lowered.max_loops) {
+            (Some(b), Some(r)) => Some(b.min(r)),
+            (b, r) => b.or(r),
+        };
+    }
+    let mut loop_body = each.concat();
+    if !loop_body.iter().any(|s| s.counted) {
+        loop_body.clear();
+    } else if let Some(pace) = program.pace {
+        loop_body.push(AttackStep::pacing(B::sleep(pace)));
+    }
+    Ok(AttackScript {
+        setup: setup.concat(),
+        loop_body,
+        max_loops,
+    })
+}
+
+/// What the attacker runs once its warmup is over.
+#[derive(Debug, Clone)]
+pub enum Plan<S> {
+    /// A catalogue program, lowered through the platform's binding after
+    /// reconnaissance.
+    Program(AttackProgram),
+    /// A hand-written script, for an attacker that knows a layout no
+    /// binding models.
+    Script(AttackScript<S>),
+}
+
+impl<S> From<AttackId> for Plan<S> {
+    fn from(attack: AttackId) -> Self {
+        Plan::Program(attack.program())
+    }
+}
+
+/// The compromised web interface, on any platform.
+pub struct Attacker<B: Binding> {
+    binding: B,
+    plan: Option<Plan<B::Syscall>>,
+    evidence: EvidenceLog,
+    /// The lookups and the warmup sleep still to issue, in order; a
+    /// lookup carries the process it resolves.
+    prelude: std::vec::IntoIter<(Option<Proc>, B::Syscall)>,
+    /// The process whose lookup reply is due next.
+    awaiting: Option<Proc>,
+    /// Each process's looked-up handle, by [`Proc::index`].
+    resolved: [Option<B::Handle>; 5],
+    runner: Option<ScriptRunner<B::Syscall>>,
+}
+
+impl<B: Binding> Attacker<B> {
+    /// An attacker that runs `plan` over `binding` after `warmup`,
+    /// recording into `evidence`.
+    pub fn new(
+        binding: B,
+        plan: Plan<B::Syscall>,
+        warmup: SimDuration,
         evidence: EvidenceLog,
-        phase: Phase,
-    }
-
-    enum Phase {
-        Start,
-        AwaitLookup(usize),
-        Body(ScriptRunner<Syscall>),
-    }
-
-    impl MinixAttacker {
-        /// Creates the attacker. `lookups` are resolved before the script
-        /// builder runs.
-        pub fn new(
-            lookups: Vec<String>,
-            builder: MinixScriptBuilder,
-            evidence: EvidenceLog,
-        ) -> Self {
-            MinixAttacker {
-                lookups,
-                resolved: Vec::new(),
-                builder: Some(builder),
-                evidence,
-                phase: Phase::Start,
-            }
-        }
-
-        /// Builds the script from the reconnaissance results and sleeps
-        /// out its delay before acting.
-        fn build(&mut self) -> Action<Syscall> {
-            let builder = self.builder.take().expect("builder present");
-            let runner =
-                ScriptRunner::new(builder(&self.resolved), Syscall::Sleep { duration: IDLE });
-            let duration = runner.delay();
-            self.phase = Phase::Body(runner);
-            Action::Syscall(Syscall::Sleep { duration })
-        }
-    }
-
-    impl Process for MinixAttacker {
-        type Syscall = Syscall;
-        type Reply = Reply;
-
-        fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
-            match &mut self.phase {
-                // Reconnaissance first (lookups are cheap and silent),
-                // then sleep out the script's delay before acting.
-                Phase::Start if self.lookups.is_empty() => self.build(),
-                Phase::Start => {
-                    self.phase = Phase::AwaitLookup(0);
-                    Action::Syscall(Syscall::Lookup {
-                        name: self.lookups[0].clone().into(),
-                    })
-                }
-                &mut Phase::AwaitLookup(i) => {
-                    self.resolved.push(match reply {
-                        Some(Reply::Resolved(ep)) => Some(ep),
-                        _ => None,
-                    });
-                    if i + 1 < self.lookups.len() {
-                        self.phase = Phase::AwaitLookup(i + 1);
-                        return Action::Syscall(Syscall::Lookup {
-                            name: self.lookups[i + 1].clone().into(),
-                        });
+    ) -> Self {
+        let mut prelude: Vec<(Option<Proc>, B::Syscall)> = Vec::new();
+        if let Plan::Program(program) = &plan {
+            for &op in program.ops {
+                if let (Some(target), Some(lookup)) = (op.target(), B::lookup(op)) {
+                    if !prelude.iter().any(|(t, _)| *t == Some(target)) {
+                        prelude.push((Some(target), lookup));
                     }
-                    self.build()
                 }
-                Phase::Body(runner) => runner.resume(reply, |r| {
-                    self.evidence.borrow_mut().record(classify_minix(r));
-                }),
             }
         }
+        let at = if B::RESOLVE_FIRST { prelude.len() } else { 0 };
+        prelude.insert(at, (None, B::sleep(warmup)));
+        Attacker {
+            binding,
+            plan: Some(plan),
+            evidence,
+            prelude: prelude.into_iter(),
+            awaiting: None,
+            resolved: [None; 5],
+            runner: None,
+        }
+    }
 
-        fn name(&self) -> &str {
-            bas_core::proto::names::WEB
+    /// The script the plan comes to after reconnaissance.
+    fn script(&mut self) -> AttackScript<B::Syscall> {
+        match self.plan.take().expect("the script is built once") {
+            Plan::Script(script) => script,
+            Plan::Program(program) => {
+                let resolved = self.resolved;
+                lower(&mut self.binding, program, |p| resolved[p.index()])
+                    .unwrap_or_else(|op| panic!("{op} has no binding on this platform"))
+            }
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// seL4 attacker
-// ---------------------------------------------------------------------------
+impl<B: Binding> Process for Attacker<B> {
+    type Syscall = B::Syscall;
+    type Reply = B::Reply;
 
-pub use sel4_attacker::Sel4Attacker;
-
-/// seL4 attacker implementation.
-pub mod sel4_attacker {
-    use super::*;
-    use bas_sel4::objects::ObjKind;
-    use bas_sel4::syscall::{Reply, Syscall};
-
-    /// The compromised web-interface thread on seL4. The script is built
-    /// at construction time from the glue map (the attacker is assumed to
-    /// know the CapDL file, as in §IV-D.3).
-    pub struct Sel4Attacker {
-        runner: ScriptRunner<Syscall>,
-        evidence: EvidenceLog,
-        started: bool,
+    fn resume(&mut self, reply: Option<B::Reply>) -> Action<B::Syscall> {
+        if let Some(runner) = &mut self.runner {
+            let evidence = &self.evidence;
+            return runner.resume(reply, |r| B::record(r, &mut evidence.borrow_mut()));
+        }
+        if let Some(target) = self.awaiting.take() {
+            self.resolved[target.index()] = B::handle(reply);
+        }
+        if let Some((target, syscall)) = self.prelude.next() {
+            self.awaiting = target;
+            return Action::Syscall(syscall);
+        }
+        let script = self.script();
+        self.runner
+            .insert(ScriptRunner::new(script, B::sleep(IDLE)))
+            .step()
     }
 
-    impl Sel4Attacker {
-        /// Creates the attacker from its script.
-        pub fn new(script: AttackScript<Syscall>, evidence: EvidenceLog) -> Self {
-            Sel4Attacker {
-                runner: ScriptRunner::new(script, Syscall::Sleep { duration: IDLE }),
-                evidence,
-                started: false,
-            }
-        }
-    }
-
-    impl Process for Sel4Attacker {
-        type Syscall = Syscall;
-        type Reply = Reply;
-
-        fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
-            if !std::mem::replace(&mut self.started, true) {
-                return Action::Syscall(Syscall::Sleep {
-                    duration: self.runner.delay(),
-                });
-            }
-            self.runner.resume(reply, |r| {
-                let mut ev = self.evidence.borrow_mut();
-                ev.record(classify_sel4(r));
-                // Enumeration bookkeeping: a probe that found a capability.
-                if let Reply::Identified(kind) = r {
-                    ev.handles_found += 1;
-                    ev.notes.push(format!(
-                        "found capability: {}",
-                        kind.map_or("reply-cap".to_string(), |k: ObjKind| k.to_string())
-                    ));
-                }
-            })
-        }
-
-        fn name(&self) -> &str {
-            bas_core::proto::names::WEB
-        }
+    fn name(&self) -> &str {
+        bas_core::proto::names::WEB
     }
 }
 
-// ---------------------------------------------------------------------------
-// Linux attacker
-// ---------------------------------------------------------------------------
-
-pub use linux_attacker::{LinuxAttacker, LinuxScriptBuilder};
-
-/// Linux attacker implementation.
-pub mod linux_attacker {
-    use super::*;
-    use bas_linux::syscall::{Reply, Syscall};
-    use bas_sim::process::Pid;
-
-    /// Builds the script once reconnaissance has resolved the requested
-    /// process names to pids (`None` = not found).
-    pub type LinuxScriptBuilder = Box<dyn FnOnce(&[Option<Pid>]) -> AttackScript<Syscall>>;
-
-    /// The compromised web-interface process on Linux.
-    ///
-    /// The delay is applied *before* pid reconnaissance (so targets are
-    /// looked up post-warmup); it therefore lives on the attacker and the
-    /// script's own `delay` field is unused on this platform.
-    pub struct LinuxAttacker {
-        pid_lookups: Vec<String>,
-        resolved: Vec<Option<Pid>>,
-        builder: Option<LinuxScriptBuilder>,
-        evidence: EvidenceLog,
-        delay: SimDuration,
-        phase: Phase,
-    }
-
-    enum Phase {
-        Start,
-        AwaitDelay,
-        AwaitPidOf(usize),
-        Body(ScriptRunner<Syscall>),
-    }
-
-    impl LinuxAttacker {
-        /// Creates the attacker; `pid_lookups` resolve before the script
-        /// builder runs (after the delay, so targets are post-warmup).
-        pub fn new(
-            pid_lookups: Vec<String>,
-            builder: LinuxScriptBuilder,
-            evidence: EvidenceLog,
-            delay: SimDuration,
-        ) -> Self {
-            LinuxAttacker {
-                pid_lookups,
-                resolved: Vec::new(),
-                builder: Some(builder),
-                evidence,
-                delay,
-                phase: Phase::Start,
-            }
-        }
-
-        /// Builds the script from the reconnaissance results and issues
-        /// its first step at once.
-        fn build(&mut self) -> Action<Syscall> {
-            let builder = self.builder.take().expect("builder present");
-            let mut runner =
-                ScriptRunner::new(builder(&self.resolved), Syscall::Sleep { duration: IDLE });
-            let first = runner.step();
-            self.phase = Phase::Body(runner);
-            first
-        }
-    }
-
-    impl Process for LinuxAttacker {
-        type Syscall = Syscall;
-        type Reply = Reply;
-
-        fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
-            match &mut self.phase {
-                Phase::Start => {
-                    self.phase = Phase::AwaitDelay;
-                    Action::Syscall(Syscall::Sleep {
-                        duration: self.delay,
-                    })
-                }
-                Phase::AwaitDelay if self.pid_lookups.is_empty() => self.build(),
-                Phase::AwaitDelay => {
-                    self.phase = Phase::AwaitPidOf(0);
-                    Action::Syscall(Syscall::PidOf {
-                        name: self.pid_lookups[0].clone(),
-                    })
-                }
-                &mut Phase::AwaitPidOf(i) => {
-                    self.resolved.push(match reply {
-                        Some(Reply::Pid(p)) => Some(p),
-                        _ => None,
-                    });
-                    if i + 1 < self.pid_lookups.len() {
-                        self.phase = Phase::AwaitPidOf(i + 1);
-                        return Action::Syscall(Syscall::PidOf {
-                            name: self.pid_lookups[i + 1].clone(),
-                        });
-                    }
-                    self.build()
-                }
-                Phase::Body(runner) => runner.resume(reply, |r| {
-                    let mut ev = self.evidence.borrow_mut();
-                    let class = classify_linux(r);
-                    ev.record(class);
-                    if matches!(r, Reply::Qd(_)) && class == Class::Success {
-                        ev.handles_found += 1;
-                    }
-                }),
-            }
-        }
-
-        fn name(&self) -> &str {
-            bas_core::proto::names::WEB
-        }
-    }
+/// The web-interface factory that mounts `plan` on `B`'s platform: the
+/// attacker sleeps out `warmup` and records into `evidence`.
+pub fn web_factory<B: Binding>(
+    plan: impl Into<Plan<B::Syscall>>,
+    warmup: SimDuration,
+    evidence: &EvidenceLog,
+) -> B::Factory {
+    let (plan, evidence) = (plan.into(), evidence.clone());
+    B::factory(move |binding| Attacker::new(binding, plan.clone(), warmup, evidence.clone()))
 }

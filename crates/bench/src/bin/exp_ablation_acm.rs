@@ -16,9 +16,8 @@
 
 use bas_acm::{AccessControlMatrix, MsgType};
 use bas_attack::evidence::new_evidence;
-use bas_attack::library;
 use bas_attack::model::AttackId;
-use bas_attack::procs::MinixAttacker;
+use bas_attack::{web_factory, MinixBinding};
 use bas_bench::{rule, section, Harness};
 use bas_core::platform::minix::{MinixOverrides, MinixStack};
 use bas_core::policy;
@@ -26,8 +25,6 @@ use bas_core::proto::{AC_HEATER, AC_WEB};
 use bas_core::scenario::{critical_alive, Scenario, ScenarioConfig};
 use bas_core::ScenarioEngine;
 use bas_sim::time::SimDuration;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 fn run_minix_attack(
     attack: AttackId,
@@ -40,14 +37,8 @@ fn run_minix_attack(
     scenario_cfg.plant.heat_schedule = vec![(warmup + SimDuration::from_secs(300), 600.0)];
 
     let evidence = new_evidence();
-    let (lookups, builder) = library::minix_script(attack, warmup);
-    let cell = Rc::new(RefCell::new(Some((lookups, builder))));
-    let ev = evidence.clone();
     let overrides = MinixOverrides {
-        web_factory: Some(Box::new(move || {
-            let (lookups, builder) = cell.borrow_mut().take().expect("spawned once");
-            Box::new(MinixAttacker::new(lookups, builder, ev.clone()))
-        })),
+        web_factory: Some(web_factory::<MinixBinding>(attack, warmup, &evidence)),
         web_uid: 1000,
         acm: acm.map(std::sync::Arc::new),
         ..MinixOverrides::default()

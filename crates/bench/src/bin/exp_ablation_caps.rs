@@ -9,9 +9,9 @@
 //! Run: `cargo run --release -p bas-bench --bin exp_ablation_caps`
 
 use bas_attack::evidence::new_evidence;
-use bas_attack::library;
 use bas_attack::model::AttackId;
-use bas_attack::procs::{AttackScript, AttackStep, Sel4Attacker};
+use bas_attack::procs::{AttackScript, AttackStep, Plan};
+use bas_attack::{web_factory, Sel4Binding};
 use bas_bench::{rule, section, Harness};
 use bas_capdl::verify::verify;
 use bas_core::platform::sel4::{ExtraCap, Sel4Overrides, Sel4Stack};
@@ -38,14 +38,12 @@ fn main() {
     section("configuration 1: the compiled capability distribution (paper §IV-D.3)");
     {
         let evidence = new_evidence();
-        let ev = evidence.clone();
         let overrides = Sel4Overrides {
-            web_factory: Some(Box::new(move |glue| {
-                Box::new(Sel4Attacker::new(
-                    library::sel4_script(AttackId::SpoofActuatorCommands, WARMUP, glue),
-                    ev,
-                ))
-            })),
+            web_factory: Some(web_factory::<Sel4Binding>(
+                AttackId::SpoofActuatorCommands,
+                WARMUP,
+                &evidence,
+            )),
             extra_caps: Vec::new(),
             ..Sel4Overrides::default()
         };
@@ -68,33 +66,30 @@ fn main() {
     section("configuration 2: web interface over-granted heater+alarm endpoint capabilities");
     {
         let evidence = new_evidence();
-        let ev = evidence.clone();
-        // The attacker knows the layout: the stray cap lands in its first
-        // free slot (slot 1, after its RPC cap in slot 0).
+        // The attacker knows the layout: the stray caps land in the first
+        // free slots, 1 (heater) and 2 (alarm), after the legitimate RPC
+        // cap in slot 0.
+        let mut loop_body = Vec::new();
+        for slot in [1u32, 2] {
+            loop_body.push(AttackStep::counted(bas_sel4::syscall::Syscall::Call {
+                ep: CPtr::new(slot),
+                msg: IpcMessage::with_data(actuator_rpc::SET, vec![0]),
+            }));
+        }
+        loop_body.push(AttackStep::pacing(bas_sel4::syscall::Syscall::Sleep {
+            duration: SimDuration::from_millis(200),
+        }));
+        let script = AttackScript {
+            setup: vec![],
+            loop_body,
+            max_loops: None,
+        };
         let overrides = Sel4Overrides {
-            web_factory: Some(Box::new(move |_glue| {
-                // The stray caps land in the first free slots: 1 (heater)
-                // and 2 (alarm), after the legitimate RPC cap in slot 0.
-                let mut loop_body = Vec::new();
-                for slot in [1u32, 2] {
-                    loop_body.push(AttackStep::counted(bas_sel4::syscall::Syscall::Call {
-                        ep: CPtr::new(slot),
-                        msg: IpcMessage::with_data(actuator_rpc::SET, vec![0]),
-                    }));
-                }
-                loop_body.push(AttackStep::pacing(bas_sel4::syscall::Syscall::Sleep {
-                    duration: SimDuration::from_millis(200),
-                }));
-                Box::new(Sel4Attacker::new(
-                    AttackScript {
-                        delay: WARMUP,
-                        setup: vec![],
-                        loop_body,
-                        max_loops: None,
-                    },
-                    ev,
-                ))
-            })),
+            web_factory: Some(web_factory::<Sel4Binding>(
+                Plan::Script(script),
+                WARMUP,
+                &evidence,
+            )),
             extra_caps: vec![
                 ExtraCap {
                     holder: names::WEB,

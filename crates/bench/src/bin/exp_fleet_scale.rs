@@ -21,10 +21,11 @@
 //! instance versus the snapshot/fork path (one warm template, instances
 //! forked and recycled through an `InstancePool`). Full mode drives the
 //! boot schedule of a 100,000-instance benign fleet through one pool on
-//! one thread and asserts snapshot boot is ≥10x faster and ≥5x lighter
-//! in allocated bytes per instance than cold boot (MINIX, the default
-//! platform); `ci.sh` additionally gates `boot_instances_per_sec` and
-//! `bytes_per_instance` against the committed baseline.
+//! one thread and asserts snapshot boot is ≥5x lighter in allocated
+//! bytes per instance than cold boot (MINIX, the default platform).
+//! `ci.sh` gates the wall-clock side: `boot_speedup` (≥10x in full
+//! mode) and `boot_instances_per_sec` and `bytes_per_instance` against
+//! the committed baseline.
 //!
 //! The same allocator tracks live bytes, so the sweep also reports
 //! `fleet_peak_live_bytes`: the peak live heap while the largest fleet
@@ -410,11 +411,9 @@ fn main() {
         boot_instances as u64
     );
     assert!(instance_pool.materialized() <= DEFAULT_MAX_RESIDENT as u64);
+    // The >=10x wall-clock speedup is `ci.sh`'s gate on `boot_speedup`;
+    // the byte ratio is an exact count and holds on any host.
     if !h.quick() && platform == Platform::Minix {
-        assert!(
-            boot_speedup >= 10.0,
-            "snapshot boot must be >=10x faster than cold boot, got {boot_speedup:.1}x"
-        );
         assert!(
             bytes_ratio >= 5.0,
             "snapshot boot must allocate >=5x fewer bytes per instance, got {bytes_ratio:.1}x"
@@ -544,16 +543,27 @@ fn main() {
         "warm fleet kernels must not touch the allocator on the IPC path"
     );
 
-    // The parallel-speedup claims need real cores; on a single-CPU host
-    // the sweep still runs (and determinism still holds), but the
-    // wall-clock assertions would be meaningless.
+    // The parallel speedups need real cores: `ci.sh` gates them by the
+    // recorded core count (>1.2x with >=2 workers in quick mode, >1.7x in
+    // full mode, >2x with >=4 workers in full mode), not this binary, so
+    // a loaded host fails one gate rather than the whole CI run.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut speedup_2w = f64::NAN;
-    for &(w, s) in &speedup_at_largest {
-        if w == 2 {
-            speedup_2w = s;
-        }
-    }
+    let speedup_at = |workers: usize| {
+        speedup_at_largest
+            .iter()
+            .filter(|(w, _)| *w == workers)
+            .map(|(_, s)| Json::Num(*s))
+            .next()
+            .unwrap_or(Json::Null)
+    };
+    let best_speedup = |min_workers: usize| {
+        speedup_at_largest
+            .iter()
+            .filter(|(w, _)| *w >= min_workers)
+            .map(|(_, s)| *s)
+            .reduce(f64::max)
+            .map_or(Json::Null, Json::Num)
+    };
     h.write_json(&Json::obj(vec![
         ("schema", Json::Str("bas-fleet-scale/v3".into())),
         ("platform", Json::Str(platform.to_string())),
@@ -606,54 +616,10 @@ fn main() {
                 ("sel4_steady_allocs_per_sim_second", Json::Num(sel4_steady)),
             ]),
         ),
-        (
-            "speedup_2_workers",
-            if speedup_2w.is_nan() {
-                Json::Null
-            } else {
-                Json::Num(speedup_2w)
-            },
-        ),
+        ("speedup_2_workers", speedup_at(2)),
+        ("best_speedup_2plus_workers", best_speedup(2)),
+        ("best_speedup_4plus_workers", best_speedup(4)),
         ("sweep", Json::Arr(sweep)),
         ("largest_fleet_report", report.to_json_value()),
     ]));
-    // The wall-clock speedup floors are checked after the report is
-    // written, so a run on a loaded host still leaves its exact counts
-    // behind for comparison.
-    if cores >= 2 {
-        // Per-worker batches must show through on the largest fleet even
-        // at 2 workers: >1.2x in quick mode (16 instances), >1.7x in
-        // full mode (256 instances, the BENCH-quoted configuration).
-        let floor = if h.quick() { 1.2 } else { 1.7 };
-        let best2 = speedup_at_largest
-            .iter()
-            .filter(|(w, _)| *w >= 2)
-            .map(|(_, s)| *s)
-            .fold(0.0f64, f64::max);
-        assert!(
-            best2 > floor,
-            "expected >{floor}x speedup with >=2 workers on {cores} cores \
-             ({}+ instances), got {best2:.2}x",
-            sizes.last().unwrap()
-        );
-        println!(
-            "speedup check: {best2:.2}x with >=2 workers on {cores} cores (>{floor}x required) — OK"
-        );
-    } else {
-        println!("2-worker speedup check skipped ({cores} core available)");
-    }
-    if cores >= 4 && !h.quick() {
-        let best = speedup_at_largest
-            .iter()
-            .filter(|(w, _)| *w >= 4)
-            .map(|(_, s)| *s)
-            .fold(0.0f64, f64::max);
-        assert!(
-            best > 2.0,
-            "expected >2x speedup with >=4 workers on {cores} cores, got {best:.2}x"
-        );
-        println!("speedup check: {best:.2}x with >=4 workers on {cores} cores (>2x required) — OK");
-    } else if !h.quick() {
-        println!("4-worker speedup check skipped ({cores} cores available)");
-    }
 }

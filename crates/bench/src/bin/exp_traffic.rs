@@ -13,8 +13,8 @@
 //!
 //! Full mode runs the headline configuration: a 1 024-instance MINIX
 //! fleet (~1 000 benign after the 2% attacker draw), four tenants per
-//! instance for 10 simulated minutes, and asserts the single-worker
-//! sustained rate stays at or above 100 000 requests/sec.
+//! instance for 10 simulated minutes; `ci.sh` gates its single-worker
+//! sustained rate at 100 000 requests/sec or more.
 //!
 //! Run: `cargo run --release -p bas-bench --bin exp_traffic [-- --quick --platform minix]`
 
@@ -164,13 +164,6 @@ fn main() {
         "\nsustained: {:.0} requests/sec on 1 worker ({} requests, {} benign instances)",
         rate, report.fleet.totals.requests, report.benign_instances
     );
-    if !h.quick() && platform == Platform::Minix {
-        assert!(
-            rate >= 100_000.0,
-            "E18 floor: expected >=100k requests/sec on the benign fleet, got {rate:.0}"
-        );
-    }
-
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     h.write_json(&Json::obj(vec![
         ("schema", Json::Str("bas-traffic-scale/v1".into())),
