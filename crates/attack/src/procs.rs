@@ -140,8 +140,8 @@ pub trait Binding: Sized + 'static {
     /// after it (Linux).
     const RESOLVE_FIRST: bool = false;
 
-    /// The lookup that resolves `op`'s [`target`](AttackOp::target),
-    /// when this platform's lowering of `op` needs its handle.
+    /// The lookup that resolves the process `op` is aimed at, when this
+    /// platform's lowering of `op` needs its handle.
     fn lookup(_op: AttackOp) -> Option<Self::Syscall> {
         None
     }

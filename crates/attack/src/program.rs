@@ -30,7 +30,7 @@ pub const TAMPER_SETPOINT_MILLI_C: i32 = 95_000;
 pub const REPLAYED_SETPOINT_MILLI_C: i32 = 26_000;
 
 /// The junk setpoint the flood attack sends, far outside any valid range.
-pub const FLOOD_SETPOINT_MILLI_C: i32 = -1_000_000;
+pub(crate) const FLOOD_SETPOINT_MILLI_C: i32 = -1_000_000;
 
 /// The five scenario processes, in lockstep order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,7 +77,7 @@ impl Proc {
     }
 
     /// The scenario process name (`bas_core::proto::names`).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Proc::Sensor => names::SENSOR,
             Proc::Ctrl => names::CONTROL,
@@ -144,7 +144,7 @@ pub enum AttackOp {
 
 impl AttackOp {
     /// The process the op is aimed at, if any.
-    pub fn target(self) -> Option<Proc> {
+    pub(crate) fn target(self) -> Option<Proc> {
         match self {
             AttackOp::InjectReading | AttackOp::Flood | AttackOp::Tamper | AttackOp::Replay => {
                 Some(Proc::Ctrl)
@@ -158,7 +158,7 @@ impl AttackOp {
 
     /// The message the op sends to its [`target`](AttackOp::target), if
     /// it sends one.
-    pub fn message(self) -> Option<BasMsg> {
+    pub(crate) fn message(self) -> Option<BasMsg> {
         let setpoint = |milli_c| Some(BasMsg::SetpointUpdate { milli_c });
         match self {
             AttackOp::InjectReading => Some(BasMsg::SensorReading {
@@ -175,7 +175,7 @@ impl AttackOp {
     }
 
     /// The device register the op forces off, if any.
-    pub fn device(self) -> Option<DeviceId> {
+    pub(crate) fn device(self) -> Option<DeviceId> {
         match self {
             AttackOp::DevForceFan => Some(DeviceId::FAN),
             AttackOp::DevForceAlarm => Some(DeviceId::ALARM),
