@@ -248,7 +248,7 @@ pub struct Attacker<B: Binding> {
     /// The process whose lookup reply is due next.
     awaiting: Option<Proc>,
     /// Each process's looked-up handle, by [`Proc::index`].
-    resolved: [Option<B::Handle>; 5],
+    resolved: [Option<B::Handle>; Proc::ALL.len()],
     runner: Option<ScriptRunner<B::Syscall>>,
 }
 
@@ -279,7 +279,7 @@ impl<B: Binding> Attacker<B> {
             evidence,
             prelude: prelude.into_iter(),
             awaiting: None,
-            resolved: [None; 5],
+            resolved: [None; Proc::ALL.len()],
             runner: None,
         }
     }

@@ -551,10 +551,8 @@ fn main() {
     let speedup_at = |workers: usize| {
         speedup_at_largest
             .iter()
-            .filter(|(w, _)| *w == workers)
-            .map(|(_, s)| Json::Num(*s))
-            .next()
-            .unwrap_or(Json::Null)
+            .find(|(w, _)| *w == workers)
+            .map_or(Json::Null, |(_, s)| Json::Num(*s))
     };
     let best_speedup = |min_workers: usize| {
         speedup_at_largest
