@@ -207,11 +207,16 @@ impl Binding for Sel4Binding {
             // No fork exists; object creation needs an untyped capability
             // (none granted), and minting stronger caps must fail too.
             AttackOp::Fork => AttackScript::once(slots(CALL_SWEEP).flat_map(|slot| {
-                let (untyped, src, badge) = (slot, slot, 0);
-                let (kind, rights) = (RetypeKind::Endpoint, CapRights::ALL);
                 [
-                    Syscall::Retype { untyped, kind },
-                    Syscall::Mint { src, rights, badge },
+                    Syscall::Retype {
+                        untyped: slot,
+                        kind: RetypeKind::Endpoint,
+                    },
+                    Syscall::Mint {
+                        src: slot,
+                        rights: CapRights::ALL,
+                        badge: 0,
+                    },
                 ]
             })),
             // §IV-D.3: "a simple brute-forcing program which attempts to
@@ -280,11 +285,10 @@ impl LinuxBinding {
     ) -> u32 {
         if !self.opened.contains(&queue) {
             self.opened.push(queue);
-            let (name, create) = (queue.into(), None);
             let syscall = LinuxSyscall::MqOpen {
-                name,
+                name: queue.into(),
                 access,
-                create,
+                create: None,
             };
             setup.push(AttackStep { syscall, counted });
         }
