@@ -267,15 +267,28 @@ impl Binding for Sel4Binding {
 
 /// Linux: message ops open the queue that carries their message to their
 /// target, once, and `Kill` looks its victim's pid up after the warmup.
-/// The queue descriptors number the opens in order.
+///
+/// A lowered op names its queue by the position of that queue's open
+/// among the script's opens. The kernel gives a denied open no
+/// descriptor, so the attacker issues each queue op with the descriptor
+/// its own open returned (`Reply::Qd`), or with [`NO_DESCRIPTOR`] when
+/// that open was denied.
 #[derive(Default)]
 pub struct LinuxBinding {
     opened: Vec<&'static str>,
+    /// The descriptor each issued open returned, in open order.
+    descriptors: Vec<Option<u32>>,
+    /// Whether the step awaiting its reply is an open.
+    opening: bool,
 }
 
+/// The descriptor a queue op carries when its queue's open was denied:
+/// one no open returns, so the kernel answers `BadDescriptor`.
+pub const NO_DESCRIPTOR: u32 = u32::MAX;
+
 impl LinuxBinding {
-    /// The descriptor of `queue`, adding its open (counted as evidence or
-    /// not) to `setup` the first time it is named.
+    /// The position of `queue`'s open, adding the open (counted as
+    /// evidence or not) to `setup` the first time it is named.
     fn open(
         &mut self,
         queue: &'static str,
@@ -395,6 +408,47 @@ impl Binding for LinuxBinding {
 
     fn sleep(duration: SimDuration) -> Self::Syscall {
         Self::Syscall::Sleep { duration }
+    }
+
+    fn issue(&mut self, step: Self::Syscall) -> Self::Syscall {
+        use bas_linux::syscall::Syscall;
+
+        self.opening = matches!(step, Syscall::MqOpen { .. });
+        let descriptor = |open: u32| {
+            self.descriptors
+                .get(open as usize)
+                .copied()
+                .flatten()
+                .unwrap_or(NO_DESCRIPTOR)
+        };
+        match step {
+            Syscall::MqSend {
+                qd,
+                data,
+                priority,
+                nonblocking,
+            } => Syscall::MqSend {
+                qd: descriptor(qd),
+                data,
+                priority,
+                nonblocking,
+            },
+            Syscall::MqReceive { qd, nonblocking } => Syscall::MqReceive {
+                qd: descriptor(qd),
+                nonblocking,
+            },
+            other => other,
+        }
+    }
+
+    fn observe(&mut self, reply: &Self::Reply) {
+        if std::mem::take(&mut self.opening) {
+            let qd = match reply {
+                Self::Reply::Qd(qd) => Some(*qd),
+                _ => None,
+            };
+            self.descriptors.push(qd);
+        }
     }
 
     fn record(reply: &Self::Reply, evidence: &mut AttackEvidence) {

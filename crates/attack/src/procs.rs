@@ -162,6 +162,16 @@ pub trait Binding: Sized + 'static {
     /// A sleep for `duration`.
     fn sleep(duration: SimDuration) -> Self::Syscall;
 
+    /// The syscall the attacker issues for the script step `step`; by
+    /// default the step as lowered.
+    fn issue(&mut self, step: Self::Syscall) -> Self::Syscall {
+        step
+    }
+
+    /// Notes the kernel's reply to the script step issued last, counted
+    /// or not.
+    fn observe(&mut self, _reply: &Self::Reply) {}
+
     /// Records the kernel's reply to a counted step.
     fn record(reply: &Self::Reply, evidence: &mut AttackEvidence);
 
@@ -302,21 +312,29 @@ impl<B: Binding> Process for Attacker<B> {
     type Reply = B::Reply;
 
     fn resume(&mut self, reply: Option<B::Reply>) -> Action<B::Syscall> {
-        if let Some(runner) = &mut self.runner {
+        let step = if let Some(runner) = &mut self.runner {
+            if let Some(r) = &reply {
+                self.binding.observe(r);
+            }
             let evidence = &self.evidence;
-            return runner.resume(reply, |r| B::record(r, &mut evidence.borrow_mut()));
+            runner.resume(reply, |r| B::record(r, &mut evidence.borrow_mut()))
+        } else {
+            if let Some(target) = self.awaiting.take() {
+                self.resolved[target.index()] = B::handle(reply);
+            }
+            if let Some((target, syscall)) = self.prelude.next() {
+                self.awaiting = target;
+                return Action::Syscall(syscall);
+            }
+            let script = self.script();
+            self.runner
+                .insert(ScriptRunner::new(script, B::sleep(IDLE)))
+                .step()
+        };
+        match step {
+            Action::Syscall(step) => Action::Syscall(self.binding.issue(step)),
+            action => action,
         }
-        if let Some(target) = self.awaiting.take() {
-            self.resolved[target.index()] = B::handle(reply);
-        }
-        if let Some((target, syscall)) = self.prelude.next() {
-            self.awaiting = target;
-            return Action::Syscall(syscall);
-        }
-        let script = self.script();
-        self.runner
-            .insert(ScriptRunner::new(script, B::sleep(IDLE)))
-            .step()
     }
 
     fn name(&self) -> &str {
