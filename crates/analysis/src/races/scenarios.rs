@@ -2,9 +2,9 @@
 //! mutation schedules.
 //!
 //! Each scenario boots the real five-process stack on one platform,
-//! enables the kernel's capability-event stream, installs a
-//! `bas-faults` schedule of [`FaultKind::CapChurn`] events, runs the
-//! lockstep engine, and records the exact race kinds the detector must
+//! enables the kernel's capability-event stream, runs the lockstep
+//! engine under a `bas-faults` schedule of [`FaultKind::CapChurn`]
+//! events, and records the exact race kinds the detector must
 //! (and must not) find. The catalog is deliberately asymmetric across
 //! platforms, because the kernels *are*: a timed revoke between IPC
 //! periods is clean on MINIX and seL4 (the next admission check denies
@@ -20,8 +20,8 @@ use bas_core::platform::linux::LinuxStack;
 use bas_core::platform::minix::MinixStack;
 use bas_core::platform::sel4::Sel4Stack;
 use bas_core::proto::names;
-use bas_core::scenario::{Platform, Scenario, ScenarioConfig};
-use bas_faults::inject::install;
+use bas_core::scenario::{Platform, ScenarioConfig};
+use bas_faults::inject;
 use bas_faults::plan::{FaultEvent, FaultKind, FaultPlan};
 use bas_sim::caps::{CapChurnOp, CapTrace, ChurnKind};
 use bas_sim::time::SimDuration;
@@ -265,8 +265,8 @@ pub fn churn_scenarios() -> Vec<ChurnScenario> {
     out
 }
 
-/// Boots `platform`, enables capability tracing, installs `plan`, runs
-/// for `horizon`, and returns the recorded trace. Fully deterministic:
+/// Boots `platform`, enables capability tracing, runs for `horizon`
+/// under `plan`, and returns the recorded trace. Fully deterministic:
 /// the same plan always yields the same trace.
 pub fn run_churn_plan(platform: Platform, plan: &FaultPlan, horizon: SimDuration) -> CapTrace {
     fn collect<K: PlatformKernel>(plan: &FaultPlan, horizon: SimDuration) -> CapTrace {
@@ -276,8 +276,7 @@ pub fn run_churn_plan(platform: Platform, plan: &FaultPlan, horizon: SimDuration
         // only execute once the kernel steps, so even boot-time opens
         // land in the stream.
         engine.stack.enable_cap_trace();
-        let _log = install(&mut engine, plan);
-        engine.run_for(horizon);
+        inject::run(&mut engine, plan, horizon);
         engine.stack.cap_trace()
     }
     match platform {

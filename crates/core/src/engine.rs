@@ -174,10 +174,6 @@ fn step_plant_to(
     plant.step_to(now);
 }
 
-/// Hook called with the platform stack at every lockstep chunk boundary
-/// (see [`ScenarioEngine::set_tick_hook`]).
-pub type TickHook<K> = Box<dyn FnMut(&mut K)>;
-
 /// A booted scenario on some [`PlatformKernel`]: the single generic
 /// runner that replaced the three hand-rolled per-platform adapters.
 ///
@@ -199,9 +195,11 @@ pub struct ScenarioEngine<K: PlatformKernel> {
     /// False when boot installed one-shot overrides.
     recyclable: bool,
     chunk: SimDuration,
+    /// Where the runs so far were scheduled to end: the intended end of
+    /// the last [`Scenario::run_for`], which the kernel may have overshot.
+    scheduled: SimTime,
     reference_changes: Vec<(SimTime, i32)>,
     next_reference: usize,
-    tick_hook: Option<TickHook<K>>,
 }
 
 impl<K: PlatformKernel> ScenarioEngine<K> {
@@ -216,20 +214,30 @@ impl<K: PlatformKernel> ScenarioEngine<K> {
             io,
             recyclable,
             chunk: config.lockstep_chunk,
+            scheduled: SimTime::ZERO,
             reference_changes,
             next_reference: 0,
-            tick_hook: None,
         }
     }
 
-    /// Installs a hook called with the stack at the start of every
-    /// lockstep chunk in [`Scenario::run_for`] (so roughly every
-    /// `config.lockstep_chunk` of virtual time). `bas-faults` uses this
-    /// to fire scheduled fault events: anything due at or before the
-    /// current virtual time fires on the next chunk boundary. With a hook
-    /// installed, every chunk is stepped one at a time, idle or not.
-    pub fn set_tick_hook(&mut self, hook: impl FnMut(&mut K) + 'static) {
-        self.tick_hook = Some(Box::new(hook));
+    /// The virtual time the runs so far were scheduled to reach: the sum
+    /// of every [`Scenario::run_for`] span since boot. The kernel clock
+    /// reads at least this much; it reads more when the kernel overshot
+    /// the last chunk's boundary or its clock was skewed.
+    pub fn scheduled(&self) -> SimTime {
+        self.scheduled
+    }
+
+    /// The first lockstep chunk boundary at or after `t`: the chunk grid
+    /// is every multiple of `lockstep_chunk` since boot.
+    pub fn boundary_at_or_after(&self, t: SimTime) -> SimTime {
+        let chunk = self.chunk.as_nanos();
+        SimTime::from_nanos(t.as_nanos().div_ceil(chunk) * chunk)
+    }
+
+    /// The first chunk boundary after the kernel's clock.
+    fn next_boundary(&self) -> SimTime {
+        self.boundary_at_or_after(self.now() + SimDuration::from_nanos(1))
     }
 
     /// Fast-forwards over the whole lockstep chunks before `end` in which
@@ -240,8 +248,8 @@ impl<K: PlatformKernel> ScenarioEngine<K> {
     /// to the last one, waking any sleeper due there. Returns whether any
     /// chunk was skipped.
     fn skip_idle_chunks(&mut self, end: SimTime) -> bool {
+        let mut boundary = self.next_boundary();
         let kernel = self.stack.kernel();
-        let mut boundary = kernel.now() + self.chunk;
         let mut last = None;
         let mut plant = self.io.plant.borrow_mut();
         while boundary <= end && kernel.idle_before(boundary) {
@@ -269,14 +277,13 @@ impl<K: PlatformKernel> Scenario for ScenarioEngine<K> {
     }
 
     fn run_for(&mut self, d: SimDuration) {
-        let end = self.now() + d;
+        let end = self.scheduled + d;
+        self.scheduled = end;
         while self.now() < end {
-            if let Some(hook) = self.tick_hook.as_mut() {
-                hook(&mut self.stack);
-            } else if self.skip_idle_chunks(end) {
+            if self.skip_idle_chunks(end) {
                 continue;
             }
-            let target = (self.now() + self.chunk).min(end);
+            let target = self.next_boundary().min(end);
             touch(&mut self.stack).run_until(target);
             let now = self.now();
             step_plant_to(
@@ -339,6 +346,7 @@ impl<K: PlatformKernel> Scenario for ScenarioEngine<K> {
         }
         self.io.reimage(config);
         self.chunk = config.lockstep_chunk;
+        self.scheduled = SimTime::ZERO;
         self.reference_changes = config.reference_changes(&self.io.schedule.borrow());
         self.next_reference = 0;
         true

@@ -224,15 +224,21 @@ pub trait Scenario {
     /// The platform this scenario runs on.
     fn platform(&self) -> Platform;
 
-    /// Advances kernel and plant in lockstep for `d` of virtual time, one
-    /// `lockstep_chunk` at a time: the kernel runs to the chunk's
-    /// boundary, then the plant steps to it. Chunks in which the kernel
-    /// has nothing to do (nothing runnable, no timer due by the boundary)
-    /// are fast-forwarded: the plant still steps at each of their
-    /// boundaries, and the kernel clock jumps once past all of them. The
-    /// result is the same as stepping every chunk. A tick hook installed
-    /// with [`crate::engine::ScenarioEngine::set_tick_hook`] runs at every
-    /// chunk, so it keeps per-chunk stepping.
+    /// Advances kernel and plant in lockstep for `d` of virtual time past
+    /// where the previous runs were scheduled to end (not past the
+    /// kernel's clock, which may have overshot that end). Each chunk aims
+    /// at the next multiple of `lockstep_chunk` since boot, capped at the
+    /// run's end: the kernel runs to that boundary, then the plant steps
+    /// to where the kernel stopped. Chunks in which the kernel has
+    /// nothing to do (nothing runnable, no timer due by the boundary) are
+    /// fast-forwarded: the plant still steps at each of their boundaries,
+    /// and the kernel clock jumps once past all of them. The result is
+    /// the same as stepping every chunk.
+    ///
+    /// Split contract: since every chunk aims at the same absolute grid,
+    /// a run split into several calls at chunk boundaries computes the
+    /// same instance as one call over the whole span, even when the
+    /// kernel overshoots a split point.
     fn run_for(&mut self, d: SimDuration);
 
     /// Current virtual time.

@@ -1,13 +1,13 @@
 //! The idle fast-forward in `ScenarioEngine::run_for` is invisible.
 //!
-//! Without a tick hook, `run_for` skips the lockstep chunks in which the
-//! kernel has nothing to do and steps only the plant at their
-//! boundaries. An installed hook, even one that does nothing, keeps the
-//! one-chunk-at-a-time loop, so a run with a no-op hook is the oracle:
-//! on every platform and configuration below, both runs must agree on
-//! every observable — kernel counters, the rendered kernel trace, web
-//! responses, request samples, the plant's time series and its safety
-//! report, and the final clock.
+//! `run_for` skips the lockstep chunks in which the kernel has nothing
+//! to do and steps only the plant at their boundaries. A `run_for` that
+//! ends at the next chunk boundary can skip at most that one chunk, so
+//! a run split into one call per chunk is the oracle: on every platform
+//! and configuration below, both runs must agree on every observable —
+//! kernel counters, the rendered kernel trace, web responses, request
+//! samples, the plant's time series and its safety report, and the
+//! final clock.
 
 use bas_core::engine::{PlatformKernel, ScenarioEngine};
 use bas_core::logic::traffic::TrafficProfile;
@@ -35,25 +35,45 @@ struct Observed {
     safety: SafetyReport,
 }
 
+/// `spans` split at every chunk boundary they cross: the `run_for`
+/// calls that step one chunk at a time, counted from `start`.
+fn per_chunk(start: SimDuration, spans: &[SimDuration], chunk: SimDuration) -> Vec<SimDuration> {
+    let (chunk, mut at) = (chunk.as_nanos(), start.as_nanos());
+    let mut calls = Vec::new();
+    for span in spans {
+        let end = at + span.as_nanos();
+        while at < end {
+            let next = ((at / chunk + 1) * chunk).min(end);
+            calls.push(SimDuration::from_nanos(next - at));
+            at = next;
+        }
+    }
+    calls
+}
+
 /// Boots `config` on `K`, crashes the web interface in its first second
 /// when `crash_web`, runs for each of `spans` in turn and records what the run
-/// shows. With `hook`, a no-op tick hook forces per-chunk stepping.
+/// shows. With `stepped`, each span is run one chunk per call.
 fn observe<K: PlatformKernel>(
     config: &ScenarioConfig,
     crash_web: bool,
     spans: &[SimDuration],
-    hook: bool,
+    stepped: bool,
 ) -> Observed {
     let mut s = ScenarioEngine::<K>::boot(config, Default::default());
-    if hook {
-        s.set_tick_hook(|_| {});
-    }
+    let mut start = SimDuration::ZERO;
     if crash_web {
         // MINIX's loader forks the processes once the kernel runs.
-        s.run_for(SimDuration::from_secs(1));
+        start = SimDuration::from_secs(1);
+        s.run_for(start);
         assert!(s.stack.inject_crash(names::WEB), "{}", K::PLATFORM);
     }
-    for &span in spans {
+    let calls = if stepped {
+        per_chunk(start, spans, config.lockstep_chunk)
+    } else {
+        spans.to_vec()
+    };
+    for span in calls {
         s.run_for(span);
     }
     let plant = s.plant();

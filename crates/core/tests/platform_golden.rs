@@ -282,17 +282,17 @@ const MINIX_PLAIN_TRACE: &str =
 const MINIX_SUPERVISED_TRACE: &str =
     "lines 2249 fnv1a 7fde4f7c355db4d9 dev.write=211 ipc.deliver=2030 proc.exit=1 proc.spawn=7";
 const MINIX_HOSTILE_TRACE: &str =
-    "lines 1422 fnv1a 2f454843acb71865 acm.deny=180 cap.churn=2 dev.deny=14 dev.write=98 fault.clock=1 fault.crash=1 fault.ipc=3 ipc.deliver=1116 proc.exit=1 proc.spawn=6";
+    "lines 1415 fnv1a 2b84aa9944fbd81a acm.deny=180 cap.churn=2 dev.deny=14 dev.write=98 fault.clock=1 fault.crash=1 fault.ipc=3 ipc.deliver=1109 proc.exit=1 proc.spawn=6";
 const SEL4_TRACE: &str =
     "lines 2013 fnv1a a53fdc46aed85b47 dev.write=99 ipc.deliver=1909 thread.start=5";
 const SEL4_HOSTILE_TRACE: &str =
-    "lines 1303 fnv1a 1d49d65a90a3caea cap.churn=2 cap.deny=194 dev.write=39 fault.clock=1 fault.crash=1 fault.ipc=3 ipc.deliver=1058 thread.start=5";
+    "lines 1298 fnv1a 00a306ed39283e6b cap.churn=2 cap.deny=194 dev.write=40 fault.clock=1 fault.crash=1 fault.ipc=3 ipc.deliver=1052 thread.start=5";
 const LINUX_SHARED_TRACE: &str =
     "lines 2025 fnv1a 23d0c262eb2980fa dev.write=100 mq.send=1920 proc.spawn=5";
 const LINUX_HARDENED_TRACE: &str =
     "lines 2025 fnv1a 81162fe9f4fc7a01 dev.write=100 mq.send=1920 proc.spawn=5";
 const LINUX_HOSTILE_TRACE: &str =
-    "lines 1326 fnv1a 81d88720e096d34e cap.churn=2 dac.deny=14 dev.write=50 fault.clock=1 fault.crash=1 fault.ipc=3 mq.send=1250 proc.spawn=5";
+    "lines 1317 fnv1a d39bb9c1b3cc6e0a cap.churn=2 dac.deny=14 dev.write=49 fault.clock=1 fault.crash=1 fault.ipc=3 mq.send=1242 proc.spawn=5";
 
 const MINIX_PLAIN: &str = r#"metrics KernelMetrics { context_switches: 8044, kernel_entries: 11508, ipc_messages: 2035, ipc_bytes: 130240, access_denied: 0, syscall_errors: 0, processes_created: 6, processes_reaped: 1, hot_path_allocs: 0, ipc_waits: 5 }
 response Status { temp_milli_c: 22400, setpoint_milli_c: 22000, fan_on: true, alarm_on: false }
@@ -361,7 +361,7 @@ request 1200000000000 1200000081798 QueryStatus true
 request 1500000000000 1500000171886 SetSetpoint(22500) true
 request 1500000000000 1500000171886 QueryStatus true
 request 1500000000000 1500000171886 QueryStatus true
-plant PlantSnapshot { safety_violated: false, max_deviation_c: 1.733135429188426, in_band_fraction: 0.9870562746514082, final_temp_c: 22.32531881868292, alarm_on: false, fan_switches: 99, alarm_latencies_s: [] }
+plant PlantSnapshot { safety_violated: false, max_deviation_c: 1.733135429188426, in_band_fraction: 0.9870562746514082, final_temp_c: 22.325318702306266, alarm_on: false, fan_switches: 99, alarm_latencies_s: [] }
 "#;
 const LINUX_SHARED: &str = r#"metrics KernelMetrics { context_switches: 4056, kernel_entries: 12972, ipc_messages: 1920, ipc_bytes: 122880, access_denied: 0, syscall_errors: 0, processes_created: 5, processes_reaped: 0, hot_path_allocs: 0, ipc_waits: 0 }
 response Status { temp_milli_c: 22300, setpoint_milli_c: 22000, fan_on: true, alarm_on: false }

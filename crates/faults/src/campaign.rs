@@ -12,11 +12,11 @@ use bas_core::engine::{PlatformKernel, ScenarioEngine};
 use bas_core::platform::linux::LinuxStack;
 use bas_core::platform::minix::MinixStack;
 use bas_core::platform::sel4::Sel4Stack;
-use bas_core::scenario::{Platform, Scenario, ScenarioConfig};
+use bas_core::scenario::{Platform, ScenarioConfig};
 use bas_fleet::{instance_seed, Json, WorkerPool};
 use bas_sim::time::SimDuration;
 
-use crate::inject::install;
+use crate::inject;
 use crate::plan::FaultPlan;
 use crate::score::{grade, Scorecard};
 
@@ -102,8 +102,7 @@ fn run_cell<K: PlatformKernel>(
     config.seed = seed;
     let band_c = config.plant.band_c;
     let mut engine = ScenarioEngine::<K>::boot(&config, overrides);
-    let log = install(&mut engine, plan);
-    engine.run_for(horizon);
+    let log = inject::run(&mut engine, plan, horizon);
     grade(plan.name(), seed, &engine, &log, band_c)
 }
 

@@ -1,19 +1,24 @@
-//! Installs a [`FaultPlan`] on a booted [`ScenarioEngine`].
+//! Runs a booted [`ScenarioEngine`] under a [`FaultPlan`].
 //!
 //! Sensor faults go in through `DeviceBus::interpose` — the real device
 //! stays registered underneath a [`FaultyDevice`] wrapper whose mode the
 //! injector flips at the scheduled times. Everything else (crashes, IPC
 //! faults, clock skew) goes through the [`PlatformKernel`] fault hooks.
-//! The engine's lockstep tick hook drives the schedule: an event pinned
-//! to `at` fires at the first chunk boundary whose virtual time is at or
-//! after `at`, so with the default 100 ms chunk the quantization error
-//! is bounded by one chunk.
+//! [`run`] drives the engine itself (through an [`Injector`]): it runs to
+//! the first lockstep chunk boundary at or after the next event's time,
+//! fires every event due by that boundary, and carries on to the next
+//! event or the end of the run. With the default 100 ms chunk an event
+//! fires less than one chunk after its time; the kernel's clock then
+//! reads the boundary plus whatever the kernel overshot it by. Between
+//! events the engine fast-forwards idle chunks as in any run. The stops
+//! follow the kernel's clock, skewed or not: after a clock-skew fault,
+//! the events the jump passed fire at the first boundary past the
+//! skewed clock.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use bas_core::engine::{PlatformKernel, ScenarioEngine};
+use bas_core::scenario::Scenario;
 use bas_sim::device::DeviceId;
 use bas_sim::fault::{
     sensor_fault_handle, FaultyDevice, IpcFault, SensorFaultHandle, SensorFaultMode,
@@ -31,8 +36,8 @@ pub struct FiredEvent {
     pub index: usize,
     /// The time the plan asked for.
     pub scheduled: SimDuration,
-    /// The virtual time the injector actually applied it (first chunk
-    /// boundary at or after `scheduled`).
+    /// The virtual time the injector actually applied it (the kernel's
+    /// clock at the first chunk boundary at or after `scheduled`).
     pub applied_at: SimTime,
     /// Human-readable fault label.
     pub label: String,
@@ -41,92 +46,131 @@ pub struct FiredEvent {
     pub hit: bool,
 }
 
-#[derive(Debug, Default)]
-struct LogInner {
+/// What the injector did over one run; the scorecard reads it.
+#[derive(Debug, Clone, Default)]
+pub struct InjectionLog {
     fired: Vec<FiredEvent>,
     baseline: Option<KernelMetrics>,
 }
 
-/// Shared record of what the injector has done so far. Cloning is cheap
-/// (it is a handle); the scorecard reads it after the run.
-#[derive(Debug, Clone, Default)]
-pub struct InjectionLog {
-    inner: Rc<RefCell<LogInner>>,
-}
-
 impl InjectionLog {
-    /// Events fired so far, in firing order.
-    pub fn fired(&self) -> Vec<FiredEvent> {
-        self.inner.borrow().fired.clone()
+    /// Events fired, in firing order.
+    pub fn fired(&self) -> &[FiredEvent] {
+        &self.fired
     }
 
-    /// Number of events fired so far.
+    /// Number of events fired.
     pub fn fired_count(&self) -> usize {
-        self.inner.borrow().fired.len()
+        self.fired.len()
     }
 
     /// Kernel metrics snapshotted immediately before the first fault was
     /// applied (None while the plan is still clean).
     pub fn baseline_metrics(&self) -> Option<KernelMetrics> {
-        self.inner.borrow().baseline
+        self.baseline
     }
 
     /// Virtual time the first fault was applied, if any.
     pub fn first_fault_at(&self) -> Option<SimTime> {
-        self.inner.borrow().fired.first().map(|f| f.applied_at)
+        self.fired.first().map(|f| f.applied_at)
     }
 }
 
-/// Wraps every plant device the plan's sensor faults reference and arms
-/// the schedule on the engine's tick hook. Returns the log the campaign
-/// scorecard reads after the run.
-///
-/// # Panics
-///
-/// Panics if the plan references a device the stack never registered —
-/// a schedule aimed at nothing is a plan bug, not a degradation result.
-pub fn install<K: PlatformKernel>(
-    engine: &mut ScenarioEngine<K>,
-    plan: &FaultPlan,
-) -> InjectionLog {
-    let mut handles: BTreeMap<DeviceId, SensorFaultHandle> = BTreeMap::new();
-    for dev in plan.sensor_devices() {
-        let handle = sensor_fault_handle();
-        let for_device = handle.clone();
-        engine
-            .stack
-            .devices_mut()
-            .interpose(dev, move |inner| {
-                Box::new(FaultyDevice::new(inner, for_device))
-            })
-            .unwrap_or_else(|e| panic!("plan {:?} targets unknown device: {e}", plan.name()));
-        handles.insert(dev, handle);
+/// A [`FaultPlan`] installed on one engine: the interposed sensor
+/// devices, the events still to fire and the log so far. A run may be
+/// split over several [`Injector::run_for`] calls at chunk boundaries,
+/// as a plain `run_for` may.
+pub struct Injector<'p> {
+    plan: &'p FaultPlan,
+    handles: BTreeMap<DeviceId, SensorFaultHandle>,
+    next: usize,
+    log: InjectionLog,
+}
+
+impl<'p> Injector<'p> {
+    /// Wraps every plant device the plan's sensor faults reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the plan references a device the stack never registered
+    /// — a schedule aimed at nothing is a plan bug, not a degradation
+    /// result.
+    pub fn install<K: PlatformKernel>(engine: &mut ScenarioEngine<K>, plan: &'p FaultPlan) -> Self {
+        let mut handles = BTreeMap::new();
+        for dev in plan.sensor_devices() {
+            let handle = sensor_fault_handle();
+            let for_device = handle.clone();
+            engine
+                .stack
+                .devices_mut()
+                .interpose(dev, move |inner| {
+                    Box::new(FaultyDevice::new(inner, for_device))
+                })
+                .unwrap_or_else(|e| panic!("plan {:?} targets unknown device: {e}", plan.name()));
+            handles.insert(dev, handle);
+        }
+        Injector {
+            plan,
+            handles,
+            next: 0,
+            log: InjectionLog::default(),
+        }
     }
 
-    let log = InjectionLog::default();
-    let hook_log = log.clone();
-    let events = plan.events().to_vec();
-    let mut next = 0usize;
-    engine.set_tick_hook(move |stack| {
-        let now = stack.kernel().now();
-        while next < events.len() && events[next].at.as_nanos() <= now.as_nanos() {
-            let ev = &events[next];
-            let mut inner = hook_log.inner.borrow_mut();
-            if inner.baseline.is_none() {
-                inner.baseline = Some(*stack.kernel().metrics());
+    /// Runs `engine` for `d`, as [`Scenario::run_for`] does, stopping at
+    /// the first chunk boundary at or after each event's time to fire
+    /// every event due by that boundary.
+    pub fn run_for<K: PlatformKernel>(&mut self, engine: &mut ScenarioEngine<K>, d: SimDuration) {
+        let events = self.plan.events();
+        let end = engine.scheduled() + d;
+        while engine.now() < end {
+            let boundary = engine.scheduled();
+            let now = engine.now();
+            while let Some(ev) = events
+                .get(self.next)
+                .filter(|ev| SimTime::ZERO + ev.at <= boundary)
+            {
+                let stack = &mut engine.stack;
+                self.log.baseline.get_or_insert(*stack.kernel().metrics());
+                let hit = apply(stack, &self.handles, &ev.kind);
+                self.log.fired.push(FiredEvent {
+                    index: self.next,
+                    scheduled: ev.at,
+                    applied_at: now,
+                    label: ev.kind.label(),
+                    hit,
+                });
+                self.next += 1;
             }
-            let hit = apply(stack, &handles, &ev.kind);
-            inner.fired.push(FiredEvent {
-                index: next,
-                scheduled: ev.at,
-                applied_at: now,
-                label: ev.kind.label(),
-                hit,
+            // The next event fires at a boundary the kernel has not yet
+            // passed: a clock skew may have jumped it past the event.
+            let stop = events.get(self.next).map_or(end, |ev| {
+                let due = (SimTime::ZERO + ev.at).max(engine.now() + SimDuration::from_nanos(1));
+                engine.boundary_at_or_after(due).min(end)
             });
-            next += 1;
+            engine.run_for(stop - boundary);
         }
-    });
-    log
+        // A skew past `end` ends the run early; the schedule still moves
+        // on by `d`, as it would in one `run_for(d)`.
+        engine.run_for(end.saturating_since(engine.scheduled()));
+    }
+
+    /// What the injector has done so far.
+    pub fn log(&self) -> &InjectionLog {
+        &self.log
+    }
+}
+
+/// Runs `engine` for `horizon` under `plan` (see [`Injector`]) and
+/// returns the log the campaign scorecard reads.
+pub fn run<K: PlatformKernel>(
+    engine: &mut ScenarioEngine<K>,
+    plan: &FaultPlan,
+    horizon: SimDuration,
+) -> InjectionLog {
+    let mut injector = Injector::install(engine, plan);
+    injector.run_for(engine, horizon);
+    injector.log
 }
 
 fn apply<K: PlatformKernel>(
@@ -137,7 +181,7 @@ fn apply<K: PlatformKernel>(
     let set_mode = |device: &DeviceId, mode: SensorFaultMode| {
         handles
             .get(device)
-            .expect("install() interposed every device the plan references")
+            .expect("run() interposed every device the plan references")
             .set(mode);
         true
     };

@@ -12,11 +12,12 @@
 //!   [`FaultEvent`]s (sensor stuck-at/glitch/dropout, IPC
 //!   drop/delay/duplication, process crash and crash-storm, clock-tick
 //!   skew), each pinned to a virtual time from boot.
-//! - [`inject`] — installs a plan on a booted
-//!   [`ScenarioEngine`](bas_core::engine::ScenarioEngine): sensor faults
-//!   via `DeviceBus::interpose` wrappers, everything else through the
-//!   `PlatformKernel` fault hooks, all driven by the engine's lockstep
-//!   tick hook. Every fired event lands in an [`InjectionLog`].
+//! - [`inject`] — runs a booted
+//!   [`ScenarioEngine`](bas_core::engine::ScenarioEngine) under a plan:
+//!   sensor faults via `DeviceBus::interpose` wrappers, everything else
+//!   through the `PlatformKernel` fault hooks, each event fired at the
+//!   first lockstep chunk boundary at or after its time. Every fired
+//!   event lands in an [`InjectionLog`].
 //! - [`score`] — the degradation [`Scorecard`]: safety held, worst
 //!   alarm latency, out-of-band seconds, recovery time, processes
 //!   restarted.
@@ -37,7 +38,7 @@ pub mod recovery;
 pub mod score;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport};
-pub use inject::{install, FiredEvent, InjectionLog};
+pub use inject::{FiredEvent, InjectionLog};
 pub use plan::{standard_plans, FaultEvent, FaultKind, FaultPlan};
 pub use recovery::{crash_plan, run_recovery, RecoveryOutcome};
 pub use score::Scorecard;

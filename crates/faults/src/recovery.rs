@@ -17,7 +17,7 @@ use bas_core::scenario::{critical_alive, Platform, Scenario, ScenarioConfig};
 use bas_fleet::Json;
 use bas_sim::time::SimDuration;
 
-use crate::inject::install;
+use crate::inject;
 use crate::plan::{FaultEvent, FaultKind, FaultPlan};
 
 /// The recovery schedule: one crash of `process` at `at`.
@@ -113,8 +113,7 @@ fn run_on<K: PlatformKernel>(
 
     let mut engine = ScenarioEngine::<K>::boot(&config, overrides);
     let plan = crash_plan(names::HEATER, SimDuration::from_secs(180));
-    let log = install(&mut engine, &plan);
-    engine.run_for(horizon);
+    let log = inject::run(&mut engine, &plan, horizon);
     assert_eq!(log.fired_count(), 1, "the crash event must fire");
 
     let plant = engine.plant();

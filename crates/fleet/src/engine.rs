@@ -5,22 +5,21 @@
 //! `Rc<RefCell<…>>` plant state and never cross threads). The fleet is
 //! split into *contiguous per-worker batches*: each [`WorkerPool`] job
 //! runs its instances one after another on a single engine, checked out
-//! of its [`InstancePool`], advanced epoch by epoch to the horizon,
+//! of its [`InstancePool`], advanced to the horizon in one `run_for`,
 //! reported, and recycled for the next index — so a worker's live heap
 //! is one instance's, whatever the fleet size. Each report is written
 //! once, into the worker's own chunk of one preallocated slot buffer, so
 //! only the final join synchronizes. Thread scheduling decides only
 //! *when* a batch computes, never *what* it computes: every per-instance
-//! RNG seed derives from the root seed and instance index alone, and the
-//! epoch schedule is worker-independent, which is what makes the
-//! [`FleetReport`] deterministic under any worker count.
+//! RNG seed derives from the root seed and instance index alone, which is
+//! what makes the [`FleetReport`] deterministic under any worker count.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use bas_attack::harness::{run_attack, AttackRunConfig};
 use bas_attack::model::{AttackId, AttackerModel};
-use bas_core::scenario::{Platform, Scenario, ScenarioConfig};
+use bas_core::scenario::{Platform, ScenarioConfig};
 use bas_core::EngineSnapshot;
 use bas_sim::time::SimDuration;
 use bas_sim::WorkerPool;
@@ -206,16 +205,6 @@ pub fn run_fleet(config: &FleetConfig) -> FleetRun {
     run_fleet_with(&WorkerPool::new(config.workers), config)
 }
 
-/// Virtual time a worker advances its engine per epoch: a fixed
-/// multiple of the scenario's lockstep chunk, so epoch boundaries land
-/// exactly on chunk boundaries and the chunked advance computes the
-/// same instance trajectory as a single `run_for(horizon)` — and the
-/// schedule never depends on the worker count.
-fn epoch_duration(config: &FleetConfig) -> SimDuration {
-    const CHUNKS_PER_EPOCH: u64 = 600;
-    SimDuration::from_nanos(config.template.lockstep_chunk.as_nanos() * CHUNKS_PER_EPOCH)
-}
-
 /// Runs the fleet on an existing pool and aggregates the report.
 ///
 /// Instances are split into contiguous batches — one [`WorkerPool::map`]
@@ -320,15 +309,15 @@ fn run_batch(
             let mut pool = InstancePool::for_config(config, snapshot);
             for (index, slot) in indexed {
                 let mut engine = pool.checkout(config, index);
-                advance_to_horizon(engine.as_mut(), config);
+                engine.run_for(config.horizon);
                 let seed = instance_seed(config.root_seed, index);
                 *slot = Some(InstanceReport::from_scenario(index, seed, engine.as_ref()));
                 pool.checkin(engine);
             }
         }
         // Attack campaigns drive each instance through the attack
-        // harness's own warmup/window/cooldown phases; they cannot be
-        // epoch-stepped externally, so the batch runs them one-shot.
+        // harness's own warmup/window/cooldown phases, on an engine of
+        // their own (one-shot attacker overrides do not recycle).
         Some(campaign) => {
             for (index, slot) in indexed {
                 *slot = Some(run_campaign_instance(config, campaign, index));
@@ -336,19 +325,6 @@ fn run_batch(
         }
     }
     t0.elapsed().as_secs_f64()
-}
-
-/// Advances a freshly checked-out engine to [`FleetConfig::horizon`] in
-/// [`epoch_duration`] steps.
-fn advance_to_horizon(engine: &mut dyn Scenario, config: &FleetConfig) {
-    let epoch_ns = epoch_duration(config).as_nanos().max(1);
-    let total_ns = config.horizon.as_nanos();
-    let mut done_ns = 0;
-    while done_ns < total_ns {
-        let step = (total_ns - done_ns).min(epoch_ns);
-        engine.run_for(SimDuration::from_nanos(step));
-        done_ns += step;
-    }
 }
 
 /// Boots, attacks, and snapshots one campaign instance through the
@@ -472,8 +448,8 @@ mod tests {
 
     #[test]
     fn chunked_advance_equals_one_shot_advance() {
-        // Epoch stepping must not change what an instance computes: the
-        // lockstep chunk sequence is identical either way.
+        // Splitting a run at chunk boundaries must not change what an
+        // instance computes: every chunk aims at the same absolute grid.
         let mut config = FleetConfig::benign(Platform::Minix, 2, 1);
         config.horizon = SimDuration::from_mins(10);
         let mut pool = InstancePool::new(None);
@@ -483,18 +459,11 @@ mod tests {
             for _ in 0..5 {
                 chunked.run_for(SimDuration::from_mins(2));
             }
-            let mut epochs = pool.checkout(&config, index);
-            advance_to_horizon(epochs.as_mut(), &config);
             let mut oneshot = pool.checkout(&config, index);
             oneshot.run_for(config.horizon);
-            let expected = InstanceReport::from_scenario(index, seed, oneshot.as_ref());
             assert_eq!(
                 InstanceReport::from_scenario(index, seed, chunked.as_ref()),
-                expected
-            );
-            assert_eq!(
-                InstanceReport::from_scenario(index, seed, epochs.as_ref()),
-                expected
+                InstanceReport::from_scenario(index, seed, oneshot.as_ref())
             );
         }
     }

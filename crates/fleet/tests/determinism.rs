@@ -139,7 +139,7 @@ fn fleet_reports_match_pinned_digests() {
     );
     assert_eq!(
         fnv1a(report.to_json().as_bytes()),
-        0x70d3_2fd0_78ae_d412,
+        0x5377_914a_7ec7_e237,
         "30-instance fleet with tenant traffic"
     );
 }
