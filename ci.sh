@@ -23,6 +23,13 @@ json_number() {
 # the end, when any did.
 failed_gates=()
 
+# failed MESSAGE
+# Prints MESSAGE and records it as a failed gate; the run carries on.
+failed() {
+  echo "** $1 **"
+  failed_gates+=("$1")
+}
+
 # gate FILE KEY floor|ceiling FRACTION BASELINE MESSAGE
 # Reads the first "KEY" number in FILE and fails with MESSAGE when it is
 # below (floor) or above (ceiling) FRACTION times BASELINE. BASELINE is a
@@ -101,7 +108,7 @@ echo "== fault campaign (E16) + multi-platform recovery (A3) =="
 mv BENCH_faults.json /tmp/BENCH_faults.w1.json
 ./target/release/exp_fault_campaign --quick --json --workers 4 > /dev/null
 cmp /tmp/BENCH_faults.w1.json BENCH_faults.json \
-  || { echo "** BENCH_faults.json differs across worker counts **"; exit 1; }
+  || failed "BENCH_faults.json differs across worker counts"
 for platform in linux minix sel4; do
   echo "-- exp_recovery --quick --platform $platform"
   ./target/release/exp_recovery --quick --platform "$platform" > /dev/null
@@ -122,14 +129,14 @@ echo "== capability-churn races (E19: detector vs model checker vs static leaks)
 mv BENCH_races.json /tmp/BENCH_races.w1.json
 ./target/release/exp_cap_races --quick --json --workers 4 > /dev/null
 cmp /tmp/BENCH_races.w1.json BENCH_races.json \
-  || { echo "** BENCH_races.json differs across worker counts **"; exit 1; }
+  || failed "BENCH_races.json differs across worker counts"
 
 echo "== committed reports match their regeneration =="
 # The three reports above carry no wall-clock values, so each must also
 # regenerate byte-identical to its committed copy: a change that moves
 # one commits the new file with it.
 git diff --exit-code -- BENCH_faults.json BENCH_cap_flow.json BENCH_races.json \
-  || { echo "** a committed report differs from its regeneration **"; exit 1; }
+  || failed "a committed report differs from its regeneration"
 
 echo "== race-detector perf gate (trace events/sec vs committed baseline, 30% floor) =="
 # Guards the engine-driven churn sweep: replaying the full 21-scenario
@@ -234,8 +241,7 @@ for key in cold_bytes_per_instance bytes_per_instance fleet_peak_live_bytes \
   committed=$(json_number "$key" /tmp/BENCH_fleet.committed.json) || committed=missing
   regenerated=$(json_number "$key" BENCH_fleet.json) || regenerated=missing
   if [ "$committed" != "$regenerated" ]; then
-    echo "** BENCH_fleet.json $key: committed $committed, regenerated $regenerated **"
-    failed_gates+=("BENCH_fleet.json $key: committed $committed, regenerated $regenerated")
+    failed "BENCH_fleet.json $key: committed $committed, regenerated $regenerated"
   fi
 done
 
