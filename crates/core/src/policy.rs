@@ -540,6 +540,71 @@ mod tests {
     }
 
     #[test]
+    fn camkes_backend_connects_the_scenario_assembly_pairs() {
+        use bas_camkes::assembly::Connection;
+
+        // The seL4 platform runs the hand-written `scenario_assembly`;
+        // the `bas-aadl` CAmkES backend compiles the same AADL. Both must
+        // connect the same (client, server) instance pairs, in process
+        // names through `PROCESSES`' AADL labels.
+        let model = bas_aadl::parse(SCENARIO_AADL).unwrap();
+        let generated = bas_aadl::backends::camkes::compile(&model).unwrap();
+        let hand = scenario_assembly();
+        let instances =
+            |a: &Assembly| sorted(a.instances.iter().map(|i| name_of_label(&i.name)).collect());
+        assert_eq!(instances(&generated), instances(&hand));
+        let pairs = |a: &Assembly| {
+            let pair = |c: &Connection| (name_of_label(&c.from.0), name_of_label(&c.to.0));
+            sorted(a.connections.iter().map(pair).collect::<Vec<_>>())
+        };
+        let (mut generated_pairs, hand_pairs) = (pairs(&generated), pairs(&hand));
+
+        // Known difference 1: the backend makes one connection per AADL
+        // port connection, five, where the hand assembly has four badged
+        // ones: the web interface's setpoint and status ports share its
+        // one `ctrl` capability (badge 2).
+        assert_eq!(generated_pairs.len(), 5);
+        assert_eq!(hand_pairs.len(), 4);
+        let web_to_control = (WEB.to_string(), CONTROL.to_string());
+        assert_eq!(
+            generated_pairs
+                .iter()
+                .filter(|p| **p == web_to_control)
+                .count(),
+            2
+        );
+        generated_pairs.dedup();
+        assert_eq!(generated_pairs, hand_pairs);
+        let (_, glue) = bas_camkes::codegen::compile(&hand).unwrap();
+        let badged = hand
+            .connections
+            .iter()
+            .filter(|c| glue.badge_of(&c.from.0, &c.from.1).is_some())
+            .count();
+        assert_eq!(badged, 4);
+
+        // Known difference 2: the backend serves one procedure per in
+        // port (`port_<port>`, one `deliver` method each), where the hand
+        // assembly serves the controller's `ctrl` and the drivers' `cmd`.
+        let served = |a: &Assembly| {
+            let mut ifaces: Vec<_> = a.connections.iter().map(|c| c.to.1.clone()).collect();
+            ifaces.sort();
+            ifaces.dedup();
+            ifaces
+        };
+        assert_eq!(
+            served(&generated),
+            [
+                "port_cmd_in",
+                "port_sensor_in",
+                "port_setpoint_in",
+                "port_status_in"
+            ]
+        );
+        assert_eq!(served(&hand), ["cmd", "ctrl"]);
+    }
+
+    #[test]
     fn scenario_assembly_compiles_to_capdl() {
         let (spec, glue) = bas_camkes::codegen::compile(&scenario_assembly()).unwrap();
         assert!(spec.validate().is_ok());
