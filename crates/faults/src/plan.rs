@@ -140,8 +140,8 @@ impl FaultKind {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultEvent {
     /// When the fault fires (virtual time since boot; events quantize to
-    /// the engine's lockstep chunk, firing at the first tick at-or-after
-    /// this time).
+    /// the engine's lockstep chunk, firing at the first chunk boundary at
+    /// or after this time).
     pub at: SimDuration,
     /// What happens.
     pub kind: FaultKind,
