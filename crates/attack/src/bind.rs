@@ -270,13 +270,13 @@ impl Binding for Sel4Binding {
 ///
 /// A lowered op names its queue by the position of that queue's open
 /// among the script's opens. The kernel gives a denied open no
-/// descriptor, so the attacker issues each queue op with the descriptor
+/// descriptor, so the attacker sends each queue op with the descriptor
 /// its own open returned (`Reply::Qd`), or with [`NO_DESCRIPTOR`] when
 /// that open was denied.
 #[derive(Default)]
 pub struct LinuxBinding {
     opened: Vec<&'static str>,
-    /// The descriptor each issued open returned, in open order.
+    /// The descriptor each open returned, in open order.
     descriptors: Vec<Option<u32>>,
     /// Whether the step awaiting its reply is an open.
     opening: bool,
@@ -410,7 +410,7 @@ impl Binding for LinuxBinding {
         Self::Syscall::Sleep { duration }
     }
 
-    fn issue(&mut self, step: Self::Syscall) -> Self::Syscall {
+    fn prepare(&mut self, step: Self::Syscall) -> Self::Syscall {
         use bas_linux::syscall::Syscall;
 
         self.opening = matches!(step, Syscall::MqOpen { .. });

@@ -162,14 +162,14 @@ pub trait Binding: Sized + 'static {
     /// A sleep for `duration`.
     fn sleep(duration: SimDuration) -> Self::Syscall;
 
-    /// The syscall the attacker issues for the script step `step`; by
+    /// The syscall the attacker makes for the script step `step`; by
     /// default the step as lowered.
-    fn issue(&mut self, step: Self::Syscall) -> Self::Syscall {
+    fn prepare(&mut self, step: Self::Syscall) -> Self::Syscall {
         step
     }
 
-    /// Notes the kernel's reply to the script step issued last, counted
-    /// or not.
+    /// Notes the kernel's reply to the last script step, counted or
+    /// not.
     fn observe(&mut self, _reply: &Self::Reply) {}
 
     /// Records the kernel's reply to a counted step.
@@ -332,7 +332,7 @@ impl<B: Binding> Process for Attacker<B> {
                 .step()
         };
         match step {
-            Action::Syscall(step) => Action::Syscall(self.binding.issue(step)),
+            Action::Syscall(step) => Action::Syscall(self.binding.prepare(step)),
             action => action,
         }
     }

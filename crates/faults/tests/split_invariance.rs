@@ -2,18 +2,19 @@
 //! instance as the run split at chunk boundaries.
 //!
 //! Every lockstep chunk aims at the next multiple of `lockstep_chunk`
-//! since boot, so a split at a chunk boundary issues the same kernel
-//! targets and plant steps as one call, even when the kernel overshoots
-//! the split point. Each case below runs on all three platforms three
-//! ways — one call, split at seeded random chunk boundaries, and one
-//! call per chunk — and every observable must agree: the final clock,
-//! kernel counters, the rendered kernel trace, web responses, request
-//! samples, the plant's time series and safety report, the attacker's
-//! evidence and the fault injector's log. Each case makes the kernel
-//! end a chunk past its target: under tenant traffic MINIX and seL4 first
-//! do so at t = 289.3 s (by ~6 µs), the attacker cell on every platform
-//! after t = 1000 s, and the fault plan's 250 ms IPC delay on every
-//! platform at t = 151.1 s (by more than a chunk).
+//! since boot, so a split at a chunk boundary gives the kernel the same
+//! targets and the plant the same steps as one call, even when the
+//! kernel overshoots the split point. Each case below runs on all three
+//! platforms three ways — one call, split at seeded random chunk
+//! boundaries, and one call per chunk — and every observable must agree:
+//! the final clock, kernel counters, the rendered kernel trace, web
+//! responses, request samples, the plant's time series and safety
+//! report, the attacker's evidence and the fault injector's log. Each
+//! case makes the kernel end a chunk past its target: under tenant
+//! traffic MINIX and seL4 first do so at t = 289.3 s (by ~6 µs), the
+//! attacker cell on every platform after t = 1000 s, and the fault
+//! plan's 250 ms IPC delay on every platform at t = 151.1 s (by more
+//! than a chunk).
 
 use bas_attack::evidence::{new_evidence, EvidenceLog};
 use bas_attack::{web_factory, AttackId, AttackRunConfig, LinuxBinding, MinixBinding, Sel4Binding};
