@@ -6,7 +6,9 @@
 //! stamped request samples and the plant's safety snapshot with values
 //! recorded before the platform adapters were folded onto the shared role
 //! cores. Any change to a syscall sequence moves at least one counter, so
-//! a refactor of the adapters must leave these strings untouched.
+//! a refactor of the adapters must leave these strings untouched. One
+//! supervised MINIX run also kills the controller at 2 min, pinning the
+//! paths that reconnect to a reincarnated peer.
 //!
 //! The same runs also pin the rendered kernel trace: its line count, an
 //! FNV-1a digest of every `Display`ed event and the per-category counts.
@@ -59,6 +61,12 @@ fn config() -> ScenarioConfig {
 /// Runs `s` for 30 simulated minutes and renders everything pinned.
 fn describe(mut s: impl Scenario) -> String {
     s.run_for(SimDuration::from_mins(30));
+    render(&s)
+}
+
+/// Renders the kernel counters, the web responses, the stamped request
+/// samples and the plant snapshot of a run.
+fn render(s: &dyn Scenario) -> String {
     let mut out = String::new();
     writeln!(out, "metrics {:?}", s.metrics()).unwrap();
     for r in s.web_responses() {
@@ -75,7 +83,7 @@ fn describe(mut s: impl Scenario) -> String {
         )
         .unwrap();
     }
-    writeln!(out, "plant {:?}", plant_snapshot(&s)).unwrap();
+    writeln!(out, "plant {:?}", plant_snapshot(s)).unwrap();
     out
 }
 
@@ -93,6 +101,27 @@ fn minix_supervised_is_pinned() {
     };
     let s = ScenarioEngine::<MinixStack>::boot(&config(), overrides);
     assert_eq!(describe(s), MINIX_SUPERVISED);
+}
+
+/// The supervised stack with the controller killed at 2 min, run to the
+/// 30-min horizon: the sensor re-resolves the reincarnated controller
+/// after a dead-destination send, and the new controller finds its
+/// peers through the name service.
+#[test]
+fn minix_control_restart_is_pinned() {
+    let overrides = MinixOverrides {
+        supervise: true,
+        ..MinixOverrides::default()
+    };
+    let mut s = ScenarioEngine::<MinixStack>::boot(&config(), overrides);
+    s.run_for(SimDuration::from_mins(2));
+    assert!(s.stack.inject_crash(names::CONTROL));
+    s.run_for(SimDuration::from_mins(28));
+    assert_eq!(
+        trace_summary(s.stack.kernel.trace().events()),
+        MINIX_RESTART_TRACE
+    );
+    assert_eq!(render(&s), MINIX_RESTART);
 }
 
 #[test]
@@ -283,6 +312,8 @@ const MINIX_SUPERVISED_TRACE: &str =
     "lines 2249 fnv1a 7fde4f7c355db4d9 dev.write=211 ipc.deliver=2030 proc.exit=1 proc.spawn=7";
 const MINIX_HOSTILE_TRACE: &str =
     "lines 1415 fnv1a 2b84aa9944fbd81a acm.deny=180 cap.churn=2 dev.deny=14 dev.write=98 fault.clock=1 fault.crash=1 fault.ipc=3 ipc.deliver=1109 proc.exit=1 proc.spawn=6";
+const MINIX_RESTART_TRACE: &str =
+    "lines 2187 fnv1a 1a6e63b76a203c67 dev.write=186 fault.crash=1 ipc.deliver=1991 proc.exit=1 proc.spawn=8";
 const SEL4_TRACE: &str =
     "lines 2013 fnv1a a53fdc46aed85b47 dev.write=99 ipc.deliver=1909 thread.start=5";
 const SEL4_HOSTILE_TRACE: &str =
@@ -339,6 +370,22 @@ request 1500000000000 1500000172134 SetSetpoint(22500) true
 request 1500000000000 1500000172134 QueryStatus true
 request 1500000000000 1500000172134 QueryStatus true
 plant PlantSnapshot { safety_violated: false, max_deviation_c: 1.733135429188426, in_band_fraction: 0.9870555555555556, final_temp_c: 22.32316069647256, alarm_on: false, fan_switches: 99, alarm_latencies_s: [] }
+"#;
+const MINIX_RESTART: &str = r#"metrics KernelMetrics { context_switches: 8837, kernel_entries: 15923, ipc_messages: 1997, ipc_bytes: 127808, access_denied: 0, syscall_errors: 8, processes_created: 8, processes_reaped: 2, hot_path_allocs: 0, ipc_waits: 2 }
+response Status { temp_milli_c: 22400, setpoint_milli_c: 22000, fan_on: true, alarm_on: false }
+response Ack { code: 0 }
+response Status { temp_milli_c: 22400, setpoint_milli_c: 24000, fan_on: true, alarm_on: false }
+request 60000000000 60000172134 QueryStatus true
+request 60000000000 60000172134 SetSetpoint(24000) true
+request 60000000000 60000172134 QueryStatus true
+request 300000000000 300000057250 SetSetpoint(95000) false
+request 600000000000 600000053250 SetSetpoint(23000) false
+request 600000000000 600000053250 QueryStatus false
+request 1200000000000 1200000043000 QueryStatus false
+request 1500000000000 1500000063500 SetSetpoint(22500) false
+request 1500000000000 1500000063500 QueryStatus false
+request 1500000000000 1500000063500 QueryStatus false
+plant PlantSnapshot { safety_violated: true, max_deviation_c: 2.3739963270802242, in_band_fraction: 0.4742250861015443, final_temp_c: 22.203936664091803, alarm_on: false, fan_switches: 70, alarm_latencies_s: [] }
 "#;
 const SEL4: &str = r#"metrics KernelMetrics { context_switches: 7538, kernel_entries: 11256, ipc_messages: 3818, ipc_bytes: 60424, access_denied: 0, syscall_errors: 0, processes_created: 5, processes_reaped: 0, hot_path_allocs: 0, ipc_waits: 5 }
 response Status { temp_milli_c: 22400, setpoint_milli_c: 22000, fan_on: true, alarm_on: false }
