@@ -33,7 +33,7 @@ use bas_sim::time::{SimDuration, SimTime};
 
 use crate::engine::{PlatformKernel, ScenarioEngine};
 use crate::logic::control::{ControlCore, Directive};
-use crate::logic::web::{WebAction, WebClient, WebStep};
+use crate::platform::{Actuator, Binding, Driver, Sensor, Web};
 use crate::policy::{self, queues, ChannelSpec, CHANNELS, PROCESSES};
 use crate::proto::{names, BasMsg};
 use crate::scenario::{AppIo, Platform, ScenarioConfig};
@@ -287,314 +287,106 @@ impl Process for LinuxControl {
 }
 
 // ---------------------------------------------------------------------------
-// Sensor process
+// IPC binding of the benign roles
 // ---------------------------------------------------------------------------
 
-/// The Linux sensor driver.
-pub struct LinuxSensor {
-    period: SimDuration,
-    seq: u32,
-    state: SensorSt,
-}
+/// The Linux binding of the benign roles: each role opens its queues at
+/// start and exits if one is missing or denied. The sensor reports with
+/// a non-blocking send; the web interface sends each request on its
+/// kind's queue and blocks on the reply queue for the answer; a driver
+/// blocks on its command queue.
+pub struct LinuxIpc;
 
-enum SensorSt {
-    Start,
-    AwaitOpen,
-    AwaitDevRead,
-    AwaitSend,
-    AwaitSleep,
-}
+/// The queues a role has still to open, in descriptor order.
+pub type Queues = &'static [(&'static str, MqAccess)];
 
-impl LinuxSensor {
-    /// Creates the sensor driver.
-    pub fn new(period: SimDuration) -> Self {
-        LinuxSensor {
-            period,
-            seq: 0,
-            state: SensorSt::Start,
-        }
+/// Opens the next of `queues`, given the reply to the last open; exits
+/// when that open failed.
+fn open(queues: &mut Queues, reply: Option<Reply>) -> Result<(), Action<Syscall>> {
+    if reply.is_some_and(|r| !matches!(r, Reply::Qd(_))) {
+        return Err(Action::Exit(1)); // queue missing/denied: cannot run
     }
+    let Some((&(name, access), rest)) = queues.split_first() else {
+        return Ok(());
+    };
+    *queues = rest;
+    Err(Action::Syscall(Syscall::MqOpen {
+        name: name.into(),
+        access,
+        create: None,
+    }))
 }
 
-impl Process for LinuxSensor {
-    type Syscall = Syscall;
-    type Reply = Reply;
-
-    fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
-        match self.state {
-            SensorSt::Start => {
-                self.state = SensorSt::AwaitOpen;
-                Action::Syscall(Syscall::MqOpen {
-                    name: queues::SENSOR_IN.into(),
-                    access: MqAccess::WRITE,
-                    create: None,
-                })
-            }
-            SensorSt::AwaitOpen => match reply {
-                Some(Reply::Qd(0)) => {
-                    self.state = SensorSt::AwaitDevRead;
-                    Action::Syscall(Syscall::DevRead {
-                        dev: DeviceId::TEMP_SENSOR,
-                    })
-                }
-                _ => Action::Exit(1),
-            },
-            SensorSt::AwaitDevRead => match reply {
-                Some(Reply::DevValue(v)) => {
-                    self.seq += 1;
-                    self.state = SensorSt::AwaitSend;
-                    Action::Syscall(Syscall::MqSend {
-                        qd: 0,
-                        data: BasMsg::SensorReading {
-                            milli_c: v as i32,
-                            seq: self.seq,
-                        }
-                        .to_bytes(),
-                        priority: 0,
-                        nonblocking: true,
-                    })
-                }
-                _ => Action::Exit(1),
-            },
-            SensorSt::AwaitSend => {
-                self.state = SensorSt::AwaitSleep;
-                Action::Syscall(Syscall::Sleep {
-                    duration: self.period,
-                })
-            }
-            SensorSt::AwaitSleep => {
-                self.state = SensorSt::AwaitDevRead;
-                Action::Syscall(Syscall::DevRead {
-                    dev: DeviceId::TEMP_SENSOR,
-                })
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        names::SENSOR
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Actuator processes
-// ---------------------------------------------------------------------------
-
-/// A Linux actuator driver: blocking receive on its command queue, drive
-/// the device.
-pub struct LinuxActuator {
-    queue: &'static str,
-    dev: DeviceId,
-    which: &'static str,
-    state: ActSt,
-}
-
-enum ActSt {
-    Start,
-    AwaitOpen,
-    AwaitRecv,
-    AwaitWrite,
-}
-
-impl LinuxActuator {
-    /// The heater/fan driver.
-    pub fn heater() -> Self {
-        LinuxActuator {
-            queue: queues::HEATER_CMD,
-            dev: DeviceId::FAN,
-            which: names::HEATER,
-            state: ActSt::Start,
-        }
-    }
-
-    /// The alarm driver.
-    pub fn alarm() -> Self {
-        LinuxActuator {
-            queue: queues::ALARM_CMD,
-            dev: DeviceId::ALARM,
-            which: names::ALARM,
-            state: ActSt::Start,
-        }
-    }
-}
-
-impl Process for LinuxActuator {
-    type Syscall = Syscall;
-    type Reply = Reply;
-
-    fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
-        match self.state {
-            ActSt::Start => {
-                self.state = ActSt::AwaitOpen;
-                Action::Syscall(Syscall::MqOpen {
-                    name: self.queue.into(),
-                    access: MqAccess::READ,
-                    create: None,
-                })
-            }
-            ActSt::AwaitOpen => match reply {
-                Some(Reply::Qd(0)) => {
-                    self.state = ActSt::AwaitRecv;
-                    Action::Syscall(Syscall::MqReceive {
-                        qd: 0,
-                        nonblocking: false,
-                    })
-                }
-                _ => Action::Exit(1),
-            },
-            ActSt::AwaitRecv => {
-                if let Some(Reply::Data { data, .. }) = reply {
-                    let decoded = BasMsg::from_bytes(&data);
-                    let cmd = match (self.dev, decoded) {
-                        (DeviceId::FAN, Ok(BasMsg::FanCmd { on })) => Some(on),
-                        (DeviceId::ALARM, Ok(BasMsg::AlarmCmd { on })) => Some(on),
-                        _ => None,
-                    };
-                    if let Some(on) = cmd {
-                        self.state = ActSt::AwaitWrite;
-                        return Action::Syscall(Syscall::DevWrite {
-                            dev: self.dev,
-                            value: i64::from(on),
-                        });
-                    }
-                }
-                Action::Syscall(Syscall::MqReceive {
-                    qd: 0,
-                    nonblocking: false,
-                })
-            }
-            ActSt::AwaitWrite => {
-                self.state = ActSt::AwaitRecv;
-                Action::Syscall(Syscall::MqReceive {
-                    qd: 0,
-                    nonblocking: false,
-                })
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        self.which
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Web interface process (benign)
-// ---------------------------------------------------------------------------
-
-/// The benign Linux web interface: the [`WebClient`] role core bound to
-/// POSIX message queues. It opens the setpoint, status and reply queues,
-/// then sends each RPC on the request kind's queue and blocks on the
-/// reply queue for the answer.
-pub struct LinuxWeb {
-    client: WebClient,
-    state: WebSt,
-}
-
-/// The syscall the web process last issued.
-enum WebSt {
-    Open(usize),
-    Clock,
-    Sleep,
-    Send,
-    Recv,
-}
-
-const WEB_OPENS: [(&str, MqAccess); 3] = [
+/// Each role's queues. The sensor writes the controller's input at
+/// descriptor 0 and a driver reads its commands there; the web
+/// interface writes the setpoint and status queues at 0 and 1 and reads
+/// the replies at 2.
+const SENSOR_OPENS: Queues = &[(queues::SENSOR_IN, MqAccess::WRITE)];
+const HEATER_OPENS: Queues = &[(queues::HEATER_CMD, MqAccess::READ)];
+const ALARM_OPENS: Queues = &[(queues::ALARM_CMD, MqAccess::READ)];
+const WEB_OPENS: Queues = &[
     (queues::SETPOINT_IN, MqAccess::WRITE),
     (queues::STATUS_IN, MqAccess::WRITE),
     (queues::WEB_REPLY, MqAccess::READ),
 ];
-const WQD_SETPOINT: u32 = 0;
-const WQD_STATUS: u32 = 1;
-const WQD_REPLY: u32 = 2;
 
-impl LinuxWeb {
-    /// Creates the benign web interface over the instance's I/O.
-    pub fn new(io: &AppIo) -> Self {
-        LinuxWeb {
-            client: WebClient::new(io),
-            state: WebSt::Open(0),
+impl Binding for LinuxIpc {
+    type Syscall = Syscall;
+    type Reply = Reply;
+    type Device = DeviceId;
+    type Link = Queues;
+    type Port = Queues;
+
+    fn connect(link: &mut Queues, reply: Option<Reply>) -> Result<(), Action<Syscall>> {
+        open(link, reply)
+    }
+
+    fn listen(port: &mut Queues, reply: Option<Reply>) -> Result<(), Action<Syscall>> {
+        open(port, reply)
+    }
+
+    plain_syscalls!(GetTime, Time);
+
+    fn send(_: &Queues, msg: BasMsg) -> Syscall {
+        let (qd, nonblocking) = match msg {
+            BasMsg::SensorReading { .. } => (0, true),
+            BasMsg::StatusQuery => (1, false),
+            _ => (0, false),
+        };
+        Syscall::MqSend {
+            qd,
+            data: msg.to_bytes(),
+            priority: 0,
+            nonblocking,
         }
     }
 
-    fn read_clock(&mut self) -> Action<Syscall> {
-        self.state = WebSt::Clock;
-        Action::Syscall(Syscall::GetTime)
-    }
-
-    fn send(&mut self, action: WebAction) -> Action<Syscall> {
-        let qd = match action {
-            WebAction::SetSetpoint(_) => WQD_SETPOINT,
-            WebAction::QueryStatus => WQD_STATUS,
-        };
-        self.state = WebSt::Send;
-        Action::Syscall(Syscall::MqSend {
-            qd,
-            data: action.request().to_bytes(),
-            priority: 0,
+    fn collect(_: &Queues) -> Option<Syscall> {
+        Some(Syscall::MqReceive {
+            qd: 2,
             nonblocking: false,
         })
     }
-}
 
-impl Process for LinuxWeb {
-    type Syscall = Syscall;
-    type Reply = Reply;
-
-    fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
-        match self.state {
-            WebSt::Open(i) => {
-                if i > 0 && !matches!(reply, Some(Reply::Qd(_))) {
-                    return Action::Exit(1);
-                }
-                if i < WEB_OPENS.len() {
-                    let (name, access) = WEB_OPENS[i];
-                    self.state = WebSt::Open(i + 1);
-                    return Action::Syscall(Syscall::MqOpen {
-                        name: name.into(),
-                        access,
-                        create: None,
-                    });
-                }
-                self.read_clock()
-            }
-            WebSt::Clock => {
-                let now = match reply {
-                    Some(Reply::Time(t)) => t,
-                    _ => SimTime::ZERO,
-                };
-                match self.client.on_clock(now) {
-                    WebStep::Rpc(action) => self.send(action),
-                    WebStep::Sleep(duration) => {
-                        self.state = WebSt::Sleep;
-                        Action::Syscall(Syscall::Sleep { duration })
-                    }
-                }
-            }
-            WebSt::Sleep => self.read_clock(),
-            WebSt::Send => {
-                self.state = WebSt::Recv;
-                Action::Syscall(Syscall::MqReceive {
-                    qd: WQD_REPLY,
-                    nonblocking: false,
-                })
-            }
-            WebSt::Recv => {
-                let decoded = match reply {
-                    Some(Reply::Data { data, .. }) => BasMsg::from_bytes(&data).ok(),
-                    _ => None,
-                };
-                match self.client.on_reply(decoded) {
-                    Some(action) => self.send(action),
-                    None => self.read_clock(),
-                }
-            }
+    fn decode(reply: Option<Reply>, _: BasMsg) -> Option<BasMsg> {
+        match reply {
+            Some(Reply::Data { data, .. }) => BasMsg::from_bytes(&data).ok(),
+            _ => None,
         }
     }
 
-    fn name(&self) -> &str {
-        names::WEB
+    fn receive(_: &Queues) -> Syscall {
+        Syscall::MqReceive {
+            qd: 0,
+            nonblocking: false,
+        }
+    }
+
+    fn command(_: &Queues, reply: Option<Reply>, driver: Driver) -> Option<Option<bool>> {
+        match reply {
+            Some(Reply::Data { data, .. }) => Some(driver.level(BasMsg::from_bytes(&data).ok())),
+            _ => None,
+        }
     }
 }
 
@@ -660,7 +452,7 @@ fn boot_linux(config: &ScenarioConfig, overrides: LinuxOverrides, io: &AppIo) ->
         .unwrap_or_else(|| scheme.uid_of(names::WEB));
     let web_logic: LinuxProcess = match &overrides.web_factory {
         Some(factory) => factory(),
-        None => Box::new(LinuxWeb::new(io)),
+        None => Box::new(Web::<LinuxIpc>::new(WEB_OPENS, io)),
     };
     populate_scenario(&mut kernel, config, scheme, web_uid, web_logic);
 
@@ -709,9 +501,21 @@ fn populate_scenario(
     for p in &PROCESSES {
         let logic: LinuxProcess = match p.name {
             names::CONTROL => Box::new(LinuxControl::new(ControlCore::new(config.control))),
-            names::HEATER => Box::new(LinuxActuator::heater()),
-            names::ALARM => Box::new(LinuxActuator::alarm()),
-            names::SENSOR => Box::new(LinuxSensor::new(config.sensor_period)),
+            names::HEATER => Box::new(Actuator::<LinuxIpc>::new(
+                HEATER_OPENS,
+                DeviceId::FAN,
+                Driver::Heater,
+            )),
+            names::ALARM => Box::new(Actuator::<LinuxIpc>::new(
+                ALARM_OPENS,
+                DeviceId::ALARM,
+                Driver::Alarm,
+            )),
+            names::SENSOR => Box::new(Sensor::<LinuxIpc>::new(
+                SENSOR_OPENS,
+                DeviceId::TEMP_SENSOR,
+                config.sensor_period,
+            )),
             names::WEB => web_logic.take().expect("one web interface"),
             other => unreachable!("{other} has no Linux program"),
         };
@@ -753,7 +557,7 @@ impl PlatformKernel for LinuxStack {
             config,
             self.scheme,
             self.web_uid,
-            Box::new(LinuxWeb::new(io)),
+            Box::new(Web::<LinuxIpc>::new(WEB_OPENS, io)),
         );
         // The "sleeper" program registered at cold boot survives the
         // kernel reset, so it is not re-registered here.

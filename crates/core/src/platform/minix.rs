@@ -26,7 +26,7 @@ use bas_sim::time::{SimDuration, SimTime};
 
 use crate::engine::{PlatformKernel, ScenarioEngine};
 use crate::logic::control::{ControlCore, Directive};
-use crate::logic::web::{WebAction, WebClient, WebStep};
+use crate::platform::{Actuator, Binding, Driver, Sensor, Web};
 use crate::policy::{self, PROCESSES};
 use crate::proto::{names, BasMsg, AC_SCENARIO};
 use crate::scenario::{AppIo, Platform, ScenarioConfig};
@@ -36,10 +36,10 @@ const MAX_LOOKUP_RETRIES: u32 = 400;
 
 /// Name-service resolution with boot-time retries, shared by every
 /// process that talks to a peer it did not fork: the loader may not have
-/// forked the peer yet, so a failed lookup sleeps [`LOOKUP_RETRY`] and
-/// asks again, giving up after [`MAX_LOOKUP_RETRIES`] failures.
+/// forked the peer yet, so a failed lookup sleeps `LOOKUP_RETRY` and
+/// asks again, giving up after `MAX_LOOKUP_RETRIES` failures.
 #[derive(Default)]
-struct Lookup {
+pub struct Lookup {
     retries: u32,
     /// The last syscall issued was the query (not a retry sleep).
     asked: bool,
@@ -101,100 +101,79 @@ pub mod prog_ids {
 }
 
 // ---------------------------------------------------------------------------
-// Temperature sensor process
+// IPC binding of the benign roles
 // ---------------------------------------------------------------------------
 
-/// The temperature sensor driver: "periodically samples the room
-/// temperature and sends the data to temperature control process" using
-/// "nonblocking send".
-pub struct MinixSensor {
-    control: Option<Endpoint>,
-    seq: u32,
-    period: SimDuration,
-    lookup: Lookup,
-    state: SensorSt,
+/// The MINIX binding of the benign roles. The sensor and the web
+/// interface resolve the controller through the name service; the sensor
+/// reports with a non-blocking send, the web interface calls with
+/// `sendrec`. The drivers receive from anyone, relying on the ACM.
+pub struct MinixIpc;
+
+/// A client's channel to the controller.
+pub enum ControllerLink {
+    /// Resolving the controller through the name service.
+    Pending(Lookup),
+    /// The controller's endpoint.
+    Resolved(Endpoint),
 }
 
-enum SensorSt {
-    Connect,
-    AwaitDevRead,
-    AwaitSend,
-    AwaitSleep,
-}
-
-impl MinixSensor {
-    /// Creates the sensor driver with the given sampling period.
-    pub fn new(period: SimDuration) -> Self {
-        MinixSensor {
-            control: None,
-            seq: 0,
-            period,
-            lookup: Lookup::default(),
-            state: SensorSt::Connect,
-        }
-    }
-}
-
-impl Process for MinixSensor {
+impl Binding for MinixIpc {
     type Syscall = Syscall;
     type Reply = Reply;
+    type Device = DeviceId;
+    type Link = ControllerLink;
+    type Port = ();
 
-    fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
-        match self.state {
-            SensorSt::Connect => match self.lookup.resume(names::CONTROL, reply) {
-                Ok(ep) => {
-                    self.control = Some(ep);
-                    self.state = SensorSt::AwaitDevRead;
-                    Action::Syscall(Syscall::DevRead {
-                        dev: DeviceId::TEMP_SENSOR,
-                    })
-                }
-                Err(next) => next,
-            },
-            SensorSt::AwaitDevRead => match reply {
-                Some(Reply::DevValue(v)) => {
-                    self.seq += 1;
-                    let (mtype, payload) = BasMsg::SensorReading {
-                        milli_c: v as i32,
-                        seq: self.seq,
-                    }
-                    .to_minix();
-                    self.state = SensorSt::AwaitSend;
-                    Action::Syscall(Syscall::NbSend {
-                        dest: self.control.expect("looked up"),
-                        mtype,
-                        payload,
-                    })
-                }
-                // Device refused (misconfiguration): the driver cannot work.
-                _ => Action::Exit(1),
-            },
-            SensorSt::AwaitSend => {
-                // A NotReady (controller busy) just drops this sample, as
-                // with a real non-blocking send. A dead destination means
-                // the controller was restarted under a new endpoint
-                // generation: re-resolve it through the name service.
-                if matches!(reply, Some(Reply::Err(MinixError::DeadSourceOrDestination))) {
-                    self.lookup = Lookup::default();
-                    self.state = SensorSt::Connect;
-                    return self.lookup.retry();
-                }
-                self.state = SensorSt::AwaitSleep;
-                Action::Syscall(Syscall::Sleep {
-                    duration: self.period,
-                })
-            }
-            SensorSt::AwaitSleep => {
-                self.state = SensorSt::AwaitDevRead;
-                Action::Syscall(Syscall::DevRead {
-                    dev: DeviceId::TEMP_SENSOR,
-                })
-            }
+    fn connect(link: &mut ControllerLink, reply: Option<Reply>) -> Result<(), Action<Syscall>> {
+        if let ControllerLink::Pending(lookup) = link {
+            *link = ControllerLink::Resolved(lookup.resume(names::CONTROL, reply)?);
+        }
+        Ok(())
+    }
+
+    /// A NotReady (controller busy) just drops the sample. A dead
+    /// destination means the controller was restarted under a new
+    /// endpoint generation: re-resolve it through the name service.
+    fn lost(link: &mut ControllerLink, reply: &Option<Reply>) -> Option<Action<Syscall>> {
+        if !matches!(reply, Some(Reply::Err(MinixError::DeadSourceOrDestination))) {
+            return None;
+        }
+        let mut lookup = Lookup::default();
+        let retry = lookup.retry();
+        *link = ControllerLink::Pending(lookup);
+        Some(retry)
+    }
+
+    plain_syscalls!(GetUptime, Uptime);
+
+    fn send(link: &ControllerLink, msg: BasMsg) -> Syscall {
+        let ControllerLink::Resolved(dest) = *link else {
+            panic!("the controller is resolved before use");
+        };
+        let (mtype, payload) = msg.to_minix();
+        match msg {
+            BasMsg::SensorReading { .. } => Syscall::nb_send(dest, mtype, payload.as_bytes()),
+            _ => Syscall::sendrec(dest, mtype, payload.as_bytes()),
         }
     }
 
-    fn name(&self) -> &str {
-        names::SENSOR
+    fn decode(reply: Option<Reply>, _: BasMsg) -> Option<BasMsg> {
+        match reply {
+            Some(Reply::Msg(m)) => BasMsg::from_minix(m.mtype, &m.payload).ok(),
+            _ => None,
+        }
+    }
+
+    fn receive(_: &()) -> Syscall {
+        Syscall::Receive { from: None }
+    }
+
+    fn command(_: &(), reply: Option<Reply>, driver: Driver) -> Option<Option<bool>> {
+        match reply {
+            Some(Reply::Msg(m)) => Some(driver.level(BasMsg::from_minix(m.mtype, &m.payload).ok())),
+            _ => None,
+        }
     }
 }
 
@@ -479,179 +458,6 @@ impl Process for MinixControl {
 }
 
 // ---------------------------------------------------------------------------
-// Actuator driver processes
-// ---------------------------------------------------------------------------
-
-/// An actuator driver: "implemented to passively wait for commands from
-/// temperature control process".
-pub struct MinixActuator {
-    dev: DeviceId,
-    state: ActSt,
-}
-
-enum ActSt {
-    AwaitReceive,
-    AwaitWrite,
-    Start,
-}
-
-impl MinixActuator {
-    /// The heater/fan driver.
-    pub fn heater() -> Self {
-        MinixActuator {
-            dev: DeviceId::FAN,
-            state: ActSt::Start,
-        }
-    }
-
-    /// The alarm driver.
-    pub fn alarm() -> Self {
-        MinixActuator {
-            dev: DeviceId::ALARM,
-            state: ActSt::Start,
-        }
-    }
-}
-
-impl Process for MinixActuator {
-    type Syscall = Syscall;
-    type Reply = Reply;
-
-    fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
-        match self.state {
-            ActSt::Start => {
-                self.state = ActSt::AwaitReceive;
-                Action::Syscall(Syscall::Receive { from: None })
-            }
-            ActSt::AwaitReceive => {
-                if let Some(Reply::Msg(m)) = reply {
-                    let decoded = BasMsg::from_minix(m.mtype, &m.payload);
-                    let cmd = match (self.dev, decoded) {
-                        (DeviceId::FAN, Ok(BasMsg::FanCmd { on })) => Some(on),
-                        (DeviceId::ALARM, Ok(BasMsg::AlarmCmd { on })) => Some(on),
-                        _ => None,
-                    };
-                    if let Some(on) = cmd {
-                        self.state = ActSt::AwaitWrite;
-                        return Action::Syscall(Syscall::DevWrite {
-                            dev: self.dev,
-                            value: i64::from(on),
-                        });
-                    }
-                }
-                Action::Syscall(Syscall::Receive { from: None })
-            }
-            ActSt::AwaitWrite => {
-                self.state = ActSt::AwaitReceive;
-                Action::Syscall(Syscall::Receive { from: None })
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        if self.dev == DeviceId::FAN {
-            names::HEATER
-        } else {
-            names::ALARM
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Web interface process (benign)
-// ---------------------------------------------------------------------------
-
-/// The benign web interface: the [`WebClient`] role core bound to MINIX
-/// IPC. It resolves the controller through the name service, then issues
-/// the client's RPCs as `sendrec` and reads the clock with `GetUptime`.
-pub struct MinixWeb {
-    control: Option<Endpoint>,
-    lookup: Lookup,
-    client: WebClient,
-    state: WebSt,
-}
-
-/// The syscall the web process last issued.
-enum WebSt {
-    Connect,
-    Clock,
-    Sleep,
-    Rpc,
-}
-
-impl MinixWeb {
-    /// Creates the benign web interface over the instance's I/O.
-    pub fn new(io: &AppIo) -> Self {
-        MinixWeb {
-            control: None,
-            lookup: Lookup::default(),
-            client: WebClient::new(io),
-            state: WebSt::Connect,
-        }
-    }
-
-    fn read_clock(&mut self) -> Action<Syscall> {
-        self.state = WebSt::Clock;
-        Action::Syscall(Syscall::GetUptime)
-    }
-
-    fn rpc(&mut self, action: WebAction) -> Action<Syscall> {
-        let (mtype, payload) = action.request().to_minix();
-        self.state = WebSt::Rpc;
-        Action::Syscall(Syscall::SendRec {
-            dest: self.control.expect("looked up"),
-            mtype,
-            payload,
-        })
-    }
-}
-
-impl Process for MinixWeb {
-    type Syscall = Syscall;
-    type Reply = Reply;
-
-    fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
-        match self.state {
-            WebSt::Connect => match self.lookup.resume(names::CONTROL, reply) {
-                Ok(ep) => {
-                    self.control = Some(ep);
-                    self.read_clock()
-                }
-                Err(next) => next,
-            },
-            WebSt::Clock => {
-                let now = match reply {
-                    Some(Reply::Uptime(t)) => t,
-                    _ => SimTime::ZERO,
-                };
-                match self.client.on_clock(now) {
-                    WebStep::Rpc(action) => self.rpc(action),
-                    WebStep::Sleep(duration) => {
-                        self.state = WebSt::Sleep;
-                        Action::Syscall(Syscall::Sleep { duration })
-                    }
-                }
-            }
-            WebSt::Sleep => self.read_clock(),
-            WebSt::Rpc => {
-                let decoded = match reply {
-                    Some(Reply::Msg(m)) => BasMsg::from_minix(m.mtype, &m.payload).ok(),
-                    _ => None,
-                };
-                match self.client.on_reply(decoded) {
-                    Some(action) => self.rpc(action),
-                    None => self.read_clock(),
-                }
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        names::WEB
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Scenario loader process
 // ---------------------------------------------------------------------------
 
@@ -870,7 +676,13 @@ fn boot_minix(config: &ScenarioConfig, overrides: MinixOverrides, io: &AppIo) ->
     let period = config.sensor_period;
     let sensor_prog = kernel.register_program(
         names::SENSOR,
-        Box::new(move || Box::new(MinixSensor::new(period))),
+        Box::new(move || {
+            Box::new(Sensor::<MinixIpc>::new(
+                ControllerLink::Pending(Lookup::default()),
+                DeviceId::TEMP_SENSOR,
+                period,
+            ))
+        }),
     );
     let control_config = config.control;
     let control_prog = kernel.register_program(
@@ -879,10 +691,18 @@ fn boot_minix(config: &ScenarioConfig, overrides: MinixOverrides, io: &AppIo) ->
     );
     let heater_prog = kernel.register_program(
         names::HEATER,
-        Box::new(|| Box::new(MinixActuator::heater())),
+        Box::new(|| Box::new(Actuator::<MinixIpc>::new((), DeviceId::FAN, Driver::Heater))),
     );
-    let alarm_prog =
-        kernel.register_program(names::ALARM, Box::new(|| Box::new(MinixActuator::alarm())));
+    let alarm_prog = kernel.register_program(
+        names::ALARM,
+        Box::new(|| {
+            Box::new(Actuator::<MinixIpc>::new(
+                (),
+                DeviceId::ALARM,
+                Driver::Alarm,
+            ))
+        }),
+    );
 
     let web_prog = match overrides.web_factory {
         Some(factory) => kernel.register_program(names::WEB, factory),
@@ -891,7 +711,15 @@ fn boot_minix(config: &ScenarioConfig, overrides: MinixOverrides, io: &AppIo) ->
             // forks the web process lazily during stepping, so a recycled
             // instance's re-imaged schedule is picked up at fork time.
             let io = io.clone();
-            kernel.register_program(names::WEB, Box::new(move || Box::new(MinixWeb::new(&io))))
+            kernel.register_program(
+                names::WEB,
+                Box::new(move || {
+                    Box::new(Web::<MinixIpc>::new(
+                        ControllerLink::Pending(Lookup::default()),
+                        &io,
+                    ))
+                }),
+            )
         }
     };
 

@@ -29,7 +29,7 @@ use bas_sim::time::{SimDuration, SimTime};
 
 use crate::engine::{PlatformKernel, ScenarioEngine};
 use crate::logic::control::{ControlCore, Directive};
-use crate::logic::web::{WebAction, WebClient, WebStep};
+use crate::platform::{Actuator, Binding, Driver, Sensor, Web};
 use crate::policy::{self, actuator_rpc, ctrl_rpc, PROCESSES};
 use crate::proto::{decode_i32, encode_i32, names, BasMsg};
 use crate::scenario::{AppIo, Platform, ScenarioConfig};
@@ -173,236 +173,63 @@ impl Process for Sel4Control {
 }
 
 // ---------------------------------------------------------------------------
-// Sensor thread
+// IPC binding of the benign roles
 // ---------------------------------------------------------------------------
 
-/// The sensor driver thread: read the device frame, `seL4_Call` the
-/// controller, sleep, repeat.
-pub struct Sel4Sensor {
-    dev: CPtr,
-    ctrl: RpcClient,
-    period: SimDuration,
-    seq: u32,
-    state: SensorSt,
-}
+/// The seL4 binding of the benign roles: `seL4_Call` RPC on capabilities
+/// CapDL put in each thread's CSpace at boot, so there is no connect
+/// phase. The sensor and the web interface call the controller; a driver
+/// serves `set(on)` calls and replies to each.
+pub struct Sel4Ipc;
 
-enum SensorSt {
-    Start,
-    AwaitDevRead,
-    AwaitCall,
-    AwaitSleep,
-}
-
-impl Sel4Sensor {
-    /// Creates the sensor thread.
-    pub fn new(dev: CPtr, ctrl: RpcClient, period: SimDuration) -> Self {
-        Sel4Sensor {
-            dev,
-            ctrl,
-            period,
-            seq: 0,
-            state: SensorSt::Start,
-        }
-    }
-}
-
-impl Process for Sel4Sensor {
+impl Binding for Sel4Ipc {
     type Syscall = Syscall;
     type Reply = Reply;
+    type Device = CPtr;
+    type Link = RpcClient;
+    type Port = RpcServer;
 
-    fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
-        match self.state {
-            SensorSt::Start => {
-                self.state = SensorSt::AwaitDevRead;
-                Action::Syscall(Syscall::DevRead { dev: self.dev })
+    plain_syscalls!(GetTime, Time);
+
+    /// A reading's answer is an ack; an error (a restarted controller)
+    /// just drops the sample.
+    fn send(ctrl: &RpcClient, msg: BasMsg) -> Syscall {
+        match msg {
+            BasMsg::SensorReading { milli_c, seq } => ctrl.call(
+                ctrl_rpc::REPORT_READING,
+                [encode_i32(milli_c), u64::from(seq)],
+            ),
+            BasMsg::SetpointUpdate { milli_c } => {
+                ctrl.call(ctrl_rpc::SET_SETPOINT, [encode_i32(milli_c)])
             }
-            SensorSt::AwaitDevRead => match reply {
-                Some(Reply::DevValue(v)) => {
-                    self.seq += 1;
-                    self.state = SensorSt::AwaitCall;
-                    Action::Syscall(self.ctrl.call(
-                        ctrl_rpc::REPORT_READING,
-                        [encode_i32(v as i32), u64::from(self.seq)],
-                    ))
-                }
-                _ => Action::Exit(1),
-            },
-            SensorSt::AwaitCall => {
-                // The RPC reply content is an ack; errors (controller
-                // restart) just mean a dropped sample.
-                self.state = SensorSt::AwaitSleep;
-                Action::Syscall(Syscall::Sleep {
-                    duration: self.period,
-                })
-            }
-            SensorSt::AwaitSleep => {
-                self.state = SensorSt::AwaitDevRead;
-                Action::Syscall(Syscall::DevRead { dev: self.dev })
-            }
+            _ => ctrl.call(ctrl_rpc::GET_STATUS, []),
         }
     }
 
-    fn name(&self) -> &str {
-        names::SENSOR
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Actuator threads
-// ---------------------------------------------------------------------------
-
-/// An actuator driver thread: serve `set(on)` RPCs, drive the device
-/// frame, reply.
-pub struct Sel4Actuator {
-    server: RpcServer,
-    dev: CPtr,
-    which: &'static str,
-    state: ActSt,
-}
-
-enum ActSt {
-    Start,
-    AwaitRecv,
-    AwaitWrite,
-    AwaitReply,
-}
-
-impl Sel4Actuator {
-    /// Creates an actuator thread (`which` is its instance name).
-    pub fn new(server: RpcServer, dev: CPtr, which: &'static str) -> Self {
-        Sel4Actuator {
-            server,
-            dev,
-            which,
-            state: ActSt::Start,
-        }
-    }
-}
-
-impl Process for Sel4Actuator {
-    type Syscall = Syscall;
-    type Reply = Reply;
-
-    fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
-        match self.state {
-            ActSt::Start => {
-                self.state = ActSt::AwaitRecv;
-                Action::Syscall(self.server.next_request())
-            }
-            ActSt::AwaitRecv => match reply {
-                Some(Reply::Msg(m)) => {
-                    let req = self.server.decode(m);
-                    if req.label == actuator_rpc::SET && !req.args.is_empty() {
-                        self.state = ActSt::AwaitWrite;
-                        Action::Syscall(Syscall::DevWrite {
-                            dev: self.dev,
-                            value: i64::from(req.args[0] != 0),
-                        })
-                    } else {
-                        self.state = ActSt::AwaitReply;
-                        Action::Syscall(self.server.reply(1, []))
-                    }
-                }
-                _ => Action::Syscall(self.server.next_request()),
-            },
-            ActSt::AwaitWrite => {
-                self.state = ActSt::AwaitReply;
-                Action::Syscall(self.server.reply(0, []))
-            }
-            ActSt::AwaitReply => {
-                self.state = ActSt::AwaitRecv;
-                Action::Syscall(self.server.next_request())
-            }
+    fn decode(reply: Option<Reply>, request: BasMsg) -> Option<BasMsg> {
+        match reply {
+            Some(Reply::Msg(m)) => BasMsg::from_sel4_reply(request, &m.words),
+            _ => None,
         }
     }
 
-    fn name(&self) -> &str {
-        self.which
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Web interface thread (benign)
-// ---------------------------------------------------------------------------
-
-/// The benign web interface thread: the [`WebClient`] role core bound to
-/// `seL4_Call` RPC on its CapDL-granted controller endpoint. There is no
-/// connect phase: the capability is in its CSpace from boot.
-pub struct Sel4Web {
-    ctrl: RpcClient,
-    client: WebClient,
-    state: WebSt,
-}
-
-/// The syscall the web process last issued.
-enum WebSt {
-    Clock,
-    Sleep,
-    Rpc,
-}
-
-impl Sel4Web {
-    /// Creates the benign web thread over the instance's I/O.
-    pub fn new(ctrl: RpcClient, io: &AppIo) -> Self {
-        Sel4Web {
-            ctrl,
-            client: WebClient::new(io),
-            // The first wake reads the clock, like every wake from sleep.
-            state: WebSt::Sleep,
-        }
+    fn receive(server: &RpcServer) -> Syscall {
+        server.next_request()
     }
 
-    fn read_clock(&mut self) -> Action<Syscall> {
-        self.state = WebSt::Clock;
-        Action::Syscall(Syscall::GetTime)
-    }
-
-    fn rpc(&mut self, action: WebAction) -> Action<Syscall> {
-        self.state = WebSt::Rpc;
-        Action::Syscall(match action {
-            WebAction::SetSetpoint(mc) => self.ctrl.call(ctrl_rpc::SET_SETPOINT, [encode_i32(mc)]),
-            WebAction::QueryStatus => self.ctrl.call(ctrl_rpc::GET_STATUS, []),
+    fn command(server: &RpcServer, reply: Option<Reply>, _: Driver) -> Option<Option<bool>> {
+        let Some(Reply::Msg(m)) = reply else {
+            return None;
+        };
+        let req = server.decode(m);
+        Some(match (req.label, req.args.first()) {
+            (actuator_rpc::SET, Some(&on)) => Some(on != 0),
+            _ => None,
         })
     }
-}
 
-impl Process for Sel4Web {
-    type Syscall = Syscall;
-    type Reply = Reply;
-
-    fn resume(&mut self, reply: Option<Reply>) -> Action<Syscall> {
-        match self.state {
-            WebSt::Clock => {
-                let now = match reply {
-                    Some(Reply::Time(t)) => t,
-                    _ => SimTime::ZERO,
-                };
-                match self.client.on_clock(now) {
-                    WebStep::Rpc(action) => self.rpc(action),
-                    WebStep::Sleep(duration) => {
-                        self.state = WebSt::Sleep;
-                        Action::Syscall(Syscall::Sleep { duration })
-                    }
-                }
-            }
-            WebSt::Sleep => self.read_clock(),
-            WebSt::Rpc => {
-                let decoded = match (reply, self.client.inflight()) {
-                    (Some(Reply::Msg(m)), Some(action)) => {
-                        BasMsg::from_sel4_reply(action.request(), &m.words)
-                    }
-                    _ => None,
-                };
-                match self.client.on_reply(decoded) {
-                    Some(action) => self.rpc(action),
-                    None => self.read_clock(),
-                }
-            }
-        }
-    }
-
-    fn name(&self) -> &str {
-        names::WEB
+    fn answer(server: &RpcServer, code: u64) -> Option<Syscall> {
+        Some(server.reply(code, []))
     }
 }
 
@@ -587,24 +414,24 @@ fn scenario_loader(
                 g.badge_of(names::SENSOR, "ctrl")?,
                 g.badge_of(names::WEB, "ctrl")?,
             ))),
-            x if x == names::SENSOR => Some(Box::new(Sel4Sensor::new(
-                g.device_slot(names::SENSOR, "temp")?,
+            x if x == names::SENSOR => Some(Box::new(Sensor::<Sel4Ipc>::new(
                 RpcClient::new(g.client_slot(names::SENSOR, "ctrl")?),
+                g.device_slot(names::SENSOR, "temp")?,
                 period,
             ))),
-            x if x == names::HEATER => Some(Box::new(Sel4Actuator::new(
+            x if x == names::HEATER => Some(Box::new(Actuator::<Sel4Ipc>::new(
                 RpcServer::new(g.server_slot(names::HEATER, "cmd")?),
                 g.device_slot(names::HEATER, "fan")?,
-                names::HEATER,
+                Driver::Heater,
             ))),
-            x if x == names::ALARM => Some(Box::new(Sel4Actuator::new(
+            x if x == names::ALARM => Some(Box::new(Actuator::<Sel4Ipc>::new(
                 RpcServer::new(g.server_slot(names::ALARM, "cmd")?),
                 g.device_slot(names::ALARM, "alarm")?,
-                names::ALARM,
+                Driver::Alarm,
             ))),
             x if x == names::WEB => match web_factory.take() {
                 Some(factory) => Some(factory(g)),
-                None => Some(Box::new(Sel4Web::new(
+                None => Some(Box::new(Web::<Sel4Ipc>::new(
                     RpcClient::new(g.client_slot(names::WEB, "ctrl")?),
                     &io,
                 ))),
