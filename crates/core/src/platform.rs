@@ -370,17 +370,29 @@ impl<B: Binding> Web<B> {
         Action::Syscall(B::send(&self.link, action.request()))
     }
 
-    /// Hands the call's answer to the client and sends the next action
-    /// of a same-tick burst, or reads the clock.
+    /// Sends the action in flight, if any, or reads the clock.
+    fn next(&mut self) -> Action<B::Syscall> {
+        match self.client.inflight() {
+            Some(action) => self.call(action),
+            None => self.read_clock(),
+        }
+    }
+
+    /// Hands the call's answer to the client and goes on to the next
+    /// action of a same-tick burst. A lost controller fails the call and
+    /// is connected anew before that next action.
     fn answered(&mut self, reply: Option<B::Reply>) -> Action<B::Syscall> {
+        let lost = B::lost(&mut self.link, &reply);
         let decoded = self
             .client
             .inflight()
             .and_then(|action| B::decode(reply, action.request()));
-        match self.client.on_reply(decoded) {
-            Some(action) => self.call(action),
-            None => self.read_clock(),
+        self.client.on_reply(decoded);
+        if let Some(reconnect) = lost {
+            self.state = WebSt::Connect;
+            return reconnect;
         }
+        self.next()
     }
 }
 
@@ -391,7 +403,7 @@ impl<B: Binding> Process for Web<B> {
     fn resume(&mut self, reply: Option<B::Reply>) -> Action<B::Syscall> {
         match self.state {
             WebSt::Connect => match B::connect(&mut self.link, reply) {
-                Ok(()) => self.read_clock(),
+                Ok(()) => self.next(),
                 Err(next) => next,
             },
             WebSt::Clock => {

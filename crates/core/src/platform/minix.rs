@@ -132,9 +132,10 @@ impl Binding for MinixIpc {
         Ok(())
     }
 
-    /// A NotReady (controller busy) just drops the sample. A dead
-    /// destination means the controller was restarted under a new
-    /// endpoint generation: re-resolve it through the name service.
+    /// A dead destination means the controller was restarted under a
+    /// new endpoint generation: re-resolve it through the name service.
+    /// Any other failure (a NotReady from a busy controller) just fails
+    /// the one send.
     fn lost(link: &mut ControllerLink, reply: &Option<Reply>) -> Option<Action<Syscall>> {
         if !matches!(reply, Some(Reply::Err(MinixError::DeadSourceOrDestination))) {
             return None;

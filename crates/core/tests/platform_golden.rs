@@ -313,7 +313,7 @@ const MINIX_SUPERVISED_TRACE: &str =
 const MINIX_HOSTILE_TRACE: &str =
     "lines 1415 fnv1a 2b84aa9944fbd81a acm.deny=180 cap.churn=2 dev.deny=14 dev.write=98 fault.clock=1 fault.crash=1 fault.ipc=3 ipc.deliver=1109 proc.exit=1 proc.spawn=6";
 const MINIX_RESTART_TRACE: &str =
-    "lines 2187 fnv1a 1a6e63b76a203c67 dev.write=186 fault.crash=1 ipc.deliver=1991 proc.exit=1 proc.spawn=8";
+    "lines 2233 fnv1a 2b47104c929c5be4 dev.write=203 fault.crash=1 ipc.deliver=2020 proc.exit=1 proc.spawn=8";
 const SEL4_TRACE: &str =
     "lines 2013 fnv1a a53fdc46aed85b47 dev.write=99 ipc.deliver=1909 thread.start=5";
 const SEL4_HOSTILE_TRACE: &str =
@@ -371,21 +371,27 @@ request 1500000000000 1500000172134 QueryStatus true
 request 1500000000000 1500000172134 QueryStatus true
 plant PlantSnapshot { safety_violated: false, max_deviation_c: 1.733135429188426, in_band_fraction: 0.9870555555555556, final_temp_c: 22.32316069647256, alarm_on: false, fan_switches: 99, alarm_latencies_s: [] }
 "#;
-const MINIX_RESTART: &str = r#"metrics KernelMetrics { context_switches: 8837, kernel_entries: 15923, ipc_messages: 1997, ipc_bytes: 127808, access_denied: 0, syscall_errors: 8, processes_created: 8, processes_reaped: 2, hot_path_allocs: 0, ipc_waits: 2 }
+const MINIX_RESTART: &str = r#"metrics KernelMetrics { context_switches: 8924, kernel_entries: 15994, ipc_messages: 2026, ipc_bytes: 129664, access_denied: 0, syscall_errors: 2, processes_created: 8, processes_reaped: 2, hot_path_allocs: 0, ipc_waits: 5 }
 response Status { temp_milli_c: 22400, setpoint_milli_c: 22000, fan_on: true, alarm_on: false }
 response Ack { code: 0 }
 response Status { temp_milli_c: 22400, setpoint_milli_c: 24000, fan_on: true, alarm_on: false }
+response Ack { code: 0 }
+response Status { temp_milli_c: 22100, setpoint_milli_c: 23000, fan_on: false, alarm_on: false }
+response Status { temp_milli_c: 22700, setpoint_milli_c: 23000, fan_on: false, alarm_on: false }
+response Ack { code: 0 }
+response Status { temp_milli_c: 22600, setpoint_milli_c: 22500, fan_on: false, alarm_on: false }
+response Status { temp_milli_c: 22600, setpoint_milli_c: 22500, fan_on: false, alarm_on: false }
 request 60000000000 60000172134 QueryStatus true
 request 60000000000 60000172134 SetSetpoint(24000) true
 request 60000000000 60000172134 QueryStatus true
-request 300000000000 300000057250 SetSetpoint(95000) false
-request 600000000000 600000053250 SetSetpoint(23000) false
-request 600000000000 600000053250 QueryStatus false
-request 1200000000000 1200000043000 QueryStatus false
-request 1500000000000 1500000063500 SetSetpoint(22500) false
-request 1500000000000 1500000063500 QueryStatus false
-request 1500000000000 1500000063500 QueryStatus false
-plant PlantSnapshot { safety_violated: true, max_deviation_c: 2.3739963270802242, in_band_fraction: 0.4742250861015443, final_temp_c: 22.203936664091803, alarm_on: false, fan_switches: 70, alarm_latencies_s: [] }
+request 300000000000 300050079750 SetSetpoint(95000) false
+request 600000000000 600000112756 SetSetpoint(23000) true
+request 600000000000 600000112756 QueryStatus true
+request 1200000000000 1200000081878 QueryStatus true
+request 1500000000000 1500000172134 SetSetpoint(22500) true
+request 1500000000000 1500000172134 QueryStatus true
+request 1500000000000 1500000172134 QueryStatus true
+plant PlantSnapshot { safety_violated: true, max_deviation_c: 2.3739963270802242, in_band_fraction: 0.7345147491806011, final_temp_c: 22.297905460181067, alarm_on: false, fan_switches: 90, alarm_latencies_s: [] }
 "#;
 const SEL4: &str = r#"metrics KernelMetrics { context_switches: 7538, kernel_entries: 11256, ipc_messages: 3818, ipc_bytes: 60424, access_denied: 0, syscall_errors: 0, processes_created: 5, processes_reaped: 0, hot_path_allocs: 0, ipc_waits: 5 }
 response Status { temp_milli_c: 22400, setpoint_milli_c: 22000, fan_on: true, alarm_on: false }

@@ -9,10 +9,11 @@
 //! scheduled virtual time rather than after a resume count.
 
 use bas_core::engine::PlatformKernel;
+use bas_core::logic::web::WebAction;
 use bas_core::platform::minix::{build_minix, MinixOverrides};
 use bas_core::proto::names;
 use bas_core::scenario::{critical_alive, Scenario, ScenarioConfig};
-use bas_sim::time::SimDuration;
+use bas_sim::time::{SimDuration, SimTime};
 
 /// Heater driver crashes mid-run; without supervision the fan freezes and
 /// the controller can only escalate to the alarm.
@@ -113,6 +114,41 @@ fn controller_crash_with_supervision_recovers() {
         plant.fan().switch_count() >= 4,
         "fan cycles: {}",
         plant.fan().switch_count()
+    );
+}
+
+/// The web interface re-resolves a reincarnated controller as the
+/// sensor does. Its first request after the crash finds the dead
+/// endpoint and fails; every later request reaches the new controller.
+#[test]
+fn web_reconnects_to_a_restarted_controller() {
+    let at = |secs| SimTime::ZERO + SimDuration::from_secs(secs);
+    let config = ScenarioConfig {
+        web_schedule: vec![
+            (at(600), WebAction::QueryStatus),
+            (at(900), WebAction::SetSetpoint(23_000)),
+            (at(1_200), WebAction::QueryStatus),
+        ],
+        ..ScenarioConfig::default()
+    };
+    let overrides = MinixOverrides {
+        supervise: true,
+        ..MinixOverrides::default()
+    };
+    let mut s = build_minix(&config, overrides);
+    s.run_for(SimDuration::from_mins(2));
+    assert!(s.stack.inject_crash(names::CONTROL), "controller was alive");
+    s.run_for(SimDuration::from_mins(28));
+
+    let outcomes: Vec<_> = s
+        .request_samples()
+        .iter()
+        .map(|r| (r.scheduled, r.ok))
+        .collect();
+    assert_eq!(
+        outcomes,
+        vec![(at(600), false), (at(900), true), (at(1_200), true)],
+        "only the request that found the dead endpoint fails"
     );
 }
 
