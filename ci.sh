@@ -253,6 +253,11 @@ echo "== traffic perf gate (E18: requests/sec vs committed baseline, 30% floor) 
 # sustained requests/sec must stay within 30% of the committed
 # BENCH_traffic_baseline.json (refresh the baseline deliberately when
 # the machine or the front-end changes for good reason).
+# The committed full-mode report, whose deterministic report section is
+# compared with its regeneration below. It is read from git: the smoke
+# run above has already overwritten the working copy with a --quick
+# report.
+git show HEAD:BENCH_traffic.json > /tmp/BENCH_traffic.committed.json
 ./target/release/exp_traffic --quick > /dev/null
 gate BENCH_traffic.json requests_per_wall_second floor 0.7 BENCH_traffic_baseline.json \
   "** traffic throughput regressed >30% **"
@@ -261,6 +266,13 @@ gate BENCH_traffic.json requests_per_wall_second floor 0.7 BENCH_traffic_baselin
 ./target/release/exp_traffic > /dev/null
 gate BENCH_traffic.json requests_per_wall_second floor 1 100000 \
   "** E18 floor: fewer than 100k requests/sec on the benign fleet **"
+# Everything from the "report" key to the end of the file is the
+# TrafficReport, which carries no wall-clock values, so the committed
+# copy must carry the regenerated one: a change that moves it commits
+# the new file with it.
+report_section() { sed -n '/"report": {/,$p' "$1"; }
+cmp -s <(report_section /tmp/BENCH_traffic.committed.json) <(report_section BENCH_traffic.json) \
+  || failed "BENCH_traffic.json report: differs from the committed copy"
 
 if [ ${#failed_gates[@]} -gt 0 ]; then
   echo "** ${#failed_gates[@]} gate(s) failed: **"
