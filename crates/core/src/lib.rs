@@ -10,9 +10,10 @@
 //! - [`proto`] — the shared wire protocol and `ac_id` numbering,
 //! - [`policy`] — the ACM, quotas, device ownership, CAmkES assembly,
 //!   Linux queue set, and the canonical AADL source they all derive from,
-//! - [`platform::minix`] / [`platform::sel4`] / [`platform::linux`] —
-//!   each kernel's IPC binding of the role cores (connect phase and
-//!   message codec) and the bootable kernel stacks,
+//! - [`platform`] — one generic process per benign role (sensor,
+//!   actuator, web interface) over a per-platform [`platform::Binding`];
+//!   [`platform::minix`] / [`platform::sel4`] / [`platform::linux`] —
+//!   each kernel's binding, its controller and the bootable kernel stack,
 //! - [`engine`] — the [`engine::PlatformKernel`] trait every stack
 //!   implements and the generic [`engine::ScenarioEngine`] lockstep
 //!   runner (one implementation of setup/step/aggregate for all three),

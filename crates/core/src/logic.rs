@@ -4,9 +4,9 @@
 //! paper ports one scenario across MINIX 3, seL4/CAmkES and Linux — and
 //! every platform-neutral decision lives here: the control law and the
 //! controller's answers to web requests ([`control::ControlCore`]) and the
-//! whole administrator session ([`web::WebClient`]). The per-platform
-//! processes in [`crate::platform`] keep only their IPC binding: the
-//! connect phase and the message codec.
+//! whole administrator session ([`web::WebClient`]). The processes in
+//! [`crate::platform`] run them: one generic process per benign role over
+//! a per-platform binding, and one controller per platform.
 
 pub mod control;
 pub mod http;

@@ -6,9 +6,9 @@
 //! process, modeling remote compromise.
 //!
 //! [`WebClient`] is the role's platform-neutral core: it decides what to
-//! send and when, and records what came back. Each platform's web process
-//! only connects to the controller and translates the client's decisions
-//! into its own syscalls and message codec.
+//! send and when, and records what came back. The one web process,
+//! [`crate::platform::Web`], connects to the controller and translates the
+//! client's decisions into a platform's syscalls through its binding.
 //!
 //! The schedule lives in a [`SharedSchedule`] cell owned by the engine's
 //! [`AppIo`]: the engine re-images the cell on snapshot recycling, and the
@@ -136,8 +136,8 @@ const IDLE_SLEEP: SimDuration = SimDuration::from_secs(3_600);
 ///
 /// It owns the schedule cursor, the response and request logs, the due
 /// actions not yet sent, the action whose RPC is in flight and the
-/// replied requests still waiting for a completion stamp. A platform's
-/// web process drives it with two calls:
+/// replied requests still waiting for a completion stamp. The web
+/// process drives it with two calls:
 ///
 /// - after every clock read, [`WebClient::on_clock`] says whether to
 ///   issue an RPC or to sleep;
@@ -209,7 +209,8 @@ impl WebClient {
         self.send_next()
     }
 
-    /// The action whose RPC is in flight (seL4 replies decode by request).
+    /// The action whose RPC is in flight, or the next one to send after a
+    /// reconnect (seL4 replies decode by request).
     pub fn inflight(&self) -> Option<WebAction> {
         self.inflight.map(|(_, action)| action)
     }
