@@ -11,7 +11,7 @@
 //! - [`policy`] — the ACM, quotas, device ownership, CAmkES assembly,
 //!   Linux queue set, and the canonical AADL source they all derive from,
 //! - [`platform`] — one generic process per benign role (sensor,
-//!   actuator, web interface) over a per-platform [`platform::Binding`];
+//!   actuator, web interface) over a per-platform IPC binding;
 //!   [`platform::minix`] / [`platform::sel4`] / [`platform::linux`] —
 //!   each kernel's binding, its controller and the bootable kernel stack,
 //! - [`engine`] — the [`engine::PlatformKernel`] trait every stack

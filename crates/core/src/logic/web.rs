@@ -6,9 +6,10 @@
 //! process, modeling remote compromise.
 //!
 //! [`WebClient`] is the role's platform-neutral core: it decides what to
-//! send and when, and records what came back. The one web process,
-//! [`crate::platform::Web`], connects to the controller and translates the
-//! client's decisions into a platform's syscalls through its binding.
+//! send and when, and records what came back. The one web process
+//! (`Web` in [`crate::platform`]) connects to the controller and
+//! translates the client's decisions into a platform's syscalls through
+//! its binding.
 //!
 //! The schedule lives in a [`SharedSchedule`] cell owned by the engine's
 //! [`AppIo`]: the engine re-images the cell on snapshot recycling, and the
@@ -141,8 +142,9 @@ const IDLE_SLEEP: SimDuration = SimDuration::from_secs(3_600);
 ///
 /// - after every clock read, [`WebClient::on_clock`] says whether to
 ///   issue an RPC or to sleep;
-/// - after every RPC reply, [`WebClient::on_reply`] says whether to issue
-///   the next RPC of a same-tick burst at once or to read the clock.
+/// - after every RPC reply, [`WebClient::on_reply`] puts the next action
+///   of a same-tick burst in flight, to be issued at once; with none in
+///   flight ([`WebClient::inflight`]), the process reads the clock.
 ///
 /// A burst of due actions therefore costs one wake cycle, not one cycle
 /// per request. Each completed request is stamped at the first clock read
@@ -197,20 +199,19 @@ impl WebClient {
     }
 
     /// The in-flight RPC's reply, decoded (`None` when it failed or did
-    /// not decode). Returns the next burst action to send at once, or
-    /// `None` when the process should read the clock.
-    pub fn on_reply(&mut self, reply: Option<BasMsg>) -> Option<WebAction> {
+    /// not decode). Puts the next burst action, if any, in flight.
+    pub fn on_reply(&mut self, reply: Option<BasMsg>) {
         if let Some(msg) = reply {
             self.responses.borrow_mut().push(msg);
         }
         if let Some((scheduled, action)) = self.inflight.take() {
             self.unstamped.push((scheduled, action, reply.is_some()));
         }
-        self.send_next()
+        self.send_next();
     }
 
-    /// The action whose RPC is in flight, or the next one to send after a
-    /// reconnect (seL4 replies decode by request).
+    /// The action whose RPC is in flight, or is to be issued next after a
+    /// reply (seL4 replies decode by request).
     pub fn inflight(&self) -> Option<WebAction> {
         self.inflight.map(|(_, action)| action)
     }
@@ -322,12 +323,14 @@ mod tests {
         assert_eq!(web.on_clock(at(10)), WebStep::Rpc(WebAction::QueryStatus));
         assert_eq!(web.inflight(), Some(WebAction::QueryStatus));
         let ack = BasMsg::Ack { code: 0 };
+        web.on_reply(Some(ack));
         assert_eq!(
-            web.on_reply(Some(ack)),
+            web.inflight(),
             Some(WebAction::SetSetpoint(23_000)),
             "burst tail goes out without a clock read"
         );
-        assert_eq!(web.on_reply(None), None, "burst drained: read the clock");
+        web.on_reply(None);
+        assert_eq!(web.inflight(), None, "burst drained: read the clock");
         assert!(
             io.requests.borrow().is_empty(),
             "stamped only on a clock read"
@@ -348,7 +351,7 @@ mod tests {
         );
         assert_eq!(*io.responses.borrow(), vec![ack]);
         assert_eq!(web.on_clock(at(20)), WebStep::Rpc(WebAction::QueryStatus));
-        assert_eq!(web.on_reply(None), None);
+        web.on_reply(None);
         assert_eq!(web.on_clock(at(21)), WebStep::Sleep(IDLE_SLEEP));
     }
 }

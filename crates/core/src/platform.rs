@@ -4,8 +4,8 @@
 //! The sensor, the actuators and the web interface run the same loop on
 //! every platform: read the device, report, sleep; receive a command,
 //! drive the device, receive again; read the clock, call the controller,
-//! decode its answer. [`Sensor`], [`Actuator`] and [`Web`] are those loops,
-//! written once over a [`Binding`] that says how a platform connects, what
+//! decode its answer. `Sensor`, `Actuator` and `Web` are those loops,
+//! written once over a `Binding` that says how a platform connects, what
 //! its syscalls look like and how it decodes the replies. Each platform
 //! module implements the binding once and keeps what differs by design:
 //! its controller (a receive loop with resync and log on MINIX, a polled
@@ -19,7 +19,7 @@ use crate::logic::web::{WebAction, WebClient, WebStep};
 use crate::proto::{names, BasMsg};
 use crate::scenario::AppIo;
 
-/// Implements the [`Binding`] items that every kernel spells the same
+/// Implements the `Binding` items that every kernel spells the same
 /// way: device access, sleep, and the clock read, which is the `$clock`
 /// syscall answered by the `$time` reply. It expands inside a binding's
 /// impl, where the platform's `Syscall` and `Reply` are in scope.
@@ -67,7 +67,7 @@ pub mod sel4;
 /// [`Binding::Link`] to the controller; an actuator holds the
 /// [`Binding::Port`] it is commanded through. Either may have a connect
 /// phase that issues syscalls of its own.
-pub trait Binding {
+pub(crate) trait Binding {
     /// The platform's syscall.
     type Syscall;
     /// The platform's syscall reply.
@@ -156,7 +156,7 @@ pub trait Binding {
 
 /// Which of the two actuator drivers a process is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Driver {
+pub(crate) enum Driver {
     /// The heater/fan driver.
     Heater,
     /// The alarm driver.
@@ -165,7 +165,7 @@ pub enum Driver {
 
 impl Driver {
     /// The driver's process name.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             Driver::Heater => names::HEATER,
             Driver::Alarm => names::ALARM,
@@ -173,7 +173,7 @@ impl Driver {
     }
 
     /// The level `msg` commands, when it is this driver's command.
-    pub fn level(self, msg: Option<BasMsg>) -> Option<bool> {
+    pub(crate) fn level(self, msg: Option<BasMsg>) -> Option<bool> {
         match (self, msg) {
             (Driver::Heater, Some(BasMsg::FanCmd { on })) => Some(on),
             (Driver::Alarm, Some(BasMsg::AlarmCmd { on })) => Some(on),
@@ -184,7 +184,7 @@ impl Driver {
 
 /// The temperature sensor driver: "periodically samples the room
 /// temperature and sends the data to temperature control process".
-pub struct Sensor<B: Binding> {
+pub(crate) struct Sensor<B: Binding> {
     link: B::Link,
     dev: B::Device,
     period: SimDuration,
@@ -202,7 +202,7 @@ enum SensorSt {
 
 impl<B: Binding> Sensor<B> {
     /// A sensor reading `dev` every `period` and reporting over `link`.
-    pub fn new(link: B::Link, dev: B::Device, period: SimDuration) -> Self {
+    pub(crate) fn new(link: B::Link, dev: B::Device, period: SimDuration) -> Self {
         Sensor {
             link,
             dev,
@@ -262,7 +262,7 @@ impl<B: Binding> Process for Sensor<B> {
 
 /// An actuator driver: "implemented to passively wait for commands from
 /// temperature control process", then drive its device.
-pub struct Actuator<B: Binding> {
+pub(crate) struct Actuator<B: Binding> {
     port: B::Port,
     dev: B::Device,
     driver: Driver,
@@ -279,7 +279,7 @@ enum ActSt {
 
 impl<B: Binding> Actuator<B> {
     /// `driver`, driving `dev` on the commands `port` delivers.
-    pub fn new(port: B::Port, dev: B::Device, driver: Driver) -> Self {
+    pub(crate) fn new(port: B::Port, dev: B::Device, driver: Driver) -> Self {
         Actuator {
             port,
             dev,
@@ -335,7 +335,7 @@ impl<B: Binding> Process for Actuator<B> {
 /// The benign web interface: the [`WebClient`] role core over a link to
 /// the controller. It reads the clock on every wake and sends each due
 /// action's request as a call.
-pub struct Web<B: Binding> {
+pub(crate) struct Web<B: Binding> {
     link: B::Link,
     client: WebClient,
     state: WebSt,
@@ -352,7 +352,7 @@ enum WebSt {
 
 impl<B: Binding> Web<B> {
     /// The benign web interface over the instance's I/O.
-    pub fn new(link: B::Link, io: &AppIo) -> Self {
+    pub(crate) fn new(link: B::Link, io: &AppIo) -> Self {
         Web {
             link,
             client: WebClient::new(io),

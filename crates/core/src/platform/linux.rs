@@ -295,10 +295,10 @@ impl Process for LinuxControl {
 /// a non-blocking send; the web interface sends each request on its
 /// kind's queue and blocks on the reply queue for the answer; a driver
 /// blocks on its command queue.
-pub struct LinuxIpc;
+pub(crate) struct LinuxIpc;
 
 /// The queues a role has still to open, in descriptor order.
-pub type Queues = &'static [(&'static str, MqAccess)];
+pub(crate) type Queues = &'static [(&'static str, MqAccess)];
 
 /// Opens the next of `queues`, given the reply to the last open; exits
 /// when that open failed.

@@ -36,10 +36,10 @@ const MAX_LOOKUP_RETRIES: u32 = 400;
 
 /// Name-service resolution with boot-time retries, shared by every
 /// process that talks to a peer it did not fork: the loader may not have
-/// forked the peer yet, so a failed lookup sleeps `LOOKUP_RETRY` and
-/// asks again, giving up after `MAX_LOOKUP_RETRIES` failures.
+/// forked the peer yet, so a failed lookup sleeps [`LOOKUP_RETRY`] and
+/// asks again, giving up after [`MAX_LOOKUP_RETRIES`] failures.
 #[derive(Default)]
-pub struct Lookup {
+pub(crate) struct Lookup {
     retries: u32,
     /// The last syscall issued was the query (not a retry sleep).
     asked: bool,
@@ -108,10 +108,10 @@ pub mod prog_ids {
 /// interface resolve the controller through the name service; the sensor
 /// reports with a non-blocking send, the web interface calls with
 /// `sendrec`. The drivers receive from anyone, relying on the ACM.
-pub struct MinixIpc;
+pub(crate) struct MinixIpc;
 
 /// A client's channel to the controller.
-pub enum ControllerLink {
+pub(crate) enum ControllerLink {
     /// Resolving the controller through the name service.
     Pending(Lookup),
     /// The controller's endpoint.

@@ -180,7 +180,7 @@ impl Process for Sel4Control {
 /// CapDL put in each thread's CSpace at boot, so there is no connect
 /// phase. The sensor and the web interface call the controller; a driver
 /// serves `set(on)` calls and replies to each.
-pub struct Sel4Ipc;
+pub(crate) struct Sel4Ipc;
 
 impl Binding for Sel4Ipc {
     type Syscall = Syscall;
