@@ -154,8 +154,16 @@ impl Binding for MinixIpc {
         };
         let (mtype, payload) = msg.to_minix();
         match msg {
-            BasMsg::SensorReading { .. } => Syscall::nb_send(dest, mtype, payload.as_bytes()),
-            _ => Syscall::sendrec(dest, mtype, payload.as_bytes()),
+            BasMsg::SensorReading { .. } => Syscall::NbSend {
+                dest,
+                mtype,
+                payload,
+            },
+            _ => Syscall::SendRec {
+                dest,
+                mtype,
+                payload,
+            },
         }
     }
 
