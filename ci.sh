@@ -206,6 +206,19 @@ for platform in minix linux sel4; do
   gate BENCH_fleet.json "${platform}_steady_allocs_per_sim_second" ceiling 1 0 \
     "** recycled $platform engine allocates in its steady state **"
 done
+# Exact work ceilings, per simulated second of one quiet 10-minute
+# instance: kernel entries, and plant commits (the plant commits a
+# segment only when an input changes, and steps nowhere else). Counts,
+# not timings: each ceiling is the measured value.
+for entry in minix:6.348333333333334:0.041666666666666664 \
+  linux:7.153333333333333:0.041666666666666664 \
+  sel4:6.175:0.041666666666666664; do
+  IFS=: read -r platform entries commits <<< "$entry"
+  gate BENCH_fleet.json "${platform}_kernel_entries_per_sim_second" ceiling 1 "$entries" \
+    "** $platform makes more kernel entries per simulated second **"
+  gate BENCH_fleet.json "${platform}_plant_commits_per_sim_second" ceiling 1 "$commits" \
+    "** $platform plant commits more segments per simulated second **"
+done
 # The 2-worker speedup floors need real cores; on a single-CPU host the
 # determinism and throughput gates above still ran. The binary records
 # the speedups and leaves these wall-clock floors to ci.sh.
@@ -232,12 +245,15 @@ if [ "$cores" -ge 4 ]; then
 fi
 gate BENCH_fleet.json boot_speedup floor 10 1 \
   "** snapshot boot less than 10x faster than cold boot **"
-# Its byte and allocator-call counts are exact (they repeat across
+# Its byte, allocator-call and work counts are exact (they repeat across
 # regenerations), so the committed copy must carry the regenerated
 # values: a change that moves one commits the new file with it.
 for key in cold_bytes_per_instance bytes_per_instance fleet_peak_live_bytes \
   lifecycle_allocs_per_instance minix_steady_allocs_per_sim_second \
-  linux_steady_allocs_per_sim_second sel4_steady_allocs_per_sim_second; do
+  linux_steady_allocs_per_sim_second sel4_steady_allocs_per_sim_second \
+  minix_kernel_entries_per_sim_second linux_kernel_entries_per_sim_second \
+  sel4_kernel_entries_per_sim_second minix_plant_commits_per_sim_second \
+  linux_plant_commits_per_sim_second sel4_plant_commits_per_sim_second; do
   committed=$(json_number "$key" /tmp/BENCH_fleet.committed.json) || committed=missing
   regenerated=$(json_number "$key" BENCH_fleet.json) || regenerated=missing
   if [ "$committed" != "$regenerated" ]; then

@@ -2,7 +2,7 @@
 //! mutation schedules.
 //!
 //! Each scenario boots the real five-process stack on one platform,
-//! enables the kernel's capability-event stream, runs the lockstep
+//! enables the kernel's capability-event stream, runs the scenario
 //! engine under a `bas-faults` schedule of [`FaultKind::CapChurn`]
 //! events, and records the exact race kinds the detector must
 //! (and must not) find. The catalog is deliberately asymmetric across
@@ -272,9 +272,9 @@ pub fn run_churn_plan(platform: Platform, plan: &FaultPlan, horizon: SimDuration
     fn collect<K: PlatformKernel>(plan: &FaultPlan, horizon: SimDuration) -> CapTrace {
         let config = ScenarioConfig::default();
         let mut engine = ScenarioEngine::<K>::boot(&config, K::Overrides::default());
-        // Tracing goes on before the first chunk: spawned processes
-        // only execute once the kernel steps, so even boot-time opens
-        // land in the stream.
+        // Tracing goes on before the first run: spawned processes only
+        // execute once the kernel runs, so even boot-time opens land in
+        // the stream.
         engine.stack.enable_cap_trace();
         inject::run(&mut engine, plan, horizon);
         engine.stack.cap_trace()

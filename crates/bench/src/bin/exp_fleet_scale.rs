@@ -43,6 +43,11 @@
 //! life cycle and every platform's steady state with plain-number
 //! ceilings that host load cannot trip.
 //!
+//! Two exact work ceilings ride along, per platform, for one quiet
+//! 10-minute instance: `<platform>_kernel_entries_per_sim_second` and
+//! `<platform>_plant_commits_per_sim_second`, the segments the plant
+//! commits (one per input change). `ci.sh` gates them the same way.
+//!
 //! Run: `cargo run --release -p bas-bench --bin exp_fleet_scale [-- --quick --platform minix]`
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -172,6 +177,20 @@ fn alloc_budget(platform: Platform, instances: usize) -> (f64, f64) {
     });
     assert!(reports.iter().all(|r| r.critical_alive));
     (lifecycle as f64 / instances as f64, steady as f64 / 540.0)
+}
+
+/// Kernel entries and plant commits per simulated second of one quiet
+/// 10-minute instance on `platform`: exact work counts, not timings.
+fn work_per_sim_second(platform: Platform) -> (f64, f64) {
+    let horizon = SimDuration::from_mins(10);
+    let mut scenario = bas_core::boot_platform(platform, &ScenarioConfig::quiet());
+    scenario.run_for(horizon);
+    let secs = horizon.as_secs_f64();
+    let commits = scenario.plant().borrow().commits();
+    (
+        scenario.metrics().kernel_entries as f64 / secs,
+        commits as f64 / secs,
+    )
 }
 
 const PUMP_ID: AcId = AcId::new(40);
@@ -437,6 +456,26 @@ fn main() {
     }
     let [(minix_lifecycle, minix_steady), (_, linux_steady), (_, sel4_steady)] = budgets;
 
+    section("work per simulated second: one quiet 10-minute instance");
+    println!(
+        "{:<12} {:>24} {:>24}",
+        "platform", "kernel entries/sim-s", "plant commits/sim-s"
+    );
+    rule();
+    let mut work = Vec::new();
+    for p in budget_platforms {
+        let (entries, commits) = work_per_sim_second(p);
+        println!("{:<12} {entries:>24.4} {commits:>24.4}", p.to_string());
+        let name = match p {
+            Platform::Minix => "minix",
+            Platform::Linux => "linux",
+            Platform::Sel4 => "sel4",
+        };
+        let key = |what: &str| format!("{name}_{what}_per_sim_second");
+        work.push((key("kernel_entries"), Json::Num(entries)));
+        work.push((key("plant_commits"), Json::Num(commits)));
+    }
+
     section(&format!(
         "fleet scaling on {platform}: instances × workers, {} simulated minutes each",
         horizon.as_secs_f64() / 60.0
@@ -614,6 +653,7 @@ fn main() {
                 ("sel4_steady_allocs_per_sim_second", Json::Num(sel4_steady)),
             ]),
         ),
+        ("work_per_sim_second", Json::Obj(work)),
         ("speedup_2_workers", speedup_at(2)),
         ("best_speedup_2plus_workers", best_speedup(2)),
         ("best_speedup_4plus_workers", best_speedup(4)),

@@ -1,4 +1,4 @@
-//! The generic scenario engine: one lockstep runner over every platform.
+//! The generic scenario engine: one runner over every platform.
 //!
 //! Each platform stack ([`platform::minix::MinixStack`],
 //! [`platform::sel4::Sel4Stack`], [`platform::linux::LinuxStack`])
@@ -6,16 +6,16 @@
 //! policy artifact and expose its kernel — and
 //! [`ScenarioEngine`] supplies everything that used to be copy-pasted per
 //! platform: the instance's application I/O ([`AppIo`]: plant, web logs,
-//! schedule) and its re-imaging on recycle, the kernel/plant lockstep
-//! loop, the authorized-reference bookkeeping for the safety oracle, and
-//! the [`Scenario`] trait surface the experiments and the attack harness
-//! consume.
+//! schedule) and its re-imaging on recycle, the run loop (one
+//! `run_until` per run: the plant devices carry the kernel's clock, so
+//! the plant needs no stepping of its own), and the [`Scenario`] trait
+//! surface the experiments and the attack harness consume.
 //!
 //! [`platform::minix::MinixStack`]: crate::platform::minix::MinixStack
 //! [`platform::sel4::Sel4Stack`]: crate::platform::sel4::Sel4Stack
 //! [`platform::linux::LinuxStack`]: crate::platform::linux::LinuxStack
 
-use bas_plant::{PlantWorld, SharedPlant};
+use bas_plant::SharedPlant;
 use bas_sim::caps::{CapChurnOp, CapTrace};
 use bas_sim::device::DeviceBus;
 use bas_sim::fault::IpcFault;
@@ -33,7 +33,7 @@ use crate::scenario::{AppIo, Platform, Scenario, ScenarioConfig};
 /// Implementations own the simulated kernel and its boot plan and expose
 /// the kernel through [`PlatformKernel::kernel`]; clock, counters, trace
 /// and process names are read there. The engine owns the instance's
-/// [`AppIo`], the lockstep loop, the recycle decisions and the
+/// [`AppIo`], the run loop, the recycle decisions and the
 /// cross-platform [`Scenario`] surface. Attack injection and ablation
 /// policies ride in through [`PlatformKernel::Overrides`]; faults and
 /// capability churn through the provided hooks below.
@@ -154,26 +154,6 @@ fn touch<K: PlatformKernel + ?Sized>(stack: &mut K) -> &mut K::Kernel {
     kernel
 }
 
-/// Brings `plant` to `now`, a lockstep chunk boundary: applies the
-/// administrator's (in-range, in-order) setpoint changes due by then to
-/// the safety oracle's authorized reference, then steps the physics.
-/// `next` indexes the first change not yet applied.
-fn step_plant_to(
-    plant: &mut PlantWorld,
-    changes: &[(SimTime, i32)],
-    next: &mut usize,
-    now: SimTime,
-) {
-    while let Some(&(t, mc)) = changes.get(*next) {
-        if t > now {
-            break;
-        }
-        plant.set_reference(mc as f64 / 1000.0);
-        *next += 1;
-    }
-    plant.step_to(now);
-}
-
 /// A booted scenario on some [`PlatformKernel`]: the single generic
 /// runner that replaced the three hand-rolled per-platform adapters.
 ///
@@ -194,80 +174,31 @@ pub struct ScenarioEngine<K: PlatformKernel> {
     io: AppIo,
     /// False when boot installed one-shot overrides.
     recyclable: bool,
-    chunk: SimDuration,
     /// Where the runs so far were scheduled to end: the intended end of
     /// the last [`Scenario::run_for`], which the kernel may have overshot.
     scheduled: SimTime,
-    reference_changes: Vec<(SimTime, i32)>,
-    next_reference: usize,
 }
 
 impl<K: PlatformKernel> ScenarioEngine<K> {
-    /// Boots the scenario on `K` and prepares the lockstep runner.
+    /// Boots the scenario on `K`.
     pub fn boot(config: &ScenarioConfig, overrides: K::Overrides) -> Self {
         let io = AppIo::new(config);
-        let reference_changes = config.reference_changes(&io.schedule.borrow());
         let recyclable = K::recyclable(&overrides);
         let stack = K::boot(config, overrides, &io);
         ScenarioEngine {
             stack,
             io,
             recyclable,
-            chunk: config.lockstep_chunk,
             scheduled: SimTime::ZERO,
-            reference_changes,
-            next_reference: 0,
         }
     }
 
     /// The virtual time the runs so far were scheduled to reach: the sum
     /// of every [`Scenario::run_for`] span since boot. The kernel clock
     /// reads at least this much; it reads more when the kernel overshot
-    /// the last chunk's boundary or its clock was skewed.
+    /// the last run's end or its clock was skewed.
     pub fn scheduled(&self) -> SimTime {
         self.scheduled
-    }
-
-    /// The first lockstep chunk boundary at or after `t`: the chunk grid
-    /// is every multiple of `lockstep_chunk` since boot.
-    pub fn boundary_at_or_after(&self, t: SimTime) -> SimTime {
-        let chunk = self.chunk.as_nanos();
-        SimTime::from_nanos(t.as_nanos().div_ceil(chunk) * chunk)
-    }
-
-    /// The first chunk boundary after the kernel's clock.
-    fn next_boundary(&self) -> SimTime {
-        self.boundary_at_or_after(self.now() + SimDuration::from_nanos(1))
-    }
-
-    /// Fast-forwards over the whole lockstep chunks before `end` in which
-    /// the kernel has nothing to run (see [`Kernel::idle_before`]):
-    /// nothing runnable, and no timer due before the chunk's boundary.
-    /// The plant is still stepped at every skipped boundary, exactly as
-    /// the per-chunk loop would step it; the kernel clock then jumps once
-    /// to the last one, waking any sleeper due there. Returns whether any
-    /// chunk was skipped.
-    fn skip_idle_chunks(&mut self, end: SimTime) -> bool {
-        let mut boundary = self.next_boundary();
-        let kernel = self.stack.kernel();
-        let mut last = None;
-        let mut plant = self.io.plant.borrow_mut();
-        while boundary <= end && kernel.idle_before(boundary) {
-            step_plant_to(
-                &mut plant,
-                &self.reference_changes,
-                &mut self.next_reference,
-                boundary,
-            );
-            last = Some(boundary);
-            boundary += self.chunk;
-        }
-        drop(plant);
-        let Some(last) = last else {
-            return false;
-        };
-        touch(&mut self.stack).run_until(last);
-        true
     }
 }
 
@@ -277,22 +208,10 @@ impl<K: PlatformKernel> Scenario for ScenarioEngine<K> {
     }
 
     fn run_for(&mut self, d: SimDuration) {
-        let end = self.scheduled + d;
-        self.scheduled = end;
-        while self.now() < end {
-            if self.skip_idle_chunks(end) {
-                continue;
-            }
-            let target = self.next_boundary().min(end);
-            touch(&mut self.stack).run_until(target);
-            let now = self.now();
-            step_plant_to(
-                &mut self.io.plant.borrow_mut(),
-                &self.reference_changes,
-                &mut self.next_reference,
-                now,
-            );
-        }
+        self.scheduled += d;
+        touch(&mut self.stack).run_until(self.scheduled);
+        let now = self.now();
+        self.io.plant.borrow_mut().step_to(now);
     }
 
     fn now(&self) -> SimTime {
@@ -345,10 +264,7 @@ impl<K: PlatformKernel> Scenario for ScenarioEngine<K> {
             self.stack.reset_to_boot(config, &self.io);
         }
         self.io.reimage(config);
-        self.chunk = config.lockstep_chunk;
         self.scheduled = SimTime::ZERO;
-        self.reference_changes = config.reference_changes(&self.io.schedule.borrow());
-        self.next_reference = 0;
         true
     }
 }

@@ -15,8 +15,8 @@
 //!   [`platform::minix`] / [`platform::sel4`] / [`platform::linux`] —
 //!   each kernel's binding, its controller and the bootable kernel stack,
 //! - [`engine`] — the [`engine::PlatformKernel`] trait every stack
-//!   implements and the generic [`engine::ScenarioEngine`] lockstep
-//!   runner (one implementation of setup/step/aggregate for all three),
+//!   implements and the generic [`engine::ScenarioEngine`] runner (one
+//!   implementation of setup/run/aggregate for all three),
 //! - [`scenario`] — configuration and the cross-platform [`Scenario`]
 //!   interface used by experiments and the attack harness,
 //! - [`semantics`] — the [`semantics::StepSemantics`] transition-relation

@@ -60,29 +60,32 @@ pub struct AppIo {
 }
 
 impl AppIo {
-    /// Fresh I/O for `config`: a seeded plant, its effective schedule and
+    /// Fresh I/O for `config`: a seeded plant that follows the
+    /// schedule's authorized setpoint changes, the effective schedule and
     /// empty logs.
     pub fn new(config: &ScenarioConfig) -> Self {
+        let schedule = config.effective_web_schedule();
+        let mut plant = PlantWorld::new(config.synced_plant(), config.seed);
+        plant.schedule_references(config.reference_changes(&schedule));
         AppIo {
-            plant: Rc::new(RefCell::new(PlantWorld::new(
-                config.synced_plant(),
-                config.seed,
-            ))),
+            plant: Rc::new(RefCell::new(plant)),
             responses: WebLog::default(),
-            schedule: shared_schedule(config.effective_web_schedule()),
+            schedule: shared_schedule(schedule),
             requests: RequestLog::default(),
         }
     }
 
     /// Re-images everything for `config` (the boot template modulo
     /// `seed`) in place: resets and re-seeds the plant (keeping its
-    /// buffers), swaps in the schedule, which is seed-derived under
-    /// traffic, and clears both logs.
+    /// buffers) and hands it the new reference changes, swaps in the
+    /// schedule, which is seed-derived under traffic, and clears both
+    /// logs.
     pub fn reimage(&self, config: &ScenarioConfig) {
-        self.plant
-            .borrow_mut()
-            .reset(config.synced_plant(), config.seed);
-        *self.schedule.borrow_mut() = config.effective_web_schedule();
+        let schedule = config.effective_web_schedule();
+        let mut plant = self.plant.borrow_mut();
+        plant.reset(config.synced_plant(), config.seed);
+        plant.schedule_references(config.reference_changes(&schedule));
+        *self.schedule.borrow_mut() = schedule;
         self.responses.borrow_mut().clear();
         self.requests.borrow_mut().clear();
     }
@@ -113,7 +116,9 @@ pub struct ScenarioConfig {
     pub web_fork_limit: Option<u64>,
     /// Virtual-time cost model.
     pub cost_model: CostModel,
-    /// Kernel/plant lockstep granularity.
+    /// A 100 ms grid that nothing in the workspace reads: the plant is
+    /// exact between input changes and needs no stepping. Only the
+    /// `basbench` benchmark reads it, to size its re-drive epochs.
     pub lockstep_chunk: SimDuration,
 }
 
@@ -186,21 +191,21 @@ impl ScenarioConfig {
         v
     }
 
-    /// The authorized setpoint changes (in range, in time order) the
-    /// safety oracle should follow during a run, given the run's
+    /// The authorized setpoint changes (in range, in time order, in °C)
+    /// the safety oracle follows during a run, given the run's
     /// *effective* schedule ([`ScenarioConfig::effective_web_schedule`]),
     /// so tenant setpoint writes move the oracle's reference exactly like
     /// scripted administrator writes. Taking the already-built schedule
     /// keeps the traffic expansion to one per boot.
-    pub fn reference_changes(&self, schedule: &[(SimTime, WebAction)]) -> Vec<(SimTime, i32)> {
-        let mut v: Vec<(SimTime, i32)> = schedule
+    pub fn reference_changes(&self, schedule: &[(SimTime, WebAction)]) -> Vec<(SimTime, f64)> {
+        let mut v: Vec<(SimTime, f64)> = schedule
             .iter()
             .filter_map(|(t, a)| match a {
                 WebAction::SetSetpoint(mc)
                     if *mc >= self.control.min_setpoint_milli_c
                         && *mc <= self.control.max_setpoint_milli_c =>
                 {
-                    Some((*t, *mc))
+                    Some((*t, *mc as f64 / 1000.0))
                 }
                 _ => None,
             })
@@ -224,21 +229,16 @@ pub trait Scenario {
     /// The platform this scenario runs on.
     fn platform(&self) -> Platform;
 
-    /// Advances kernel and plant in lockstep for `d` of virtual time past
-    /// where the previous runs were scheduled to end (not past the
-    /// kernel's clock, which may have overshot that end). Each chunk aims
-    /// at the next multiple of `lockstep_chunk` since boot, capped at the
-    /// run's end: the kernel runs to that boundary, then the plant steps
-    /// to where the kernel stopped. Chunks in which the kernel has
-    /// nothing to do (nothing runnable, no timer due by the boundary) are
-    /// fast-forwarded: the plant still steps at each of their boundaries,
-    /// and the kernel clock jumps once past all of them. The result is
-    /// the same as stepping every chunk.
+    /// Advances the instance by `d` of virtual time past where the
+    /// previous runs were scheduled to end (not past the kernel's clock,
+    /// which may have overshot that end): the kernel runs until its clock
+    /// reaches that end, and the plant, which its devices have kept at the
+    /// kernel's clock, is brought there too.
     ///
-    /// Split contract: since every chunk aims at the same absolute grid,
-    /// a run split into several calls at chunk boundaries computes the
-    /// same instance as one call over the whole span, even when the
-    /// kernel overshoots a split point.
+    /// Split contract: a run split into several calls at any points
+    /// computes the same instance as one call over the whole span. The
+    /// kernel's run loop is split-invariant, and the plant commits only
+    /// at input changes, each at its own time, never at a call boundary.
     fn run_for(&mut self, d: SimDuration);
 
     /// Current virtual time.
@@ -365,7 +365,7 @@ mod tests {
         ];
         assert_eq!(
             cfg.reference_changes(&cfg.effective_web_schedule()),
-            vec![(SimTime::from_nanos(2), 24_000)]
+            vec![(SimTime::from_nanos(2), 24.0)]
         );
     }
 

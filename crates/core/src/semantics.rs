@@ -1,7 +1,7 @@
 //! An explicit transition relation over scenario state.
 //!
 //! The dynamic half of the repo drives each platform stack through the
-//! fixed lockstep schedule of [`crate::engine::ScenarioEngine`]: one
+//! fixed schedule of [`crate::engine::ScenarioEngine`]: one
 //! deterministic interleaving per seed. The security argument of the
 //! paper, however, quantifies over *all* interleavings — no sequence of
 //! web-interface actions may disturb the control loop. This module

@@ -307,35 +307,35 @@ fn linux_traces_are_pinned() {
 }
 
 const MINIX_PLAIN_TRACE: &str =
-    "lines 2248 fnv1a 20b4551cb433d167 dev.write=211 ipc.deliver=2030 proc.exit=1 proc.spawn=6";
+    "lines 2256 fnv1a 016f6d3aea25bbbe dev.write=215 ipc.deliver=2034 proc.exit=1 proc.spawn=6";
 const MINIX_SUPERVISED_TRACE: &str =
-    "lines 2249 fnv1a 7fde4f7c355db4d9 dev.write=211 ipc.deliver=2030 proc.exit=1 proc.spawn=7";
+    "lines 2257 fnv1a d070ecc9374230c2 dev.write=215 ipc.deliver=2034 proc.exit=1 proc.spawn=7";
 const MINIX_HOSTILE_TRACE: &str =
-    "lines 1415 fnv1a 2b84aa9944fbd81a acm.deny=180 cap.churn=2 dev.deny=14 dev.write=98 fault.clock=1 fault.crash=1 fault.ipc=3 ipc.deliver=1109 proc.exit=1 proc.spawn=6";
+    "lines 1413 fnv1a 51e6ac8904900f51 acm.deny=180 cap.churn=2 dev.deny=14 dev.write=97 fault.clock=1 fault.crash=1 fault.ipc=3 ipc.deliver=1108 proc.exit=1 proc.spawn=6";
 const MINIX_RESTART_TRACE: &str =
-    "lines 2233 fnv1a 2b47104c929c5be4 dev.write=203 fault.crash=1 ipc.deliver=2020 proc.exit=1 proc.spawn=8";
+    "lines 2231 fnv1a 1839b59d37baed5e dev.write=202 fault.crash=1 ipc.deliver=2019 proc.exit=1 proc.spawn=8";
 const SEL4_TRACE: &str =
-    "lines 2013 fnv1a a53fdc46aed85b47 dev.write=99 ipc.deliver=1909 thread.start=5";
+    "lines 2019 fnv1a 08b9886d8e620c2a dev.write=102 ipc.deliver=1912 thread.start=5";
 const SEL4_HOSTILE_TRACE: &str =
-    "lines 1298 fnv1a 00a306ed39283e6b cap.churn=2 cap.deny=194 dev.write=40 fault.clock=1 fault.crash=1 fault.ipc=3 ipc.deliver=1052 thread.start=5";
+    "lines 1296 fnv1a 82aaa8900e3766f8 cap.churn=2 cap.deny=194 dev.write=39 fault.clock=1 fault.crash=1 fault.ipc=3 ipc.deliver=1051 thread.start=5";
 const LINUX_SHARED_TRACE: &str =
-    "lines 2025 fnv1a 23d0c262eb2980fa dev.write=100 mq.send=1920 proc.spawn=5";
+    "lines 2023 fnv1a a9b879ad2a6f4292 dev.write=99 mq.send=1919 proc.spawn=5";
 const LINUX_HARDENED_TRACE: &str =
-    "lines 2025 fnv1a 81162fe9f4fc7a01 dev.write=100 mq.send=1920 proc.spawn=5";
+    "lines 2023 fnv1a 28ef155d5040dba9 dev.write=99 mq.send=1919 proc.spawn=5";
 const LINUX_HOSTILE_TRACE: &str =
     "lines 1317 fnv1a d39bb9c1b3cc6e0a cap.churn=2 dac.deny=14 dev.write=49 fault.clock=1 fault.crash=1 fault.ipc=3 mq.send=1242 proc.spawn=5";
 
-const MINIX_PLAIN: &str = r#"metrics KernelMetrics { context_switches: 8044, kernel_entries: 11508, ipc_messages: 2035, ipc_bytes: 130240, access_denied: 0, syscall_errors: 0, processes_created: 6, processes_reaped: 1, hot_path_allocs: 0, ipc_waits: 5 }
+const MINIX_PLAIN: &str = r#"metrics KernelMetrics { context_switches: 8060, kernel_entries: 11520, ipc_messages: 2039, ipc_bytes: 130496, access_denied: 0, syscall_errors: 0, processes_created: 6, processes_reaped: 1, hot_path_allocs: 0, ipc_waits: 5 }
 response Status { temp_milli_c: 22400, setpoint_milli_c: 22000, fan_on: true, alarm_on: false }
 response Ack { code: 0 }
 response Status { temp_milli_c: 22400, setpoint_milli_c: 24000, fan_on: true, alarm_on: false }
 response Ack { code: 1 }
 response Ack { code: 0 }
 response Status { temp_milli_c: 24300, setpoint_milli_c: 23000, fan_on: false, alarm_on: false }
-response Status { temp_milli_c: 23100, setpoint_milli_c: 23000, fan_on: false, alarm_on: false }
+response Status { temp_milli_c: 23000, setpoint_milli_c: 23000, fan_on: false, alarm_on: false }
 response Ack { code: 0 }
-response Status { temp_milli_c: 22800, setpoint_milli_c: 22500, fan_on: true, alarm_on: false }
-response Status { temp_milli_c: 22800, setpoint_milli_c: 22500, fan_on: true, alarm_on: false }
+response Status { temp_milli_c: 22600, setpoint_milli_c: 22500, fan_on: false, alarm_on: false }
+response Status { temp_milli_c: 22600, setpoint_milli_c: 22500, fan_on: false, alarm_on: false }
 request 60000000000 60000172134 QueryStatus true
 request 60000000000 60000172134 SetSetpoint(24000) true
 request 60000000000 60000172134 QueryStatus true
@@ -346,19 +346,19 @@ request 1200000000000 1200000081878 QueryStatus true
 request 1500000000000 1500000172134 SetSetpoint(22500) true
 request 1500000000000 1500000172134 QueryStatus true
 request 1500000000000 1500000172134 QueryStatus true
-plant PlantSnapshot { safety_violated: false, max_deviation_c: 1.733135429188426, in_band_fraction: 0.9870555555555556, final_temp_c: 22.32316069647256, alarm_on: false, fan_switches: 99, alarm_latencies_s: [] }
+plant PlantSnapshot { safety_violated: false, max_deviation_c: 1.7327925305285916, in_band_fraction: 0.9870428667105555, final_temp_c: 22.266102193172056, alarm_on: false, fan_switches: 102, alarm_latencies_s: [] }
 "#;
-const MINIX_SUPERVISED: &str = r#"metrics KernelMetrics { context_switches: 8948, kernel_entries: 16008, ipc_messages: 2035, ipc_bytes: 130240, access_denied: 0, syscall_errors: 0, processes_created: 7, processes_reaped: 1, hot_path_allocs: 0, ipc_waits: 5 }
+const MINIX_SUPERVISED: &str = r#"metrics KernelMetrics { context_switches: 8964, kernel_entries: 16020, ipc_messages: 2039, ipc_bytes: 130496, access_denied: 0, syscall_errors: 0, processes_created: 7, processes_reaped: 1, hot_path_allocs: 0, ipc_waits: 5 }
 response Status { temp_milli_c: 22400, setpoint_milli_c: 22000, fan_on: true, alarm_on: false }
 response Ack { code: 0 }
 response Status { temp_milli_c: 22400, setpoint_milli_c: 24000, fan_on: true, alarm_on: false }
 response Ack { code: 1 }
 response Ack { code: 0 }
 response Status { temp_milli_c: 24300, setpoint_milli_c: 23000, fan_on: false, alarm_on: false }
-response Status { temp_milli_c: 23100, setpoint_milli_c: 23000, fan_on: false, alarm_on: false }
+response Status { temp_milli_c: 23000, setpoint_milli_c: 23000, fan_on: false, alarm_on: false }
 response Ack { code: 0 }
-response Status { temp_milli_c: 22800, setpoint_milli_c: 22500, fan_on: true, alarm_on: false }
-response Status { temp_milli_c: 22800, setpoint_milli_c: 22500, fan_on: true, alarm_on: false }
+response Status { temp_milli_c: 22600, setpoint_milli_c: 22500, fan_on: false, alarm_on: false }
+response Status { temp_milli_c: 22600, setpoint_milli_c: 22500, fan_on: false, alarm_on: false }
 request 60000000000 60000172134 QueryStatus true
 request 60000000000 60000172134 SetSetpoint(24000) true
 request 60000000000 60000172134 QueryStatus true
@@ -369,18 +369,18 @@ request 1200000000000 1200000081878 QueryStatus true
 request 1500000000000 1500000172134 SetSetpoint(22500) true
 request 1500000000000 1500000172134 QueryStatus true
 request 1500000000000 1500000172134 QueryStatus true
-plant PlantSnapshot { safety_violated: false, max_deviation_c: 1.733135429188426, in_band_fraction: 0.9870555555555556, final_temp_c: 22.32316069647256, alarm_on: false, fan_switches: 99, alarm_latencies_s: [] }
+plant PlantSnapshot { safety_violated: false, max_deviation_c: 1.732791357770921, in_band_fraction: 0.9870428137716667, final_temp_c: 22.26609956336677, alarm_on: false, fan_switches: 102, alarm_latencies_s: [] }
 "#;
-const MINIX_RESTART: &str = r#"metrics KernelMetrics { context_switches: 8924, kernel_entries: 15994, ipc_messages: 2026, ipc_bytes: 129664, access_denied: 0, syscall_errors: 2, processes_created: 8, processes_reaped: 2, hot_path_allocs: 0, ipc_waits: 5 }
+const MINIX_RESTART: &str = r#"metrics KernelMetrics { context_switches: 8920, kernel_entries: 15991, ipc_messages: 2025, ipc_bytes: 129600, access_denied: 0, syscall_errors: 2, processes_created: 8, processes_reaped: 2, hot_path_allocs: 0, ipc_waits: 5 }
 response Status { temp_milli_c: 22400, setpoint_milli_c: 22000, fan_on: true, alarm_on: false }
 response Ack { code: 0 }
 response Status { temp_milli_c: 22400, setpoint_milli_c: 24000, fan_on: true, alarm_on: false }
 response Ack { code: 0 }
 response Status { temp_milli_c: 22100, setpoint_milli_c: 23000, fan_on: false, alarm_on: false }
-response Status { temp_milli_c: 22700, setpoint_milli_c: 23000, fan_on: false, alarm_on: false }
+response Status { temp_milli_c: 23000, setpoint_milli_c: 23000, fan_on: true, alarm_on: false }
 response Ack { code: 0 }
-response Status { temp_milli_c: 22600, setpoint_milli_c: 22500, fan_on: false, alarm_on: false }
-response Status { temp_milli_c: 22600, setpoint_milli_c: 22500, fan_on: false, alarm_on: false }
+response Status { temp_milli_c: 22900, setpoint_milli_c: 22500, fan_on: false, alarm_on: false }
+response Status { temp_milli_c: 22900, setpoint_milli_c: 22500, fan_on: false, alarm_on: false }
 request 60000000000 60000172134 QueryStatus true
 request 60000000000 60000172134 SetSetpoint(24000) true
 request 60000000000 60000172134 QueryStatus true
@@ -391,19 +391,19 @@ request 1200000000000 1200000081878 QueryStatus true
 request 1500000000000 1500000172134 SetSetpoint(22500) true
 request 1500000000000 1500000172134 QueryStatus true
 request 1500000000000 1500000172134 QueryStatus true
-plant PlantSnapshot { safety_violated: true, max_deviation_c: 2.3739963270802242, in_band_fraction: 0.7345147491806011, final_temp_c: 22.297905460181067, alarm_on: false, fan_switches: 90, alarm_latencies_s: [] }
+plant PlantSnapshot { safety_violated: true, max_deviation_c: 2.373255987890161, in_band_fraction: 0.7345265877977777, final_temp_c: 22.2972332313356, alarm_on: false, fan_switches: 87, alarm_latencies_s: [] }
 "#;
-const SEL4: &str = r#"metrics KernelMetrics { context_switches: 7538, kernel_entries: 11256, ipc_messages: 3818, ipc_bytes: 60424, access_denied: 0, syscall_errors: 0, processes_created: 5, processes_reaped: 0, hot_path_allocs: 0, ipc_waits: 5 }
+const SEL4: &str = r#"metrics KernelMetrics { context_switches: 7547, kernel_entries: 11268, ipc_messages: 3824, ipc_bytes: 60496, access_denied: 0, syscall_errors: 0, processes_created: 5, processes_reaped: 0, hot_path_allocs: 0, ipc_waits: 5 }
 response Status { temp_milli_c: 22400, setpoint_milli_c: 22000, fan_on: true, alarm_on: false }
 response Ack { code: 0 }
 response Status { temp_milli_c: 22400, setpoint_milli_c: 24000, fan_on: true, alarm_on: false }
 response Ack { code: 1 }
 response Ack { code: 0 }
 response Status { temp_milli_c: 24300, setpoint_milli_c: 23000, fan_on: false, alarm_on: false }
-response Status { temp_milli_c: 23100, setpoint_milli_c: 23000, fan_on: false, alarm_on: false }
+response Status { temp_milli_c: 23000, setpoint_milli_c: 23000, fan_on: false, alarm_on: false }
 response Ack { code: 0 }
-response Status { temp_milli_c: 22800, setpoint_milli_c: 22500, fan_on: true, alarm_on: false }
-response Status { temp_milli_c: 22800, setpoint_milli_c: 22500, fan_on: true, alarm_on: false }
+response Status { temp_milli_c: 22600, setpoint_milli_c: 22500, fan_on: false, alarm_on: false }
+response Status { temp_milli_c: 22600, setpoint_milli_c: 22500, fan_on: false, alarm_on: false }
 request 60000000000 60000171910 QueryStatus true
 request 60000000000 60000171910 SetSetpoint(24000) true
 request 60000000000 60000171910 QueryStatus true
@@ -414,9 +414,9 @@ request 1200000000000 1200000081798 QueryStatus true
 request 1500000000000 1500000171886 SetSetpoint(22500) true
 request 1500000000000 1500000171886 QueryStatus true
 request 1500000000000 1500000171886 QueryStatus true
-plant PlantSnapshot { safety_violated: false, max_deviation_c: 1.733135429188426, in_band_fraction: 0.9870562746514082, final_temp_c: 22.325318702306266, alarm_on: false, fan_switches: 99, alarm_latencies_s: [] }
+plant PlantSnapshot { safety_violated: false, max_deviation_c: 1.7327917538278292, in_band_fraction: 0.9870382822488889, final_temp_c: 22.26511178855962, alarm_on: false, fan_switches: 102, alarm_latencies_s: [] }
 "#;
-const LINUX_SHARED: &str = r#"metrics KernelMetrics { context_switches: 4056, kernel_entries: 12972, ipc_messages: 1920, ipc_bytes: 122880, access_denied: 0, syscall_errors: 0, processes_created: 5, processes_reaped: 0, hot_path_allocs: 0, ipc_waits: 0 }
+const LINUX_SHARED: &str = r#"metrics KernelMetrics { context_switches: 4052, kernel_entries: 12969, ipc_messages: 1919, ipc_bytes: 122816, access_denied: 0, syscall_errors: 0, processes_created: 5, processes_reaped: 0, hot_path_allocs: 0, ipc_waits: 0 }
 response Status { temp_milli_c: 22300, setpoint_milli_c: 22000, fan_on: true, alarm_on: false }
 response Ack { code: 0 }
 response Status { temp_milli_c: 22300, setpoint_milli_c: 24000, fan_on: true, alarm_on: false }
@@ -437,9 +437,9 @@ request 1200000000000 1200039626178 QueryStatus true
 request 1500000000000 1501049542006 SetSetpoint(22500) true
 request 1500000000000 1501049542006 QueryStatus true
 request 1500000000000 1501049542006 QueryStatus true
-plant PlantSnapshot { safety_violated: false, max_deviation_c: 1.7828586511700095, in_band_fraction: 0.9844444444444445, final_temp_c: 22.262668584012406, alarm_on: false, fan_switches: 100, alarm_latencies_s: [] }
+plant PlantSnapshot { safety_violated: false, max_deviation_c: 1.7824861565918866, in_band_fraction: 0.984488491171111, final_temp_c: 22.3214389923813, alarm_on: false, fan_switches: 99, alarm_latencies_s: [] }
 "#;
-const LINUX_HARDENED: &str = r#"metrics KernelMetrics { context_switches: 4056, kernel_entries: 12972, ipc_messages: 1920, ipc_bytes: 122880, access_denied: 0, syscall_errors: 0, processes_created: 5, processes_reaped: 0, hot_path_allocs: 0, ipc_waits: 0 }
+const LINUX_HARDENED: &str = r#"metrics KernelMetrics { context_switches: 4052, kernel_entries: 12969, ipc_messages: 1919, ipc_bytes: 122816, access_denied: 0, syscall_errors: 0, processes_created: 5, processes_reaped: 0, hot_path_allocs: 0, ipc_waits: 0 }
 response Status { temp_milli_c: 22300, setpoint_milli_c: 22000, fan_on: true, alarm_on: false }
 response Ack { code: 0 }
 response Status { temp_milli_c: 22300, setpoint_milli_c: 24000, fan_on: true, alarm_on: false }
@@ -460,5 +460,5 @@ request 1200000000000 1200039626178 QueryStatus true
 request 1500000000000 1501049542006 SetSetpoint(22500) true
 request 1500000000000 1501049542006 QueryStatus true
 request 1500000000000 1501049542006 QueryStatus true
-plant PlantSnapshot { safety_violated: false, max_deviation_c: 1.7828586511700095, in_band_fraction: 0.9844444444444445, final_temp_c: 22.262668584012406, alarm_on: false, fan_switches: 100, alarm_latencies_s: [] }
+plant PlantSnapshot { safety_violated: false, max_deviation_c: 1.7824861565918866, in_band_fraction: 0.984488491171111, final_temp_c: 22.3214389923813, alarm_on: false, fan_switches: 99, alarm_latencies_s: [] }
 "#;

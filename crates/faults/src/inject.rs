@@ -4,16 +4,12 @@
 //! stays registered underneath a [`FaultyDevice`] wrapper whose mode the
 //! injector flips at the scheduled times. Everything else (crashes, IPC
 //! faults, clock skew) goes through the [`PlatformKernel`] fault hooks.
-//! [`run`] drives the engine itself (through an [`Injector`]): it runs to
-//! the first lockstep chunk boundary at or after the next event's time,
-//! fires every event due by that boundary, and carries on to the next
-//! event or the end of the run. With the default 100 ms chunk an event
-//! fires less than one chunk after its time; the kernel's clock then
-//! reads the boundary plus whatever the kernel overshot it by. Between
-//! events the engine fast-forwards idle chunks as in any run. The stops
-//! follow the kernel's clock, skewed or not: after a clock-skew fault,
-//! the events the jump passed fire at the first boundary past the
-//! skewed clock.
+//! [`run`] drives the engine itself (through an [`Injector`]): it runs the
+//! engine to each event's own time and fires every event due by then, so
+//! an event lands at the first dispatch point at or after its time (the
+//! kernel's clock reads that time exactly when the kernel was idle, and
+//! the end of the dispatch that crossed it otherwise). After a clock-skew
+//! fault, the events the jump passed fire at once, at the skewed clock.
 
 use std::collections::BTreeMap;
 
@@ -36,8 +32,8 @@ pub struct FiredEvent {
     pub index: usize,
     /// The time the plan asked for.
     pub scheduled: SimDuration,
-    /// The virtual time the injector actually applied it (the kernel's
-    /// clock at the first chunk boundary at or after `scheduled`).
+    /// The virtual time the injector actually applied it: the kernel's
+    /// clock at the first dispatch point at or after `scheduled`.
     pub applied_at: SimTime,
     /// Human-readable fault label.
     pub label: String,
@@ -78,8 +74,8 @@ impl InjectionLog {
 
 /// A [`FaultPlan`] installed on one engine: the interposed sensor
 /// devices, the events still to fire and the log so far. A run may be
-/// split over several [`Injector::run_for`] calls at chunk boundaries,
-/// as a plain `run_for` may.
+/// split over several [`Injector::run_for`] calls at any points, as a
+/// plain `run_for` may.
 pub struct Injector<'p> {
     plan: &'p FaultPlan,
     handles: BTreeMap<DeviceId, SensorFaultHandle>,
@@ -118,40 +114,29 @@ impl<'p> Injector<'p> {
     }
 
     /// Runs `engine` for `d`, as [`Scenario::run_for`] does, stopping at
-    /// the first chunk boundary at or after each event's time to fire
-    /// every event due by that boundary.
+    /// each event's time to fire every event due by then.
     pub fn run_for<K: PlatformKernel>(&mut self, engine: &mut ScenarioEngine<K>, d: SimDuration) {
         let events = self.plan.events();
         let end = engine.scheduled() + d;
-        while engine.now() < end {
-            let boundary = engine.scheduled();
-            let now = engine.now();
-            while let Some(ev) = events
-                .get(self.next)
-                .filter(|ev| SimTime::ZERO + ev.at <= boundary)
-            {
-                let stack = &mut engine.stack;
-                self.log.baseline.get_or_insert(*stack.kernel().metrics());
-                let hit = apply(stack, &self.handles, &ev.kind);
-                self.log.fired.push(FiredEvent {
-                    index: self.next,
-                    scheduled: ev.at,
-                    applied_at: now,
-                    label: ev.kind.label(),
-                    hit,
-                });
-                self.next += 1;
+        while let Some(ev) = events.get(self.next) {
+            let due = SimTime::ZERO + ev.at;
+            if due > end {
+                break;
             }
-            // The next event fires at a boundary the kernel has not yet
-            // passed: a clock skew may have jumped it past the event.
-            let stop = events.get(self.next).map_or(end, |ev| {
-                let due = (SimTime::ZERO + ev.at).max(engine.now() + SimDuration::from_nanos(1));
-                engine.boundary_at_or_after(due).min(end)
+            engine.run_for(due.saturating_since(engine.scheduled()));
+            let applied_at = engine.now();
+            let stack = &mut engine.stack;
+            self.log.baseline.get_or_insert(*stack.kernel().metrics());
+            let hit = apply(stack, &self.handles, &ev.kind);
+            self.log.fired.push(FiredEvent {
+                index: self.next,
+                scheduled: ev.at,
+                applied_at,
+                label: ev.kind.label(),
+                hit,
             });
-            engine.run_for(stop - boundary);
+            self.next += 1;
         }
-        // A skew past `end` ends the run early; the schedule still moves
-        // on by `d`, as it would in one `run_for(d)`.
         engine.run_for(end.saturating_since(engine.scheduled()));
     }
 

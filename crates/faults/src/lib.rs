@@ -16,8 +16,8 @@
 //!   [`ScenarioEngine`](bas_core::engine::ScenarioEngine) under a plan:
 //!   sensor faults via `DeviceBus::interpose` wrappers, everything else
 //!   through the `PlatformKernel` fault hooks, each event fired at the
-//!   first lockstep chunk boundary at or after its time. Every fired
-//!   event lands in an [`InjectionLog`].
+//!   first dispatch point at or after its time. Every fired event lands
+//!   in an [`InjectionLog`].
 //! - [`score`] — the degradation [`Scorecard`]: safety held, worst
 //!   alarm latency, out-of-band seconds, recovery time, processes
 //!   restarted.

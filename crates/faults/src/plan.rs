@@ -139,9 +139,8 @@ impl FaultKind {
 /// One fault pinned to a virtual time measured from boot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultEvent {
-    /// When the fault fires (virtual time since boot; events quantize to
-    /// the engine's lockstep chunk, firing at the first chunk boundary at
-    /// or after this time).
+    /// When the fault fires (virtual time since boot; the event lands at
+    /// the kernel's first dispatch point at or after this time).
     pub at: SimDuration,
     /// What happens.
     pub kind: FaultKind,

@@ -118,19 +118,18 @@ fn run_on<K: PlatformKernel>(
 
     let plant = engine.plant();
     let plant = plant.borrow();
-    let mut timeline = Vec::new();
-    let mut next_s = 0u64;
-    for sample in plant.trace() {
-        if sample.time.as_secs() >= next_s {
-            timeline.push(TimelinePoint {
-                t_s: sample.time.as_secs(),
-                temp_c: sample.temp_c,
-                fan_on: sample.fan_on,
-                alarm_on: sample.alarm_on,
-            });
-            next_s += 180;
-        }
-    }
+    // Every 180th sample of the 1 s trace: one point per 3 minutes.
+    let timeline = plant
+        .trace()
+        .iter()
+        .step_by(180)
+        .map(|sample| TimelinePoint {
+            t_s: sample.time.as_secs(),
+            temp_c: sample.temp_c,
+            fan_on: sample.fan_on,
+            alarm_on: sample.alarm_on,
+        })
+        .collect();
 
     RecoveryOutcome {
         platform: K::PLATFORM,

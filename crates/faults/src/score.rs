@@ -98,14 +98,8 @@ pub fn grade<K: PlatformKernel>(
             Some(worst.map_or(s, |w| w.max(s)))
         });
 
-    // Integrate out-of-band residence time over the sampled trace: a
-    // sample out of band charges the interval up to the next sample.
-    let mut out_of_band_seconds = 0.0;
-    for pair in trace.windows(2) {
-        if (pair[0].temp_c - pair[0].setpoint_c).abs() > band_c {
-            out_of_band_seconds += pair[1].time.as_secs_f64() - pair[0].time.as_secs_f64();
-        }
-    }
+    // The oracle weighs its band by time, exactly.
+    let out_of_band_seconds = (1.0 - report.in_band_fraction) * plant.now().as_secs_f64();
 
     let first_fault = log.first_fault_at();
     let recovery_seconds = match (first_fault, trace.last()) {

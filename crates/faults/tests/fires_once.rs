@@ -1,14 +1,14 @@
 //! Schedule fidelity: every event in a plan fires exactly once, in plan
-//! order, at the first lockstep chunk boundary at or after its scheduled
-//! time — on all three platforms.
+//! order, at the first dispatch point at or after its scheduled time —
+//! on all three platforms.
 
 use bas_core::engine::{PlatformKernel, ScenarioEngine};
 use bas_core::platform::linux::LinuxStack;
 use bas_core::platform::minix::MinixStack;
 use bas_core::platform::sel4::Sel4Stack;
 use bas_core::proto::names;
-use bas_core::scenario::ScenarioConfig;
-use bas_faults::inject::{self, FiredEvent};
+use bas_core::scenario::{Scenario, ScenarioConfig};
+use bas_faults::inject::{self, FiredEvent, Injector};
 use bas_faults::plan::{FaultEvent, FaultKind, FaultPlan};
 use bas_sim::device::DeviceId;
 use bas_sim::time::SimDuration;
@@ -20,10 +20,20 @@ fn run_plan<K: PlatformKernel>(plan: &FaultPlan, horizon: SimDuration) -> Vec<Fi
     inject::run(&mut engine, plan, horizon).fired().to_vec()
 }
 
-/// Kinds that do not move the kernel clock, so the chunk-grid bound
-/// below stays tight: the IPC delays are short enough that the kernel
-/// overshoots a boundary by less than one chunk. Clock skew gets its own
-/// test.
+/// Where the kernel's clock stands once a run under the events before
+/// `index` reaches event `index`'s time: the first dispatch point at or
+/// after it.
+fn first_dispatch_point<K: PlatformKernel>(plan: &FaultPlan, index: usize) -> u64 {
+    let prefix = FaultPlan::new("prefix", plan.events()[..index].to_vec());
+    let mut engine = ScenarioEngine::<K>::boot(&ScenarioConfig::quiet(), Default::default());
+    let mut injector = Injector::install(&mut engine, &prefix);
+    injector.run_for(&mut engine, plan.events()[index].at);
+    engine.now().as_nanos()
+}
+
+/// Kinds that do not move the kernel clock: the IPC delays are short,
+/// so a dispatch in flight at an event's time ends less than 3 ms after
+/// it. Clock skew gets its own test.
 fn arb_kind() -> impl Strategy<Value = FaultKind> {
     prop_oneof![
         (20_000i64..30_000).prop_map(|raw| FaultKind::SensorStuckAt {
@@ -54,26 +64,25 @@ fn arb_kind() -> impl Strategy<Value = FaultKind> {
 
 proptest! {
     /// Random plans replay with full fidelity everywhere: one firing per
-    /// event, in order, at the first chunk-grid point at or after the
-    /// scheduled time, plus at most the kernel's overshoot past that
-    /// boundary (less than one chunk for these kinds).
+    /// event, in order, at the first dispatch point at or after the
+    /// scheduled time (the time itself when the kernel is idle there).
     #[test]
     fn every_event_fires_exactly_once_on_every_platform(
-        raw_events in prop::collection::vec((5u64..25, arb_kind()), 1..5),
+        raw_events in prop::collection::vec((5_000_000_000u64..25_000_000_000, arb_kind()), 1..5),
     ) {
         let plan = FaultPlan::new(
             "random",
             raw_events
                 .into_iter()
-                .map(|(at_s, kind)| FaultEvent::new(SimDuration::from_secs(at_s), kind))
+                .map(|(at_ns, kind)| FaultEvent::new(SimDuration::from_nanos(at_ns), kind))
                 .collect(),
         );
         let horizon = SimDuration::from_secs(30);
-        let chunk = ScenarioConfig::quiet().lockstep_chunk.as_nanos();
-        for (platform, fired) in [
-            ("linux", run_plan::<LinuxStack>(&plan, horizon)),
-            ("minix", run_plan::<MinixStack>(&plan, horizon)),
-            ("sel4", run_plan::<Sel4Stack>(&plan, horizon)),
+        type Oracle = fn(&FaultPlan, usize) -> u64;
+        for (platform, fired, oracle) in [
+            ("linux", run_plan::<LinuxStack>(&plan, horizon), first_dispatch_point::<LinuxStack> as Oracle),
+            ("minix", run_plan::<MinixStack>(&plan, horizon), first_dispatch_point::<MinixStack>),
+            ("sel4", run_plan::<Sel4Stack>(&plan, horizon), first_dispatch_point::<Sel4Stack>),
         ] {
             prop_assert_eq!(
                 fired.len(),
@@ -84,16 +93,16 @@ proptest! {
             for (i, (f, ev)) in fired.iter().zip(plan.events()).enumerate() {
                 prop_assert_eq!(f.index, i, "{}: plan order preserved", platform);
                 prop_assert_eq!(f.scheduled, ev.at);
-                let applied = f.applied_at.as_nanos();
-                let boundary = ev.at.as_nanos().div_ceil(chunk) * chunk;
-                prop_assert!(applied >= boundary, "{}: event {} fired early", platform, i);
+                let (applied, scheduled) = (f.applied_at.as_nanos(), ev.at.as_nanos());
+                prop_assert!(applied >= scheduled, "{}: event {} fired early", platform, i);
                 prop_assert!(
-                    applied - boundary < chunk,
-                    "{}: event {} fired {}ns past its boundary",
+                    applied - scheduled < 3_000_000,
+                    "{}: event {} fired {}ns late",
                     platform,
                     i,
-                    applied - boundary
+                    applied - scheduled
                 );
+                prop_assert_eq!(applied, oracle(&plan, i), "{}: event {}", platform, i);
             }
         }
     }

@@ -1,36 +1,37 @@
 //! `run_for` is split-invariant: one call over a run computes the same
-//! instance as the run split at chunk boundaries.
+//! instance as the run split at any points.
 //!
-//! Every lockstep chunk aims at the next multiple of `lockstep_chunk`
-//! since boot, so a split at a chunk boundary gives the kernel the same
-//! targets and the plant the same steps as one call, even when the
-//! kernel overshoots the split point. Each case below runs on all three
-//! platforms three ways — one call, split at seeded random chunk
-//! boundaries, and one call per chunk — and every observable must agree:
-//! the final clock, kernel counters, the rendered kernel trace, web
-//! responses, request samples, the plant's time series and safety
-//! report, the attacker's evidence and the fault injector's log. Each
-//! case makes the kernel end a chunk past its target: under tenant
-//! traffic MINIX and seL4 first do so at t = 289.3 s (by ~6 µs), the
-//! attacker cell on every platform after t = 1000 s, and the fault
-//! plan's 250 ms IPC delay on every platform at t = 151.1 s (by more
-//! than a chunk).
+//! The kernel's run loop stops at the first point between dispatches at
+//! or past each call's end and resumes from there, and the plant commits
+//! only at input changes, each at its own time: a call boundary is
+//! invisible to both. Each case below runs on all three platforms three
+//! ways: one call; split at twelve seeded nanosecond points, none on the
+//! old 100 ms grid; and one call per 1,000,000,007 ns. Between the pieces
+//! each split run takes a plant snapshot, which must not commit anything.
+//! Every observable must agree: the final clock, kernel counters, the
+//! rendered kernel trace, web responses, request samples, the plant's
+//! committed history, time series and safety report, the attacker's
+//! evidence and the fault injector's log. The kernel overshoots many of
+//! the split points (a dispatch in flight there ends past it), and the
+//! fault plan's 250 ms IPC delay at t = 151.1 s overshoots by more than a
+//! quarter of a second.
 
 use bas_attack::evidence::{new_evidence, EvidenceLog};
 use bas_attack::{web_factory, AttackId, AttackRunConfig, LinuxBinding, MinixBinding, Sel4Binding};
 use bas_core::engine::{PlatformKernel, ScenarioEngine};
 use bas_core::logic::traffic::TrafficProfile;
+use bas_core::logic::web::WebAction;
 use bas_core::platform::linux::{LinuxOverrides, LinuxStack};
 use bas_core::platform::minix::{MinixOverrides, MinixStack};
 use bas_core::platform::sel4::{Sel4Overrides, Sel4Stack};
 use bas_core::proto::names;
-use bas_core::scenario::{Scenario, ScenarioConfig};
+use bas_core::scenario::{plant_snapshot, Scenario, ScenarioConfig};
 use bas_faults::inject::Injector;
 use bas_faults::plan::{FaultEvent, FaultKind, FaultPlan};
 use bas_fleet::instance_seed;
 use bas_sim::device::DeviceId;
 use bas_sim::kernel::Kernel;
-use bas_sim::time::SimDuration;
+use bas_sim::time::{SimDuration, SimTime};
 
 /// Everything a run shows an observer, rendered for comparison.
 #[derive(Debug, PartialEq)]
@@ -40,6 +41,7 @@ struct Observed {
     kernel_trace: Vec<String>,
     responses: String,
     requests: String,
+    plant_history: String,
     plant_trace: String,
     safety: String,
     evidence: String,
@@ -61,12 +63,14 @@ fn observe<K: PlatformKernel>(
             let mut injector = Injector::install(&mut s, plan);
             for &d in calls {
                 injector.run_for(&mut s, d);
+                plant_snapshot(&s);
             }
             format!("{:?}", injector.log().fired())
         }
         None => {
             for &d in calls {
                 s.run_for(d);
+                plant_snapshot(&s);
             }
             String::new()
         }
@@ -87,6 +91,7 @@ fn observe<K: PlatformKernel>(
             .collect(),
         responses: format!("{:?}", s.web_responses()),
         requests: format!("{:?}", s.request_samples()),
+        plant_history: format!("{:?}", plant.segments()),
         plant_trace: format!("{:?}", plant.trace()),
         safety: format!("{:?}", plant.safety_report()),
         evidence,
@@ -94,31 +99,31 @@ fn observe<K: PlatformKernel>(
     }
 }
 
-/// `horizon` as one call, split at seeded random chunk boundaries, and
-/// split at every chunk boundary.
-fn splits(horizon: SimDuration, chunk: SimDuration, seed: u64) -> [Vec<SimDuration>; 3] {
-    let (chunk, chunks) = (chunk.as_nanos(), horizon.as_nanos() / chunk.as_nanos());
-    assert_eq!(
-        chunks * chunk,
-        horizon.as_nanos(),
-        "the horizon is whole chunks"
+/// `horizon` as one call, split at twelve seeded nanosecond points, and
+/// split every 1,000,000,007 ns.
+fn splits(horizon: SimDuration, seed: u64) -> [Vec<SimDuration>; 3] {
+    let pieces = |points: &mut Vec<u64>| {
+        points.push(horizon.as_nanos());
+        points.sort_unstable();
+        points.dedup();
+        let mut at = 0;
+        points
+            .iter()
+            .map(|&p| SimDuration::from_nanos(p - std::mem::replace(&mut at, p)))
+            .collect()
+    };
+    let mut random: Vec<u64> = (0..12)
+        .map(|k| instance_seed(seed, k) % horizon.as_nanos())
+        .collect();
+    assert!(
+        random.iter().all(|p| p % 100_000_000 != 0),
+        "off the old grid"
     );
-    let mut points: Vec<u64> = (0..12)
-        .map(|k| (instance_seed(seed, k) % (chunks - 1) + 1) * chunk)
+    let stride = 1_000_000_007;
+    let mut dense: Vec<u64> = (1..=horizon.as_nanos() / stride)
+        .map(|k| k * stride)
         .collect();
-    points.push(horizon.as_nanos());
-    points.sort_unstable();
-    points.dedup();
-    let random = points
-        .iter()
-        .scan(0, |at, &p| {
-            let d = SimDuration::from_nanos(p - *at);
-            *at = p;
-            Some(d)
-        })
-        .collect();
-    let per_chunk = vec![SimDuration::from_nanos(chunk); chunks as usize];
-    [vec![horizon], random, per_chunk]
+    [vec![horizon], pieces(&mut random), pieces(&mut dense)]
 }
 
 /// Asserts on `K` that every split of `horizon` observes the one-call run.
@@ -128,18 +133,15 @@ fn assert_split_invariant<K: PlatformKernel>(
     setup: &dyn Fn() -> (K::Overrides, EvidenceLog),
     plan: Option<&FaultPlan>,
     horizon: SimDuration,
-) {
-    let [one, random, per_chunk] = splits(horizon, config.lockstep_chunk, config.seed);
+) -> Observed {
+    let [one, random, dense] = splits(horizon, config.seed);
     let expected = observe::<K>(config, setup, plan, &one);
     assert!(
         expected.kernel_trace.len() > 100,
         "{case} on {}: the kernel ran",
         K::PLATFORM
     );
-    for (how, calls) in [
-        ("random chunk boundaries", random),
-        ("every chunk", per_chunk),
-    ] {
+    for (how, calls) in [("random points", random), ("every ~1 s", dense)] {
         let observed = observe::<K>(config, setup, plan, &calls);
         // Compare the trace first: its first differing line says where.
         for (i, (got, want)) in observed
@@ -162,6 +164,7 @@ fn assert_split_invariant<K: PlatformKernel>(
             K::PLATFORM
         );
     }
+    expected
 }
 
 fn benign<O: Default>() -> (O, EvidenceLog) {
@@ -285,4 +288,49 @@ fn fault_runs_split_invariantly() {
     assert_split_invariant::<MinixStack>("faults", &config, &benign, plan, horizon);
     assert_split_invariant::<Sel4Stack>("faults", &config, &benign, plan, horizon);
     assert_split_invariant::<LinuxStack>("faults", &config, &benign, plan, horizon);
+}
+
+#[test]
+fn default_schedule_runs_split_invariantly() {
+    // The default schedule writes a setpoint at 20 min and polls at 40.
+    let config = ScenarioConfig::default();
+    let horizon = SimDuration::from_mins(45);
+    assert_split_invariant::<MinixStack>("default", &config, &benign, None, horizon);
+    assert_split_invariant::<Sel4Stack>("default", &config, &benign, None, horizon);
+    assert_split_invariant::<LinuxStack>("default", &config, &benign, None, horizon);
+}
+
+#[test]
+fn reference_changes_with_a_dead_web_interface_run_split_invariantly() {
+    // With the web interface crashed at 1 s, nothing in the kernel wakes
+    // for the administrator's setpoint writes: the safety oracle's
+    // reference moves at their own times, between kernel events.
+    let at_ms = |ms| SimTime::ZERO + SimDuration::from_millis(ms);
+    let config = ScenarioConfig {
+        web_schedule: vec![
+            (at_ms(61_250), WebAction::SetSetpoint(24_000)),
+            (at_ms(61_270), WebAction::SetSetpoint(23_000)),
+            (at_ms(300_050), WebAction::QueryStatus),
+            (at_ms(420_999), WebAction::SetSetpoint(21_000)),
+        ],
+        ..ScenarioConfig::default()
+    };
+    let plan = FaultPlan::new(
+        "dead web",
+        vec![FaultEvent::new(
+            SimDuration::from_secs(1),
+            FaultKind::Crash {
+                process: names::WEB.to_string(),
+            },
+        )],
+    );
+    let horizon = SimDuration::from_mins(10);
+    let plan = Some(&plan);
+    let observed = assert_split_invariant::<Sel4Stack>("dead web", &config, &benign, plan, horizon);
+    assert_eq!(observed.responses, "[]", "the web interface is dead");
+    for setpoint in ["start: SimTime(61270000000)", "setpoint_c: 21.0"] {
+        assert!(observed.plant_history.contains(setpoint), "{setpoint}");
+    }
+    assert_split_invariant::<MinixStack>("dead web", &config, &benign, plan, horizon);
+    assert_split_invariant::<LinuxStack>("dead web", &config, &benign, plan, horizon);
 }

@@ -448,8 +448,8 @@ mod tests {
 
     #[test]
     fn chunked_advance_equals_one_shot_advance() {
-        // Splitting a run at chunk boundaries must not change what an
-        // instance computes: every chunk aims at the same absolute grid.
+        // Splitting a run into several calls must not change what an
+        // instance computes.
         let mut config = FleetConfig::benign(Platform::Minix, 2, 1);
         config.horizon = SimDuration::from_mins(10);
         let mut pool = InstancePool::new(None);

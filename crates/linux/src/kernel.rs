@@ -645,14 +645,14 @@ impl LinuxKernel {
             return self.ready_with(pid, Reply::Err(LinuxError::AccessDenied));
         }
         match write {
-            Some(value) => match self.exec.devices.write(dev, value) {
+            Some(value) => match self.exec.devices.write(dev, self.exec.clock.now(), value) {
                 Ok(()) => {
                     self.exec.record(Some(pid), Detail::DevWrite { dev, value });
                     self.ready_with(pid, Reply::Ok);
                 }
                 Err(_) => self.ready_with(pid, Reply::Err(LinuxError::NoEntry)),
             },
-            None => match self.exec.devices.read(dev) {
+            None => match self.exec.devices.read(dev, self.exec.clock.now()) {
                 Ok(v) => self.ready_with(pid, Reply::DevValue(v)),
                 Err(_) => self.ready_with(pid, Reply::Err(LinuxError::NoEntry)),
             },

@@ -372,10 +372,10 @@ fn device_nodes_respect_dac_with_root_bypass() {
     use std::rc::Rc;
     struct Reg(Rc<RefCell<i64>>);
     impl bas_sim::device::Device for Reg {
-        fn read(&mut self) -> i64 {
+        fn read(&mut self, _: bas_sim::time::SimTime) -> i64 {
             *self.0.borrow()
         }
-        fn write(&mut self, v: i64) {
+        fn write(&mut self, _: bas_sim::time::SimTime, v: i64) {
             *self.0.borrow_mut() = v;
         }
     }

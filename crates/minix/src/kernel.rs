@@ -493,7 +493,7 @@ impl MinixKernel {
                 };
                 return self.deny(pid, spent, MinixError::QuotaExceeded);
             }
-            match self.exec.devices.write(dev, value) {
+            match self.exec.devices.write(dev, self.exec.clock.now(), value) {
                 Ok(()) => {
                     self.exec.record(Some(pid), Detail::DevWrite { dev, value });
                     self.ready_with(pid, Reply::Ok);
@@ -501,7 +501,7 @@ impl MinixKernel {
                 Err(_) => self.ready_with(pid, Reply::Err(MinixError::InvalidArgument)),
             }
         } else {
-            match self.exec.devices.read(dev) {
+            match self.exec.devices.read(dev, self.exec.clock.now()) {
                 Ok(v) => self.ready_with(pid, Reply::DevValue(v)),
                 Err(_) => self.ready_with(pid, Reply::Err(MinixError::InvalidArgument)),
             }

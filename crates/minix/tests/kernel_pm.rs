@@ -404,10 +404,10 @@ fn device_access_gated_by_ownership() {
 
     struct Reg(Rc<RefCell<i64>>);
     impl bas_sim::device::Device for Reg {
-        fn read(&mut self) -> i64 {
+        fn read(&mut self, _: bas_sim::time::SimTime) -> i64 {
             *self.0.borrow()
         }
-        fn write(&mut self, v: i64) {
+        fn write(&mut self, _: bas_sim::time::SimTime, v: i64) {
             *self.0.borrow_mut() = v;
         }
     }
@@ -458,10 +458,10 @@ fn device_write_quota_refuses_the_owner_too() {
     });
     struct Sink;
     impl bas_sim::device::Device for Sink {
-        fn read(&mut self) -> i64 {
+        fn read(&mut self, _: bas_sim::time::SimTime) -> i64 {
             0
         }
-        fn write(&mut self, _: i64) {}
+        fn write(&mut self, _: bas_sim::time::SimTime, _: i64) {}
     }
     k.devices_mut().register(dev, Box::new(Sink));
     let writes = vec![

@@ -66,11 +66,6 @@ impl OnOffActuator {
         &self.transitions
     }
 
-    /// The time the actuator first switched on, if it ever did.
-    pub fn first_on(&self) -> Option<SimTime> {
-        self.transitions.iter().find(|(_, s)| *s).map(|(t, _)| *t)
-    }
-
     /// Total number of on/off switches (wear metric used by ablations).
     pub fn switch_count(&self) -> usize {
         self.transitions.len()
@@ -96,16 +91,6 @@ mod tests {
             ]
         );
         assert_eq!(a.switch_count(), 2);
-    }
-
-    #[test]
-    fn first_on_finds_earliest_activation() {
-        let mut a = OnOffActuator::new("alarm");
-        assert_eq!(a.first_on(), None);
-        a.set(SimTime::from_nanos(5), true);
-        a.set(SimTime::from_nanos(9), false);
-        a.set(SimTime::from_nanos(12), true);
-        assert_eq!(a.first_on(), Some(SimTime::from_nanos(5)));
     }
 
     #[test]

@@ -3,12 +3,15 @@
 //! The kernels never touch [`crate::world::PlantWorld`] directly; drivers
 //! issue device syscalls which the kernel routes to a
 //! [`bas_sim::DeviceBus`]. These adapters connect the three scenario
-//! devices (sensor, fan, alarm) to a shared plant instance.
+//! devices (sensor, fan, alarm) to a shared plant instance. Each access
+//! first brings the plant to the kernel's clock, so a read sees the room
+//! at the instant of the read and a write takes effect when it is issued.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use bas_sim::device::{Device, DeviceBus, DeviceId};
+use bas_sim::time::SimTime;
 
 use crate::world::PlantWorld;
 
@@ -17,17 +20,20 @@ use crate::world::PlantWorld;
 /// The simulation is single-threaded, so `Rc<RefCell<_>>` suffices.
 pub type SharedPlant = Rc<RefCell<PlantWorld>>;
 
-/// The temperature sensor device: reads return the current (noisy,
-/// quantized) reading in raw milli-degrees Celsius; writes are ignored.
+/// The temperature sensor device: reads return the (noisy, quantized)
+/// reading of the temperature at the read, in raw milli-degrees Celsius;
+/// writes are ignored.
 #[derive(Debug)]
 pub struct SensorDevice(pub SharedPlant);
 
 impl Device for SensorDevice {
-    fn read(&mut self) -> i64 {
-        i64::from(self.0.borrow_mut().sample_sensor().raw())
+    fn read(&mut self, now: SimTime) -> i64 {
+        let mut plant = self.0.borrow_mut();
+        plant.step_to(now);
+        i64::from(plant.sample_sensor().raw())
     }
 
-    fn write(&mut self, _value: i64) {
+    fn write(&mut self, _now: SimTime, _value: i64) {
         // A physical sensor has no control register in this scenario.
     }
 }
@@ -38,12 +44,14 @@ impl Device for SensorDevice {
 pub struct FanDevice(pub SharedPlant);
 
 impl Device for FanDevice {
-    fn read(&mut self) -> i64 {
+    fn read(&mut self, _now: SimTime) -> i64 {
         i64::from(self.0.borrow().fan().is_on())
     }
 
-    fn write(&mut self, value: i64) {
-        self.0.borrow_mut().set_fan(value != 0);
+    fn write(&mut self, now: SimTime, value: i64) {
+        let mut plant = self.0.borrow_mut();
+        plant.step_to(now);
+        plant.set_fan(value != 0);
     }
 }
 
@@ -53,12 +61,14 @@ impl Device for FanDevice {
 pub struct AlarmDevice(pub SharedPlant);
 
 impl Device for AlarmDevice {
-    fn read(&mut self) -> i64 {
+    fn read(&mut self, _now: SimTime) -> i64 {
         i64::from(self.0.borrow().alarm().is_on())
     }
 
-    fn write(&mut self, value: i64) {
-        self.0.borrow_mut().set_alarm(value != 0);
+    fn write(&mut self, now: SimTime, value: i64) {
+        let mut plant = self.0.borrow_mut();
+        plant.step_to(now);
+        plant.set_alarm(value != 0);
     }
 }
 
@@ -70,11 +80,12 @@ impl Device for AlarmDevice {
 /// use bas_plant::devices::install_devices;
 /// use bas_plant::world::{PlantConfig, PlantWorld};
 /// use bas_sim::device::{DeviceBus, DeviceId};
+/// use bas_sim::time::SimTime;
 ///
 /// let plant = Rc::new(RefCell::new(PlantWorld::new(PlantConfig::default(), 1)));
 /// let mut bus = DeviceBus::new();
 /// install_devices(&plant, &mut bus);
-/// bus.write(DeviceId::FAN, 1).unwrap();
+/// bus.write(DeviceId::FAN, SimTime::from_nanos(5), 1).unwrap();
 /// assert!(plant.borrow().fan().is_on());
 /// ```
 pub fn install_devices(plant: &SharedPlant, bus: &mut DeviceBus) {
@@ -88,6 +99,8 @@ mod tests {
     use super::*;
     use crate::world::PlantConfig;
 
+    const T: SimTime = SimTime::ZERO;
+
     fn setup() -> (SharedPlant, DeviceBus) {
         let plant = Rc::new(RefCell::new(PlantWorld::new(PlantConfig::default(), 5)));
         let mut bus = DeviceBus::new();
@@ -98,7 +111,7 @@ mod tests {
     #[test]
     fn sensor_device_reads_milli_celsius() {
         let (plant, mut bus) = setup();
-        let raw = bus.read(DeviceId::TEMP_SENSOR).unwrap();
+        let raw = bus.read(DeviceId::TEMP_SENSOR, T).unwrap();
         let true_c = plant.borrow().temperature_c();
         assert!(
             (raw as f64 / 1000.0 - true_c).abs() < 0.5,
@@ -109,26 +122,26 @@ mod tests {
     #[test]
     fn fan_device_drives_actuator() {
         let (plant, mut bus) = setup();
-        bus.write(DeviceId::FAN, 1).unwrap();
+        bus.write(DeviceId::FAN, T, 1).unwrap();
         assert!(plant.borrow().fan().is_on());
-        assert_eq!(bus.read(DeviceId::FAN).unwrap(), 1);
-        bus.write(DeviceId::FAN, 0).unwrap();
+        assert_eq!(bus.read(DeviceId::FAN, T).unwrap(), 1);
+        bus.write(DeviceId::FAN, T, 0).unwrap();
         assert!(!plant.borrow().fan().is_on());
     }
 
     #[test]
     fn alarm_device_drives_actuator() {
         let (plant, mut bus) = setup();
-        bus.write(DeviceId::ALARM, 7).unwrap(); // any nonzero = on
+        bus.write(DeviceId::ALARM, T, 7).unwrap(); // any nonzero = on
         assert!(plant.borrow().alarm().is_on());
-        assert_eq!(bus.read(DeviceId::ALARM).unwrap(), 1);
+        assert_eq!(bus.read(DeviceId::ALARM, T).unwrap(), 1);
     }
 
     #[test]
     fn sensor_writes_are_ignored() {
         let (plant, mut bus) = setup();
         let before = plant.borrow().temperature_c();
-        bus.write(DeviceId::TEMP_SENSOR, 99_999).unwrap();
+        bus.write(DeviceId::TEMP_SENSOR, T, 99_999).unwrap();
         assert_eq!(plant.borrow().temperature_c(), before);
     }
 

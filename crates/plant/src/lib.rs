@@ -7,7 +7,8 @@
 //!
 //! - [`thermal::RoomThermalModel`] — first-order room thermal dynamics with
 //!   an external heat source (the "manual heating") and a fan that increases
-//!   the loss coefficient toward ambient,
+//!   the loss coefficient toward ambient, solved in closed form
+//!   ([`thermal::Trajectory`]) between input changes,
 //! - [`sensor::TemperatureSensor`] — a BMP180-like sensor with Gaussian
 //!   noise and 0.1 °C quantization,
 //! - [`actuator::OnOffActuator`] — fan and alarm actuators that record their
@@ -15,9 +16,10 @@
 //! - [`safety::SafetyMonitor`] — the paper's physical safety property: if
 //!   the temperature leaves the allowed band around the setpoint for longer
 //!   than the deadline ("e.g. 5 minutes"), the alarm must be raised,
-//! - [`world::PlantWorld`] — the composition, stepped on the kernels'
-//!   virtual clock, plus [`devices`] adapters exposing the plant on a
-//!   [`bas_sim::DeviceBus`].
+//! - [`world::PlantWorld`] — the composition, piecewise exact: it commits
+//!   a new [`world::Segment`] only when an input changes, and evaluates
+//!   every read at the kernel clock's time of the read, plus [`devices`]
+//!   adapters exposing the plant on a [`bas_sim::DeviceBus`].
 //!
 //! ```
 //! use bas_plant::world::{PlantConfig, PlantWorld};
@@ -41,6 +43,6 @@ pub use actuator::OnOffActuator;
 pub use devices::{install_devices, SharedPlant};
 pub use safety::{SafetyMonitor, SafetyReport, SafetyViolation};
 pub use sensor::TemperatureSensor;
-pub use thermal::RoomThermalModel;
+pub use thermal::{RoomThermalModel, Trajectory};
 pub use units::MilliCelsius;
-pub use world::{PlantConfig, PlantSample, PlantWorld};
+pub use world::{PlantConfig, PlantSample, PlantWorld, Segment};

@@ -21,7 +21,6 @@ pub struct TemperatureSensor {
     noise_std_c: f64,
     quantization_c: f64,
     rng: SimRng,
-    samples_taken: u64,
 }
 
 impl TemperatureSensor {
@@ -42,7 +41,6 @@ impl TemperatureSensor {
             noise_std_c,
             quantization_c,
             rng: SimRng::seed_from(seed),
-            samples_taken: 0,
         }
     }
 
@@ -53,15 +51,9 @@ impl TemperatureSensor {
 
     /// Samples the sensor given the true enclosure temperature.
     pub fn sample(&mut self, true_temp_c: f64) -> MilliCelsius {
-        self.samples_taken += 1;
         let noisy = self.rng.normal(true_temp_c, self.noise_std_c);
         let quantized = (noisy / self.quantization_c).round() * self.quantization_c;
         MilliCelsius::from_celsius(quantized)
-    }
-
-    /// Number of samples produced so far.
-    pub fn samples_taken(&self) -> u64 {
-        self.samples_taken
     }
 }
 
@@ -82,7 +74,6 @@ mod tests {
         let n = 5_000;
         let mean: f64 = (0..n).map(|_| s.sample(22.0).as_celsius()).sum::<f64>() / n as f64;
         assert!((mean - 22.0).abs() < 0.01, "biased mean {mean}");
-        assert_eq!(s.samples_taken(), n);
     }
 
     #[test]

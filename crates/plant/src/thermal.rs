@@ -3,26 +3,35 @@
 //! The enclosure exchanges heat with ambient through a loss coefficient `k`
 //! (W/°C); an external heat source `q_ext` (W) models the paper's manually
 //! heated environment; the fan, when on, adds forced-convection losses
-//! `k_fan` (W/°C). Temperature evolves by explicit Euler integration:
+//! `k_fan` (W/°C):
 //!
 //! ```text
 //! dT/dt = ( q_ext − (k + fan·k_fan) · (T − T_ambient) ) / C
 //! ```
+//!
+//! The model is linear and first order, so while its inputs (fan, heat,
+//! ambient) stay constant it has an exact solution, a [`Trajectory`]:
+//!
+//! ```text
+//! T(t) = T_eq + (T0 − T_eq) · e^(−(k + fan·k_fan)·t / C)
+//! T_eq = T_ambient + q_ext / (k + fan·k_fan)
+//! ```
+//!
+//! The plant evaluates it in closed form: there is no integration step
+//! and no integration error.
 
-/// Parameters and state of the room model.
+/// Physical parameters of the room model.
 ///
 /// ```
 /// use bas_plant::thermal::RoomThermalModel;
 ///
-/// let mut room = RoomThermalModel::default();
-/// let t0 = room.temperature_c();
-/// room.step(60.0, false); // one minute, fan off: external heat wins
-/// assert!(room.temperature_c() > t0);
+/// let room = RoomThermalModel::default();
+/// let path = room.trajectory(22.0, false);
+/// assert!(path.at(60.0) > 22.0); // one minute, fan off: external heat wins
+/// assert!((path.at(1e6) - room.equilibrium_c(false)).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoomThermalModel {
-    /// Current enclosure temperature, °C.
-    temp_c: f64,
     /// Ambient (outside-enclosure) temperature, °C.
     pub ambient_c: f64,
     /// Thermal mass, J/°C.
@@ -40,7 +49,6 @@ impl Default for RoomThermalModel {
     /// (fan off) and 21 °C (fan on) with the default 300 W source.
     fn default() -> Self {
         RoomThermalModel {
-            temp_c: 22.0,
             ambient_c: 18.0,
             thermal_mass_j_per_c: 5_000.0,
             base_loss_w_per_c: 20.0,
@@ -51,24 +59,6 @@ impl Default for RoomThermalModel {
 }
 
 impl RoomThermalModel {
-    /// Creates a model at `initial_temp_c` with otherwise default physics.
-    pub fn with_initial_temp(initial_temp_c: f64) -> Self {
-        RoomThermalModel {
-            temp_c: initial_temp_c,
-            ..RoomThermalModel::default()
-        }
-    }
-
-    /// Current enclosure temperature, °C.
-    pub fn temperature_c(&self) -> f64 {
-        self.temp_c
-    }
-
-    /// Overrides the current temperature (used by tests and scenario setup).
-    pub fn set_temperature_c(&mut self, temp_c: f64) {
-        self.temp_c = temp_c;
-    }
-
     /// The temperature this model converges to for a fixed fan state.
     pub fn equilibrium_c(&self, fan_on: bool) -> f64 {
         let k = self.loss_coefficient(fan_on);
@@ -80,26 +70,68 @@ impl RoomThermalModel {
         self.base_loss_w_per_c + if fan_on { self.fan_loss_w_per_c } else { 0.0 }
     }
 
-    /// Advances the model by `dt_s` seconds with the given fan state.
-    ///
-    /// Large steps are internally subdivided so explicit Euler stays stable
-    /// and accurate (sub-step ≤ 1/50 of the current time constant).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt_s` is negative or non-finite.
-    pub fn step(&mut self, dt_s: f64, fan_on: bool) {
-        assert!(dt_s.is_finite() && dt_s >= 0.0, "invalid dt: {dt_s}");
-        let k = self.loss_coefficient(fan_on);
-        let tau = self.thermal_mass_j_per_c / k;
-        let max_sub = tau / 50.0;
-        let mut remaining = dt_s;
-        while remaining > 0.0 {
-            let h = remaining.min(max_sub);
-            let d_t = (self.external_heat_w - k * (self.temp_c - self.ambient_c))
-                / self.thermal_mass_j_per_c;
-            self.temp_c += d_t * h;
-            remaining -= h;
+    /// The exact trajectory from `start_c` with the current inputs held.
+    pub fn trajectory(&self, start_c: f64, fan_on: bool) -> Trajectory {
+        Trajectory {
+            start_c,
+            equilibrium_c: self.equilibrium_c(fan_on),
+            rate_per_s: self.loss_coefficient(fan_on) / self.thermal_mass_j_per_c,
+        }
+    }
+}
+
+/// The room's exact temperature while its inputs are held constant:
+/// `T(t) = eq + (start − eq) · e^(−rate·t)`, monotone from `start_c`
+/// toward `equilibrium_c`.
+///
+/// ```
+/// use bas_plant::thermal::Trajectory;
+///
+/// let path = Trajectory { start_c: 30.0, equilibrium_c: 20.0, rate_per_s: 0.02 };
+/// assert_eq!(path.at(0.0), 30.0);
+/// let t = path.time_to(23.0); // ~60.2 s
+/// assert!((path.at(t) - 23.0).abs() < 1e-12);
+/// assert_eq!(path.time_to(19.0), f64::INFINITY); // beyond the equilibrium
+/// assert_eq!(path.time_to(31.0), 0.0); // already past it
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Trajectory {
+    /// Temperature at the start, °C.
+    pub start_c: f64,
+    /// The equilibrium approached, °C.
+    pub equilibrium_c: f64,
+    /// Decay rate `(k + fan·k_fan) / C`, 1/s.
+    pub rate_per_s: f64,
+}
+
+impl Trajectory {
+    /// Temperature `secs` seconds after the start, °C; exactly `start_c`
+    /// at 0.
+    pub fn at(&self, secs: f64) -> f64 {
+        self.start_c - (self.equilibrium_c - self.start_c) * (-self.rate_per_s * secs).exp_m1()
+    }
+
+    /// Whether the temperature rises (or stays put).
+    pub fn rising(&self) -> bool {
+        self.equilibrium_c >= self.start_c
+    }
+
+    /// Seconds until the temperature first reaches `level`: 0 when it
+    /// starts at or past `level` in its direction of travel, infinity when
+    /// `level` lies at or beyond the equilibrium.
+    pub fn time_to(&self, level: f64) -> f64 {
+        let (gap, ahead) = (self.equilibrium_c - self.start_c, level - self.start_c);
+        let (gap, ahead) = if gap < 0.0 {
+            (-gap, -ahead)
+        } else {
+            (gap, ahead)
+        };
+        if ahead <= 0.0 {
+            0.0
+        } else if ahead >= gap {
+            f64::INFINITY
+        } else {
+            -(-ahead / gap).ln_1p() / self.rate_per_s
         }
     }
 }
@@ -109,63 +141,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn converges_to_fan_off_equilibrium() {
-        let mut room = RoomThermalModel::default();
-        let eq = room.equilibrium_c(false);
-        room.step(3_600.0, false);
-        assert!(
-            (room.temperature_c() - eq).abs() < 0.01,
-            "{} vs {eq}",
-            room.temperature_c()
-        );
-    }
-
-    #[test]
-    fn converges_to_fan_on_equilibrium() {
-        let mut room = RoomThermalModel::default();
-        let eq = room.equilibrium_c(true);
-        room.step(3_600.0, true);
-        assert!((room.temperature_c() - eq).abs() < 0.01);
-    }
-
-    #[test]
-    fn fan_cools_relative_to_fan_off() {
-        let mut hot = RoomThermalModel::with_initial_temp(30.0);
-        let mut cool = hot.clone();
-        hot.step(120.0, false);
-        cool.step(120.0, true);
-        assert!(cool.temperature_c() < hot.temperature_c());
-    }
-
-    #[test]
-    fn subdivided_steps_match_many_small_steps() {
-        let mut coarse = RoomThermalModel::default();
-        let mut fine = RoomThermalModel::default();
-        coarse.step(100.0, true);
-        for _ in 0..1_000 {
-            fine.step(0.1, true);
-        }
-        assert!((coarse.temperature_c() - fine.temperature_c()).abs() < 0.05);
-    }
-
-    #[test]
-    fn equilibrium_formula() {
+    fn converges_to_either_equilibrium_and_the_fan_cools() {
         let room = RoomThermalModel::default();
+        for fan_on in [false, true] {
+            let eq = room.equilibrium_c(fan_on);
+            let t = room.trajectory(22.0, fan_on).at(3_600.0);
+            assert!((t - eq).abs() < 0.01, "{t} vs {eq}");
+        }
         assert!((room.equilibrium_c(false) - 33.0).abs() < 1e-9);
         assert!((room.equilibrium_c(true) - 21.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid dt")]
-    fn negative_dt_rejected() {
-        RoomThermalModel::default().step(-1.0, false);
-    }
-
-    #[test]
-    fn zero_dt_is_identity() {
-        let mut room = RoomThermalModel::default();
-        let t = room.temperature_c();
-        room.step(0.0, true);
-        assert_eq!(room.temperature_c(), t);
+        assert!(room.trajectory(30.0, true).at(120.0) < room.trajectory(30.0, false).at(120.0));
     }
 }

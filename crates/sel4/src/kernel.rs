@@ -1068,7 +1068,7 @@ impl Sel4Kernel {
                 if !cap.rights.write {
                     return self.deny(caller, Sel4Error::InsufficientRights, "device write");
                 }
-                match self.exec.devices.write(dev, value) {
+                match self.exec.devices.write(dev, self.exec.clock.now(), value) {
                     Ok(()) => {
                         self.exec
                             .record(Some(caller), Detail::DevWrite { dev, value });
@@ -1081,7 +1081,7 @@ impl Sel4Kernel {
                 if !cap.rights.read {
                     return self.deny(caller, Sel4Error::InsufficientRights, "device read");
                 }
-                match self.exec.devices.read(dev) {
+                match self.exec.devices.read(dev, self.exec.clock.now()) {
                     Ok(v) => self.ready_with(caller, Reply::DevValue(v)),
                     Err(_) => self.ready_with(caller, Reply::Err(Sel4Error::WrongObjectType)),
                 }

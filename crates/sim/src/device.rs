@@ -11,6 +11,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::time::SimTime;
+
 /// Identifies one device on the bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DeviceId(u32);
@@ -46,14 +48,15 @@ impl fmt::Display for DeviceId {
 }
 
 /// A memory-mapped-register-style device: reads return a signed word,
-/// writes accept one.
+/// writes accept one. Both carry the kernel's clock at the access, so a
+/// device backed by a physical model sees it at the instant of the access.
 pub trait Device {
-    /// Reads the device's current value (e.g. temperature in milli-degrees
-    /// Celsius for the sensor).
-    fn read(&mut self) -> i64;
+    /// Reads the device's value at `now` (e.g. temperature in
+    /// milli-degrees Celsius for the sensor).
+    fn read(&mut self, now: SimTime) -> i64;
 
-    /// Writes a control value (e.g. nonzero = actuator on).
-    fn write(&mut self, value: i64);
+    /// Writes a control value at `now` (e.g. nonzero = actuator on).
+    fn write(&mut self, now: SimTime, value: i64);
 }
 
 /// Error returned for device operations on unknown ids.
@@ -128,27 +131,32 @@ impl DeviceBus {
         self.interposed
     }
 
-    /// Reads from the device.
+    /// Reads from the device at `now`.
     ///
     /// # Errors
     ///
     /// Returns [`NoSuchDeviceError`] if no device is registered under `id`.
-    pub fn read(&mut self, id: DeviceId) -> Result<i64, NoSuchDeviceError> {
+    pub fn read(&mut self, id: DeviceId, now: SimTime) -> Result<i64, NoSuchDeviceError> {
         self.devices
             .get_mut(&id)
-            .map(|d| d.read())
+            .map(|d| d.read(now))
             .ok_or(NoSuchDeviceError(id))
     }
 
-    /// Writes to the device.
+    /// Writes to the device at `now`.
     ///
     /// # Errors
     ///
     /// Returns [`NoSuchDeviceError`] if no device is registered under `id`.
-    pub fn write(&mut self, id: DeviceId, value: i64) -> Result<(), NoSuchDeviceError> {
+    pub fn write(
+        &mut self,
+        id: DeviceId,
+        now: SimTime,
+        value: i64,
+    ) -> Result<(), NoSuchDeviceError> {
         match self.devices.get_mut(&id) {
             Some(d) => {
-                d.write(value);
+                d.write(now, value);
                 Ok(())
             }
             None => Err(NoSuchDeviceError(id)),
@@ -175,22 +183,24 @@ mod tests {
     struct Register(Rc<RefCell<i64>>);
 
     impl Device for Register {
-        fn read(&mut self) -> i64 {
+        fn read(&mut self, _: SimTime) -> i64 {
             *self.0.borrow()
         }
-        fn write(&mut self, value: i64) {
+        fn write(&mut self, _: SimTime, value: i64) {
             *self.0.borrow_mut() = value;
         }
     }
+
+    const T: SimTime = SimTime::ZERO;
 
     #[test]
     fn read_write_roundtrip() {
         let cell = Rc::new(RefCell::new(0));
         let mut bus = DeviceBus::new();
         bus.register(DeviceId::FAN, Box::new(Register(cell.clone())));
-        bus.write(DeviceId::FAN, 1).unwrap();
+        bus.write(DeviceId::FAN, T, 1).unwrap();
         assert_eq!(*cell.borrow(), 1);
-        assert_eq!(bus.read(DeviceId::FAN).unwrap(), 1);
+        assert_eq!(bus.read(DeviceId::FAN, T).unwrap(), 1);
     }
 
     #[test]
@@ -206,11 +216,11 @@ mod tests {
     fn interpose_wraps_the_registered_device() {
         struct PlusOne(Box<dyn Device>);
         impl Device for PlusOne {
-            fn read(&mut self) -> i64 {
-                self.0.read() + 1
+            fn read(&mut self, now: SimTime) -> i64 {
+                self.0.read(now) + 1
             }
-            fn write(&mut self, value: i64) {
-                self.0.write(value);
+            fn write(&mut self, now: SimTime, value: i64) {
+                self.0.write(now, value);
             }
         }
 
@@ -219,8 +229,8 @@ mod tests {
         bus.register(DeviceId::TEMP_SENSOR, Box::new(Register(cell.clone())));
         bus.interpose(DeviceId::TEMP_SENSOR, |inner| Box::new(PlusOne(inner)))
             .unwrap();
-        assert_eq!(bus.read(DeviceId::TEMP_SENSOR).unwrap(), 42);
-        bus.write(DeviceId::TEMP_SENSOR, 10).unwrap();
+        assert_eq!(bus.read(DeviceId::TEMP_SENSOR, T).unwrap(), 42);
+        bus.write(DeviceId::TEMP_SENSOR, T, 10).unwrap();
         assert_eq!(*cell.borrow(), 10);
         // Interposing an unknown id reports the error instead of creating
         // a device from nothing.
@@ -241,9 +251,9 @@ mod tests {
     #[test]
     fn unknown_device_errors() {
         let mut bus = DeviceBus::new();
-        let err = bus.read(DeviceId::new(99)).unwrap_err();
+        let err = bus.read(DeviceId::new(99), T).unwrap_err();
         assert_eq!(err, NoSuchDeviceError(DeviceId::new(99)));
-        assert!(bus.write(DeviceId::ALARM, 1).is_err());
+        assert!(bus.write(DeviceId::ALARM, T, 1).is_err());
         assert!(!bus.contains(DeviceId::ALARM));
     }
 

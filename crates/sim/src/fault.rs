@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::device::Device;
-use crate::time::SimDuration;
+use crate::time::{SimDuration, SimTime};
 
 /// What a faulty sensor reports instead of the truth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -69,33 +69,23 @@ impl FaultyDevice {
 }
 
 impl Device for FaultyDevice {
-    fn read(&mut self) -> i64 {
-        match self.mode.get() {
-            SensorFaultMode::Nominal => {
-                let v = self.inner.read();
-                self.last_good = Some(v);
-                v
-            }
-            SensorFaultMode::StuckAt(v) => v,
-            SensorFaultMode::Glitch { offset } => {
-                let v = self.inner.read();
-                self.last_good = Some(v);
-                v.saturating_add(offset)
-            }
-            SensorFaultMode::Dropout => match self.last_good {
-                Some(v) => v,
-                // Dropout before any good reading: latch the first one.
-                None => {
-                    let v = self.inner.read();
-                    self.last_good = Some(v);
-                    v
-                }
-            },
+    fn read(&mut self, now: SimTime) -> i64 {
+        let mode = self.mode.get();
+        match (mode, self.last_good) {
+            (SensorFaultMode::StuckAt(v), _) | (SensorFaultMode::Dropout, Some(v)) => return v,
+            // Dropout before any good reading latches the first one.
+            _ => {}
+        }
+        let v = self.inner.read(now);
+        self.last_good = Some(v);
+        match mode {
+            SensorFaultMode::Glitch { offset } => v.saturating_add(offset),
+            _ => v,
         }
     }
 
-    fn write(&mut self, value: i64) {
-        self.inner.write(value);
+    fn write(&mut self, now: SimTime, value: i64) {
+        self.inner.write(now, value);
     }
 }
 
@@ -161,40 +151,42 @@ mod tests {
 
     struct Counter(i64);
     impl Device for Counter {
-        fn read(&mut self) -> i64 {
+        fn read(&mut self, _: SimTime) -> i64 {
             self.0 += 1;
             self.0
         }
-        fn write(&mut self, value: i64) {
+        fn write(&mut self, _: SimTime, value: i64) {
             self.0 = value;
         }
     }
+
+    const T: SimTime = SimTime::ZERO;
 
     #[test]
     fn nominal_is_transparent() {
         let mode = sensor_fault_handle();
         let mut d = FaultyDevice::new(Box::new(Counter(0)), mode);
-        assert_eq!(d.read(), 1);
-        assert_eq!(d.read(), 2);
-        d.write(10);
-        assert_eq!(d.read(), 11);
+        assert_eq!(d.read(T), 1);
+        assert_eq!(d.read(T), 2);
+        d.write(T, 10);
+        assert_eq!(d.read(T), 11);
     }
 
     #[test]
     fn stuck_glitch_dropout_corrupt_reads() {
         let mode = sensor_fault_handle();
         let mut d = FaultyDevice::new(Box::new(Counter(0)), mode.clone());
-        assert_eq!(d.read(), 1); // last good = 1
+        assert_eq!(d.read(T), 1); // last good = 1
         mode.set(SensorFaultMode::StuckAt(99));
-        assert_eq!(d.read(), 99);
-        assert_eq!(d.read(), 99);
+        assert_eq!(d.read(T), 99);
+        assert_eq!(d.read(T), 99);
         mode.set(SensorFaultMode::Glitch { offset: 100 });
-        assert_eq!(d.read(), 102); // true value 2 + 100
+        assert_eq!(d.read(T), 102); // true value 2 + 100
         mode.set(SensorFaultMode::Dropout);
-        assert_eq!(d.read(), 2); // frozen at the last good reading
-        assert_eq!(d.read(), 2);
+        assert_eq!(d.read(T), 2); // frozen at the last good reading
+        assert_eq!(d.read(T), 2);
         mode.set(SensorFaultMode::Nominal);
-        assert_eq!(d.read(), 3);
+        assert_eq!(d.read(T), 3);
     }
 
     #[test]
@@ -202,8 +194,8 @@ mod tests {
         let mode = sensor_fault_handle();
         mode.set(SensorFaultMode::Dropout);
         let mut d = FaultyDevice::new(Box::new(Counter(0)), mode);
-        assert_eq!(d.read(), 1);
-        assert_eq!(d.read(), 1);
+        assert_eq!(d.read(T), 1);
+        assert_eq!(d.read(T), 1);
     }
 
     #[test]

@@ -234,13 +234,12 @@ pub trait Kernel {
     /// inside the check→use window by construction.
     fn arm_cap_churn(&mut self, op: &Self::Churn, after_checks: u32);
 
-    /// Runs until virtual time reaches `t`. When nothing is runnable and
-    /// no timer is due before `t`, the clock jumps to exactly `t`. While
-    /// [`Self::idle_before`]`(t)` holds, that jump and the wake-up of the
-    /// sleepers due at exactly `t` are all a call does, so a caller
-    /// stepping other state at a fixed cadence (the scenario engine's
-    /// lockstep plant) may walk several such targets first and then make
-    /// one call to the last.
+    /// Runs until virtual time reaches `t`: dispatches whatever is
+    /// runnable and wakes sleepers at their deadlines, and returns at the
+    /// first point between dispatches at which the clock reads `t` or
+    /// later. When nothing is runnable and no timer is due before `t`, the
+    /// clock jumps to exactly `t`. A run split into several calls at any
+    /// targets computes the same as one call to the last of them.
     fn run_until(&mut self, t: SimTime) {
         loop {
             fire_due_timers(self);
@@ -260,16 +259,6 @@ pub trait Kernel {
                 }
             }
         }
-    }
-
-    /// Whether the kernel has nothing to run before `t`: no process is
-    /// runnable and no timer falls due before `t`. Then
-    /// [`Self::run_until`]`(t)` only moves the clock to `t` and wakes the
-    /// sleepers due at exactly `t`, none of which runs before a later
-    /// call.
-    fn idle_before(&self, t: SimTime) -> bool {
-        let exec = self.exec();
-        exec.run_queue.is_empty() && exec.timers.next_deadline().is_none_or(|d| d >= t)
     }
 
     /// Runs until nothing is runnable and no timer is armed, jumping the
@@ -627,32 +616,6 @@ mod tests {
         k.run_until(t);
         assert_eq!(k.now(), t);
         assert_eq!(*log.borrow(), ["s"]);
-    }
-
-    #[test]
-    fn idle_before_sees_runnable_processes_and_due_timers() {
-        let log = Log::default();
-        let mut k = Stub::new();
-        let ns = SimTime::from_nanos;
-        assert!(k.idle_before(ns(5_000_000)), "nothing to do");
-        k.spawn(
-            "s",
-            steps("s", &log, vec![Action::Syscall(1), Action::Exit(0)]),
-        );
-        assert!(!k.idle_before(ns(5_000_000)), "a runnable process");
-
-        // `s` runs once and sleeps until 1 ms.
-        k.run_until(ns(1));
-        assert!(k.idle_before(ns(1_000_000)), "due at the bound, not before");
-        assert!(
-            !k.idle_before(ns(1_000_001)),
-            "a timer due before the bound"
-        );
-
-        // At the bound, `run_until` wakes `s` but does not run it.
-        k.run_until(ns(1_000_000));
-        assert_eq!(*log.borrow(), ["s"]);
-        assert!(!k.idle_before(ns(1_000_000)), "`s` is runnable");
     }
 
     #[test]
