@@ -5,16 +5,16 @@
 //! or past each call's end and resumes from there, and the plant commits
 //! only at input changes, each at its own time: a call boundary is
 //! invisible to both. Each case below runs on all three platforms three
-//! ways: one call; split at twelve seeded nanosecond points, none on the
-//! old 100 ms grid; and one call per 1,000,000,007 ns. Between the pieces
-//! each split run takes a plant snapshot, which must not commit anything.
+//! ways: one call; split at twelve seeded nanosecond points, none on a
+//! multiple of 100 ms; and one call per 1,000,000,007 ns. Between the
+//! pieces each split run takes a plant snapshot, which must not commit
+//! anything.
 //! Every observable must agree: the final clock, kernel counters, the
 //! rendered kernel trace, web responses, request samples, the plant's
 //! committed history, time series and safety report, the attacker's
-//! evidence and the fault injector's log. The kernel overshoots many of
-//! the split points (a dispatch in flight there ends past it), and the
-//! fault plan's 250 ms IPC delay at t = 151.1 s overshoots by more than a
-//! quarter of a second.
+//! evidence and the fault injector's log. The kernel overshoots a split
+//! point whenever a dispatch in flight there ends past it; the fault
+//! plan's 250 ms IPC delays make such dispatches long.
 
 use bas_attack::evidence::{new_evidence, EvidenceLog};
 use bas_attack::{web_factory, AttackId, AttackRunConfig, LinuxBinding, MinixBinding, Sel4Binding};
@@ -117,7 +117,7 @@ fn splits(horizon: SimDuration, seed: u64) -> [Vec<SimDuration>; 3] {
         .collect();
     assert!(
         random.iter().all(|p| p % 100_000_000 != 0),
-        "off the old grid"
+        "off every multiple of 100 ms"
     );
     let stride = 1_000_000_007;
     let mut dense: Vec<u64> = (1..=horizon.as_nanos() / stride)

@@ -1,7 +1,7 @@
 //! The plant sees device accesses at the kernel's clock: a read returns
 //! the room at the instant of the read, and a write changes the slope
-//! from the instant it is issued, not from an earlier grid point. Only
-//! input changes commit, each at its own time.
+//! from the instant it is issued. Only input changes commit, each at its
+//! own time.
 
 use std::cell::RefCell;
 use std::rc::Rc;
