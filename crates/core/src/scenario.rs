@@ -289,9 +289,9 @@ pub trait Scenario {
 pub struct PlantSnapshot {
     /// The alarm-deadline safety property was violated.
     pub safety_violated: bool,
-    /// Largest observed |temperature − setpoint|, °C.
+    /// Largest |temperature − setpoint| reached, °C.
     pub max_deviation_c: f64,
-    /// Fraction of observations inside the band.
+    /// Fraction of the run's time spent inside the band.
     pub in_band_fraction: f64,
     /// Temperature at snapshot time, °C.
     pub final_temp_c: f64,

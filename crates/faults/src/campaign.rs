@@ -100,10 +100,9 @@ fn run_cell<K: PlatformKernel>(
 ) -> Scorecard {
     let mut config = ScenarioConfig::quiet();
     config.seed = seed;
-    let band_c = config.plant.band_c;
     let mut engine = ScenarioEngine::<K>::boot(&config, overrides);
     let log = inject::run(&mut engine, plan, horizon);
-    grade(plan.name(), seed, &engine, &log, band_c)
+    grade(plan.name(), seed, &engine, &log)
 }
 
 /// Runs every plan on every configured platform and assembles the

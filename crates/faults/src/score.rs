@@ -1,8 +1,9 @@
 //! The degradation scorecard: how badly did the plan hurt, and did the
 //! platform come back?
 //!
-//! Scores are computed from the plant's sampled trace and the kernel's
-//! end-of-run counters, so they are as deterministic as the run itself.
+//! Scores are computed from the safety oracle's exact report and the
+//! kernel's end-of-run counters, so they are as deterministic as the run
+//! itself.
 
 use bas_core::engine::{PlatformKernel, ScenarioEngine};
 use bas_core::scenario::{critical_alive, Scenario};
@@ -28,10 +29,11 @@ pub struct Scorecard {
     /// Total virtual seconds the temperature sat outside the comfort
     /// band.
     pub out_of_band_seconds: f64,
-    /// Seconds from the first injected fault to the last out-of-band
-    /// sample — i.e. how long the disturbance took to die out. None if
-    /// the run *ended* out of band (never recovered); Some(0.0) if the
-    /// plan never pushed the plant out of band after the first fault.
+    /// Seconds from the first injected fault until the temperature last
+    /// re-entered the band — i.e. how long the disturbance took to die
+    /// out. None if the run *ended* out of band (never recovered);
+    /// Some(0.0) if the plant was never out of band after the first
+    /// fault.
     pub recovery_seconds: Option<f64>,
     /// Processes created after the first fault (supervised re-forks).
     pub processes_restarted: u64,
@@ -74,21 +76,17 @@ impl Scorecard {
     }
 }
 
-/// Grades a finished run: plant-trace degradation plus kernel counters.
-///
-/// `band_c` is the comfort half-band the run's plant was configured
-/// with (`PlantConfig::band_c`).
+/// Grades a finished run: the oracle's degradation figures plus kernel
+/// counters.
 pub fn grade<K: PlatformKernel>(
     plan_name: &str,
     seed: u64,
     engine: &ScenarioEngine<K>,
     log: &InjectionLog,
-    band_c: f64,
 ) -> Scorecard {
     let plant = engine.plant();
     let plant = plant.borrow();
     let report = plant.safety_report();
-    let trace = plant.trace();
 
     let alarm_latency_worst_s = report
         .alarm_latencies
@@ -98,25 +96,15 @@ pub fn grade<K: PlatformKernel>(
             Some(worst.map_or(s, |w| w.max(s)))
         });
 
-    // The oracle weighs its band by time, exactly.
+    // The oracle weighs its band by time and solves for the instants the
+    // temperature crosses it, exactly.
     let out_of_band_seconds = (1.0 - report.in_band_fraction) * plant.now().as_secs_f64();
-
-    let first_fault = log.first_fault_at();
-    let recovery_seconds = match (first_fault, trace.last()) {
-        (Some(t0), Some(last)) => {
-            if (last.temp_c - last.setpoint_c).abs() > band_c {
-                None // still out of band at end of run: no recovery
-            } else {
-                let last_bad = trace.iter().rfind(|s| {
-                    s.time.as_nanos() >= t0.as_nanos() && (s.temp_c - s.setpoint_c).abs() > band_c
-                });
-                Some(match last_bad {
-                    Some(s) => s.time.as_secs_f64() - t0.as_secs_f64(),
-                    None => 0.0,
-                })
-            }
-        }
-        _ => Some(0.0), // no faults fired (baseline) or empty trace
+    let recovery_seconds = match (log.first_fault_at(), report.last_out_of_band) {
+        // Still out of band at the end of the run: no recovery.
+        (Some(_), Some(end)) if end == plant.now() => None,
+        (Some(t0), Some(end)) => Some(end.saturating_since(t0).as_secs_f64()),
+        // No faults fired (baseline), or never out of band.
+        _ => Some(0.0),
     };
 
     let metrics = engine.metrics();

@@ -42,6 +42,10 @@ pub struct SafetyReport {
     /// For each excursion during which the alarm fired: time from excursion
     /// start to alarm-on.
     pub alarm_latencies: Vec<SimDuration>,
+    /// When the latest out-of-band stretch ended: the instant the
+    /// temperature last re-entered the band, or the end of the report if
+    /// it is out of band there. None if it never left the band.
+    pub last_out_of_band: Option<SimTime>,
 }
 
 impl SafetyReport {
@@ -90,6 +94,7 @@ pub struct SafetyMonitor {
     alarm_latencies: Vec<SimDuration>,
     max_deviation_c: f64,
     in_band: SimDuration,
+    last_out_of_band: Option<SimTime>,
 }
 
 /// The excursion under way: when it began, and whether the alarm was
@@ -130,6 +135,7 @@ impl SafetyMonitor {
             alarm_latencies: Vec::new(),
             max_deviation_c: 0.0,
             in_band: SimDuration::ZERO,
+            last_out_of_band: None,
         }
     }
 
@@ -226,6 +232,7 @@ impl SafetyMonitor {
         if from >= until {
             return;
         }
+        self.last_out_of_band = Some(until);
         let excursion = self.excursion.get_or_insert(Excursion::from(from));
         if alarm_on && !excursion.alarm_seen {
             excursion.alarm_seen = true;
@@ -256,6 +263,7 @@ impl SafetyMonitor {
                 self.in_band.as_secs_f64() / self.at.as_secs_f64()
             },
             alarm_latencies: self.alarm_latencies.clone(),
+            last_out_of_band: self.last_out_of_band,
         }
     }
 }
@@ -288,6 +296,7 @@ mod tests {
         let r = follow(&[(300, 22.5, false), (600, 21.0, false)]);
         assert!(r.is_safe());
         assert_eq!((r.in_band_fraction, r.max_deviation_c), (1.0, 1.0));
+        assert_eq!(r.last_out_of_band, None);
     }
 
     #[test]
@@ -326,6 +335,9 @@ mod tests {
         let r = follow(&[(200, 26.0, false), (260, 22.0, false), (460, 26.0, false)]);
         assert!(r.is_safe());
         assert!((r.in_band_fraction - 60.0 / 460.0).abs() < 1e-12);
+        assert_eq!(r.last_out_of_band, Some(t(460)));
+        let r = follow(&[(200, 26.0, false), (260, 22.0, false)]);
+        assert_eq!(r.last_out_of_band, Some(t(200)));
     }
 
     #[test]
