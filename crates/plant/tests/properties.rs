@@ -39,16 +39,16 @@ fn drive(toggles: &[u64], heat: Option<(u64, f64)>, alarm_at: Option<u64>) -> Pl
     world
 }
 
-/// The time in `[lo, hi]` at which `f` changes sign, to the nanosecond,
-/// for `f(lo) <= 0 < f(hi)`.
-fn bisect(f: impl Fn(SimTime) -> f64, mut lo: SimTime, mut hi: SimTime) -> SimTime {
-    assert!(f(lo) <= 0.0 && f(hi) > 0.0, "no sign change in the bracket");
+/// The first nanosecond in `(lo, hi]` at which the monotone predicate
+/// `p` holds, for `!p(lo)` and `p(hi)`.
+fn bisect(p: impl Fn(SimTime) -> bool, mut lo: SimTime, mut hi: SimTime) -> SimTime {
+    assert!(!p(lo) && p(hi), "no change in the bracket");
     while hi.as_nanos() - lo.as_nanos() > 1 {
         let mid = SimTime::from_nanos(lo.as_nanos() + (hi.as_nanos() - lo.as_nanos()) / 2);
-        if f(mid) <= 0.0 {
-            lo = mid;
-        } else {
+        if p(mid) {
             hi = mid;
+        } else {
+            lo = mid;
         }
     }
     hi
@@ -239,10 +239,96 @@ proptest! {
             let outside = |t: SimTime| (temp_at(t) - setpoint).abs() - band;
             let window = SimDuration::from_millis(1);
             let lo = SimTime::from_nanos(start.as_nanos().saturating_sub(window.as_nanos()));
-            let crossing = bisect(outside, lo, start + window);
+            let crossing = bisect(|t| outside(t) > 0.0, lo, start + window);
             let gap = crossing.as_nanos().abs_diff(start.as_nanos());
             prop_assert!(gap <= 1_000, "reported {start}, bisection {crossing}");
         }
+    }
+
+    /// The oracle's verdict agrees with an independent reference on random
+    /// fan histories and alarm times. The reference finds where each
+    /// committed segment crosses a band edge by bisection (a segment is
+    /// monotone, so it crosses an edge only if its ends lie on either
+    /// side), cuts the run into stretches in and out of band, and applies
+    /// the property as stated: an excursion `[s, e)` with the alarm off
+    /// until `a` is a violation, detected at `s + deadline`, iff
+    /// `min(e, a) > s + deadline`. The violations, the alarm latencies and
+    /// the end of the last excursion agree to within 1 µs, and the time in
+    /// band to 1e-9 of the run.
+    #[test]
+    fn safety_monitor_matches_reference(
+        toggles in prop::collection::vec(1u64..3_600_000, 0..40),
+        alarm in any::<bool>(),
+        alarm_ms in 1u64..1_800_000,
+    ) {
+        let alarm_at = alarm.then_some(alarm_ms).map(ms);
+        let world = drive(&toggles, None, alarm.then_some(alarm_ms));
+        let report = world.safety_report();
+        let config = world.config();
+        let (setpoint, band, deadline) = (config.setpoint_c, config.band_c, config.alarm_deadline);
+        let (end, segments) = (world.now(), world.segments());
+        let temp_at = |t: SimTime| {
+            let i = segments.partition_point(|s| s.start <= t);
+            segments[i - 1].temp_at(t)
+        };
+        let ends = segments.iter().skip(1).map(|s| s.start).chain([end]);
+        let mut cuts = vec![SimTime::ZERO, end];
+        for (s, until) in segments.iter().zip(ends) {
+            for edge in [setpoint - band, setpoint + band] {
+                let above = |t: SimTime| s.temp_at(t) > edge;
+                let rising = !above(s.start);
+                if above(until) == rising {
+                    cuts.push(bisect(|t| above(t) == rising, s.start, until));
+                }
+            }
+        }
+        cuts.sort_unstable();
+        let mut excursions: Vec<(SimTime, SimTime)> = Vec::new();
+        for w in cuts.windows(2).filter(|w| w[0] < w[1]) {
+            let mid = SimTime::from_nanos(w[0].as_nanos() + (w[1].as_nanos() - w[0].as_nanos()) / 2);
+            if (temp_at(mid) - setpoint).abs() > band {
+                match excursions.last_mut() {
+                    Some(last) if last.1 == w[0] => last.1 = w[1],
+                    _ => excursions.push((w[0], w[1])),
+                }
+            }
+        }
+        let violations: Vec<(SimTime, SimTime)> = excursions
+            .iter()
+            .filter(|&&(s, e)| alarm_at.map_or(e, |a| e.min(a)) > s + deadline)
+            .map(|&(s, _)| (s, s + deadline))
+            .collect();
+        let latencies: Vec<SimDuration> = excursions
+            .iter()
+            .filter_map(|&(s, e)| alarm_at.filter(|&a| a < e).map(|a| a.max(s) - s))
+            .collect();
+        let out: u64 = excursions.iter().map(|&(s, e)| (e - s).as_nanos()).sum();
+
+        let close = |a: u64, b: u64| a.abs_diff(b) <= 1_000;
+        prop_assert_eq!(report.is_safe(), violations.is_empty());
+        prop_assert_eq!(report.violations.len(), violations.len());
+        for (v, &(start, time)) in report.violations.iter().zip(&violations) {
+            prop_assert!(
+                close(v.excursion_start.as_nanos(), start.as_nanos())
+                    && close(v.time.as_nanos(), time.as_nanos()),
+                "reported {:?}, reference {start} .. {time}", v
+            );
+        }
+        prop_assert_eq!(report.alarm_latencies.len(), latencies.len());
+        for (l, r) in report.alarm_latencies.iter().zip(&latencies) {
+            prop_assert!(close(l.as_nanos(), r.as_nanos()), "latency {l:?}, reference {r:?}");
+        }
+        let last = excursions.last().map(|&(_, e)| e.as_nanos());
+        prop_assert_eq!(report.last_out_of_band.is_some(), last.is_some());
+        prop_assert!(
+            close(report.last_out_of_band.map_or(0, |t| t.as_nanos()), last.unwrap_or(0)),
+            "last out of band {:?}, reference {last:?}", report.last_out_of_band
+        );
+        let in_band = 1.0 - out as f64 / end.as_nanos() as f64;
+        prop_assert!(
+            (report.in_band_fraction - in_band).abs() < 1e-9,
+            "in band {}, reference {in_band}", report.in_band_fraction
+        );
     }
 
     /// The largest deviation reported is the largest over the committed
