@@ -17,12 +17,13 @@
 //! `BENCH_fleet_baseline.json`.
 //!
 //! On top of the throughput sweep, the binary benchmarks the *boot
-//! path* under a counting global allocator: cold `boot_platform` per
-//! instance versus the snapshot/fork path (one warm template, instances
-//! forked and recycled through an `InstancePool`). Full mode drives the
-//! boot schedule of a 100,000-instance benign fleet through one pool on
-//! one thread and asserts snapshot boot is ≥5x lighter in allocated
-//! bytes per instance than cold boot (MINIX, the default platform).
+//! path* under the counting global allocator of `bas_sim::alloc`: cold
+//! `boot_platform` per instance versus the snapshot/fork path (one warm
+//! template, instances forked and recycled through an `InstancePool`).
+//! Full mode drives the boot schedule of a 100,000-instance benign fleet
+//! through one pool on one thread and asserts snapshot boot is ≥5x
+//! lighter in allocated bytes per instance than cold boot (MINIX, the
+//! default platform).
 //! `ci.sh` gates the wall-clock side: `boot_speedup` (≥10x in full
 //! mode) and `boot_instances_per_sec` and `bytes_per_instance` against
 //! the committed baseline.
@@ -50,93 +51,33 @@
 //!
 //! Run: `cargo run --release -p bas-bench --bin exp_fleet_scale [-- --quick --platform minix]`
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use bas_acm::{AcId, AccessControlMatrix};
 use bas_bench::{rule, section, Harness};
-use bas_core::scenario::{critical_alive, plant_snapshot, Platform, ScenarioConfig};
+use bas_core::scenario::{Platform, ScenarioConfig};
 use bas_core::EngineSnapshot;
 use bas_fleet::{
-    instance_seed, run_fleet_with, FleetConfig, InstancePool, InstanceReport, Json, RequestStats,
-    WorkerPool, DEFAULT_MAX_RESIDENT,
+    instance_seed, run_fleet_with, FleetConfig, InstancePool, InstanceReport, Json, WorkerPool,
+    DEFAULT_MAX_RESIDENT,
 };
 use bas_minix::endpoint::Endpoint;
 use bas_minix::kernel::{MinixConfig, MinixKernel};
 use bas_minix::message::Payload;
 use bas_minix::syscall::{Reply, Syscall};
+use bas_sim::alloc::CountingAlloc;
 use bas_sim::clock::CostModel;
 use bas_sim::kernel::Kernel;
 use bas_sim::process::{Action, Process};
 use bas_sim::time::SimDuration;
 
-/// Bytes and calls handed out by the global allocator; the boot
-/// benchmark reads deltas around each boot loop, so `bytes_per_instance`
-/// counts every allocation a boot performs (frees are irrelevant there:
-/// the cost being measured is allocator traffic, not residency).
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-/// Bytes currently allocated, and the most ever allocated at once since
-/// the last [`reset_peak`] (residency, for `fleet_peak_live_bytes`).
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-
-struct CountingAlloc;
-
-impl CountingAlloc {
-    fn count(size: usize) {
-        ALLOC_BYTES.fetch_add(size as u64, Ordering::Relaxed);
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        let live = LIVE_BYTES.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
-        PEAK_LIVE_BYTES.fetch_max(live, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// and only adds bookkeeping on atomics, so `System`'s guarantees carry
-// over unchanged.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CountingAlloc::count(layout.size());
-        // SAFETY: forwarded from our caller, who upholds `alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        CountingAlloc::count(layout.size());
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        CountingAlloc::count(new_size);
-        // SAFETY: `ptr` came from `System`; the caller upholds the rest.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-/// Restarts peak tracking at the current live heap and returns it.
-fn reset_peak() -> u64 {
-    let live = LIVE_BYTES.load(Ordering::SeqCst);
-    PEAK_LIVE_BYTES.store(live, Ordering::SeqCst);
-    live
-}
-
+/// The boot benchmark reads byte and call deltas around each boot loop,
+/// so `bytes_per_instance` counts every allocation a boot performs
+/// (allocator traffic, not residency); the fleet sweep reads the live
+/// peak for `fleet_peak_live_bytes`.
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Allocator calls (alloc + realloc) `f` makes; single-threaded use only.
-fn alloc_calls_in(f: impl FnOnce()) -> u64 {
-    let calls0 = ALLOC_CALLS.load(Ordering::SeqCst);
-    f();
-    ALLOC_CALLS.load(Ordering::SeqCst) - calls0
-}
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 /// The two allocation budgets on `platform`: mean allocator calls per
 /// warm instance life cycle (checkout, 10 simulated s, report, checkin)
@@ -154,24 +95,16 @@ fn alloc_budget(platform: Platform, instances: usize) -> (f64, f64) {
 
     let mut engine = pool.checkout(&config, 1);
     engine.run_for(SimDuration::from_secs(60));
-    let steady = alloc_calls_in(|| engine.run_for(SimDuration::from_secs(540)));
+    let steady = ALLOC.calls_in(|| engine.run_for(SimDuration::from_secs(540)));
     pool.checkin(engine);
 
     let mut reports = Vec::with_capacity(instances);
-    let lifecycle = alloc_calls_in(|| {
+    let lifecycle = ALLOC.calls_in(|| {
         for index in 0..instances {
             let mut engine = pool.checkout(&config, index);
             engine.run_for(SimDuration::from_secs(10));
-            reports.push(InstanceReport {
-                index,
-                seed: instance_seed(config.root_seed, index),
-                sim_seconds: engine.now().as_secs_f64(),
-                critical_alive: critical_alive(engine.as_ref()),
-                metrics: engine.metrics(),
-                plant: plant_snapshot(engine.as_ref()),
-                attack: None,
-                requests: RequestStats::from_samples(&engine.request_samples()),
-            });
+            let seed = instance_seed(config.root_seed, index);
+            reports.push(InstanceReport::from_scenario(index, seed, engine.as_ref()));
             pool.checkin(engine);
         }
     });
@@ -350,8 +283,7 @@ fn main() {
     // Warm once so lazy one-time initialization stays out of both deltas.
     std::hint::black_box(&bas_core::boot_platform(platform, &template));
 
-    let bytes0 = ALLOC_BYTES.load(Ordering::SeqCst);
-    let calls0 = ALLOC_CALLS.load(Ordering::SeqCst);
+    let (bytes0, calls0) = (ALLOC.bytes(), ALLOC.calls());
     let t0 = Instant::now();
     for i in 0..cold_iters {
         let mut cfg = template.clone();
@@ -359,8 +291,8 @@ fn main() {
         std::hint::black_box(&bas_core::boot_platform(platform, &cfg));
     }
     let cold_wall = t0.elapsed().as_secs_f64();
-    let cold_bytes = ALLOC_BYTES.load(Ordering::SeqCst) - bytes0;
-    let cold_calls = ALLOC_CALLS.load(Ordering::SeqCst) - calls0;
+    let cold_bytes = ALLOC.bytes() - bytes0;
+    let cold_calls = ALLOC.calls() - calls0;
     let cold_rate = cold_iters as f64 / cold_wall.max(1e-9);
     let cold_bpi = cold_bytes as f64 / cold_iters as f64;
 
@@ -371,8 +303,7 @@ fn main() {
     // later cohort recycles checked-in ones, which is the steady state a
     // 100k-instance fleet spends >99% of its boots in.
     let boot_config = FleetConfig::benign(platform, boot_instances, 1);
-    let bytes0 = ALLOC_BYTES.load(Ordering::SeqCst);
-    let calls0 = ALLOC_CALLS.load(Ordering::SeqCst);
+    let (bytes0, calls0) = (ALLOC.bytes(), ALLOC.calls());
     let t0 = Instant::now();
     let snapshot = Arc::new(EngineSnapshot::capture(platform, &template));
     let mut instance_pool = InstancePool::new(Some(snapshot));
@@ -389,8 +320,8 @@ fn main() {
         }
     }
     let snap_wall = t0.elapsed().as_secs_f64();
-    let snap_bytes = ALLOC_BYTES.load(Ordering::SeqCst) - bytes0;
-    let snap_calls = ALLOC_CALLS.load(Ordering::SeqCst) - calls0;
+    let snap_bytes = ALLOC.bytes() - bytes0;
+    let snap_calls = ALLOC.calls() - calls0;
     let boot_rate = boot_instances as f64 / snap_wall.max(1e-9);
     let snap_bpi = snap_bytes as f64 / boot_instances as f64;
     let boot_speedup = boot_rate / cold_rate.max(1e-9);
@@ -504,9 +435,9 @@ fn main() {
             }
             let mut config = FleetConfig::benign(platform, instances, w);
             config.horizon = horizon;
-            let live_before = reset_peak();
+            let live_before = ALLOC.reset_peak();
             let run = run_fleet_with(&pool, &config);
-            let peak_live = PEAK_LIVE_BYTES.load(Ordering::SeqCst) - live_before;
+            let peak_live = ALLOC.peak() - live_before;
 
             // Every worker count must compute the identical report.
             let json = run.report.to_json();

@@ -431,7 +431,8 @@ impl FleetReport {
     /// The merge is addition-only over end-of-run counter snapshots, so
     /// it cannot underflow. The invariant callers must keep: instance
     /// metrics are sampled once, at the end of the run, from a kernel
-    /// that is never `reset()` mid-run (intra-run phase deltas go through
+    /// that is not recycled mid-run, since recycling restarts its
+    /// counters at zero (intra-run phase deltas go through
     /// `KernelMetrics::delta_since`, which saturates instead).
     pub fn aggregate(
         platform: Platform,

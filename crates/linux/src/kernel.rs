@@ -323,11 +323,6 @@ impl LinuxKernel {
         self.procs.iter().filter(|p| p.is_some()).count()
     }
 
-    /// Live queue names, for diagnostics.
-    pub fn queue_names(&self) -> Vec<String> {
-        self.queue_ids.keys().cloned().collect()
-    }
-
     /// Depth of a queue, if it exists.
     pub fn queue_len(&self, name: &str) -> Option<usize> {
         self.queue_ids

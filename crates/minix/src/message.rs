@@ -97,16 +97,6 @@ impl Payload {
     pub fn read_u64(&self, offset: usize) -> u64 {
         u64::from_le_bytes(self.0[offset..offset + 8].try_into().expect("8 bytes"))
     }
-
-    /// Writes a little-endian `i64` at `offset`.
-    pub fn write_i64(&mut self, offset: usize, value: i64) {
-        self.write_u64(offset, value as u64);
-    }
-
-    /// Reads a little-endian `i64` at `offset`.
-    pub fn read_i64(&self, offset: usize) -> i64 {
-        self.read_u64(offset) as i64
-    }
 }
 
 impl Default for Payload {
@@ -170,11 +160,9 @@ mod tests {
         p.write_u32(0, 0xdead_beef);
         p.write_i32(4, -7);
         p.write_u64(8, u64::MAX);
-        p.write_i64(16, i64::MIN);
         assert_eq!(p.read_u32(0), 0xdead_beef);
         assert_eq!(p.read_i32(4), -7);
         assert_eq!(p.read_u64(8), u64::MAX);
-        assert_eq!(p.read_i64(16), i64::MIN);
     }
 
     #[test]

@@ -18,56 +18,22 @@
 //! This lives in its own integration-test binary because a
 //! `#[global_allocator]` is process-wide.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use bas_acm::{AcId, AccessControlMatrix};
 use bas_minix::endpoint::Endpoint;
 use bas_minix::kernel::{MinixConfig, MinixKernel};
 use bas_minix::message::Payload;
 use bas_minix::syscall::{Reply, Syscall};
+use bas_sim::alloc::CountingAlloc;
 use bas_sim::clock::CostModel;
 use bas_sim::kernel::Kernel;
 use bas_sim::process::{Action, Process};
 use bas_sim::time::{SimDuration, SimTime};
 
-struct CountingAlloc;
-
-static COUNTING: AtomicBool = AtomicBool::new(false);
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // Frees are uncounted: recycling may legitimately return memory.
-        System.dealloc(ptr, layout)
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+static ALLOC: CountingAlloc = CountingAlloc::new();
 
 const TX: AcId = AcId::new(10);
 const RX: AcId = AcId::new(11);
@@ -171,16 +137,12 @@ fn assert_steady_state_is_heap_free(cap_trace: bool) {
 
     // Counted window: steady-state send/deliver traffic plus timer fires,
     // every delivery traced.
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
-    k.run_until(SimTime::ZERO + SimDuration::from_millis(500));
-    COUNTING.store(false, Ordering::SeqCst);
+    let allocs = ALLOC.calls_in(|| k.run_until(SimTime::ZERO + SimDuration::from_millis(500)));
 
     let delivered = k.metrics().ipc_messages - warm_messages;
     let heap_events = k.metrics().hot_path_allocs - warm_heap_events;
     let recorded = (k.trace().events().len() - warm_events) as u64;
     let fired = wakeups.get() - warm_wakeups;
-    let allocs = ALLOCS.load(Ordering::SeqCst);
     assert!(
         delivered > 10_000,
         "counted window too small to be meaningful: {delivered} messages"

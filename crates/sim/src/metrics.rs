@@ -48,17 +48,13 @@ pub struct KernelMetrics {
 }
 
 impl KernelMetrics {
-    /// Resets every counter to zero (used between benchmark phases).
-    pub fn reset(&mut self) {
-        *self = KernelMetrics::default();
-    }
-
     /// Field-wise difference `self - earlier`, for measuring one phase.
     ///
-    /// Saturating: if [`KernelMetrics::reset`] ran between the two
-    /// snapshots, a counter of `earlier` can exceed `self`'s; the delta
-    /// then clamps that field to zero instead of underflowing. Callers
-    /// that need exact phase deltas must not reset between snapshots.
+    /// Saturating: a kernel recycled between the two snapshots restarts
+    /// its counters at zero, so a counter of `earlier` can exceed
+    /// `self`'s; the delta then clamps that field to zero instead of
+    /// underflowing. Callers that need exact phase deltas must not
+    /// recycle the kernel between snapshots.
     pub fn delta_since(&self, earlier: &KernelMetrics) -> KernelMetrics {
         KernelMetrics {
             context_switches: self
@@ -123,33 +119,25 @@ mod tests {
         assert_eq!(d.access_denied, 3);
     }
 
-    /// `reset()` between snapshots must clamp to zero, not underflow.
+    /// Counters restarted at zero between snapshots must clamp to zero,
+    /// not underflow.
     #[test]
     fn delta_after_reset_saturates() {
-        let mut m = KernelMetrics {
+        let snapshot = KernelMetrics {
             context_switches: 100,
             ipc_messages: 50,
             ..Default::default()
         };
-        let snapshot = m;
-        m.reset();
-        m.ipc_messages = 10;
+        let m = KernelMetrics {
+            ipc_messages: 10,
+            ..Default::default()
+        };
         let d = m.delta_since(&snapshot);
         assert_eq!(d.context_switches, 0);
         assert_eq!(d.ipc_messages, 0);
         // Forward progress after the reset still shows up normally.
         let d2 = m.delta_since(&KernelMetrics::default());
         assert_eq!(d2.ipc_messages, 10);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let mut m = KernelMetrics {
-            kernel_entries: 5,
-            ..KernelMetrics::default()
-        };
-        m.reset();
-        assert_eq!(m, KernelMetrics::default());
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl<B> ProcState<B> {
     pub fn is_runnable(&self) -> bool {
         matches!(self, ProcState::Runnable)
     }
-
-    /// True if the process has terminated.
-    pub fn is_dead(&self) -> bool {
-        matches!(self, ProcState::Dead)
-    }
 }
 
 /// A boxed process for a given platform, the form kernels store in their
@@ -225,11 +220,8 @@ mod tests {
     fn proc_state_predicates() {
         let runnable: ProcState<&'static str> = ProcState::Runnable;
         assert!(runnable.is_runnable());
-        assert!(!runnable.is_dead());
         let blocked: ProcState<&'static str> = ProcState::Blocked("sending");
         assert!(!blocked.is_runnable());
-        let dead: ProcState<&'static str> = ProcState::Dead;
-        assert!(dead.is_dead());
     }
 
     #[test]

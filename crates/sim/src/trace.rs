@@ -121,11 +121,6 @@ impl<D> TraceLog<D> {
         self.enabled = false;
     }
 
-    /// Re-enables recording.
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
     /// Appends an event. The only heap traffic is the event buffer's own
     /// geometric growth (and whatever `detail` itself owns).
     pub fn record(&mut self, time: SimTime, pid: Option<Pid>, detail: D) {
@@ -232,9 +227,6 @@ mod tests {
         ev(&mut log, "x", 1);
         assert!(log.events().is_empty());
         assert_eq!(log.dropped(), 0);
-        log.enable();
-        ev(&mut log, "x", 2);
-        assert_eq!(log.events().len(), 1);
     }
 
     #[test]
