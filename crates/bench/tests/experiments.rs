@@ -1,6 +1,7 @@
 //! Pins the stdout of the experiment binaries whose tables back the
 //! paper's §III overhead remark (E8 and E8b), of the static policy audit
-//! (E12) and of the two ablations (A1 and A2), and checks their flag
+//! (E12), of the two ablations (A1 and A2) and of the A3 recovery runs,
+//! and checks their flag
 //! handling. E8 and E8b run in `--quick` mode; the expected text is the
 //! deterministic virtual-time output, so any change to a fixture's
 //! syscall sequence, counters or cost model shows up here. E12 and the
@@ -103,6 +104,27 @@ fn ablation_caps_output_is_pinned() {
         "lines 15 fnv1a 64c319af19ce520a",
         "{got}"
     );
+}
+
+/// A3 recovery, one run per platform in `--quick` mode: the timeline
+/// around the heater-driver crash and the run's summary line.
+#[test]
+fn recovery_quick_output_is_pinned() {
+    for (platform, pin) in [
+        ("linux", "lines 21 fnv1a a6c2e1302378befa"),
+        ("minix", "lines 33 fnv1a 68c7d90ee3b84468"),
+        ("sel4", "lines 21 fnv1a b8e56b11225bd34b"),
+    ] {
+        let got = stdout_of(
+            env!("CARGO_BIN_EXE_exp_recovery"),
+            &["--quick", "--platform", platform],
+        );
+        assert_eq!(
+            format!("lines {} fnv1a {:016x}", got.lines().count(), fnv1a(&got)),
+            pin,
+            "{platform}: {got}"
+        );
+    }
 }
 
 #[test]

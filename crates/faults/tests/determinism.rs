@@ -4,7 +4,7 @@
 
 use bas_core::proto::names;
 use bas_faults::campaign::{run_campaign, CampaignConfig};
-use bas_faults::plan::{FaultEvent, FaultKind, FaultPlan};
+use bas_faults::plan::{standard_plans, FaultEvent, FaultKind, FaultPlan};
 use bas_sim::caps::{CapChurnOp, ChurnKind};
 use bas_sim::device::DeviceId;
 use bas_sim::time::SimDuration;
@@ -119,4 +119,19 @@ fn per_plan_seeds_are_shared_across_platforms() {
     }
     // Different plans draw different seeds from the root.
     assert_ne!(report.cells[0].seed, report.cells[nplat].seed);
+}
+
+/// The standard campaign as `exp_fault_campaign --quick --json` runs it
+/// (12 simulated minutes, three platforms, root seed 42) renders byte for
+/// byte the committed `BENCH_faults.json`.
+#[test]
+fn quick_campaign_matches_committed_report() {
+    let config = CampaignConfig {
+        root_seed: 42,
+        horizon: SimDuration::from_mins(12),
+        workers: 2,
+        ..CampaignConfig::default()
+    };
+    let got = run_campaign(&standard_plans(), &config).to_json().render();
+    assert_eq!(got, include_str!("../../../BENCH_faults.json"));
 }
