@@ -20,7 +20,7 @@ use bas_core::platform::linux::LinuxStack;
 use bas_core::platform::minix::MinixStack;
 use bas_core::platform::sel4::Sel4Stack;
 use bas_core::proto::names;
-use bas_core::scenario::{Platform, ScenarioConfig};
+use bas_core::scenario::{Platform, Scenario, ScenarioConfig};
 use bas_faults::inject;
 use bas_faults::plan::{FaultEvent, FaultKind, FaultPlan};
 use bas_sim::caps::{CapChurnOp, CapTrace, ChurnKind};
@@ -276,7 +276,8 @@ pub fn run_churn_plan(platform: Platform, plan: &FaultPlan, horizon: SimDuration
         // execute once the kernel runs, so even boot-time opens land in
         // the stream.
         engine.stack.enable_cap_trace();
-        inject::run(&mut engine, plan, horizon);
+        inject::install(&mut engine, plan);
+        engine.run_for(horizon);
         engine.stack.cap_trace()
     }
     match platform {

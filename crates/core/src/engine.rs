@@ -17,8 +17,8 @@
 
 use bas_plant::SharedPlant;
 use bas_sim::caps::{CapChurnOp, CapTrace};
-use bas_sim::device::DeviceBus;
-use bas_sim::fault::IpcFault;
+use bas_sim::device::NoSuchDeviceError;
+use bas_sim::fault::FaultAction;
 use bas_sim::kernel::Kernel;
 use bas_sim::metrics::KernelMetrics;
 use bas_sim::time::{SimDuration, SimTime};
@@ -79,57 +79,44 @@ pub trait PlatformKernel {
     /// carry the channel. Empty when the pair does not resolve.
     fn resolve_churn(&self, op: &CapChurnOp) -> Vec<<Self::Kernel as Kernel>::Churn>;
 
-    // ----- fault-injection hooks (`bas-faults`) -----------------------------
+    // ----- fault hooks (`bas-faults`, `bas-analysis::races`) ----------------
 
-    /// The kernel's device bus, so fault interposers can wrap plant
-    /// devices (`DeviceBus::interpose`). An interposed bus outlives a
-    /// kernel reset, so such a stack no longer recycles.
-    fn devices_mut(&mut self) -> &mut DeviceBus {
-        self.kernel_mut().devices_mut()
+    /// Applies one fault now and returns whether it landed. After a crash,
+    /// restart semantics are the platform's own: a supervised MINIX stack
+    /// re-forks the victim, Linux and seL4 do not. IPC faults are consumed
+    /// by application sends after each platform's access-control gate.
+    fn apply_fault(&mut self, action: FaultAction<ChurnOf<Self>>) -> bool {
+        touch(self).apply_fault(&action)
     }
 
-    /// Kills the named process/thread outright — a simulated crash, not a
-    /// policy-gated kill. Restart semantics are the platform's own: a
-    /// supervised MINIX stack re-forks the victim, Linux and seL4 do not.
-    /// Returns false if no live process bears the name.
-    fn inject_crash(&mut self, name: &str) -> bool {
-        touch(self).kill_named(name)
-    }
-
-    /// Arms `count` one-shot IPC faults, consumed in order by subsequent
-    /// application sends (after each platform's access-control gate).
-    fn arm_ipc_fault(&mut self, fault: IpcFault, count: u32) {
-        touch(self).ipc_faults_mut().arm(fault, count);
-    }
-
-    /// Jumps the kernel clock forward by `d` — a tick-skew fault.
-    fn skew_clock(&mut self, d: SimDuration) {
-        touch(self).skew_clock(d);
-    }
-
-    // ----- capability churn hooks (`bas-analysis::races`) -------------------
-
-    /// Applies a mid-run capability mutation: `op.subject` and `op.object`
-    /// are scenario instance names (see [`Self::resolve_churn`]). Returns
-    /// false when the platform cannot resolve the pair (or the op was
-    /// already in effect).
-    fn apply_cap_churn(&mut self, op: &CapChurnOp) -> bool {
-        let ops = self.resolve_churn(op);
-        let kernel = touch(self);
-        ops.iter()
-            .fold(false, |changed, op| kernel.apply_cap_churn(op) | changed)
-    }
-
-    /// Arms `op` to fire immediately after the `after_checks`-th
-    /// subsequent *successful* admission check by `op.subject` toward
-    /// `op.object` — deterministically inside the platform's check→use
-    /// window.
-    fn arm_cap_churn(&mut self, op: &CapChurnOp, after_checks: u32) {
-        let ops = self.resolve_churn(op);
-        let kernel = touch(self);
-        for op in &ops {
-            kernel.arm_cap_churn(op, after_checks);
+    /// Puts timed faults on the kernel's fault calendar, which the run loop
+    /// fires; a kernel reset clears it. The bus watches a sensor fault's
+    /// device from now on, so a dropout freezes at the last value read.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NoSuchDeviceError`] at the first sensor fault that names
+    /// a device the stack never registered.
+    fn schedule_faults(
+        &mut self,
+        faults: impl IntoIterator<Item = (SimTime, FaultAction<ChurnOf<Self>>)>,
+    ) -> Result<(), NoSuchDeviceError> {
+        let exec = touch(self).exec_mut();
+        for (due, action) in faults {
+            if let FaultAction::Sensor(device, _) = action {
+                exec.devices.watch(device)?;
+            }
+            exec.calendar.schedule(due, action);
         }
+        Ok(())
+    }
+
+    /// A capability mutation between scenario instances as a fault,
+    /// resolved now through [`Self::resolve_churn`]. `Some(n)` arms it for
+    /// right after the n-th subsequent *successful* admission check by
+    /// `op.subject` toward `op.object`, inside the check→use window.
+    fn churn(&self, op: &CapChurnOp, arm_after_checks: Option<u32>) -> FaultAction<ChurnOf<Self>> {
+        FaultAction::Churn(self.resolve_churn(op), arm_after_checks)
     }
 
     /// Starts recording the kernel's structured capability-event stream
@@ -144,6 +131,9 @@ pub trait PlatformKernel {
         self.kernel().cap_trace()
     }
 }
+
+/// The kernel-level churn op of a stack.
+pub type ChurnOf<K> = <<K as PlatformKernel>::Kernel as Kernel>::Churn;
 
 /// The stack's kernel, marked as touched since boot. Every hook that
 /// changes a booted kernel goes through here, so the pristine-recycle
@@ -191,14 +181,6 @@ impl<K: PlatformKernel> ScenarioEngine<K> {
             recyclable,
             scheduled: SimTime::ZERO,
         }
-    }
-
-    /// The virtual time the runs so far were scheduled to reach: the sum
-    /// of every [`Scenario::run_for`] span since boot. The kernel clock
-    /// reads at least this much; it reads more when the kernel overshot
-    /// the last run's end or its clock was skewed.
-    pub fn scheduled(&self) -> SimTime {
-        self.scheduled
     }
 }
 
@@ -251,16 +233,15 @@ impl<K: PlatformKernel> Scenario for ScenarioEngine<K> {
     }
 
     fn reset_to_boot(&mut self, config: &ScenarioConfig) -> bool {
-        let exec = self.stack.kernel().exec();
-        // One-shot overrides and interposed fault devices both survive a
-        // kernel reset: such an instance must cold-boot instead.
-        if !self.recyclable || exec.devices.interposed() {
+        // One-shot overrides survive a kernel reset: such an instance must
+        // cold-boot instead.
+        if !self.recyclable {
             return false;
         }
         // An untouched kernel is still the boot image verbatim: the seed
         // only reaches the plant, which `reimage` re-seeds, and the web
         // process reads the re-imaged schedule lazily.
-        if exec.touched() {
+        if self.stack.kernel().exec().touched() {
             self.stack.reset_to_boot(config, &self.io);
         }
         self.io.reimage(config);

@@ -626,8 +626,8 @@ pub struct MinixOverrides {
     pub acm: Option<Arc<AccessControlMatrix>>,
     /// Runs a [`MinixSupervisor`] watching the four critical processes
     /// (MINIX's self-repair behavior). Crash *injection* is no longer an
-    /// override: `bas-faults` kills processes through the
-    /// [`PlatformKernel::inject_crash`] hook at scheduled times instead.
+    /// override: `bas-faults` kills processes from the kernel's fault
+    /// calendar at scheduled times instead.
     pub supervise: bool,
 }
 

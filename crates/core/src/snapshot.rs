@@ -156,8 +156,9 @@ mod tests {
     use bas_sel4::syscall::{Reply as Sel4Reply, Syscall as Sel4Syscall};
     use bas_sim::caps::{CapChurnOp, ChurnKind};
     use bas_sim::device::DeviceId;
-    use bas_sim::fault::IpcFault;
-    use bas_sim::time::SimDuration;
+    use bas_sim::fault::{FaultAction, IpcFault, SensorFaultMode};
+    use bas_sim::kernel::Kernel;
+    use bas_sim::time::{SimDuration, SimTime};
 
     use crate::engine::{PlatformKernel, ScenarioEngine};
     use crate::platform::linux::LinuxStack;
@@ -348,27 +349,47 @@ mod tests {
 
     /// Every mutating hook, applied to a never-stepped engine.
     fn every_hook_disables_the_pristine_fast_path<K: PlatformKernel>() {
-        hooked_recycle_matches_cold_boot::<K>("inject_crash", |e| {
+        hooked_recycle_matches_cold_boot::<K>("a crash", |e| {
             let victim = e.alive_names()[0].clone();
-            assert!(e.stack.inject_crash(&victim), "{victim} was alive");
+            assert!(e.stack.apply_fault(FaultAction::Crash(victim)));
         });
-        hooked_recycle_matches_cold_boot::<K>("arm_ipc_fault", |e| {
-            e.stack.arm_ipc_fault(IpcFault::Drop, 3);
+        hooked_recycle_matches_cold_boot::<K>("an IPC fault", |e| {
+            e.stack.apply_fault(FaultAction::Ipc(IpcFault::Drop, 3));
         });
-        hooked_recycle_matches_cold_boot::<K>("skew_clock", |e| {
-            e.stack.skew_clock(SimDuration::from_secs(5));
+        hooked_recycle_matches_cold_boot::<K>("a clock skew", |e| {
+            e.stack
+                .apply_fault(FaultAction::Skew(SimDuration::from_secs(5)));
         });
-        hooked_recycle_matches_cold_boot::<K>("apply_cap_churn", |e| {
+        hooked_recycle_matches_cold_boot::<K>("applied churn", |e| {
             let op = boot_channel(K::PLATFORM, ChurnKind::Revoke);
-            assert!(e.stack.apply_cap_churn(&op), "{op:?} resolved");
+            assert!(e.stack.apply_fault(e.stack.churn(&op, None)), "{op:?}");
         });
-        hooked_recycle_matches_cold_boot::<K>("arm_cap_churn", |e| {
+        hooked_recycle_matches_cold_boot::<K>("armed churn", |e| {
             let op = CapChurnOp::new(ChurnKind::Revoke, names::SENSOR, names::CONTROL);
-            e.stack.arm_cap_churn(&op, 0);
+            e.stack.apply_fault(e.stack.churn(&op, Some(0)));
         });
         hooked_recycle_matches_cold_boot::<K>("enable_cap_trace", |e| {
             e.stack.enable_cap_trace();
         });
+        // Both faults fall inside the 2-minute run, so a calendar that
+        // survived the reset would make the recycled run diverge.
+        hooked_recycle_matches_cold_boot::<K>("schedule_faults", |e| {
+            e.stack
+                .schedule_faults([
+                    (secs(30), stuck_sensor()),
+                    (secs(60), FaultAction::Crash(names::HEATER.to_string())),
+                ])
+                .expect("the plant installed the sensor");
+        });
+    }
+
+    fn secs(s: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_secs(s)
+    }
+
+    /// The temperature sensor wedged at 30 °C.
+    fn stuck_sensor<C>() -> FaultAction<C> {
+        FaultAction::Sensor(DeviceId::TEMP_SENSOR, SensorFaultMode::StuckAt(30_000))
     }
 
     #[test]
@@ -438,23 +459,23 @@ mod tests {
         assert!(!snapshot.recycle(&mut linux, 1), "linux web override");
     }
 
-    /// A fault interposer on the device bus survives a kernel reset, so a
-    /// stack whose bus was interposed refuses to recycle too.
-    fn interposed_stack_refuses_recycle<K: PlatformKernel>() {
-        let snapshot = EngineSnapshot::capture(K::PLATFORM, &ScenarioConfig::quiet());
-        let mut engine = typed::<K>(&snapshot, 7);
-        engine
-            .stack
-            .devices_mut()
-            .interpose(DeviceId::TEMP_SENSOR, |inner| inner)
-            .expect("the plant installed the sensor");
-        assert!(!snapshot.recycle(&mut engine, 1), "{}", K::PLATFORM);
-    }
-
+    /// An engine recycled while its sensor reads stuck (the fault fired
+    /// at 5 s, the run stopped at 20 s) reads the true sensor again: the
+    /// reset clears the bus's fault modes.
     #[test]
-    fn interposed_stacks_refuse_recycle() {
-        interposed_stack_refuses_recycle::<MinixStack>();
-        interposed_stack_refuses_recycle::<Sel4Stack>();
-        interposed_stack_refuses_recycle::<LinuxStack>();
+    fn active_sensor_fault_is_cleared_by_recycle() {
+        fn check<K: PlatformKernel>() {
+            hooked_recycle_matches_cold_boot::<K>("an active sensor fault", |e| {
+                e.stack
+                    .schedule_faults([(secs(5), stuck_sensor())])
+                    .expect("the plant installed the sensor");
+                e.run_for(SimDuration::from_secs(20));
+                let fired = e.stack.kernel().fault_calendar().fired().len();
+                assert_eq!(fired, 1, "{}: the fault is active", K::PLATFORM);
+            });
+        }
+        check::<MinixStack>();
+        check::<Sel4Stack>();
+        check::<LinuxStack>();
     }
 }

@@ -29,7 +29,7 @@ use bas_core::proto::names;
 use bas_core::scenario::{plant_snapshot, Scenario, ScenarioConfig};
 use bas_sim::caps::{CapChurnOp, ChurnKind};
 use bas_sim::device::DeviceId;
-use bas_sim::fault::IpcFault;
+use bas_sim::fault::{FaultAction, IpcFault};
 use bas_sim::kernel::Kernel;
 use bas_sim::script::Script;
 use bas_sim::time::{SimDuration, SimTime};
@@ -115,7 +115,9 @@ fn minix_control_restart_is_pinned() {
     };
     let mut s = ScenarioEngine::<MinixStack>::boot(&config(), overrides);
     s.run_for(SimDuration::from_mins(2));
-    assert!(s.stack.inject_crash(names::CONTROL));
+    assert!(s
+        .stack
+        .apply_fault(FaultAction::Crash(names::CONTROL.into())));
     s.run_for(SimDuration::from_mins(28));
     assert_eq!(
         trace_summary(s.stack.kernel.trace().events()),
@@ -189,18 +191,21 @@ fn hostile<K: PlatformKernel>(overrides: K::Overrides) -> ScenarioEngine<K> {
     let mut s = ScenarioEngine::<K>::boot(&config(), overrides);
     s.run_for(SimDuration::from_mins(4));
     let channel = |kind| CapChurnOp::new(kind, names::SENSOR, names::CONTROL);
-    s.stack.apply_cap_churn(&channel(ChurnKind::Revoke));
-    s.run_for(SimDuration::from_mins(3));
-    s.stack.apply_cap_churn(&channel(ChurnKind::Grant));
-    s.run_for(SimDuration::from_mins(2));
-    s.stack.arm_ipc_fault(IpcFault::Drop, 1);
     s.stack
-        .arm_ipc_fault(IpcFault::Delay(SimDuration::from_millis(250)), 1);
-    s.stack.arm_ipc_fault(IpcFault::Duplicate, 1);
-    s.run_for(SimDuration::from_mins(5));
-    s.stack.skew_clock(SimDuration::from_secs(7));
+        .apply_fault(s.stack.churn(&channel(ChurnKind::Revoke), None));
+    s.run_for(SimDuration::from_mins(3));
+    s.stack
+        .apply_fault(s.stack.churn(&channel(ChurnKind::Grant), None));
     s.run_for(SimDuration::from_mins(2));
-    assert!(s.stack.inject_crash(names::ALARM));
+    let delay = IpcFault::Delay(SimDuration::from_millis(250));
+    for fault in [IpcFault::Drop, delay, IpcFault::Duplicate] {
+        s.stack.apply_fault(FaultAction::Ipc(fault, 1));
+    }
+    s.run_for(SimDuration::from_mins(5));
+    s.stack
+        .apply_fault(FaultAction::Skew(SimDuration::from_secs(7)));
+    s.run_for(SimDuration::from_mins(2));
+    assert!(s.stack.apply_fault(FaultAction::Crash(names::ALARM.into())));
     s.run_for(SimDuration::from_mins(4));
     s
 }

@@ -3,17 +3,24 @@
 //! self-repairing operating system") motivates choosing MINIX for
 //! resilience; these tests exercise that story inside the scenario.
 //!
-//! Crashes are injected through [`PlatformKernel::inject_crash`] — the
-//! same hook `bas-faults` campaigns use — instead of the removed
-//! `heater_crash_after`-style build overrides, so the victim dies at a
-//! scheduled virtual time rather than after a resume count.
+//! Crashes are injected through [`PlatformKernel::apply_fault`], the
+//! kernel path `bas-faults` campaigns fire from the fault calendar,
+//! instead of the removed `heater_crash_after`-style build overrides, so
+//! the victim dies at a scheduled virtual time rather than after a resume
+//! count.
 
 use bas_core::engine::PlatformKernel;
 use bas_core::logic::web::WebAction;
-use bas_core::platform::minix::{build_minix, MinixOverrides};
+use bas_core::platform::minix::{build_minix, MinixOverrides, MinixScenario};
 use bas_core::proto::names;
 use bas_core::scenario::{critical_alive, Scenario, ScenarioConfig};
+use bas_sim::fault::FaultAction;
 use bas_sim::time::{SimDuration, SimTime};
+
+/// Crashes the process named `name`; returns whether it was alive.
+fn crash(s: &mut MinixScenario, name: &str) -> bool {
+    s.stack.apply_fault(FaultAction::Crash(name.to_string()))
+}
 
 /// Heater driver crashes mid-run; without supervision the fan freezes and
 /// the controller can only escalate to the alarm.
@@ -22,7 +29,7 @@ fn heater_crash_without_supervision_degrades_but_alarms() {
     let mut s = build_minix(&ScenarioConfig::quiet(), MinixOverrides::default());
     // Let the loop close, then crash the heater a few minutes in.
     s.run_for(SimDuration::from_mins(3));
-    assert!(s.stack.inject_crash(names::HEATER), "heater was alive");
+    assert!(crash(&mut s, names::HEATER), "heater was alive");
     s.run_for(SimDuration::from_mins(12));
     assert!(
         !critical_alive(&s),
@@ -63,7 +70,7 @@ fn heater_crash_with_supervision_recovers_control() {
     };
     let mut s = build_minix(&ScenarioConfig::quiet(), overrides);
     s.run_for(SimDuration::from_mins(3));
-    assert!(s.stack.inject_crash(names::HEATER), "heater was alive");
+    assert!(crash(&mut s, names::HEATER), "heater was alive");
     s.run_for(SimDuration::from_mins(27));
 
     assert!(
@@ -93,7 +100,7 @@ fn controller_crash_with_supervision_recovers() {
     };
     let mut s = build_minix(&ScenarioConfig::quiet(), overrides);
     s.run_for(SimDuration::from_mins(2));
-    assert!(s.stack.inject_crash(names::CONTROL), "controller was alive");
+    assert!(crash(&mut s, names::CONTROL), "controller was alive");
     s.run_for(SimDuration::from_mins(28));
 
     assert!(
@@ -137,7 +144,7 @@ fn web_reconnects_to_a_restarted_controller() {
     };
     let mut s = build_minix(&config, overrides);
     s.run_for(SimDuration::from_mins(2));
-    assert!(s.stack.inject_crash(names::CONTROL), "controller was alive");
+    assert!(crash(&mut s, names::CONTROL), "controller was alive");
     s.run_for(SimDuration::from_mins(28));
 
     let outcomes: Vec<_> = s
@@ -191,7 +198,7 @@ fn supervisor_survives_and_keeps_watching_under_repeated_faults() {
     };
     let mut s = build_minix(&ScenarioConfig::quiet(), overrides);
     s.run_for(SimDuration::from_mins(3));
-    assert!(s.stack.inject_crash(names::HEATER), "heater was alive");
+    assert!(crash(&mut s, names::HEATER), "heater was alive");
     s.run_for(SimDuration::from_mins(57));
 
     assert!(critical_alive(&s));
@@ -209,7 +216,7 @@ fn supervisor_survives_and_keeps_watching_under_repeated_faults() {
 fn inject_crash_unknown_name_is_reported() {
     let mut s = build_minix(&ScenarioConfig::quiet(), MinixOverrides::default());
     s.run_for(SimDuration::from_mins(1));
-    assert!(!s.stack.inject_crash("no_such_process"));
+    assert!(!crash(&mut s, "no_such_process"));
     // PM is not a user process and cannot be crashed through the hook.
-    assert!(!s.stack.inject_crash("pm"));
+    assert!(!crash(&mut s, "pm"));
 }

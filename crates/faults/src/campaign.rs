@@ -12,7 +12,7 @@ use bas_core::engine::{PlatformKernel, ScenarioEngine};
 use bas_core::platform::linux::LinuxStack;
 use bas_core::platform::minix::MinixStack;
 use bas_core::platform::sel4::Sel4Stack;
-use bas_core::scenario::{Platform, ScenarioConfig};
+use bas_core::scenario::{Platform, Scenario, ScenarioConfig};
 use bas_fleet::{instance_seed, Json, WorkerPool};
 use bas_sim::time::SimDuration;
 
@@ -101,8 +101,9 @@ fn run_cell<K: PlatformKernel>(
     let mut config = ScenarioConfig::quiet();
     config.seed = seed;
     let mut engine = ScenarioEngine::<K>::boot(&config, overrides);
-    let log = inject::run(&mut engine, plan, horizon);
-    grade(plan.name(), seed, &engine, &log)
+    inject::install(&mut engine, plan);
+    engine.run_for(horizon);
+    grade(plan.name(), seed, &engine)
 }
 
 /// Runs every plan on every configured platform and assembles the

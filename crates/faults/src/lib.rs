@@ -12,12 +12,11 @@
 //!   [`FaultEvent`]s (sensor stuck-at/glitch/dropout, IPC
 //!   drop/delay/duplication, process crash and crash-storm, clock-tick
 //!   skew), each pinned to a virtual time from boot.
-//! - [`inject`] — runs a booted
-//!   [`ScenarioEngine`](bas_core::engine::ScenarioEngine) under a plan:
-//!   sensor faults via `DeviceBus::interpose` wrappers, everything else
-//!   through the `PlatformKernel` fault hooks, each event fired at the
-//!   first dispatch point at or after its time. Every fired event lands
-//!   in an [`InjectionLog`].
+//! - [`inject`] — installs a plan on a booted
+//!   [`ScenarioEngine`](bas_core::engine::ScenarioEngine) as entries on
+//!   the kernel's fault calendar, which the run loop fires at the first
+//!   dispatch point at or after each event's time: a fault run is one
+//!   `run_for`, and the calendar records what fired when.
 //! - [`score`] — the degradation [`Scorecard`]: safety held, worst
 //!   alarm latency, out-of-band seconds, recovery time, processes
 //!   restarted.
@@ -38,7 +37,7 @@ pub mod recovery;
 pub mod score;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport};
-pub use inject::{FiredEvent, InjectionLog};
+pub use inject::install;
 pub use plan::{standard_plans, FaultEvent, FaultKind, FaultPlan};
 pub use recovery::{crash_plan, run_recovery, RecoveryOutcome};
 pub use score::Scorecard;

@@ -64,7 +64,7 @@ pub enum FaultKind {
     },
     /// `times` crashes of the same process, `period` apart — expanded
     /// into plain [`FaultKind::Crash`] events at plan construction so
-    /// the injector only ever sees primitive kinds.
+    /// the kernel's fault calendar only ever sees primitive kinds.
     CrashStorm {
         /// Process name.
         process: String,
@@ -90,50 +90,6 @@ pub enum FaultKind {
         /// `op.object` — deterministically inside the check→use window.
         arm_after_checks: Option<u32>,
     },
-}
-
-impl FaultKind {
-    /// Short label used in logs and reports.
-    pub fn label(&self) -> String {
-        match self {
-            FaultKind::SensorStuckAt { device, raw } => format!("sensor_stuck_at {device} {raw}"),
-            FaultKind::SensorGlitch { device, offset } => {
-                format!("sensor_glitch {device} {offset:+}")
-            }
-            FaultKind::SensorDropout { device } => format!("sensor_dropout {device}"),
-            FaultKind::SensorRestore { device } => format!("sensor_restore {device}"),
-            FaultKind::IpcDrop { count } => format!("ipc_drop x{count}"),
-            FaultKind::IpcDelay { count, delay } => {
-                format!("ipc_delay x{count} +{}ms", delay.as_millis())
-            }
-            FaultKind::IpcDuplicate { count } => format!("ipc_duplicate x{count}"),
-            FaultKind::Crash { process } => format!("crash {process}"),
-            FaultKind::CrashStorm {
-                process,
-                times,
-                period,
-            } => format!("crash_storm {process} x{times}/{}s", period.as_secs()),
-            FaultKind::ClockSkew { advance } => format!("clock_skew +{}s", advance.as_secs()),
-            FaultKind::CapChurn {
-                op,
-                arm_after_checks,
-            } => match arm_after_checks {
-                Some(n) => format!("{} armed@{n}", op.label()),
-                None => op.label(),
-            },
-        }
-    }
-
-    /// The device a sensor-fault kind targets, if any.
-    pub fn sensor_device(&self) -> Option<DeviceId> {
-        match self {
-            FaultKind::SensorStuckAt { device, .. }
-            | FaultKind::SensorGlitch { device, .. }
-            | FaultKind::SensorDropout { device }
-            | FaultKind::SensorRestore { device } => Some(*device),
-            _ => None,
-        }
-    }
 }
 
 /// One fault pinned to a virtual time measured from boot.
@@ -206,19 +162,6 @@ impl FaultPlan {
         &self.events
     }
 
-    /// Devices referenced by sensor faults, deduplicated and ordered —
-    /// the set the injector must interpose.
-    pub fn sensor_devices(&self) -> Vec<DeviceId> {
-        let mut devs: Vec<DeviceId> = self
-            .events
-            .iter()
-            .filter_map(|e| e.kind.sensor_device())
-            .collect();
-        devs.sort();
-        devs.dedup();
-        devs
-    }
-
     /// Time of the last scheduled event (zero for an empty plan). Runs
     /// shorter than this cannot fire the whole plan.
     pub fn last_event_at(&self) -> SimDuration {
@@ -230,7 +173,7 @@ impl FaultPlan {
 }
 
 /// The standard campaign: one nominal control row plus seven fault plans
-/// covering every injector family. All events fall inside the first ten
+/// covering every fault family. All events fall inside the first ten
 /// minutes so both the full (30 min) and `--quick` (12 min) horizons
 /// fire every plan completely.
 pub fn standard_plans() -> Vec<FaultPlan> {
@@ -392,28 +335,6 @@ mod tests {
             3
         );
         assert_eq!(plan.last_event_at().as_secs(), 500);
-    }
-
-    #[test]
-    fn sensor_devices_deduplicated() {
-        let plan = FaultPlan::new(
-            "s",
-            vec![
-                FaultEvent::new(
-                    SimDuration::from_secs(1),
-                    FaultKind::SensorDropout {
-                        device: DeviceId::TEMP_SENSOR,
-                    },
-                ),
-                FaultEvent::new(
-                    SimDuration::from_secs(2),
-                    FaultKind::SensorRestore {
-                        device: DeviceId::TEMP_SENSOR,
-                    },
-                ),
-            ],
-        );
-        assert_eq!(plan.sensor_devices(), vec![DeviceId::TEMP_SENSOR]);
     }
 
     #[test]

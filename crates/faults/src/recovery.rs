@@ -15,6 +15,7 @@ use bas_core::platform::sel4::Sel4Stack;
 use bas_core::proto::names;
 use bas_core::scenario::{critical_alive, Platform, Scenario, ScenarioConfig};
 use bas_fleet::Json;
+use bas_sim::kernel::Kernel;
 use bas_sim::time::SimDuration;
 
 use crate::inject;
@@ -113,8 +114,10 @@ fn run_on<K: PlatformKernel>(
 
     let mut engine = ScenarioEngine::<K>::boot(&config, overrides);
     let plan = crash_plan(names::HEATER, SimDuration::from_secs(180));
-    let log = inject::run(&mut engine, &plan, horizon);
-    assert_eq!(log.fired_count(), 1, "the crash event must fire");
+    inject::install(&mut engine, &plan);
+    engine.run_for(horizon);
+    let fired = engine.stack.kernel().fault_calendar().fired().len();
+    assert_eq!(fired, 1, "the crash event must fire");
 
     let plant = engine.plant();
     let plant = plant.borrow();

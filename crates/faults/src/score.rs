@@ -1,16 +1,14 @@
 //! The degradation scorecard: how badly did the plan hurt, and did the
 //! platform come back?
 //!
-//! Scores are computed from the safety oracle's exact report and the
-//! kernel's end-of-run counters, so they are as deterministic as the run
-//! itself.
+//! Scores are computed from the safety oracle's exact report, the
+//! kernel's end-of-run counters and its fault calendar's fired state, so
+//! they are as deterministic as the run itself.
 
 use bas_core::engine::{PlatformKernel, ScenarioEngine};
 use bas_core::scenario::{critical_alive, Scenario};
 use bas_fleet::Json;
 use bas_sim::kernel::Kernel;
-
-use crate::inject::InjectionLog;
 
 /// One cell of the campaign matrix: a (platform, plan) pair's measured
 /// degradation.
@@ -77,13 +75,15 @@ impl Scorecard {
 }
 
 /// Grades a finished run: the oracle's degradation figures plus kernel
-/// counters.
+/// counters and the fault calendar's record of what fired.
 pub fn grade<K: PlatformKernel>(
     plan_name: &str,
     seed: u64,
     engine: &ScenarioEngine<K>,
-    log: &InjectionLog,
 ) -> Scorecard {
+    let kernel = engine.stack.kernel();
+    let calendar = kernel.fault_calendar();
+    let first = calendar.fired().first();
     let plant = engine.plant();
     let plant = plant.borrow();
     let report = plant.safety_report();
@@ -99,7 +99,7 @@ pub fn grade<K: PlatformKernel>(
     // The oracle weighs its band by time and solves for the instants the
     // temperature crosses it, exactly.
     let out_of_band_seconds = (1.0 - report.in_band_fraction) * plant.now().as_secs_f64();
-    let recovery_seconds = match (log.first_fault_at(), report.last_out_of_band) {
+    let recovery_seconds = match (first.map(|f| f.at), report.last_out_of_band) {
         // Still out of band at the end of the run: no recovery.
         (Some(_), Some(end)) if end == plant.now() => None,
         (Some(t0), Some(end)) => Some(end.saturating_since(t0).as_secs_f64()),
@@ -107,13 +107,9 @@ pub fn grade<K: PlatformKernel>(
         _ => Some(0.0),
     };
 
-    let metrics = engine.metrics();
-    let processes_restarted = match log.baseline_metrics() {
-        Some(base) => metrics
-            .processes_created
-            .saturating_sub(base.processes_created),
-        None => 0,
-    };
+    let processes_restarted = first.map_or(0, |f| {
+        (kernel.metrics().processes_created).saturating_sub(f.processes_created)
+    });
 
     Scorecard {
         platform: engine.platform().to_string(),
@@ -125,7 +121,7 @@ pub fn grade<K: PlatformKernel>(
         recovery_seconds,
         processes_restarted,
         critical_alive: critical_alive(engine),
-        events_fired: log.fired_count(),
-        ipc_faults_applied: engine.stack.kernel().ipc_faults().applied(),
+        events_fired: calendar.fired().len(),
+        ipc_faults_applied: kernel.ipc_faults().applied(),
     }
 }

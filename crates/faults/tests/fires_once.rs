@@ -1,6 +1,7 @@
 //! Schedule fidelity: every event in a plan fires exactly once, in plan
 //! order, at the first dispatch point at or after its scheduled time —
-//! on all three platforms.
+//! on all three platforms. The kernel's fault calendar records each
+//! firing.
 
 use bas_core::engine::{PlatformKernel, ScenarioEngine};
 use bas_core::platform::linux::LinuxStack;
@@ -8,16 +9,21 @@ use bas_core::platform::minix::MinixStack;
 use bas_core::platform::sel4::Sel4Stack;
 use bas_core::proto::names;
 use bas_core::scenario::{Scenario, ScenarioConfig};
-use bas_faults::inject::{self, FiredEvent, Injector};
+use bas_faults::inject;
 use bas_faults::plan::{FaultEvent, FaultKind, FaultPlan};
 use bas_sim::device::DeviceId;
-use bas_sim::time::SimDuration;
+use bas_sim::fault::Firing;
+use bas_sim::kernel::Kernel;
+use bas_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
-fn run_plan<K: PlatformKernel>(plan: &FaultPlan, horizon: SimDuration) -> Vec<FiredEvent> {
+/// Runs `plan` for `horizon` and returns the fault calendar's firings.
+fn run_plan<K: PlatformKernel>(plan: &FaultPlan, horizon: SimDuration) -> Vec<Firing> {
     let config = ScenarioConfig::quiet();
     let mut engine = ScenarioEngine::<K>::boot(&config, Default::default());
-    inject::run(&mut engine, plan, horizon).fired().to_vec()
+    inject::install(&mut engine, plan);
+    engine.run_for(horizon);
+    engine.stack.kernel().fault_calendar().fired().to_vec()
 }
 
 /// Where the kernel's clock stands once a run under the events before
@@ -26,8 +32,8 @@ fn run_plan<K: PlatformKernel>(plan: &FaultPlan, horizon: SimDuration) -> Vec<Fi
 fn first_dispatch_point<K: PlatformKernel>(plan: &FaultPlan, index: usize) -> u64 {
     let prefix = FaultPlan::new("prefix", plan.events()[..index].to_vec());
     let mut engine = ScenarioEngine::<K>::boot(&ScenarioConfig::quiet(), Default::default());
-    let mut injector = Injector::install(&mut engine, &prefix);
-    injector.run_for(&mut engine, plan.events()[index].at);
+    inject::install(&mut engine, &prefix);
+    engine.run_for(plan.events()[index].at);
     engine.now().as_nanos()
 }
 
@@ -91,9 +97,8 @@ proptest! {
                 platform
             );
             for (i, (f, ev)) in fired.iter().zip(plan.events()).enumerate() {
-                prop_assert_eq!(f.index, i, "{}: plan order preserved", platform);
-                prop_assert_eq!(f.scheduled, ev.at);
-                let (applied, scheduled) = (f.applied_at.as_nanos(), ev.at.as_nanos());
+                prop_assert_eq!(f.due, SimTime::ZERO + ev.at, "{}: plan order preserved", platform);
+                let (applied, scheduled) = (f.at.as_nanos(), ev.at.as_nanos());
                 prop_assert!(applied >= scheduled, "{}: event {} fired early", platform, i);
                 prop_assert!(
                     applied - scheduled < 3_000_000,
@@ -109,7 +114,7 @@ proptest! {
 }
 
 /// Clock skew fires once too, and events scheduled beyond the jump still
-/// fire (the injector compares against the skewed clock).
+/// fire (the run loop compares against the skewed clock).
 #[test]
 fn clock_skew_fires_once_and_later_events_survive() {
     let plan = FaultPlan::new(
@@ -129,24 +134,18 @@ fn clock_skew_fires_once_and_later_events_survive() {
             ),
         ],
     );
+    let h = SimDuration::from_secs(30);
     for (platform, fired) in [
-        (
-            "linux",
-            run_plan::<LinuxStack>(&plan, SimDuration::from_secs(30)),
-        ),
-        (
-            "minix",
-            run_plan::<MinixStack>(&plan, SimDuration::from_secs(30)),
-        ),
-        (
-            "sel4",
-            run_plan::<Sel4Stack>(&plan, SimDuration::from_secs(30)),
-        ),
+        ("linux", run_plan::<LinuxStack>(&plan, h)),
+        ("minix", run_plan::<MinixStack>(&plan, h)),
+        ("sel4", run_plan::<Sel4Stack>(&plan, h)),
     ] {
-        assert_eq!(fired.len(), 2, "{platform}: both events fire");
-        assert!(fired[1].hit, "{platform}: post-skew crash still lands");
+        let [_, crash] = fired[..] else {
+            panic!("{platform}: both events fire: {fired:?}");
+        };
+        assert!(crash.hit, "{platform}: post-skew crash still lands");
         assert!(
-            fired[1].applied_at.as_nanos() >= SimDuration::from_secs(20).as_nanos(),
+            crash.at.as_nanos() >= SimDuration::from_secs(20).as_nanos(),
             "{platform}: post-skew event respects its schedule"
         );
     }
@@ -166,6 +165,5 @@ fn crash_against_unknown_name_is_a_recorded_miss() {
         )],
     );
     let fired = run_plan::<MinixStack>(&plan, SimDuration::from_secs(10));
-    assert_eq!(fired.len(), 1);
-    assert!(!fired[0].hit);
+    assert!(matches!(fired[..], [Firing { hit: false, .. }]));
 }

@@ -12,9 +12,9 @@
 //! Every observable must agree: the final clock, kernel counters, the
 //! rendered kernel trace, web responses, request samples, the plant's
 //! committed history, time series and safety report, the attacker's
-//! evidence and the fault injector's log. The kernel overshoots a split
-//! point whenever a dispatch in flight there ends past it; the fault
-//! plan's 250 ms IPC delays make such dispatches long.
+//! evidence and the fault calendar's fired state. The kernel overshoots a
+//! split point whenever a dispatch in flight there ends past it; the
+//! fault plan's 250 ms IPC delays make such dispatches long.
 
 use bas_attack::evidence::{new_evidence, EvidenceLog};
 use bas_attack::{web_factory, AttackId, AttackRunConfig, LinuxBinding, MinixBinding, Sel4Binding};
@@ -26,7 +26,7 @@ use bas_core::platform::minix::{MinixOverrides, MinixStack};
 use bas_core::platform::sel4::{Sel4Overrides, Sel4Stack};
 use bas_core::proto::names;
 use bas_core::scenario::{plant_snapshot, Scenario, ScenarioConfig};
-use bas_faults::inject::Injector;
+use bas_faults::inject;
 use bas_faults::plan::{FaultEvent, FaultKind, FaultPlan};
 use bas_fleet::instance_seed;
 use bas_sim::device::DeviceId;
@@ -58,23 +58,13 @@ fn observe<K: PlatformKernel>(
 ) -> Observed {
     let (overrides, evidence) = setup();
     let mut s = ScenarioEngine::<K>::boot(config, overrides);
-    let fired = match plan {
-        Some(plan) => {
-            let mut injector = Injector::install(&mut s, plan);
-            for &d in calls {
-                injector.run_for(&mut s, d);
-                plant_snapshot(&s);
-            }
-            format!("{:?}", injector.log().fired())
-        }
-        None => {
-            for &d in calls {
-                s.run_for(d);
-                plant_snapshot(&s);
-            }
-            String::new()
-        }
-    };
+    if let Some(plan) = plan {
+        inject::install(&mut s, plan);
+    }
+    for &d in calls {
+        s.run_for(d);
+        plant_snapshot(&s);
+    }
     let plant = s.plant();
     let plant = plant.borrow();
     let evidence = format!("{:?}", evidence.borrow());
@@ -95,7 +85,7 @@ fn observe<K: PlatformKernel>(
         plant_trace: format!("{:?}", plant.trace()),
         safety: format!("{:?}", plant.safety_report()),
         evidence,
-        fired,
+        fired: format!("{:?}", s.stack.kernel().fault_calendar().fired()),
     }
 }
 

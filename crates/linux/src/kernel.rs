@@ -110,7 +110,7 @@ pub struct LinuxKernel {
     queue_ids: BTreeMap<String, u32>,
     /// Clock, scheduler, timers, trace, devices and the message arena,
     /// which holds the payload bytes of queued and parked sends.
-    exec: Executive<Detail>,
+    exec: Executive<Detail, CapChurnOp>,
     programs: Vec<(String, ProgramFactory<Syscall, Reply>)>,
     names: BTreeMap<String, Pid>,
     device_nodes: BTreeMap<DeviceId, (Uid, Mode)>,
@@ -785,12 +785,12 @@ impl Kernel for LinuxKernel {
     const WAKE: Reply = Reply::Ok;
 
     #[inline]
-    fn exec(&self) -> &Executive<Detail> {
+    fn exec(&self) -> &Executive<Detail, CapChurnOp> {
         &self.exec
     }
 
     #[inline]
-    fn exec_mut(&mut self) -> &mut Executive<Detail> {
+    fn exec_mut(&mut self) -> &mut Executive<Detail, CapChurnOp> {
         &mut self.exec
     }
 

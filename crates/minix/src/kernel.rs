@@ -90,7 +90,7 @@ pub struct MinixKernel {
     /// every in-flight payload lives in the arena and moves as an 8-byte
     /// [`MsgRef`] (blocked-sender PCBs, the dup stash), copied once in at
     /// `do_send` and once out at delivery.
-    exec: Executive<Detail>,
+    exec: Executive<Detail, CapChurnOp>,
     /// Registered program images by id. The names are shared: a fork
     /// hands its child the registry's `Arc`, so a process name is never
     /// copied.
@@ -1017,12 +1017,12 @@ impl Kernel for MinixKernel {
     const WAKE: Reply = Reply::Ok;
 
     #[inline]
-    fn exec(&self) -> &Executive<Detail> {
+    fn exec(&self) -> &Executive<Detail, CapChurnOp> {
         &self.exec
     }
 
     #[inline]
-    fn exec_mut(&mut self) -> &mut Executive<Detail> {
+    fn exec_mut(&mut self) -> &mut Executive<Detail, CapChurnOp> {
         &mut self.exec
     }
 

@@ -97,7 +97,7 @@ pub struct Sel4Kernel {
     /// Clock, scheduler, timers, trace, devices and the message arena:
     /// staged message registers live in the arena while a send is
     /// parked, and queues and thread states move 8-byte handles.
-    exec: Executive<Detail>,
+    exec: Executive<Detail, ChurnSweep>,
     /// Armed churn sweeps: each fires after its matching successful send
     /// admission check count reaches zero — inside the check→delivery
     /// TOCTOU window by construction.
@@ -1130,12 +1130,12 @@ impl Kernel for Sel4Kernel {
     const WAKE: Reply = Reply::Ok;
 
     #[inline]
-    fn exec(&self) -> &Executive<Detail> {
+    fn exec(&self) -> &Executive<Detail, ChurnSweep> {
         &self.exec
     }
 
     #[inline]
-    fn exec_mut(&mut self) -> &mut Executive<Detail> {
+    fn exec_mut(&mut self) -> &mut Executive<Detail, ChurnSweep> {
         &mut self.exec
     }
 

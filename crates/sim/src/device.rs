@@ -6,11 +6,13 @@
 //! implemented by `bas-plant` and registered on a [`DeviceBus`]; driver
 //! processes reach them through platform-specific device syscalls, gated by
 //! each platform's own access-control mechanism (ACM entries on MINIX,
-//! device capabilities on seL4, `/dev` DAC modes on Linux).
+//! device capabilities on seL4, `/dev` DAC modes on Linux). Sensor faults
+//! are read modes the bus applies to the devices a fault plan names.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::fault::SensorFaultMode;
 use crate::time::SimTime;
 
 /// Identifies one device on the bus.
@@ -75,7 +77,33 @@ impl std::error::Error for NoSuchDeviceError {}
 #[derive(Default)]
 pub struct DeviceBus {
     devices: BTreeMap<DeviceId, Box<dyn Device>>,
-    interposed: bool,
+    /// The devices a fault plan named: their read mode and last good value.
+    faults: BTreeMap<DeviceId, SensorFault>,
+}
+
+#[derive(Default)]
+struct SensorFault {
+    mode: SensorFaultMode,
+    last_good: Option<i64>,
+}
+
+impl SensorFault {
+    /// Reads `device` under the mode. A stuck-at read, and a dropout read
+    /// once a good value is latched, never reach the device.
+    fn read(&mut self, device: &mut dyn Device, now: SimTime) -> i64 {
+        match (self.mode, self.last_good) {
+            (SensorFaultMode::StuckAt(v), _) | (SensorFaultMode::Dropout, Some(v)) => v,
+            // Dropout before any good reading latches the first one.
+            (mode, _) => {
+                let v = device.read(now);
+                self.last_good = Some(v);
+                match mode {
+                    SensorFaultMode::Glitch { offset } => v.saturating_add(offset),
+                    _ => v,
+                }
+            }
+        }
+    }
 }
 
 impl fmt::Debug for DeviceBus {
@@ -89,10 +117,7 @@ impl fmt::Debug for DeviceBus {
 impl DeviceBus {
     /// Creates an empty bus.
     pub fn new() -> Self {
-        DeviceBus {
-            devices: BTreeMap::new(),
-            interposed: false,
-        }
+        DeviceBus::default()
     }
 
     /// Registers the device behind `id`.
@@ -100,35 +125,48 @@ impl DeviceBus {
     /// # Panics
     ///
     /// Panics if `id` is already registered: a second registration would
-    /// silently shadow a live device (a fault interposer, for instance,
-    /// must go through [`DeviceBus::interpose`] instead).
+    /// silently shadow a live device.
     pub fn register(&mut self, id: DeviceId, device: Box<dyn Device>) {
         let prev = self.devices.insert(id, device);
         assert!(prev.is_none(), "device {id} registered twice");
     }
 
-    /// Replaces the device behind `id` with a wrapper built around it —
-    /// the sanctioned path for fault interposers (`bas-sim::fault`),
-    /// which must wrap the real device rather than shadow it.
+    /// Starts tracking the last good value read from `id` (in
+    /// [`SensorFaultMode::Nominal`] unless already watched), so a later
+    /// dropout freezes at it.
     ///
     /// # Errors
     ///
     /// Returns [`NoSuchDeviceError`] if no device is registered under `id`.
-    pub fn interpose(
+    pub fn watch(&mut self, id: DeviceId) -> Result<(), NoSuchDeviceError> {
+        self.fault_mut(id).map(drop)
+    }
+
+    /// Puts `id`'s reads into `mode`, watching it if needed. Writes always
+    /// pass through: these are *sensor* faults.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NoSuchDeviceError`] if no device is registered under `id`.
+    pub fn set_mode(
         &mut self,
         id: DeviceId,
-        wrap: impl FnOnce(Box<dyn Device>) -> Box<dyn Device>,
+        mode: SensorFaultMode,
     ) -> Result<(), NoSuchDeviceError> {
-        let inner = self.devices.remove(&id).ok_or(NoSuchDeviceError(id))?;
-        self.devices.insert(id, wrap(inner));
-        self.interposed = true;
+        self.fault_mut(id)?.mode = mode;
         Ok(())
     }
 
-    /// True once [`DeviceBus::interpose`] replaced a device. Interposers
-    /// outlive a kernel reset, so such a bus is no longer its boot image.
-    pub fn interposed(&self) -> bool {
-        self.interposed
+    /// Stops watching every device: reads reach the devices again.
+    pub fn clear_faults(&mut self) {
+        self.faults.clear();
+    }
+
+    fn fault_mut(&mut self, id: DeviceId) -> Result<&mut SensorFault, NoSuchDeviceError> {
+        if !self.devices.contains_key(&id) {
+            return Err(NoSuchDeviceError(id));
+        }
+        Ok(self.faults.entry(id).or_default())
     }
 
     /// Reads from the device at `now`.
@@ -137,10 +175,11 @@ impl DeviceBus {
     ///
     /// Returns [`NoSuchDeviceError`] if no device is registered under `id`.
     pub fn read(&mut self, id: DeviceId, now: SimTime) -> Result<i64, NoSuchDeviceError> {
-        self.devices
-            .get_mut(&id)
-            .map(|d| d.read(now))
-            .ok_or(NoSuchDeviceError(id))
+        let device = self.devices.get_mut(&id).ok_or(NoSuchDeviceError(id))?;
+        Ok(match self.faults.get_mut(&id) {
+            Some(fault) => fault.read(device.as_mut(), now),
+            None => device.read(now),
+        })
     }
 
     /// Writes to the device at `now`.
@@ -211,41 +250,44 @@ mod tests {
         bus.register(DeviceId::FAN, Box::new(Register(Rc::new(RefCell::new(0)))));
     }
 
-    /// A wrapper installed through `interpose` sees the original device.
-    #[test]
-    fn interpose_wraps_the_registered_device() {
-        struct PlusOne(Box<dyn Device>);
-        impl Device for PlusOne {
-            fn read(&mut self, now: SimTime) -> i64 {
-                self.0.read(now) + 1
-            }
-            fn write(&mut self, now: SimTime, value: i64) {
-                self.0.write(now, value);
-            }
-        }
+    /// A device whose reads count themselves.
+    struct Counter(i64);
 
-        let cell = Rc::new(RefCell::new(41));
-        let mut bus = DeviceBus::new();
-        bus.register(DeviceId::TEMP_SENSOR, Box::new(Register(cell.clone())));
-        bus.interpose(DeviceId::TEMP_SENSOR, |inner| Box::new(PlusOne(inner)))
-            .unwrap();
-        assert_eq!(bus.read(DeviceId::TEMP_SENSOR, T).unwrap(), 42);
-        bus.write(DeviceId::TEMP_SENSOR, T, 10).unwrap();
-        assert_eq!(*cell.borrow(), 10);
-        // Interposing an unknown id reports the error instead of creating
-        // a device from nothing.
-        assert!(bus.interpose(DeviceId::new(99), |inner| inner).is_err());
+    impl Device for Counter {
+        fn read(&mut self, _: SimTime) -> i64 {
+            self.0 += 1;
+            self.0
+        }
+        fn write(&mut self, _: SimTime, value: i64) {
+            self.0 = value;
+        }
     }
 
-    /// Only a successful interposition marks the bus.
+    /// Stuck-at and latched dropout reads never reach the device: the
+    /// count does not move under them.
     #[test]
-    fn interposed_reports_a_replaced_device() {
+    fn sensor_modes_corrupt_reads() {
+        use SensorFaultMode::{Dropout, Glitch, Nominal, StuckAt};
+        const S: DeviceId = DeviceId::TEMP_SENSOR;
         let mut bus = DeviceBus::new();
-        bus.register(DeviceId::FAN, Box::new(Register(Rc::default())));
-        assert!(bus.interpose(DeviceId::ALARM, |inner| inner).is_err());
-        assert!(!bus.interposed());
-        bus.interpose(DeviceId::FAN, |inner| inner).unwrap();
-        assert!(bus.interposed());
+        bus.register(S, Box::new(Counter(0)));
+        assert_eq!(bus.read(S, T), Ok(1), "unwatched: nothing latched");
+        bus.watch(S).expect("registered");
+        let check = |bus: &mut DeviceBus, mode, reads: [i64; 2]| {
+            bus.set_mode(S, mode).expect("registered");
+            assert_eq!(reads.map(|_| bus.read(S, T)), reads.map(Ok), "{mode:?}");
+        };
+        check(&mut bus, Dropout, [2, 2]); // latches the first read
+        check(&mut bus, Nominal, [3, 4]);
+        check(&mut bus, StuckAt(99), [99, 99]);
+        check(&mut bus, Glitch { offset: 100 }, [105, 106]);
+        check(&mut bus, Dropout, [6, 6]);
+        bus.write(S, T, 10).expect("registered");
+        bus.clear_faults();
+        check(&mut bus, Dropout, [11, 11]); // the latch is gone
+        let fan = DeviceId::FAN;
+        assert_eq!(bus.set_mode(fan, Dropout), Err(NoSuchDeviceError(fan)));
+        assert_eq!(bus.watch(fan), Err(NoSuchDeviceError(fan)));
     }
 
     #[test]

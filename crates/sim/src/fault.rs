@@ -3,27 +3,27 @@
 //! The BAS literature the reproduction leans on (HIL testbeds, the OT
 //! attack surveys) evaluates controllers under *repeatable* sensor and
 //! communication faults, not single hand-picked crashes. This module is
-//! the substrate for that: a device interposer for sensor faults and a
-//! one-shot IPC fault queue each kernel consults on its send path. The
-//! schedule DSL that drives these lives in `bas-faults`; the kernels only
-//! see the two small types here.
+//! the substrate for that: sensor read modes the device bus applies, a
+//! one-shot IPC fault queue each kernel consults on its send path, and the
+//! [`FaultCalendar`] of timed [`FaultAction`]s that the kernel's run loop
+//! fires next to its timers (`bas_sim::kernel`). The schedule DSL lives in
+//! `bas-faults`, which lowers a plan into calendar entries; the kernels
+//! only see the small types here.
 //!
 //! Injection points are deliberately *inside* the kernel, after access
 //! control: a fault can corrupt, delay or destroy an authorized
 //! interaction, but it can never manufacture authority (see `DESIGN.md`'s
 //! fault-model section).
 
-use std::cell::Cell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
-use crate::device::Device;
+use crate::device::DeviceId;
 use crate::time::{SimDuration, SimTime};
 
 /// What a faulty sensor reports instead of the truth.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SensorFaultMode {
-    /// Pass-through: the interposer is transparent.
+    /// Pass-through: reads reach the device.
     #[default]
     Nominal,
     /// Reads return a fixed raw value (a wedged ADC).
@@ -39,53 +39,107 @@ pub enum SensorFaultMode {
     Dropout,
 }
 
-/// Shared handle through which a fault injector flips a live
-/// [`FaultyDevice`]'s mode mid-run.
-pub type SensorFaultHandle = Rc<Cell<SensorFaultMode>>;
-
-/// Creates a handle starting in [`SensorFaultMode::Nominal`].
-pub fn sensor_fault_handle() -> SensorFaultHandle {
-    Rc::new(Cell::new(SensorFaultMode::Nominal))
+/// One primitive fault, applied at once through
+/// [`Kernel::apply_fault`](crate::kernel::Kernel::apply_fault) or at its
+/// time from a [`FaultCalendar`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FaultAction<C> {
+    /// Puts the device's reads into the mode; [`SensorFaultMode::Nominal`]
+    /// restores it.
+    Sensor(DeviceId, SensorFaultMode),
+    /// Arms this many one-shot IPC faults.
+    Ipc(IpcFault, u32),
+    /// Kills the named process outright: a simulated crash, not a
+    /// policy-gated kill. Misses when no live process bears the name.
+    Crash(String),
+    /// Jumps the clock forward: ticks the platform lost.
+    Skew(SimDuration),
+    /// A capability mutation resolved to the kernel's own churn ops
+    /// (empty when it did not resolve). `None` applies them, landing when
+    /// any changed the authority structure; `Some(n)` arms them to fire
+    /// right after the n-th subsequent matching admission check, and
+    /// always lands.
+    Churn(Vec<C>, Option<u32>),
 }
 
-/// A device-bus interposer wrapping a real device: transparent in
-/// [`SensorFaultMode::Nominal`], otherwise corrupting reads per the
-/// mode. Writes always pass through (these are *sensor* faults).
-pub struct FaultyDevice {
-    inner: Box<dyn Device>,
-    mode: SensorFaultHandle,
-    last_good: Option<i64>,
+/// One fired calendar entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Firing {
+    /// The time it was scheduled for.
+    pub due: SimTime,
+    /// The kernel's clock when the run loop applied it.
+    pub at: SimTime,
+    /// Whether it landed (a crash aimed at a name nobody bears misses).
+    pub hit: bool,
+    /// The kernel's `processes_created` just before it fired.
+    pub processes_created: u64,
 }
 
-impl FaultyDevice {
-    /// Wraps `inner`, controlled by `mode`.
-    pub fn new(inner: Box<dyn Device>, mode: SensorFaultHandle) -> Self {
-        FaultyDevice {
-            inner,
-            mode,
-            last_good: None,
+/// A kernel's time-ordered calendar of [`FaultAction`]s, fired one at a
+/// time in order by the run loop (equal times in scheduling order). Its
+/// [`Firing`]s are the record of a fault run.
+#[derive(Debug, Clone)]
+pub struct FaultCalendar<C> {
+    /// Every scheduled action with its time, the fired ones first.
+    entries: Vec<(SimTime, FaultAction<C>)>,
+    /// One per fired entry, in order.
+    fired: Vec<Firing>,
+}
+
+impl<C> Default for FaultCalendar<C> {
+    fn default() -> Self {
+        FaultCalendar {
+            entries: Vec::new(),
+            fired: Vec::new(),
         }
     }
 }
 
-impl Device for FaultyDevice {
-    fn read(&mut self, now: SimTime) -> i64 {
-        let mode = self.mode.get();
-        match (mode, self.last_good) {
-            (SensorFaultMode::StuckAt(v), _) | (SensorFaultMode::Dropout, Some(v)) => return v,
-            // Dropout before any good reading latches the first one.
-            _ => {}
-        }
-        let v = self.inner.read(now);
-        self.last_good = Some(v);
-        match mode {
-            SensorFaultMode::Glitch { offset } => v.saturating_add(offset),
-            _ => v,
-        }
+impl<C> FaultCalendar<C> {
+    /// Schedules `action` for `due`, after every entry due by then and
+    /// every entry that has fired.
+    pub fn schedule(&mut self, due: SimTime, action: FaultAction<C>) {
+        let at = self.entries.partition_point(|(t, _)| *t <= due);
+        self.entries.insert(at.max(self.fired.len()), (due, action));
     }
 
-    fn write(&mut self, now: SimTime, value: i64) {
-        self.inner.write(now, value);
+    /// The entries fired so far.
+    pub fn fired(&self) -> &[Firing] {
+        &self.fired
+    }
+
+    /// The time of the next entry to fire.
+    pub fn next_due(&self) -> Option<SimTime> {
+        self.entries.get(self.fired.len()).map(|(due, _)| *due)
+    }
+
+    /// Drops every entry.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.fired.clear();
+    }
+
+    /// Fires the next entry at `now`: `apply` performs its action and says
+    /// whether it landed; `processes_created` is the kernel's counter
+    /// before it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every entry has fired.
+    pub fn fire_next(
+        &mut self,
+        now: SimTime,
+        processes_created: u64,
+        apply: impl FnOnce(&FaultAction<C>) -> bool,
+    ) {
+        let (due, action) = &self.entries[self.fired.len()];
+        let (due, hit) = (*due, apply(action));
+        self.fired.push(Firing {
+            due,
+            at: now,
+            hit,
+            processes_created,
+        });
     }
 }
 
@@ -138,64 +192,43 @@ impl IpcFaultState {
     pub fn applied(&self) -> u64 {
         self.applied
     }
-
-    /// Number of armed faults not yet consumed.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    struct Counter(i64);
-    impl Device for Counter {
-        fn read(&mut self, _: SimTime) -> i64 {
-            self.0 += 1;
-            self.0
-        }
-        fn write(&mut self, _: SimTime, value: i64) {
-            self.0 = value;
-        }
-    }
-
-    const T: SimTime = SimTime::ZERO;
-
     #[test]
-    fn nominal_is_transparent() {
-        let mode = sensor_fault_handle();
-        let mut d = FaultyDevice::new(Box::new(Counter(0)), mode);
-        assert_eq!(d.read(T), 1);
-        assert_eq!(d.read(T), 2);
-        d.write(T, 10);
-        assert_eq!(d.read(T), 11);
-    }
-
-    #[test]
-    fn stuck_glitch_dropout_corrupt_reads() {
-        let mode = sensor_fault_handle();
-        let mut d = FaultyDevice::new(Box::new(Counter(0)), mode.clone());
-        assert_eq!(d.read(T), 1); // last good = 1
-        mode.set(SensorFaultMode::StuckAt(99));
-        assert_eq!(d.read(T), 99);
-        assert_eq!(d.read(T), 99);
-        mode.set(SensorFaultMode::Glitch { offset: 100 });
-        assert_eq!(d.read(T), 102); // true value 2 + 100
-        mode.set(SensorFaultMode::Dropout);
-        assert_eq!(d.read(T), 2); // frozen at the last good reading
-        assert_eq!(d.read(T), 2);
-        mode.set(SensorFaultMode::Nominal);
-        assert_eq!(d.read(T), 3);
-    }
-
-    #[test]
-    fn dropout_before_first_reading_latches_once() {
-        let mode = sensor_fault_handle();
-        mode.set(SensorFaultMode::Dropout);
-        let mut d = FaultyDevice::new(Box::new(Counter(0)), mode);
-        assert_eq!(d.read(T), 1);
-        assert_eq!(d.read(T), 1);
+    fn calendar_fires_in_time_then_scheduling_order() {
+        let at = SimTime::from_nanos;
+        let crash = |name: &str| FaultAction::<()>::Crash(name.into());
+        let mut cal = FaultCalendar::default();
+        cal.schedule(at(20), crash("b"));
+        cal.schedule(at(10), crash("a"));
+        cal.schedule(at(20), crash("c"));
+        let mut seen = Vec::new();
+        let mut fire = |cal: &mut FaultCalendar<()>, now| {
+            assert!(cal.next_due().is_some_and(|due| due <= at(now)));
+            cal.fire_next(at(now), now, |action| {
+                seen.push(action.clone());
+                now != 25
+            });
+        };
+        fire(&mut cal, 12);
+        fire(&mut cal, 25);
+        // A late entry due before the fired ones fires after them.
+        cal.schedule(at(5), crash("d"));
+        fire(&mut cal, 30);
+        fire(&mut cal, 30);
+        assert_eq!(cal.next_due(), None);
+        assert_eq!(seen, ["a", "b", "d", "c"].map(crash));
+        let f = cal.fired()[1];
+        assert_eq!(
+            (f.due, f.at, f.hit, f.processes_created),
+            (at(20), at(25), false, 25)
+        );
+        cal.clear();
+        assert_eq!((cal.next_due(), cal.fired()), (None, &[][..]));
     }
 
     #[test]
@@ -204,12 +237,10 @@ mod tests {
         assert_eq!(s.pop(), None);
         s.arm(IpcFault::Drop, 2);
         s.arm(IpcFault::Duplicate, 1);
-        assert_eq!(s.pending(), 3);
         assert_eq!(s.pop(), Some(IpcFault::Drop));
         assert_eq!(s.pop(), Some(IpcFault::Drop));
         assert_eq!(s.pop(), Some(IpcFault::Duplicate));
         assert_eq!(s.pop(), None);
         assert_eq!(s.applied(), 3);
-        assert_eq!(s.pending(), 0);
     }
 }

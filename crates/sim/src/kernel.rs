@@ -5,9 +5,10 @@
 //! capabilities, Linux DAC. The scheduler, the timers and the cost
 //! charging are the experiment's control, so they live here once. An
 //! [`Executive`] holds the platform-neutral state (clock, run queue, timer
-//! queue, metrics, trace, device bus, IPC fault queue, message arena) and
-//! the [`Kernel`] trait supplies, on top of it, the run loop, the dispatch
-//! prologue, sleeping, wake-ups and the accessors.
+//! queue, fault calendar, metrics, trace, device bus, IPC fault queue,
+//! message arena) and the [`Kernel`] trait supplies, on top of it, the
+//! run loop (which fires timers and faults alike), the dispatch prologue,
+//! sleeping, wake-ups and the accessors.
 //!
 //! A kernel implements the trait with a few hooks: access to its process
 //! table ([`Kernel::task_mut`]), its system calls
@@ -17,11 +18,13 @@
 //! seL4). Everything is statically dispatched: the run loop is
 //! monomorphized per kernel type.
 
+use std::fmt;
+
 use crate::arena::MsgArena;
 use crate::caps::{CapRecord, CapTrace};
 use crate::clock::{CostModel, VirtualClock};
 use crate::device::DeviceBus;
-use crate::fault::IpcFaultState;
+use crate::fault::{FaultAction, FaultCalendar, IpcFaultState};
 use crate::metrics::KernelMetrics;
 use crate::process::{Action, BoxedProcess, Pid, ProcState};
 use crate::sched::RunQueue;
@@ -32,14 +35,17 @@ use crate::trace::{TraceDetail, TraceLog};
 /// The platform-neutral state of one simulated kernel.
 ///
 /// The fields are public so a kernel's syscall handlers can borrow them
-/// independently of its own process table.
-pub struct Executive<D> {
+/// independently of its own process table. `C` is the kernel's resolved
+/// capability-churn op, which churn faults carry.
+pub struct Executive<D, C = ()> {
     /// Virtual time and the cost model every kernel path charges.
     pub clock: VirtualClock,
     /// Runnable processes in round-robin order.
     pub run_queue: RunQueue,
     /// Armed sleeps.
     pub timers: TimerQueue,
+    /// Timed faults, fired by the run loop next to the timers.
+    pub calendar: FaultCalendar<C>,
     /// Kernel counters.
     pub metrics: KernelMetrics,
     /// The typed event trace.
@@ -61,7 +67,7 @@ pub struct Executive<D> {
     touched: bool,
 }
 
-impl<D> Executive<D> {
+impl<D, C> Executive<D, C> {
     /// A just-booted executive. The arena is pre-warmed to `arena_slots`
     /// slots, the structural bound on parked messages, so the hot path
     /// never grows its slot table.
@@ -70,6 +76,7 @@ impl<D> Executive<D> {
             clock: VirtualClock::new(cost_model),
             run_queue: RunQueue::new(),
             timers: TimerQueue::new(),
+            calendar: FaultCalendar::default(),
             metrics: KernelMetrics::default(),
             trace: TraceLog::with_capacity(trace_capacity),
             devices: DeviceBus::new(),
@@ -84,10 +91,13 @@ impl<D> Executive<D> {
 
     /// Restores the just-booted state in place, reusing live allocations:
     /// the shared half of every kernel's `reset_to_boot`. Installed
-    /// devices survive (they are boot-template state).
+    /// devices survive (they are boot-template state); their fault modes
+    /// and the fault calendar do not.
     pub fn reset(&mut self) {
         self.run_queue.clear();
         self.timers.clear();
+        self.calendar.clear();
+        self.devices.clear_faults();
         self.clock.reset();
         self.metrics = KernelMetrics::default();
         self.trace.clear();
@@ -175,16 +185,16 @@ pub trait Kernel {
     type Detail: TraceDetail + CapRecord;
     /// A capability mutation resolved to this kernel's authority
     /// structure (an ACM row, a CDT sweep, a queue's mode bits).
-    type Churn;
+    type Churn: fmt::Debug;
 
     /// The reply a sleeper wakes with.
     const WAKE: Self::Reply;
 
     /// The shared state.
-    fn exec(&self) -> &Executive<Self::Detail>;
+    fn exec(&self) -> &Executive<Self::Detail, Self::Churn>;
 
     /// The shared state, mutably.
-    fn exec_mut(&mut self) -> &mut Executive<Self::Detail>;
+    fn exec_mut(&mut self) -> &mut Executive<Self::Detail, Self::Churn>;
 
     /// The scheduling half of `pid`'s entry, if `pid` is live.
     fn task_mut(&mut self, pid: Pid) -> Option<&mut Task<Self::Syscall, Self::Reply, Self::Block>>;
@@ -235,14 +245,19 @@ pub trait Kernel {
     fn arm_cap_churn(&mut self, op: &Self::Churn, after_checks: u32);
 
     /// Runs until virtual time reaches `t`: dispatches whatever is
-    /// runnable and wakes sleepers at their deadlines, and returns at the
-    /// first point between dispatches at which the clock reads `t` or
-    /// later. When nothing is runnable and no timer is due before `t`, the
-    /// clock jumps to exactly `t`. A run split into several calls at any
-    /// targets computes the same as one call to the last of them.
+    /// runnable, wakes sleepers at their deadlines and fires the fault
+    /// calendar's entries due by `t` (each after the sleepers due by
+    /// then), and returns at the first point between dispatches at which
+    /// the clock reads `t` or later. When nothing is runnable and no timer
+    /// or entry is due before `t`, the clock jumps to exactly `t`. A run
+    /// split into several calls at any targets computes the same as one
+    /// call to the last of them.
     fn run_until(&mut self, t: SimTime) {
         loop {
             fire_due_timers(self);
+            if fire_due_fault(self, t) {
+                continue;
+            }
             let exec = self.exec_mut();
             if exec.clock.now() >= t {
                 return;
@@ -250,7 +265,7 @@ pub trait Kernel {
             if let Some(pid) = exec.run_queue.dequeue() {
                 dispatch(self, pid);
             } else {
-                match exec.timers.next_deadline() {
+                match next_event(exec) {
                     Some(d) if d <= t => exec.clock.advance_to(d),
                     _ => {
                         exec.clock.advance_to(t);
@@ -261,8 +276,9 @@ pub trait Kernel {
         }
     }
 
-    /// Runs until nothing is runnable and no timer is armed, jumping the
-    /// clock from deadline to deadline. Returns the number of dispatches.
+    /// Runs until nothing is runnable, no timer is armed and the fault
+    /// calendar is spent, jumping the clock from deadline to deadline.
+    /// Returns the number of dispatches.
     ///
     /// # Panics
     ///
@@ -272,9 +288,13 @@ pub trait Kernel {
         let mut steps = 0;
         loop {
             fire_due_timers(self);
+            let now = self.now();
+            if fire_due_fault(self, now) {
+                continue;
+            }
             let exec = self.exec_mut();
             let Some(pid) = exec.run_queue.dequeue() else {
-                match exec.timers.next_deadline() {
+                match next_event(exec) {
                     Some(d) => {
                         exec.clock.advance_to(d);
                         continue;
@@ -308,23 +328,41 @@ pub trait Kernel {
         }
     }
 
-    /// Kills the named process outright: a simulated crash, not a
-    /// policy-gated kill. Returns false if no live process bears the name.
-    fn kill_named(&mut self, name: &str) -> bool {
-        let Some(pid) = self.pid_of(name) else {
-            return false;
-        };
-        self.exec_mut().record(Some(pid), Self::crash_detail(name));
-        self.terminate(pid);
-        true
-    }
-
-    /// Jumps the clock forward by `d` without running anyone: a tick-skew
-    /// fault.
-    fn skew_clock(&mut self, d: SimDuration) {
-        let exec = self.exec_mut();
-        exec.clock.advance(d);
-        exec.record(None, Self::skew_detail(d));
+    /// Applies one fault now (a crash and a clock skew leave the kernel's
+    /// own trace record) and returns whether it landed.
+    fn apply_fault(&mut self, action: &FaultAction<Self::Churn>) -> bool {
+        match action {
+            FaultAction::Sensor(device, mode) => {
+                self.exec_mut().devices.set_mode(*device, *mode).is_ok()
+            }
+            FaultAction::Ipc(fault, count) => {
+                self.exec_mut().ipc_faults.arm(*fault, *count);
+                true
+            }
+            FaultAction::Crash(name) => {
+                let Some(pid) = self.pid_of(name) else {
+                    return false;
+                };
+                self.exec_mut().record(Some(pid), Self::crash_detail(name));
+                self.terminate(pid);
+                true
+            }
+            FaultAction::Skew(d) => {
+                let exec = self.exec_mut();
+                exec.clock.advance(*d);
+                exec.record(None, Self::skew_detail(*d));
+                true
+            }
+            FaultAction::Churn(ops, None) => ops
+                .iter()
+                .fold(false, |changed, op| self.apply_cap_churn(op) | changed),
+            FaultAction::Churn(ops, Some(n)) => {
+                for op in ops {
+                    self.arm_cap_churn(op, *n);
+                }
+                true
+            }
+        }
     }
 
     /// Current virtual time.
@@ -347,21 +385,19 @@ pub trait Kernel {
         self.exec_mut().trace.disable();
     }
 
-    /// The device bus, for installing plant devices and fault
-    /// interposers.
+    /// The device bus, for installing plant devices.
     fn devices_mut(&mut self) -> &mut DeviceBus {
         &mut self.exec_mut().devices
     }
 
-    /// The IPC fault queue (applied/pending counters).
-    fn ipc_faults(&self) -> &IpcFaultState {
-        &self.exec().ipc_faults
+    /// The fault calendar: what is scheduled, and what fired when.
+    fn fault_calendar(&self) -> &FaultCalendar<Self::Churn> {
+        &self.exec().calendar
     }
 
-    /// Armed one-shot IPC faults, consumed by application sends *after*
-    /// the platform's access-control gate.
-    fn ipc_faults_mut(&mut self) -> &mut IpcFaultState {
-        &mut self.exec_mut().ipc_faults
+    /// The IPC fault queue (its count of applied faults).
+    fn ipc_faults(&self) -> &IpcFaultState {
+        &self.exec().ipc_faults
     }
 
     /// Starts keeping capability records in the trace (idempotent). They
@@ -395,6 +431,28 @@ fn fire_due_timers<K: Kernel + ?Sized>(k: &mut K) {
             }
         }
     }
+}
+
+/// The earlier of the next timer deadline and the next calendar entry.
+fn next_event<D, C>(exec: &Executive<D, C>) -> Option<SimTime> {
+    let deadline = exec.timers.next_deadline();
+    deadline.into_iter().chain(exec.calendar.next_due()).min()
+}
+
+/// Fires the next calendar entry if it is due by both the clock and `by`,
+/// and returns whether it did.
+fn fire_due_fault<K: Kernel + ?Sized>(k: &mut K, by: SimTime) -> bool {
+    let exec = k.exec_mut();
+    let now = exec.clock.now();
+    match exec.calendar.next_due() {
+        Some(due) if due <= now.min(by) => {}
+        _ => return false,
+    }
+    let processes = exec.metrics.processes_created;
+    let mut calendar = std::mem::take(&mut exec.calendar);
+    calendar.fire_next(now, processes, |action| k.apply_fault(action));
+    k.exec_mut().calendar = calendar;
+    true
 }
 
 /// Resumes `pid` once: charges the context switch (only when the process
@@ -677,9 +735,10 @@ mod tests {
         let log = Log::default();
         let mut k = Stub::new();
         k.spawn("a", steps("a", &log, vec![Action::Syscall(1)]));
-        assert!(k.kill_named("a"));
-        assert!(!k.kill_named("a"));
-        k.skew_clock(SimDuration::from_millis(7));
+        let crash = FaultAction::Crash("a".into());
+        assert!(k.apply_fault(&crash));
+        assert!(!k.apply_fault(&crash));
+        k.apply_fault(&FaultAction::Skew(SimDuration::from_millis(7)));
         let details: Vec<_> = k.trace().events().iter().map(|e| &e.detail).collect();
         assert_eq!(details, [&Note::Crash("a".into()), &Note::Skew(7)]);
         assert_eq!(k.now(), SimTime::ZERO + SimDuration::from_millis(7));

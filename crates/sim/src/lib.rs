@@ -69,7 +69,7 @@ pub use arena::{MsgArena, MsgRef};
 pub use caps::{CapChurnOp, CapEvent, CapOp, CapRecord, CapTrace, ChurnKind};
 pub use clock::{CostModel, VirtualClock};
 pub use device::{Device, DeviceBus, DeviceId};
-pub use fault::{FaultyDevice, IpcFault, IpcFaultState, SensorFaultHandle, SensorFaultMode};
+pub use fault::{FaultAction, FaultCalendar, IpcFault, IpcFaultState, SensorFaultMode};
 pub use kernel::{Executive, Kernel, Task};
 pub use metrics::KernelMetrics;
 pub use pool::WorkerPool;
