@@ -4,12 +4,15 @@
 //! zero-false-positive contract, and the storm scenarios prove witness
 //! minimization lands on single-event causes.
 
+use std::hash::Hasher;
+
 use bas_analysis::races::{
     churn_scenarios, detect, minimize, run_churn_plan, run_scenario, RaceKind,
 };
 use bas_core::scenario::Platform;
 use bas_faults::plan::FaultPlan;
 use bas_sim::caps::{CapOp, CapTrace};
+use bas_sim::fnv::Fnv1a;
 use bas_sim::time::SimDuration;
 
 #[test]
@@ -107,13 +110,8 @@ fn traces_and_reports_are_deterministic() {
 /// verdict, then every happens-before edge: the full content of a trace,
 /// not only the counts and races the committed report summarizes.
 fn trace_digest(trace: &CapTrace) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |line: String| {
-        for b in line.bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = Fnv1a::new();
+    let mut eat = |line: String| hash.write(line.as_bytes());
     for e in &trace.events {
         eat(format!(
             "{} {} {} {} {} {} {}\n",
@@ -129,7 +127,7 @@ fn trace_digest(trace: &CapTrace) -> u64 {
     for (from, to) in &trace.edges {
         eat(format!("edge {from} {to}\n"));
     }
-    hash
+    hash.finish()
 }
 
 /// Pins the whole capability trace of every catalog scenario: events,

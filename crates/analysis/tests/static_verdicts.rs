@@ -15,14 +15,9 @@ use bas_core::platform::sel4::ExtraCap;
 use bas_core::proto::names;
 use bas_core::scenario::Platform;
 use bas_sel4::rights::CapRights;
+use bas_sim::fnv::Fnv1a;
 
 const ATTACKERS: [AttackerModel; 2] = [AttackerModel::ArbitraryCode, AttackerModel::Root];
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
 
 fn stray_caps() -> Vec<ExtraCap> {
     [(names::HEATER, "cmd"), (names::ALARM, "cmd")]
@@ -85,7 +80,7 @@ fn static_verdicts_are_pinned() {
     }
     assert_eq!(cells, 198);
     assert_eq!(
-        format!("fnv1a {:016x}", fnv1a(text.as_bytes())),
+        format!("fnv1a {:016x}", Fnv1a::digest(text.as_bytes())),
         "fnv1a af401312d4755c20",
         "{text}"
     );

@@ -11,14 +11,8 @@
 use bas_attack::harness::{run_attack, AttackRunConfig};
 use bas_attack::model::{AttackId, AttackerModel};
 use bas_core::scenario::Platform;
+use bas_sim::fnv::Fnv1a;
 use bas_sim::time::SimDuration;
-
-/// FNV-1a over `text`'s bytes.
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
 
 /// One golden cell: (mechanism succeeded, critical alive, safety violated).
 type Cell = (bool, bool, bool);
@@ -114,7 +108,7 @@ fn engine_matches_prerefactor_attack_matrix() {
         format!(
             "cells {} fnv1a {:016x}",
             outcomes.lines().count(),
-            fnv1a(&outcomes)
+            Fnv1a::digest(outcomes.as_bytes())
         ),
         "cells 54 fnv1a e4e965ef4407fcba",
         "{outcomes}"
@@ -176,7 +170,7 @@ fn engine_matches_prerefactor_hardened_linux() {
         format!(
             "cells {} fnv1a {:016x}",
             outcomes.lines().count(),
-            fnv1a(&outcomes)
+            Fnv1a::digest(outcomes.as_bytes())
         ),
         "cells 18 fnv1a 2719ea3360ab87ca",
         "{outcomes}"

@@ -12,6 +12,8 @@
 
 use std::process::Command;
 
+use bas_sim::fnv::Fnv1a;
+
 fn stdout_of(bin: &str, args: &[&str]) -> String {
     let out = Command::new(bin).args(args).output().expect("run binary");
     assert!(out.status.success(), "{bin} {args:?} exited {}", out.status);
@@ -65,21 +67,16 @@ fn cost_sensitivity_quick_output_is_pinned() {
     assert_eq!(got, E8B_QUICK);
 }
 
-/// FNV-1a over `text`'s bytes.
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+/// `text`'s line count and FNV-1a digest.
+fn summary(text: &str) -> String {
+    let digest = Fnv1a::digest(text.as_bytes());
+    format!("lines {} fnv1a {digest:016x}", text.lines().count())
 }
 
 #[test]
 fn policy_audit_output_is_pinned() {
     let got = stdout_of(env!("CARGO_BIN_EXE_exp_policy_audit"), &[]);
-    assert_eq!(
-        format!("lines {} fnv1a {:016x}", got.lines().count(), fnv1a(&got)),
-        "lines 400 fnv1a 9df4ffdc54953b42",
-        "{got}"
-    );
+    assert_eq!(summary(&got), "lines 400 fnv1a 9df4ffdc54953b42", "{got}");
 }
 
 /// The A1 ablation (MINIX ACM) in full mode: four attacks under three
@@ -87,11 +84,7 @@ fn policy_audit_output_is_pinned() {
 #[test]
 fn ablation_acm_output_is_pinned() {
     let got = stdout_of(env!("CARGO_BIN_EXE_exp_ablation_acm"), &[]);
-    assert_eq!(
-        format!("lines {} fnv1a {:016x}", got.lines().count(), fnv1a(&got)),
-        "lines 31 fnv1a 84c8e47a191433f6",
-        "{got}"
-    );
+    assert_eq!(summary(&got), "lines 31 fnv1a 84c8e47a191433f6", "{got}");
 }
 
 /// The A2 ablation (seL4 stray capabilities): both configurations'
@@ -99,11 +92,7 @@ fn ablation_acm_output_is_pinned() {
 #[test]
 fn ablation_caps_output_is_pinned() {
     let got = stdout_of(env!("CARGO_BIN_EXE_exp_ablation_caps"), &[]);
-    assert_eq!(
-        format!("lines {} fnv1a {:016x}", got.lines().count(), fnv1a(&got)),
-        "lines 15 fnv1a 64c319af19ce520a",
-        "{got}"
-    );
+    assert_eq!(summary(&got), "lines 15 fnv1a 64c319af19ce520a", "{got}");
 }
 
 /// A3 recovery, one run per platform in `--quick` mode: the timeline
@@ -119,11 +108,7 @@ fn recovery_quick_output_is_pinned() {
             env!("CARGO_BIN_EXE_exp_recovery"),
             &["--quick", "--platform", platform],
         );
-        assert_eq!(
-            format!("lines {} fnv1a {:016x}", got.lines().count(), fnv1a(&got)),
-            pin,
-            "{platform}: {got}"
-        );
+        assert_eq!(summary(&got), pin, "{platform}: {got}");
     }
 }
 

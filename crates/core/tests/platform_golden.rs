@@ -19,6 +19,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::{Display, Write as _};
+use std::hash::Hasher;
 
 use bas_core::engine::{PlatformKernel, ScenarioEngine};
 use bas_core::logic::web::WebAction;
@@ -30,6 +31,7 @@ use bas_core::scenario::{plant_snapshot, Scenario, ScenarioConfig};
 use bas_sim::caps::{CapChurnOp, ChurnKind};
 use bas_sim::device::DeviceId;
 use bas_sim::fault::{FaultAction, IpcFault};
+use bas_sim::fnv::Fnv1a;
 use bas_sim::kernel::Kernel;
 use bas_sim::script::Script;
 use bas_sim::time::{SimDuration, SimTime};
@@ -153,14 +155,11 @@ fn linux_hardened_is_pinned() {
 /// (`[time] pid category: detail`), so the summary depends on the text
 /// alone.
 fn trace_summary<E: Display>(events: &[E]) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = Fnv1a::new();
     let mut categories = BTreeMap::<String, usize>::new();
     for e in events {
         let line = format!("{e}\n");
-        for b in line.bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        hash.write(line.as_bytes());
         let category = line
             .split_whitespace()
             .nth(2)
@@ -168,7 +167,7 @@ fn trace_summary<E: Display>(events: &[E]) -> String {
             .trim_end_matches(':');
         *categories.entry(category.to_string()).or_default() += 1;
     }
-    let mut out = format!("lines {} fnv1a {hash:016x}", events.len());
+    let mut out = format!("lines {} fnv1a {:016x}", events.len(), hash.finish());
     for (c, n) in categories {
         write!(out, " {c}={n}").unwrap();
     }

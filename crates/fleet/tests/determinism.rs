@@ -8,6 +8,7 @@ use bas_attack::model::{AttackId, AttackerModel};
 use bas_core::logic::traffic::TrafficProfile;
 use bas_core::scenario::Platform;
 use bas_fleet::{run_fleet, Campaign, FleetConfig};
+use bas_sim::fnv::Fnv1a;
 use bas_sim::time::SimDuration;
 
 fn small_fleet(platform: Platform, workers: usize) -> FleetConfig {
@@ -87,15 +88,8 @@ fn campaign_fleet_is_deterministic_too() {
     assert_eq!(campaign.compromised, 4);
 }
 
-/// FNV-1a over the report's JSON bytes.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
-}
-
 fn report_digest(config: &FleetConfig) -> u64 {
-    fnv1a(run_fleet(config).report.to_json().as_bytes())
+    Fnv1a::digest(run_fleet(config).report.to_json().as_bytes())
 }
 
 #[test]
@@ -138,7 +132,7 @@ fn fleet_reports_match_pinned_digests() {
         "tenant traffic must reach the web"
     );
     assert_eq!(
-        fnv1a(report.to_json().as_bytes()),
+        Fnv1a::digest(report.to_json().as_bytes()),
         0x1f0c_0a98_f64a_44ef,
         "30-instance fleet with tenant traffic"
     );

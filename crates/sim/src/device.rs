@@ -237,9 +237,9 @@ mod tests {
         let cell = Rc::new(RefCell::new(0));
         let mut bus = DeviceBus::new();
         bus.register(DeviceId::FAN, Box::new(Register(cell.clone())));
-        bus.write(DeviceId::FAN, T, 1).unwrap();
+        bus.write(DeviceId::FAN, T, 1).expect("registered");
         assert_eq!(*cell.borrow(), 1);
-        assert_eq!(bus.read(DeviceId::FAN, T).unwrap(), 1);
+        assert_eq!(bus.read(DeviceId::FAN, T), Ok(1));
     }
 
     #[test]
@@ -293,8 +293,8 @@ mod tests {
     #[test]
     fn unknown_device_errors() {
         let mut bus = DeviceBus::new();
-        let err = bus.read(DeviceId::new(99), T).unwrap_err();
-        assert_eq!(err, NoSuchDeviceError(DeviceId::new(99)));
+        let err = NoSuchDeviceError(DeviceId::new(99));
+        assert_eq!(bus.read(DeviceId::new(99), T), Err(err));
         assert!(bus.write(DeviceId::ALARM, T, 1).is_err());
         assert!(!bus.contains(DeviceId::ALARM));
     }

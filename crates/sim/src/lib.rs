@@ -53,6 +53,7 @@ pub mod caps;
 pub mod clock;
 pub mod device;
 pub mod fault;
+pub mod fnv;
 pub mod inline;
 pub mod kernel;
 pub mod metrics;
@@ -70,6 +71,7 @@ pub use caps::{CapChurnOp, CapEvent, CapOp, CapRecord, CapTrace, ChurnKind};
 pub use clock::{CostModel, VirtualClock};
 pub use device::{Device, DeviceBus, DeviceId};
 pub use fault::{FaultAction, FaultCalendar, IpcFault, IpcFaultState, SensorFaultMode};
+pub use fnv::Fnv1a;
 pub use kernel::{Executive, Kernel, Task};
 pub use metrics::KernelMetrics;
 pub use pool::WorkerPool;
