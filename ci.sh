@@ -254,7 +254,8 @@ gate BENCH_fleet.json boot_speedup floor 10 1 \
 # regenerations), so the committed copy must carry the regenerated
 # values: a change that moves one commits the new file with it.
 for key in cold_bytes_per_instance bytes_per_instance fleet_peak_live_bytes \
-  lifecycle_allocs_per_instance minix_steady_allocs_per_sim_second \
+  lifecycle_allocs_per_instance linux_lifecycle_allocs_per_instance \
+  sel4_lifecycle_allocs_per_instance minix_steady_allocs_per_sim_second \
   linux_steady_allocs_per_sim_second sel4_steady_allocs_per_sim_second \
   minix_kernel_entries_per_sim_second linux_kernel_entries_per_sim_second \
   sel4_kernel_entries_per_sim_second minix_plant_commits_per_sim_second \

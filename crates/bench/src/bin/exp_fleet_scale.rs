@@ -38,7 +38,9 @@
 //! The allocator also counts calls, and the binary reports two exact
 //! allocation budgets: `lifecycle_allocs_per_instance`, the alloc and
 //! realloc calls of one warm MINIX instance (checkout, 10 simulated s,
-//! report, checkin), and `<platform>_steady_allocs_per_sim_second`, the
+//! report, checkin), with `linux_lifecycle_allocs_per_instance` and
+//! `sel4_lifecycle_allocs_per_instance` the same on the other two
+//! platforms, and `<platform>_steady_allocs_per_sim_second`, the
 //! calls a recycled engine makes per simulated second between 60 s and
 //! 600 s. Both are counts, not timings, so `ci.sh` gates the MINIX
 //! life cycle and every platform's steady state with plain-number
@@ -385,7 +387,8 @@ fn main() {
     for (p, (lifecycle, steady)) in budget_platforms.iter().zip(budgets) {
         println!("{:<12} {lifecycle:>24.2} {steady:>24.2}", p.to_string());
     }
-    let [(minix_lifecycle, minix_steady), (_, linux_steady), (_, sel4_steady)] = budgets;
+    let [(minix_lifecycle, minix_steady), (linux_lifecycle, linux_steady), (sel4_lifecycle, sel4_steady)] =
+        budgets;
 
     section("work per simulated second: one quiet 10-minute instance");
     println!(
@@ -573,6 +576,14 @@ fn main() {
             Json::obj(vec![
                 ("instances", Json::UInt(budget_instances as u64)),
                 ("lifecycle_allocs_per_instance", Json::Num(minix_lifecycle)),
+                (
+                    "linux_lifecycle_allocs_per_instance",
+                    Json::Num(linux_lifecycle),
+                ),
+                (
+                    "sel4_lifecycle_allocs_per_instance",
+                    Json::Num(sel4_lifecycle),
+                ),
                 (
                     "minix_steady_allocs_per_sim_second",
                     Json::Num(minix_steady),

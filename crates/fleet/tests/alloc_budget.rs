@@ -32,23 +32,26 @@ use bas_sim::time::{SimDuration, SimTime};
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
-/// A warm MINIX instance: the loader, its five forks and the
-/// controller's memory-table slot list.
-const MINIX_LIFECYCLE_CALLS: u64 = 7;
-/// Ceilings on the calls a recycled engine makes over simulated
-/// 60–600 s: none on any platform. Linux mq payloads and seL4 message
-/// registers travel inline, as MINIX's fixed-size messages do.
-const STEADY_CALLS: [(Platform, u64); 3] = [
-    (Platform::Minix, 0),
-    (Platform::Linux, 0),
-    (Platform::Sel4, 0),
+/// Per platform, two allocator-call budgets. First, the calls of one
+/// warm instance's whole life cycle (checkout, 10 s, report, checkin),
+/// exactly. On MINIX: the loader, its five forks and the controller's
+/// memory-table slot list. Linux and seL4 recycling is not yet
+/// allocation-free; their counts pin where it stands, so a change moves
+/// them only on purpose. Second, a ceiling on the calls a recycled
+/// engine makes over simulated 60–600 s: none on any platform. Linux mq
+/// payloads and seL4 message registers travel inline, as MINIX's
+/// fixed-size messages do.
+const CALL_BUDGETS: [(Platform, u64, u64); 3] = [
+    (Platform::Minix, 7, 0),
+    (Platform::Linux, 63, 0),
+    (Platform::Sel4, 72, 0),
 ];
 
-/// Report assembly, a recycled engine's steady state and a warm MINIX
+/// Report assembly, a recycled engine's steady state and a warm
 /// instance's life cycle, in allocator calls.
 fn call_budgets_hold_exactly() {
     let instance = SimDuration::from_secs(10);
-    for (platform, steady_ceiling) in STEADY_CALLS {
+    for (platform, lifecycle_calls, steady_ceiling) in CALL_BUDGETS {
         let config = FleetConfig::benign(platform, 8, 1);
         let snapshot = Arc::new(EngineSnapshot::capture(platform, &config.template));
         let mut pool = InstancePool::new(Some(snapshot));
@@ -80,22 +83,20 @@ fn call_budgets_hold_exactly() {
         );
         pool.checkin(engine);
 
-        // A warm MINIX instance's whole life cycle: checkout, 10 s,
-        // report, checkin.
-        if platform == Platform::Minix {
-            let mut slot = None;
-            let lifecycle = ALLOC.calls_in(|| {
-                let mut engine = pool.checkout(&config, 3);
-                engine.run_for(instance);
-                slot = Some(InstanceReport::from_scenario(3, 0, engine.as_ref()));
-                pool.checkin(engine);
-            });
-            assert!(slot.is_some_and(|r| r.critical_alive));
-            assert_eq!(
-                lifecycle, MINIX_LIFECYCLE_CALLS,
-                "warm MINIX instance: checkout -> 10 s -> report -> checkin"
-            );
-        }
+        // A warm instance's whole life cycle: checkout, 10 s, report,
+        // checkin.
+        let mut slot = None;
+        let lifecycle = ALLOC.calls_in(|| {
+            let mut engine = pool.checkout(&config, 3);
+            engine.run_for(instance);
+            slot = Some(InstanceReport::from_scenario(3, 0, engine.as_ref()));
+            pool.checkin(engine);
+        });
+        assert!(slot.is_some_and(|r| r.critical_alive));
+        assert_eq!(
+            lifecycle, lifecycle_calls,
+            "warm {platform} instance: checkout -> 10 s -> report -> checkin"
+        );
     }
 }
 
