@@ -53,6 +53,11 @@ impl CSpace {
             .ok_or(Sel4Error::InvalidCapability)
     }
 
+    /// Whether every slot is occupied, so an insert would fail.
+    pub fn is_full(&self) -> bool {
+        self.slots.iter().all(Option::is_some)
+    }
+
     /// Installs a capability in the first free slot.
     ///
     /// # Errors

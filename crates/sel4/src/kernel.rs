@@ -475,6 +475,17 @@ impl Sel4Kernel {
                 "retype without write",
             );
         }
+        // The new capability needs a slot. seL4 validates the destination
+        // before it creates anything, so a full CSpace leaves the region,
+        // the object table and the trace untouched.
+        if self
+            .entry_ref(caller)
+            .expect("caller alive")
+            .cspace
+            .is_full()
+        {
+            return self.ready_with(caller, Reply::Err(Sel4Error::NoFreeSlot));
+        }
         // Charge the region; creation is bounded by explicit authority.
         let size = kind.size_bytes();
         {
@@ -493,18 +504,15 @@ impl Sel4Kernel {
             RetypeKind::Endpoint => self.alloc_object(KernelObject::Endpoint),
             RetypeKind::Notification => self.alloc_object(KernelObject::Notification { word: 0 }),
         };
-        let r = match self
+        let slot = self
             .entry_mut(caller)
             .expect("caller alive")
             .cspace
             .insert(Capability::to_object(new_obj, CapRights::ALL, 0))
-        {
-            Ok(slot) => Reply::Slot(slot),
-            Err(e) => Reply::Err(e),
-        };
+            .expect("a free slot was checked above");
         self.exec
             .record(Some(caller), Detail::Retype { kind, from: obj });
-        self.ready_with(caller, r);
+        self.ready_with(caller, Reply::Slot(slot));
     }
 
     fn lookup_ep_cap(&self, pid: Pid, cptr: CPtr) -> Result<(ObjId, Capability), Sel4Error> {

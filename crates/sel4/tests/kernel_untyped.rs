@@ -7,7 +7,7 @@ use bas_sel4::cap::{CPtr, Capability};
 use bas_sel4::error::Sel4Error;
 use bas_sel4::kernel::{Sel4Config, Sel4Kernel};
 use bas_sel4::message::IpcMessage;
-use bas_sel4::objects::ObjKind;
+use bas_sel4::objects::{KernelObject, ObjId, ObjKind};
 use bas_sel4::rights::CapRights;
 use bas_sel4::syscall::{Reply, RetypeKind, Syscall};
 use bas_sim::kernel::Kernel;
@@ -210,5 +210,49 @@ fn retyped_endpoint_carries_full_ipc_semantics() {
         k.metrics().processes_reaped,
         1,
         "partner exited 0 after the round trip"
+    );
+}
+
+#[test]
+fn retype_into_a_full_cspace_changes_nothing() {
+    // The caller's one slot holds the untyped capability, so the new
+    // object would have nowhere to go: the kernel must check for a free
+    // slot before it charges the region or creates anything.
+    let mut k = Sel4Kernel::new(Sel4Config {
+        cspace_slots: 1,
+        ..Sel4Config::default()
+    });
+    let ut = k.create_untyped(64);
+    let (t, log) = S::new(vec![Syscall::Retype {
+        untyped: CPtr::new(0),
+        kind: RetypeKind::Endpoint,
+    }])
+    .logged();
+    let pid = k.create_thread("t", Box::new(t));
+    k.grant_cap(pid, Capability::to_object(ut, CapRights::RW, 0))
+        .unwrap();
+    let objects = |k: &Sel4Kernel| {
+        (0..)
+            .take_while(|&i| k.object(ObjId::new(i)).is_some())
+            .count()
+    };
+    let before = objects(&k);
+    k.start_thread(pid);
+    k.run_to_quiescence();
+
+    assert_eq!(replies(&log), vec![Reply::Err(Sel4Error::NoFreeSlot)]);
+    assert_eq!(
+        k.object(ut),
+        Some(&KernelObject::Untyped {
+            total: 64,
+            consumed: 0
+        }),
+        "the region is not charged"
+    );
+    assert_eq!(objects(&k), before, "no orphan object");
+    assert_eq!(
+        k.trace().events_in("untyped.retype").count(),
+        0,
+        "no retype is recorded"
     );
 }
