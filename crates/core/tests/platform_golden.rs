@@ -321,7 +321,7 @@ const MINIX_RESTART_TRACE: &str =
 const SEL4_TRACE: &str =
     "lines 2019 fnv1a 08b9886d8e620c2a dev.write=102 ipc.deliver=1912 thread.start=5";
 const SEL4_HOSTILE_TRACE: &str =
-    "lines 1296 fnv1a 82aaa8900e3766f8 cap.churn=2 cap.deny=194 dev.write=39 fault.clock=1 fault.crash=1 fault.ipc=3 ipc.deliver=1051 thread.start=5";
+    "lines 1296 fnv1a d31f63d77165b8fc cap.churn=2 cap.deny=194 dev.write=39 fault.clock=1 fault.crash=1 fault.ipc=3 ipc.deliver=1051 thread.start=5";
 const LINUX_SHARED_TRACE: &str =
     "lines 2023 fnv1a a9b879ad2a6f4292 dev.write=99 mq.send=1919 proc.spawn=5";
 const LINUX_HARDENED_TRACE: &str =

@@ -376,9 +376,8 @@ impl LinuxKernel {
                 }
                 if !allowed {
                     let queue = self.queue_ref(qid).expect("interned").name.clone();
-                    self.exec.deny(pid, Detail::MqDeny { uid, queue });
-                    self.ready_with(pid, Reply::Err(LinuxError::AccessDenied));
-                    return;
+                    let refused = Detail::MqDeny { uid, queue };
+                    return self.refuse(pid, refused, Reply::Err(LinuxError::AccessDenied));
                 }
                 qid
             }
@@ -576,8 +575,8 @@ impl LinuxKernel {
                     self.ready_with(pid, Reply::Ok);
                 } else {
                     let queue = self.queue_ref(qid).expect("interned").name.clone();
-                    self.exec.deny(pid, Detail::MqDeny { uid, queue });
-                    self.ready_with(pid, Reply::Err(LinuxError::AccessDenied));
+                    let refused = Detail::MqDeny { uid, queue };
+                    self.refuse(pid, refused, Reply::Err(LinuxError::AccessDenied));
                 }
             }
         }
@@ -592,14 +591,11 @@ impl LinuxKernel {
         };
         // The entire permission model: same uid or root.
         if !caller_uid.is_root() && caller_uid != target_uid {
-            self.exec.deny(
-                caller,
-                Detail::SignalDeny {
-                    by: caller_uid,
-                    target: target_uid,
-                },
-            );
-            return self.ready_with(caller, Reply::Err(LinuxError::NotPermitted));
+            let refused = Detail::SignalDeny {
+                by: caller_uid,
+                target: target_uid,
+            };
+            return self.refuse(caller, refused, Reply::Err(LinuxError::NotPermitted));
         }
         self.exec.record(
             Some(caller),
@@ -636,8 +632,8 @@ impl LinuxKernel {
         };
         let (want_read, want_write) = (write.is_none(), write.is_some());
         if !mode.allows(uid, owner, want_read, want_write) {
-            self.exec.deny(pid, Detail::DevDeny { uid, dev });
-            return self.ready_with(pid, Reply::Err(LinuxError::AccessDenied));
+            let refused = Detail::DevDeny { uid, dev };
+            return self.refuse(pid, refused, Reply::Err(LinuxError::AccessDenied));
         }
         match write {
             Some(value) => match self.exec.devices.write(dev, self.exec.clock.now(), value) {

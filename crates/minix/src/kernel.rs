@@ -451,27 +451,24 @@ impl MinixKernel {
                 self.exec.clock.charge_ipc_copy(bytes);
                 self.ready_with(caller, reply);
             }
-            Err(err) => {
-                if matches!(err, GrantError::NotGrantee | GrantError::PermissionDenied) {
-                    self.exec.deny(
-                        caller,
-                        Detail::GrantDeny {
-                            caller: caller_ep,
-                            grant,
-                            granter,
-                            err,
-                        },
-                    );
-                }
-                self.ready_with(caller, Reply::Err(grant_errno(err)));
+            Err(err @ (GrantError::NotGrantee | GrantError::PermissionDenied)) => {
+                let refused = Detail::GrantDeny {
+                    caller: caller_ep,
+                    grant,
+                    granter,
+                    err,
+                };
+                self.refuse(caller, refused, Reply::Err(grant_errno(err)));
             }
+            Err(err) => self.ready_with(caller, Reply::Err(grant_errno(err))),
         }
     }
 
-    /// Counts and records a denial, and fails the caller's syscall.
-    fn deny(&mut self, pid: Pid, detail: Detail, err: MinixError) {
-        self.exec.deny(pid, detail);
-        self.ready_with(pid, Reply::Err(err));
+    /// Spends one unit of `ac`'s `class` quota, or returns the refusal
+    /// to record when it is exhausted.
+    fn spend(&mut self, ac: AcId, class: SyscallClass) -> Result<(), Detail> {
+        let spent = self.quotas.charge(ac, class);
+        spent.map_err(|_| Detail::QuotaDeny { ac, class })
     }
 
     fn do_device(&mut self, pid: Pid, dev: DeviceId, write: Option<i64>) {
@@ -479,19 +476,12 @@ impl MinixKernel {
             return;
         };
         if self.device_owners.get(&dev) != Some(&ac) {
-            return self.deny(
-                pid,
-                Detail::DevDeny { dev, ac },
-                MinixError::DeviceAccessDenied,
-            );
+            let refused = Detail::DevDeny { dev, ac };
+            return self.refuse(pid, refused, Reply::Err(MinixError::DeviceAccessDenied));
         }
         if let Some(value) = write {
-            if self.quotas.charge(ac, SyscallClass::DeviceWrite).is_err() {
-                let spent = Detail::QuotaDeny {
-                    ac,
-                    class: SyscallClass::DeviceWrite,
-                };
-                return self.deny(pid, spent, MinixError::QuotaExceeded);
+            if let Err(spent) = self.spend(ac, SyscallClass::DeviceWrite) {
+                return self.refuse(pid, spent, Reply::Err(MinixError::QuotaExceeded));
             }
             match self.exec.devices.write(dev, self.exec.clock.now(), value) {
                 Ok(()) => {
@@ -566,16 +556,12 @@ impl MinixKernel {
                 mtype,
                 decision,
             };
-            return self.deny(caller, denied, MinixError::CallDenied);
+            return self.refuse(caller, denied, Reply::Err(MinixError::CallDenied));
         }
 
         // 3. Optional send quota (flooding bound).
-        if self.quotas.charge(caller_ac, SyscallClass::Send).is_err() {
-            let spent = Detail::QuotaDeny {
-                ac: caller_ac,
-                class: SyscallClass::Send,
-            };
-            return self.deny(caller, spent, MinixError::QuotaExceeded);
+        if let Err(spent) = self.spend(caller_ac, SyscallClass::Send) {
+            return self.refuse(caller, spent, Reply::Err(MinixError::QuotaExceeded));
         }
 
         // 4. PM is handled synchronously inside the kernel model, but the
@@ -780,7 +766,7 @@ impl MinixKernel {
                 from: caller_ac,
                 to: dest_ac,
             };
-            return self.deny(caller, denied, MinixError::CallDenied);
+            return self.refuse(caller, denied, Reply::Err(MinixError::CallDenied));
         }
 
         let dest_waiting = matches!(
@@ -852,14 +838,8 @@ impl MinixKernel {
         };
         match mtype {
             pm::PM_FORK2 | pm::PM_SRV_FORK2 => {
-                if self.quotas.charge(caller_ac, SyscallClass::Fork).is_err() {
-                    self.exec.deny(
-                        caller,
-                        Detail::QuotaDeny {
-                            ac: caller_ac,
-                            class: SyscallClass::Fork,
-                        },
-                    );
+                if let Err(spent) = self.spend(caller_ac, SyscallClass::Fork) {
+                    self.exec.deny(caller, spent);
                     return Some((pm::PM_ERR, pm::encode_err(MinixError::QuotaExceeded)));
                 }
                 let (program_id, child_ac, child_uid) = pm::decode_fork2(&payload);
@@ -891,11 +871,7 @@ impl MinixKernel {
                     self.exec.deny(caller, refused);
                     return Some((pm::PM_ERR, pm::encode_err(MinixError::PermissionDenied)));
                 }
-                if self.quotas.charge(caller_ac, SyscallClass::Kill).is_err() {
-                    let spent = Detail::QuotaDeny {
-                        ac: caller_ac,
-                        class: SyscallClass::Kill,
-                    };
+                if let Err(spent) = self.spend(caller_ac, SyscallClass::Kill) {
                     self.exec.deny(caller, spent);
                     return Some((pm::PM_ERR, pm::encode_err(MinixError::QuotaExceeded)));
                 }

@@ -24,10 +24,10 @@ use crate::cap::{CPtr, CapTarget, Capability};
 use crate::cspace::CSpace;
 use crate::error::Sel4Error;
 use crate::message::{DeliveredMessage, IpcMessage};
-use crate::objects::{KernelObject, ObjId};
-use crate::rights::CapRights;
+use crate::objects::{KernelObject, ObjId, ObjKind};
+use crate::rights::{CapRights, Right};
 use crate::syscall::{Reply, RetypeKind, Syscall};
-use crate::trace::{Churn, Detail, EpCap};
+use crate::trace::{Churn, Detail, EpCap, Invocation};
 
 /// A boxed seL4 user thread.
 pub type Sel4Thread = Box<dyn bas_sim::process::Process<Syscall = Syscall, Reply = Reply>>;
@@ -212,8 +212,7 @@ impl Sel4Kernel {
             reply_slot: None,
             started: false,
         }));
-        let tcb = self.alloc_object(KernelObject::Tcb { pid });
-        let _ = tcb;
+        self.alloc_object(KernelObject::Tcb { pid });
         self.exec.metrics.processes_created += 1;
         pid
     }
@@ -452,29 +451,68 @@ impl Sel4Kernel {
 
     // ----- syscalls --------------------------------------------------------------
 
+    /// The one capability check: the capability at `cptr` in `caller`'s
+    /// CSpace must exist, then be a capability to an object of `kind` (a
+    /// reply capability is the wrong kind), then hold every right in
+    /// `rights`. A refusal is counted, recorded as `op`'s `cap.deny` and
+    /// fails the caller's call before this returns its error. The send
+    /// path asks for no rights: it traces its own rights test as a
+    /// `cap.check` record first.
+    fn admit(
+        &mut self,
+        caller: Pid,
+        op: Invocation,
+        cptr: CPtr,
+        kind: ObjKind,
+        rights: CapRights,
+    ) -> Result<(ObjId, Capability), Sel4Error> {
+        let cspace = &self.entry_ref(caller).expect("caller alive").cspace;
+        let (err, missing) = match cspace.lookup(cptr) {
+            Err(err) => (err, None),
+            Ok(cap) => match cap.object() {
+                Some(obj) if self.object(obj).map(KernelObject::kind) == Some(kind) => {
+                    match cap.rights.missing(rights) {
+                        None => return Ok((obj, cap)),
+                        missing => (Sel4Error::InsufficientRights, missing),
+                    }
+                }
+                _ => (Sel4Error::WrongObjectType, None),
+            },
+        };
+        let refused = Detail::CapDeny { op, err, missing };
+        self.refuse(caller, refused, Reply::Err(err));
+        Err(err)
+    }
+
+    /// Resolves the capabilities a message names in `caller`'s CSpace,
+    /// each with its source slot. An empty slot refuses the transfer.
+    fn transfer_sources(
+        &mut self,
+        caller: Pid,
+        srcs: &[CPtr],
+    ) -> Result<Vec<(Capability, CPtr)>, Sel4Error> {
+        let cspace = &self.entry_ref(caller).expect("caller alive").cspace;
+        let mut caps = Vec::with_capacity(srcs.len());
+        for &src in srcs {
+            match cspace.lookup(src) {
+                Ok(cap) => caps.push((cap, src)),
+                Err(err) => {
+                    let (op, missing) = (Invocation::Transfer, None);
+                    let refused = Detail::CapDeny { op, err, missing };
+                    self.refuse(caller, refused, Reply::Err(err));
+                    return Err(err);
+                }
+            }
+        }
+        Ok(caps)
+    }
+
     fn do_retype(&mut self, caller: Pid, untyped_ptr: CPtr, kind: RetypeKind) {
-        let cap = match self
-            .entry_ref(caller)
-            .expect("caller alive")
-            .cspace
-            .lookup(untyped_ptr)
-        {
-            Ok(c) => c,
-            Err(e) => return self.deny(caller, e, "retype"),
+        let op = Invocation::Retype;
+        let Ok((obj, _)) = self.admit(caller, op, untyped_ptr, ObjKind::Untyped, CapRights::WRITE)
+        else {
+            return;
         };
-        let Some(obj) = cap.object() else {
-            return self.deny(caller, Sel4Error::WrongObjectType, "retype via reply cap");
-        };
-        if !matches!(self.object(obj), Some(KernelObject::Untyped { .. })) {
-            return self.deny(caller, Sel4Error::WrongObjectType, "retype of non-untyped");
-        }
-        if !cap.rights.write {
-            return self.deny(
-                caller,
-                Sel4Error::InsufficientRights,
-                "retype without write",
-            );
-        }
         // The new capability needs a slot. seL4 validates the destination
         // before it creates anything, so a full CSpace leaves the region,
         // the object table and the trace untouched.
@@ -492,7 +530,7 @@ impl Sel4Kernel {
             let Some(KernelObject::Untyped { total, consumed }) =
                 self.objects.get_mut(obj.as_usize())
             else {
-                unreachable!("checked above");
+                unreachable!("admitted an untyped capability");
             };
             if *consumed + size > *total {
                 self.ready_with(caller, Reply::Err(Sel4Error::OutOfMemory));
@@ -515,26 +553,6 @@ impl Sel4Kernel {
         self.ready_with(caller, Reply::Slot(slot));
     }
 
-    fn lookup_ep_cap(&self, pid: Pid, cptr: CPtr) -> Result<(ObjId, Capability), Sel4Error> {
-        let cap = self
-            .entry_ref(pid)
-            .ok_or(Sel4Error::InvalidCapability)?
-            .cspace
-            .lookup(cptr)?;
-        match cap.target {
-            CapTarget::Object(obj) => match self.object(obj) {
-                Some(KernelObject::Endpoint) => Ok((obj, cap)),
-                _ => Err(Sel4Error::WrongObjectType),
-            },
-            CapTarget::Reply(_) => Err(Sel4Error::WrongObjectType),
-        }
-    }
-
-    fn deny(&mut self, pid: Pid, err: Sel4Error, what: &'static str) {
-        self.exec.deny(pid, Detail::CapDeny { what, err });
-        self.ready_with(pid, Reply::Err(err));
-    }
-
     fn do_send(
         &mut self,
         caller: Pid,
@@ -543,61 +561,58 @@ impl Sel4Kernel {
         blocking: bool,
         is_call: bool,
     ) {
-        let (ep, cap) = match self.lookup_ep_cap(caller, ep_ptr) {
-            Ok(v) => v,
-            Err(e) => return self.deny(caller, e, "send"),
+        let op = match (is_call, blocking) {
+            (true, _) => Invocation::Call,
+            (false, true) => Invocation::Send,
+            (false, false) => Invocation::NBSend,
         };
-        // Capability-stream instrumentation: one admission-check event per
-        // send attempt that *found* a capability (a revoked capability
-        // fails the lookup above and never reaches this gate). A
-        // successful check may trip an armed churn sweep: the mutation
-        // then lands between this check and the delivery that trusts it.
-        let rights_ok = cap.rights.write
-            && (!is_call || cap.rights.grant)
-            && (msg.caps.is_empty() || cap.rights.grant);
+        let Ok((ep, cap)) = self.admit(caller, op, ep_ptr, ObjKind::Endpoint, CapRights::NONE)
+        else {
+            return;
+        };
+        // The rights test: write, plus grant for a call (paper: "If a
+        // thread is given grant access to an endpoint it can use
+        // seL4_Call") or a capability transfer. Capability-stream
+        // instrumentation: one admission-check event per send attempt that
+        // *found* a capability (a revoked capability fails the lookup
+        // above and never reaches this gate). A successful check may trip
+        // an armed churn sweep: the mutation then lands between this check
+        // and the delivery that trusts it.
+        let needed = CapRights {
+            read: false,
+            write: true,
+            grant: is_call || !msg.caps.is_empty(),
+        };
+        let missing = cap.rights.missing(needed);
         if self.exec.cap_tracing() {
             let check = EpCap {
                 op: CapOp::Check,
                 ep,
                 receiver: None,
-                ok: rights_ok,
+                ok: missing.is_none(),
             };
             self.exec.record(Some(caller), Detail::EpCap(check));
         }
-        if rights_ok && !self.armed_churn.is_empty() {
+        if missing.is_none() && !self.armed_churn.is_empty() {
             self.fire_armed_churn(caller, ep);
         }
-        if !cap.rights.write {
-            return self.deny(caller, Sel4Error::InsufficientRights, "send without write");
+        if let Some(right) = missing {
+            // A send lacking only grant is a refused capability transfer.
+            let op = if right == Right::Grant && !is_call {
+                Invocation::Transfer
+            } else {
+                op
+            };
+            let err = Sel4Error::InsufficientRights;
+            let refused = Detail::CapDeny { op, err, missing };
+            return self.refuse(caller, refused, Reply::Err(err));
         }
-        if is_call && !cap.rights.grant {
-            // Paper: "If a thread is given grant access to an endpoint it
-            // can use seL4_Call."
-            return self.deny(caller, Sel4Error::InsufficientRights, "call without grant");
-        }
-        if !msg.caps.is_empty() && !cap.rights.grant {
-            return self.deny(
-                caller,
-                Sel4Error::InsufficientRights,
-                "cap transfer without grant",
-            );
-        }
-
         // Resolve capabilities to transfer from the sender's CSpace,
         // keeping the source slot so the receiver's copy can be linked
         // into the derivation tree.
-        let mut caps = Vec::with_capacity(msg.caps.len());
-        for src in &msg.caps {
-            match self
-                .entry_ref(caller)
-                .expect("caller alive")
-                .cspace
-                .lookup(*src)
-            {
-                Ok(c) => caps.push((c, *src)),
-                Err(e) => return self.deny(caller, e, "transfer source missing"),
-            }
-        }
+        let Ok(caps) = self.transfer_sources(caller, &msg.caps) else {
+            return;
+        };
 
         // Scheduled IPC fault (`bas-faults` campaigns). Consumed only
         // *after* every capability rights check passed, so an injected
@@ -656,8 +671,13 @@ impl Sel4Kernel {
             is_call,
         };
 
-        if let Some(receiver) = self.find_receiver(ep) {
-            self.rendezvous(caller, receiver, ep, queued);
+        let receiving = |b: &Block| matches!(b, Block::ReceivingOn { ep: r } if *r == ep);
+        if let Some(receiver) = self.first_blocked(receiving) {
+            // The receiver was parked in a recv: clear its state first.
+            if let Some(entry) = self.entry_mut(receiver) {
+                entry.task.state = ProcState::Runnable;
+            }
+            self.complete_transfer(caller, receiver, ep, queued);
         } else if blocking {
             self.exec.metrics.ipc_waits += 1;
             if let Some(entry) = self.entry_mut(caller) {
@@ -669,24 +689,17 @@ impl Sel4Kernel {
     }
 
     fn do_recv(&mut self, caller: Pid, ep_ptr: CPtr, blocking: bool) {
-        let (ep, cap) = match self.lookup_ep_cap(caller, ep_ptr) {
-            Ok(v) => v,
-            Err(e) => return self.deny(caller, e, "recv"),
+        let op = if blocking {
+            Invocation::Recv
+        } else {
+            Invocation::NBRecv
         };
-        if !cap.rights.read {
-            return self.deny(caller, Sel4Error::InsufficientRights, "recv without read");
-        }
+        let Ok((ep, _)) = self.admit(caller, op, ep_ptr, ObjKind::Endpoint, CapRights::READ) else {
+            return;
+        };
 
-        // Lowest-pid sender blocked on this endpoint.
-        let sender = self.threads.iter().enumerate().find_map(|(i, t)| {
-            let e = t.as_ref()?;
-            match &e.task.state {
-                ProcState::Blocked(Block::SendingOn { ep: s_ep, .. }) if *s_ep == ep => {
-                    Some(Pid::new(i as u32))
-                }
-                _ => None,
-            }
-        });
+        let sender =
+            self.first_blocked(|b| matches!(b, Block::SendingOn { ep: s, .. } if *s == ep));
 
         match sender {
             Some(sender_pid) => {
@@ -697,7 +710,7 @@ impl Sel4Kernel {
                         _ => unreachable!("sender was sending"),
                     }
                 };
-                self.rendezvous_with_waiting_receiver(sender_pid, caller, ep, queued);
+                self.complete_transfer(sender_pid, caller, ep, queued);
             }
             None if blocking => {
                 if let Some(entry) = self.entry_mut(caller) {
@@ -706,27 +719,6 @@ impl Sel4Kernel {
             }
             None => self.ready_with(caller, Reply::Err(Sel4Error::NotReady)),
         }
-    }
-
-    /// Completes a rendezvous where the receiver was found blocked.
-    fn rendezvous(&mut self, sender: Pid, receiver: Pid, ep: ObjId, queued: QueuedSend) {
-        // Receiver was blocked ReceivingOn; clear its state first.
-        if let Some(entry) = self.entry_mut(receiver) {
-            entry.task.state = ProcState::Runnable;
-        }
-        self.complete_transfer(sender, receiver, ep, queued);
-    }
-
-    /// Completes a rendezvous where the sender was found blocked (receiver
-    /// just called recv).
-    fn rendezvous_with_waiting_receiver(
-        &mut self,
-        sender: Pid,
-        receiver: Pid,
-        ep: ObjId,
-        queued: QueuedSend,
-    ) {
-        self.complete_transfer(sender, receiver, ep, queued);
     }
 
     fn complete_transfer(&mut self, sender: Pid, receiver: Pid, ep: ObjId, queued: QueuedSend) {
@@ -824,27 +816,20 @@ impl Sel4Kernel {
     }
 
     fn do_reply(&mut self, caller: Pid, msg: IpcMessage) {
-        let reply_cap = match self.entry_mut(caller).and_then(|e| e.reply_slot.take()) {
-            Some(c) => c,
-            None => return self.deny(caller, Sel4Error::NoReplyCap, "reply"),
+        let reply_cap = self.entry_mut(caller).and_then(|e| e.reply_slot.take());
+        let Some(Capability {
+            target: CapTarget::Reply(target),
+            ..
+        }) = reply_cap
+        else {
+            let (op, err, missing) = (Invocation::Reply, Sel4Error::NoReplyCap, None);
+            let refused = Detail::CapDeny { op, err, missing };
+            return self.refuse(caller, refused, Reply::Err(err));
         };
-        let CapTarget::Reply(target) = reply_cap.target else {
-            return self.deny(caller, Sel4Error::WrongObjectType, "reply slot corrupt");
-        };
-
         // Resolve transferred caps (a reply cap carries grant).
-        let mut caps = Vec::with_capacity(msg.caps.len());
-        for src in &msg.caps {
-            match self
-                .entry_ref(caller)
-                .expect("caller alive")
-                .cspace
-                .lookup(*src)
-            {
-                Ok(c) => caps.push(c),
-                Err(e) => return self.deny(caller, e, "reply transfer source missing"),
-            }
-        }
+        let Ok(caps) = self.transfer_sources(caller, &msg.caps) else {
+            return;
+        };
 
         let target_waiting = matches!(
             self.entry_ref(target).map(|e| &e.task.state),
@@ -859,7 +844,7 @@ impl Sel4Kernel {
         }
 
         let mut received_caps = Vec::new();
-        for c in caps {
+        for (c, _) in caps {
             if let Ok(slot) = self
                 .entry_mut(target)
                 .expect("target alive")
@@ -889,42 +874,19 @@ impl Sel4Kernel {
     }
 
     fn do_signal(&mut self, caller: Pid, ntfn_ptr: CPtr) {
-        let cap = match self
-            .entry_ref(caller)
-            .expect("caller alive")
-            .cspace
-            .lookup(ntfn_ptr)
-        {
-            Ok(c) => c,
-            Err(e) => return self.deny(caller, e, "signal"),
+        let op = Invocation::Signal;
+        let Ok((obj, cap)) = self.admit(
+            caller,
+            op,
+            ntfn_ptr,
+            ObjKind::Notification,
+            CapRights::WRITE,
+        ) else {
+            return;
         };
-        let Some(obj) = cap.object() else {
-            return self.deny(caller, Sel4Error::WrongObjectType, "signal on reply cap");
-        };
-        if !matches!(self.object(obj), Some(KernelObject::Notification { .. })) {
-            return self.deny(
-                caller,
-                Sel4Error::WrongObjectType,
-                "signal on non-notification",
-            );
-        }
-        if !cap.rights.write {
-            return self.deny(
-                caller,
-                Sel4Error::InsufficientRights,
-                "signal without write",
-            );
-        }
 
-        let waiter = self.threads.iter().enumerate().find_map(|(i, t)| {
-            let e = t.as_ref()?;
-            match &e.task.state {
-                ProcState::Blocked(Block::WaitingNtfn { ntfn }) if *ntfn == obj => {
-                    Some(Pid::new(i as u32))
-                }
-                _ => None,
-            }
-        });
+        let waiter =
+            self.first_blocked(|b| matches!(b, Block::WaitingNtfn { ntfn } if *ntfn == obj));
 
         let signal_bits = if cap.badge == 0 { 1 } else { cap.badge };
         match waiter {
@@ -952,55 +914,44 @@ impl Sel4Kernel {
     }
 
     fn do_wait(&mut self, caller: Pid, ntfn_ptr: CPtr) {
-        let cap = match self
-            .entry_ref(caller)
-            .expect("caller alive")
-            .cspace
-            .lookup(ntfn_ptr)
-        {
-            Ok(c) => c,
-            Err(e) => return self.deny(caller, e, "wait"),
+        let op = Invocation::Wait;
+        let Ok((obj, _)) = self.admit(caller, op, ntfn_ptr, ObjKind::Notification, CapRights::READ)
+        else {
+            return;
         };
-        let Some(obj) = cap.object() else {
-            return self.deny(caller, Sel4Error::WrongObjectType, "wait on reply cap");
+        let Some(KernelObject::Notification { word }) = self.objects.get_mut(obj.as_usize()) else {
+            unreachable!("admitted a notification capability");
         };
-        if !cap.rights.read {
-            return self.deny(caller, Sel4Error::InsufficientRights, "wait without read");
-        }
-        match self.objects.get_mut(obj.as_usize()) {
-            Some(KernelObject::Notification { word }) => {
-                if *word != 0 {
-                    let bits = std::mem::take(word);
-                    self.ready_with(
-                        caller,
-                        Reply::Msg(DeliveredMessage {
-                            badge: bits,
-                            label: 0,
-                            words: MsgWords::new(),
-                            received_caps: vec![],
-                            reply_expected: false,
-                        }),
-                    );
-                } else if let Some(entry) = self.entry_mut(caller) {
-                    entry.task.state = ProcState::Blocked(Block::WaitingNtfn { ntfn: obj });
-                }
-            }
-            _ => self.deny(
+        if *word != 0 {
+            let bits = std::mem::take(word);
+            self.ready_with(
                 caller,
-                Sel4Error::WrongObjectType,
-                "wait on non-notification",
-            ),
+                Reply::Msg(DeliveredMessage {
+                    badge: bits,
+                    label: 0,
+                    words: MsgWords::new(),
+                    received_caps: vec![],
+                    reply_expected: false,
+                }),
+            );
+        } else if let Some(entry) = self.entry_mut(caller) {
+            entry.task.state = ProcState::Blocked(Block::WaitingNtfn { ntfn: obj });
         }
     }
 
     fn do_mint(&mut self, caller: Pid, src: CPtr, rights: CapRights, badge: u64) {
-        let entry = self.entry_mut(caller).expect("caller alive");
-        let cap = match entry.cspace.lookup(src) {
-            Ok(c) => c,
-            Err(e) => return self.deny(caller, e, "mint source"),
-        };
-        let Some(derived) = cap.mint(rights, badge) else {
-            return self.deny(caller, Sel4Error::RightsViolation, "mint amplification");
+        let cspace = &self.entry_ref(caller).expect("caller alive").cspace;
+        let minted = cspace.lookup(src).and_then(|cap| {
+            // Rights may only be diminished.
+            cap.mint(rights, badge).ok_or(Sel4Error::RightsViolation)
+        });
+        let derived = match minted {
+            Ok(derived) => derived,
+            Err(err) => {
+                let (op, missing) = (Invocation::Mint, None);
+                let refused = Detail::CapDeny { op, err, missing };
+                return self.refuse(caller, refused, Reply::Err(err));
+            }
         };
         let r = match self
             .entry_mut(caller)
@@ -1023,29 +974,13 @@ impl Sel4Kernel {
     }
 
     fn do_tcb_suspend(&mut self, caller: Pid, tcb_ptr: CPtr) {
-        let cap = match self
-            .entry_ref(caller)
-            .expect("caller alive")
-            .cspace
-            .lookup(tcb_ptr)
-        {
-            Ok(c) => c,
-            Err(e) => return self.deny(caller, e, "tcb suspend"),
+        let op = Invocation::TcbSuspend;
+        let Ok((obj, _)) = self.admit(caller, op, tcb_ptr, ObjKind::Tcb, CapRights::WRITE) else {
+            return;
         };
-        let Some(obj) = cap.object() else {
-            return self.deny(caller, Sel4Error::WrongObjectType, "suspend via reply cap");
+        let Some(&KernelObject::Tcb { pid: target }) = self.object(obj) else {
+            unreachable!("admitted a tcb capability");
         };
-        let target = match self.object(obj) {
-            Some(KernelObject::Tcb { pid }) => *pid,
-            _ => return self.deny(caller, Sel4Error::WrongObjectType, "suspend non-tcb"),
-        };
-        if !cap.rights.write {
-            return self.deny(
-                caller,
-                Sel4Error::InsufficientRights,
-                "suspend without write",
-            );
-        }
         self.exec
             .record(Some(caller), Detail::Suspend { by: caller, target });
         self.terminate(target);
@@ -1055,60 +990,41 @@ impl Sel4Kernel {
     }
 
     fn do_device(&mut self, caller: Pid, dev_ptr: CPtr, write: Option<i64>) {
-        let cap = match self
-            .entry_ref(caller)
-            .expect("caller alive")
-            .cspace
-            .lookup(dev_ptr)
-        {
-            Ok(c) => c,
-            Err(e) => return self.deny(caller, e, "device"),
+        let (op, rights) = match write {
+            Some(_) => (Invocation::DevWrite, CapRights::WRITE),
+            None => (Invocation::DevRead, CapRights::READ),
         };
-        let Some(obj) = cap.object() else {
-            return self.deny(caller, Sel4Error::WrongObjectType, "device via reply cap");
+        let Ok((obj, _)) = self.admit(caller, op, dev_ptr, ObjKind::Device, rights) else {
+            return;
         };
-        let dev = match self.object(obj) {
-            Some(KernelObject::Device { dev }) => *dev,
-            _ => return self.deny(caller, Sel4Error::WrongObjectType, "not a device frame"),
+        let Some(&KernelObject::Device { dev }) = self.object(obj) else {
+            unreachable!("admitted a device capability");
         };
-        match write {
-            Some(value) => {
-                if !cap.rights.write {
-                    return self.deny(caller, Sel4Error::InsufficientRights, "device write");
-                }
-                match self.exec.devices.write(dev, self.exec.clock.now(), value) {
-                    Ok(()) => {
-                        self.exec
-                            .record(Some(caller), Detail::DevWrite { dev, value });
-                        self.ready_with(caller, Reply::Ok);
-                    }
-                    Err(_) => self.ready_with(caller, Reply::Err(Sel4Error::WrongObjectType)),
-                }
-            }
-            None => {
-                if !cap.rights.read {
-                    return self.deny(caller, Sel4Error::InsufficientRights, "device read");
-                }
-                match self.exec.devices.read(dev, self.exec.clock.now()) {
-                    Ok(v) => self.ready_with(caller, Reply::DevValue(v)),
-                    Err(_) => self.ready_with(caller, Reply::Err(Sel4Error::WrongObjectType)),
-                }
-            }
-        }
+        let now = self.exec.clock.now();
+        let reply = match write {
+            Some(value) => self.exec.devices.write(dev, now, value).map(|()| {
+                self.exec
+                    .record(Some(caller), Detail::DevWrite { dev, value });
+                Reply::Ok
+            }),
+            None => self.exec.devices.read(dev, now).map(Reply::DevValue),
+        };
+        self.ready_with(
+            caller,
+            reply.unwrap_or(Reply::Err(Sel4Error::WrongObjectType)),
+        );
     }
 
     // ----- internals -------------------------------------------------------------
 
-    fn find_receiver(&self, ep: ObjId) -> Option<Pid> {
-        self.threads.iter().enumerate().find_map(|(i, t)| {
-            let e = t.as_ref()?;
-            match &e.task.state {
-                ProcState::Blocked(Block::ReceivingOn { ep: r_ep }) if *r_ep == ep => {
-                    Some(Pid::new(i as u32))
-                }
-                _ => None,
-            }
-        })
+    /// The lowest-pid thread blocked for a reason `pred` accepts.
+    fn first_blocked(&self, pred: impl Fn(&Block) -> bool) -> Option<Pid> {
+        let blocked = |t: &Option<ThreadEntry>| {
+            t.as_ref()
+                .is_some_and(|e| matches!(&e.task.state, ProcState::Blocked(b) if pred(b)))
+        };
+        let i = self.threads.iter().position(blocked)?;
+        Some(Pid::new(i as u32))
     }
 
     fn alloc_object(&mut self, obj: KernelObject) -> ObjId {

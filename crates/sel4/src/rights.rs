@@ -63,6 +63,18 @@ impl CapRights {
         (!other.read || self.read) && (!other.write || self.write) && (!other.grant || self.grant)
     }
 
+    /// The first right of `needed` that `self` lacks, in read, write,
+    /// grant order; `None` when `self` covers `needed`.
+    pub fn missing(self, needed: CapRights) -> Option<Right> {
+        [
+            (needed.read && !self.read, Right::Read),
+            (needed.write && !self.write, Right::Write),
+            (needed.grant && !self.grant, Right::Grant),
+        ]
+        .into_iter()
+        .find_map(|(lacks, right)| lacks.then_some(right))
+    }
+
     /// The intersection of two rights sets.
     pub fn intersect(self, other: CapRights) -> CapRights {
         CapRights {
@@ -70,6 +82,27 @@ impl CapRights {
             write: self.write && other.write,
             grant: self.grant && other.grant,
         }
+    }
+}
+
+/// One of the three rights, as a refusal names the one it lacked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Right {
+    /// Receive from the object.
+    Read,
+    /// Send to the object.
+    Write,
+    /// Transfer capabilities through the object, or call it.
+    Grant,
+}
+
+impl fmt::Display for Right {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Right::Read => "read",
+            Right::Write => "write",
+            Right::Grant => "grant",
+        })
     }
 }
 
@@ -103,6 +136,22 @@ mod tests {
         let i = CapRights::ALL.intersect(CapRights::WRITE_GRANT);
         assert_eq!(i, CapRights::WRITE_GRANT);
         assert_eq!(CapRights::READ.intersect(CapRights::WRITE), CapRights::NONE);
+    }
+
+    #[test]
+    fn missing_names_the_first_lacking_right() {
+        assert_eq!(CapRights::ALL.missing(CapRights::ALL), None);
+        assert_eq!(CapRights::READ.missing(CapRights::NONE), None);
+        assert_eq!(CapRights::READ.missing(CapRights::RW), Some(Right::Write));
+        assert_eq!(
+            CapRights::NONE.missing(CapRights::WRITE_GRANT),
+            Some(Right::Write)
+        );
+        assert_eq!(
+            CapRights::RW.missing(CapRights::WRITE_GRANT),
+            Some(Right::Grant)
+        );
+        assert_eq!(CapRights::WRITE.missing(CapRights::READ), Some(Right::Read));
     }
 
     #[test]

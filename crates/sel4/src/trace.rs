@@ -16,6 +16,7 @@ use bas_sim::trace::TraceDetail;
 
 use crate::error::Sel4Error;
 use crate::objects::ObjId;
+use crate::rights::Right;
 use crate::syscall::RetypeKind;
 
 /// One seL4 kernel trace record.
@@ -65,10 +66,12 @@ pub enum Detail {
     },
     /// `cap.deny`: an invocation failed its capability check.
     CapDeny {
-        /// The refused operation.
-        what: &'static str,
+        /// The refused invocation.
+        op: Invocation,
         /// The kernel error returned.
         err: Sel4Error,
+        /// For a rights refusal, the right the capability lacked.
+        missing: Option<Right>,
     },
     /// `cap.check` or `cap.use` (capability tracing only).
     EpCap(EpCap),
@@ -101,6 +104,64 @@ pub enum Detail {
         /// The written value.
         value: i64,
     },
+}
+
+/// What a refused capability was invoked for: the system call, or
+/// [`Invocation::Transfer`] for a capability a message names.
+///
+/// A send or nb-send lacking grant is a refused capability transfer and
+/// records `Transfer`; a call lacking grant records `Call`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Invocation {
+    /// `Retype` on an untyped capability.
+    Retype,
+    /// `Send`.
+    Send,
+    /// `NBSend`.
+    NBSend,
+    /// `Call`.
+    Call,
+    /// `Recv`.
+    Recv,
+    /// `NBRecv`.
+    NBRecv,
+    /// `Reply`.
+    Reply,
+    /// `Signal`.
+    Signal,
+    /// `Wait`.
+    Wait,
+    /// `Mint`.
+    Mint,
+    /// `TcbSuspend`.
+    TcbSuspend,
+    /// `DevRead`.
+    DevRead,
+    /// `DevWrite`.
+    DevWrite,
+    /// Moving a capability a send or a reply names.
+    Transfer,
+}
+
+impl fmt::Display for Invocation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Invocation::Retype => "retype",
+            Invocation::Send => "send",
+            Invocation::NBSend => "nb-send",
+            Invocation::Call => "call",
+            Invocation::Recv => "recv",
+            Invocation::NBRecv => "nb-recv",
+            Invocation::Reply => "reply",
+            Invocation::Signal => "signal",
+            Invocation::Wait => "wait",
+            Invocation::Mint => "mint",
+            Invocation::TcbSuspend => "tcb suspend",
+            Invocation::DevRead => "device read",
+            Invocation::DevWrite => "device write",
+            Invocation::Transfer => "cap transfer",
+        })
+    }
 }
 
 /// A capability record: the record's thread's send on `ep` passed or
@@ -180,7 +241,13 @@ impl fmt::Display for Detail {
                 c.obj
             ),
             Detail::Retype { kind, from } => write!(f, "{kind:?} from {from}"),
-            Detail::CapDeny { what, err } => write!(f, "{what}: {err}"),
+            Detail::CapDeny { op, err, missing } => {
+                write!(f, "{op}: {err}")?;
+                match missing {
+                    Some(right) => write!(f, " (needs {right})"),
+                    None => Ok(()),
+                }
+            }
             Detail::EpCap(c) => write!(f, "{} {} ok={}", c.op.label(), c.ep, c.ok),
             Detail::CapDropped => write!(f, "transfer overflowed receiver cspace"),
             Detail::Deliver {
@@ -228,10 +295,13 @@ mod tests {
     #[test]
     fn event_is_at_most_48_bytes() {
         assert!(std::mem::size_of::<bas_sim::trace::TraceEvent<Detail>>() <= 48);
+        assert!(std::mem::size_of::<Detail>() <= 32);
     }
 
     /// Each arm renders the text the kernel wrote before records were
-    /// typed (`format!` strings transcribed verbatim).
+    /// typed (`format!` strings transcribed verbatim), except `cap.deny`:
+    /// its free-text phrase became the typed invocation, error and
+    /// missing right.
     #[test]
     fn renders_the_legacy_text() {
         let (p, q) = (Pid::new(2), Pid::new(5));
@@ -282,10 +352,43 @@ mod tests {
             ),
             (
                 Detail::CapDeny {
-                    what: "send",
+                    op: Invocation::Send,
                     err: Sel4Error::InvalidCapability,
+                    missing: None,
                 },
                 "send: invalid capability",
+            ),
+            (
+                Detail::CapDeny {
+                    op: Invocation::Send,
+                    err: Sel4Error::InsufficientRights,
+                    missing: Some(Right::Write),
+                },
+                "send: insufficient rights (needs write)",
+            ),
+            (
+                Detail::CapDeny {
+                    op: Invocation::Call,
+                    err: Sel4Error::InsufficientRights,
+                    missing: Some(Right::Grant),
+                },
+                "call: insufficient rights (needs grant)",
+            ),
+            (
+                Detail::CapDeny {
+                    op: Invocation::Transfer,
+                    err: Sel4Error::InsufficientRights,
+                    missing: Some(Right::Grant),
+                },
+                "cap transfer: insufficient rights (needs grant)",
+            ),
+            (
+                Detail::CapDeny {
+                    op: Invocation::DevRead,
+                    err: Sel4Error::WrongObjectType,
+                    missing: None,
+                },
+                "device read: wrong object type",
             ),
             (Detail::CapDropped, "transfer overflowed receiver cspace"),
             (

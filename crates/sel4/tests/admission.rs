@@ -207,7 +207,7 @@ fn cases() -> Vec<Case> {
         slot0: Slot0::Cap(Obj::Endpoint, CapRights::WRITE),
         slot1: false,
         sys: Syscall::Wait { ntfn: SLOT0 },
-        reply: Sel4Error::InsufficientRights,
+        reply: Sel4Error::WrongObjectType,
     });
 
     // A call without grant, with and without a capability to transfer.

@@ -318,6 +318,13 @@ pub trait Kernel {
         }
     }
 
+    /// Refuses `pid`'s system call: counts the denial, records `detail`
+    /// and wakes `pid` with `reply`, the call's error.
+    fn refuse(&mut self, pid: Pid, detail: Self::Detail, reply: Self::Reply) {
+        self.exec_mut().deny(pid, detail);
+        self.ready_with(pid, reply);
+    }
+
     /// Puts `pid` to sleep for `duration`; it wakes with [`Self::WAKE`].
     fn sleep(&mut self, pid: Pid, duration: SimDuration) {
         let exec = self.exec_mut();
