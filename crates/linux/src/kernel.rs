@@ -753,9 +753,7 @@ impl LinuxKernel {
     }
 
     fn note_ipc(&mut self, qid: u32, sender: Pid) {
-        self.exec.metrics.ipc_messages += 1;
-        self.exec.clock.charge_ipc_copy(64);
-        self.exec.metrics.ipc_bytes += 64;
+        self.exec.ipc_deliver(64);
         self.exec.metrics.hot_path_allocs = self.exec.arena.heap_events();
         let queue = qname_handle(&self.queues, qid);
         self.exec

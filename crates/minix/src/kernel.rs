@@ -447,8 +447,7 @@ impl MinixKernel {
                     SafeCopyDir::From(len) => len,
                     SafeCopyDir::To(ref data) => data.len(),
                 };
-                self.exec.metrics.ipc_bytes += bytes as u64;
-                self.exec.clock.charge_ipc_copy(bytes);
+                self.exec.ipc_copy(bytes);
                 self.ready_with(caller, reply);
             }
             Err(err @ (GrantError::NotGrantee | GrantError::PermissionDenied)) => {
@@ -570,14 +569,10 @@ impl MinixKernel {
         // and back) and PM's own kernel entry for its receive. PM traffic
         // never parks, so it bypasses the arena entirely.
         if dest == pm::PM_ENDPOINT {
-            self.exec.metrics.ipc_messages += 1;
-            self.exec.metrics.ipc_bytes += Message::WIRE_SIZE as u64;
-            self.exec.clock.charge_ipc_copy(Message::WIRE_SIZE);
-            self.exec.metrics.context_switches += 2;
-            self.exec.clock.charge_context_switch();
-            self.exec.clock.charge_context_switch();
-            self.exec.metrics.kernel_entries += 1;
-            self.exec.clock.charge_kernel_entry();
+            self.exec.ipc_deliver(Message::WIRE_SIZE);
+            self.exec.context_switch();
+            self.exec.context_switch();
+            self.exec.kernel_entry();
             if let Some((rtype, rpayload)) = self.handle_pm(caller, mtype, payload) {
                 if sendrec {
                     self.ready_with(
@@ -779,7 +774,8 @@ impl MinixKernel {
                 dest_pid,
                 Reply::Msg(Message::new(caller_ep, pm::NOTIFY_MTYPE, Payload::zeroed())),
             );
-            self.exec.metrics.ipc_messages += 1;
+            // A notification carries no payload: a delivery, no copy.
+            self.exec.ipc_deliver(0);
         } else if let Some(entry) = self.entry_mut(dest_pid) {
             entry.pcb.queue_notify(caller_ep);
         }
@@ -790,9 +786,7 @@ impl MinixKernel {
     /// Copies the staged message out of the arena (the one kernel→user
     /// copy), recycles its slot, and makes `dest` runnable with it.
     fn deliver(&mut self, source: Endpoint, dest: Pid, mtype: u32, msg: MsgRef) {
-        self.exec.metrics.ipc_messages += 1;
-        self.exec.metrics.ipc_bytes += Message::WIRE_SIZE as u64;
-        self.exec.clock.charge_ipc_copy(Message::WIRE_SIZE);
+        self.exec.ipc_deliver(Message::WIRE_SIZE);
         self.exec.record(
             Some(dest),
             Detail::Deliver {

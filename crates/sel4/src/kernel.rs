@@ -758,10 +758,7 @@ impl Sel4Kernel {
             }
         }
 
-        let bytes = 8 + words.len() * 8;
-        self.exec.metrics.ipc_messages += 1;
-        self.exec.metrics.ipc_bytes += bytes as u64;
-        self.exec.clock.charge_ipc_copy(bytes);
+        self.exec.ipc_deliver(8 + words.len() * 8);
         self.exec.record(
             Some(receiver),
             Detail::Deliver {
@@ -855,11 +852,7 @@ impl Sel4Kernel {
             }
         }
 
-        let bytes = 8 + msg.words.len() * 8;
-        self.exec.metrics.ipc_messages += 1;
-        self.exec.metrics.ipc_bytes += bytes as u64;
-        self.exec.clock.charge_ipc_copy(bytes);
-
+        self.exec.ipc_deliver(8 + msg.words.len() * 8);
         self.ready_with(
             target,
             Reply::Msg(DeliveredMessage {

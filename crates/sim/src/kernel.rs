@@ -124,6 +124,37 @@ impl<D, C> Executive<D, C> {
         self.record(Some(pid), detail);
     }
 
+    /// Counts and charges one context switch.
+    pub fn context_switch(&mut self) {
+        self.metrics.context_switches += 1;
+        self.clock.charge_context_switch();
+    }
+
+    /// Counts and charges one kernel entry.
+    pub fn kernel_entry(&mut self) {
+        self.metrics.kernel_entries += 1;
+        self.clock.charge_kernel_entry();
+    }
+
+    /// Counts and charges a system call's trap: the kernel entry plus the
+    /// syscall dispatch.
+    pub fn syscall_entry(&mut self) {
+        self.kernel_entry();
+        self.clock.charge_syscall_dispatch();
+    }
+
+    /// Counts and charges an IPC copy of `bytes` bytes.
+    pub fn ipc_copy(&mut self, bytes: usize) {
+        self.metrics.ipc_bytes += bytes as u64;
+        self.clock.charge_ipc_copy(bytes);
+    }
+
+    /// Counts one delivered message and charges its copy of `bytes` bytes.
+    pub fn ipc_deliver(&mut self, bytes: usize) {
+        self.metrics.ipc_messages += 1;
+        self.ipc_copy(bytes);
+    }
+
     /// Forgets a terminated process: dequeues it, cancels its sleep,
     /// counts the reap and drops it as the last-run process.
     pub fn reap(&mut self, pid: Pid) {
@@ -477,8 +508,7 @@ fn dispatch<K: Kernel + ?Sized>(k: &mut K, pid: Pid) {
 
     let exec = k.exec_mut();
     if exec.last_run != Some(pid) {
-        exec.clock.charge_context_switch();
-        exec.metrics.context_switches += 1;
+        exec.context_switch();
         exec.last_run = Some(pid);
     }
     exec.clock.charge_user_compute();
@@ -491,10 +521,7 @@ fn dispatch<K: Kernel + ?Sized>(k: &mut K, pid: Pid) {
 
     match action {
         Action::Syscall(sys) => {
-            let exec = k.exec_mut();
-            exec.metrics.kernel_entries += 1;
-            exec.clock.charge_kernel_entry();
-            exec.clock.charge_syscall_dispatch();
+            k.exec_mut().syscall_entry();
             k.handle_syscall(pid, sys);
         }
         Action::Yield => k.exec_mut().run_queue.enqueue(pid),
@@ -724,6 +751,28 @@ mod tests {
         k.spawn("c", steps("c", &log, vec![Action::Yield]));
         k.run_to_quiescence();
         assert_eq!(k.metrics().context_switches, 1 + 4);
+    }
+
+    #[test]
+    fn each_counter_moves_with_its_charge() {
+        let cost = CostModel::default();
+        let mut exec = Executive::<Note>::new(cost, 4, 1);
+        exec.context_switch();
+        exec.syscall_entry();
+        exec.kernel_entry();
+        exec.ipc_deliver(64);
+        exec.ipc_copy(8);
+        let m = exec.metrics;
+        assert_eq!(
+            (m.context_switches, m.kernel_entries, m.ipc_messages),
+            (1, 2, 1)
+        );
+        assert_eq!(m.ipc_bytes, 72);
+        let charged = cost.context_switch
+            + cost.kernel_entry * 2
+            + cost.syscall_dispatch
+            + cost.ipc_copy_per_byte * 72;
+        assert_eq!(exec.clock.now(), SimTime::ZERO + charged);
     }
 
     #[test]
