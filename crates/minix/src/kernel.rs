@@ -466,8 +466,9 @@ impl MinixKernel {
     /// Spends one unit of `ac`'s `class` quota, or returns the refusal
     /// to record when it is exhausted.
     fn spend(&mut self, ac: AcId, class: SyscallClass) -> Result<(), Detail> {
-        let spent = self.quotas.charge(ac, class);
-        spent.map_err(|_| Detail::QuotaDeny { ac, class })
+        self.quotas
+            .charge(ac, class)
+            .map_err(|_| Detail::QuotaDeny { ac, class })
     }
 
     fn do_device(&mut self, pid: Pid, dev: DeviceId, write: Option<i64>) {

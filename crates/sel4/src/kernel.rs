@@ -212,7 +212,8 @@ impl Sel4Kernel {
             reply_slot: None,
             started: false,
         }));
-        self.alloc_object(KernelObject::Tcb { pid });
+        let tcb = self.alloc_object(KernelObject::Tcb { pid });
+        let _ = tcb;
         self.exec.metrics.processes_created += 1;
         pid
     }
@@ -497,8 +498,11 @@ impl Sel4Kernel {
             match cspace.lookup(src) {
                 Ok(cap) => caps.push((cap, src)),
                 Err(err) => {
-                    let (op, missing) = (Invocation::Transfer, None);
-                    let refused = Detail::CapDeny { op, err, missing };
+                    let refused = Detail::CapDeny {
+                        op: Invocation::Transfer,
+                        err,
+                        missing: None,
+                    };
                     self.refuse(caller, refused, Reply::Err(err));
                     return Err(err);
                 }
@@ -597,7 +601,8 @@ impl Sel4Kernel {
             self.fire_armed_churn(caller, ep);
         }
         if let Some(right) = missing {
-            // A send lacking only grant is a refused capability transfer.
+            // Lacking grant, a send or nb-send is a refused capability
+            // transfer.
             let op = if right == Right::Grant && !is_call {
                 Invocation::Transfer
             } else {
@@ -819,8 +824,12 @@ impl Sel4Kernel {
             ..
         }) = reply_cap
         else {
-            let (op, err, missing) = (Invocation::Reply, Sel4Error::NoReplyCap, None);
-            let refused = Detail::CapDeny { op, err, missing };
+            let err = Sel4Error::NoReplyCap;
+            let refused = Detail::CapDeny {
+                op: Invocation::Reply,
+                err,
+                missing: None,
+            };
             return self.refuse(caller, refused, Reply::Err(err));
         };
         // Resolve transferred caps (a reply cap carries grant).
@@ -941,8 +950,11 @@ impl Sel4Kernel {
         let derived = match minted {
             Ok(derived) => derived,
             Err(err) => {
-                let (op, missing) = (Invocation::Mint, None);
-                let refused = Detail::CapDeny { op, err, missing };
+                let refused = Detail::CapDeny {
+                    op: Invocation::Mint,
+                    err,
+                    missing: None,
+                };
                 return self.refuse(caller, refused, Reply::Err(err));
             }
         };

@@ -22,6 +22,13 @@
 //!   share capabilities — the basis of the paper's argument that "if an
 //!   untrusted process can only send away capabilities to trusted
 //!   processes, the untrusted process could never gain more capabilities."
+//! - **One admission check**: every capability-checked invocation
+//!   (retype, send, call, recv, signal, wait, TCB suspend, device read
+//!   and write) passes the kernel's one `admit`: look the slot up, then
+//!   check the object's kind (a reply capability is the wrong kind), then
+//!   the rights. A refusal records a typed `cap.deny`
+//!   ([`trace::Detail::CapDeny`]): the invocation, the error and, for a
+//!   rights refusal, the missing [`rights::Right`].
 //! - **Confinement**: a thread can only name objects via its own CSpace;
 //!   the brute-force attack of §IV-D.3 (enumerate every slot) is
 //!   implemented in `bas-attack` against exactly this interface.

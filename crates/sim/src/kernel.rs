@@ -8,7 +8,10 @@
 //! queue, fault calendar, metrics, trace, device bus, IPC fault queue,
 //! message arena) and the [`Kernel`] trait supplies, on top of it, the
 //! run loop (which fires timers and faults alike), the dispatch prologue,
-//! sleeping, wake-ups and the accessors.
+//! sleeping, wake-ups, the one refusal path ([`Kernel::refuse`]) and the
+//! accessors. Each counter that stands for virtual time (context
+//! switches, kernel entries, IPC messages and bytes) moves only in the
+//! [`Executive`] call that charges its cost.
 //!
 //! A kernel implements the trait with a few hooks: access to its process
 //! table ([`Kernel::task_mut`]), its system calls

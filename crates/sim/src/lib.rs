@@ -7,9 +7,10 @@
 //! a timer queue, kernel metrics, a deterministic RNG, an event trace, a
 //! device bus connecting drivers to the simulated physical world, and the
 //! [`kernel`] executive that runs them: the one scheduler loop, timer
-//! wake-up path and cost charging all three kernels share. It also holds
-//! the workspace's only unsafe code, the counting global allocator in
-//! [`alloc`] that every allocation and residency measurement installs.
+//! wake-up path, refusal path and cost charging all three kernels share.
+//! It also holds the workspace's only unsafe code, the counting global
+//! allocator in [`alloc`] that every allocation and residency
+//! measurement installs.
 //!
 //! ## Execution model
 //!
