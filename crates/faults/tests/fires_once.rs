@@ -11,6 +11,7 @@ use bas_core::proto::names;
 use bas_core::scenario::{Scenario, ScenarioConfig};
 use bas_faults::inject;
 use bas_faults::plan::{FaultEvent, FaultKind, FaultPlan};
+use bas_sim::caps::{CapChurnOp, ChurnKind};
 use bas_sim::device::DeviceId;
 use bas_sim::fault::Firing;
 use bas_sim::kernel::Kernel;
@@ -64,6 +65,12 @@ fn arb_kind() -> impl Strategy<Value = FaultKind> {
         (1u32..5).prop_map(|count| FaultKind::IpcDuplicate { count }),
         Just(FaultKind::Crash {
             process: names::HEATER.to_string(),
+        }),
+        prop::sample::select(vec![None, Some(0u32), Some(1)]).prop_map(|arm_after_checks| {
+            FaultKind::CapChurn {
+                op: CapChurnOp::new(ChurnKind::Revoke, names::SENSOR, names::CONTROL),
+                arm_after_checks,
+            }
         }),
     ]
 }

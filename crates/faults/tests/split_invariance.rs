@@ -29,6 +29,7 @@ use bas_core::scenario::{plant_snapshot, Scenario, ScenarioConfig};
 use bas_faults::inject;
 use bas_faults::plan::{FaultEvent, FaultKind, FaultPlan};
 use bas_fleet::instance_seed;
+use bas_sim::caps::{CapChurnOp, ChurnKind};
 use bas_sim::device::DeviceId;
 use bas_sim::kernel::Kernel;
 use bas_sim::time::{SimDuration, SimTime};
@@ -266,6 +267,31 @@ fn fault_runs_split_invariantly() {
                     process: names::HEATER.to_string(),
                 },
             ),
+            // Capability churn: a timed revoke and re-grant of the web
+            // interface's channel, and a sensor revoke armed inside the
+            // check→use window.
+            FaultEvent::new(
+                at(200_013),
+                FaultKind::CapChurn {
+                    op: CapChurnOp::new(ChurnKind::Revoke, names::WEB, names::CONTROL),
+                    arm_after_checks: None,
+                },
+            ),
+            FaultEvent::new(
+                at(260_041),
+                FaultKind::CapChurn {
+                    op: CapChurnOp::new(ChurnKind::Grant, names::WEB, names::CONTROL),
+                    arm_after_checks: None,
+                },
+            ),
+            FaultEvent::new(
+                at(450_003),
+                FaultKind::CapChurn {
+                    op: CapChurnOp::new(ChurnKind::Revoke, names::SENSOR, names::CONTROL),
+                    arm_after_checks: Some(2),
+                },
+            ),
+            FaultEvent::new(at(500_007), FaultKind::ClockSkew { advance: at(1_500) }),
         ],
     );
     let config = ScenarioConfig {
