@@ -3,9 +3,9 @@
 //!
 //! Each scenario boots the real five-process stack on one platform,
 //! enables the kernel's capability-event stream, runs the scenario
-//! engine under a `bas-faults` schedule of [`FaultKind::CapChurn`]
-//! events, and records the exact race kinds the detector must
-//! (and must not) find. The catalog is deliberately asymmetric across
+//! engine under a `bas-faults` plan of capability churn
+//! ([`FaultAction::Churn`] events), and records the exact race kinds the
+//! detector must (and must not) find. The catalog is deliberately asymmetric across
 //! platforms, because the kernels *are*: a timed revoke between IPC
 //! periods is clean on MINIX and seL4 (the next admission check denies
 //! it) but races on Linux, where an mq descriptor opened before the
@@ -21,9 +21,9 @@ use bas_core::platform::minix::MinixStack;
 use bas_core::platform::sel4::Sel4Stack;
 use bas_core::proto::names;
 use bas_core::scenario::{Platform, Scenario, ScenarioConfig};
-use bas_faults::inject;
-use bas_faults::plan::{FaultEvent, FaultKind, FaultPlan};
+use bas_faults::plan::{install, FaultEvent, FaultPlan};
 use bas_sim::caps::{CapChurnOp, CapTrace, ChurnKind};
+use bas_sim::fault::FaultAction;
 use bas_sim::time::SimDuration;
 
 use super::detect::RaceKind;
@@ -53,24 +53,15 @@ fn key(platform: Platform) -> &'static str {
     }
 }
 
-fn churn(at: SimDuration, op: CapChurnOp) -> FaultEvent {
-    FaultEvent::new(
-        at,
-        FaultKind::CapChurn {
-            op,
-            arm_after_checks: None,
-        },
-    )
+/// `op` applied at `at`.
+fn timed(at: SimDuration, op: CapChurnOp) -> FaultEvent {
+    FaultEvent::new(at, FaultAction::Churn(vec![op], None))
 }
 
+/// `op` armed at `at` to fire right after the `after_checks`-th
+/// subsequent successful admission check it matches.
 fn armed(at: SimDuration, op: CapChurnOp, after_checks: u32) -> FaultEvent {
-    FaultEvent::new(
-        at,
-        FaultKind::CapChurn {
-            op,
-            arm_after_checks: Some(after_checks),
-        },
-    )
+    FaultEvent::new(at, FaultAction::Churn(vec![op], Some(after_checks)))
 }
 
 /// Builds the full catalog (3 platforms × 7 shapes = 21 scenarios),
@@ -92,7 +83,7 @@ pub fn churn_scenarios() -> Vec<ChurnScenario> {
             platform,
             plan: FaultPlan::new(
                 "grant-only",
-                vec![churn(
+                vec![timed(
                     s(60),
                     CapChurnOp::new(ChurnKind::Grant, names::SENSOR, names::CONTROL),
                 )],
@@ -131,11 +122,11 @@ pub fn churn_scenarios() -> Vec<ChurnScenario> {
             plan: FaultPlan::new(
                 "timed-revoke-regrant",
                 vec![
-                    churn(
+                    timed(
                         s(60),
                         CapChurnOp::new(ChurnKind::Revoke, names::SENSOR, names::CONTROL),
                     ),
-                    churn(
+                    timed(
                         s(120),
                         CapChurnOp::new(ChurnKind::Grant, names::SENSOR, names::CONTROL),
                     ),
@@ -164,7 +155,7 @@ pub fn churn_scenarios() -> Vec<ChurnScenario> {
                         CapChurnOp::new(ChurnKind::Revoke, names::SENSOR, names::CONTROL),
                         arm_delay,
                     ),
-                    churn(
+                    timed(
                         s(120),
                         CapChurnOp::new(ChurnKind::Grant, names::SENSOR, names::CONTROL),
                     ),
@@ -190,7 +181,7 @@ pub fn churn_scenarios() -> Vec<ChurnScenario> {
                             .by(names::SENSOR),
                         arm_delay,
                     ),
-                    churn(
+                    timed(
                         s(120),
                         CapChurnOp::new(ChurnKind::Grant, names::SENSOR, names::CONTROL)
                             .by(names::SENSOR),
@@ -217,7 +208,7 @@ pub fn churn_scenarios() -> Vec<ChurnScenario> {
                         CapChurnOp::new(ChurnKind::Attenuate, names::SENSOR, names::CONTROL),
                         arm_delay,
                     ),
-                    churn(
+                    timed(
                         s(120),
                         CapChurnOp::new(ChurnKind::Grant, names::SENSOR, names::CONTROL),
                     ),
@@ -242,15 +233,15 @@ pub fn churn_scenarios() -> Vec<ChurnScenario> {
                         CapChurnOp::new(ChurnKind::Revoke, names::SENSOR, names::CONTROL),
                         arm_delay,
                     ),
-                    churn(
+                    timed(
                         s(60),
                         CapChurnOp::new(ChurnKind::Revoke, names::WEB, names::CONTROL).by("admin"),
                     ),
-                    churn(
+                    timed(
                         s(90),
                         CapChurnOp::new(ChurnKind::Grant, names::WEB, names::CONTROL).by("tenant"),
                     ),
-                    churn(
+                    timed(
                         s(150),
                         CapChurnOp::new(ChurnKind::Grant, names::SENSOR, names::CONTROL),
                     ),
@@ -276,7 +267,7 @@ pub fn run_churn_plan(platform: Platform, plan: &FaultPlan, horizon: SimDuration
         // execute once the kernel runs, so even boot-time opens land in
         // the stream.
         engine.stack.enable_cap_trace();
-        inject::install(&mut engine, plan);
+        install(&mut engine, plan);
         engine.run_for(horizon);
         engine.stack.cap_trace()
     }
@@ -314,7 +305,7 @@ mod tests {
                 sc.plan
                     .events()
                     .iter()
-                    .all(|e| matches!(e.kind, FaultKind::CapChurn { .. })),
+                    .all(|e| matches!(e.action, FaultAction::Churn(..))),
                 "{}: churn scenarios must not mix in other fault kinds",
                 sc.name
             );

@@ -85,13 +85,20 @@ pub trait PlatformKernel {
     /// restart semantics are the platform's own: a supervised MINIX stack
     /// re-forks the victim, Linux and seL4 do not. IPC faults are consumed
     /// by application sends after each platform's access-control gate.
-    fn apply_fault(&mut self, action: FaultAction<ChurnOf<Self>>) -> bool {
+    ///
+    /// Capability churn resolves through [`Self::resolve_churn`] first.
+    /// `Some(n)` arms it for right after the n-th subsequent *successful*
+    /// admission check by `op.subject` toward `op.object`, inside the
+    /// check→use window.
+    fn apply_fault(&mut self, action: FaultAction<CapChurnOp>) -> bool {
+        let action = action.resolve(|op| self.resolve_churn(op));
         touch(self).apply_fault(&action)
     }
 
     /// Puts timed faults on the kernel's fault calendar, which the run loop
-    /// fires; a kernel reset clears it. The bus watches a sensor fault's
-    /// device from now on, so a dropout freezes at the last value read.
+    /// fires; a kernel reset clears it. Capability churn resolves now, as
+    /// in [`Self::apply_fault`]. The bus watches a sensor fault's device
+    /// from now on, so a dropout freezes at the last value read.
     ///
     /// # Errors
     ///
@@ -99,8 +106,12 @@ pub trait PlatformKernel {
     /// a device the stack never registered.
     fn schedule_faults(
         &mut self,
-        faults: impl IntoIterator<Item = (SimTime, FaultAction<ChurnOf<Self>>)>,
+        faults: impl IntoIterator<Item = (SimTime, FaultAction<CapChurnOp>)>,
     ) -> Result<(), NoSuchDeviceError> {
+        let faults: Vec<_> = faults
+            .into_iter()
+            .map(|(due, action)| (due, action.resolve(|op| self.resolve_churn(op))))
+            .collect();
         let exec = touch(self).exec_mut();
         for (due, action) in faults {
             if let FaultAction::Sensor(device, _) = action {
@@ -109,14 +120,6 @@ pub trait PlatformKernel {
             exec.calendar.schedule(due, action);
         }
         Ok(())
-    }
-
-    /// A capability mutation between scenario instances as a fault,
-    /// resolved now through [`Self::resolve_churn`]. `Some(n)` arms it for
-    /// right after the n-th subsequent *successful* admission check by
-    /// `op.subject` toward `op.object`, inside the check→use window.
-    fn churn(&self, op: &CapChurnOp, arm_after_checks: Option<u32>) -> FaultAction<ChurnOf<Self>> {
-        FaultAction::Churn(self.resolve_churn(op), arm_after_checks)
     }
 
     /// Starts recording the kernel's structured capability-event stream
@@ -131,9 +134,6 @@ pub trait PlatformKernel {
         self.kernel().cap_trace()
     }
 }
-
-/// The kernel-level churn op of a stack.
-pub type ChurnOf<K> = <<K as PlatformKernel>::Kernel as Kernel>::Churn;
 
 /// The stack's kernel, marked as touched since boot. Every hook that
 /// changes a booted kernel goes through here, so the pristine-recycle

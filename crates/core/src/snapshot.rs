@@ -362,11 +362,15 @@ mod tests {
         });
         hooked_recycle_matches_cold_boot::<K>("applied churn", |e| {
             let op = boot_channel(K::PLATFORM, ChurnKind::Revoke);
-            assert!(e.stack.apply_fault(e.stack.churn(&op, None)), "{op:?}");
+            assert!(
+                e.stack
+                    .apply_fault(FaultAction::Churn(vec![op.clone()], None)),
+                "{op:?}"
+            );
         });
         hooked_recycle_matches_cold_boot::<K>("armed churn", |e| {
             let op = CapChurnOp::new(ChurnKind::Revoke, names::SENSOR, names::CONTROL);
-            e.stack.apply_fault(e.stack.churn(&op, Some(0)));
+            e.stack.apply_fault(FaultAction::Churn(vec![op], Some(0)));
         });
         hooked_recycle_matches_cold_boot::<K>("enable_cap_trace", |e| {
             e.stack.enable_cap_trace();

@@ -191,10 +191,10 @@ fn hostile<K: PlatformKernel>(overrides: K::Overrides) -> ScenarioEngine<K> {
     s.run_for(SimDuration::from_mins(4));
     let channel = |kind| CapChurnOp::new(kind, names::SENSOR, names::CONTROL);
     s.stack
-        .apply_fault(s.stack.churn(&channel(ChurnKind::Revoke), None));
+        .apply_fault(FaultAction::Churn(vec![channel(ChurnKind::Revoke)], None));
     s.run_for(SimDuration::from_mins(3));
     s.stack
-        .apply_fault(s.stack.churn(&channel(ChurnKind::Grant), None));
+        .apply_fault(FaultAction::Churn(vec![channel(ChurnKind::Grant)], None));
     s.run_for(SimDuration::from_mins(2));
     let delay = IpcFault::Delay(SimDuration::from_millis(250));
     for fault in [IpcFault::Drop, delay, IpcFault::Duplicate] {

@@ -16,8 +16,7 @@ use bas_core::scenario::{Platform, Scenario, ScenarioConfig};
 use bas_fleet::{instance_seed, Json, WorkerPool};
 use bas_sim::time::SimDuration;
 
-use crate::inject;
-use crate::plan::FaultPlan;
+use crate::plan::{install, FaultPlan};
 use crate::score::{grade, Scorecard};
 
 /// Campaign parameters.
@@ -101,7 +100,7 @@ fn run_cell<K: PlatformKernel>(
     let mut config = ScenarioConfig::quiet();
     config.seed = seed;
     let mut engine = ScenarioEngine::<K>::boot(&config, overrides);
-    inject::install(&mut engine, plan);
+    install(&mut engine, plan);
     engine.run_for(horizon);
     grade(plan.name(), seed, &engine)
 }

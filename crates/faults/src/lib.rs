@@ -9,14 +9,16 @@
 //! them:
 //!
 //! - [`plan`] — the schedule DSL: a [`FaultPlan`] is a named list of
-//!   [`FaultEvent`]s (sensor stuck-at/glitch/dropout, IPC
-//!   drop/delay/duplication, process crash and crash-storm, clock-tick
-//!   skew), each pinned to a virtual time from boot.
-//! - [`inject`] — installs a plan on a booted
-//!   [`ScenarioEngine`](bas_core::engine::ScenarioEngine) as entries on
-//!   the kernel's fault calendar, which the run loop fires at the first
-//!   dispatch point at or after each event's time: a fault run is one
-//!   `run_for`, and the calendar records what fired when.
+//!   [`FaultEvent`]s, each one of the kernel's own
+//!   [`FaultAction`](bas_sim::fault::FaultAction)s (sensor
+//!   stuck-at/glitch/dropout, IPC drop/delay/duplication, process crash,
+//!   clock-tick skew, capability churn) pinned to a virtual time from
+//!   boot; [`crash_storm`] spells out repeated crashes. [`install`] puts a
+//!   plan on a booted
+//!   [`ScenarioEngine`](bas_core::engine::ScenarioEngine)'s fault
+//!   calendar, which the run loop fires at the first dispatch point at or
+//!   after each event's time: a fault run is one `run_for`, and the
+//!   calendar records what fired when.
 //! - [`score`] — the degradation [`Scorecard`]: safety held, worst
 //!   alarm latency, out-of-band seconds, recovery time, processes
 //!   restarted.
@@ -31,13 +33,11 @@
 //! interactions but can never manufacture authority (see `DESIGN.md`).
 
 pub mod campaign;
-pub mod inject;
 pub mod plan;
 pub mod recovery;
 pub mod score;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignReport};
-pub use inject::install;
-pub use plan::{standard_plans, FaultEvent, FaultKind, FaultPlan};
+pub use plan::{crash_storm, install, standard_plans, FaultEvent, FaultPlan};
 pub use recovery::{crash_plan, run_recovery, RecoveryOutcome};
 pub use score::Scorecard;

@@ -1,96 +1,18 @@
 //! The fault-schedule DSL: named, time-pinned, platform-agnostic.
 //!
-//! A [`FaultPlan`] is pure data — no RNG, no platform types — so the
-//! same plan replays bit-identically on every platform and under any
-//! worker count. Randomized campaigns derive per-plan seeds *outside*
-//! the plan (see `campaign`); the plan itself is always explicit.
+//! A [`FaultPlan`] is a list of the kernel's own
+//! [`FaultAction`]s, each pinned to a time from boot, with capability
+//! churn named by scenario instance; [`install`] puts it on a booted
+//! engine's fault calendar. A plan is pure data — no RNG, no platform
+//! types — so the same plan replays bit-identically on every platform
+//! and under any worker count. Randomized campaigns derive per-plan seeds
+//! *outside* the plan (see `campaign`); the plan itself is always
+//! explicit.
 
-use bas_sim::caps::{CapChurnOp, ChurnKind};
-use bas_sim::device::DeviceId;
-use bas_sim::time::SimDuration;
-
-/// One injectable fault.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The device's reads freeze at a fixed raw value (milli-degrees for
-    /// the temperature sensor).
-    SensorStuckAt {
-        /// Device to corrupt.
-        device: DeviceId,
-        /// Raw value every read returns.
-        raw: i64,
-    },
-    /// The device's reads gain a constant raw offset.
-    SensorGlitch {
-        /// Device to corrupt.
-        device: DeviceId,
-        /// Raw offset added to every read.
-        offset: i64,
-    },
-    /// The device's reads freeze at the last good value.
-    SensorDropout {
-        /// Device to corrupt.
-        device: DeviceId,
-    },
-    /// Clears any active sensor fault on the device.
-    SensorRestore {
-        /// Device to restore.
-        device: DeviceId,
-    },
-    /// The next `count` application IPC sends vanish in transit.
-    IpcDrop {
-        /// Number of sends affected.
-        count: u32,
-    },
-    /// The next `count` application IPC sends pay `delay` extra latency.
-    IpcDelay {
-        /// Number of sends affected.
-        count: u32,
-        /// Added in-transit latency per send.
-        delay: SimDuration,
-    },
-    /// The next `count` application IPC sends are delivered twice where
-    /// the transport can queue (absorbed, but traced, on pure rendezvous).
-    IpcDuplicate {
-        /// Number of sends affected.
-        count: u32,
-    },
-    /// Kills the named process/thread outright. What happens next is the
-    /// platform's own restart semantics: a supervised MINIX stack
-    /// re-forks it, Linux and seL4 leave it dead.
-    Crash {
-        /// Process name (see `bas_core::proto::names`).
-        process: String,
-    },
-    /// `times` crashes of the same process, `period` apart — expanded
-    /// into plain [`FaultKind::Crash`] events at plan construction so
-    /// the kernel's fault calendar only ever sees primitive kinds.
-    CrashStorm {
-        /// Process name.
-        process: String,
-        /// Number of crashes (>= 1).
-        times: u32,
-        /// Gap between consecutive crashes.
-        period: SimDuration,
-    },
-    /// Jumps the kernel clock forward — ticks the platform *lost*.
-    ClockSkew {
-        /// How far the clock jumps.
-        advance: SimDuration,
-    },
-    /// Mutates live authority through the platform's capability-churn
-    /// hook: a MINIX ACM row edit, an seL4 CDT sweep, a Linux mq chmod.
-    CapChurn {
-        /// The churn operation (kind, actor, subject, object — subject
-        /// and object are scenario instance names).
-        op: CapChurnOp,
-        /// `None` applies the op at the scheduled tick. `Some(n)` *arms*
-        /// it at the scheduled tick, to fire immediately after the n-th
-        /// subsequent successful admission check by `op.subject` toward
-        /// `op.object` — deterministically inside the check→use window.
-        arm_after_checks: Option<u32>,
-    },
-}
+use bas_core::engine::{PlatformKernel, ScenarioEngine};
+use bas_sim::caps::CapChurnOp;
+use bas_sim::fault::FaultAction;
+use bas_sim::time::{SimDuration, SimTime};
 
 /// One fault pinned to a virtual time measured from boot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,23 +20,39 @@ pub struct FaultEvent {
     /// When the fault fires (virtual time since boot; the event lands at
     /// the kernel's first dispatch point at or after this time).
     pub at: SimDuration,
-    /// What happens.
-    pub kind: FaultKind,
+    /// What happens: the kernel's own fault action, with capability churn
+    /// named by scenario instance (subject and object are instance names,
+    /// resolved onto the kernel's authority structure by [`install`]).
+    pub action: FaultAction<CapChurnOp>,
 }
 
 impl FaultEvent {
     /// Creates an event.
-    pub fn new(at: SimDuration, kind: FaultKind) -> FaultEvent {
-        FaultEvent { at, kind }
+    pub fn new(at: SimDuration, action: FaultAction<CapChurnOp>) -> FaultEvent {
+        FaultEvent { at, action }
     }
 }
 
-/// A named, ordered fault schedule.
+/// A crash storm: exactly `times` crashes of `process`, the first at `at`
+/// and each next one `period` later.
+pub fn crash_storm(
+    process: &str,
+    at: SimDuration,
+    times: u32,
+    period: SimDuration,
+) -> Vec<FaultEvent> {
+    (0..u64::from(times))
+        .map(|k| {
+            let at = at + SimDuration::from_nanos(period.as_nanos() * k);
+            FaultEvent::new(at, FaultAction::Crash(process.to_string()))
+        })
+        .collect()
+}
+
+/// A named, time-ordered fault schedule.
 ///
-/// Construction normalizes the schedule: [`FaultKind::CrashStorm`]
-/// expands into its individual crashes and events are stable-sorted by
-/// time, so two plans describing the same faults compare (and replay)
-/// identically.
+/// Construction stable-sorts the events by time, so two plans describing
+/// the same faults compare (and replay) identically.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     name: String,
@@ -122,33 +60,13 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Builds a plan, expanding crash storms and sorting events by time
-    /// (stable: simultaneous events keep their authoring order).
-    pub fn new(name: impl Into<String>, events: Vec<FaultEvent>) -> FaultPlan {
-        let mut expanded = Vec::with_capacity(events.len());
-        for ev in events {
-            match ev.kind {
-                FaultKind::CrashStorm {
-                    process,
-                    times,
-                    period,
-                } => {
-                    for k in 0..times.max(1) {
-                        expanded.push(FaultEvent::new(
-                            ev.at + SimDuration::from_nanos(period.as_nanos() * k as u64),
-                            FaultKind::Crash {
-                                process: process.clone(),
-                            },
-                        ));
-                    }
-                }
-                kind => expanded.push(FaultEvent::new(ev.at, kind)),
-            }
-        }
-        expanded.sort_by_key(|e| e.at.as_nanos());
+    /// Builds a plan, sorting events by time (stable: simultaneous events
+    /// keep their authoring order).
+    pub fn new(name: impl Into<String>, mut events: Vec<FaultEvent>) -> FaultPlan {
+        events.sort_by_key(|e| e.at.as_nanos());
         FaultPlan {
             name: name.into(),
-            events: expanded,
+            events,
         }
     }
 
@@ -157,7 +75,7 @@ impl FaultPlan {
         &self.name
     }
 
-    /// The normalized events, in firing order.
+    /// The events, in firing order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
     }
@@ -172,111 +90,77 @@ impl FaultPlan {
     }
 }
 
+/// Schedules every event of `plan` on `engine`'s fault calendar, at its
+/// time from boot, resolving capability churn onto the kernel's authority
+/// structure now (`PlatformKernel::schedule_faults`). A fault run is then
+/// a plain `run_for`: the kernel's run loop fires each event at the first
+/// dispatch point at or after its time, and the calendar records when
+/// each fired and whether it landed, which the scorecard reads.
+///
+/// # Panics
+///
+/// Panics if the plan references a device the stack never registered —
+/// a schedule aimed at nothing is a plan bug, not a degradation result.
+pub fn install<K: PlatformKernel>(engine: &mut ScenarioEngine<K>, plan: &FaultPlan) {
+    let faults = plan
+        .events()
+        .iter()
+        .map(|ev| (SimTime::ZERO + ev.at, ev.action.clone()));
+    engine
+        .stack
+        .schedule_faults(faults)
+        .unwrap_or_else(|e| panic!("plan {:?} targets unknown device: {e}", plan.name()));
+}
+
 /// The standard campaign: one nominal control row plus seven fault plans
 /// covering every fault family. All events fall inside the first ten
 /// minutes so both the full (30 min) and `--quick` (12 min) horizons
 /// fire every plan completely.
 pub fn standard_plans() -> Vec<FaultPlan> {
     use bas_core::proto::names;
+    use bas_sim::caps::ChurnKind;
+    use bas_sim::device::DeviceId;
+    use bas_sim::fault::{IpcFault, SensorFaultMode};
+    use FaultAction::{Churn, Ipc, Sensor, Skew};
     let s = SimDuration::from_secs;
+    let ev = FaultEvent::new;
+    // Five minutes of a faulty temperature sensor, then it recovers.
+    let sensor = |name: &str, mode| {
+        let temp = DeviceId::TEMP_SENSOR;
+        let restore = Sensor(temp, SensorFaultMode::Nominal);
+        FaultPlan::new(
+            name,
+            vec![ev(s(300), Sensor(temp, mode)), ev(s(600), restore)],
+        )
+    };
+    let channel = |kind| vec![CapChurnOp::new(kind, names::WEB, names::CONTROL)];
     vec![
         FaultPlan::new("baseline", vec![]),
-        FaultPlan::new(
-            "sensor_stuck_hot",
-            vec![
-                // The sensor reports a wedged 30.00 °C for five minutes.
-                FaultEvent::new(
-                    s(300),
-                    FaultKind::SensorStuckAt {
-                        device: DeviceId::TEMP_SENSOR,
-                        raw: 30_000,
-                    },
-                ),
-                FaultEvent::new(
-                    s(600),
-                    FaultKind::SensorRestore {
-                        device: DeviceId::TEMP_SENSOR,
-                    },
-                ),
-            ],
-        ),
-        FaultPlan::new(
-            "sensor_glitch",
-            vec![
-                // +5 °C calibration drift for five minutes.
-                FaultEvent::new(
-                    s(300),
-                    FaultKind::SensorGlitch {
-                        device: DeviceId::TEMP_SENSOR,
-                        offset: 5_000,
-                    },
-                ),
-                FaultEvent::new(
-                    s(600),
-                    FaultKind::SensorRestore {
-                        device: DeviceId::TEMP_SENSOR,
-                    },
-                ),
-            ],
-        ),
-        FaultPlan::new(
-            "sensor_dropout",
-            vec![
-                // The sensor bus dies for five minutes; reads go stale.
-                FaultEvent::new(
-                    s(300),
-                    FaultKind::SensorDropout {
-                        device: DeviceId::TEMP_SENSOR,
-                    },
-                ),
-                FaultEvent::new(
-                    s(600),
-                    FaultKind::SensorRestore {
-                        device: DeviceId::TEMP_SENSOR,
-                    },
-                ),
-            ],
-        ),
+        // The sensor reports a wedged 30.00 °C.
+        sensor("sensor_stuck_hot", SensorFaultMode::StuckAt(30_000)),
+        // +5 °C calibration drift.
+        sensor("sensor_glitch", SensorFaultMode::Glitch { offset: 5_000 }),
+        // The sensor bus dies; reads go stale.
+        sensor("sensor_dropout", SensorFaultMode::Dropout),
         FaultPlan::new(
             "ipc_storm",
             vec![
-                FaultEvent::new(s(240), FaultKind::IpcDrop { count: 50 }),
-                FaultEvent::new(
+                ev(s(240), Ipc(IpcFault::Drop, 50)),
+                ev(
                     s(300),
-                    FaultKind::IpcDelay {
-                        count: 50,
-                        delay: SimDuration::from_millis(5),
-                    },
+                    Ipc(IpcFault::Delay(SimDuration::from_millis(5)), 50),
                 ),
-                FaultEvent::new(s(360), FaultKind::IpcDuplicate { count: 50 }),
+                ev(s(360), Ipc(IpcFault::Duplicate, 50)),
             ],
         ),
         FaultPlan::new(
             "heater_crash",
-            vec![FaultEvent::new(
-                s(180),
-                FaultKind::Crash {
-                    process: names::HEATER.to_string(),
-                },
-            )],
+            vec![ev(s(180), FaultAction::Crash(names::HEATER.to_string()))],
         ),
-        FaultPlan::new(
-            "crash_storm",
-            vec![FaultEvent::new(
-                s(180),
-                FaultKind::CrashStorm {
-                    process: names::HEATER.to_string(),
-                    times: 3,
-                    period: s(120),
-                },
-            )],
-        ),
+        FaultPlan::new("crash_storm", crash_storm(names::HEATER, s(180), 3, s(120))),
         FaultPlan::new(
             "clock_skew",
-            vec![
-                FaultEvent::new(s(300), FaultKind::ClockSkew { advance: s(30) }),
-                FaultEvent::new(s(600), FaultKind::ClockSkew { advance: s(30) }),
-            ],
+            vec![ev(s(300), Skew(s(30))), ev(s(600), Skew(s(30)))],
         ),
         // Capability churn: the web interface's path to the controller is
         // revoked for five minutes, then re-granted. Microkernels cut the
@@ -286,20 +170,8 @@ pub fn standard_plans() -> Vec<FaultPlan> {
         FaultPlan::new(
             "cap_churn",
             vec![
-                FaultEvent::new(
-                    s(300),
-                    FaultKind::CapChurn {
-                        op: CapChurnOp::new(ChurnKind::Revoke, names::WEB, names::CONTROL),
-                        arm_after_checks: None,
-                    },
-                ),
-                FaultEvent::new(
-                    s(600),
-                    FaultKind::CapChurn {
-                        op: CapChurnOp::new(ChurnKind::Grant, names::WEB, names::CONTROL),
-                        arm_after_checks: None,
-                    },
-                ),
+                ev(s(300), Churn(channel(ChurnKind::Revoke), None)),
+                ev(s(600), Churn(channel(ChurnKind::Grant), None)),
             ],
         ),
     ]
@@ -310,30 +182,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn crash_storm_expands_and_sorts() {
-        let plan = FaultPlan::new(
-            "storm",
-            vec![
-                FaultEvent::new(SimDuration::from_secs(500), FaultKind::IpcDrop { count: 1 }),
-                FaultEvent::new(
-                    SimDuration::from_secs(100),
-                    FaultKind::CrashStorm {
-                        process: "p".into(),
-                        times: 3,
-                        period: SimDuration::from_secs(60),
-                    },
-                ),
-            ],
-        );
+    fn crash_storm_yields_exactly_its_crashes_and_plans_sort() {
+        let s = SimDuration::from_secs;
+        let crash = |at| FaultEvent::new(s(at), FaultAction::Crash("p".into()));
+        assert_eq!(crash_storm("p", s(100), 0, s(60)), []);
+        assert_eq!(crash_storm("p", s(100), 1, s(60)), [crash(100)]);
+        let mut events = vec![FaultEvent::new(s(500), FaultAction::Skew(s(1)))];
+        events.extend(crash_storm("p", s(100), 3, s(60)));
+        let plan = FaultPlan::new("storm", events);
         let times: Vec<u64> = plan.events().iter().map(|e| e.at.as_secs()).collect();
         assert_eq!(times, vec![100, 160, 220, 500]);
-        assert_eq!(
-            plan.events()
-                .iter()
-                .filter(|e| matches!(e.kind, FaultKind::Crash { .. }))
-                .count(),
-            3
-        );
+        assert_eq!(plan.events()[..3], [crash(100), crash(160), crash(220)]);
         assert_eq!(plan.last_event_at().as_secs(), 500);
     }
 

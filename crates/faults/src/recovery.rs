@@ -15,22 +15,17 @@ use bas_core::platform::sel4::Sel4Stack;
 use bas_core::proto::names;
 use bas_core::scenario::{critical_alive, Platform, Scenario, ScenarioConfig};
 use bas_fleet::Json;
+use bas_sim::fault::FaultAction;
 use bas_sim::kernel::Kernel;
 use bas_sim::time::SimDuration;
 
-use crate::inject;
-use crate::plan::{FaultEvent, FaultKind, FaultPlan};
+use crate::plan::{install, FaultEvent, FaultPlan};
 
 /// The recovery schedule: one crash of `process` at `at`.
 pub fn crash_plan(process: &str, at: SimDuration) -> FaultPlan {
     FaultPlan::new(
         format!("crash_{process}"),
-        vec![FaultEvent::new(
-            at,
-            FaultKind::Crash {
-                process: process.to_string(),
-            },
-        )],
+        vec![FaultEvent::new(at, FaultAction::Crash(process.to_string()))],
     )
 }
 
@@ -114,7 +109,7 @@ fn run_on<K: PlatformKernel>(
 
     let mut engine = ScenarioEngine::<K>::boot(&config, overrides);
     let plan = crash_plan(names::HEATER, SimDuration::from_secs(180));
-    inject::install(&mut engine, &plan);
+    install(&mut engine, &plan);
     engine.run_for(horizon);
     let fired = engine.stack.kernel().fault_calendar().fired().len();
     assert_eq!(fired, 1, "the crash event must fire");

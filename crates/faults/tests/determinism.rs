@@ -4,46 +4,35 @@
 
 use bas_core::proto::names;
 use bas_faults::campaign::{run_campaign, CampaignConfig};
-use bas_faults::plan::{standard_plans, FaultEvent, FaultKind, FaultPlan};
+use bas_faults::plan::{standard_plans, FaultEvent, FaultPlan};
 use bas_sim::caps::{CapChurnOp, ChurnKind};
 use bas_sim::device::DeviceId;
+use bas_sim::fault::FaultAction::{Churn, Crash, Ipc, Sensor};
+use bas_sim::fault::{IpcFault, SensorFaultMode};
 use bas_sim::time::SimDuration;
 
 fn small_plans() -> Vec<FaultPlan> {
     let s = SimDuration::from_secs;
+    let temp = DeviceId::TEMP_SENSOR;
+    let op = |kind, subject| CapChurnOp::new(kind, subject, names::CONTROL);
     vec![
         FaultPlan::new(
             "dropout",
             vec![
-                FaultEvent::new(
-                    s(60),
-                    FaultKind::SensorDropout {
-                        device: DeviceId::TEMP_SENSOR,
-                    },
-                ),
-                FaultEvent::new(
-                    s(120),
-                    FaultKind::SensorRestore {
-                        device: DeviceId::TEMP_SENSOR,
-                    },
-                ),
+                FaultEvent::new(s(60), Sensor(temp, SensorFaultMode::Dropout)),
+                FaultEvent::new(s(120), Sensor(temp, SensorFaultMode::Nominal)),
             ],
         ),
         FaultPlan::new(
             "ipc_mix",
             vec![
-                FaultEvent::new(s(60), FaultKind::IpcDrop { count: 10 }),
-                FaultEvent::new(s(90), FaultKind::IpcDuplicate { count: 10 }),
+                FaultEvent::new(s(60), Ipc(IpcFault::Drop, 10)),
+                FaultEvent::new(s(90), Ipc(IpcFault::Duplicate, 10)),
             ],
         ),
         FaultPlan::new(
             "crash",
-            vec![FaultEvent::new(
-                s(60),
-                FaultKind::Crash {
-                    process: names::HEATER.to_string(),
-                },
-            )],
+            vec![FaultEvent::new(s(60), Crash(names::HEATER.to_string()))],
         ),
         // Churn schedules must replay as deterministically as every other
         // fault family: a timed revoke, an armed revoke sitting inside
@@ -51,26 +40,11 @@ fn small_plans() -> Vec<FaultPlan> {
         FaultPlan::new(
             "cap_churn",
             vec![
-                FaultEvent::new(
-                    s(60),
-                    FaultKind::CapChurn {
-                        op: CapChurnOp::new(ChurnKind::Revoke, names::WEB, names::CONTROL),
-                        arm_after_checks: None,
-                    },
-                ),
-                FaultEvent::new(
-                    s(90),
-                    FaultKind::CapChurn {
-                        op: CapChurnOp::new(ChurnKind::Grant, names::WEB, names::CONTROL),
-                        arm_after_checks: None,
-                    },
-                ),
+                FaultEvent::new(s(60), Churn(vec![op(ChurnKind::Revoke, names::WEB)], None)),
+                FaultEvent::new(s(90), Churn(vec![op(ChurnKind::Grant, names::WEB)], None)),
                 FaultEvent::new(
                     s(120),
-                    FaultKind::CapChurn {
-                        op: CapChurnOp::new(ChurnKind::Revoke, names::SENSOR, names::CONTROL),
-                        arm_after_checks: Some(2),
-                    },
+                    Churn(vec![op(ChurnKind::Revoke, names::SENSOR)], Some(2)),
                 ),
             ],
         ),

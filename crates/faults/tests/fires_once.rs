@@ -9,11 +9,11 @@ use bas_core::platform::minix::MinixStack;
 use bas_core::platform::sel4::Sel4Stack;
 use bas_core::proto::names;
 use bas_core::scenario::{Scenario, ScenarioConfig};
-use bas_faults::inject;
-use bas_faults::plan::{FaultEvent, FaultKind, FaultPlan};
+use bas_faults::plan::{install, FaultEvent, FaultPlan};
 use bas_sim::caps::{CapChurnOp, ChurnKind};
 use bas_sim::device::DeviceId;
-use bas_sim::fault::Firing;
+use bas_sim::fault::FaultAction::{self, Churn, Crash, Ipc, Sensor, Skew};
+use bas_sim::fault::{Firing, IpcFault, SensorFaultMode};
 use bas_sim::kernel::Kernel;
 use bas_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -22,7 +22,7 @@ use proptest::prelude::*;
 fn run_plan<K: PlatformKernel>(plan: &FaultPlan, horizon: SimDuration) -> Vec<Firing> {
     let config = ScenarioConfig::quiet();
     let mut engine = ScenarioEngine::<K>::boot(&config, Default::default());
-    inject::install(&mut engine, plan);
+    install(&mut engine, plan);
     engine.run_for(horizon);
     engine.stack.kernel().fault_calendar().fired().to_vec()
 }
@@ -33,44 +33,28 @@ fn run_plan<K: PlatformKernel>(plan: &FaultPlan, horizon: SimDuration) -> Vec<Fi
 fn first_dispatch_point<K: PlatformKernel>(plan: &FaultPlan, index: usize) -> u64 {
     let prefix = FaultPlan::new("prefix", plan.events()[..index].to_vec());
     let mut engine = ScenarioEngine::<K>::boot(&ScenarioConfig::quiet(), Default::default());
-    inject::install(&mut engine, &prefix);
+    install(&mut engine, &prefix);
     engine.run_for(plan.events()[index].at);
     engine.now().as_nanos()
 }
 
-/// Kinds that do not move the kernel clock: the IPC delays are short,
+/// Actions that do not move the kernel clock: the IPC delays are short,
 /// so a dispatch in flight at an event's time ends less than 3 ms after
 /// it. Clock skew gets its own test.
-fn arb_kind() -> impl Strategy<Value = FaultKind> {
+fn arb_action() -> impl Strategy<Value = FaultAction<CapChurnOp>> {
+    let temp = DeviceId::TEMP_SENSOR;
     prop_oneof![
-        (20_000i64..30_000).prop_map(|raw| FaultKind::SensorStuckAt {
-            device: DeviceId::TEMP_SENSOR,
-            raw,
-        }),
-        (-3_000i64..3_000).prop_map(|offset| FaultKind::SensorGlitch {
-            device: DeviceId::TEMP_SENSOR,
-            offset,
-        }),
-        Just(FaultKind::SensorDropout {
-            device: DeviceId::TEMP_SENSOR,
-        }),
-        Just(FaultKind::SensorRestore {
-            device: DeviceId::TEMP_SENSOR,
-        }),
-        (1u32..5).prop_map(|count| FaultKind::IpcDrop { count }),
-        (1u32..4).prop_map(|count| FaultKind::IpcDelay {
-            count,
-            delay: SimDuration::from_millis(2),
-        }),
-        (1u32..5).prop_map(|count| FaultKind::IpcDuplicate { count }),
-        Just(FaultKind::Crash {
-            process: names::HEATER.to_string(),
-        }),
+        (20_000i64..30_000).prop_map(move |raw| Sensor(temp, SensorFaultMode::StuckAt(raw))),
+        (-3_000i64..3_000).prop_map(move |offset| Sensor(temp, SensorFaultMode::Glitch { offset })),
+        Just(Sensor(temp, SensorFaultMode::Dropout)),
+        Just(Sensor(temp, SensorFaultMode::Nominal)),
+        (1u32..5).prop_map(|count| Ipc(IpcFault::Drop, count)),
+        (1u32..4).prop_map(|count| Ipc(IpcFault::Delay(SimDuration::from_millis(2)), count)),
+        (1u32..5).prop_map(|count| Ipc(IpcFault::Duplicate, count)),
+        Just(Crash(names::HEATER.to_string())),
         prop::sample::select(vec![None, Some(0u32), Some(1)]).prop_map(|arm_after_checks| {
-            FaultKind::CapChurn {
-                op: CapChurnOp::new(ChurnKind::Revoke, names::SENSOR, names::CONTROL),
-                arm_after_checks,
-            }
+            let op = CapChurnOp::new(ChurnKind::Revoke, names::SENSOR, names::CONTROL);
+            Churn(vec![op], arm_after_checks)
         }),
     ]
 }
@@ -81,13 +65,13 @@ proptest! {
     /// scheduled time (the time itself when the kernel is idle there).
     #[test]
     fn every_event_fires_exactly_once_on_every_platform(
-        raw_events in prop::collection::vec((5_000_000_000u64..25_000_000_000, arb_kind()), 1..5),
+        raw_events in prop::collection::vec((5_000_000_000u64..25_000_000_000, arb_action()), 1..5),
     ) {
         let plan = FaultPlan::new(
             "random",
             raw_events
                 .into_iter()
-                .map(|(at_ns, kind)| FaultEvent::new(SimDuration::from_nanos(at_ns), kind))
+                .map(|(at_ns, action)| FaultEvent::new(SimDuration::from_nanos(at_ns), action))
                 .collect(),
         );
         let horizon = SimDuration::from_secs(30);
@@ -127,18 +111,8 @@ fn clock_skew_fires_once_and_later_events_survive() {
     let plan = FaultPlan::new(
         "skew",
         vec![
-            FaultEvent::new(
-                SimDuration::from_secs(5),
-                FaultKind::ClockSkew {
-                    advance: SimDuration::from_secs(10),
-                },
-            ),
-            FaultEvent::new(
-                SimDuration::from_secs(20),
-                FaultKind::Crash {
-                    process: names::HEATER.to_string(),
-                },
-            ),
+            FaultEvent::new(SimDuration::from_secs(5), Skew(SimDuration::from_secs(10))),
+            FaultEvent::new(SimDuration::from_secs(20), Crash(names::HEATER.to_string())),
         ],
     );
     let h = SimDuration::from_secs(30);
@@ -166,9 +140,7 @@ fn crash_against_unknown_name_is_a_recorded_miss() {
         "miss",
         vec![FaultEvent::new(
             SimDuration::from_secs(5),
-            FaultKind::Crash {
-                process: "no_such_process".to_string(),
-            },
+            Crash("no_such_process".to_string()),
         )],
     );
     let fired = run_plan::<MinixStack>(&plan, SimDuration::from_secs(10));

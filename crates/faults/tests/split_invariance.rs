@@ -26,11 +26,14 @@ use bas_core::platform::minix::{MinixOverrides, MinixStack};
 use bas_core::platform::sel4::{Sel4Overrides, Sel4Stack};
 use bas_core::proto::names;
 use bas_core::scenario::{plant_snapshot, Scenario, ScenarioConfig};
-use bas_faults::inject;
-use bas_faults::plan::{FaultEvent, FaultKind, FaultPlan};
+use bas_faults::plan::{install, FaultEvent, FaultPlan};
 use bas_fleet::instance_seed;
-use bas_sim::caps::{CapChurnOp, ChurnKind};
+use bas_sim::caps::CapChurnOp;
+use bas_sim::caps::ChurnKind::{Grant, Revoke};
 use bas_sim::device::DeviceId;
+use bas_sim::fault::FaultAction::{Churn, Crash, Ipc, Sensor, Skew};
+use bas_sim::fault::IpcFault;
+use bas_sim::fault::SensorFaultMode::{Dropout, Glitch, Nominal, StuckAt};
 use bas_sim::kernel::Kernel;
 use bas_sim::time::{SimDuration, SimTime};
 
@@ -60,7 +63,7 @@ fn observe<K: PlatformKernel>(
     let (overrides, evidence) = setup();
     let mut s = ScenarioEngine::<K>::boot(config, overrides);
     if let Some(plan) = plan {
-        inject::install(&mut s, plan);
+        install(&mut s, plan);
     }
     for &d in calls {
         s.run_for(d);
@@ -232,66 +235,26 @@ fn fault_runs_split_invariantly() {
     // Events off the chunk grid, under tenant traffic.
     let at = SimDuration::from_millis;
     let device = DeviceId::TEMP_SENSOR;
+    let op = |kind, subject| CapChurnOp::new(kind, subject, names::CONTROL);
     let plan = FaultPlan::new(
         "mixed",
         vec![
-            FaultEvent::new(
-                at(30_050),
-                FaultKind::SensorGlitch {
-                    device,
-                    offset: 2_500,
-                },
-            ),
-            FaultEvent::new(at(90_000), FaultKind::SensorRestore { device }),
-            FaultEvent::new(at(120_001), FaultKind::IpcDrop { count: 3 }),
-            FaultEvent::new(
-                at(150_099),
-                FaultKind::IpcDelay {
-                    count: 2,
-                    delay: at(250),
-                },
-            ),
-            FaultEvent::new(at(180_000), FaultKind::IpcDuplicate { count: 2 }),
-            FaultEvent::new(
-                at(240_070),
-                FaultKind::SensorStuckAt {
-                    device,
-                    raw: 26_000,
-                },
-            ),
-            FaultEvent::new(at(300_000), FaultKind::SensorDropout { device }),
-            FaultEvent::new(at(330_030), FaultKind::SensorRestore { device }),
-            FaultEvent::new(
-                at(400_010),
-                FaultKind::Crash {
-                    process: names::HEATER.to_string(),
-                },
-            ),
+            FaultEvent::new(at(30_050), Sensor(device, Glitch { offset: 2_500 })),
+            FaultEvent::new(at(90_000), Sensor(device, Nominal)),
+            FaultEvent::new(at(120_001), Ipc(IpcFault::Drop, 3)),
+            FaultEvent::new(at(150_099), Ipc(IpcFault::Delay(at(250)), 2)),
+            FaultEvent::new(at(180_000), Ipc(IpcFault::Duplicate, 2)),
+            FaultEvent::new(at(240_070), Sensor(device, StuckAt(26_000))),
+            FaultEvent::new(at(300_000), Sensor(device, Dropout)),
+            FaultEvent::new(at(330_030), Sensor(device, Nominal)),
+            FaultEvent::new(at(400_010), Crash(names::HEATER.to_string())),
             // Capability churn: a timed revoke and re-grant of the web
             // interface's channel, and a sensor revoke armed inside the
             // check→use window.
-            FaultEvent::new(
-                at(200_013),
-                FaultKind::CapChurn {
-                    op: CapChurnOp::new(ChurnKind::Revoke, names::WEB, names::CONTROL),
-                    arm_after_checks: None,
-                },
-            ),
-            FaultEvent::new(
-                at(260_041),
-                FaultKind::CapChurn {
-                    op: CapChurnOp::new(ChurnKind::Grant, names::WEB, names::CONTROL),
-                    arm_after_checks: None,
-                },
-            ),
-            FaultEvent::new(
-                at(450_003),
-                FaultKind::CapChurn {
-                    op: CapChurnOp::new(ChurnKind::Revoke, names::SENSOR, names::CONTROL),
-                    arm_after_checks: Some(2),
-                },
-            ),
-            FaultEvent::new(at(500_007), FaultKind::ClockSkew { advance: at(1_500) }),
+            FaultEvent::new(at(200_013), Churn(vec![op(Revoke, names::WEB)], None)),
+            FaultEvent::new(at(260_041), Churn(vec![op(Grant, names::WEB)], None)),
+            FaultEvent::new(at(450_003), Churn(vec![op(Revoke, names::SENSOR)], Some(2))),
+            FaultEvent::new(at(500_007), Skew(at(1_500))),
         ],
     );
     let config = ScenarioConfig {
@@ -335,9 +298,7 @@ fn reference_changes_with_a_dead_web_interface_run_split_invariantly() {
         "dead web",
         vec![FaultEvent::new(
             SimDuration::from_secs(1),
-            FaultKind::Crash {
-                process: names::WEB.to_string(),
-            },
+            Crash(names::WEB.to_string()),
         )],
     );
     let horizon = SimDuration::from_mins(10);

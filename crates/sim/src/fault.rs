@@ -7,8 +7,9 @@
 //! one-shot IPC fault queue each kernel consults on its send path, and the
 //! [`FaultCalendar`] of timed [`FaultAction`]s that the kernel's run loop
 //! fires next to its timers (`bas_sim::kernel`). The schedule DSL lives in
-//! `bas-faults`, which lowers a plan into calendar entries; the kernels
-//! only see the small types here.
+//! `bas-faults`, whose plans are lists of these actions with capability
+//! churn named by scenario instance; the kernels only see the small types
+//! here.
 //!
 //! Injection points are deliberately *inside* the kernel, after access
 //! control: a fault can corrupt, delay or destroy an authorized
@@ -54,12 +55,28 @@ pub enum FaultAction<C> {
     Crash(String),
     /// Jumps the clock forward: ticks the platform lost.
     Skew(SimDuration),
-    /// A capability mutation resolved to the kernel's own churn ops
-    /// (empty when it did not resolve). `None` applies them, landing when
-    /// any changed the authority structure; `Some(n)` arms them to fire
-    /// right after the n-th subsequent matching admission check, and
-    /// always lands.
+    /// Capability mutations: scenario-level ops in a fault plan, the
+    /// kernel's own churn ops once [`FaultAction::resolve`]d (empty when
+    /// none resolved). `None` applies them, landing when any changed the
+    /// authority structure; `Some(n)` arms them to fire right after the
+    /// n-th subsequent matching admission check, and always lands.
     Churn(Vec<C>, Option<u32>),
+}
+
+impl<C> FaultAction<C> {
+    /// The same action with each churn op replaced by the ops `resolve`
+    /// maps it to; every other action passes through unchanged.
+    pub fn resolve<D>(self, resolve: impl FnMut(&C) -> Vec<D>) -> FaultAction<D> {
+        match self {
+            FaultAction::Sensor(device, mode) => FaultAction::Sensor(device, mode),
+            FaultAction::Ipc(fault, count) => FaultAction::Ipc(fault, count),
+            FaultAction::Crash(process) => FaultAction::Crash(process),
+            FaultAction::Skew(advance) => FaultAction::Skew(advance),
+            FaultAction::Churn(ops, arm) => {
+                FaultAction::Churn(ops.iter().flat_map(resolve).collect(), arm)
+            }
+        }
+    }
 }
 
 /// One fired calendar entry.
@@ -229,6 +246,18 @@ mod tests {
         );
         cal.clear();
         assert_eq!((cal.next_due(), cal.fired()), (None, &[][..]));
+    }
+
+    #[test]
+    fn resolve_maps_only_churn_ops() {
+        let twice = |op: &u8| vec![u16::from(*op); 2];
+        let crash = FaultAction::<u8>::Crash("a".into());
+        assert_eq!(crash.resolve(twice), FaultAction::<u16>::Crash("a".into()));
+        let churn = FaultAction::Churn(vec![1u8, 2], Some(3));
+        assert_eq!(
+            churn.resolve(twice),
+            FaultAction::Churn(vec![1, 1, 2, 2], Some(3))
+        );
     }
 
     #[test]
