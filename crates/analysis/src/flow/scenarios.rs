@@ -39,14 +39,6 @@ pub struct DerivationScenario {
     pub note: &'static str,
 }
 
-fn key(platform: Platform) -> &'static str {
-    match platform {
-        Platform::Linux => "linux",
-        Platform::Minix => "minix",
-        Platform::Sel4 => "sel4",
-    }
-}
-
 /// The base model anomalies are seeded into: hardened configuration so
 /// the background attack (handle probing) is flag-clean on every
 /// platform and any reached new-property bit is attributable to the
@@ -64,7 +56,7 @@ fn base(platform: Platform) -> PolicyModel {
 pub fn derivation_scenarios() -> Vec<DerivationScenario> {
     let mut out = Vec::new();
     for platform in [Platform::Linux, Platform::Minix, Platform::Sel4] {
-        let k = key(platform);
+        let k = platform.key();
 
         // 1. A well-formed attenuating chain: control, must stay silent.
         let mut m = base(platform);

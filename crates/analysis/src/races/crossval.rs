@@ -38,14 +38,6 @@ pub struct LeakMapping {
     pub justification: String,
 }
 
-fn platform_key(platform: Platform) -> &'static str {
-    match platform {
-        Platform::Linux => "linux",
-        Platform::Minix => "minix",
-        Platform::Sel4 => "sel4",
-    }
-}
-
 /// Maps every static revocation-leak finding from the seeded derivation
 /// scenarios to its dynamic disposition. Total by construction: each
 /// finding yields exactly one mapping; the caller (E19) verifies that
@@ -60,7 +52,7 @@ pub fn map_revocation_leaks() -> Vec<LeakMapping> {
                 .subjects
                 .get(&f)
                 .is_some_and(|s| s.trust == Trust::Untrusted);
-            let k = platform_key(ds.platform);
+            let k = ds.platform.key();
             if untrusted {
                 out.push(LeakMapping {
                     scenario: ds.name.clone(),

@@ -45,14 +45,6 @@ pub struct ChurnScenario {
     pub note: &'static str,
 }
 
-fn key(platform: Platform) -> &'static str {
-    match platform {
-        Platform::Linux => "linux",
-        Platform::Minix => "minix",
-        Platform::Sel4 => "sel4",
-    }
-}
-
 /// `op` applied at `at`.
 fn timed(at: SimDuration, op: CapChurnOp) -> FaultEvent {
     FaultEvent::new(at, FaultAction::Churn(vec![op], None))
@@ -70,7 +62,7 @@ pub fn churn_scenarios() -> Vec<ChurnScenario> {
     let s = SimDuration::from_secs;
     let mut out = Vec::new();
     for platform in [Platform::Linux, Platform::Minix, Platform::Sel4] {
-        let k = key(platform);
+        let k = platform.key();
         // Linux admission checks happen once, at boot-time `mq_open`;
         // MINIX and seL4 re-check every send. An armed op must target
         // the check stream the platform actually has.

@@ -400,12 +400,7 @@ fn main() {
     for p in budget_platforms {
         let (entries, commits) = work_per_sim_second(p);
         println!("{:<12} {entries:>24.4} {commits:>24.4}", p.to_string());
-        let name = match p {
-            Platform::Minix => "minix",
-            Platform::Linux => "linux",
-            Platform::Sel4 => "sel4",
-        };
-        let key = |what: &str| format!("{name}_{what}_per_sim_second");
+        let key = |what: &str| format!("{}_{what}_per_sim_second", p.key());
         work.push((key("kernel_entries"), Json::Num(entries)));
         work.push((key("plant_commits"), Json::Num(commits)));
     }

@@ -71,15 +71,14 @@ impl Harness {
     pub fn new(name: &'static str) -> Harness {
         let args: Vec<String> = std::env::args().collect();
         let platform_filter = args.iter().position(|a| a == "--platform").map(|idx| {
-            match args.get(idx + 1).map(String::as_str) {
-                Some("linux") => Platform::Linux,
-                Some("minix") => Platform::Minix,
-                Some("sel4") => Platform::Sel4,
-                other => {
-                    eprintln!("unknown platform {other:?}; expected linux|minix|sel4");
+            let value = args.get(idx + 1).map(String::as_str);
+            [Platform::Linux, Platform::Minix, Platform::Sel4]
+                .into_iter()
+                .find(|p| value == Some(p.key()))
+                .unwrap_or_else(|| {
+                    eprintln!("unknown platform {value:?}; expected linux|minix|sel4");
                     std::process::exit(2);
-                }
-            }
+                })
         });
         let workers = match args.iter().position(|a| a == "--workers") {
             None => std::thread::available_parallelism().map_or(1, |n| n.get()),

@@ -25,6 +25,18 @@ pub enum Platform {
     Linux,
 }
 
+impl Platform {
+    /// The short lowercase name: scenario ids, report keys and
+    /// `--platform` values.
+    pub fn key(self) -> &'static str {
+        match self {
+            Platform::Minix => "minix",
+            Platform::Sel4 => "sel4",
+            Platform::Linux => "linux",
+        }
+    }
+}
+
 impl std::fmt::Display for Platform {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -374,5 +386,7 @@ mod tests {
         assert_eq!(Platform::Minix.to_string(), "minix3+acm");
         assert_eq!(Platform::Sel4.to_string(), "sel4/camkes");
         assert_eq!(Platform::Linux.to_string(), "linux");
+        let keys = [Platform::Minix, Platform::Sel4, Platform::Linux].map(Platform::key);
+        assert_eq!(keys, ["minix", "sel4", "linux"]);
     }
 }
