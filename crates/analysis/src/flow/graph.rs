@@ -254,11 +254,6 @@ impl CapGraph {
         self.nodes[id.0 as usize].expires_at = Some(at);
     }
 
-    /// Overrides the handle-side type view (masquerade seeding).
-    pub fn set_handle_type(&mut self, id: CapId, t: ObjType) {
-        self.nodes[id.0 as usize].handle = t;
-    }
-
     /// Node-local usability: what a kernel consulting only the slot
     /// sees — not revoked here, not expired here.
     pub fn stored_usable(&self, id: CapId) -> bool {
