@@ -182,11 +182,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn crash_storm_yields_exactly_its_crashes_and_plans_sort() {
+    fn crash_storm_expands_and_sorts() {
         let s = SimDuration::from_secs;
         let crash = |at| FaultEvent::new(s(at), FaultAction::Crash("p".into()));
-        assert_eq!(crash_storm("p", s(100), 0, s(60)), []);
-        assert_eq!(crash_storm("p", s(100), 1, s(60)), [crash(100)]);
         let mut events = vec![FaultEvent::new(s(500), FaultAction::Skew(s(1)))];
         events.extend(crash_storm("p", s(100), 3, s(60)));
         let plan = FaultPlan::new("storm", events);
@@ -194,6 +192,14 @@ mod tests {
         assert_eq!(times, vec![100, 160, 220, 500]);
         assert_eq!(plan.events()[..3], [crash(100), crash(160), crash(220)]);
         assert_eq!(plan.last_event_at().as_secs(), 500);
+    }
+
+    #[test]
+    fn a_crash_storm_yields_exactly_its_crashes() {
+        let s = SimDuration::from_secs;
+        assert_eq!(crash_storm("p", s(100), 0, s(60)), []);
+        let one = FaultEvent::new(s(100), FaultAction::Crash("p".into()));
+        assert_eq!(crash_storm("p", s(100), 1, s(60)), [one]);
     }
 
     #[test]
