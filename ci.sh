@@ -74,15 +74,16 @@ cargo clippy --workspace --all-targets -- -D warnings \
   -W clippy::large_enum_variant \
   -W clippy::undocumented_unsafe_blocks -W unsafe_op_in_unsafe_fn
 
-echo "== cargo clippy (bas-analysis + bas-attack + bas-faults + bas-fleet + bas-sim: no unwrap in the analyzers) =="
+echo "== cargo clippy (bas-analysis + bas-attack + bas-faults + bas-fleet + bas-plant + bas-sim + bas-traffic: no unwrap in the analyzers) =="
 # The static analyzer is the crate whose own soundness claims the repo
 # leans on, bas-attack classifies the kernels' replies and decides the
 # dynamic matrix verdicts, bas-faults puts the churn schedules the race
 # detector trusts on the kernel's fault calendar, bas-sim's run loop
-# fires that calendar, and bas-fleet runs long fleet jobs where a stray
-# panic aborts the whole run; panicking escape hatches are held to a
-# stricter bar in all of them.
-cargo clippy -p bas-analysis -p bas-attack -p bas-faults -p bas-fleet -p bas-traffic -p bas-sim --all-targets -- -D warnings \
+# fires that calendar, bas-plant is the safety oracle behind every
+# safety_violated verdict, and bas-fleet and bas-traffic run long fleet
+# jobs where a stray panic aborts the whole run; panicking escape
+# hatches are held to a stricter bar in all of them.
+cargo clippy -p bas-analysis -p bas-attack -p bas-faults -p bas-fleet -p bas-plant -p bas-traffic -p bas-sim --all-targets -- -D warnings \
   -W clippy::unwrap_used
 
 echo "== rustdoc (deny warnings: a moved or renamed item leaves no dead link) =="

@@ -10,26 +10,12 @@ use bas_analysis::flow::predict;
 use bas_analysis::scenario::{minix_model, model_for, sel4_model};
 use bas_analysis::PolicyModel;
 use bas_attack::model::{AttackId, AttackerModel};
+use bas_attack::Sel4Binding;
 use bas_core::platform::linux::UidScheme;
-use bas_core::platform::sel4::ExtraCap;
-use bas_core::proto::names;
 use bas_core::scenario::Platform;
-use bas_sel4::rights::CapRights;
 use bas_sim::fnv::Fnv1a;
 
 const ATTACKERS: [AttackerModel; 2] = [AttackerModel::ArbitraryCode, AttackerModel::Root];
-
-fn stray_caps() -> Vec<ExtraCap> {
-    [(names::HEATER, "cmd"), (names::ALARM, "cmd")]
-        .into_iter()
-        .map(|endpoint_of| ExtraCap {
-            holder: names::WEB,
-            endpoint_of,
-            rights: CapRights::WRITE_GRANT,
-            badge: 99,
-        })
-        .collect()
-}
 
 /// Every `(label, model)` the pin covers, in a fixed order.
 fn configurations() -> Vec<(String, PolicyModel)> {
@@ -58,7 +44,7 @@ fn configurations() -> Vec<(String, PolicyModel)> {
         }
         out.push((
             format!("sel4/stray-caps/{attacker}"),
-            sel4_model(attacker, &stray_caps()),
+            sel4_model(attacker, &Sel4Binding::stray_caps()),
         ));
     }
     out

@@ -7,25 +7,19 @@
 //! under both policy ablations (permissive ACM, stray seL4 capabilities),
 //! where the *verdicts themselves flip* — so agreement is not vacuous.
 
-use bas_acm::AccessControlMatrix;
 use bas_analysis::flow::predict;
 use bas_analysis::scenario::{minix_model, scenario_justification, sel4_model};
 use bas_analysis::{lint, Severity};
 use bas_attack::evidence::new_evidence;
-use bas_attack::harness::{run_attack, AttackRunConfig};
+use bas_attack::harness::{attack_overrides, run_attack, AttackRunConfig};
 use bas_attack::model::{AttackId, AttackerModel};
-use bas_attack::procs::{AttackScript, AttackStep, Plan};
-use bas_attack::{web_factory, MinixBinding, Sel4Binding};
+use bas_attack::procs::{Binding, Plan};
+use bas_attack::{MinixBinding, Sel4Binding};
+use bas_core::engine::{PlatformKernel, ScenarioEngine};
 use bas_core::platform::linux::UidScheme;
-use bas_core::platform::minix::{build_minix, MinixOverrides};
-use bas_core::platform::sel4::{build_sel4, ExtraCap, Sel4Overrides};
-use bas_core::policy::{self, actuator_rpc};
+use bas_core::policy;
 use bas_core::proto::names;
-use bas_core::scenario::{critical_alive, Platform, Scenario, ScenarioConfig};
-use bas_sel4::cap::CPtr;
-use bas_sel4::message::IpcMessage;
-use bas_sel4::rights::CapRights;
-use bas_sim::time::SimDuration;
+use bas_core::scenario::{critical_alive, Platform, Scenario};
 
 fn scenario_model(
     platform: Platform,
@@ -103,27 +97,19 @@ fn hardened_linux_static_equals_dynamic() {
 // ACM ablation (mirrors exp_ablation_acm's dynamic setup)
 // ---------------------------------------------------------------------------
 
-/// Dynamic MINIX run with an overridden ACM / fork quota, as in
-/// `exp_ablation_acm`. Returns `(mechanism delivered, compromised)`.
-fn run_minix_ablation(
-    attack: AttackId,
-    acm: Option<AccessControlMatrix>,
-    fork_quota: Option<u64>,
+/// Runs `plan` on `B`'s platform under A1 and `run`, with the overrides
+/// `ablate` adjusts, as the ablation binaries do. Returns `(mechanism
+/// delivered, compromised)`.
+fn run_ablation<B: Binding>(
+    plan: impl Into<Plan<B::Syscall>>,
+    run: &AttackRunConfig,
+    ablate: impl FnOnce(&mut <B::Stack as PlatformKernel>::Overrides),
 ) -> (bool, bool) {
-    let warmup = SimDuration::from_secs(600);
-    let mut scenario_cfg = ScenarioConfig::quiet();
-    scenario_cfg.web_fork_limit = fork_quota;
-    scenario_cfg.plant.heat_schedule = vec![(warmup + SimDuration::from_secs(300), 600.0)];
-
     let evidence = new_evidence();
-    let overrides = MinixOverrides {
-        web_factory: Some(web_factory::<MinixBinding>(attack, warmup, &evidence)),
-        web_uid: 1000,
-        acm: acm.map(std::sync::Arc::new),
-        ..MinixOverrides::default()
-    };
-    let mut s = build_minix(&scenario_cfg, overrides);
-    s.run_for(warmup + SimDuration::from_secs(1_020));
+    let mut overrides = attack_overrides::<B>(AttackerModel::ArbitraryCode, plan, run, &evidence);
+    ablate(&mut overrides);
+    let mut s = ScenarioEngine::<B::Stack>::boot(&run.scenario, overrides);
+    s.run_for(run.warmup + run.window + run.cooldown);
     let plant = s.plant();
     let safe = plant.borrow().safety_report().is_safe();
     let alive = critical_alive(&s);
@@ -149,7 +135,11 @@ fn ablation_acm_static_equals_dynamic() {
         ] {
             let model = minix_model(AttackerModel::ArbitraryCode, acm.as_ref(), quota);
             let predicted = predict(&model, attack);
-            let (delivered, compromised) = run_minix_ablation(attack, acm, quota);
+            let mut run = AttackRunConfig::default();
+            run.scenario.web_fork_limit = quota;
+            let (delivered, compromised) = run_ablation::<MinixBinding>(attack, &run, |o| {
+                o.acm = acm.map(std::sync::Arc::new);
+            });
             assert_eq!(
                 predicted.mechanism_delivers, delivered,
                 "mechanism mismatch: {attack} under {label} ACM ({})",
@@ -194,67 +184,6 @@ fn ablation_acm_flips_static_verdicts() {
 // Capability ablation (mirrors exp_ablation_caps's dynamic setup)
 // ---------------------------------------------------------------------------
 
-fn stray_caps() -> Vec<ExtraCap> {
-    vec![
-        ExtraCap {
-            holder: names::WEB,
-            endpoint_of: (names::HEATER, "cmd"),
-            rights: CapRights::WRITE_GRANT,
-            badge: 99,
-        },
-        ExtraCap {
-            holder: names::WEB,
-            endpoint_of: (names::ALARM, "cmd"),
-            rights: CapRights::WRITE_GRANT,
-            badge: 99,
-        },
-    ]
-}
-
-/// Dynamic seL4 actuator-spoof run with optional stray capabilities.
-/// Returns `(mechanism delivered, compromised)`.
-fn run_sel4_ablation(extra_caps: Vec<ExtraCap>) -> (bool, bool) {
-    const WARMUP: SimDuration = SimDuration::from_secs(600);
-    let with_extras = !extra_caps.is_empty();
-    let mut cfg = ScenarioConfig::quiet();
-    cfg.plant.heat_schedule = vec![(WARMUP + SimDuration::from_secs(300), 600.0)];
-
-    let evidence = new_evidence();
-    let plan = if with_extras {
-        // The attacker knows the layout: the stray caps land in slots 1
-        // (heater) and 2 (alarm) after its RPC cap.
-        let mut loop_body = Vec::new();
-        for slot in [1u32, 2] {
-            loop_body.push(AttackStep::counted(bas_sel4::syscall::Syscall::Call {
-                ep: CPtr::new(slot),
-                msg: IpcMessage::with_data(actuator_rpc::SET, vec![0]),
-            }));
-        }
-        loop_body.push(AttackStep::pacing(bas_sel4::syscall::Syscall::Sleep {
-            duration: SimDuration::from_millis(200),
-        }));
-        Plan::Script(AttackScript {
-            setup: vec![],
-            loop_body,
-            max_loops: None,
-        })
-    } else {
-        AttackId::SpoofActuatorCommands.into()
-    };
-    let overrides = Sel4Overrides {
-        web_factory: Some(web_factory::<Sel4Binding>(plan, WARMUP, &evidence)),
-        extra_caps,
-        ..Sel4Overrides::default()
-    };
-    let mut s = build_sel4(&cfg, overrides);
-    s.run_for(WARMUP + SimDuration::from_secs(1_020));
-    let plant = s.plant();
-    let safe = plant.borrow().safety_report().is_safe();
-    let alive = critical_alive(&s);
-    let delivered = evidence.borrow().successes > 0;
-    (delivered, !safe || !alive)
-}
-
 /// The capability ablation: the stray write capability flips the static
 /// actuator-spoof verdict, and the flipped prediction matches execution.
 #[test]
@@ -263,19 +192,24 @@ fn ablation_caps_static_equals_dynamic_and_flips() {
     let clean = sel4_model(AttackerModel::ArbitraryCode, &[]);
     let predicted = predict(&clean, AttackId::SpoofActuatorCommands);
     assert!(!predicted.mechanism_delivers && !predicted.compromised);
-    let (delivered, compromised) = run_sel4_ablation(Vec::new());
+    let run = AttackRunConfig::default();
+    let attack = AttackId::SpoofActuatorCommands;
+    let (delivered, compromised) = run_ablation::<Sel4Binding>(attack, &run, |_| ());
     assert_eq!(predicted.mechanism_delivers, delivered);
     assert_eq!(predicted.compromised, compromised);
 
     // Over-granted distribution.
-    let ablated = sel4_model(AttackerModel::ArbitraryCode, &stray_caps());
+    let ablated = sel4_model(AttackerModel::ArbitraryCode, &Sel4Binding::stray_caps());
     let predicted = predict(&ablated, AttackId::SpoofActuatorCommands);
     assert!(
         predicted.mechanism_delivers && predicted.compromised,
         "stray caps must flip the static verdict: {}",
         predicted.rationale
     );
-    let (delivered, compromised) = run_sel4_ablation(stray_caps());
+    let (delivered, compromised) =
+        run_ablation::<Sel4Binding>(Sel4Binding::stray_cap_plan(), &run, |o| {
+            o.extra_caps = Sel4Binding::stray_caps();
+        });
     assert_eq!(predicted.mechanism_delivers, delivered);
     assert_eq!(predicted.compromised, compromised);
 }
@@ -299,7 +233,7 @@ fn lint_flags_stray_capabilities() {
     // The stray holders are the untrusted web process, so the findings
     // escalate to `error` — the severity the exp_policy_audit gate and
     // ci.sh fail the build on.
-    let ablated = sel4_model(AttackerModel::ArbitraryCode, &stray_caps());
+    let ablated = sel4_model(AttackerModel::ArbitraryCode, &Sel4Binding::stray_caps());
     let findings = lint(&ablated, &justification);
     let stray = findings
         .iter()

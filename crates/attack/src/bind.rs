@@ -9,15 +9,19 @@
 //! (masquerade, use-derived, revoke, regrant) are unbound everywhere.
 
 use bas_camkes::codegen::GlueMap;
-use bas_core::platform::minix::prog_ids;
-use bas_core::platform::sel4::WebThreadFactory;
+use bas_core::platform::linux::{LinuxOverrides, LinuxStack};
+use bas_core::platform::minix::{prog_ids, MinixOverrides, MinixStack};
+use bas_core::platform::sel4::{ExtraCap, Sel4Overrides, Sel4Stack};
 use bas_core::policy::{actuator_rpc, ctrl_rpc, CHANNELS};
 use bas_core::proto::{encode_i32, names, BasMsg, AC_WEB};
 use bas_linux::syscall::{MqAccess, Syscall as LinuxSyscall};
+use bas_sel4::rights::CapRights;
 use bas_sim::time::SimDuration;
 
 use crate::evidence::{classify_linux, classify_minix, classify_sel4, AttackEvidence, Class};
-use crate::procs::{AttackScript, AttackStep, Attacker, Binding};
+use crate::harness::AttackRunConfig;
+use crate::model::AttackerModel::{self, Root};
+use crate::procs::{AttackScript, AttackStep, Attacker, Binding, Plan};
 use crate::program::AttackOp;
 
 impl<S> AttackScript<S> {
@@ -49,7 +53,7 @@ impl Binding for MinixBinding {
     type Syscall = bas_minix::syscall::Syscall;
     type Reply = bas_minix::syscall::Reply;
     type Handle = bas_minix::endpoint::Endpoint;
-    type Factory = Box<dyn Fn() -> bas_minix::kernel::MinixProcess>;
+    type Stack = MinixStack;
 
     const RESOLVE_FIRST: bool = true;
 
@@ -127,8 +131,17 @@ impl Binding for MinixBinding {
         0
     }
 
-    fn factory(spawn: impl Fn(Self) -> Attacker<Self> + 'static) -> Self::Factory {
-        Box::new(move || Box::new(spawn(MinixBinding)))
+    /// Root (A2) runs the web interface as uid 0.
+    fn overrides(
+        spawn: impl Fn(Self) -> Attacker<Self> + 'static,
+        attacker: AttackerModel,
+        _: &AttackRunConfig,
+    ) -> MinixOverrides {
+        MinixOverrides {
+            web_factory: Some(Box::new(move || Box::new(spawn(MinixBinding)))),
+            web_uid: if attacker == Root { 0 } else { 1000 },
+            ..MinixOverrides::default()
+        }
     }
 }
 
@@ -156,13 +169,52 @@ impl Sel4Binding {
                 .expect("web has its RPC cap"),
         }
     }
+
+    /// The capability ablation's over-grant: write+grant capabilities
+    /// for the web interface on the heater's and the alarm's command
+    /// endpoints, as a bootstrap or CapDL bug might hand out.
+    pub fn stray_caps() -> Vec<ExtraCap> {
+        [(names::HEATER, "cmd"), (names::ALARM, "cmd")]
+            .into_iter()
+            .map(|endpoint_of| ExtraCap {
+                holder: names::WEB,
+                endpoint_of,
+                rights: CapRights::WRITE_GRANT,
+                badge: 99,
+            })
+            .collect()
+    }
+
+    /// The attacker that exercises [`Sel4Binding::stray_caps`]. It knows
+    /// the layout: the stray caps land in the first free slots, 1
+    /// (heater) and 2 (alarm), after the legitimate RPC cap in slot 0, and
+    /// it commands both actuators off every 200 ms.
+    pub fn stray_cap_plan() -> Plan<bas_sel4::syscall::Syscall> {
+        use bas_sel4::cap::CPtr;
+        use bas_sel4::message::IpcMessage;
+        use bas_sel4::syscall::Syscall;
+
+        let off = |slot| Syscall::Call {
+            ep: CPtr::new(slot),
+            msg: IpcMessage::with_data(actuator_rpc::SET, vec![0]),
+        };
+        Plan::Script(AttackScript {
+            setup: Vec::new(),
+            loop_body: vec![
+                AttackStep::counted(off(1)),
+                AttackStep::counted(off(2)),
+                AttackStep::pacing(Self::sleep(SimDuration::from_millis(200))),
+            ],
+            max_loops: None,
+        })
+    }
 }
 
 impl Binding for Sel4Binding {
     type Syscall = bas_sel4::syscall::Syscall;
     type Reply = bas_sel4::syscall::Reply;
     type Handle = ();
-    type Factory = WebThreadFactory;
+    type Stack = Sel4Stack;
 
     fn lower(&mut self, op: AttackOp, _: Option<()>) -> Option<AttackScript<Self::Syscall>> {
         use bas_sel4::cap::CPtr;
@@ -260,8 +312,19 @@ impl Binding for Sel4Binding {
         ifaces.len() as u64
     }
 
-    fn factory(spawn: impl Fn(Self) -> Attacker<Self> + 'static) -> Self::Factory {
-        Box::new(move |glue| Box::new(spawn(Sel4Binding::new(glue))))
+    /// "the seL4 kernel and CAmkES generated code have no concept of
+    /// user or root": A2 is identical to A1.
+    fn overrides(
+        spawn: impl Fn(Self) -> Attacker<Self> + 'static,
+        _: AttackerModel,
+        _: &AttackRunConfig,
+    ) -> Sel4Overrides {
+        Sel4Overrides {
+            web_factory: Some(Box::new(move |glue| {
+                Box::new(spawn(Sel4Binding::new(glue)))
+            })),
+            ..Sel4Overrides::default()
+        }
     }
 }
 
@@ -323,7 +386,7 @@ impl Binding for LinuxBinding {
     type Syscall = bas_linux::syscall::Syscall;
     type Reply = bas_linux::syscall::Reply;
     type Handle = bas_sim::process::Pid;
-    type Factory = Box<dyn Fn() -> bas_linux::kernel::LinuxProcess>;
+    type Stack = LinuxStack;
 
     fn lookup(op: AttackOp) -> Option<Self::Syscall> {
         let AttackOp::Kill(victim) = op else {
@@ -467,7 +530,18 @@ impl Binding for LinuxBinding {
             .count() as u64
     }
 
-    fn factory(spawn: impl Fn(Self) -> Attacker<Self> + 'static) -> Self::Factory {
-        Box::new(move || Box::new(spawn(LinuxBinding::default())))
+    /// Root (A2) runs the web interface as uid 0 under `run`'s account
+    /// scheme.
+    fn overrides(
+        spawn: impl Fn(Self) -> Attacker<Self> + 'static,
+        attacker: AttackerModel,
+        run: &AttackRunConfig,
+    ) -> LinuxOverrides {
+        LinuxOverrides {
+            web_factory: Some(Box::new(move || Box::new(spawn(LinuxBinding::default())))),
+            // `None` keeps the scheme's web uid.
+            web_uid: (attacker == Root).then_some(0),
+            uid_scheme: run.linux_uid_scheme,
+        }
     }
 }

@@ -8,16 +8,15 @@
 //! property — making the physical consequence of each attack observable,
 //! not assumed.
 
-use bas_core::platform::linux::{build_linux, LinuxOverrides, UidScheme};
-use bas_core::platform::minix::{build_minix, MinixOverrides};
-use bas_core::platform::sel4::{build_sel4, Sel4Overrides};
+use bas_core::engine::{PlatformKernel, ScenarioEngine};
+use bas_core::platform::linux::UidScheme;
 use bas_core::scenario::{critical_alive, plant_snapshot, Platform, Scenario, ScenarioConfig};
 use bas_sim::time::SimDuration;
 
 use crate::bind::{LinuxBinding, MinixBinding, Sel4Binding};
-use crate::evidence::{new_evidence, AttackEvidence};
+use crate::evidence::{new_evidence, AttackEvidence, EvidenceLog};
 use crate::model::{AttackId, AttackOutcome, AttackerModel, MechanismOutcome, PhysicalSummary};
-use crate::procs::{web_factory, Binding};
+use crate::procs::{Attacker, Binding, Plan};
 
 /// Timing and configuration of one attack run.
 #[derive(Clone)]
@@ -56,6 +55,25 @@ impl Default for AttackRunConfig {
     }
 }
 
+/// `B`'s stack overrides with `plan` mounted in the web interface's
+/// place, with `attacker`'s privileges there: the attacker sleeps out
+/// `run.warmup` and records into `evidence`. This is the one entry that
+/// mounts an attack; boot the result with
+/// `ScenarioEngine::<B::Stack>::boot(&run.scenario, ..)`.
+pub fn attack_overrides<B: Binding>(
+    attacker: AttackerModel,
+    plan: impl Into<Plan<B::Syscall>>,
+    run: &AttackRunConfig,
+    evidence: &EvidenceLog,
+) -> <B::Stack as PlatformKernel>::Overrides {
+    let (plan, evidence, warmup) = (plan.into(), evidence.clone(), run.warmup);
+    B::overrides(
+        move |binding| Attacker::new(binding, plan.clone(), warmup, evidence.clone()),
+        attacker,
+        run,
+    )
+}
+
 /// Runs one attack and produces the matrix cell.
 pub fn run_attack(
     platform: Platform,
@@ -63,49 +81,24 @@ pub fn run_attack(
     attack: AttackId,
     config: &AttackRunConfig,
 ) -> AttackOutcome {
-    let evidence = new_evidence();
-    let (warmup, ev) = (config.warmup, &evidence);
-    let root = attacker == AttackerModel::Root;
+    match platform {
+        Platform::Minix => attack_on::<MinixBinding>(attacker, attack, config),
+        Platform::Sel4 => attack_on::<Sel4Binding>(attacker, attack, config),
+        Platform::Linux => attack_on::<LinuxBinding>(attacker, attack, config),
+    }
+}
 
-    let (mut s, legitimate): (Box<dyn Scenario>, u64) = match platform {
-        Platform::Minix => (
-            Box::new(build_minix(
-                &config.scenario,
-                MinixOverrides {
-                    web_factory: Some(web_factory::<MinixBinding>(attack, warmup, ev)),
-                    web_uid: if root { 0 } else { 1000 },
-                    ..MinixOverrides::default()
-                },
-            )),
-            MinixBinding::legitimate_handles(),
-        ),
-        // "the seL4 kernel and CAmkES generated code have no concept of
-        // user or root" — A2 is identical to A1.
-        Platform::Sel4 => (
-            Box::new(build_sel4(
-                &config.scenario,
-                Sel4Overrides {
-                    web_factory: Some(web_factory::<Sel4Binding>(attack, warmup, ev)),
-                    ..Sel4Overrides::default()
-                },
-            )),
-            Sel4Binding::legitimate_handles(),
-        ),
-        Platform::Linux => (
-            Box::new(build_linux(
-                &config.scenario,
-                LinuxOverrides {
-                    web_factory: Some(web_factory::<LinuxBinding>(attack, warmup, ev)),
-                    // `None` keeps the scheme's web uid.
-                    web_uid: root.then_some(0),
-                    uid_scheme: config.linux_uid_scheme,
-                },
-            )),
-            LinuxBinding::legitimate_handles(),
-        ),
-    };
+/// [`run_attack`] on `B`'s platform.
+fn attack_on<B: Binding>(
+    attacker: AttackerModel,
+    attack: AttackId,
+    config: &AttackRunConfig,
+) -> AttackOutcome {
+    let evidence = new_evidence();
+    let overrides = attack_overrides::<B>(attacker, attack, config, &evidence);
+    let mut s = ScenarioEngine::<B::Stack>::boot(&config.scenario, overrides);
     s.run_for(config.warmup + config.window + config.cooldown);
-    let plant = plant_snapshot(s.as_ref());
+    let plant = plant_snapshot(&s);
 
     let mut ev: AttackEvidence = evidence.borrow().clone();
     ev.notes.push(format!(
@@ -114,11 +107,11 @@ pub fn run_attack(
     ));
 
     AttackOutcome {
-        platform,
+        platform: s.platform(),
         attacker,
         attack,
-        mechanism: judge_mechanism(legitimate, attack, &ev),
-        critical_alive: critical_alive(s.as_ref()),
+        mechanism: judge_mechanism(B::legitimate_handles(), attack, &ev),
+        critical_alive: critical_alive(&s),
         physical: PhysicalSummary {
             safety_violated: plant.safety_violated,
             max_deviation_c: plant.max_deviation_c,

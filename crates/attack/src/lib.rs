@@ -21,12 +21,13 @@
 //! - [`program`] — the attacker alphabet ([`program::AttackOp`], shared
 //!   with the model checker) and one platform-neutral program per attack,
 //! - [`bind`] — one binding per platform from each op to its syscalls,
-//! - [`procs`] — the one attacker process, and [`procs::web_factory`],
-//!   which mounts it on a platform's web-interface slot,
+//! - [`procs`] — the one attacker process, and the [`procs::Binding`]
+//!   hook that says what a compromise means on each platform,
 //! - [`evidence`] — per-syscall evidence collection and reply
 //!   classification,
-//! - [`harness`] — warmup/attack/cooldown runner producing
-//!   [`model::AttackOutcome`]s,
+//! - [`harness`] — [`harness::attack_overrides`], the one entry that
+//!   mounts an attacker on a platform's web-interface slot, and the
+//!   warmup/attack/cooldown runner producing [`model::AttackOutcome`]s,
 //! - [`expectations`] — the paper's predicted outcome for every cell of
 //!   the attack matrix, which `EXPERIMENTS.md` compares against measured
 //!   results.
@@ -42,7 +43,6 @@ pub mod program;
 pub use bind::{LinuxBinding, MinixBinding, Sel4Binding};
 pub use evidence::{AttackEvidence, EvidenceLog};
 pub use expectations::paper_expectation;
-pub use harness::{run_attack, AttackRunConfig};
+pub use harness::{attack_overrides, run_attack, AttackRunConfig};
 pub use model::{AttackId, AttackOutcome, AttackerModel, MechanismOutcome, PhysicalSummary};
-pub use procs::web_factory;
 pub use program::{AttackOp, AttackProgram, Proc};

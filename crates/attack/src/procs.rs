@@ -6,14 +6,16 @@
 //! binding ([`lower`]); and runs the result with the platform-neutral
 //! [`ScriptRunner`], recording the kernel's reply to every counted step
 //! into a shared [`EvidenceLog`] through the binding's `classify_*` hook.
-//! [`web_factory`] is the one entry that mounts an attack on a platform's
-//! web-interface slot.
+//! [`crate::harness::attack_overrides`] is the one entry that mounts an
+//! attack on a platform's web-interface slot.
 
+use bas_core::engine::PlatformKernel;
 use bas_sim::process::{Action, Process};
 use bas_sim::time::SimDuration;
 
 use crate::evidence::{AttackEvidence, EvidenceLog};
-use crate::model::AttackId;
+use crate::harness::AttackRunConfig;
+use crate::model::{AttackId, AttackerModel};
 use crate::program::{AttackOp, AttackProgram, Proc};
 
 /// One attack step: a syscall plus whether its reply counts as evidence
@@ -133,8 +135,8 @@ pub trait Binding: Sized + 'static {
     type Reply: 'static;
     /// A resolved process (a MINIX endpoint, a Linux pid).
     type Handle: Copy + 'static;
-    /// The platform's web-interface factory (its overrides' field).
-    type Factory;
+    /// The platform's kernel stack, whose overrides mount the attacker.
+    type Stack: PlatformKernel;
 
     /// Whether reconnaissance runs before the warmup sleep (MINIX) or
     /// after it (Linux).
@@ -179,9 +181,14 @@ pub trait Binding: Sized + 'static {
     /// enumeration succeeds only beyond these.
     fn legitimate_handles() -> u64;
 
-    /// The platform's web-interface factory, spawning `spawn`'s attacker
-    /// over a fresh binding.
-    fn factory(spawn: impl Fn(Self) -> Attacker<Self> + 'static) -> Self::Factory;
+    /// The stack's overrides with `spawn`'s attacker, over a fresh
+    /// binding, in the web interface's place and with `attacker`'s
+    /// privileges there; everything else as `run` configures it.
+    fn overrides(
+        spawn: impl Fn(Self) -> Attacker<Self> + 'static,
+        attacker: AttackerModel,
+        run: &AttackRunConfig,
+    ) -> <Self::Stack as PlatformKernel>::Overrides;
 }
 
 /// Lowers `program` through `binding` into a script. `handle` gives the
@@ -340,15 +347,4 @@ impl<B: Binding> Process for Attacker<B> {
     fn name(&self) -> &str {
         bas_core::proto::names::WEB
     }
-}
-
-/// The web-interface factory that mounts `plan` on `B`'s platform: the
-/// attacker sleeps out `warmup` and records into `evidence`.
-pub fn web_factory<B: Binding>(
-    plan: impl Into<Plan<B::Syscall>>,
-    warmup: SimDuration,
-    evidence: &EvidenceLog,
-) -> B::Factory {
-    let (plan, evidence) = (plan.into(), evidence.clone());
-    B::factory(move |binding| Attacker::new(binding, plan.clone(), warmup, evidence.clone()))
 }

@@ -11,8 +11,10 @@
 
 use bas_attack::evidence::new_evidence;
 use bas_attack::procs::Plan;
-use bas_attack::{web_factory, AttackOp, AttackProgram, LinuxBinding};
-use bas_core::platform::linux::{build_linux, LinuxOverrides, UidScheme};
+use bas_attack::{
+    attack_overrides, AttackOp, AttackProgram, AttackRunConfig, AttackerModel, LinuxBinding,
+};
+use bas_core::platform::linux::{build_linux, UidScheme};
 use bas_core::scenario::{Scenario, ScenarioConfig};
 use bas_sim::time::SimDuration;
 
@@ -20,21 +22,21 @@ use bas_sim::time::SimDuration;
 fn a_denied_open_does_not_shift_later_descriptors() {
     const ITERATIONS: u64 = 5;
     let evidence = new_evidence();
-    let warmup = SimDuration::from_secs(10);
+    let run = AttackRunConfig {
+        scenario: ScenarioConfig::quiet(),
+        warmup: SimDuration::from_secs(10),
+        linux_uid_scheme: UidScheme::PerProcessHardened,
+        ..AttackRunConfig::default()
+    };
     let program = Plan::Program(AttackProgram {
         ops: &[AttackOp::ForgeFanOff, AttackOp::Tamper],
         pace: Some(SimDuration::from_secs(1)),
         bound: Some(ITERATIONS),
     });
-    let mut s = build_linux(
-        &ScenarioConfig::quiet(),
-        LinuxOverrides {
-            web_factory: Some(web_factory::<LinuxBinding>(program, warmup, &evidence)),
-            web_uid: None,
-            uid_scheme: UidScheme::PerProcessHardened,
-        },
-    );
-    s.run_for(warmup + SimDuration::from_secs(30));
+    let overrides =
+        attack_overrides::<LinuxBinding>(AttackerModel::ArbitraryCode, program, &run, &evidence);
+    let mut s = build_linux(&run.scenario, overrides);
+    s.run_for(run.warmup + SimDuration::from_secs(30));
 
     let ev = evidence.borrow();
     // Counted: the heater-queue open, then per iteration the fan-off

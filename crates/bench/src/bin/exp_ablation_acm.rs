@@ -16,35 +16,28 @@
 
 use bas_acm::{AccessControlMatrix, MsgType};
 use bas_attack::evidence::new_evidence;
-use bas_attack::model::AttackId;
-use bas_attack::{web_factory, MinixBinding};
+use bas_attack::model::{AttackId, AttackerModel};
+use bas_attack::{attack_overrides, AttackRunConfig, MinixBinding};
 use bas_bench::{rule, section, Harness};
-use bas_core::platform::minix::{MinixOverrides, MinixStack};
+use bas_core::platform::minix::MinixStack;
 use bas_core::policy;
 use bas_core::proto::{AC_HEATER, AC_WEB};
-use bas_core::scenario::{critical_alive, Scenario, ScenarioConfig};
+use bas_core::scenario::{critical_alive, Scenario};
 use bas_core::ScenarioEngine;
-use bas_sim::time::SimDuration;
 
 fn run_minix_attack(
     attack: AttackId,
     acm: Option<AccessControlMatrix>,
     fork_quota: Option<u64>,
 ) -> (bool, bool, u64, u64) {
-    let warmup = SimDuration::from_secs(600);
-    let mut scenario_cfg = ScenarioConfig::quiet();
-    scenario_cfg.web_fork_limit = fork_quota;
-    scenario_cfg.plant.heat_schedule = vec![(warmup + SimDuration::from_secs(300), 600.0)];
-
+    let mut run = AttackRunConfig::default();
+    run.scenario.web_fork_limit = fork_quota;
     let evidence = new_evidence();
-    let overrides = MinixOverrides {
-        web_factory: Some(web_factory::<MinixBinding>(attack, warmup, &evidence)),
-        web_uid: 1000,
-        acm: acm.map(std::sync::Arc::new),
-        ..MinixOverrides::default()
-    };
-    let mut s = ScenarioEngine::<MinixStack>::boot(&scenario_cfg, overrides);
-    s.run_for(warmup + SimDuration::from_secs(1_020));
+    let mut overrides =
+        attack_overrides::<MinixBinding>(AttackerModel::ArbitraryCode, attack, &run, &evidence);
+    overrides.acm = acm.map(std::sync::Arc::new);
+    let mut s = ScenarioEngine::<MinixStack>::boot(&run.scenario, overrides);
+    s.run_for(run.warmup + run.window + run.cooldown);
     let plant = s.plant();
     let safe = plant.borrow().safety_report().is_safe();
     let alive = critical_alive(&s);

@@ -9,46 +9,30 @@
 //! Run: `cargo run --release -p bas-bench --bin exp_ablation_caps`
 
 use bas_attack::evidence::new_evidence;
-use bas_attack::model::AttackId;
-use bas_attack::procs::{AttackScript, AttackStep, Plan};
-use bas_attack::{web_factory, Sel4Binding};
+use bas_attack::model::{AttackId, AttackerModel};
+use bas_attack::{attack_overrides, AttackRunConfig, Sel4Binding};
 use bas_bench::{rule, section, Harness};
 use bas_capdl::verify::verify;
-use bas_core::platform::sel4::{ExtraCap, Sel4Overrides, Sel4Stack};
-use bas_core::policy::actuator_rpc;
-use bas_core::proto::names;
-use bas_core::scenario::{Scenario, ScenarioConfig};
+use bas_core::platform::sel4::Sel4Stack;
+use bas_core::scenario::Scenario;
 use bas_core::ScenarioEngine;
-use bas_sel4::cap::CPtr;
-use bas_sel4::message::IpcMessage;
-use bas_sel4::rights::CapRights;
-use bas_sim::time::SimDuration;
-
-const WARMUP: SimDuration = SimDuration::from_secs(600);
-
-fn scenario_cfg() -> ScenarioConfig {
-    let mut cfg = ScenarioConfig::quiet();
-    cfg.plant.heat_schedule = vec![(WARMUP + SimDuration::from_secs(300), 600.0)];
-    cfg
-}
 
 fn main() {
     // No flag changes these runs; the harness still rejects bad ones.
     Harness::new("ablation_caps");
+    let run = AttackRunConfig::default();
+    let duration = run.warmup + run.window + run.cooldown;
     section("configuration 1: the compiled capability distribution (paper §IV-D.3)");
     {
         let evidence = new_evidence();
-        let overrides = Sel4Overrides {
-            web_factory: Some(web_factory::<Sel4Binding>(
-                AttackId::SpoofActuatorCommands,
-                WARMUP,
-                &evidence,
-            )),
-            extra_caps: Vec::new(),
-            ..Sel4Overrides::default()
-        };
-        let mut s = ScenarioEngine::<Sel4Stack>::boot(&scenario_cfg(), overrides);
-        s.run_for(WARMUP + SimDuration::from_secs(1_020));
+        let overrides = attack_overrides::<Sel4Binding>(
+            AttackerModel::ArbitraryCode,
+            AttackId::SpoofActuatorCommands,
+            &run,
+            &evidence,
+        );
+        let mut s = ScenarioEngine::<Sel4Stack>::boot(&run.scenario, overrides);
+        s.run_for(duration);
         let e = evidence.borrow();
         let plant = s.plant();
         let safe = plant.borrow().safety_report().is_safe();
@@ -66,47 +50,14 @@ fn main() {
     section("configuration 2: web interface over-granted heater+alarm endpoint capabilities");
     {
         let evidence = new_evidence();
-        // The attacker knows the layout: the stray caps land in the first
-        // free slots, 1 (heater) and 2 (alarm), after the legitimate RPC
-        // cap in slot 0.
-        let mut loop_body = Vec::new();
-        for slot in [1u32, 2] {
-            loop_body.push(AttackStep::counted(bas_sel4::syscall::Syscall::Call {
-                ep: CPtr::new(slot),
-                msg: IpcMessage::with_data(actuator_rpc::SET, vec![0]),
-            }));
-        }
-        loop_body.push(AttackStep::pacing(bas_sel4::syscall::Syscall::Sleep {
-            duration: SimDuration::from_millis(200),
-        }));
-        let script = AttackScript {
-            setup: vec![],
-            loop_body,
-            max_loops: None,
-        };
-        let overrides = Sel4Overrides {
-            web_factory: Some(web_factory::<Sel4Binding>(
-                Plan::Script(script),
-                WARMUP,
-                &evidence,
-            )),
-            extra_caps: vec![
-                ExtraCap {
-                    holder: names::WEB,
-                    endpoint_of: (names::HEATER, "cmd"),
-                    rights: CapRights::WRITE_GRANT,
-                    badge: 99,
-                },
-                ExtraCap {
-                    holder: names::WEB,
-                    endpoint_of: (names::ALARM, "cmd"),
-                    rights: CapRights::WRITE_GRANT,
-                    badge: 99,
-                },
-            ],
-            ..Sel4Overrides::default()
-        };
-        let mut s = ScenarioEngine::<Sel4Stack>::boot(&scenario_cfg(), overrides);
+        let mut overrides = attack_overrides::<Sel4Binding>(
+            AttackerModel::ArbitraryCode,
+            Sel4Binding::stray_cap_plan(),
+            &run,
+            &evidence,
+        );
+        overrides.extra_caps = Sel4Binding::stray_caps();
+        let mut s = ScenarioEngine::<Sel4Stack>::boot(&run.scenario, overrides);
 
         // The auditor catches the misconfiguration immediately:
         let issues = verify(&s.stack.spec, &s.stack.kernel, &s.stack.sys);
@@ -121,7 +72,7 @@ fn main() {
         );
 
         // ...but if nobody audits, the physical process falls:
-        s.run_for(WARMUP + SimDuration::from_secs(1_020));
+        s.run_for(duration);
         let e = evidence.borrow();
         let plant = s.plant();
         let safe = plant.borrow().safety_report().is_safe();

@@ -18,12 +18,11 @@ use bas_analysis::scenario::{
 use bas_analysis::{findings_report_json, lint, Severity};
 use bas_attack::expectations::{paper_expectation, Expectation};
 use bas_attack::model::{AttackId, AttackerModel};
+use bas_attack::Sel4Binding;
 use bas_bench::{rule, section, verdict, Harness};
 use bas_core::platform::linux::UidScheme;
-use bas_core::platform::sel4::ExtraCap;
 use bas_core::proto::names;
 use bas_core::scenario::Platform;
-use bas_sel4::rights::CapRights;
 
 fn main() {
     // Static experiment; the harness only standardizes flag handling.
@@ -167,20 +166,7 @@ fn main() {
         Expectation::Stopped
     );
 
-    let stray = vec![
-        ExtraCap {
-            holder: names::WEB,
-            endpoint_of: (names::HEATER, "cmd"),
-            rights: CapRights::WRITE_GRANT,
-            badge: 99,
-        },
-        ExtraCap {
-            holder: names::WEB,
-            endpoint_of: (names::ALARM, "cmd"),
-            rights: CapRights::WRITE_GRANT,
-            badge: 99,
-        },
-    ];
+    let stray = Sel4Binding::stray_caps();
     let clean_m = sel4_model(AttackerModel::ArbitraryCode, &[]);
     let ablated_m = sel4_model(AttackerModel::ArbitraryCode, &stray);
     for (label, model) in [("clean CapDL", &clean_m), ("stray caps", &ablated_m)] {

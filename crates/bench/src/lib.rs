@@ -55,47 +55,72 @@ pub mod ipc;
 /// - `--platform linux|minix|sel4` — restrict [`Harness::platforms`].
 /// - `--workers N` — worker threads for parallel experiments
 ///   ([`Harness::workers`]; defaults to the available cores).
+/// - `--state-budget N` — the model checker's state budget
+///   ([`Harness::state_budget`]).
 ///
-/// An unknown platform or a `--workers` value that is not a count exits
-/// with status 2 rather than running with a default.
+/// An unknown platform, a value that is not a count, or a flag with no
+/// value exits with status 2 rather than running with a default.
 pub struct Harness {
     name: &'static str,
     quick: bool,
     json: bool,
     platform_filter: Option<Platform>,
     workers: usize,
+    state_budget: Option<usize>,
+}
+
+/// Prints `message` as a usage error and exits with status 2.
+fn usage_error(message: std::fmt::Arguments) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
+}
+
+/// The value after `flag` in `args`, `None` when `flag` is absent; a
+/// usage error, naming what was `expected`, when `flag` is last.
+fn flag_value<'a>(args: &'a [String], flag: &str, expected: &str) -> Option<&'a str> {
+    let idx = args.iter().position(|a| a == flag)?;
+    match args.get(idx + 1) {
+        Some(value) => Some(value),
+        None => usage_error(format_args!("missing {flag} value; expected {expected}")),
+    }
+}
+
+/// The count after `flag` in `args`, `None` when `flag` is absent; a
+/// usage error when the value is missing or not a count.
+fn count_flag(args: &[String], flag: &str, expected: &str) -> Option<usize> {
+    let value = flag_value(args, flag, expected)?;
+    match value.parse() {
+        Ok(count) => Some(count),
+        Err(_) => usage_error(format_args!(
+            "bad {flag} value {value}; expected {expected}"
+        )),
+    }
 }
 
 impl Harness {
     /// Parses the process arguments. `name` becomes the JSON file stem.
     pub fn new(name: &'static str) -> Harness {
         let args: Vec<String> = std::env::args().collect();
-        let platform_filter = args.iter().position(|a| a == "--platform").map(|idx| {
-            let value = args.get(idx + 1).map(String::as_str);
+        let platforms = "linux|minix|sel4";
+        let platform_filter = flag_value(&args, "--platform", platforms).map(|value| {
             [Platform::Linux, Platform::Minix, Platform::Sel4]
                 .into_iter()
-                .find(|p| value == Some(p.key()))
+                .find(|p| value == p.key())
                 .unwrap_or_else(|| {
-                    eprintln!("unknown platform {value:?}; expected linux|minix|sel4");
-                    std::process::exit(2);
+                    usage_error(format_args!(
+                        "unknown platform {value}; expected {platforms}"
+                    ))
                 })
         });
-        let workers = match args.iter().position(|a| a == "--workers") {
-            None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            Some(idx) => {
-                let value = args.get(idx + 1);
-                value.and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("bad --workers value {value:?}; expected a thread count");
-                    std::process::exit(2);
-                })
-            }
-        };
+        let workers = count_flag(&args, "--workers", "a thread count")
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         Harness {
             name,
             quick: args.iter().any(|a| a == "--quick"),
             json: args.iter().any(|a| a == "--json"),
             platform_filter,
             workers: workers.max(1),
+            state_budget: count_flag(&args, "--state-budget", "a state count"),
         }
     }
 
@@ -127,6 +152,12 @@ impl Harness {
     /// available cores (at least 1).
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// The model checker's state budget: `--state-budget N`, else
+    /// `default`.
+    pub fn state_budget(&self, default: usize) -> usize {
+        self.state_budget.unwrap_or(default)
     }
 
     /// The platforms this run covers, in canonical matrix order.

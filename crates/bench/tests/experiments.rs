@@ -112,12 +112,46 @@ fn recovery_quick_output_is_pinned() {
     }
 }
 
+/// Every usage error exits 2 and names the flag and the bad value in
+/// plain text, or says that the value is missing.
 #[test]
-fn bad_workers_value_exits_2() {
-    let status = Command::new(env!("CARGO_BIN_EXE_exp_fault_campaign"))
-        .args(["--quick", "--workers", "x"])
-        .output()
-        .expect("run binary")
-        .status;
-    assert_eq!(status.code(), Some(2));
+fn bad_flag_values_exit_2() {
+    let cases: [(&str, &[&str], &str); 6] = [
+        (
+            env!("CARGO_BIN_EXE_exp_fault_campaign"),
+            &["--quick", "--workers", "x"],
+            "bad --workers value x; expected a thread count",
+        ),
+        (
+            env!("CARGO_BIN_EXE_exp_fault_campaign"),
+            &["--quick", "--workers"],
+            "missing --workers value; expected a thread count",
+        ),
+        (
+            env!("CARGO_BIN_EXE_exp_attack_matrix"),
+            &["--platform", "foo"],
+            "unknown platform foo; expected linux|minix|sel4",
+        ),
+        (
+            env!("CARGO_BIN_EXE_exp_attack_matrix"),
+            &["--platform"],
+            "missing --platform value; expected linux|minix|sel4",
+        ),
+        (
+            env!("CARGO_BIN_EXE_exp_cap_flow"),
+            &["--quick", "--state-budget", "abc"],
+            "bad --state-budget value abc; expected a state count",
+        ),
+        (
+            env!("CARGO_BIN_EXE_exp_cap_flow"),
+            &["--quick", "--state-budget"],
+            "missing --state-budget value; expected a state count",
+        ),
+    ];
+    for (bin, args, message) in cases {
+        let out = Command::new(bin).args(args).output().expect("run binary");
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert_eq!(stderr.trim_end(), message, "{bin} {args:?}");
+    }
 }

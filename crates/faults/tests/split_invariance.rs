@@ -17,13 +17,17 @@
 //! fault plan's 250 ms IPC delays make such dispatches long.
 
 use bas_attack::evidence::{new_evidence, EvidenceLog};
-use bas_attack::{web_factory, AttackId, AttackRunConfig, LinuxBinding, MinixBinding, Sel4Binding};
+use bas_attack::procs::Binding;
+use bas_attack::{
+    attack_overrides, AttackId, AttackRunConfig, AttackerModel, LinuxBinding, MinixBinding,
+    Sel4Binding,
+};
 use bas_core::engine::{PlatformKernel, ScenarioEngine};
 use bas_core::logic::traffic::TrafficProfile;
 use bas_core::logic::web::WebAction;
-use bas_core::platform::linux::{LinuxOverrides, LinuxStack};
-use bas_core::platform::minix::{MinixOverrides, MinixStack};
-use bas_core::platform::sel4::{Sel4Overrides, Sel4Stack};
+use bas_core::platform::linux::LinuxStack;
+use bas_core::platform::minix::MinixStack;
+use bas_core::platform::sel4::Sel4Stack;
 use bas_core::proto::names;
 use bas_core::scenario::{plant_snapshot, Scenario, ScenarioConfig};
 use bas_faults::plan::{install, FaultEvent, FaultPlan};
@@ -179,55 +183,25 @@ fn tenant_traffic_runs_split_invariantly() {
     assert_split_invariant::<LinuxStack>("traffic", &config, &benign, None, horizon);
 }
 
+/// Asserts on `B`'s platform that an A1 attacker running `attack` under
+/// `run` runs split-invariantly.
+fn assert_attack_split_invariant<B: Binding>(attack: AttackId, run: &AttackRunConfig) {
+    let setup = || {
+        let evidence = new_evidence();
+        let overrides = attack_overrides::<B>(AttackerModel::ArbitraryCode, attack, run, &evidence);
+        (overrides, evidence)
+    };
+    let horizon = run.warmup + run.window + run.cooldown;
+    assert_split_invariant::<B::Stack>("spoofing", &run.scenario, &setup, None, horizon);
+}
+
 #[test]
 fn attacker_runs_split_invariantly() {
     // The A1 sensor-spoofing cell of the attack matrix.
     let run = AttackRunConfig::default();
-    let attack = AttackId::SpoofSensorData;
-    let horizon = run.warmup + run.window + run.cooldown;
-    let config = &run.scenario;
-    assert_split_invariant::<MinixStack>(
-        "spoofing",
-        config,
-        &|| {
-            let evidence = new_evidence();
-            let overrides = MinixOverrides {
-                web_factory: Some(web_factory::<MinixBinding>(attack, run.warmup, &evidence)),
-                ..MinixOverrides::default()
-            };
-            (overrides, evidence)
-        },
-        None,
-        horizon,
-    );
-    assert_split_invariant::<Sel4Stack>(
-        "spoofing",
-        config,
-        &|| {
-            let evidence = new_evidence();
-            let overrides = Sel4Overrides {
-                web_factory: Some(web_factory::<Sel4Binding>(attack, run.warmup, &evidence)),
-                ..Sel4Overrides::default()
-            };
-            (overrides, evidence)
-        },
-        None,
-        horizon,
-    );
-    assert_split_invariant::<LinuxStack>(
-        "spoofing",
-        config,
-        &|| {
-            let evidence = new_evidence();
-            let overrides = LinuxOverrides {
-                web_factory: Some(web_factory::<LinuxBinding>(attack, run.warmup, &evidence)),
-                ..LinuxOverrides::default()
-            };
-            (overrides, evidence)
-        },
-        None,
-        horizon,
-    );
+    assert_attack_split_invariant::<MinixBinding>(AttackId::SpoofSensorData, &run);
+    assert_attack_split_invariant::<Sel4Binding>(AttackId::SpoofSensorData, &run);
+    assert_attack_split_invariant::<LinuxBinding>(AttackId::SpoofSensorData, &run);
 }
 
 #[test]

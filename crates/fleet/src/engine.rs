@@ -17,43 +17,16 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use bas_attack::harness::{run_attack, AttackRunConfig};
-use bas_attack::model::{AttackId, AttackerModel};
 use bas_core::scenario::{Platform, ScenarioConfig};
 use bas_core::EngineSnapshot;
 use bas_sim::time::SimDuration;
 use bas_sim::WorkerPool;
 
 use crate::instances::InstancePool;
-use crate::report::{AttackCell, FleetReport, InstanceReport};
+use crate::report::{FleetReport, InstanceReport};
 use crate::seed::instance_seed;
 
-/// An attack campaign: every instance runs the same attack under the
-/// same attacker model, each with its own derived seed.
-#[derive(Clone)]
-pub struct Campaign {
-    /// The attack to run on every instance.
-    pub attack: AttackId,
-    /// The attacker model.
-    pub attacker: AttackerModel,
-    /// Timing and scenario template for the attack runs (the campaign
-    /// uses `run.scenario`, not [`FleetConfig::template`], so the
-    /// heat-burst disturbance of [`AttackRunConfig::default`] survives).
-    pub run: AttackRunConfig,
-}
-
-impl Campaign {
-    /// A campaign with the paper's standard attack-run timing.
-    pub fn new(attack: AttackId, attacker: AttackerModel) -> Campaign {
-        Campaign {
-            attack,
-            attacker,
-            run: AttackRunConfig::default(),
-        }
-    }
-}
-
-/// How benign fleet instances come into existence.
+/// How fleet instances come into existence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BootMode {
     /// Boot one warm template per fleet, fork instances from it and
@@ -97,22 +70,18 @@ pub struct FleetConfig {
     /// Root seed; instance `i` runs with
     /// [`instance_seed`]`(root_seed, i)`.
     pub root_seed: u64,
-    /// Simulated horizon per benign instance (campaigns use the
-    /// campaign's own warmup/window/cooldown instead).
+    /// Simulated horizon per instance.
     pub horizon: SimDuration,
-    /// Scenario template for benign instances (seed is overwritten
-    /// per instance).
+    /// Scenario template for the instances (seed is overwritten per
+    /// instance).
     pub template: ScenarioConfig,
-    /// How benign instances boot (campaigns always boot cold through
-    /// the attack harness).
+    /// How the instances boot.
     pub boot: BootMode,
     /// Upper bound on the engines a worker keeps alive at once. The
     /// runner always keeps one — each worker runs its instances to the
     /// horizon one at a time and recycles the engine for the next — so
     /// every value of at least 1 is met.
     pub max_resident: usize,
-    /// `Some` turns the fleet into an attack campaign.
-    pub campaign: Option<Campaign>,
 }
 
 /// Default for [`FleetConfig::max_resident`]: the cohort size callers
@@ -151,7 +120,6 @@ impl FleetConfig {
             template: ScenarioConfig::quiet(),
             boot: BootMode::default(),
             max_resident: DEFAULT_MAX_RESIDENT,
-            campaign: None,
         })
     }
 
@@ -216,12 +184,7 @@ pub fn run_fleet_with(pool: &WorkerPool, config: &FleetConfig) -> FleetRun {
     // hand-built empty config still gets an empty report, not a panic.
     if config.validate().is_err() {
         return FleetRun {
-            report: FleetReport::aggregate(
-                config.platform,
-                config.root_seed,
-                config.campaign.as_ref().map(|c| (c.attack, c.attacker)),
-                Vec::new(),
-            ),
+            report: FleetReport::aggregate(config.platform, config.root_seed, None, Vec::new()),
             wall: WallStats::default(),
         };
     }
@@ -231,14 +194,14 @@ pub fn run_fleet_with(pool: &WorkerPool, config: &FleetConfig) -> FleetRun {
     // do (33 instances on 8 workers: 7 batches of 5 cover them all).
     let workers = config.instances.div_ceil(batch_size);
     // The warm template boots once per fleet; every worker forks its
-    // instances from the same shared snapshot. Campaigns and cold mode
-    // skip the capture (their instances never touch it).
-    let snapshot = match (&config.campaign, config.boot) {
-        (None, BootMode::Snapshot) => Some(Arc::new(EngineSnapshot::capture(
+    // instances from the same shared snapshot. Cold mode skips the
+    // capture (its instances never touch it).
+    let snapshot = match config.boot {
+        BootMode::Snapshot => Some(Arc::new(EngineSnapshot::capture(
             config.platform,
             &config.template,
         ))),
-        _ => None,
+        BootMode::Cold => None,
     };
     // One report slot per instance, allocated once: each worker writes
     // its contiguous range into its own disjoint chunk, so a report is
@@ -269,12 +232,7 @@ pub fn run_fleet_with(pool: &WorkerPool, config: &FleetConfig) -> FleetRun {
         .map(|slot| slot.expect("every instance reported"))
         .collect();
 
-    let report = FleetReport::aggregate(
-        config.platform,
-        config.root_seed,
-        config.campaign.as_ref().map(|c| (c.attack, c.attacker)),
-        per_instance,
-    );
+    let report = FleetReport::aggregate(config.platform, config.root_seed, None, per_instance);
     let denom = wall_seconds.max(1e-9);
     let wall = WallStats {
         workers,
@@ -300,58 +258,16 @@ fn run_batch(
     reports: &mut [Option<InstanceReport>],
 ) -> f64 {
     let t0 = Instant::now();
-    let indexed = reports
-        .iter_mut()
-        .enumerate()
-        .map(|(k, slot)| (first + k, slot));
-    match &config.campaign {
-        None => {
-            let mut pool = InstancePool::for_config(config, snapshot);
-            for (index, slot) in indexed {
-                let mut engine = pool.checkout(config, index);
-                engine.run_for(config.horizon);
-                let seed = instance_seed(config.root_seed, index);
-                *slot = Some(InstanceReport::from_scenario(index, seed, engine.as_ref()));
-                pool.checkin(engine);
-            }
-        }
-        // Attack campaigns drive each instance through the attack
-        // harness's own warmup/window/cooldown phases, on an engine of
-        // their own (one-shot attacker overrides do not recycle).
-        Some(campaign) => {
-            for (index, slot) in indexed {
-                *slot = Some(run_campaign_instance(config, campaign, index));
-            }
-        }
+    let mut pool = InstancePool::for_config(config, snapshot);
+    for (k, slot) in reports.iter_mut().enumerate() {
+        let index = first + k;
+        let mut engine = pool.checkout(config, index);
+        engine.run_for(config.horizon);
+        let seed = instance_seed(config.root_seed, index);
+        *slot = Some(InstanceReport::from_scenario(index, seed, engine.as_ref()));
+        pool.checkin(engine);
     }
     t0.elapsed().as_secs_f64()
-}
-
-/// Boots, attacks, and snapshots one campaign instance through the
-/// attack harness, entirely on the calling thread.
-fn run_campaign_instance(
-    config: &FleetConfig,
-    campaign: &Campaign,
-    index: usize,
-) -> InstanceReport {
-    let seed = instance_seed(config.root_seed, index);
-    let mut run = campaign.run.clone();
-    run.scenario.seed = seed;
-    let outcome = run_attack(config.platform, campaign.attacker, campaign.attack, &run);
-    let cell = AttackCell {
-        mechanism_succeeded: outcome.mechanism.succeeded(),
-        compromised: outcome.compromised(),
-    };
-    InstanceReport {
-        index,
-        seed,
-        sim_seconds: (run.warmup + run.window + run.cooldown).as_secs_f64(),
-        critical_alive: outcome.critical_alive,
-        metrics: outcome.metrics,
-        plant: outcome.plant,
-        attack: Some(cell),
-        requests: None,
-    }
 }
 
 #[cfg(test)]
@@ -466,24 +382,5 @@ mod tests {
                 InstanceReport::from_scenario(index, seed, oneshot.as_ref())
             );
         }
-    }
-
-    #[test]
-    fn campaign_fleet_reports_cells() {
-        let mut config = FleetConfig::benign(Platform::Sel4, 2, 1);
-        config.campaign = Some(Campaign::new(
-            AttackId::SpoofSensorData,
-            AttackerModel::ArbitraryCode,
-        ));
-        let run = run_fleet(&config);
-        let campaign = run.report.campaign.expect("campaign summary");
-        // seL4 blocks sensor spoofing for every instance (E6).
-        assert_eq!(campaign.mechanism_succeeded, 0);
-        assert_eq!(campaign.compromised, 0);
-        assert!(run
-            .report
-            .per_instance
-            .iter()
-            .all(|r| r.attack.is_some() && r.critical_alive));
     }
 }

@@ -44,8 +44,8 @@ impl InstancePool {
     }
 
     /// Builds the pool a fleet worker should use under `config`:
-    /// campaigns and [`BootMode::Cold`] get a cold pool, benign
-    /// snapshot-mode fleets fork from `snapshot`.
+    /// [`BootMode::Cold`] fleets get a cold pool, snapshot-mode fleets
+    /// fork from `snapshot`.
     pub fn for_config(config: &FleetConfig, snapshot: Option<Arc<EngineSnapshot>>) -> InstancePool {
         match config.boot {
             BootMode::Snapshot => InstancePool::new(snapshot),

@@ -43,8 +43,8 @@ pub mod seed;
 
 pub use bas_sim::WorkerPool;
 pub use engine::{
-    run_fleet, run_fleet_with, BootMode, Campaign, FleetConfig, FleetConfigError, FleetRun,
-    WallStats, DEFAULT_MAX_RESIDENT,
+    run_fleet, run_fleet_with, BootMode, FleetConfig, FleetConfigError, FleetRun, WallStats,
+    DEFAULT_MAX_RESIDENT,
 };
 pub use instances::InstancePool;
 pub use json::Json;

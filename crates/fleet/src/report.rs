@@ -252,7 +252,9 @@ impl Default for RequestStats {
     }
 }
 
-/// Attack-campaign verdict for one instance.
+/// Attack verdict for one instance. No fleet runner sets one (fleet-scale
+/// attacks run in `bas-traffic`'s attacker lane); it stays because its
+/// `"attack"` key is part of every report's JSON.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AttackCell {
     /// The kernel accepted the malicious operations.
@@ -276,7 +278,7 @@ pub struct InstanceReport {
     pub metrics: KernelMetrics,
     /// Plant safety snapshot at the end of the run.
     pub plant: PlantSnapshot,
-    /// Campaign verdict (`None` for benign fleets).
+    /// Attack verdict (`None` from every fleet runner).
     pub attack: Option<AttackCell>,
     /// Web-request accounting (`None` when the instance logged no
     /// requests — quiet schedules, attacker-replaced webs).
@@ -385,7 +387,9 @@ impl FleetTotals {
     }
 }
 
-/// Campaign identity and aggregate verdict counts.
+/// Campaign identity and aggregate verdict counts. No fleet runner sets
+/// one; it stays because its `"campaign"` key is part of every report's
+/// JSON.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignSummary {
     /// The attack every instance ran.
@@ -411,7 +415,7 @@ pub struct FleetReport {
     pub root_seed: u64,
     /// Number of building instances.
     pub instances: usize,
-    /// Campaign summary (`None` for benign fleets).
+    /// Campaign summary (`None` from every fleet runner).
     pub campaign: Option<CampaignSummary>,
     /// Fleet-wide sums.
     pub totals: FleetTotals,

@@ -85,7 +85,7 @@ impl Device for AlarmDevice {
 /// let plant = Rc::new(RefCell::new(PlantWorld::new(PlantConfig::default(), 1)));
 /// let mut bus = DeviceBus::new();
 /// install_devices(&plant, &mut bus);
-/// bus.write(DeviceId::FAN, SimTime::from_nanos(5), 1).unwrap();
+/// bus.write(DeviceId::FAN, SimTime::from_nanos(5), 1).expect("fan installed");
 /// assert!(plant.borrow().fan().is_on());
 /// ```
 pub fn install_devices(plant: &SharedPlant, bus: &mut DeviceBus) {
@@ -111,7 +111,9 @@ mod tests {
     #[test]
     fn sensor_device_reads_milli_celsius() {
         let (plant, mut bus) = setup();
-        let raw = bus.read(DeviceId::TEMP_SENSOR, T).unwrap();
+        let raw = bus
+            .read(DeviceId::TEMP_SENSOR, T)
+            .expect("sensor installed");
         let true_c = plant.borrow().temperature_c();
         assert!(
             (raw as f64 / 1000.0 - true_c).abs() < 0.5,
@@ -122,26 +124,27 @@ mod tests {
     #[test]
     fn fan_device_drives_actuator() {
         let (plant, mut bus) = setup();
-        bus.write(DeviceId::FAN, T, 1).unwrap();
+        bus.write(DeviceId::FAN, T, 1).expect("fan installed");
         assert!(plant.borrow().fan().is_on());
-        assert_eq!(bus.read(DeviceId::FAN, T).unwrap(), 1);
-        bus.write(DeviceId::FAN, T, 0).unwrap();
+        assert_eq!(bus.read(DeviceId::FAN, T).expect("fan installed"), 1);
+        bus.write(DeviceId::FAN, T, 0).expect("fan installed");
         assert!(!plant.borrow().fan().is_on());
     }
 
     #[test]
     fn alarm_device_drives_actuator() {
         let (plant, mut bus) = setup();
-        bus.write(DeviceId::ALARM, T, 7).unwrap(); // any nonzero = on
+        bus.write(DeviceId::ALARM, T, 7).expect("alarm installed"); // any nonzero = on
         assert!(plant.borrow().alarm().is_on());
-        assert_eq!(bus.read(DeviceId::ALARM, T).unwrap(), 1);
+        assert_eq!(bus.read(DeviceId::ALARM, T).expect("alarm installed"), 1);
     }
 
     #[test]
     fn sensor_writes_are_ignored() {
         let (plant, mut bus) = setup();
         let before = plant.borrow().temperature_c();
-        bus.write(DeviceId::TEMP_SENSOR, T, 99_999).unwrap();
+        bus.write(DeviceId::TEMP_SENSOR, T, 99_999)
+            .expect("sensor installed");
         assert_eq!(plant.borrow().temperature_c(), before);
     }
 

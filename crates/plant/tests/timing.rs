@@ -31,7 +31,9 @@ fn sensor_read_at_150_ms_reads_the_room_at_150_ms() {
         ..PlantConfig::default()
     };
     let (plant, mut bus) = plant_on_a_bus(config.clone());
-    let raw = bus.read(DeviceId::TEMP_SENSOR, ms(150)).unwrap();
+    let raw = bus
+        .read(DeviceId::TEMP_SENSOR, ms(150))
+        .expect("sensor installed");
     let exact = config.room.trajectory(22.0, false).at(0.150);
     assert_eq!(raw, (exact * 1000.0).round() as i64);
     assert_ne!(raw, 22_000, "not the boot temperature");
@@ -41,7 +43,7 @@ fn sensor_read_at_150_ms_reads_the_room_at_150_ms() {
 #[test]
 fn fan_write_changes_the_slope_from_the_write() {
     let (plant, mut bus) = plant_on_a_bus(PlantConfig::default());
-    bus.write(DeviceId::FAN, ms(150), 1).unwrap();
+    bus.write(DeviceId::FAN, ms(150), 1).expect("fan installed");
     plant.borrow_mut().step_to(ms(1_000));
     let room = PlantConfig::default().room;
     let off = room.trajectory(22.0, false);
