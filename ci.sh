@@ -158,6 +158,18 @@ echo "== model check (E14: exhaustive bounded verification, capped state budget)
 # internal invariant, POR verdict divergence, or failed counterexample
 # replay. --json writes BENCH_mc.json.
 ./target/release/exp_model_check --quick --json --state-budget 500000 > /dev/null
+# Outside its host and timing keys (top-level workers, cores,
+# wall_seconds, states_per_second, sweep_scaling) the report is a pure
+# function of the checker and the attack harness: every cell's counts,
+# counterexample, POR row and replay. The committed copy must carry the
+# regenerated one, so a change that moves any of them commits the new
+# file with it.
+git show HEAD:BENCH_mc.json > /tmp/BENCH_mc.committed.json
+mc_deterministic() {
+  grep -v -E '^  "(workers|cores|wall_seconds|states_per_second|sweep_scaling)":' "$1"
+}
+cmp -s <(mc_deterministic /tmp/BENCH_mc.committed.json) <(mc_deterministic BENCH_mc.json) \
+  || failed "BENCH_mc.json: differs from the committed copy outside the host and timing keys"
 
 echo "== model-check perf gate (states/sec vs committed baseline, 30% floor) =="
 # Guards the explorer's hot path: the --quick sweep's states/sec must stay
