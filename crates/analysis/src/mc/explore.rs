@@ -11,9 +11,13 @@
 //! Storage per discovered state is O(1), independent of depth: one
 //! arena node `(parent_idx, action)` — traces are reconstructed on
 //! demand by walking parent pointers — plus one 64-bit key from
-//! [`StepSemantics::fingerprint`] in a pre-sized hash set. Full state
-//! values live only in the current BFS frontier; the layer behind it is
-//! dropped wholesale.
+//! [`StepSemantics::fingerprint`] in a hash set. The arena and the set
+//! start empty and grow with the search, so a small state space costs
+//! little and only the largest pays for its size. Full state values
+//! live only in the current BFS frontier and the layer it discovers;
+//! the two frontier vectors swap roles at each layer, and one action
+//! buffer serves every expansion, so the search allocates per layer
+//! (and per doubling of the store), not per state.
 //!
 //! For the scenario model the key is [`super::McState::pack`], an
 //! injective packing, so deduplication is exact. Other semantics get
@@ -162,13 +166,6 @@ impl Hasher for KeyHasher {
 
 type KeySet = HashSet<u64, BuildHasherDefault<KeyHasher>>;
 
-/// Initial capacity for the seen-set and arena: enough for every cell
-/// of the scenario matrix without rehashing, without committing the
-/// full `state_budget` upfront.
-fn presize(budget: usize) -> usize {
-    budget.min(1 << 17)
-}
-
 /// The index of a singleton ample action, if any process qualifies.
 fn ample_action<S: StepSemantics>(
     sem: &S,
@@ -187,23 +184,23 @@ fn ample_action<S: StepSemantics>(
     })
 }
 
-/// The POR-or-full successor action set for one state. An ample
-/// singleton reuses the `enabled` vector rather than allocating.
-fn expansion<S: StepSemantics>(
+/// Fills the empty `actions` with the POR-or-full successor action set
+/// of one state: an ample singleton, or every enabled action.
+fn expand<S: StepSemantics>(
     sem: &S,
     state: &S::State,
     use_por: bool,
     ample_states: &mut usize,
-) -> Vec<S::Action> {
-    let mut enabled = sem.enabled_actions(state);
+    actions: &mut Vec<S::Action>,
+) {
+    sem.enabled_actions(state, actions);
     if use_por {
-        if let Some(i) = ample_action(sem, state, &enabled) {
+        if let Some(i) = ample_action(sem, state, actions) {
             *ample_states += 1;
-            enabled.swap(0, i);
-            enabled.truncate(1);
+            actions.swap(0, i);
+            actions.truncate(1);
         }
     }
-    enabled
 }
 
 /// Explores the reachable state space of `sem` breadth-first, calling
@@ -220,9 +217,8 @@ where
     };
     let mut first_hits: Vec<Option<Vec<S::Action>>> = (0..32).map(|_| None).collect();
     let mut hit_mask = 0u32;
-    let mut nodes = Vec::with_capacity(presize(opts.state_budget));
-    let mut seen =
-        KeySet::with_capacity_and_hasher(presize(opts.state_budget) + 1, Default::default());
+    let mut nodes = Vec::new();
+    let mut seen = KeySet::default();
 
     let initial = sem.initial_state();
     nodes.push(Node {
@@ -238,13 +234,21 @@ where
     );
     seen.insert(sem.fingerprint(&initial));
     let mut frontier: Vec<(u32, S::State)> = vec![(0, initial)];
+    let mut next: Vec<(u32, S::State)> = Vec::new();
+    let mut actions = Vec::new();
     let mut depth = 0usize;
 
     while !frontier.is_empty() && !stats.truncated {
         depth += 1;
-        let mut next: Vec<(u32, S::State)> = Vec::new();
         'frontier: for (idx, state) in &frontier {
-            for action in expansion(sem, state, opts.use_por, &mut stats.ample_states) {
+            expand(
+                sem,
+                state,
+                opts.use_por,
+                &mut stats.ample_states,
+                &mut actions,
+            );
+            for action in actions.drain(..) {
                 let succ = sem.apply(state, &action);
                 stats.transitions += 1;
                 if !seen.insert(sem.fingerprint(&succ)) {
@@ -271,7 +275,8 @@ where
                 stats.states += 1;
             }
         }
-        frontier = next;
+        frontier.clear();
+        std::mem::swap(&mut frontier, &mut next);
     }
 
     Exploration { stats, first_hits }
@@ -347,8 +352,8 @@ mod tests {
             [0; N]
         }
 
-        fn enabled_actions(&self, s: &[u8; N]) -> Vec<usize> {
-            (0..N).filter(|&i| s[i] < 2).collect()
+        fn enabled_actions(&self, s: &[u8; N], acts: &mut Vec<usize>) {
+            acts.extend((0..N).filter(|&i| s[i] < 2));
         }
 
         fn apply(&self, s: &[u8; N], a: &usize) -> [u8; N] {
@@ -429,7 +434,25 @@ mod tests {
             classify,
         );
         assert!(ex.stats.truncated);
-        assert!(ex.stats.states <= 5);
+        assert_eq!(ex.stats.states, 5, "the store stops at the budget");
+    }
+
+    #[test]
+    fn a_budget_above_the_state_space_changes_nothing() {
+        let at = |state_budget| {
+            explore(
+                &Counters,
+                &ExploreOpts {
+                    use_por: false,
+                    state_budget,
+                },
+                classify,
+            )
+        };
+        let (small, large) = (at(64), at(2_000_000));
+        assert!(!small.stats.truncated);
+        assert_eq!(small.stats, large.stats);
+        assert_eq!(small.first_hits, large.first_hits);
     }
 
     #[test]

@@ -15,8 +15,10 @@
 //! the operation, so exploration cross-validates the static lowering
 //! against the enforcement artifacts on every reachable interleaving.
 //! Both verdicts depend on the query alone, never on the state, so each
-//! distinct query is adjudicated once per cell into an [`Adjudication`]
-//! table that transitions index by [`Proc::index`].
+//! distinct query is adjudicated once into an [`Adjudication`] table
+//! that transitions index by [`Proc::index`]. Neither depends on the
+//! attack either, so the cells of one (platform, attacker, scheme)
+//! share one table, Policy IR and set of seeded capabilities.
 //!
 //! Channel slots hold the *last admitted-and-acceptable* message
 //! (mailbox semantics: the real servers drain their queues each
@@ -28,6 +30,8 @@
 //! The transition graph is a DAG: within a round the `moved` mask grows
 //! strictly, and the tick strictly increases `round`. This is what makes
 //! the ample-set cycle condition (C3) vacuous — see [`super::explore`](mod@super::explore).
+
+use std::sync::Arc;
 
 use bas_attack::{AttackId, AttackerModel};
 use bas_core::platform::linux::UidScheme;
@@ -101,11 +105,12 @@ impl Verdict {
     }
 }
 
-/// Every query the transition relation can ask, answered once per cell
-/// by both the Policy IR and the [`KernelGate`]. Processes index by
-/// [`Proc::index`], message types by [`MTYPES`] order and devices by
-/// [`DEVICES`] order; every arm of the transition relation reads this
-/// table instead of consulting the IR or the gate.
+/// Every query the transition relation can ask, answered once per
+/// (platform, attacker, scheme) by both the Policy IR and the
+/// [`KernelGate`]. Processes index by [`Proc::index`], message types by
+/// [`MTYPES`] order and devices by [`DEVICES`] order; every arm of the
+/// transition relation reads this table instead of consulting the IR or
+/// the gate.
 pub struct Adjudication {
     /// `[sender][receiver][mtype]`.
     send: [[[Verdict; 4]; 5]; 5],
@@ -279,6 +284,20 @@ pub struct SeededCap {
     pub effect: CapEffect,
 }
 
+/// What a cell's transitions are adjudicated by: the Policy IR, its
+/// [`Adjudication`] table and the anomalous capabilities the IR's
+/// derivation graph hands the attacker. None of it depends on the
+/// attack, so the cells of one (platform, attacker, scheme) share one
+/// ([`ScenarioModel::with_attack`]).
+struct CellPolicy {
+    ir: PolicyModel,
+    adj: Adjudication,
+    /// A type-confused handle in the attacker's possession, if any.
+    masq: Option<SeededCap>,
+    /// A derivation-breached capability in the attacker's possession.
+    derived: Option<SeededCap>,
+}
+
 /// One matrix cell as an explicit transition relation.
 pub struct ScenarioModel {
     /// The platform under analysis.
@@ -291,12 +310,7 @@ pub struct ScenarioModel {
     pub scheme: UidScheme,
     /// Exploration bounds.
     pub bounds: McBounds,
-    ir: PolicyModel,
-    adj: Adjudication,
-    /// A type-confused handle in the attacker's possession, if any.
-    masq: Option<SeededCap>,
-    /// A derivation-breached capability in the attacker's possession.
-    derived: Option<SeededCap>,
+    policy: Arc<CellPolicy>,
     /// Whether the attacker may churn the sensor→controller right
     /// ([`AttackOp::Revoke`] / [`AttackOp::Regrant`]). Off in the
     /// 54-cell matrix, so its verdicts are unchanged.
@@ -340,11 +354,24 @@ impl ScenarioModel {
             attack,
             scheme,
             bounds: McBounds::default(),
-            ir,
-            adj,
-            masq,
-            derived,
+            policy: Arc::new(CellPolicy {
+                ir,
+                adj,
+                masq,
+                derived,
+            }),
             churn: false,
+        }
+    }
+
+    /// This cell with `attack` mounted instead. The new cell shares this
+    /// one's Policy IR, adjudication table and seeded capabilities
+    /// rather than lowering and adjudicating them again.
+    pub(crate) fn with_attack(&self, attack: AttackId) -> ScenarioModel {
+        ScenarioModel {
+            attack,
+            policy: Arc::clone(&self.policy),
+            ..*self
         }
     }
 
@@ -360,17 +387,17 @@ impl ScenarioModel {
 
     /// The Policy IR this cell is adjudicated against.
     pub fn ir(&self) -> &PolicyModel {
-        &self.ir
+        &self.policy.ir
     }
 
-    /// The per-cell adjudication table the transitions read.
+    /// The adjudication table the transitions read.
     pub fn adjudication(&self) -> &Adjudication {
-        &self.adj
+        &self.policy.adj
     }
 
     /// The IR role name bound to `p`.
     pub fn name(&self, p: Proc) -> &str {
-        role(&self.ir.roles, p)
+        role(&self.policy.ir.roles, p)
     }
 
     /// Applies a dual verdict on the transition performing the
@@ -385,12 +412,12 @@ impl ScenarioModel {
 
     /// Dual-adjudicated send: Policy IR vs kernel artifact.
     fn send(&self, st: &mut McState, sender: Proc, receiver: Proc, mtype: u32) -> bool {
-        Self::judged(st, self.adj.send(sender, receiver, mtype))
+        Self::judged(st, self.policy.adj.send(sender, receiver, mtype))
     }
 
     /// Dual-adjudicated device access.
     fn device(&self, st: &mut McState, subject: Proc, dev: DeviceId, write: bool) -> bool {
-        Self::judged(st, self.adj.device(subject, dev, write))
+        Self::judged(st, self.policy.adj.device(subject, dev, write))
     }
 
     fn apply_step(&self, t: &mut McState, p: Proc) {
@@ -429,12 +456,12 @@ impl ScenarioModel {
                         WebMsg::Junk => {} // malformed; discarded
                         WebMsg::TamperSetpoint => {
                             // Range validation holds on every platform.
-                            if self.adj.app_accepts(Proc::Ctrl, MT_SETPOINT, false) {
+                            if self.policy.adj.app_accepts(Proc::Ctrl, MT_SETPOINT, false) {
                                 t.diverged = true;
                             }
                         }
                         WebMsg::ReplaySetpoint => {
-                            if self.adj.app_accepts(Proc::Ctrl, MT_SETPOINT, true) {
+                            if self.policy.adj.app_accepts(Proc::Ctrl, MT_SETPOINT, true) {
                                 t.diverged = true;
                             }
                         }
@@ -470,7 +497,7 @@ impl ScenarioModel {
     fn apply_attack(&self, t: &mut McState, op: AttackOp) {
         t.moved |= Proc::Web.bit();
         t.budget = t.budget.saturating_sub(1);
-        let adj = &self.adj;
+        let adj = &self.policy.adj;
         match op {
             AttackOp::InjectReading => {
                 if adj.mech_delivers(Proc::Ctrl, MT_SENSOR_READING, true) {
@@ -576,7 +603,7 @@ impl ScenarioModel {
                 // A kernel honoring the asserted handle type acts on the
                 // confused object; one re-validating at translation
                 // rejects the invocation outright (no flags at all).
-                if let Some(cap) = self.masq.filter(|c| c.exploitable) {
+                if let Some(cap) = self.policy.masq.filter(|c| c.exploitable) {
                     t.flags |= flags::DELIVERED | flags::MASQUERADE;
                     self.apply_cap_effect(t, cap.effect);
                 }
@@ -584,7 +611,7 @@ impl ScenarioModel {
             AttackOp::UseDerived => {
                 // The slot reads usable to the kernel by construction —
                 // that is exactly the derivation breach.
-                if let Some(cap) = self.derived {
+                if let Some(cap) = self.policy.derived {
                     t.flags |= flags::DELIVERED | flags::DERIVATION_BREACH;
                     self.apply_cap_effect(t, cap.effect);
                 }
@@ -754,10 +781,9 @@ impl StepSemantics for ScenarioModel {
         McState::initial(self.bounds.attacker_budget)
     }
 
-    fn enabled_actions(&self, s: &McState) -> Vec<McAction> {
-        let mut acts = Vec::new();
+    fn enabled_actions(&self, s: &McState, acts: &mut Vec<McAction>) {
         if s.round >= self.bounds.max_rounds {
-            return acts; // bounded horizon reached
+            return; // bounded horizon reached
         }
         for p in Proc::CRITICAL {
             if s.is_alive(p) && !s.has_moved(p) {
@@ -777,10 +803,10 @@ impl StepSemantics for ScenarioModel {
             }
             // Seeded anomalous capabilities extend the attacker's menu
             // regardless of the background attack.
-            if self.masq.is_some() {
+            if self.policy.masq.is_some() {
                 acts.push(McAction::Attack(AttackOp::Masquerade));
             }
-            if self.derived.is_some() {
+            if self.policy.derived.is_some() {
                 acts.push(McAction::Attack(AttackOp::UseDerived));
             }
             // Churn ops flip a single bit, so only the state-changing
@@ -798,7 +824,6 @@ impl StepSemantics for ScenarioModel {
         if s.round_complete() {
             acts.push(McAction::EnvTick);
         }
-        acts
     }
 
     fn apply(&self, s: &McState, a: &McAction) -> McState {
@@ -866,6 +891,12 @@ mod tests {
             attack,
             UidScheme::SharedAccount,
         )
+    }
+
+    fn enabled(m: &ScenarioModel, s: &McState) -> Vec<McAction> {
+        let mut acts = Vec::new();
+        m.enabled_actions(s, &mut acts);
+        acts
     }
 
     /// One full healthy round in schedule order, then the tick.
@@ -960,13 +991,13 @@ mod tests {
     fn enabled_actions_follow_the_round_barrier() {
         let m = model(Platform::Minix, AttackId::KillCritical);
         let s = m.initial_state();
-        let acts = m.enabled_actions(&s);
+        let acts = enabled(&m, &s);
         assert!(acts.contains(&McAction::Step(Proc::Sensor)));
         assert!(acts.contains(&McAction::Attack(AttackOp::Kill(Proc::Ctrl))));
         assert!(!acts.contains(&McAction::EnvTick), "round incomplete");
         let trace: Vec<McAction> = Proc::CRITICAL.iter().map(|p| McAction::Step(*p)).collect();
         let states = replay_trace(&m, &trace).expect("schedule order is feasible");
         let last = states.last().expect("replay yields at least one state");
-        assert!(m.enabled_actions(last).contains(&McAction::EnvTick));
+        assert!(enabled(&m, last).contains(&McAction::EnvTick));
     }
 }

@@ -285,20 +285,26 @@ pub fn check_matrix(scheme: UidScheme, opts: &ExploreOpts) -> Vec<CellReport> {
 /// preserving input order in the result. Cells are independent
 /// explorations, so this parallelizes at the cell boundary; reports are
 /// identical at any `sweep_workers` (each cell is a pure function of its
-/// inputs).
+/// inputs). The cells of one (platform, attacker) share one Policy IR
+/// and adjudication table, built once.
 pub fn check_cells(
     cells: &[(Platform, AttackerModel, AttackId)],
     scheme: UidScheme,
     opts: &ExploreOpts,
     sweep_workers: usize,
 ) -> Vec<CellReport> {
-    WorkerPool::new(sweep_workers).map(cells.len(), |i| {
-        let (platform, attacker, attack) = cells[i];
-        check_cell(
-            &ScenarioModel::new(platform, attacker, attack, scheme),
-            opts,
-        )
-    })
+    let mut models: Vec<ScenarioModel> = Vec::with_capacity(cells.len());
+    for &(platform, attacker, attack) in cells {
+        let model = match models
+            .iter()
+            .find(|m| m.platform == platform && m.attacker == attacker)
+        {
+            Some(sibling) => sibling.with_attack(attack),
+            None => ScenarioModel::new(platform, attacker, attack, scheme),
+        };
+        models.push(model);
+    }
+    WorkerPool::new(sweep_workers).map(models.len(), |i| check_cell(&models[i], opts))
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
-//! The per-cell adjudication table against live Policy IR and kernel
-//! gate calls.
+//! The adjudication table against live Policy IR and kernel gate calls.
 //!
 //! The model checker answers every send, device access, kill and fork
-//! from a table filled once per cell. These tests hold the table to the
+//! from a table filled once per (platform, attacker, scheme) and shared
+//! by that triple's cells. These tests hold the table to the
 //! live judgments it memoizes — every entry, in every matrix cell under
 //! both uid schemes, in every seeded derivation scenario and in a churn
 //! cell — and show that a deliberately wrong IR still surfaces as a

@@ -75,6 +75,12 @@ pub fn attack_overrides<B: Binding>(
 }
 
 /// Runs one attack and produces the matrix cell.
+///
+/// The run is untraced: no [`AttackOutcome`] field reads the kernel
+/// trace (the mechanism verdict comes from the attacker's own evidence,
+/// the rest from kernel metrics, liveness and the plant), and keeping it
+/// would hold every kernel event of the run in memory. For a traced
+/// run, boot [`attack_overrides`] directly.
 pub fn run_attack(
     platform: Platform,
     attacker: AttackerModel,
@@ -88,7 +94,9 @@ pub fn run_attack(
     }
 }
 
-/// [`run_attack`] on `B`'s platform.
+/// [`run_attack`] on `B`'s platform, with the kernel trace switched off
+/// right after boot, as `InstancePool::checkout` does for fleet
+/// engines: the outcome never reads it.
 fn attack_on<B: Binding>(
     attacker: AttackerModel,
     attack: AttackId,
@@ -97,6 +105,7 @@ fn attack_on<B: Binding>(
     let evidence = new_evidence();
     let overrides = attack_overrides::<B>(attacker, attack, config, &evidence);
     let mut s = ScenarioEngine::<B::Stack>::boot(&config.scenario, overrides);
+    s.disable_trace();
     s.run_for(config.warmup + config.window + config.cooldown);
     let plant = plant_snapshot(&s);
 

@@ -275,8 +275,10 @@ pub trait Scenario {
 
     /// Stops the kernel trace from recording further events (see
     /// [`bas_sim::kernel::Kernel::disable_trace`]). The setting survives
-    /// [`Scenario::reset_to_boot`], which clears the events already kept;
-    /// nothing the scenario reports besides `trace_count` reads the trace.
+    /// [`Scenario::reset_to_boot`], which clears the events already kept.
+    /// Of what the scenario reports, only `trace_count` reads the trace,
+    /// so fleet engines (`InstancePool::checkout`) and attack runs
+    /// (`bas_attack::run_attack`) switch it off and report the same.
     fn disable_trace(&mut self);
 
     /// Responses observed by the web interface.

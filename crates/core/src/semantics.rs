@@ -41,9 +41,11 @@ pub trait StepSemantics {
     /// The unique initial state.
     fn initial_state(&self) -> Self::State;
 
-    /// All actions enabled in `state`, in a deterministic order.
-    /// An empty vector marks a terminal state.
-    fn enabled_actions(&self, state: &Self::State) -> Vec<Self::Action>;
+    /// Appends every action enabled in `state` to `actions`, in a
+    /// deterministic order; appending none marks a terminal state. The
+    /// caller owns the buffer and clears it between states, so an
+    /// explorer expands its whole search through one allocation.
+    fn enabled_actions(&self, state: &Self::State, actions: &mut Vec<Self::Action>);
 
     /// The successor of `state` under `action`. Only called with actions
     /// returned by [`StepSemantics::enabled_actions`] for that state.
@@ -89,9 +91,12 @@ pub trait StepSemantics {
 /// the correctness condition for counterexample minimization.
 pub fn replay_trace<S: StepSemantics>(sem: &S, trace: &[S::Action]) -> Option<Vec<S::State>> {
     let mut states = Vec::with_capacity(trace.len() + 1);
+    let mut enabled = Vec::new();
     let mut current = sem.initial_state();
     for action in trace {
-        if !sem.enabled_actions(&current).contains(action) {
+        enabled.clear();
+        sem.enabled_actions(&current, &mut enabled);
+        if !enabled.contains(action) {
             return None;
         }
         let next = sem.apply(&current, action);
@@ -116,15 +121,13 @@ mod tests {
             (0, 0)
         }
 
-        fn enabled_actions(&self, s: &Self::State) -> Vec<usize> {
-            let mut acts = Vec::new();
+        fn enabled_actions(&self, s: &Self::State, acts: &mut Vec<usize>) {
             if s.0 < 2 {
                 acts.push(0);
             }
             if s.1 < 2 {
                 acts.push(1);
             }
-            acts
         }
 
         fn apply(&self, s: &Self::State, a: &usize) -> Self::State {
